@@ -49,7 +49,7 @@ from .length import (
     subadditivity_check,
     summability_partial_sums,
 )
-from .reports import CheckList, CheckResult, dump_json, write_csv, write_json
+from .reports import CheckResult, dump_json, leq, write_csv, write_json
 from .scalars import ComplexFloatBackend, CyclotomicBackend, cyclotomic_poly, make_backend
 from .semichar import (
     Box,
@@ -78,7 +78,6 @@ from .weighted import (
     convolve,
     domination_check,
     dual_norm_extremizer,
-    leq,
     pairing,
     project,
     random_rectangle_member,

@@ -21,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from .groups import (
+    GROUP_KINDS,
+    SYMMETRIC_DEGREE_CAP,
     GeneratorSet,
     Group,
     GroupSpec,
@@ -30,7 +32,6 @@ from .groups import (
     standard_generators,
 )
 from .hopf import (
-    BRUTE_FORCE_DIM_CAP,
     check_hopf_axioms,
     duality_cycle,
     dual_hopf,
@@ -128,7 +129,6 @@ def _as_str(value, path: str, choices=None) -> str:
 
 
 _GROUP_KEYS = {"kind", "orders", "rank", "degree", "label"}
-_GROUP_KINDS = ("finite_abelian", "symmetric", "heisenberg", "free", "free_abelian")
 
 
 def _parse_group(obj, path: str) -> tuple[Group, dict]:
@@ -140,8 +140,8 @@ def _parse_group(obj, path: str) -> tuple[Group, dict]:
     if "kind" not in obj:
         _fail(f"{path}.kind", "required")
     kind = _as_str(obj["kind"], f"{path}.kind")
-    if kind not in _GROUP_KINDS:
-        _fail(f"{path}.kind", f"unknown group kind {kind!r} (expected one of {_GROUP_KINDS})")
+    if kind not in GROUP_KINDS:
+        _fail(f"{path}.kind", f"unknown group kind {kind!r} (expected one of {GROUP_KINDS})")
     label = _as_str(obj.get("label", ""), f"{path}.label")
     echo: dict = {"kind": kind}
     if label:
@@ -157,7 +157,7 @@ def _parse_group(obj, path: str) -> tuple[Group, dict]:
     elif kind == "symmetric":
         if "degree" not in obj:
             _fail(f"{path}.degree", "required")
-        degree = _as_int(obj["degree"], f"{path}.degree", minimum=1, maximum=6)
+        degree = _as_int(obj["degree"], f"{path}.degree", minimum=1, maximum=SYMMETRIC_DEGREE_CAP)
         spec = GroupSpec.symmetric(degree, label=label)
         echo["degree"] = degree
     elif kind in ("free", "free_abelian"):
@@ -178,18 +178,6 @@ def _require_finite(group: Group, path: str) -> Group:
     if not group.is_finite:
         _fail(path, f"this command needs a finite group, got {group.label!r}")
     return group
-
-
-def _exponent(group: Group) -> int:
-    """lcm of element orders; the natural root order for exact backends."""
-    exp = 1
-    for x in group.elements():
-        acc, o = x, 1
-        while acc != group.identity:
-            acc = group.mul(acc, x)
-            o += 1
-        exp = exp * o // math.gcd(exp, o)
-    return exp
 
 
 def _parse_generators(raw, group: Group, path: str) -> tuple[GeneratorSet, object]:
@@ -229,37 +217,33 @@ def _parse_weights(raw, count: int, path: str) -> tuple[WeightFunction, object]:
 
 
 def _parse_recipe(obj, path: str) -> dict:
-    """Structural validation of a semicharacter recipe (binding happens later)."""
+    """Validate a semicharacter recipe; returns a copy with exact numeric values.
+
+    Binding to a length report happens at run time, through
+    ``build_semicharacter`` on the returned copy.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         _fail(path, f"expected an object with a 'kind', got {obj!r}")
     kind = obj["kind"]
     unknown = set(obj) - {"kind", "value", "arg", "args"}
     if unknown:
         raise ConfigError([(f"{path}.{k}", "unknown key") for k in sorted(unknown)])
-    if kind == "const":
+    out = dict(obj)
+    if kind in ("const", "scale"):
         if "value" in obj:
-            _as_fraction(obj["value"], f"{path}.value", minimum=1)
-    elif kind == "expLength":
-        pass
+            out["value"] = _as_fraction(obj["value"], f"{path}.value", minimum=1)
     elif kind in ("sum", "product", "max"):
         args = obj.get("args")
         if not isinstance(args, list) or len(args) < 2:
             _fail(f"{path}.args", f"{kind} needs a list with at least two entries")
-        for i, a in enumerate(args):
-            _parse_recipe(a, f"{path}.args[{i}]")
-    elif kind == "scale":
-        if "value" in obj:
-            _as_fraction(obj["value"], f"{path}.value", minimum=1)
-        if "arg" not in obj:
-            _fail(f"{path}.arg", "required")
-        _parse_recipe(obj["arg"], f"{path}.arg")
-    elif kind == "inverse":
-        if "arg" not in obj:
-            _fail(f"{path}.arg", "required")
-        _parse_recipe(obj["arg"], f"{path}.arg")
-    else:
+        out["args"] = [_parse_recipe(a, f"{path}.args[{i}]") for i, a in enumerate(args)]
+    elif kind not in ("expLength", "inverse"):
         _fail(f"{path}.kind", f"unknown recipe kind {kind!r}")
-    return obj
+    if kind in ("scale", "inverse"):
+        if "arg" not in obj:
+            _fail(f"{path}.arg", "required")
+        out["arg"] = _parse_recipe(obj["arg"], f"{path}.arg")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,27 +310,27 @@ def parse_config(raw, seed_override=None, backend_override=None) -> RunConfig:
 
 
 def _make_backend_for(params, *groups):
-    order = 1
-    for g in groups:
-        e = _exponent(g)
-        order = order * e // math.gcd(order, e)
+    order = math.lcm(*(g.exponent for g in groups))
     return make_backend(params["backend_name"], tolerance=params["tolerance"], order=order)
 
 
-def _parse_hopf_axioms(raw, params, inputs):
-    group, echo = _parse_group(raw.get("group"), "group")
-    _require_finite(group, "group")
-    algebra = _as_str(raw.get("algebra", "both"), "algebra", choices={"function", "group", "both"})
-    params["group"] = group
+def _parse_finite(raw, params, inputs) -> Group:
+    """The finite group and its backend, which every structure command shares."""
+    group, inputs["group"] = _parse_group(raw.get("group"), "group")
+    params["group"] = _require_finite(group, "group")
     params["backend"] = _make_backend_for(params, group)
+    return group
+
+
+def _parse_hopf_axioms(raw, params, inputs):
+    _parse_finite(raw, params, inputs)
+    algebra = _as_str(raw.get("algebra", "both"), "algebra", choices={"function", "group", "both"})
     params["algebras"] = ("function", "group") if algebra == "both" else (algebra,)
-    inputs["group"] = echo
     inputs["algebra"] = algebra
 
 
 def _parse_duality_cycle(raw, params, inputs):
-    group, echo = _parse_group(raw.get("group"), "group")
-    _require_finite(group, "group")
+    group = _parse_finite(raw, params, inputs)
     if group.kind != "finite_abelian":
         _fail("group.kind", "duality-cycle needs a finite_abelian group")
     perturb = raw.get("perturb")
@@ -356,23 +340,17 @@ def _parse_duality_cycle(raw, params, inputs):
         i = _as_int(perturb[0], "perturb[0]", minimum=0, maximum=group.order - 1)
         j = _as_int(perturb[1], "perturb[1]", minimum=0, maximum=group.order - 1)
         perturb = (i, j)
-    params["group"] = group
-    params["backend"] = _make_backend_for(params, group)
     params["perturb"] = perturb
-    inputs["group"] = echo
     inputs["perturb"] = None if perturb is None else list(perturb)
 
 
 def _parse_group_part(raw, params, inputs):
-    group, echo = _parse_group(raw.get("group"), "group")
-    _require_finite(group, "group")
+    _parse_finite(raw, params, inputs)
     algebra = _as_str(raw.get("algebra", "group"), "algebra", choices={"function", "group"})
     mode = _as_str(raw.get("mode", "both"), "mode", choices={"closedForm", "bruteForce", "both"})
     expected = raw.get("expectedCount")
     if expected is not None:
         expected = _as_int(expected, "expectedCount", minimum=0)
-    params["group"] = group
-    params["backend"] = _make_backend_for(params, group)
     params["algebra"] = algebra
     params["modes"] = {
         "closedForm": ("closed_form",),
@@ -380,7 +358,6 @@ def _parse_group_part(raw, params, inputs):
         "both": ("closed_form", "brute_force"),
     }[mode]
     params["expected"] = expected
-    inputs["group"] = echo
     inputs["algebra"] = algebra
     inputs["mode"] = mode
     if expected is not None:
@@ -388,31 +365,30 @@ def _parse_group_part(raw, params, inputs):
 
 
 def _parse_tensor_iso(raw, params, inputs):
-    left, echo_l = _parse_group(raw.get("left"), "left")
-    right, echo_r = _parse_group(raw.get("right"), "right")
-    _require_finite(left, "left")
-    _require_finite(right, "right")
-    params["left"] = left
-    params["right"] = right
+    left, inputs["left"] = _parse_group(raw.get("left"), "left")
+    right, inputs["right"] = _parse_group(raw.get("right"), "right")
+    params["left"] = _require_finite(left, "left")
+    params["right"] = _require_finite(right, "right")
     params["backend"] = _make_backend_for(params, left, right)
-    inputs["left"] = echo_l
-    inputs["right"] = echo_r
+
+
+def _parse_ball(raw, params, inputs, default_radius=DEFAULT_RADIUS):
+    """The fields every search command shares; returns the generators' echo."""
+    group, inputs["group"] = _parse_group(raw.get("group"), "group")
+    gens, gens_echo = _parse_generators(raw, group, "generators")
+    radius = _as_fraction(raw.get("radius", default_radius), "radius", minimum=0)
+    cap = _as_int(raw.get("elementCap", DEFAULT_ELEMENT_CAP), "elementCap", minimum=1)
+    params.update(group=group, generators=gens, radius=radius, element_cap=cap)
+    inputs["radius"] = _echo_fraction(radius)
+    inputs["elementCap"] = cap
+    return gens_echo
 
 
 def _parse_cayley(raw, params, inputs):
-    group, echo = _parse_group(raw.get("group"), "group")
-    gens, gens_echo = _parse_generators(raw, group, "generators")
-    weights, weights_echo = _parse_weights(raw, len(gens.elements), "weights")
-    radius = _as_fraction(raw.get("radius", DEFAULT_RADIUS), "radius", minimum=0)
-    cap = _as_int(raw.get("elementCap", DEFAULT_ELEMENT_CAP), "elementCap", minimum=1)
+    inputs["generators"] = _parse_ball(raw, params, inputs)
+    weights, inputs["weights"] = _parse_weights(raw, len(params["generators"].elements), "weights")
     samples = _as_int(raw.get("samples", 500), "samples", minimum=0)
-    params.update(group=group, generators=gens, weights=weights, radius=radius,
-                  element_cap=cap, samples=samples)
-    inputs["group"] = echo
-    inputs["generators"] = gens_echo
-    inputs["weights"] = weights_echo
-    inputs["radius"] = _echo_fraction(radius)
-    inputs["elementCap"] = cap
+    params.update(weights=weights, samples=samples)
     inputs["samples"] = samples
 
 
@@ -434,53 +410,30 @@ def _parse_counterexample(raw, params, inputs):
 
 
 def _parse_nuclearity(raw, params, inputs):
-    group, echo = _parse_group(raw.get("group"), "group")
-    gens, gens_echo = _parse_generators(raw, group, "generators")
-    weights, weights_echo = _parse_weights(raw, len(gens.elements), "weights")
+    inputs["generators"] = _parse_ball(raw, params, inputs)
+    weights, inputs["weights"] = _parse_weights(raw, len(params["generators"].elements), "weights")
     if not weights.is_integer:
         _fail("weights", "nuclearity needs integer base weights")
-    radius = _as_fraction(raw.get("radius", DEFAULT_RADIUS), "radius", minimum=0)
-    cap = _as_int(raw.get("elementCap", DEFAULT_ELEMENT_CAP), "elementCap", minimum=1)
-    params.update(group=group, generators=gens, weights=weights, radius=radius, element_cap=cap)
-    inputs["group"] = echo
-    inputs["generators"] = gens_echo
-    inputs["weights"] = weights_echo
-    inputs["radius"] = _echo_fraction(radius)
-    inputs["elementCap"] = cap
+    params["weights"] = weights
 
 
 def _parse_seminorm_suite(raw, params, inputs):
-    group, echo = _parse_group(raw.get("group"), "group")
-    gens, _ = _parse_generators(raw, group, "generators")
-    radius = _as_fraction(raw.get("radius", 8), "radius", minimum=0)
-    cap = _as_int(raw.get("elementCap", DEFAULT_ELEMENT_CAP), "elementCap", minimum=1)
+    _parse_ball(raw, params, inputs, default_radius=8)
     count = _as_int(raw.get("count", 20), "count", minimum=1)
     trials = _as_int(raw.get("trials", 200), "trials", minimum=1)
-    params.update(group=group, generators=gens, radius=radius, element_cap=cap,
-                  count=count, trials=trials)
-    inputs["group"] = echo
-    inputs["radius"] = _echo_fraction(radius)
-    inputs["elementCap"] = cap
+    params.update(count=count, trials=trials)
     inputs["count"] = count
     inputs["trials"] = trials
 
 
 def _parse_polar_suite(raw, params, inputs):
-    group, echo = _parse_group(raw.get("group"), "group")
-    gens, _ = _parse_generators(raw, group, "generators")
-    radius = _as_fraction(raw.get("radius", DEFAULT_RADIUS), "radius", minimum=0)
-    cap = _as_int(raw.get("elementCap", DEFAULT_ELEMENT_CAP), "elementCap", minimum=1)
+    _parse_ball(raw, params, inputs)
     trials = _as_int(raw.get("trials", 1000), "trials", minimum=1)
-    recipe_f = _parse_recipe(raw.get("weightF", {"kind": "expLength"}), "weightF")
-    recipe_g = _parse_recipe(raw.get("weightG", {"kind": "const", "value": 3}), "weightG")
-    params.update(group=group, generators=gens, radius=radius, element_cap=cap,
-                  trials=trials, recipe_f=recipe_f, recipe_g=recipe_g)
-    inputs["group"] = echo
-    inputs["radius"] = _echo_fraction(radius)
-    inputs["elementCap"] = cap
+    inputs["weightF"] = raw.get("weightF", {"kind": "expLength"})
+    inputs["weightG"] = raw.get("weightG", {"kind": "const", "value": 3})
+    params.update(trials=trials, recipe_f=_parse_recipe(inputs["weightF"], "weightF"),
+                  recipe_g=_parse_recipe(inputs["weightG"], "weightG"))
     inputs["trials"] = trials
-    inputs["weightF"] = recipe_f
-    inputs["weightG"] = recipe_g
 
 
 _PARSERS = {
@@ -599,10 +552,7 @@ def _cmd_cayley(params):
     checks = []
     tables = {}
     sub = subadditivity_check(report, samples=params["samples"], seed=params["seed"])
-    checks.append(
-        CheckResult("subadditivity", sub.passed,
-                    detail=f"{sub.checked} checked, {sub.skipped} skipped")
-    )
+    checks.append(sub.as_check("subadditivity"))
     if params["weights"].is_injective_integer:
         spheres = sphere_bound_check(report)
         checks.append(
@@ -676,18 +626,25 @@ _SEMINORM_CHECKS = ("indicator-floor", "idempotent-consistency", "submultiplicat
                     "domination", "summability")
 
 
-def _cmd_seminorm_suite(params):
+def _explore_enumerated(params):
+    """The ball under enumerated weights, plus the runner output when it was truncated."""
     report = explore_ball(
         params["group"], params["generators"], WeightFunction.enumerated(len(params["generators"].elements)),
         params["radius"], params["element_cap"],
     )
-    if report.truncated:
-        return (
-            [CheckResult("resource-cap", False,
-                         detail="exploration truncated; raise elementCap or lower radius")],
-            {"settled": len(report.lengths)},
-            {},
-        )
+    if not report.truncated:
+        return report, None
+    return report, (
+        [CheckResult("resource-cap", False, detail="exploration truncated; raise elementCap or lower radius")],
+        {"settled": len(report.lengths)},
+        {},
+    )
+
+
+def _cmd_seminorm_suite(params):
+    report, truncated = _explore_enumerated(params)
+    if truncated:
+        return truncated
     region = [x for x, _ in report.final_items()]
     f = ExpLength(report)
     rng = np.random.default_rng(params["seed"])
@@ -712,28 +669,18 @@ def _cmd_seminorm_suite(params):
 
 
 def _cmd_polar_suite(params):
-    report = explore_ball(
-        params["group"], params["generators"], WeightFunction.enumerated(len(params["generators"].elements)),
-        params["radius"], params["element_cap"],
-    )
-    if report.truncated:
-        return (
-            [CheckResult("resource-cap", False,
-                         detail="exploration truncated; raise elementCap or lower radius")],
-            {"settled": len(report.lengths)},
-            {},
-        )
+    report, truncated = _explore_enumerated(params)
+    if truncated:
+        return truncated
     # products of half-radius elements stay settled, so every weight evaluates
     half = [x for x, v in report.final_items() if 2 * v <= report.radius]
     f = build_semicharacter(params["recipe_f"], report)
     g = build_semicharacter(params["recipe_g"], report)
-    checks = weighted_property_trials(f, g, half, trials=params["trials"], seed=params["seed"])
+    checks = weighted_property_trials(f, g, half, group=params["group"], trials=params["trials"],
+                                      seed=params["seed"])
     for name, weight in (("weight-f", f), ("weight-g", g)):
         sub = sampled_submultiplicativity(weight, half, group=params["group"], seed=params["seed"])
-        checks.append(
-            CheckResult(f"{name}-submultiplicative", sub.passed,
-                        detail=f"{sub.checked} checked, {sub.skipped} skipped")
-        )
+        checks.append(sub.as_check(f"{name}-submultiplicative"))
     results = {"regionSize": len(half), "trials": params["trials"]}
     return checks, results, {}
 

@@ -8,6 +8,7 @@ are arbitrary precision; nothing here can wrap around silently.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -15,7 +16,7 @@ Element = tuple
 
 SYMMETRIC_DEGREE_CAP = 6
 
-_KINDS = ("finite_abelian", "symmetric", "heisenberg", "free", "free_abelian")
+GROUP_KINDS = ("finite_abelian", "symmetric", "heisenberg", "free", "free_abelian")
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class GroupSpec:
             if not isinstance(self.rank, int) or self.rank < 1:
                 raise ValueError(f"{self.kind} rank must be a positive integer, got {self.rank!r}")
         elif self.kind != "heisenberg":
-            raise ValueError(f"unknown group kind {self.kind!r} (expected one of {_KINDS})")
+            raise ValueError(f"unknown group kind {self.kind!r} (expected one of {GROUP_KINDS})")
 
     @classmethod
     def finite_abelian(cls, orders: Sequence[int], label: str = "") -> "GroupSpec":
@@ -71,8 +72,11 @@ class Group:
     """Base class: a group whose elements are canonical tuples.
 
     Subclasses fix the payload shape and implement the law.  ``check`` is the
-    membership gate; every public operation validates through it, so a payload
-    from the wrong group raises ValueError instead of corrupting state.
+    membership gate, run wherever elements enter from a caller: payload
+    parsing, generator sets, ``power``, ``format``, weighted vectors, length
+    lookups and the sampled checks; a payload from the wrong group raises
+    ValueError there.  ``mul`` and ``inv`` take canonical elements and do not
+    re-check them, because search loops call them millions of times.
     """
 
     kind: str = ""
@@ -101,9 +105,10 @@ class Group:
     def inv(self, x: Element) -> Element:
         raise NotImplementedError
 
-    def key(self, x: Element) -> Element:
-        """Canonical key: the normal-form payload itself (hashable, ordered)."""
-        return self.check(x)
+    @property
+    def exponent(self) -> int:
+        """lcm of the element orders: the root order exact backends need."""
+        raise ValueError(f"group {self.label!r} has no closed-form exponent")
 
     def elements(self) -> Iterator[Element]:
         """Deterministic enumeration; only finite groups support it."""
@@ -147,9 +152,7 @@ class FiniteAbelianGroup(Group):
     def __init__(self, spec: GroupSpec):
         super().__init__(spec, "Z" + "x".join(str(n) for n in spec.orders))
         self.orders = spec.orders
-        self._order = 1
-        for n in self.orders:
-            self._order *= n
+        self._order = math.prod(self.orders)
         self._identity = tuple(0 for _ in self.orders)
 
     @property
@@ -162,11 +165,7 @@ class FiniteAbelianGroup(Group):
 
     @property
     def exponent(self) -> int:
-        acc = 1
-        for n in self.orders:
-            g = _gcd(acc, n)
-            acc = acc // g * n
-        return acc
+        return math.lcm(*self.orders)
 
     def check(self, x) -> Element:
         _check_int_tuple(x, len(self.orders), self.label)
@@ -176,21 +175,13 @@ class FiniteAbelianGroup(Group):
         return x
 
     def mul(self, x, y):
-        self.check(x), self.check(y)
         return tuple((a + b) % n for a, b, n in zip(x, y, self.orders))
 
     def inv(self, x):
-        self.check(x)
         return tuple((-a) % n for a, n in zip(x, self.orders))
 
     def elements(self) -> Iterator[Element]:
         return iter(itertools.product(*(range(n) for n in self.orders)))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class SymmetricGroup(Group):
@@ -203,9 +194,7 @@ class SymmetricGroup(Group):
         super().__init__(spec, f"S{spec.degree}")
         self.degree = spec.degree
         self._identity = tuple(range(self.degree))
-        self._order = 1
-        for k in range(2, self.degree + 1):
-            self._order *= k
+        self._order = math.factorial(self.degree)
 
     @property
     def identity(self) -> Element:
@@ -215,6 +204,11 @@ class SymmetricGroup(Group):
     def order(self) -> int:
         return self._order
 
+    @property
+    def exponent(self) -> int:
+        # every cycle length 1..n occurs, and an element's order is the lcm of its cycle lengths
+        return math.lcm(*range(1, self.degree + 1))
+
     def check(self, x) -> Element:
         _check_int_tuple(x, self.degree, self.label)
         if sorted(x) != list(range(self.degree)):
@@ -223,11 +217,9 @@ class SymmetricGroup(Group):
 
     def mul(self, x, y):
         # apply y first, then x
-        self.check(x), self.check(y)
         return tuple(x[y[i]] for i in range(self.degree))
 
     def inv(self, x):
-        self.check(x)
         out = [0] * self.degree
         for i, xi in enumerate(x):
             out[xi] = i
@@ -259,11 +251,9 @@ class HeisenbergGroup(Group):
         return _check_int_tuple(x, 3, self.label)
 
     def mul(self, x, y):
-        self.check(x), self.check(y)
         return (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
 
     def inv(self, x):
-        self.check(x)
         a, b, c = x
         return (-a, -b, a * b - c)
 
@@ -298,7 +288,6 @@ class FreeGroup(Group):
         return x
 
     def mul(self, x, y):
-        self.check(x), self.check(y)
         out = list(x)
         for s in y:
             if out and out[-1] == -s:
@@ -308,7 +297,6 @@ class FreeGroup(Group):
         return tuple(out)
 
     def inv(self, x):
-        self.check(x)
         return tuple(-s for s in reversed(x))
 
 
@@ -330,11 +318,9 @@ class FreeAbelianGroup(Group):
         return _check_int_tuple(x, self.rank, self.label)
 
     def mul(self, x, y):
-        self.check(x), self.check(y)
         return tuple(a + b for a, b in zip(x, y))
 
     def inv(self, x):
-        self.check(x)
         return tuple(-a for a in x)
 
 
@@ -366,11 +352,9 @@ class DirectProductGroup(Group):
         return (self.left.check(x[0]), self.right.check(x[1]))
 
     def mul(self, x, y):
-        self.check(x), self.check(y)
         return (self.left.mul(x[0], y[0]), self.right.mul(x[1], y[1]))
 
     def inv(self, x):
-        self.check(x)
         return (self.left.inv(x[0]), self.right.inv(x[1]))
 
     def elements(self) -> Iterator[Element]:

@@ -15,8 +15,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .groups import (
-    DirectProductGroup,
-    Element,
     FiniteAbelianGroup,
     Group,
     GroupSpec,
@@ -189,41 +187,63 @@ def pair_mul(h: HopfAlgebra, p: Mapping, q: Mapping) -> dict:
     return acc
 
 
-def _diff_residual(backend, u: Mapping, v: Mapping) -> float:
+def compare(backend, u: Mapping, v: Mapping) -> tuple[bool, float]:
+    """Entrywise equality of two sparse vectors and the worst residual.
+
+    Walks the union of keys once.  The residual is taken over every key even
+    after a mismatch, because float residuals are reported for passing checks.
+    """
+    zero = backend.zero
+    ok = True
     worst = 0.0
-    for k in set(u) | set(v):
-        worst = max(worst, backend.residual(u.get(k, backend.zero), v.get(k, backend.zero)))
-    return worst
+    for k in u.keys() | v.keys():
+        a, c = u.get(k, zero), v.get(k, zero)
+        worst = max(worst, backend.residual(a, c))
+        ok = ok and backend.eq(a, c)
+    return ok, worst
 
 
-def _vec_eq(backend, u: Mapping, v: Mapping) -> bool:
-    for k in set(u) | set(v):
-        if not backend.eq(u.get(k, backend.zero), v.get(k, backend.zero)):
-            return False
-    return True
+def fold_checks(name: str, backend, pairs: Iterable) -> CheckResult:
+    """One named check over (tag, lhs, rhs) comparisons; the first failing tag is the witness."""
+    ok = True
+    worst = 0.0
+    witness = ""
+    for tag, lhs, rhs in pairs:
+        same, r = compare(backend, lhs, rhs)
+        worst = max(worst, r)
+        if ok and not same:
+            ok, witness = False, tag
+    return CheckResult(name=name, passed=ok, residual=worst, detail=witness)
+
+
+def _contains(backend, vectors, v: Mapping) -> bool:
+    """Whether v equals a member of vectors: a search, not a check, so it stops at
+    the first unequal entry and computes no residual."""
+    zero = backend.zero
+    return any(all(backend.eq(v.get(k, zero), u.get(k, zero)) for k in v.keys() | u.keys()) for u in vectors)
+
+
+def _all_of(name: str, checks: list[CheckResult]) -> CheckResult:
+    """A stage that passes when every check does, naming the ones that failed."""
+    return CheckResult(
+        name=name,
+        passed=all(c.passed for c in checks),
+        residual=max(c.residual for c in checks),
+        detail="; ".join(c.name for c in checks if not c.passed),
+    )
 
 
 def hopf_equal(h1: HopfAlgebra, h2: HopfAlgebra) -> tuple[bool, float]:
     """Tensor-by-tensor equality under h1's backend; returns (equal, residual)."""
     if h1.dim != h2.dim:
         return False, float("inf")
-    b = h1.backend
-    worst = 0.0
-    ok = True
+    pairs = [(h1.unit, h2.unit), (h1.counit, h2.counit)]
     for i in range(h1.dim):
-        for j in range(h1.dim):
-            r = _diff_residual(b, h1.mul.get((i, j), {}), h2.mul.get((i, j), {}))
-            worst = max(worst, r)
-            ok = ok and _vec_eq(b, h1.mul.get((i, j), {}), h2.mul.get((i, j), {}))
-    for i in range(h1.dim):
-        r = _diff_residual(b, h1.comul.get(i, {}), h2.comul.get(i, {}))
-        worst = max(worst, r)
-        ok = ok and _vec_eq(b, h1.comul.get(i, {}), h2.comul.get(i, {}))
-        ok = ok and _vec_eq(b, h1.antipode.get(i, {}), h2.antipode.get(i, {}))
-        worst = max(worst, _diff_residual(b, h1.antipode.get(i, {}), h2.antipode.get(i, {})))
-    ok = ok and _vec_eq(b, h1.unit, h2.unit) and _vec_eq(b, h1.counit, h2.counit)
-    worst = max(worst, _diff_residual(b, h1.unit, h2.unit), _diff_residual(b, h1.counit, h2.counit))
-    return ok, worst
+        pairs.extend((h1.mul.get((i, j), {}), h2.mul.get((i, j), {})) for j in range(h1.dim))
+        pairs.append((h1.comul.get(i, {}), h2.comul.get(i, {})))
+        pairs.append((h1.antipode.get(i, {}), h2.antipode.get(i, {})))
+    check = fold_checks("equal", h1.backend, (("", u, v) for u, v in pairs))
+    return check.passed, check.residual
 
 
 def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
@@ -273,20 +293,6 @@ def check_hopf_axioms(h: HopfAlgebra) -> list[CheckResult]:
     b = h.backend
     results = []
 
-    def record(name, pairs):
-        worst = 0.0
-        ok = True
-        witness = ""
-        for tag, lhs, rhs in pairs:
-            r = _diff_residual(b, lhs, rhs)
-            if r > worst:
-                worst = r
-            if not _vec_eq(b, lhs, rhs):
-                ok = False
-                if not witness:
-                    witness = tag
-        results.append(CheckResult(name=name, passed=ok, residual=worst, detail=witness))
-
     dim = h.dim
 
     def pairs_assoc():
@@ -298,14 +304,14 @@ def check_hopf_axioms(h: HopfAlgebra) -> list[CheckResult]:
                     rhs = mul_vec(h, h.basis(i), h.mul.get((j, k), {}))
                     yield f"({i},{j},{k})", lhs, rhs
 
-    record("associativity", pairs_assoc())
+    results.append(fold_checks("associativity", b, pairs_assoc()))
 
     def pairs_unit():
         for i in range(dim):
             yield f"left {i}", mul_vec(h, h.unit, h.basis(i)), h.basis(i)
             yield f"right {i}", mul_vec(h, h.basis(i), h.unit), h.basis(i)
 
-    record("unit", pairs_unit())
+    results.append(fold_checks("unit", b, pairs_unit()))
 
     def pairs_coassoc():
         for i in range(dim):
@@ -320,7 +326,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> list[CheckResult]:
                     right[key] = b.add(right.get(key, b.zero), b.mul(x, y))
             yield str(i), left, right
 
-    record("coassociativity", pairs_coassoc())
+    results.append(fold_checks("coassociativity", b, pairs_coassoc()))
 
     def pairs_counit():
         for i in range(dim):
@@ -336,7 +342,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> list[CheckResult]:
             yield f"left {i}", left, h.basis(i)
             yield f"right {i}", right, h.basis(i)
 
-    record("counit", pairs_counit())
+    results.append(fold_checks("counit", b, pairs_counit()))
 
     def pairs_bialgebra():
         for i in range(dim):
@@ -356,7 +362,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> list[CheckResult]:
                 yield f"counit x product ({i},{j})", lhs, rhs
         yield "counit of unit", {0: counit_vec(h, h.unit)}, {0: b.one}
 
-    record("bialgebra", pairs_bialgebra())
+    results.append(fold_checks("bialgebra", b, pairs_bialgebra()))
 
     def pairs_antipode():
         for i in range(dim):
@@ -371,7 +377,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> list[CheckResult]:
             yield f"left {i}", left, target
             yield f"right {i}", right, target
 
-    record("antipode", pairs_antipode())
+    results.append(fold_checks("antipode", b, pairs_antipode()))
     return results
 
 
@@ -400,8 +406,7 @@ def _is_grouplike(h: HopfAlgebra, v: Mapping) -> tuple[bool, float]:
     for i, a in v.items():
         for j, c in v.items():
             outer[(i, j)] = b.mul(a, c)
-    lhs = comul_vec(h, v)
-    return _vec_eq(b, lhs, outer), _diff_residual(b, lhs, outer)
+    return compare(b, comul_vec(h, v), outer)
 
 
 def _index_law_from_group(group: Group) -> tuple[list[list[int]], int]:
@@ -438,18 +443,12 @@ def _index_law_from_comul(h: HopfAlgebra) -> tuple[list[list[int]], int] | None:
 
 
 def _mul_is_diagonal(h: HopfAlgebra) -> bool:
+    """Pointwise product: orthogonal basis idempotents and the all-ones unit."""
     b = h.backend
-    for (i, j), cell in h.mul.items():
-        if i != j:
-            if any(not b.is_zero(x) for x in cell.values()):
-                return False
-        else:
-            if not _vec_eq(b, cell, {i: b.one}):
-                return False
-    for i in range(h.dim):
-        if not _vec_eq(b, h.mul.get((i, i), {}), {i: b.one}):
-            return False
-    return _vec_eq(b, h.unit, {i: b.one for i in range(h.dim)})
+    cells = set(h.mul) | {(i, i) for i in range(h.dim)}
+    return all(
+        compare(b, h.mul.get((i, j), {}), {i: b.one} if i == j else {})[0] for i, j in cells
+    ) and compare(b, h.unit, {i: b.one for i in range(h.dim)})[0]
 
 
 def _element_order(law, e: int, g: int) -> int:
@@ -564,7 +563,7 @@ def group_part(h: HopfAlgebra, mode: str = "closed_form") -> GroupPartResult:
             law, e = recovered
             for values in _multiplicative_functions(law, e, b):
                 cand = {i: v for i, v in enumerate(values) if not b.is_zero(v)}
-                if not any(_vec_eq(b, cand, seen) for seen in vectors):
+                if not _contains(b, vectors, cand):
                     vectors.append(cand)
         elif not vectors:
             raise ValueError(
@@ -574,24 +573,14 @@ def group_part(h: HopfAlgebra, mode: str = "closed_form") -> GroupPartResult:
     else:
         raise ValueError(f"unknown mode {mode!r} (expected 'closed_form' or 'brute_force')")
 
-    verified = True
-    worst = 0.0
-    for v in vectors:
-        ok, r = _is_grouplike(h, v)
-        worst = max(worst, r)
-        verified = verified and ok
-    closed = True
-    for v in vectors:
-        for w in vectors:
-            prod = mul_vec(h, v, w)
-            if not any(_vec_eq(b, prod, u) for u in vectors):
-                closed = False
+    grouplike = [_is_grouplike(h, v) for v in vectors]
+    closed = all(_contains(b, vectors, mul_vec(h, v, w)) for v in vectors for w in vectors)
     return GroupPartResult(
         vectors=tuple(vectors),
         mode=mode,
-        verified=verified,
+        verified=all(ok for ok, _ in grouplike),
         closed_under_product=closed,
-        worst_residual=worst,
+        worst_residual=max((r for _, r in grouplike), default=0.0),
     )
 
 
@@ -619,22 +608,12 @@ class CharacterGroup:
         return backend.root(k % self.exponent, self.exponent)
 
 
-def _lcm(values) -> int:
-    acc = 1
-    for v in values:
-        g, a = v, acc
-        while g:
-            a, g = g, a % g
-        acc = acc // a * v
-    return acc
-
-
 def dual_group(group: Group) -> CharacterGroup:
     """Character group of a finite abelian group."""
     if not isinstance(group, FiniteAbelianGroup):
         raise ValueError(f"characters need a finite abelian group, got {group.label!r}")
     index_group = make_group(GroupSpec.finite_abelian(group.orders, label=group.label + "^"))
-    return CharacterGroup(orders=group.orders, group=index_group, exponent=_lcm(group.orders))
+    return CharacterGroup(orders=group.orders, group=index_group, exponent=group.exponent)
 
 
 @dataclass(frozen=True)
@@ -682,23 +661,7 @@ def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
     b = h.backend
     results = []
 
-    def record(name, pairs):
-        worst = 0.0
-        ok = True
-        witness = ""
-        for tag, lhs, rhs in pairs:
-            r = _diff_residual(b, lhs, rhs)
-            worst = max(worst, r)
-            if not _vec_eq(b, lhs, rhs):
-                ok = False
-                if not witness:
-                    witness = tag
-        results.append(CheckResult(name=name, passed=ok, residual=worst, detail=witness))
-
-    def images():
-        return [phi.apply(h.basis(i)) for i in range(h.dim)]
-
-    img = images()
+    img = [phi.apply(h.basis(i)) for i in range(h.dim)]
 
     def pairs_mult():
         for i in range(h.dim):
@@ -707,8 +670,8 @@ def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
                 rhs = mul_vec(k, img[i], img[j])
                 yield f"({i},{j})", lhs, rhs
 
-    record("multiplicative", pairs_mult())
-    record("unital", [("unit", phi.apply(h.unit), dict(k.unit))])
+    results.append(fold_checks("multiplicative", b, pairs_mult()))
+    results.append(fold_checks("unital", b, [("unit", phi.apply(h.unit), dict(k.unit))]))
 
     def pairs_comult():
         for i in range(h.dim):
@@ -722,13 +685,13 @@ def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
             rhs = comul_vec(k, img[i])
             yield str(i), lhs, rhs
 
-    record("comultiplicative", pairs_comult())
+    results.append(fold_checks("comultiplicative", b, pairs_comult()))
 
     def pairs_counit():
         for i in range(h.dim):
             yield str(i), {0: counit_vec(k, img[i])}, {0: h.counit.get(i, b.zero)}
 
-    record("counital", pairs_counit())
+    results.append(fold_checks("counital", b, pairs_counit()))
 
     def pairs_antipode():
         for i in range(h.dim):
@@ -736,7 +699,7 @@ def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
             rhs = phi.apply(h.antipode.get(i, {}))
             yield str(i), lhs, rhs
 
-    record("antipode", pairs_antipode())
+    results.append(fold_checks("antipode", b, pairs_antipode()))
     return results
 
 
@@ -745,22 +708,16 @@ def unitarity_check(phi: LinearMap, order: int) -> CheckResult:
     b = phi.domain.backend
     n = len(phi.matrix)
     target_diag = b.from_int(order)
-    worst = 0.0
-    ok = True
-    witness = ""
-    for i in range(n):
-        for j in range(n):
-            acc = b.zero
-            for t in range(len(phi.matrix[i])):
-                acc = b.add(acc, b.mul(phi.matrix[i][t], b.conj(phi.matrix[j][t])))
-            want = target_diag if i == j else b.zero
-            r = b.residual(acc, want)
-            worst = max(worst, r)
-            if not b.eq(acc, want):
-                ok = False
-                if not witness:
-                    witness = f"rows ({i},{j})"
-    return CheckResult(name="unitarity", passed=ok, residual=worst, detail=witness)
+
+    def pairs():
+        for i in range(n):
+            for j in range(n):
+                acc = b.zero
+                for t in range(len(phi.matrix[i])):
+                    acc = b.add(acc, b.mul(phi.matrix[i][t], b.conj(phi.matrix[j][t])))
+                yield f"rows ({i},{j})", {0: acc}, {0: target_diag if i == j else b.zero}
+
+    return fold_checks("unitarity", b, pairs())
 
 
 def _transpose_map(phi: LinearMap, new_domain: HopfAlgebra, new_codomain: HopfAlgebra) -> LinearMap:
@@ -825,66 +782,41 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
         phi = LinearMap(domain=phi.domain, codomain=phi.codomain, matrix=tuple(tuple(r) for r in bumped))
     stages = []
 
-    hom = check_linear_hom(phi)
-    stages.append(
-        CheckResult(
-            name="transform-hom",
-            passed=all(c.passed for c in hom),
-            residual=max(c.residual for c in hom),
-            detail="; ".join(c.name for c in hom if not c.passed),
-        )
-    )
+    stages.append(_all_of("transform-hom", check_linear_hom(phi)))
 
     # transpose: point mass at a character goes to that character's value table
     chars = dual_group(group)
     dual_dom = group_algebra(chars.group, b)
     cod = function_algebra(group, b)
     tphi = _transpose_map(phi, dual_dom, cod)
-    thom = check_linear_hom(tphi)
-    stages.append(
-        CheckResult(
-            name="transpose-hom",
-            passed=all(c.passed for c in thom),
-            residual=max(c.residual for c in thom),
-            detail="; ".join(c.name for c in thom if not c.passed),
-        )
-    )
+    stages.append(_all_of("transpose-hom", check_linear_hom(tphi)))
     elems = list(group.elements())
-    worst = 0.0
-    ok = True
-    for j, m in enumerate(chars.group.elements()):
-        for i, t in enumerate(elems):
-            want = chars.value(m, t, b)
-            r = b.residual(tphi.matrix[i][j], want)
-            worst = max(worst, r)
-            ok = ok and b.eq(tphi.matrix[i][j], want)
+    want = {
+        (i, j): chars.value(m, t, b)
+        for j, m in enumerate(chars.group.elements())
+        for i, t in enumerate(elems)
+    }
+    ok, worst = compare(b, {ij: tphi.matrix[ij[0]][ij[1]] for ij in want}, want)
     stages.append(CheckResult(name="transpose-columns", passed=ok, residual=worst))
 
     stages.append(unitarity_check(phi, group.order))
 
     # the dual side's transform, transposed and inverted, closes the cycle
     dual_phi = fourier(chars.group, b)
-    s_mat = tuple(
-        tuple(dual_phi.matrix[j][i] for j in range(len(dual_phi.matrix)))
-        for i in range(len(dual_phi.matrix[0]))
-    )
-    s_unit = unitarity_check(
-        LinearMap(domain=dual_phi.domain, codomain=dual_phi.codomain, matrix=s_mat), group.order
-    )
+    s_map = _transpose_map(dual_phi, dual_phi.domain, dual_phi.codomain)
+    s_unit = unitarity_check(s_map, group.order)
     inv_scale = Fraction(1, group.order)
     s_inv = tuple(
-        tuple(b.scale(x, inv_scale) for x in row) for row in _conj_transpose(b, s_mat)
+        tuple(b.scale(x, inv_scale) for x in row) for row in _conj_transpose(b, s_map.matrix)
     )
     composite = _mat_mul(b, s_inv, phi.matrix)
-    worst = 0.0
-    ok = s_unit.passed
-    for i in range(group.order):
-        for j in range(group.order):
-            want = b.one if i == j else b.zero
-            r = b.residual(composite[i][j], want)
-            worst = max(worst, r, s_unit.residual)
-            ok = ok and b.eq(composite[i][j], want)
-    stages.append(CheckResult(name="cycle-identity", passed=ok, residual=worst))
+    n = group.order
+    ok, worst = compare(
+        b, {(i, j): composite[i][j] for i in range(n) for j in range(n)}, {(i, i): b.one for i in range(n)}
+    )
+    stages.append(
+        CheckResult(name="cycle-identity", passed=s_unit.passed and ok, residual=max(worst, s_unit.residual))
+    )
     return CycleReport(stages=tuple(stages), transform=phi)
 
 

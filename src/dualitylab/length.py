@@ -13,9 +13,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .groups import Element, GeneratorSet, Group
+from .reports import SampledInequality, leq
 
 DEFAULT_RADIUS = Fraction(14)
 DEFAULT_ELEMENT_CAP = 10**6
@@ -167,11 +168,9 @@ def explore_ball(
         raise ValueError(
             f"{len(gens)} generators but {len(weights.values)} weights"
         )
-    scale = 1
-    for w in weights.values:
-        scale = scale // _gcd(scale, w.denominator) * w.denominator
+    scale = math.lcm(*(w.denominator for w in weights.values))
     int_weights = [int(w * scale) for w in weights.values]
-    int_radius = radius * scale  # Fraction; compared exactly against int costs
+    int_radius = math.floor(radius * scale)  # costs are integers, so c <= r*scale iff c <= this
 
     identity = group.identity
     settled: dict[Element, int] = {}
@@ -216,24 +215,7 @@ def explore_ball(
     )
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-@dataclass(frozen=True)
-class SubadditivityReport:
-    checked: int
-    skipped: int
-    violations: tuple[tuple[Element, Element], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def subadditivity_check(report: LengthReport, samples: int = 500, seed: int = 0) -> SubadditivityReport:
+def subadditivity_check(report: LengthReport, samples: int = 500, seed: int = 0) -> SampledInequality:
     """Sample settled pairs and verify len(x*y) <= len(x) + len(y).
 
     Pairs whose product falls outside the settled region are skipped and
@@ -242,7 +224,7 @@ def subadditivity_check(report: LengthReport, samples: int = 500, seed: int = 0)
     rng = random.Random(seed)
     items = report.final_items()
     if not items:
-        return SubadditivityReport(checked=0, skipped=0, violations=())
+        return SampledInequality(checked=0, skipped=0, violations=())
     checked = skipped = 0
     violations = []
     for _ in range(samples):
@@ -255,7 +237,7 @@ def subadditivity_check(report: LengthReport, samples: int = 500, seed: int = 0)
         checked += 1
         if report.lengths[z] > lx + ly:
             violations.append((x, y))
-    return SubadditivityReport(checked=checked, skipped=skipped, violations=tuple(violations))
+    return SampledInequality(checked=checked, skipped=skipped, violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +318,7 @@ class SummabilityReport:
 
     @property
     def passed(self) -> bool:
-        return _leq(self.partial, self.finite_bound) and _leq(self.partial, self.closed_form)
+        return leq(self.partial, self.finite_bound) and leq(self.partial, self.closed_form)
 
 
 def summability_partial_sums(report: LengthReport) -> SummabilityReport:
@@ -357,10 +339,6 @@ def summability_partial_sums(report: LengthReport) -> SummabilityReport:
     r = SERIES_RATIO
     closed = 1.0 + r / (2.0 * (1.0 - r))
     return SummabilityReport(partial=partial, finite_bound=finite, closed_form=closed, max_level=top)
-
-
-def _leq(a: float, b: float, rtol: float = 1e-12) -> bool:
-    return a <= b + rtol * max(abs(a), abs(b), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +366,7 @@ class NuclearityReport:
 
     @property
     def partial_pass(self) -> bool:
-        return _leq(self.partial, self.closed_form)
+        return leq(self.partial, self.closed_form)
 
     @property
     def passed(self) -> bool:
@@ -472,6 +450,32 @@ class HeisenbergWitnessReport:
         return all(r.product_ok for r in self.rows)
 
 
+def _ln2_enclosure(bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo < ln 2 < hi with hi - lo = (bits + 1) / 2^bits.
+
+    From ln 2 = sum over k >= 1 of 1 / (k 2^k): the first ``bits`` terms,
+    each floored to a multiple of 2^-bits, lose less than bits * 2^-bits, and
+    the tail after them is below 2^-bits.
+    """
+    scale = 1 << bits
+    acc = sum(scale // (k << k) for k in range(1, bits + 1))
+    return Fraction(acc, scale), Fraction(acc + bits + 1, scale)
+
+
+def _floor_over_ln2(q: Fraction) -> int:
+    """floor(q / ln 2) for rational q >= 0, decided exactly.
+
+    q / ln 2 is irrational unless q = 0, so the enclosures eventually agree.
+    """
+    bits = 64
+    while True:
+        lo, hi = _ln2_enclosure(bits)
+        k = math.floor(q / hi)
+        if k == math.floor(q / lo):
+            return k
+        bits *= 2
+
+
 def heisenberg_witness(group: Group, n_max: int, constant=1) -> HeisenbergWitnessReport:
     """Pit doubly exponential central growth against a linear-exponent envelope.
 
@@ -481,8 +485,10 @@ def heisenberg_witness(group: Group, n_max: int, constant=1) -> HeisenbergWitnes
     4 n C, so any submultiplicative function dominated by exp(length) is at
     most exp(4 n C) there; the witness locates the first n where the central
     growth 2^(n^2) exceeds that envelope.  The comparison reduces to
-    n * ln 2 > 4 C, which cannot tie (ln 2 is irrational, C rational), so the
-    float comparison is decisive.
+    n * ln 2 > 4 C, which cannot tie (ln 2 is irrational, C rational), so it
+    holds exactly from n = floor(4 C / ln 2) + 1 on; that floor is decided
+    against rational enclosures of ln 2.  The logs in each row are floats for
+    display only.
     """
     if group.kind != "heisenberg":
         raise ValueError(f"witness needs the Heisenberg group, got kind {group.kind!r}")
@@ -492,6 +498,7 @@ def heisenberg_witness(group: Group, n_max: int, constant=1) -> HeisenbergWitnes
     if constant < 0:
         raise ValueError(f"constant must be nonnegative, got {constant}")
     a, b = (1, 0, 0), (0, 1, 0)
+    first = _floor_over_ln2(4 * constant) + 1
     rows = []
     for n in range(1, n_max + 1):
         chain = group.mul(
@@ -508,11 +515,7 @@ def heisenberg_witness(group: Group, n_max: int, constant=1) -> HeisenbergWitnes
                 expected=expected,
                 growth_log=growth_log,
                 envelope_log=envelope_log,
-                violated=n * math.log(2.0) > 4.0 * float(constant),
+                violated=n >= first,
             )
         )
-    # least n with n ln 2 > 4C, independent of n_max; the scan always terminates
-    first = 1
-    while not (first * math.log(2.0) > 4.0 * float(constant)):
-        first += 1
     return HeisenbergWitnessReport(rows=tuple(rows), constant=constant, first_violation=first)

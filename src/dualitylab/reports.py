@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+REL_TOL = 1e-12
+
+
+def leq(a: float, b: float, rtol: float = REL_TOL) -> bool:
+    """a <= b up to relative slack: the float comparison behind length and weighted bounds."""
+    return a <= b + rtol * max(abs(a), abs(b), 1.0)
 
 
 @dataclass(frozen=True)
@@ -24,24 +31,20 @@ class CheckResult:
         return out
 
 
-@dataclass
-class CheckList:
-    """An ordered bundle of check results."""
+@dataclass(frozen=True)
+class SampledInequality:
+    """A sampled pairwise inequality: pairs checked, pairs skipped, violating pairs."""
 
-    checks: list[CheckResult] = field(default_factory=list)
-
-    def add(self, name: str, passed: bool, residual: float = 0.0, detail: str = ""):
-        self.checks.append(CheckResult(name=name, passed=bool(passed), residual=float(residual), detail=detail))
-
-    def extend(self, results):
-        self.checks.extend(results)
+    checked: int
+    skipped: int
+    violations: tuple[tuple, ...]
 
     @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def passed(self) -> bool:
+        return not self.violations
 
-    def to_json(self) -> list[dict]:
-        return [c.to_json() for c in self.checks]
+    def as_check(self, name: str) -> CheckResult:
+        return CheckResult(name, self.passed, detail=f"{self.checked} checked, {self.skipped} skipped")
 
 
 def dump_json(payload: dict) -> str:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import DirectProductGroup, Element, GeneratorSet, Group
 from .length import LengthReport, UnexploredError, WeightFunction
+from .reports import SampledInequality
 
 _REL_TOL = 1e-9
 
@@ -73,29 +73,25 @@ class ExpLength(Semicharacter):
         return math.exp(float(self.report.final_length(x)))
 
 
-class Sum(Semicharacter):
+class _Pointwise(Semicharacter):
+    """A pointwise combination of two weights on a common group."""
+
     def __init__(self, f: Semicharacter, g: Semicharacter):
         self.group = _join_groups(f, g)
         self.f, self.g = f, g
 
+
+class Sum(_Pointwise):
     def value(self, x) -> float:
         return self.f.value(x) + self.g.value(x)
 
 
-class Product(Semicharacter):
-    def __init__(self, f: Semicharacter, g: Semicharacter):
-        self.group = _join_groups(f, g)
-        self.f, self.g = f, g
-
+class Product(_Pointwise):
     def value(self, x) -> float:
         return self.f.value(x) * self.g.value(x)
 
 
-class Max(Semicharacter):
-    def __init__(self, f: Semicharacter, g: Semicharacter):
-        self.group = _join_groups(f, g)
-        self.f, self.g = f, g
-
+class Max(_Pointwise):
     def value(self, x) -> float:
         return max(self.f.value(x), self.g.value(x))
 
@@ -125,7 +121,7 @@ class Inverse(Semicharacter):
         self.f = f
 
     def value(self, x) -> float:
-        return self.f.value(self.group.inv(x))
+        return self.f.value(self.group.inv(self.group.check(x)))
 
 
 class Diagonal(Semicharacter):
@@ -182,17 +178,6 @@ class TableWeight(Semicharacter):
             raise UnexploredError(f"{self.group.format(x)} not in table") from None
 
 
-@dataclass(frozen=True)
-class SubmultiplicativityResult:
-    checked: int
-    skipped: int
-    violations: tuple[tuple[Element, Element], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
 def sampled_submultiplicativity(
     f: Semicharacter,
     elements,
@@ -200,7 +185,7 @@ def sampled_submultiplicativity(
     samples: int = 400,
     seed: int = 0,
     rel_tol: float = _REL_TOL,
-) -> SubmultiplicativityResult:
+) -> SampledInequality:
     """Sample pairs from ``elements`` and test f(x*y) <= f(x) f(y).
 
     Pairs that leave the evaluable region are skipped.  The tolerance absorbs
@@ -228,7 +213,7 @@ def sampled_submultiplicativity(
         checked += 1
         if lhs > rhs * (1.0 + rel_tol):
             violations.append((x, y))
-    return SubmultiplicativityResult(checked=checked, skipped=skipped, violations=tuple(violations))
+    return SampledInequality(checked=checked, skipped=skipped, violations=tuple(violations))
 
 
 def majorize(f: Semicharacter, generators: GeneratorSet) -> WeightFunction:

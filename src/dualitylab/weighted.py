@@ -17,15 +17,8 @@ import numpy as np
 
 from .groups import Element, Group
 from .length import LengthReport
-from .reports import CheckResult
+from .reports import REL_TOL, CheckResult, leq
 from .semichar import Semicharacter
-
-REL_TOL = 1e-12
-
-
-def leq(a: float, b: float, rtol: float = REL_TOL) -> bool:
-    """a <= b up to relative slack; the module-wide comparison policy."""
-    return a <= b + rtol * max(abs(a), abs(b), 1.0)
 
 
 @dataclass(frozen=True)
@@ -383,16 +376,20 @@ def weighted_property_trials(
     f: Semicharacter,
     g: Semicharacter,
     region: list[Element],
+    group: Group | None = None,
     trials: int = 1000,
     seed: int = 0,
 ) -> list[CheckResult]:
     """Seeded randomized audit of the convolution-seminorm toolkit.
 
     The caller guarantees that products of region elements stay evaluable
-    under f (sample supports from a half-radius ball).  Five properties are
-    exercised per trial set; each reports its worst margin.
+    under f (sample supports from a half-radius ball).  Vectors live over
+    ``group``, which defaults to f's group.  Five properties are exercised per
+    trial set; each reports its worst margin.
     """
-    group = f.group
+    group = group or f.group
+    if group is None:
+        raise ValueError("need a group to multiply in")
     rng = np.random.default_rng(seed)
     region = [group.check(x) for x in region]
     results = []
