@@ -63,18 +63,30 @@ NUCLEARITY_BOUND = R / (2 * (1 - R) ** 2) + 1
 
 
 def exponent(group):
+    """Brute-force lcm of element orders: the reference for Group.exponent."""
     exp = 1
     for x in group.elements():
         acc, o = x, 1
         while acc != group.identity:
             acc = group.mul(acc, x)
             o += 1
-        exp = exp * o // math.gcd(exp, o)
+        exp = math.lcm(exp, o)
     return exp
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec.finite_abelian(o) for o in ([1], [12], [2, 4])]
+    + [GroupSpec.symmetric(n) for n in range(1, 6)],
+    ids=lambda spec: make_group(spec).label,
+)
+def test_group_exponent_matches_element_orders(spec):
+    g = make_group(spec)
+    assert g.exponent == exponent(g)
+
+
 def exact_backend(group):
-    return make_backend("cyclotomic", order=exponent(group))
+    return make_backend("cyclotomic", order=group.exponent)
 
 
 def conclude(capsys, num, name, ok, detail=""):

@@ -243,6 +243,25 @@ def test_main_success_and_artifacts(tmp_path, capsys):
     assert lines[1].startswith("1,1,1,")
 
 
+@pytest.mark.parametrize("recipe", [
+    {"weightG": {"kind": "const", "value": [3, 1]}},
+    {"weightG": {"kind": "scale", "value": [5, 2], "arg": {"kind": "const"}}},
+    {"weightF": {"kind": "const", "value": 2}},
+], ids=["const-pair", "scale-pair", "weightF-without-expLength"])
+def test_polar_suite_runs_every_accepted_recipe(tmp_path, capsys, recipe):
+    cfg = write_config(tmp_path, "run.json", {
+        "command": "polar-suite",
+        "group": {"kind": "free_abelian", "rank": 1},
+        "radius": 8, "trials": 50, **recipe,
+    })
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    for key, value in recipe.items():
+        assert report["inputs"][key] == value
+
+
 def test_main_check_failure_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "run.json", {
         "command": "group-part",

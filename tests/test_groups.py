@@ -8,12 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualitylab import (
+    Constant,
+    ExpLength,
     GroupSpec,
+    Inverse,
+    WeightedVector,
+    WeightFunction,
     direct_product,
     element_from_payload,
+    explore_ball,
     make_generator_set,
     make_group,
+    sampled_submultiplicativity,
     standard_generators,
+    weighted_property_trials,
 )
 
 
@@ -186,3 +194,36 @@ def test_element_from_payload():
     assert element_from_payload(p, [[1], [2]]) == ((1,), (2,))
     with pytest.raises(ValueError):
         element_from_payload(heis, [1, 2])
+
+
+Z6 = make_group(GroupSpec.finite_abelian([6]))
+BAD = (6,)  # residue out of range: Z6's mul would quietly reduce it
+
+
+def z6_ball():
+    return explore_ball(Z6, standard_generators(Z6), WeightFunction.enumerated(1), radius=3)
+
+
+# mul and inv take canonical elements; these are the places where elements enter from a caller
+BOUNDARIES = {
+    "element_from_payload": lambda: element_from_payload(Z6, list(BAD)),
+    "make_generator_set": lambda: make_generator_set(Z6, [(1,), BAD]),
+    "power": lambda: Z6.power(BAD, 2),
+    "format": lambda: Z6.format(BAD),
+    "WeightedVector.from_items": lambda: WeightedVector.from_items(Z6, [(BAD, 1.0)]),
+    "LengthReport.length": lambda: z6_ball().length(BAD),
+    "LengthReport.final_length": lambda: z6_ball().final_length(BAD),
+    "LengthReport.is_final": lambda: z6_ball().is_final(BAD),
+    "LengthReport.__contains__": lambda: BAD in z6_ball(),
+    "Inverse.value": lambda: Inverse(ExpLength(z6_ball())).value(BAD),
+    "sampled_submultiplicativity": lambda: sampled_submultiplicativity(Constant(2), [BAD], group=Z6),
+    "weighted_property_trials": lambda: weighted_property_trials(
+        Constant(2), Constant(3), [BAD], group=Z6, trials=1
+    ),
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+def test_boundaries_reject_malformed_elements(boundary):
+    with pytest.raises(ValueError):
+        BOUNDARIES[boundary]()

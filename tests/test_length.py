@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualitylab import (
     GroupSpec,
@@ -240,12 +242,28 @@ def test_heisenberg_witness_matrix_oracle():
     assert out.products_pass
 
 
-@pytest.mark.parametrize("constant,first", [(1, 6), (2, 12), (Fraction(1, 2), 3)])
+@pytest.mark.parametrize("constant,first", [
+    (1, 6), (2, 12), (Fraction(1, 2), 3), (0, 1),
+    # 4C is the double nearest 6 ln 2, which lies just below it: a float comparison says 7
+    (Fraction(6 * math.log(2)) / 4, 6),
+])
 def test_first_violation_scan(constant, first):
     # least n with n * ln 2 > 4 C; no ties since ln 2 is irrational
     heis = make_group(GroupSpec.heisenberg())
-    out = heisenberg_witness(heis, 3, constant)
+    out = heisenberg_witness(heis, first, constant)
     assert out.first_violation == first
+    assert [r.violated for r in out.rows] == [n == first for n in range(1, first + 1)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**6))
+def test_first_violation_matches_mpmath(constant):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        ratio = 4 * mpmath.mpf(constant.numerator) / constant.denominator / mpmath.log(2)
+        expected = int(mpmath.floor(ratio)) + 1
+    heis = make_group(GroupSpec.heisenberg())
+    assert heisenberg_witness(heis, 1, constant).first_violation == expected
 
 
 def test_witness_validation():
