@@ -242,8 +242,8 @@ def hopf_equal(h1: HopfAlgebra, h2: HopfAlgebra) -> tuple[bool, float]:
         pairs.extend((h1.mul.get((i, j), {}), h2.mul.get((i, j), {})) for j in range(h1.dim))
         pairs.append((h1.comul.get(i, {}), h2.comul.get(i, {})))
         pairs.append((h1.antipode.get(i, {}), h2.antipode.get(i, {})))
-    check = fold_checks("equal", h1.backend, (("", u, v) for u, v in pairs))
-    return check.passed, check.residual
+    results = [compare(h1.backend, u, v) for u, v in pairs]
+    return all(ok for ok, _ in results), max(r for _, r in results)
 
 
 def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
