@@ -668,12 +668,23 @@ def _cmd_seminorm_suite(params):
     return checks, results, {}
 
 
+def _has_inverse(recipe) -> bool:
+    """Whether a parsed recipe tree holds an inverse node."""
+    subs = recipe.get("args", []) + ([recipe["arg"]] if "arg" in recipe else [])
+    return recipe["kind"] == "inverse" or any(_has_inverse(r) for r in subs)
+
+
 def _cmd_polar_suite(params):
     report, truncated = _explore_enumerated(params)
     if truncated:
         return truncated
     # products of half-radius elements stay settled, so every weight evaluates
     half = [x for x, v in report.final_items() if 2 * v <= report.radius]
+    if _has_inverse(params["recipe_f"]):
+        # f is also read at (x*y)^-1 = y^-1 x^-1, so inverses must be half-radius too
+        inv = params["group"].inv
+        settled = set(half)
+        half = [x for x in half if inv(x) in settled]
     f = build_semicharacter(params["recipe_f"], report)
     g = build_semicharacter(params["recipe_g"], report)
     checks = weighted_property_trials(f, g, half, group=params["group"], trials=params["trials"],

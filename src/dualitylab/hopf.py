@@ -56,6 +56,19 @@ class HopfAlgebra:
         return {i: self.backend.one}
 
 
+def _cayley_table(group: Group) -> tuple[list, list[list[int]], list[int], int]:
+    """The elements of a finite group and its law on their indices.
+
+    Returns (elements, law, inverse, identity) with law[i][j] the index of
+    elements[i] * elements[j] and inverse[i] the index of elements[i]^-1.
+    """
+    elems = list(group.elements())
+    index = {x: i for i, x in enumerate(elems)}
+    law = [[index[group.mul(s, t)] for t in elems] for s in elems]
+    inverse = [index[group.inv(x)] for x in elems]
+    return elems, law, inverse, index[group.identity]
+
+
 def function_algebra(group: Group, backend) -> HopfAlgebra:
     """Scalar functions on a finite group: the basis is the indicator family.
 
@@ -65,27 +78,22 @@ def function_algebra(group: Group, backend) -> HopfAlgebra:
     """
     if not group.is_finite:
         raise ValueError(f"function algebra needs a finite group, got {group.label!r}")
-    elems = list(group.elements())
-    index = {x: i for i, x in enumerate(elems)}
+    elems, law, inverse, e = _cayley_table(group)
+    n = len(elems)
     one = backend.one
-    mul = {(i, i): {i: one} for i in range(len(elems))}
-    unit = {i: one for i in range(len(elems))}
-    comul: dict[int, dict] = {i: {} for i in range(len(elems))}
-    for s in elems:
-        for t in elems:
-            comul[index[group.mul(s, t)]][(index[s], index[t])] = one
-    e = index[group.identity]
-    counit = {e: one}
-    antipode = {i: {index[group.inv(x)]: one} for i, x in enumerate(elems)}
+    comul: dict[int, dict] = {i: {} for i in range(n)}
+    for i in range(n):
+        for j in range(n):
+            comul[law[i][j]][(i, j)] = one
     return HopfAlgebra(
-        dim=len(elems),
+        dim=n,
         labels=tuple("1_" + group.format(x) for x in elems),
         backend=backend,
-        mul=mul,
-        unit=unit,
+        mul={(i, i): {i: one} for i in range(n)},
+        unit={i: one for i in range(n)},
         comul=comul,
-        counit=counit,
-        antipode=antipode,
+        counit={e: one},
+        antipode={i: {inverse[i]: one} for i in range(n)},
         source=("functions", group),
     )
 
@@ -98,26 +106,18 @@ def group_algebra(group: Group, backend) -> HopfAlgebra:
     """
     if not group.is_finite:
         raise ValueError(f"group algebra needs a finite group, got {group.label!r}")
-    elems = list(group.elements())
-    index = {x: i for i, x in enumerate(elems)}
+    elems, law, inverse, e = _cayley_table(group)
+    n = len(elems)
     one = backend.one
-    mul = {}
-    for i, s in enumerate(elems):
-        for j, t in enumerate(elems):
-            mul[(i, j)] = {index[group.mul(s, t)]: one}
-    unit = {index[group.identity]: one}
-    comul = {i: {(i, i): one} for i in range(len(elems))}
-    counit = {i: one for i in range(len(elems))}
-    antipode = {i: {index[group.inv(x)]: one} for i, x in enumerate(elems)}
     return HopfAlgebra(
-        dim=len(elems),
+        dim=n,
         labels=tuple("d_" + group.format(x) for x in elems),
         backend=backend,
-        mul=mul,
-        unit=unit,
-        comul=comul,
-        counit=counit,
-        antipode=antipode,
+        mul={(i, j): {law[i][j]: one} for i in range(n) for j in range(n)},
+        unit={e: one},
+        comul={i: {(i, i): one} for i in range(n)},
+        counit={i: one for i in range(n)},
+        antipode={i: {inverse[i]: one} for i in range(n)},
         source=("group", group),
     )
 
@@ -143,20 +143,26 @@ def mul_vec(h: HopfAlgebra, v: Mapping, w: Mapping) -> dict:
     return acc
 
 
-def comul_vec(h: HopfAlgebra, v: Mapping) -> dict:
-    b = h.backend
+def _apply(backend, columns: Mapping, v: Mapping) -> dict:
+    """The linear map whose column i is columns[i] (missing: zero), applied to v."""
     acc: dict = {}
     for i, a in v.items():
-        _vec_add_scaled(b, acc, a, h.comul.get(i, {}))
+        _vec_add_scaled(backend, acc, a, columns.get(i, {}))
     return acc
 
 
-def antipode_vec(h: HopfAlgebra, v: Mapping) -> dict:
-    b = h.backend
-    acc: dict = {}
-    for i, a in v.items():
-        _vec_add_scaled(b, acc, a, h.antipode.get(i, {}))
-    return acc
+def _transpose(columns: Mapping) -> dict:
+    """Swap the roles of column keys and row keys in a sparse map."""
+    rows: dict = {}
+    for k, col in columns.items():
+        for r, c in col.items():
+            rows.setdefault(r, {})[k] = c
+    return rows
+
+
+def _kron(backend, u: Mapping, v: Mapping, key=lambda p, q: (p, q)) -> dict:
+    """Outer product of two sparse vectors; entry (p, q) lands at key(p, q)."""
+    return {key(p, q): backend.mul(x, y) for p, x in u.items() for q, y in v.items()}
 
 
 def counit_vec(h: HopfAlgebra, v: Mapping):
@@ -254,19 +260,6 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
     swap roles, and the antipode transposes.  Applying this twice returns
     literally the same tensors.
     """
-    b = h.backend
-    mul: dict = {}
-    for k, pairs in h.comul.items():
-        for (i, j), c in pairs.items():
-            mul.setdefault((i, j), {})[k] = c
-    comul: dict = {}
-    for (i, j), cell in h.mul.items():
-        for k, c in cell.items():
-            comul.setdefault(k, {})[(i, j)] = c
-    antipode: dict = {}
-    for j, cell in h.antipode.items():
-        for i, c in cell.items():
-            antipode.setdefault(i, {})[j] = c
     source = None
     if h.source is not None:
         tag, grp = h.source
@@ -274,12 +267,12 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
     return HopfAlgebra(
         dim=h.dim,
         labels=tuple(lbl + "*" for lbl in h.labels),
-        backend=b,
-        mul=mul,
+        backend=h.backend,
+        mul=_transpose(h.comul),
         unit=dict(h.counit),
-        comul=comul,
+        comul=_transpose(h.mul),
         counit=dict(h.unit),
-        antipode=antipode,
+        antipode=_transpose(h.antipode),
         source=source,
     )
 
@@ -347,14 +340,10 @@ def check_hopf_axioms(h: HopfAlgebra) -> list[CheckResult]:
     def pairs_bialgebra():
         for i in range(dim):
             for j in range(dim):
-                lhs = comul_vec(h, h.mul.get((i, j), {}))
+                lhs = _apply(b, h.comul, h.mul.get((i, j), {}))
                 rhs = pair_mul(h, h.comul.get(i, {}), h.comul.get(j, {}))
                 yield f"comul x product ({i},{j})", lhs, rhs
-        unit_pair: dict = {}
-        for i, x in h.unit.items():
-            for j, y in h.unit.items():
-                unit_pair[(i, j)] = b.mul(x, y)
-        yield "comul of unit", comul_vec(h, h.unit), unit_pair
+        yield "comul of unit", _apply(b, h.comul, h.unit), _kron(b, h.unit, h.unit)
         for i in range(dim):
             for j in range(dim):
                 lhs = {0: counit_vec(h, h.mul.get((i, j), {}))}
@@ -402,18 +391,7 @@ def _is_grouplike(h: HopfAlgebra, v: Mapping) -> tuple[bool, float]:
     b = h.backend
     if all(b.is_zero(x) for x in v.values()):
         return False, 0.0
-    outer = {}
-    for i, a in v.items():
-        for j, c in v.items():
-            outer[(i, j)] = b.mul(a, c)
-    return compare(b, comul_vec(h, v), outer)
-
-
-def _index_law_from_group(group: Group) -> tuple[list[list[int]], int]:
-    elems = list(group.elements())
-    index = {x: i for i, x in enumerate(elems)}
-    law = [[index[group.mul(s, t)] for t in elems] for s in elems]
-    return law, index[group.identity]
+    return compare(b, _apply(b, h.comul, v), _kron(b, v, v))
 
 
 def _index_law_from_comul(h: HopfAlgebra) -> tuple[list[list[int]], int] | None:
@@ -544,7 +522,7 @@ def group_part(h: HopfAlgebra, mode: str = "closed_form") -> GroupPartResult:
         if tag == "group":
             vectors = [h.basis(i) for i in range(h.dim)]
         elif tag == "functions":
-            law, e = _index_law_from_group(group)
+            _, law, _, e = _cayley_table(group)
             for values in _multiplicative_functions(law, e, b):
                 vectors.append({i: v for i, v in enumerate(values) if not b.is_zero(v)})
         else:
@@ -682,7 +660,7 @@ def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
                     for q, t in img[c].items():
                         key = (p, q)
                         lhs[key] = b.add(lhs.get(key, b.zero), b.mul(xs, t))
-            rhs = comul_vec(k, img[i])
+            rhs = _apply(b, k.comul, img[i])
             yield str(i), lhs, rhs
 
     results.append(fold_checks("comultiplicative", b, pairs_comult()))
@@ -695,7 +673,7 @@ def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
 
     def pairs_antipode():
         for i in range(h.dim):
-            lhs = antipode_vec(k, img[i])
+            lhs = _apply(b, k.antipode, img[i])
             rhs = phi.apply(h.antipode.get(i, {}))
             yield str(i), lhs, rhs
 
@@ -706,25 +684,16 @@ def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
 def unitarity_check(phi: LinearMap, order: int) -> CheckResult:
     """Row orthogonality M conj(M^T) = order * I under the backend."""
     b = phi.domain.backend
-    n = len(phi.matrix)
+    gram = _mat_mul(b, phi.matrix, _conj_transpose(b, phi.matrix))
     target_diag = b.from_int(order)
-
-    def pairs():
-        for i in range(n):
-            for j in range(n):
-                acc = b.zero
-                for t in range(len(phi.matrix[i])):
-                    acc = b.add(acc, b.mul(phi.matrix[i][t], b.conj(phi.matrix[j][t])))
-                yield f"rows ({i},{j})", {0: acc}, {0: target_diag if i == j else b.zero}
-
-    return fold_checks("unitarity", b, pairs())
+    return fold_checks("unitarity", b, (
+        (f"rows ({i},{j})", {0: x}, {0: target_diag if i == j else b.zero})
+        for i, row in enumerate(gram) for j, x in enumerate(row)
+    ))
 
 
 def _transpose_map(phi: LinearMap, new_domain: HopfAlgebra, new_codomain: HopfAlgebra) -> LinearMap:
-    rows = len(phi.matrix)
-    cols = len(phi.matrix[0]) if rows else 0
-    mat = tuple(tuple(phi.matrix[i][j] for i in range(rows)) for j in range(cols))
-    return LinearMap(domain=new_domain, codomain=new_codomain, matrix=mat)
+    return LinearMap(domain=new_domain, codomain=new_codomain, matrix=tuple(zip(*phi.matrix)))
 
 
 def _mat_mul(backend, a, bmat):
@@ -742,8 +711,7 @@ def _mat_mul(backend, a, bmat):
 
 
 def _conj_transpose(backend, a):
-    rows, cols = len(a), len(a[0])
-    return tuple(tuple(backend.conj(a[i][j]) for i in range(rows)) for j in range(cols))
+    return tuple(tuple(backend.conj(x) for x in col) for col in zip(*a))
 
 
 @dataclass(frozen=True)
@@ -836,49 +804,24 @@ def tensor_hopf(h: HopfAlgebra, k: HopfAlgebra) -> HopfAlgebra:
     def idx(i, j):
         return i * dk + j
 
-    mul: dict = {}
-    for (i1, i2), cell_h in h.mul.items():
-        for (j1, j2), cell_k in k.mul.items():
-            out: dict = {}
-            for p, x in cell_h.items():
-                for q, y in cell_k.items():
-                    out[idx(p, q)] = b.mul(x, y)
-            mul[(idx(i1, j1), idx(i2, j2))] = out
-    unit: dict = {}
-    for i, x in h.unit.items():
-        for j, y in k.unit.items():
-            unit[idx(i, j)] = b.mul(x, y)
-    comul: dict = {}
-    for i, pairs_h in h.comul.items():
-        for j, pairs_k in k.comul.items():
-            out = {}
-            for (a, c), x in pairs_h.items():
-                for (p, q), y in pairs_k.items():
-                    out[(idx(a, p), idx(c, q))] = b.mul(x, y)
-            comul[idx(i, j)] = out
-    counit: dict = {}
-    for i, x in h.counit.items():
-        for j, y in k.counit.items():
-            counit[idx(i, j)] = b.mul(x, y)
-    antipode: dict = {}
-    for i, cell_h in h.antipode.items():
-        for j, cell_k in k.antipode.items():
-            out = {}
-            for p, x in cell_h.items():
-                for q, y in cell_k.items():
-                    out[idx(p, q)] = b.mul(x, y)
-            antipode[idx(i, j)] = out
+    def pidx(s, t):
+        return (idx(s[0], t[0]), idx(s[1], t[1]))
+
+    def blocks(hm, km, outer, inner):
+        """The tensor of two sparse maps: column (s, t) is the outer product of columns s and t."""
+        return {outer(s, t): _kron(b, x, y, inner) for s, x in hm.items() for t, y in km.items()}
+
     return HopfAlgebra(
         dim=h.dim * k.dim,
         labels=tuple(
             f"{h.labels[i]}(x){k.labels[j]}" for i in range(h.dim) for j in range(k.dim)
         ),
         backend=b,
-        mul=mul,
-        unit=unit,
-        comul=comul,
-        counit=counit,
-        antipode=antipode,
+        mul=blocks(h.mul, k.mul, pidx, idx),
+        unit=_kron(b, h.unit, k.unit, idx),
+        comul=blocks(h.comul, k.comul, idx, pidx),
+        counit=_kron(b, h.counit, k.counit, idx),
+        antipode=blocks(h.antipode, k.antipode, idx, idx),
     )
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .groups import DirectProductGroup, Element, GeneratorSet, Group
 from .length import LengthReport, UnexploredError, WeightFunction
-from .reports import SampledInequality
+from .reports import SampledInequality, leq
 
 _REL_TOL = 1e-9
 
@@ -211,7 +211,7 @@ def sampled_submultiplicativity(
             skipped += 1
             continue
         checked += 1
-        if lhs > rhs * (1.0 + rel_tol):
+        if not leq(lhs, rhs, rel_tol):
             violations.append((x, y))
     return SampledInequality(checked=checked, skipped=skipped, violations=tuple(violations))
 
@@ -250,7 +250,7 @@ def majorization_check(
     checked = 0
     for x, v in report.final_items():
         checked += 1
-        if f.value(x) > math.exp(float(v)) * (1.0 + rel_tol):
+        if not leq(f.value(x), math.exp(float(v)), rel_tol):
             violations.append(x)
     return checked, tuple(violations)
 

@@ -2,7 +2,8 @@
 
 Coefficients are complex doubles and every seminorm value is a real double,
 whatever scalar backend the Hopf layer uses; comparisons therefore run at a
-relative tolerance of 1e-12.  Weights come from the semicharacter grammar, so
+relative tolerance of 1e-12, except the convolution-submultiplicativity
+trial, which allows 1e-9.  Weights come from the semicharacter grammar, so
 submultiplicativity of the underlying weight is available by construction.
 """
 

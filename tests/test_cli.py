@@ -247,7 +247,8 @@ def test_main_success_and_artifacts(tmp_path, capsys):
     {"weightG": {"kind": "const", "value": [3, 1]}},
     {"weightG": {"kind": "scale", "value": [5, 2], "arg": {"kind": "const"}}},
     {"weightF": {"kind": "const", "value": 2}},
-], ids=["const-pair", "scale-pair", "weightF-without-expLength"])
+    {"weightF": {"kind": "inverse", "arg": {"kind": "expLength"}}},
+], ids=["const-pair", "scale-pair", "weightF-without-expLength", "inverse-expLength"])
 def test_polar_suite_runs_every_accepted_recipe(tmp_path, capsys, recipe):
     cfg = write_config(tmp_path, "run.json", {
         "command": "polar-suite",

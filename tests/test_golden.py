@@ -5,6 +5,8 @@ The files under ``tests/golden/<config>/`` are the output of
 Regenerate them that way only when a change to a report is intended.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -25,3 +27,33 @@ def test_config_matches_golden(config, tmp_path, capsys):
     assert names == sorted(p.name for p in want.iterdir())
     for name in names:
         assert (tmp_path / name).read_bytes() == (want / name).read_bytes(), name
+
+
+# perfbench/golden.json records the SHA-256 of every file each benchmark
+# instance writes; committed configs appear there under their file stem.
+PERFBENCH_GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+DIGESTS = {name: inst["files"] for workload in PERFBENCH_GOLDEN.values() for name, inst in workload.items()}
+
+# Unseeded float instances of the benchmark, copied from perfbench/workloads.py:
+# larger than any committed float config, so they pin float summation order.
+FLOAT_INSTANCES = {
+    "cycle-float-z24": {"command": "duality-cycle", "group": {"kind": "finite_abelian", "orders": [24]},
+                        "backend": "float"},
+    "axioms-s4-float": {"command": "hopf-axioms", "group": {"kind": "symmetric", "degree": 4},
+                        "algebra": "both", "backend": "float"},
+}
+
+
+def sha256s(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
+
+
+def test_goldens_agree_with_benchmark_digests(tmp_path, capsys):
+    for golden in sorted(GOLDEN_DIR.iterdir()):
+        assert sha256s(golden) == DIGESTS[golden.name], golden.name
+    for name, config in FLOAT_INSTANCES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(path), "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        assert sha256s(tmp_path / name) == DIGESTS[name], name
