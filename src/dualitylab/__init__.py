@@ -49,7 +49,7 @@ from .length import (
     subadditivity_check,
     summability_partial_sums,
 )
-from .reports import CheckResult, dump_json, leq, write_csv, write_json
+from .reports import CheckResult, ConfigError, dump_json, leq, write_csv, write_json
 from .scalars import ComplexFloatBackend, CyclotomicBackend, cyclotomic_poly, make_backend
 from .semichar import (
     Box,
@@ -66,6 +66,7 @@ from .semichar import (
     build_semicharacter,
     majorization_check,
     majorize,
+    parse_recipe,
     sampled_submultiplicativity,
 )
 from .weighted import (

@@ -21,8 +21,6 @@ import numpy as np
 
 from . import __version__
 from .groups import (
-    GROUP_KINDS,
-    SYMMETRIC_DEGREE_CAP,
     GeneratorSet,
     Group,
     GroupSpec,
@@ -51,9 +49,15 @@ from .length import (
     subadditivity_check,
     summability_partial_sums,
 )
-from .reports import CheckResult, write_csv, write_json
+from .reports import CheckResult, ConfigError, as_fraction, as_int, fail, write_csv, write_json
 from .scalars import make_backend
-from .semichar import ExpLength, build_semicharacter, sampled_submultiplicativity
+from .semichar import (
+    ExpLength,
+    build_semicharacter,
+    parse_recipe,
+    reads_inverse,
+    sampled_submultiplicativity,
+)
 from .weighted import (
     SubmultiplicativeSeminorm,
     domination_check,
@@ -63,57 +67,8 @@ from .weighted import (
 )
 
 
-class ConfigError(Exception):
-    """Validation failure; carries (path, message) pairs."""
-
-    def __init__(self, errors):
-        self.errors = [(str(p), str(m)) for p, m in errors]
-        super().__init__("; ".join(f"{p}: {m}" for p, m in self.errors))
-
-
-def _fail(path: str, message: str):
-    raise ConfigError([(path, message)])
-
-
 # ---------------------------------------------------------------------------
 # field-level parsing
-
-
-def _as_int(value, path: str, minimum=None, maximum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        _fail(path, f"must be <= {maximum}, got {value}")
-    return value
-
-
-def _as_fraction(value, path: str, minimum=None) -> Fraction:
-    """Exact rational from an int, a decimal float, or an [num, den] pair."""
-    if isinstance(value, bool):
-        _fail(path, f"expected a number, got {value!r}")
-    if isinstance(value, Fraction):  # internal defaults arrive pre-parsed
-        q = value
-    elif isinstance(value, int):
-        q = Fraction(value)
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            _fail(path, f"expected a finite number, got {value!r}")
-        q = Fraction(str(value))
-    elif (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        if value[1] == 0:
-            _fail(path, "denominator must be nonzero")
-        q = Fraction(value[0], value[1])
-    else:
-        _fail(path, f"expected a number or [num, den] pair, got {value!r}")
-    if minimum is not None and q < minimum:
-        _fail(path, f"must be >= {minimum}, got {q}")
-    return q
 
 
 def _echo_fraction(q: Fraction):
@@ -122,61 +77,40 @@ def _echo_fraction(q: Fraction):
 
 def _as_str(value, path: str, choices=None) -> str:
     if not isinstance(value, str):
-        _fail(path, f"expected a string, got {value!r}")
+        fail(path, f"expected a string, got {value!r}")
     if choices is not None and value not in choices:
-        _fail(path, f"expected one of {sorted(choices)}, got {value!r}")
+        fail(path, f"expected one of {sorted(choices)}, got {value!r}")
     return value
 
 
-_GROUP_KEYS = {"kind", "orders", "rank", "degree", "label"}
+_GROUP_FIELDS = ("orders", "rank", "degree")
 
 
 def _parse_group(obj, path: str) -> tuple[Group, dict]:
+    """JSON shape only; ``GroupSpec`` holds the per-kind field rules."""
     if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {obj!r}")
-    unknown = set(obj) - _GROUP_KEYS
+        fail(path, f"expected an object, got {obj!r}")
+    unknown = set(obj) - {"kind", "label", *_GROUP_FIELDS}
     if unknown:
         raise ConfigError([(f"{path}.{k}", "unknown key") for k in sorted(unknown)])
     if "kind" not in obj:
-        _fail(f"{path}.kind", "required")
+        fail(f"{path}.kind", "required")
     kind = _as_str(obj["kind"], f"{path}.kind")
-    if kind not in GROUP_KINDS:
-        _fail(f"{path}.kind", f"unknown group kind {kind!r} (expected one of {GROUP_KINDS})")
     label = _as_str(obj.get("label", ""), f"{path}.label")
-    echo: dict = {"kind": kind}
+    fields = {k: obj[k] for k in _GROUP_FIELDS if k in obj}
+    try:
+        spec = GroupSpec(kind=kind, label=label, **fields)
+    except ConfigError as exc:
+        raise ConfigError([(f"{path}.{p}", m) for p, m in exc.errors]) from None
+    echo = {"kind": kind, **fields}
     if label:
         echo["label"] = label
-    if kind == "finite_abelian":
-        orders = obj.get("orders")
-        if not isinstance(orders, list) or not orders:
-            _fail(f"{path}.orders", "expected a non-empty list of positive integers")
-        for i, n in enumerate(orders):
-            _as_int(n, f"{path}.orders[{i}]", minimum=1)
-        spec = GroupSpec.finite_abelian(orders, label=label)
-        echo["orders"] = list(orders)
-    elif kind == "symmetric":
-        if "degree" not in obj:
-            _fail(f"{path}.degree", "required")
-        degree = _as_int(obj["degree"], f"{path}.degree", minimum=1, maximum=SYMMETRIC_DEGREE_CAP)
-        spec = GroupSpec.symmetric(degree, label=label)
-        echo["degree"] = degree
-    elif kind in ("free", "free_abelian"):
-        if "rank" not in obj:
-            _fail(f"{path}.rank", "required")
-        rank = _as_int(obj["rank"], f"{path}.rank", minimum=1)
-        spec = GroupSpec(kind=kind, rank=rank, label=label)
-        echo["rank"] = rank
-    else:
-        spec = GroupSpec.heisenberg(label=label)
-    for field in ("orders", "rank", "degree"):
-        if field in obj and field not in echo:
-            _fail(f"{path}.{field}", f"not a {kind} field")
     return make_group(spec), echo
 
 
 def _require_finite(group: Group, path: str) -> Group:
     if not group.is_finite:
-        _fail(path, f"this command needs a finite group, got {group.label!r}")
+        fail(path, f"this command needs a finite group, got {group.label!r}")
     return group
 
 
@@ -186,19 +120,19 @@ def _parse_generators(raw, group: Group, path: str) -> tuple[GeneratorSet, objec
         try:
             return standard_generators(group), "standard"
         except ValueError as exc:
-            _fail(path, str(exc))
+            fail(path, str(exc))
     if not isinstance(value, list) or not value:
-        _fail(path, "expected \"standard\" or a non-empty list of elements")
+        fail(path, "expected \"standard\" or a non-empty list of elements")
     elems = []
     for i, payload in enumerate(value):
         try:
             elems.append(element_from_payload(group, payload))
         except ValueError as exc:
-            _fail(f"{path}[{i}]", str(exc))
+            fail(f"{path}[{i}]", str(exc))
     try:
         gens = make_generator_set(group, elems)
     except ValueError as exc:
-        _fail(path, str(exc))
+        fail(path, str(exc))
     return gens, value
 
 
@@ -209,41 +143,11 @@ def _parse_weights(raw, count: int, path: str) -> tuple[WeightFunction, object]:
     if value == "constant":
         return WeightFunction.constant(count), "constant"
     if not isinstance(value, list):
-        _fail(path, "expected \"enumerated\", \"constant\", or a list of weights")
+        fail(path, "expected \"enumerated\", \"constant\", or a list of weights")
     if len(value) != count:
-        _fail(path, f"expected {count} weights (one per generator), got {len(value)}")
-    parsed = [_as_fraction(v, f"{path}[{i}]", minimum=0) for i, v in enumerate(value)]
+        fail(path, f"expected {count} weights (one per generator), got {len(value)}")
+    parsed = [as_fraction(v, f"{path}[{i}]", minimum=0) for i, v in enumerate(value)]
     return WeightFunction(tuple(parsed)), value
-
-
-def _parse_recipe(obj, path: str) -> dict:
-    """Validate a semicharacter recipe; returns a copy with exact numeric values.
-
-    Binding to a length report happens at run time, through
-    ``build_semicharacter`` on the returned copy.
-    """
-    if not isinstance(obj, dict) or "kind" not in obj:
-        _fail(path, f"expected an object with a 'kind', got {obj!r}")
-    kind = obj["kind"]
-    unknown = set(obj) - {"kind", "value", "arg", "args"}
-    if unknown:
-        raise ConfigError([(f"{path}.{k}", "unknown key") for k in sorted(unknown)])
-    out = dict(obj)
-    if kind in ("const", "scale"):
-        if "value" in obj:
-            out["value"] = _as_fraction(obj["value"], f"{path}.value", minimum=1)
-    elif kind in ("sum", "product", "max"):
-        args = obj.get("args")
-        if not isinstance(args, list) or len(args) < 2:
-            _fail(f"{path}.args", f"{kind} needs a list with at least two entries")
-        out["args"] = [_parse_recipe(a, f"{path}.args[{i}]") for i, a in enumerate(args)]
-    elif kind not in ("expLength", "inverse"):
-        _fail(f"{path}.kind", f"unknown recipe kind {kind!r}")
-    if kind in ("scale", "inverse"):
-        if "arg" not in obj:
-            _fail(f"{path}.arg", "required")
-        out["arg"] = _parse_recipe(obj["arg"], f"{path}.arg")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +180,9 @@ _COMMAND_KEYS = {
 def parse_config(raw, seed_override=None, backend_override=None) -> RunConfig:
     """Validate one JSON document; raises ConfigError with precise paths."""
     if not isinstance(raw, dict):
-        _fail("$", f"top level must be an object, got {type(raw).__name__}")
+        fail("$", f"top level must be an object, got {type(raw).__name__}")
     if "command" not in raw:
-        _fail("command", "required")
+        fail("command", "required")
     command = _as_str(raw["command"], "command", choices=set(_COMMAND_KEYS))
     allowed = _COMMON_KEYS | _COMMAND_KEYS[command]
     unknown = set(raw) - allowed
@@ -286,10 +190,10 @@ def parse_config(raw, seed_override=None, backend_override=None) -> RunConfig:
         raise ConfigError([(k, "unknown key") for k in sorted(unknown)])
 
     seed = raw.get("seed", 0) if seed_override is None else seed_override
-    seed = _as_int(seed, "seed", minimum=0, maximum=2**64 - 1)
-    tolerance = float(_as_fraction(raw.get("tolerance", 1e-9), "tolerance"))
+    seed = as_int(seed, "seed", minimum=0, maximum=2**64 - 1)
+    tolerance = float(as_fraction(raw.get("tolerance", 1e-9), "tolerance"))
     if tolerance <= 0:
-        _fail("tolerance", f"must be positive, got {tolerance}")
+        fail("tolerance", f"must be positive, got {tolerance}")
 
     backend_name = None
     if command in _BACKEND_COMMANDS:
@@ -332,13 +236,13 @@ def _parse_hopf_axioms(raw, params, inputs):
 def _parse_duality_cycle(raw, params, inputs):
     group = _parse_finite(raw, params, inputs)
     if group.kind != "finite_abelian":
-        _fail("group.kind", "duality-cycle needs a finite_abelian group")
+        fail("group.kind", "duality-cycle needs a finite_abelian group")
     perturb = raw.get("perturb")
     if perturb is not None:
         if not isinstance(perturb, list) or len(perturb) != 2:
-            _fail("perturb", f"expected [row, col], got {perturb!r}")
-        i = _as_int(perturb[0], "perturb[0]", minimum=0, maximum=group.order - 1)
-        j = _as_int(perturb[1], "perturb[1]", minimum=0, maximum=group.order - 1)
+            fail("perturb", f"expected [row, col], got {perturb!r}")
+        i = as_int(perturb[0], "perturb[0]", minimum=0, maximum=group.order - 1)
+        j = as_int(perturb[1], "perturb[1]", minimum=0, maximum=group.order - 1)
         perturb = (i, j)
     params["perturb"] = perturb
     inputs["perturb"] = None if perturb is None else list(perturb)
@@ -350,7 +254,7 @@ def _parse_group_part(raw, params, inputs):
     mode = _as_str(raw.get("mode", "both"), "mode", choices={"closedForm", "bruteForce", "both"})
     expected = raw.get("expectedCount")
     if expected is not None:
-        expected = _as_int(expected, "expectedCount", minimum=0)
+        expected = as_int(expected, "expectedCount", minimum=0)
     params["algebra"] = algebra
     params["modes"] = {
         "closedForm": ("closed_form",),
@@ -376,8 +280,8 @@ def _parse_ball(raw, params, inputs, default_radius=DEFAULT_RADIUS):
     """The fields every search command shares; returns the generators' echo."""
     group, inputs["group"] = _parse_group(raw.get("group"), "group")
     gens, gens_echo = _parse_generators(raw, group, "generators")
-    radius = _as_fraction(raw.get("radius", default_radius), "radius", minimum=0)
-    cap = _as_int(raw.get("elementCap", DEFAULT_ELEMENT_CAP), "elementCap", minimum=1)
+    radius = as_fraction(raw.get("radius", default_radius), "radius", minimum=0)
+    cap = as_int(raw.get("elementCap", DEFAULT_ELEMENT_CAP), "elementCap", minimum=1)
     params.update(group=group, generators=gens, radius=radius, element_cap=cap)
     inputs["radius"] = _echo_fraction(radius)
     inputs["elementCap"] = cap
@@ -387,24 +291,20 @@ def _parse_ball(raw, params, inputs, default_radius=DEFAULT_RADIUS):
 def _parse_cayley(raw, params, inputs):
     inputs["generators"] = _parse_ball(raw, params, inputs)
     weights, inputs["weights"] = _parse_weights(raw, len(params["generators"].elements), "weights")
-    samples = _as_int(raw.get("samples", 500), "samples", minimum=0)
+    samples = as_int(raw.get("samples", 500), "samples", minimum=0)
     params.update(weights=weights, samples=samples)
     inputs["samples"] = samples
 
 
 def _parse_counterexample(raw, params, inputs):
-    if "group" in raw:
-        group, echo = _parse_group(raw["group"], "group")
-        if group.kind != "heisenberg":
-            _fail("group.kind", "counterexample needs the heisenberg group")
-    else:
-        group, echo = make_group(GroupSpec.heisenberg()), {"kind": "heisenberg"}
+    group, inputs["group"] = _parse_group(raw.get("group", {"kind": "heisenberg"}), "group")
+    if group.kind != "heisenberg":
+        fail("group.kind", "counterexample needs the heisenberg group")
     if "nMax" not in raw:
-        _fail("nMax", "required")
-    n_max = _as_int(raw["nMax"], "nMax", minimum=1, maximum=10**4)
-    constant = _as_fraction(raw.get("C", 1), "C", minimum=1)
+        fail("nMax", "required")
+    n_max = as_int(raw["nMax"], "nMax", minimum=1, maximum=10**4)
+    constant = as_fraction(raw.get("C", 1), "C", minimum=1)
     params.update(group=group, n_max=n_max, constant=constant)
-    inputs["group"] = echo
     inputs["nMax"] = n_max
     inputs["C"] = _echo_fraction(constant)
 
@@ -413,14 +313,14 @@ def _parse_nuclearity(raw, params, inputs):
     inputs["generators"] = _parse_ball(raw, params, inputs)
     weights, inputs["weights"] = _parse_weights(raw, len(params["generators"].elements), "weights")
     if not weights.is_integer:
-        _fail("weights", "nuclearity needs integer base weights")
+        fail("weights", "nuclearity needs integer base weights")
     params["weights"] = weights
 
 
 def _parse_seminorm_suite(raw, params, inputs):
     _parse_ball(raw, params, inputs, default_radius=8)
-    count = _as_int(raw.get("count", 20), "count", minimum=1)
-    trials = _as_int(raw.get("trials", 200), "trials", minimum=1)
+    count = as_int(raw.get("count", 20), "count", minimum=1)
+    trials = as_int(raw.get("trials", 200), "trials", minimum=1)
     params.update(count=count, trials=trials)
     inputs["count"] = count
     inputs["trials"] = trials
@@ -428,11 +328,11 @@ def _parse_seminorm_suite(raw, params, inputs):
 
 def _parse_polar_suite(raw, params, inputs):
     _parse_ball(raw, params, inputs)
-    trials = _as_int(raw.get("trials", 1000), "trials", minimum=1)
+    trials = as_int(raw.get("trials", 1000), "trials", minimum=1)
     inputs["weightF"] = raw.get("weightF", {"kind": "expLength"})
     inputs["weightG"] = raw.get("weightG", {"kind": "const", "value": 3})
-    params.update(trials=trials, recipe_f=_parse_recipe(inputs["weightF"], "weightF"),
-                  recipe_g=_parse_recipe(inputs["weightG"], "weightG"))
+    params.update(trials=trials, recipe_f=parse_recipe(inputs["weightF"], "weightF"),
+                  recipe_g=parse_recipe(inputs["weightG"], "weightG"))
     inputs["trials"] = trials
 
 
@@ -544,6 +444,17 @@ def _cmd_tensor_iso(params):
     return checks, results, {}
 
 
+def _spheres_table(rows) -> dict:
+    """``spheres.csv`` from sphere rows (sphere sizes or nuclearity gap counts)."""
+    return {"spheres.csv": (["level", "count", "bound", "cumulative_sum"],
+                            [[r.level, r.count, r.bound, repr(r.cumulative)] for r in rows])}
+
+
+def _partial_check(name: str, passed: bool, rep) -> CheckResult:
+    return CheckResult(name, passed, residual=max(rep.partial - rep.closed_form, 0.0),
+                       detail=f"partial {rep.partial:.12g}, closed form {rep.closed_form:.12g}")
+
+
 def _cmd_cayley(params):
     report = explore_ball(
         params["group"], params["generators"], params["weights"],
@@ -559,17 +470,10 @@ def _cmd_cayley(params):
             CheckResult("sphere-bound", spheres.passed,
                         detail=f"levels 1..{spheres.max_level} complete")
         )
-        rows = [[r.level, r.count, r.bound, repr(r.cumulative)] for r in spheres.rows]
-        tables["spheres.csv"] = (["level", "count", "bound", "cumulative_sum"], rows)
+        tables.update(_spheres_table(spheres.rows))
         if not report.truncated:
             summ = summability_partial_sums(report)
-            checks.append(
-                CheckResult(
-                    "summability", summ.passed,
-                    residual=max(summ.partial - summ.closed_form, 0.0),
-                    detail=f"partial {summ.partial:.12g}, closed form {summ.closed_form:.12g}",
-                )
-            )
+            checks.append(_partial_check("summability", summ.passed, summ))
     results = {
         "settled": len(report.lengths),
         "truncated": report.truncated,
@@ -603,16 +507,9 @@ def _cmd_nuclearity(params):
     checks = [
         CheckResult("difference-counts", rep.counts_pass,
                     detail=f"{len(rep.rows)} gap levels, region {rep.region_size}"),
-        CheckResult("difference-partial", rep.partial_pass,
-                    residual=max(rep.partial - rep.closed_form, 0.0),
-                    detail=f"partial {rep.partial:.12g}, closed form {rep.closed_form:.12g}"),
+        _partial_check("difference-partial", rep.partial_pass, rep),
     ]
-    rows = []
-    cumulative = 0.0
-    for r in rep.rows:
-        cumulative += r.count * math.exp(-r.level)
-        rows.append([r.level, r.count, r.bound, repr(cumulative)])
-    tables = {"spheres.csv": (["level", "count", "bound", "cumulative_sum"], rows)}
+    tables = _spheres_table(rep.rows)
     results = {
         "regionSize": rep.region_size,
         "excluded": rep.excluded,
@@ -668,20 +565,14 @@ def _cmd_seminorm_suite(params):
     return checks, results, {}
 
 
-def _has_inverse(recipe) -> bool:
-    """Whether a parsed recipe tree holds an inverse node."""
-    subs = recipe.get("args", []) + ([recipe["arg"]] if "arg" in recipe else [])
-    return recipe["kind"] == "inverse" or any(_has_inverse(r) for r in subs)
-
-
 def _cmd_polar_suite(params):
     report, truncated = _explore_enumerated(params)
     if truncated:
         return truncated
     # products of half-radius elements stay settled, so every weight evaluates
     half = [x for x, v in report.final_items() if 2 * v <= report.radius]
-    if _has_inverse(params["recipe_f"]):
-        # f is also read at (x*y)^-1 = y^-1 x^-1, so inverses must be half-radius too
+    if reads_inverse(params["recipe_f"]) or reads_inverse(params["recipe_g"]):
+        # a weight read at (x*y)^-1 = y^-1 x^-1 needs the inverses half-radius too
         inv = params["group"].inv
         settled = set(half)
         half = [x for x in half if inv(x) in settled]

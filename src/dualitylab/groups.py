@@ -12,40 +12,57 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .reports import as_int, fail
+
 Element = tuple
 
 SYMMETRIC_DEGREE_CAP = 6
 
-GROUP_KINDS = ("finite_abelian", "symmetric", "heisenberg", "free", "free_abelian")
+# group kind -> the one size field it takes (None: the kind takes none)
+_KIND_FIELD = {
+    "finite_abelian": "orders",
+    "symmetric": "degree",
+    "heisenberg": None,
+    "free": "rank",
+    "free_abelian": "rank",
+}
+GROUP_KINDS = tuple(_KIND_FIELD)
+_UNSET = object()  # a field not given, as distinct from one given as None (JSON null)
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Parsed description of a buildable group."""
+    """A buildable group: a kind and its one size field; the other two end up None.
+
+    A bad field raises ConfigError (a ValueError) at its path, such as ``orders[0]``.
+    """
 
     kind: str
-    orders: tuple[int, ...] = ()
-    rank: int = 0
-    degree: int = 0
+    orders: tuple[int, ...] | None = _UNSET
+    rank: int | None = _UNSET
+    degree: int | None = _UNSET
     label: str = ""
 
     def __post_init__(self):
-        if self.kind == "finite_abelian":
-            if not self.orders:
-                raise ValueError("finite_abelian needs a non-empty tuple of orders")
-            for n in self.orders:
-                if not isinstance(n, int) or n <= 0:
-                    raise ValueError(f"cyclic factor order must be a positive integer, got {n!r}")
-        elif self.kind == "symmetric":
-            if not isinstance(self.degree, int) or not 1 <= self.degree <= SYMMETRIC_DEGREE_CAP:
-                raise ValueError(
-                    f"symmetric degree must be an integer in 1..{SYMMETRIC_DEGREE_CAP}, got {self.degree!r}"
-                )
-        elif self.kind in ("free", "free_abelian"):
-            if not isinstance(self.rank, int) or self.rank < 1:
-                raise ValueError(f"{self.kind} rank must be a positive integer, got {self.rank!r}")
-        elif self.kind != "heisenberg":
-            raise ValueError(f"unknown group kind {self.kind!r} (expected one of {GROUP_KINDS})")
+        if self.kind not in GROUP_KINDS:
+            fail("kind", f"unknown group kind {self.kind!r} (expected one of {GROUP_KINDS})")
+        own = _KIND_FIELD[self.kind]
+        if own == "orders":
+            if not isinstance(self.orders, (list, tuple)) or not self.orders:
+                fail("orders", "expected a non-empty list of positive integers")
+            for i, n in enumerate(self.orders):
+                as_int(n, f"orders[{i}]", minimum=1)
+            object.__setattr__(self, "orders", tuple(self.orders))
+        elif own is not None:
+            if getattr(self, own) is _UNSET:
+                fail(own, "required")
+            as_int(getattr(self, own), own, minimum=1,
+                   maximum=SYMMETRIC_DEGREE_CAP if own == "degree" else None)
+        for other in ("orders", "rank", "degree"):
+            if other != own:
+                if getattr(self, other) is not _UNSET:
+                    fail(other, f"not a {self.kind} field")
+                object.__setattr__(self, other, None)
 
     @classmethod
     def finite_abelian(cls, orders: Sequence[int], label: str = "") -> "GroupSpec":

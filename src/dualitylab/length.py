@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .groups import Element, GeneratorSet, Group
-from .reports import SampledInequality, leq
+from .reports import SampledInequality, leq, sample_pairs
 
 DEFAULT_RADIUS = Fraction(14)
 DEFAULT_ELEMENT_CAP = 10**6
@@ -221,23 +220,18 @@ def subadditivity_check(report: LengthReport, samples: int = 500, seed: int = 0)
     Pairs whose product falls outside the settled region are skipped and
     counted; the inequality is checked exactly on rationals.
     """
-    rng = random.Random(seed)
-    items = report.final_items()
-    if not items:
+    pool = [x for x, _ in report.final_items()]
+    if not pool:
         return SampledInequality(checked=0, skipped=0, violations=())
-    checked = skipped = 0
-    violations = []
-    for _ in range(samples):
-        x, lx = items[rng.randrange(len(items))]
-        y, ly = items[rng.randrange(len(items))]
+    lengths = report.lengths
+
+    def holds(x, y):
         z = report.group.mul(x, y)
         if not report.is_final(z):
-            skipped += 1
-            continue
-        checked += 1
-        if report.lengths[z] > lx + ly:
-            violations.append((x, y))
-    return SampledInequality(checked=checked, skipped=skipped, violations=tuple(violations))
+            return None
+        return lengths[z] <= lengths[x] + lengths[y]
+
+    return sample_pairs(pool, samples, seed, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +267,21 @@ def composition_count(total: int, parts: int) -> int:
 
 @dataclass(frozen=True)
 class SphereRow:
+    """A sphere (or nuclearity gap level): size, bound, running sum of count * e^-level."""
+
     level: int
     count: int
     bound: int
     cumulative: float
+
+
+def _sphere_rows(counts, bound) -> tuple[SphereRow, ...]:
+    rows = []
+    cumulative = 0.0
+    for n, count in counts:
+        cumulative += count * math.exp(-n)
+        rows.append(SphereRow(level=n, count=count, bound=bound(n), cumulative=cumulative))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -300,13 +305,8 @@ def sphere_bound_check(report: LengthReport) -> SphereBoundReport:
         raise ValueError("sphere bound needs distinct positive integer weights")
     top = report.max_complete_integer_level()
     spheres = report.spheres()
-    rows = []
-    cumulative = 0.0
-    for n in range(1, top + 1):
-        count = len(spheres.get(Fraction(n), ()))
-        cumulative += count * math.exp(-n)
-        rows.append(SphereRow(level=n, count=count, bound=2 ** (n - 1), cumulative=cumulative))
-    return SphereBoundReport(rows=tuple(rows), max_level=top)
+    counts = [(n, len(spheres.get(Fraction(n), ()))) for n in range(1, top + 1)]
+    return SphereBoundReport(rows=_sphere_rows(counts, lambda n: 2 ** (n - 1)), max_level=top)
 
 
 @dataclass(frozen=True)
@@ -346,15 +346,8 @@ def summability_partial_sums(report: LengthReport) -> SummabilityReport:
 
 
 @dataclass(frozen=True)
-class DifferenceRow:
-    level: int
-    count: int
-    bound: int
-
-
-@dataclass(frozen=True)
 class NuclearityReport:
-    rows: tuple[DifferenceRow, ...]
+    rows: tuple[SphereRow, ...]
     partial: float
     closed_form: float
     region_size: int
@@ -406,10 +399,7 @@ def nuclearity_witness(
         region += 1
         counts[int(d)] = counts.get(int(d), 0) + 1
         partial_terms.append(math.exp(-float(d)))
-    rows = tuple(
-        DifferenceRow(level=n, count=c, bound=(n * 2 ** (n - 1) if n >= 1 else 1))
-        for n, c in sorted(counts.items())
-    )
+    rows = _sphere_rows(sorted(counts.items()), lambda n: n * 2 ** (n - 1) if n >= 1 else 1)
     r = SERIES_RATIO
     closed = 1.0 + r / (2.0 * (1.0 - r) ** 2)
     return NuclearityReport(

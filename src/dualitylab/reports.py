@@ -1,13 +1,65 @@
-"""Verdict records and deterministic serialization helpers."""
+"""Verdict records, input-field rules and deterministic serialization helpers."""
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import random
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 REL_TOL = 1e-12
+
+
+class ConfigError(ValueError):
+    """Invalid input; carries (path, message) pairs, one per JSON path at fault."""
+
+    def __init__(self, errors):
+        self.errors = [(str(p), str(m)) for p, m in errors]
+        super().__init__("; ".join(f"{p}: {m}" for p, m in self.errors))
+
+
+def fail(path: str, message: str):
+    raise ConfigError([(path, message)])
+
+
+def as_int(value, path: str, minimum=None, maximum=None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        fail(path, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        fail(path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        fail(path, f"must be <= {maximum}, got {value}")
+    return value
+
+
+def as_fraction(value, path: str, minimum=None) -> Fraction:
+    """Exact rational from an int, a decimal float, or an [num, den] pair."""
+    if isinstance(value, bool):
+        fail(path, f"expected a number, got {value!r}")
+    if isinstance(value, Fraction):  # internal defaults and parsed recipes arrive exact
+        q = value
+    elif isinstance(value, int):
+        q = Fraction(value)
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            fail(path, f"expected a finite number, got {value!r}")
+        q = Fraction(str(value))
+    elif (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+    ):
+        if value[1] == 0:
+            fail(path, "denominator must be nonzero")
+        q = Fraction(value[0], value[1])
+    else:
+        fail(path, f"expected a number or [num, den] pair, got {value!r}")
+    if minimum is not None and q < minimum:
+        fail(path, f"must be >= {minimum}, got {q}")
+    return q
 
 
 def leq(a: float, b: float, rtol: float = REL_TOL) -> bool:
@@ -45,6 +97,27 @@ class SampledInequality:
 
     def as_check(self, name: str) -> CheckResult:
         return CheckResult(name, self.passed, detail=f"{self.checked} checked, {self.skipped} skipped")
+
+
+def sample_pairs(pool, samples: int, seed: int, holds) -> SampledInequality:
+    """Test ``holds(x, y)`` on ``samples`` pairs drawn from ``pool`` (x first) by Random(seed).
+
+    ``holds`` returns True, False, or None for a pair it cannot evaluate (skipped).
+    """
+    rng = random.Random(seed)
+    checked = skipped = 0
+    violations = []
+    for _ in range(samples):
+        x = pool[rng.randrange(len(pool))]
+        y = pool[rng.randrange(len(pool))]
+        verdict = holds(x, y)
+        if verdict is None:
+            skipped += 1
+            continue
+        checked += 1
+        if not verdict:
+            violations.append((x, y))
+    return SampledInequality(checked=checked, skipped=skipped, violations=tuple(violations))
 
 
 def dump_json(payload: dict) -> str:

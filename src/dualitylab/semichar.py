@@ -8,13 +8,13 @@ cross-checks and for user-supplied raw tables.
 
 from __future__ import annotations
 
+import functools
 import math
-import random
 from fractions import Fraction
 
 from .groups import DirectProductGroup, Element, GeneratorSet, Group
 from .length import LengthReport, UnexploredError, WeightFunction
-from .reports import SampledInequality, leq
+from .reports import ConfigError, SampledInequality, as_fraction, fail, leq, sample_pairs
 
 _REL_TOL = 1e-9
 
@@ -198,22 +198,14 @@ def sampled_submultiplicativity(
     pool = [group.check(x) for x in elements]
     if not pool:
         raise ValueError("empty sample pool")
-    rng = random.Random(seed)
-    checked = skipped = 0
-    violations = []
-    for _ in range(samples):
-        x = pool[rng.randrange(len(pool))]
-        y = pool[rng.randrange(len(pool))]
+
+    def holds(x, y):
         try:
-            lhs = f.value(group.mul(x, y))
-            rhs = f.value(x) * f.value(y)
+            return leq(f.value(group.mul(x, y)), f.value(x) * f.value(y), rel_tol)
         except UnexploredError:
-            skipped += 1
-            continue
-        checked += 1
-        if not leq(lhs, rhs, rel_tol):
-            violations.append((x, y))
-    return SampledInequality(checked=checked, skipped=skipped, violations=tuple(violations))
+            return None
+
+    return sample_pairs(pool, samples, seed, holds)
 
 
 def majorize(f: Semicharacter, generators: GeneratorSet) -> WeightFunction:
@@ -255,7 +247,55 @@ def majorization_check(
     return checked, tuple(violations)
 
 
-_NODES = ("const", "expLength", "sum", "product", "max", "scale", "inverse")
+# recipe kind -> the fields it takes besides "kind"
+_RECIPE_FIELDS = {
+    "const": ("value",),
+    "expLength": (),
+    "sum": ("args",),
+    "product": ("args",),
+    "max": ("args",),
+    "scale": ("value", "arg"),
+    "inverse": ("arg",),
+}
+_RECIPE_KEYS = {"kind"}.union(*_RECIPE_FIELDS.values())
+_COMBINE = {"sum": Sum, "product": Product, "max": Max}
+
+
+def parse_recipe(recipe, path: str = "recipe") -> dict:
+    """Validate a recipe tree; returns a copy whose ``value``s (default 1) are Fractions.
+
+    Errors raise ConfigError at JSON paths below ``path``.
+    """
+    if not isinstance(recipe, dict) or "kind" not in recipe:
+        fail(path, f"expected an object with a 'kind', got {recipe!r}")
+    unknown = set(recipe) - _RECIPE_KEYS
+    if unknown:
+        raise ConfigError([(f"{path}.{k}", "unknown key") for k in sorted(unknown)])
+    kind = recipe["kind"]
+    if not isinstance(kind, str) or kind not in _RECIPE_FIELDS:
+        fail(f"{path}.kind", f"unknown recipe kind {kind!r}")
+    fields = _RECIPE_FIELDS[kind]
+    for key in sorted(set(recipe) - {"kind", *fields}):
+        fail(f"{path}.{key}", f"not a {kind} field")
+    out = {"kind": kind}
+    if "value" in fields:
+        out["value"] = as_fraction(recipe.get("value", 1), f"{path}.value", minimum=1)
+    if "args" in fields:
+        args = recipe.get("args")
+        if not isinstance(args, list) or len(args) < 2:
+            fail(f"{path}.args", f"{kind} needs a list with at least two entries")
+        out["args"] = [parse_recipe(a, f"{path}.args[{i}]") for i, a in enumerate(args)]
+    if "arg" in fields:
+        if "arg" not in recipe:
+            fail(f"{path}.arg", "required")
+        out["arg"] = parse_recipe(recipe["arg"], f"{path}.arg")
+    return out
+
+
+def reads_inverse(recipe: dict) -> bool:
+    """Whether the weight a parsed recipe builds is read at x^-1, through an inverse node."""
+    subs = recipe.get("args", []) + ([recipe["arg"]] if "arg" in recipe else [])
+    return recipe["kind"] == "inverse" or any(reads_inverse(r) for r in subs)
 
 
 def build_semicharacter(recipe: dict, report: LengthReport) -> Semicharacter:
@@ -263,34 +303,20 @@ def build_semicharacter(recipe: dict, report: LengthReport) -> Semicharacter:
 
     Leaves: {"kind": "const", "value": C} and {"kind": "expLength"} (the
     latter binds to ``report``).  Nodes: sum/product/max with "args", scale
-    with "value" and "arg", inverse with "arg".
+    with "value" and "arg", inverse with "arg".  A malformed recipe raises
+    ConfigError (a ValueError) from ``parse_recipe``.
     """
-    if not isinstance(recipe, dict) or "kind" not in recipe:
-        raise ValueError(f"recipe must be an object with a 'kind', got {recipe!r}")
+    return _assemble(parse_recipe(recipe), report)
+
+
+def _assemble(recipe: dict, report: LengthReport) -> Semicharacter:
     kind = recipe["kind"]
-    extra = set(recipe) - {"kind", "value", "arg", "args"}
-    if extra:
-        raise ValueError(f"unknown recipe keys {sorted(extra)}")
     if kind == "const":
-        return Constant(recipe.get("value", 1))
+        return Constant(recipe["value"])
     if kind == "expLength":
         return ExpLength(report)
-    if kind in ("sum", "product", "max"):
-        args = recipe.get("args")
-        if not isinstance(args, list) or len(args) < 2:
-            raise ValueError(f"{kind} needs an 'args' list with at least two entries")
-        built = [build_semicharacter(a, report) for a in args]
-        node = {"sum": Sum, "product": Product, "max": Max}[kind]
-        acc = built[0]
-        for nxt in built[1:]:
-            acc = node(acc, nxt)
-        return acc
     if kind == "scale":
-        if "arg" not in recipe:
-            raise ValueError("scale needs an 'arg'")
-        return Scale(recipe.get("value", 1), build_semicharacter(recipe["arg"], report))
+        return Scale(recipe["value"], _assemble(recipe["arg"], report))
     if kind == "inverse":
-        if "arg" not in recipe:
-            raise ValueError("inverse needs an 'arg'")
-        return Inverse(build_semicharacter(recipe["arg"], report), group=report.group)
-    raise ValueError(f"unknown recipe kind {kind!r} (expected one of {_NODES})")
+        return Inverse(_assemble(recipe["arg"], report), group=report.group)
+    return functools.reduce(_COMBINE[kind], (_assemble(a, report) for a in recipe["args"]))

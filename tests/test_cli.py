@@ -45,6 +45,15 @@ def test_group_field_errors():
     assert path == "group" and "needs a finite group" in msg
     (path, msg), = errors({**base})
     assert path == "group" and "expected an object" in msg
+    assert errors({**base, "group": {"kind": "symmetric"}}) == [("group.degree", "required")]
+    # JSON null is a value, not an absent field
+    assert errors({**base, "group": {"kind": "heisenberg", "rank": None}}) == [
+        ("group.rank", "not a heisenberg field")
+    ]
+    assert errors({"command": "tensor-iso", "left": {"kind": "finite_abelian", "orders": [2]},
+                   "right": {"kind": "finite_abelian", "orders": 3}}) == [
+        ("right.orders", "expected a non-empty list of positive integers")
+    ]
 
 
 def test_counterexample_constraints():
@@ -104,6 +113,17 @@ def test_recipe_and_weights_constraints():
     ]
     assert errors({**base, "weightG": {"kind": "const", "value": [1, 2]}}) == [
         ("weightG.value", "must be >= 1, got 1/2")
+    ]
+    # a key that belongs to another kind is reported where it sits
+    assert errors({**base, "weightF": {"kind": "const", "arg": {"kind": "bogus"}}}) == [
+        ("weightF.arg", "not a const field")
+    ]
+    assert errors({**base, "weightG": {"kind": "expLength", "value": [1, 0]}}) == [
+        ("weightG.value", "not a expLength field")
+    ]
+    assert errors({**base, "weightF": {"kind": "max", "args": [
+        {"kind": "const"}, {"kind": "scale", "args": [], "arg": {"kind": "const"}}]}}) == [
+        ("weightF.args[1].args", "not a scale field")
     ]
     nuc = {"command": "nuclearity", "group": {"kind": "free_abelian", "rank": 1}}
     assert errors({**nuc, "weights": [[1, 2], 1]}) == [
@@ -248,7 +268,9 @@ def test_main_success_and_artifacts(tmp_path, capsys):
     {"weightG": {"kind": "scale", "value": [5, 2], "arg": {"kind": "const"}}},
     {"weightF": {"kind": "const", "value": 2}},
     {"weightF": {"kind": "inverse", "arg": {"kind": "expLength"}}},
-], ids=["const-pair", "scale-pair", "weightF-without-expLength", "inverse-expLength"])
+    {"weightG": {"kind": "inverse", "arg": {"kind": "expLength"}}},
+], ids=["const-pair", "scale-pair", "weightF-without-expLength", "inverse-expLength",
+        "inverse-expLength-weightG"])
 def test_polar_suite_runs_every_accepted_recipe(tmp_path, capsys, recipe):
     cfg = write_config(tmp_path, "run.json", {
         "command": "polar-suite",
@@ -261,6 +283,10 @@ def test_polar_suite_runs_every_accepted_recipe(tmp_path, capsys, recipe):
     report = json.loads((out / "report.json").read_text())
     for key, value in recipe.items():
         assert report["inputs"][key] == value
+    # every sampled weight pair stays inside the settled ball
+    details = [c["detail"] for c in report["checks"] if c["name"].endswith("-submultiplicative")
+               and "detail" in c]
+    assert len(details) == 2 and all(d.endswith(", 0 skipped") for d in details), details
 
 
 def test_main_check_failure_exit_code(tmp_path, capsys):

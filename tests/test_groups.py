@@ -129,6 +129,13 @@ def test_validation_errors():
         GroupSpec.symmetric(7)  # above the degree cap
     with pytest.raises(ValueError):
         GroupSpec(kind="nosuch")
+    # the rules report field-relative paths, which the CLI roots under its key
+    with pytest.raises(ValueError) as exc:
+        GroupSpec.finite_abelian([3, 0])
+    assert exc.value.errors == [("orders[1]", "must be >= 1, got 0")]
+    with pytest.raises(ValueError) as exc:
+        GroupSpec(kind="free", rank=2, degree=3)
+    assert exc.value.errors == [("degree", "not a free field")]
     z6 = make_group(GroupSpec.finite_abelian([6]))
     with pytest.raises(ValueError):
         z6.check((6,))

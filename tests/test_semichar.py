@@ -179,5 +179,9 @@ def test_build_semicharacter_errors(line):
         build_semicharacter({"kind": "const", "value": 1, "extra": 2}, rep)
     with pytest.raises(ValueError):
         build_semicharacter({"value": 1}, rep)
+    with pytest.raises(ValueError, match="recipe.arg: not a const field"):
+        build_semicharacter({"kind": "const", "arg": {"kind": "bogus"}}, rep)
+    with pytest.raises(ValueError, match="recipe.value: not a expLength field"):
+        build_semicharacter({"kind": "expLength", "value": [1, 0]}, rep)
     # const defaults its value to 1
     assert build_semicharacter({"kind": "const"}, rep)((5,)) == 1.0
