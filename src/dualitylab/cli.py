@@ -303,7 +303,7 @@ def _parse_counterexample(raw, params, inputs):
     if "nMax" not in raw:
         fail("nMax", "required")
     n_max = as_int(raw["nMax"], "nMax", minimum=1, maximum=10**4)
-    constant = as_fraction(raw.get("C", 1), "C", minimum=1)
+    constant = as_fraction(raw.get("C", 1), "C", minimum=0)
     params.update(group=group, n_max=n_max, constant=constant)
     inputs["nMax"] = n_max
     inputs["C"] = _echo_fraction(constant)
@@ -395,10 +395,8 @@ def _cmd_duality_cycle(params):
                 detail="tripped: " + ", ".join(failing) if failing else "no stage tripped",
             )
         ]
-    rows = []
-    for i, row in enumerate(rep.transform.matrix):
-        for j, entry in enumerate(row):
-            rows.append([i, j, backend.format(entry)])
+    columns = rep.transform.columns
+    rows = [[i, j, backend.format(columns[j][i])] for i in range(group.order) for j in range(group.order)]
     tables = {"fourier.csv": (["row", "col", "value"], rows)}
     results = {"order": group.order, "backend": backend.name, "perturbed": params["perturb"] is not None}
     return checks, results, tables

@@ -165,6 +165,14 @@ def _kron(backend, u: Mapping, v: Mapping, key=lambda p, q: (p, q)) -> dict:
     return {key(p, q): backend.mul(x, y) for p, x in u.items() for q, y in v.items()}
 
 
+def _add_kron(backend, acc: dict, scalar, u: Mapping, v: Mapping) -> None:
+    """Add scalar times the outer product of u and v into acc, keyed (p, q)."""
+    for p, s in u.items():
+        xs = backend.mul(scalar, s)
+        for q, t in v.items():
+            acc[(p, q)] = backend.add(acc.get((p, q), backend.zero), backend.mul(xs, t))
+
+
 def counit_vec(h: HopfAlgebra, v: Mapping):
     b = h.backend
     acc = b.zero
@@ -184,12 +192,7 @@ def pair_mul(h: HopfAlgebra, p: Mapping, q: Mapping) -> dict:
             left = h.mul.get((a1, c1))
             right = h.mul.get((a2, c2))
             if left and right:
-                coeff = b.mul(x, y)
-                for k1, s in left.items():
-                    cs = b.mul(coeff, s)
-                    for k2, t in right.items():
-                        key = (k1, k2)
-                        acc[key] = b.add(acc.get(key, b.zero), b.mul(cs, t))
+                _add_kron(b, acc, b.mul(x, y), left, right)
     return acc
 
 
@@ -596,41 +599,33 @@ def dual_group(group: Group) -> CharacterGroup:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A dense matrix between two Hopf algebras; rows index the codomain."""
+    """A linear map between two Hopf algebras as sparse columns.
+
+    columns[j] is the image of domain basis vector j as a Vec in the
+    codomain, the shape of ``HopfAlgebra.antipode``; missing entries mean zero.
+    """
 
     domain: HopfAlgebra
     codomain: HopfAlgebra
-    matrix: tuple[tuple, ...]
-
-    def apply(self, v: Mapping) -> dict:
-        b = self.domain.backend
-        acc: dict = {}
-        for j, a in v.items():
-            for i in range(self.codomain.dim):
-                entry = self.matrix[i][j]
-                if not b.is_zero(entry):
-                    acc[i] = b.add(acc.get(i, b.zero), b.mul(entry, a))
-        return acc
-
-    def entry(self, i: int, j: int):
-        return self.matrix[i][j]
+    columns: Mapping
 
 
 def fourier(group: Group, backend) -> LinearMap:
     """The character-table map from the group algebra to functions on characters.
 
     A point mass at t goes to the function evaluating each character at t, so
-    the matrix entry in row m (character index) and column t is that
-    character's value.  Rows are orthogonal: M conj(M^T) = |G| I.
+    the entry in row m (character index) and column t is that character's
+    value.  Rows are orthogonal: M conj(M^T) = |G| I.
     """
     chars = dual_group(group)
     dom = group_algebra(group, backend)
     cod = function_algebra(chars.group, backend)
-    elems = list(group.elements())
-    rows = []
-    for m in chars.group.elements():
-        rows.append(tuple(chars.value(m, t, backend) for t in elems))
-    return LinearMap(domain=dom, codomain=cod, matrix=tuple(rows))
+    characters = list(chars.group.elements())
+    columns = {
+        j: {i: chars.value(m, t, backend) for i, m in enumerate(characters)}
+        for j, t in enumerate(group.elements())
+    }
+    return LinearMap(domain=dom, codomain=cod, columns=columns)
 
 
 def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
@@ -639,27 +634,23 @@ def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
     b = h.backend
     results = []
 
-    img = [phi.apply(h.basis(i)) for i in range(h.dim)]
+    img = [phi.columns.get(i, {}) for i in range(h.dim)]
 
     def pairs_mult():
         for i in range(h.dim):
             for j in range(h.dim):
-                lhs = phi.apply(h.mul.get((i, j), {}))
+                lhs = _apply(b, phi.columns, h.mul.get((i, j), {}))
                 rhs = mul_vec(k, img[i], img[j])
                 yield f"({i},{j})", lhs, rhs
 
     results.append(fold_checks("multiplicative", b, pairs_mult()))
-    results.append(fold_checks("unital", b, [("unit", phi.apply(h.unit), dict(k.unit))]))
+    results.append(fold_checks("unital", b, [("unit", _apply(b, phi.columns, h.unit), dict(k.unit))]))
 
     def pairs_comult():
         for i in range(h.dim):
             lhs: dict = {}
             for (a, c), x in h.comul.get(i, {}).items():
-                for p, s in img[a].items():
-                    xs = b.mul(x, s)
-                    for q, t in img[c].items():
-                        key = (p, q)
-                        lhs[key] = b.add(lhs.get(key, b.zero), b.mul(xs, t))
+                _add_kron(b, lhs, x, img[a], img[c])
             rhs = _apply(b, k.comul, img[i])
             yield str(i), lhs, rhs
 
@@ -674,7 +665,7 @@ def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
     def pairs_antipode():
         for i in range(h.dim):
             lhs = _apply(b, k.antipode, img[i])
-            rhs = phi.apply(h.antipode.get(i, {}))
+            rhs = _apply(b, phi.columns, h.antipode.get(i, {}))
             yield str(i), lhs, rhs
 
     results.append(fold_checks("antipode", b, pairs_antipode()))
@@ -684,34 +675,27 @@ def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
 def unitarity_check(phi: LinearMap, order: int) -> CheckResult:
     """Row orthogonality M conj(M^T) = order * I under the backend."""
     b = phi.domain.backend
-    gram = _mat_mul(b, phi.matrix, _conj_transpose(b, phi.matrix))
+    gram = _compose(b, phi.columns, _conj_transpose(b, phi.columns))
     target_diag = b.from_int(order)
+    n = phi.codomain.dim
     return fold_checks("unitarity", b, (
-        (f"rows ({i},{j})", {0: x}, {0: target_diag if i == j else b.zero})
-        for i, row in enumerate(gram) for j, x in enumerate(row)
+        (f"rows ({i},{j})", {0: gram.get(j, {}).get(i, b.zero)}, {0: target_diag if i == j else b.zero})
+        for i in range(n) for j in range(n)
     ))
 
 
-def _transpose_map(phi: LinearMap, new_domain: HopfAlgebra, new_codomain: HopfAlgebra) -> LinearMap:
-    return LinearMap(domain=new_domain, codomain=new_codomain, matrix=tuple(zip(*phi.matrix)))
+def _compose(backend, a: Mapping, c: Mapping) -> dict:
+    """The sparse map a after c: column j is a applied to column j of c."""
+    return {j: _apply(backend, a, col) for j, col in c.items()}
 
 
-def _mat_mul(backend, a, bmat):
-    n, mid, m = len(a), len(bmat), len(bmat[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = backend.zero
-            for t in range(mid):
-                acc = backend.add(acc, backend.mul(a[i][t], bmat[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+def _entries(columns: Mapping) -> dict:
+    """A sparse map as one Vec keyed (row, column)."""
+    return {(i, j): x for j, col in columns.items() for i, x in col.items()}
 
 
-def _conj_transpose(backend, a):
-    return tuple(tuple(backend.conj(x) for x in col) for col in zip(*a))
+def _conj_transpose(backend, columns: Mapping) -> dict:
+    return {r: {k: backend.conj(x) for k, x in row.items()} for r, row in _transpose(columns).items()}
 
 
 @dataclass(frozen=True)
@@ -745,18 +729,16 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     phi = fourier(group, b)
     if perturb is not None:
         i, j = perturb
-        bumped = [list(r) for r in phi.matrix]
-        bumped[i][j] = b.add(bumped[i][j], b.one)
-        phi = LinearMap(domain=phi.domain, codomain=phi.codomain, matrix=tuple(tuple(r) for r in bumped))
+        columns = {t: dict(col) for t, col in phi.columns.items()}
+        columns[j][i] = b.add(columns[j][i], b.one)
+        phi = LinearMap(phi.domain, phi.codomain, columns)
     stages = []
 
     stages.append(_all_of("transform-hom", check_linear_hom(phi)))
 
     # transpose: point mass at a character goes to that character's value table
     chars = dual_group(group)
-    dual_dom = group_algebra(chars.group, b)
-    cod = function_algebra(group, b)
-    tphi = _transpose_map(phi, dual_dom, cod)
+    tphi = LinearMap(group_algebra(chars.group, b), function_algebra(group, b), _transpose(phi.columns))
     stages.append(_all_of("transpose-hom", check_linear_hom(tphi)))
     elems = list(group.elements())
     want = {
@@ -764,24 +746,22 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
         for j, m in enumerate(chars.group.elements())
         for i, t in enumerate(elems)
     }
-    ok, worst = compare(b, {ij: tphi.matrix[ij[0]][ij[1]] for ij in want}, want)
+    ok, worst = compare(b, _entries(tphi.columns), want)
     stages.append(CheckResult(name="transpose-columns", passed=ok, residual=worst))
 
     stages.append(unitarity_check(phi, group.order))
 
     # the dual side's transform, transposed and inverted, closes the cycle
     dual_phi = fourier(chars.group, b)
-    s_map = _transpose_map(dual_phi, dual_phi.domain, dual_phi.codomain)
+    s_map = LinearMap(dual_phi.domain, dual_phi.codomain, _transpose(dual_phi.columns))
     s_unit = unitarity_check(s_map, group.order)
     inv_scale = Fraction(1, group.order)
-    s_inv = tuple(
-        tuple(b.scale(x, inv_scale) for x in row) for row in _conj_transpose(b, s_map.matrix)
-    )
-    composite = _mat_mul(b, s_inv, phi.matrix)
-    n = group.order
-    ok, worst = compare(
-        b, {(i, j): composite[i][j] for i in range(n) for j in range(n)}, {(i, i): b.one for i in range(n)}
-    )
+    s_inv = {
+        t: {i: b.scale(x, inv_scale) for i, x in col.items()}
+        for t, col in _conj_transpose(b, s_map.columns).items()
+    }
+    composite = _compose(b, s_inv, phi.columns)
+    ok, worst = compare(b, _entries(composite), {(i, i): b.one for i in range(group.order)})
     stages.append(
         CheckResult(name="cycle-identity", passed=s_unit.passed and ok, residual=max(worst, s_unit.residual))
     )

@@ -136,12 +136,13 @@ class LengthReport:
         return self.boundary is None or level < self.boundary
 
     def max_complete_integer_level(self) -> int:
-        """Largest n with all spheres at integer levels <= n complete."""
-        n = int(self.radius)  # floor for nonnegative radius
-        if self.boundary is not None:
-            while n >= 0 and not self.sphere_complete(n):
-                n -= 1
-        return n
+        """Largest n with all spheres at integer levels <= n complete (-1 if none).
+
+        Level n is complete when n <= radius and n < boundary, that is
+        n <= ceil(boundary) - 1.
+        """
+        n = math.floor(self.radius)
+        return n if self.boundary is None else min(n, math.ceil(self.boundary) - 1)
 
 
 def explore_ball(
@@ -335,7 +336,7 @@ def summability_partial_sums(report: LengthReport) -> SummabilityReport:
         raise ValueError("summability bound needs distinct positive integer weights")
     partial = math.fsum(math.exp(-float(v)) for v in report.lengths.values())
     top = report.max_complete_integer_level()
-    finite = 1.0 + math.fsum(2 ** (n - 1) * math.exp(-n) for n in range(1, top + 1))
+    finite = 1.0 + math.fsum(math.ldexp(math.exp(-n), n - 1) for n in range(1, top + 1))
     r = SERIES_RATIO
     closed = 1.0 + r / (2.0 * (1.0 - r))
     return SummabilityReport(partial=partial, finite_bound=finite, closed_form=closed, max_level=top)

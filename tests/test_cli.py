@@ -64,11 +64,11 @@ def test_counterexample_constraints():
     assert errors({"command": "counterexample", "nMax": 10001}) == [
         ("nMax", "must be <= 10000, got 10001")
     ]
-    assert errors({"command": "counterexample", "nMax": 3, "C": 0}) == [
-        ("C", "must be >= 1, got 0")
+    assert errors({"command": "counterexample", "nMax": 3, "C": -1}) == [
+        ("C", "must be >= 0, got -1")
     ]
-    assert errors({"command": "counterexample", "nMax": 3, "C": [1, 2]}) == [
-        ("C", "must be >= 1, got 1/2")
+    assert errors({"command": "counterexample", "nMax": 3, "C": [-1, 2]}) == [
+        ("C", "must be >= 0, got -1/2")
     ]
     assert errors({"command": "counterexample", "nMax": 3,
                    "group": {"kind": "free", "rank": 2}}) == [
@@ -179,6 +179,16 @@ def test_run_counterexample_results():
     assert set(report) == {"allPass", "checks", "command", "inputs", "results", "version"}
 
 
+def test_run_counterexample_at_zero_constant(tmp_path, capsys):
+    cfg = write_config(tmp_path, "run.json", {"command": "counterexample", "nMax": 5, "C": 0})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["allPass"] and report["inputs"]["C"] == 0
+    assert report["results"]["firstViolation"] == 1
+
+
 def test_run_duality_cycle_fourier_table():
     cfg = parse_config(
         {"command": "duality-cycle", "group": {"kind": "finite_abelian", "orders": [2]}}
@@ -287,6 +297,19 @@ def test_polar_suite_runs_every_accepted_recipe(tmp_path, capsys, recipe):
     details = [c["detail"] for c in report["checks"] if c["name"].endswith("-submultiplicative")
                and "detail" in c]
     assert len(details) == 2 and all(d.endswith(", 0 skipped") for d in details), details
+
+
+@pytest.mark.parametrize("group,radius", [
+    ({"kind": "free_abelian", "rank": 1}, 2000),
+    ({"kind": "finite_abelian", "orders": [6]}, 5000),
+], ids=["line-radius-2000", "z6-radius-5000"])
+def test_cayley_summability_past_level_1024(tmp_path, capsys, group, radius):
+    cfg = write_config(tmp_path, "run.json", {"command": "cayley", "group": group, "radius": radius})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert [c["passed"] for c in checks if c["name"] == "summability"] == [True]
 
 
 def test_main_check_failure_exit_code(tmp_path, capsys):

@@ -109,12 +109,13 @@ def test_fourier_z2_exact_matrix():
     b = make_backend("cyclotomic", order=2)
     phi = fourier(g, b)
     one, minus = b.one, b.from_int(-1)
-    assert phi.matrix == ((one, one), (one, minus))
+    rows = tuple(tuple(phi.columns[j][i] for j in range(2)) for i in range(2))
+    assert rows == ((one, one), (one, minus))
 
 
 @pytest.mark.parametrize("orders", [[6], [2, 2], [4], [2, 3]])
 def test_fourier_matches_character_formula(orders):
-    # rows are characters: entry(i, j) = prod_k exp(2 pi i m_k x_k / n_k)
+    # rows are characters: columns[j][i] = prod_k exp(2 pi i m_k x_k / n_k)
     g = make_group(GroupSpec.finite_abelian(orders))
     b = make_backend("float")
     phi = fourier(g, b)
@@ -124,7 +125,7 @@ def test_fourier_matches_character_formula(orders):
             expect = 1 + 0j
             for mk, xk, nk in zip(m, x, orders):
                 expect *= cmath.exp(2j * cmath.pi * mk * xk / nk)
-            assert abs(phi.entry(i, j) - expect) < 1e-12
+            assert abs(phi.columns[j][i] - expect) < 1e-12
 
 
 def test_dual_group_character_values():
@@ -154,7 +155,7 @@ def test_fourier_unitarity_numpy_oracle():
     g = make_group(GroupSpec.finite_abelian([6]))
     b = make_backend("float")
     phi = fourier(g, b)
-    m = np.array(phi.matrix, dtype=complex)
+    m = np.array([[phi.columns[j][i] for j in range(6)] for i in range(6)], dtype=complex)
     assert np.allclose(m @ m.conj().T, 6 * np.eye(6), atol=1e-12)
 
 

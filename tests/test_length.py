@@ -1,7 +1,9 @@
 """Length exploration against independent oracles, plus the counting bounds."""
 
+import dataclasses
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +101,39 @@ def test_truncation_and_boundary():
         with pytest.raises(UnexploredError):
             rep.final_length(at_boundary[0])
     assert rep.max_complete_integer_level() < 10
+
+
+def scanned_complete_level(report):
+    """Reference: step down from floor(radius) until a level is complete."""
+    n = int(report.radius)
+    if report.boundary is not None:
+        while n >= 0 and not report.sphere_complete(n):
+            n -= 1
+    return n
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=200, max_denominator=12),
+    st.none() | st.fractions(min_value=0, max_value=250, max_denominator=12),
+)
+def test_max_complete_level_matches_scan(radius, boundary):
+    rep = dataclasses.replace(line_report(radius=0), radius=radius, boundary=boundary)
+    assert rep.max_complete_integer_level() == scanned_complete_level(rep)
+
+
+def test_max_complete_level_of_truncated_huge_radius():
+    f2 = make_group(GroupSpec.free(2))
+    rep = explore_ball(f2, standard_generators(f2), WeightFunction.enumerated(4), radius=10**9,
+                       element_cap=1000)
+    assert rep.truncated
+    start = time.perf_counter()
+    level = rep.max_complete_integer_level()
+    bound = sphere_bound_check(rep)
+    assert time.perf_counter() - start < 1.0
+    assert level == math.ceil(rep.boundary) - 1 == bound.max_level
+    assert all(rep.sphere_complete(n) for n in range(level + 1))
+    assert not rep.sphere_complete(level + 1)
 
 
 def test_radius_zero_and_validation():
