@@ -30,13 +30,13 @@ backend = make_backend("cyclotomic", order=6)
 # the function algebra: pointwise products, coproduct over factorizations
 functions = function_algebra(group, backend)
 print("axioms for functions on Z6:")
-for check in check_hopf_axioms(functions):
+for check in check_hopf_axioms(functions)[0]:
     print(f"  {check.name:18s} passed={check.passed} residual={check.residual}")
 
 # the group algebra: convolution of point masses, diagonal coproduct
 masses = group_algebra(group, backend)
 print("axioms for the group algebra of Z6:")
-for check in check_hopf_axioms(masses):
+for check in check_hopf_axioms(masses)[0]:
     print(f"  {check.name:18s} passed={check.passed} residual={check.residual}")
 
 # transposing all five tensors swaps the two constructions exactly
@@ -46,7 +46,7 @@ print(f"dual of functions equals the group algebra: {same} (residual {residual})
 # the Fourier matrix evaluates every character on every element; it is a
 # Hopf homomorphism and satisfies M conj(M^T) = |G| I with no rounding
 phi = fourier(group, backend)
-for check in check_linear_hom(phi):
+for check in check_linear_hom(phi)[0]:
     print(f"  fourier {check.name:16s} passed={check.passed}")
 print("unitarity:", unitarity_check(phi, group.order))
 

@@ -32,7 +32,6 @@ from .groups import (
 from .hopf import (
     check_hopf_axioms,
     duality_cycle,
-    dual_hopf,
     function_algebra,
     group_algebra,
     group_part,
@@ -372,8 +371,8 @@ def _cmd_hopf_axioms(params):
     for alg in params["algebras"]:
         build = function_algebra if alg == "function" else group_algebra
         h = build(group, backend)
-        checks.extend(_rename(alg, c) for c in check_hopf_axioms(h))
-        checks.extend(_rename(f"{alg}-dual", c) for c in check_hopf_axioms(dual_hopf(h)))
+        for prefix, axioms in zip((alg, f"{alg}-dual"), check_hopf_axioms(h)):
+            checks.extend(_rename(prefix, c) for c in axioms)
     results = {"order": group.order, "backend": backend.name}
     return checks, results, {}
 

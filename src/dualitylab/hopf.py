@@ -10,7 +10,7 @@ concrete isomorphism whose round trip is asserted as literal matrix equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -165,14 +165,6 @@ def _kron(backend, u: Mapping, v: Mapping, key=lambda p, q: (p, q)) -> dict:
     return {key(p, q): backend.mul(x, y) for p, x in u.items() for q, y in v.items()}
 
 
-def _add_kron(backend, acc: dict, scalar, u: Mapping, v: Mapping) -> None:
-    """Add scalar times the outer product of u and v into acc, keyed (p, q)."""
-    for p, s in u.items():
-        xs = backend.mul(scalar, s)
-        for q, t in v.items():
-            acc[(p, q)] = backend.add(acc.get((p, q), backend.zero), backend.mul(xs, t))
-
-
 def counit_vec(h: HopfAlgebra, v: Mapping):
     b = h.backend
     acc = b.zero
@@ -192,7 +184,11 @@ def pair_mul(h: HopfAlgebra, p: Mapping, q: Mapping) -> dict:
             left = h.mul.get((a1, c1))
             right = h.mul.get((a2, c2))
             if left and right:
-                _add_kron(b, acc, b.mul(x, y), left, right)
+                xy = b.mul(x, y)
+                for u, s in left.items():
+                    xys = b.mul(xy, s)
+                    for v, t in right.items():
+                        acc[(u, v)] = b.add(acc.get((u, v), b.zero), b.mul(xys, t))
     return acc
 
 
@@ -284,12 +280,9 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
 # axiom checking
 
 
-def check_hopf_axioms(h: HopfAlgebra) -> list[CheckResult]:
-    """Verify the full axiom set on basis elements; one result per axiom."""
-    b = h.backend
-    results = []
-
-    dim = h.dim
+def _algebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
+    """Associativity and unit of h on basis elements."""
+    b, dim = h.backend, h.dim
 
     def pairs_assoc():
         for i in range(dim):
@@ -300,45 +293,17 @@ def check_hopf_axioms(h: HopfAlgebra) -> list[CheckResult]:
                     rhs = mul_vec(h, h.basis(i), h.mul.get((j, k), {}))
                     yield f"({i},{j},{k})", lhs, rhs
 
-    results.append(fold_checks("associativity", b, pairs_assoc()))
-
     def pairs_unit():
         for i in range(dim):
             yield f"left {i}", mul_vec(h, h.unit, h.basis(i)), h.basis(i)
             yield f"right {i}", mul_vec(h, h.basis(i), h.unit), h.basis(i)
 
-    results.append(fold_checks("unit", b, pairs_unit()))
+    return fold_checks("associativity", b, pairs_assoc()), fold_checks("unit", b, pairs_unit())
 
-    def pairs_coassoc():
-        for i in range(dim):
-            left: dict = {}
-            right: dict = {}
-            for (a, c), x in h.comul.get(i, {}).items():
-                for (p, q), y in h.comul.get(a, {}).items():
-                    key = (p, q, c)
-                    left[key] = b.add(left.get(key, b.zero), b.mul(x, y))
-                for (p, q), y in h.comul.get(c, {}).items():
-                    key = (a, p, q)
-                    right[key] = b.add(right.get(key, b.zero), b.mul(x, y))
-            yield str(i), left, right
 
-    results.append(fold_checks("coassociativity", b, pairs_coassoc()))
-
-    def pairs_counit():
-        for i in range(dim):
-            left: dict = {}
-            right: dict = {}
-            for (a, c), x in h.comul.get(i, {}).items():
-                ea = h.counit.get(a)
-                if ea is not None:
-                    left[c] = b.add(left.get(c, b.zero), b.mul(x, ea))
-                ec = h.counit.get(c)
-                if ec is not None:
-                    right[a] = b.add(right.get(a, b.zero), b.mul(x, ec))
-            yield f"left {i}", left, h.basis(i)
-            yield f"right {i}", right, h.basis(i)
-
-    results.append(fold_checks("counit", b, pairs_counit()))
+def _bialgebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
+    """The bialgebra compatibility and the antipode identities of h on basis elements."""
+    b, dim = h.backend, h.dim
 
     def pairs_bialgebra():
         for i in range(dim):
@@ -354,8 +319,6 @@ def check_hopf_axioms(h: HopfAlgebra) -> list[CheckResult]:
                 yield f"counit x product ({i},{j})", lhs, rhs
         yield "counit of unit", {0: counit_vec(h, h.unit)}, {0: b.one}
 
-    results.append(fold_checks("bialgebra", b, pairs_bialgebra()))
-
     def pairs_antipode():
         for i in range(dim):
             left: dict = {}
@@ -369,8 +332,27 @@ def check_hopf_axioms(h: HopfAlgebra) -> list[CheckResult]:
             yield f"left {i}", left, target
             yield f"right {i}", right, target
 
-    results.append(fold_checks("antipode", b, pairs_antipode()))
-    return results
+    return fold_checks("bialgebra", b, pairs_bialgebra()), fold_checks("antipode", b, pairs_antipode())
+
+
+def check_hopf_axioms(h: HopfAlgebra) -> tuple[list[CheckResult], list[CheckResult]]:
+    """Verify the axioms of h and of dual_hopf(h) on basis elements.
+
+    Returns (axioms of h, axioms of the dual), each ordered associativity,
+    unit, coassociativity, counit, bialgebra, antipode.  The dual's product
+    and unit are h's transposed coproduct and counit, so each side's
+    coassociativity and counit are the other side's associativity and unit,
+    computed once: eight folds for twelve results.  Their witnesses name dual
+    basis vectors: a (p,q,c) triple, and ``left i`` or ``right i``.
+    """
+    dual = dual_hopf(h)
+    (assoc, unit), (dual_assoc, dual_unit) = _algebra_axioms(h), _algebra_axioms(dual)
+    return (
+        [assoc, unit, replace(dual_assoc, name="coassociativity"), replace(dual_unit, name="counit"),
+         *_bialgebra_axioms(h)],
+        [dual_assoc, dual_unit, replace(assoc, name="coassociativity"), replace(unit, name="counit"),
+         *_bialgebra_axioms(dual)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +610,10 @@ def fourier(group: Group, backend) -> LinearMap:
     return LinearMap(domain=dom, codomain=cod, columns=columns)
 
 
-def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
-    """The five homomorphism conditions for a map between Hopf algebras."""
+def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult, CheckResult]:
+    """The multiplicative, unital and antipode conditions of phi."""
     h, k = phi.domain, phi.codomain
     b = h.backend
-    results = []
-
     img = [phi.columns.get(i, {}) for i in range(h.dim)]
 
     def pairs_mult():
@@ -643,33 +623,35 @@ def check_linear_hom(phi: LinearMap) -> list[CheckResult]:
                 rhs = mul_vec(k, img[i], img[j])
                 yield f"({i},{j})", lhs, rhs
 
-    results.append(fold_checks("multiplicative", b, pairs_mult()))
-    results.append(fold_checks("unital", b, [("unit", _apply(b, phi.columns, h.unit), dict(k.unit))]))
-
-    def pairs_comult():
-        for i in range(h.dim):
-            lhs: dict = {}
-            for (a, c), x in h.comul.get(i, {}).items():
-                _add_kron(b, lhs, x, img[a], img[c])
-            rhs = _apply(b, k.comul, img[i])
-            yield str(i), lhs, rhs
-
-    results.append(fold_checks("comultiplicative", b, pairs_comult()))
-
-    def pairs_counit():
-        for i in range(h.dim):
-            yield str(i), {0: counit_vec(k, img[i])}, {0: h.counit.get(i, b.zero)}
-
-    results.append(fold_checks("counital", b, pairs_counit()))
-
     def pairs_antipode():
         for i in range(h.dim):
             lhs = _apply(b, k.antipode, img[i])
             rhs = _apply(b, phi.columns, h.antipode.get(i, {}))
             yield str(i), lhs, rhs
 
-    results.append(fold_checks("antipode", b, pairs_antipode()))
-    return results
+    return (
+        fold_checks("multiplicative", b, pairs_mult()),
+        fold_checks("unital", b, [("unit", _apply(b, phi.columns, h.unit), dict(k.unit))]),
+        fold_checks("antipode", b, pairs_antipode()),
+    )
+
+
+def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResult]]:
+    """The five homomorphism conditions of phi: h -> k and of its transpose.
+
+    Returns (conditions of phi, conditions of the transpose dual_hopf(k) ->
+    dual_hopf(h)), each ordered multiplicative, unital, comultiplicative,
+    counital, antipode.  Each map's comultiplicative and counital conditions
+    are the other's multiplicative and unital ones, computed once: six folds
+    for ten results.  Their witnesses are an (i,j) pair of dual basis vectors
+    and ``unit``.
+    """
+    transpose = LinearMap(dual_hopf(phi.codomain), dual_hopf(phi.domain), _transpose(phi.columns))
+    (mult, unital, antipode), (t_mult, t_unital, t_antipode) = _algebra_hom(phi), _algebra_hom(transpose)
+    return (
+        [mult, unital, replace(t_mult, name="comultiplicative"), replace(t_unital, name="counital"), antipode],
+        [t_mult, t_unital, replace(mult, name="comultiplicative"), replace(unital, name="counital"), t_antipode],
+    )
 
 
 def unitarity_check(phi: LinearMap, order: int) -> CheckResult:
@@ -712,11 +694,15 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     """Round-trip a finite abelian group through characters and dualization.
 
     Stages: the character-table map is a Hopf isomorphism; its transpose is a
-    Hopf isomorphism from the dual side's group algebra onto functions on the
-    original group, sending each point mass at a character to that character's
-    value table; rows are orthogonal; and composing the map with the inverse
-    of the dual side's transposed map lands back on the identity matrix,
-    which realizes the biduality identification as literal equality.
+    Hopf isomorphism between the duals, from the dual side's group algebra
+    onto functions on the original group, sending each point mass at a
+    character to that character's value table; rows are orthogonal; and
+    composing the map with the inverse of the dual side's transposed map lands
+    back on the identity matrix, which realizes the biduality identification
+    as literal equality.  Both hom stages come from one ``check_linear_hom``
+    call: the comultiplicative and counital conditions of transform-hom are
+    the multiplicative and unital conditions of transpose-hom, and the other
+    way round.
 
     ``perturb`` bumps one matrix entry before checking; a single corrupted
     entry must trip at least one stage.
@@ -734,19 +720,19 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
         phi = LinearMap(phi.domain, phi.codomain, columns)
     stages = []
 
-    stages.append(_all_of("transform-hom", check_linear_hom(phi)))
+    hom, transpose_hom = check_linear_hom(phi)
+    stages.append(_all_of("transform-hom", hom))
+    stages.append(_all_of("transpose-hom", transpose_hom))
 
-    # transpose: point mass at a character goes to that character's value table
+    # the transpose sends a point mass at a character to that character's value table
     chars = dual_group(group)
-    tphi = LinearMap(group_algebra(chars.group, b), function_algebra(group, b), _transpose(phi.columns))
-    stages.append(_all_of("transpose-hom", check_linear_hom(tphi)))
     elems = list(group.elements())
     want = {
         (i, j): chars.value(m, t, b)
         for j, m in enumerate(chars.group.elements())
         for i, t in enumerate(elems)
     }
-    ok, worst = compare(b, _entries(tphi.columns), want)
+    ok, worst = compare(b, _entries(_transpose(phi.columns)), want)
     stages.append(CheckResult(name="transpose-columns", passed=ok, residual=worst))
 
     stages.append(unitarity_check(phi, group.order))

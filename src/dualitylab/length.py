@@ -300,11 +300,17 @@ def sphere_bound_check(report: LengthReport) -> SphereBoundReport:
 
     Requires injective positive-integer weights; with those, an element of
     length n is pinned down by the composition of n into its letter weights,
-    so the level sets obey the composition bound.
+    so the level sets obey the composition bound.  Once the search has settled
+    every element of a finite group, the levels past the largest length are
+    empty and the rows stop there.
     """
     if not report.weights.is_injective_integer:
         raise ValueError("sphere bound needs distinct positive integer weights")
     top = report.max_complete_integer_level()
+    if report.group.is_finite:
+        final = report.final_items()
+        if len(final) == report.group.order:
+            top = min(top, math.floor(max(v for _, v in final)))
     spheres = report.spheres()
     counts = [(n, len(spheres.get(Fraction(n), ()))) for n in range(1, top + 1)]
     return SphereBoundReport(rows=_sphere_rows(counts, lambda n: 2 ** (n - 1)), max_level=top)

@@ -154,10 +154,12 @@ class CyclotomicBackend:
         self.degree = len(self.modulus) - 1
         self.zero = tuple([_ZERO] * self.degree)
         self.one = self._reduce([_ONE])
-        # x^e mod the modulus, for every exponent mod n
-        self._mono = []
-        for e in range(n):
-            self._mono.append(self._reduce([_ZERO] * e + [_ONE]))
+        # z^e for every exponent mod n: multiply the previous power by z, then
+        # fold its z^degree term back, which the monic modulus makes one step
+        self._mono = [self.one]
+        for _ in range(n - 1):
+            top, shifted = self._mono[-1][-1], (_ZERO,) + self._mono[-1][:-1]
+            self._mono.append(tuple(x - top * m for x, m in zip(shifted, self.modulus)) if top else shifted)
 
     def _reduce(self, poly) -> tuple[Fraction, ...]:
         _, r = _poly_divmod(list(poly), list(self.modulus))

@@ -1,5 +1,6 @@
 """End-to-end acceptance: eleven criteria, one visible verdict line each."""
 
+import itertools
 import json
 import math
 import time
@@ -18,7 +19,6 @@ from dualitylab import (
     check_linear_hom,
     composition_count,
     domination_check,
-    dual_hopf,
     duality_cycle,
     enumerate_compositions,
     explore_ball,
@@ -103,12 +103,10 @@ def test_criterion_01_hopf_axiom_suite(capsys):
         g = make_group(spec)
         for backend, exact in ((exact_backend(g), True), (make_backend("float"), False)):
             for build in (function_algebra, group_algebra):
-                h = build(g, backend)
-                for algebra in (h, dual_hopf(h)):
-                    for c in check_hopf_axioms(algebra):
-                        bad = not c.passed or (c.residual != 0.0 if exact else c.residual > 1e-9)
-                        if bad:
-                            failures.append((g.label, backend.name, c.name))
+                for c in itertools.chain(*check_hopf_axioms(build(g, backend))):
+                    bad = not c.passed or (c.residual != 0.0 if exact else c.residual > 1e-9)
+                    if bad:
+                        failures.append((g.label, backend.name, c.name))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 5.0
     conclude(capsys, 1, "hopf axiom suite", ok,
@@ -121,14 +119,14 @@ def test_criterion_02_fourier_duality(capsys):
     for spec in FINITE_SPECS[:4]:
         g = make_group(spec)
         phi = fourier(g, exact_backend(g))
-        for c in check_linear_hom(phi):
+        for c in itertools.chain(*check_linear_hom(phi)):
             if not c.passed or c.residual != 0.0:
                 failures.append((g.label, c.name))
         u = unitarity_check(phi, g.order)
         if not u.passed or u.residual != 0.0:
             failures.append((g.label, "unitarity"))
     conclude(capsys, 2, "fourier transform is a hopf hom with exact unitarity",
-             not failures, "4 abelian groups, 5 hom conditions each"
+             not failures, "4 abelian groups, 5 hom conditions on the map and on its transpose"
              + (f"; failures {failures}" if failures else ""))
 
 

@@ -312,6 +312,23 @@ def test_cayley_summability_past_level_1024(tmp_path, capsys, group, radius):
     assert [c["passed"] for c in checks if c["name"] == "summability"] == [True]
 
 
+@pytest.mark.parametrize("radius", [50, 20000])
+def test_cayley_rows_stop_at_the_diameter_of_a_finite_group(tmp_path, capsys, radius):
+    # Z6 with generator 1 has lengths 0..5; later levels are empty and carry
+    # bounds 2^(n-1) past 4300 digits, which the CSV writer refuses
+    cfg = write_config(tmp_path, "run.json", {
+        "command": "cayley", "group": {"kind": "finite_abelian", "orders": [6]}, "radius": radius,
+    })
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["csv"]["spheres.csv"]["rows"] == 5
+    assert len((out / "spheres.csv").read_text().splitlines()) == 6
+    [sphere] = [c for c in report["checks"] if c["name"] == "sphere-bound"]
+    assert sphere["passed"] and sphere["detail"] == "levels 1..5 complete"
+
+
 def test_main_check_failure_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "run.json", {
         "command": "group-part",

@@ -1,24 +1,32 @@
 """Hopf structure tensors, Fourier transforms, and the duality cycle."""
 
 import cmath
+import collections
 import dataclasses
 import itertools
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualitylab import (
     GroupSpec,
     make_backend,
     make_group,
 )
+from dualitylab import hopf
+from dualitylab.cli import main
 from dualitylab.hopf import (
     BRUTE_FORCE_DIM_CAP,
     DUALITY_ORDER_CAP,
     TENSOR_DIM_CAP,
     check_hopf_axioms,
     check_linear_hom,
+    compare,
     dual_group,
     dual_hopf,
     duality_cycle,
@@ -27,6 +35,7 @@ from dualitylab.hopf import (
     group_algebra,
     group_part,
     hopf_equal,
+    LinearMap,
     product_iso_check,
     tensor_hopf,
     unitarity_check,
@@ -63,19 +72,17 @@ def test_axioms_exact(spec):
     g = make_group(spec)
     b = exact_backend_for(g)
     for h in (function_algebra(g, b), group_algebra(g, b)):
-        for c in check_hopf_axioms(h):
-            assert c.passed and c.residual == 0.0, c
-        for c in check_hopf_axioms(dual_hopf(h)):
+        for c in itertools.chain(*check_hopf_axioms(h)):
             assert c.passed and c.residual == 0.0, c
 
 
 def test_axiom_names_and_float_backend():
     g = make_group(GroupSpec.finite_abelian([4]))
     h = function_algebra(g, make_backend("float"))
-    out = check_hopf_axioms(h)
-    assert tuple(c.name for c in out) == AXIOMS
-    for c in out:
-        assert c.passed and c.residual <= 1e-9
+    for out in check_hopf_axioms(h):
+        assert tuple(c.name for c in out) == AXIOMS
+        for c in out:
+            assert c.passed and c.residual <= 1e-9
 
 
 def test_corrupted_comultiplication_detected():
@@ -87,9 +94,174 @@ def test_corrupted_comultiplication_detected():
     row[key] = h.backend.add(row[key], h.backend.one)
     comul[0] = row
     bad = dataclasses.replace(h, comul=comul)
-    failed = [c.name for c in check_hopf_axioms(bad) if not c.passed]
+    failed = [c.name for c in check_hopf_axioms(bad)[0] if not c.passed]
     assert failed  # tampering with one structure constant must trip something
     assert "coassociativity" in failed or "counit" in failed
+
+
+# The coalgebra checks before they became algebra checks of the dual, kept as
+# oracles: each returns the verdict of the direct formula.
+
+
+def direct_coassociativity(h):
+    b = h.backend
+    for i in range(h.dim):
+        left, right = {}, {}
+        for (a, c), x in h.comul.get(i, {}).items():
+            for (p, q), y in h.comul.get(a, {}).items():
+                left[(p, q, c)] = b.add(left.get((p, q, c), b.zero), b.mul(x, y))
+            for (p, q), y in h.comul.get(c, {}).items():
+                right[(a, p, q)] = b.add(right.get((a, p, q), b.zero), b.mul(x, y))
+        if not compare(b, left, right)[0]:
+            return False
+    return True
+
+
+def direct_counit(h):
+    b = h.backend
+    for i in range(h.dim):
+        left, right = {}, {}
+        for (a, c), x in h.comul.get(i, {}).items():
+            if a in h.counit:
+                left[c] = b.add(left.get(c, b.zero), b.mul(x, h.counit[a]))
+            if c in h.counit:
+                right[a] = b.add(right.get(a, b.zero), b.mul(x, h.counit[c]))
+        if not (compare(b, left, h.basis(i))[0] and compare(b, right, h.basis(i))[0]):
+            return False
+    return True
+
+
+def direct_comultiplicative(phi):
+    h, k = phi.domain, phi.codomain
+    b = h.backend
+    for i in range(h.dim):
+        lhs = {}
+        for (a, c), x in h.comul.get(i, {}).items():
+            for p, s in phi.columns.get(a, {}).items():
+                for q, t in phi.columns.get(c, {}).items():
+                    lhs[(p, q)] = b.add(lhs.get((p, q), b.zero), b.mul(b.mul(x, s), t))
+        rhs = {}
+        for t, x in phi.columns.get(i, {}).items():
+            for key, y in k.comul.get(t, {}).items():
+                rhs[key] = b.add(rhs.get(key, b.zero), b.mul(x, y))
+        if not compare(b, lhs, rhs)[0]:
+            return False
+    return True
+
+
+def direct_counital(phi):
+    h, k = phi.domain, phi.codomain
+    b = h.backend
+    for i in range(h.dim):
+        got = b.zero
+        for t, x in phi.columns.get(i, {}).items():
+            if t in k.counit:
+                got = b.add(got, b.mul(x, k.counit[t]))
+        if not b.eq(got, h.counit.get(i, b.zero)):
+            return False
+    return True
+
+
+GUARD_GROUPS = {
+    "S3": GroupSpec.symmetric(3),
+    "Z2xZ2": GroupSpec.finite_abelian([2, 2]),
+    "Z3": GroupSpec.finite_abelian([3]),
+}
+DELTAS = [Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2)]
+
+
+def guard_backend(group, kind):
+    return make_backend("float") if kind == "float" else exact_backend_for(group)
+
+
+def corrupted(entries: dict, key, backend, delta) -> dict:
+    entries = dict(entries)
+    entries[key] = backend.add(entries.get(key, backend.zero), backend.from_fraction(delta))
+    return entries
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    group=st.sampled_from(sorted(GUARD_GROUPS)),
+    build=st.sampled_from([function_algebra, group_algebra]),
+    kind=st.sampled_from(["float", "cyclotomic"]),
+    tensor=st.sampled_from(["comul", "counit", "mul", "unit"]),
+    picks=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+    delta=st.sampled_from(DELTAS),
+)
+def test_coalgebra_rows_agree_with_direct_formulas(group, build, kind, tensor, picks, delta):
+    g = make_group(GUARD_GROUPS[group])
+    b = guard_backend(g, kind)
+    h = build(g, b)
+    i, p, q = (x % h.dim for x in picks)
+    if tensor in ("comul", "mul"):
+        outer, key = ((i, p), q) if tensor == "mul" else (i, (p, q))
+        table = dict(getattr(h, tensor))
+        table[outer] = corrupted(table.get(outer, {}), key, b, delta)
+    else:
+        table = corrupted(getattr(h, tensor), i, b, delta)
+    bad = dataclasses.replace(h, **{tensor: table})
+    for side, algebra in zip(check_hopf_axioms(bad), (bad, dual_hopf(bad))):
+        verdicts = {c.name: c.passed for c in side}
+        assert verdicts["coassociativity"] == direct_coassociativity(algebra)
+        assert verdicts["counit"] == direct_counit(algebra)
+
+
+@settings(max_examples=160, derandomize=True, deadline=None)
+@given(
+    orders=st.sampled_from([[3], [4], [2, 2]]),
+    kind=st.sampled_from(["float", "cyclotomic"]),
+    entry=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    delta=st.sampled_from(DELTAS),
+)
+def test_cohom_conditions_agree_with_direct_formulas(orders, kind, entry, delta):
+    g = make_group(GroupSpec.finite_abelian(orders))
+    b = guard_backend(g, kind)
+    phi = fourier(g, b)
+    i, j = (x % g.order for x in entry)
+    columns = dict(phi.columns)
+    columns[j] = corrupted(columns[j], i, b, delta)
+    phi = LinearMap(phi.domain, phi.codomain, columns)
+    rows = {r: {c: col[r] for c, col in columns.items() if r in col} for r in range(g.order)}
+    transpose = LinearMap(dual_hopf(phi.codomain), dual_hopf(phi.domain), rows)
+    for side, m in zip(check_linear_hom(phi), (phi, transpose)):
+        verdicts = {c.name: c.passed for c in side}
+        assert verdicts["comultiplicative"] == direct_comultiplicative(m)
+        assert verdicts["counital"] == direct_counital(m)
+
+
+def counting_folds(monkeypatch) -> collections.Counter:
+    calls = collections.Counter()
+    fold = hopf.fold_checks
+
+    def counted(name, backend, pairs):
+        calls[name] += 1
+        return fold(name, backend, pairs)
+
+    monkeypatch.setattr(hopf, "fold_checks", counted)
+    return calls
+
+
+def test_hopf_axioms_run_folds_each_identity_once(tmp_path, monkeypatch, capsys):
+    calls = counting_folds(monkeypatch)
+    cfg = tmp_path / "s3.json"
+    cfg.write_text(json.dumps({
+        "command": "hopf-axioms", "group": {"kind": "symmetric", "degree": 3}, "algebra": "both",
+    }))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    # function and group algebra, each with its dual: four algebras, one fold
+    # per algebra axiom and per compatibility axiom, none for the coalgebra ones
+    assert calls == {"associativity": 4, "unit": 4, "bialgebra": 4, "antipode": 4}
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+    assert len(rows) == 24
+
+
+def test_duality_cycle_folds_each_hom_condition_once(monkeypatch):
+    calls = counting_folds(monkeypatch)
+    g = make_group(GroupSpec.finite_abelian([6]))
+    assert duality_cycle(g, exact_backend_for(g)).passed
+    assert calls == {"multiplicative": 2, "unital": 2, "antipode": 2, "unitarity": 2}
 
 
 def test_dual_swaps_the_two_constructions():
@@ -143,10 +315,10 @@ def test_fourier_is_hom_and_unitary():
         g = make_group(GroupSpec.finite_abelian(orders))
         b = exact_backend_for(g)
         phi = fourier(g, b)
-        out = check_linear_hom(phi)
-        assert tuple(c.name for c in out) == HOM_CHECKS
-        for c in out:
-            assert c.passed and c.residual == 0.0, (orders, c)
+        for out in check_linear_hom(phi):
+            assert tuple(c.name for c in out) == HOM_CHECKS
+            for c in out:
+                assert c.passed and c.residual == 0.0, (orders, c)
         u = unitarity_check(phi, g.order)
         assert u.passed and u.residual == 0.0
 
@@ -278,7 +450,7 @@ def test_tensor_of_cyclic_factors():
     z3 = make_group(GroupSpec.finite_abelian([3]))
     t = tensor_hopf(function_algebra(z2, b), function_algebra(z3, b))
     assert t.dim == 6
-    for c in check_hopf_axioms(t):
+    for c in itertools.chain(*check_hopf_axioms(t)):
         assert c.passed and c.residual == 0.0, c
     for c in product_iso_check(z2, z3, b):
         assert c.passed and c.residual == 0.0, c

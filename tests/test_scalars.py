@@ -120,3 +120,14 @@ def test_make_backend():
         make_backend("cyclotomic")  # order required
     with pytest.raises(ValueError):
         make_backend("nosuch")
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 105, 210])
+def test_monomials_match_polynomial_reduction(n):
+    # the incremental z^e table against reducing x^e by long division;
+    # Phi_105 has a coefficient -2, and 210 = 2 * 105 keeps it
+    b = CyclotomicBackend(n)
+    assert len(b._mono) == n
+    for e, mono in enumerate(b._mono):
+        assert mono == b._reduce([Fraction(0)] * e + [Fraction(1)]), (n, e)
+        assert all(isinstance(c, Fraction) for c in mono)
