@@ -10,7 +10,7 @@ concrete isomorphism whose round trip is asserted as literal matrix equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -40,6 +40,10 @@ class HopfAlgebra:
     Missing entries mean zero.  ``source`` tags the two canonical
     constructions ("functions" or "group", with the group) so closed-form
     shortcuts can be dispatched; it never affects verification.
+
+    ``rows`` is mul indexed by its left factor, rows[i][j] = mul[(i, j)] for
+    the nonzero cells, built with the algebra so products walk one row
+    instead of probing every index pair.
     """
 
     dim: int
@@ -51,6 +55,14 @@ class HopfAlgebra:
     counit: Mapping
     antipode: Mapping
     source: tuple[str, Group] | None = None
+    rows: Mapping = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows: dict = {}
+        for (i, j), cell in self.mul.items():
+            if cell:
+                rows.setdefault(i, {})[j] = cell
+        object.__setattr__(self, "rows", rows)
 
     def basis(self, i: int):
         return {i: self.backend.one}
@@ -133,13 +145,26 @@ def _vec_add_scaled(backend, acc: dict, scalar, vec: Mapping) -> None:
 
 
 def mul_vec(h: HopfAlgebra, v: Mapping, w: Mapping) -> dict:
+    """The product v w, walking for each i of v the shorter of row i and w."""
     b = h.backend
     acc: dict = {}
     for i, a in v.items():
-        for j, c in w.items():
-            cell = h.mul.get((i, j))
-            if cell:
-                _vec_add_scaled(b, acc, b.mul(a, c), cell)
+        row = h.rows.get(i)
+        if not row:
+            continue
+        if len(row) < len(w):
+            # row order instead of w order gives the same sums, bit for bit,
+            # while distinct cells of one row share no basis vector, as in
+            # every algebra built here
+            for j, cell in row.items():
+                c = w.get(j)
+                if c is not None:
+                    _vec_add_scaled(b, acc, b.mul(a, c), cell)
+        else:
+            for j, c in w.items():
+                cell = row.get(j)
+                if cell:
+                    _vec_add_scaled(b, acc, b.mul(a, c), cell)
     return acc
 
 
@@ -180,9 +205,12 @@ def pair_mul(h: HopfAlgebra, p: Mapping, q: Mapping) -> dict:
     b = h.backend
     acc: dict = {}
     for (a1, a2), x in p.items():
+        row1, row2 = h.rows.get(a1), h.rows.get(a2)
+        if not (row1 and row2):
+            continue
         for (c1, c2), y in q.items():
-            left = h.mul.get((a1, c1))
-            right = h.mul.get((a2, c2))
+            left = row1.get(c1)
+            right = row2.get(c2)
             if left and right:
                 xy = b.mul(x, y)
                 for u, s in left.items():

@@ -2,9 +2,14 @@
 
 The exact backend works in the field of rationals with a primitive N-th root
 of unity adjoined.  Values are coefficient tuples against the power basis
-1, z, ..., z^(d-1), reduced modulo the N-th cyclotomic polynomial; equality is
-literal tuple equality, and inversion runs the extended Euclidean algorithm
-against the (irreducible) modulus.
+1, z, ..., z^(d-1), reduced modulo the N-th cyclotomic polynomial.  Products
+of roots of unity stay in Z[z], where the monic modulus keeps every step in
+plain ``int`` arithmetic; ``Fraction`` coefficients appear only in values that
+leave Z[z] through ``from_fraction``, ``scale`` or ``inv``, and the two kinds
+mix freely.  Equality is literal tuple equality, and inversion runs the
+extended Euclidean algorithm against the (irreducible) modulus.  ``residual``
+is 0.0 for equal values and otherwise the float distance of the complex
+embeddings: it is reported, never used to decide.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ def _trim(p: list[Fraction]) -> list[Fraction]:
 
 
 def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -43,7 +48,7 @@ def _poly_divmod(a, b):
     q = [_ZERO] * max(len(a) - db, 0)
     while len(_trim(a)) - 1 >= db and a:
         da = len(a) - 1
-        coef = a[-1] / lead
+        coef = Fraction(a[-1]) / lead  # int / int would be a float
         q[da - db] = coef
         for j, bj in enumerate(b):
             a[da - db + j] -= coef * bj
@@ -52,19 +57,27 @@ def _poly_divmod(a, b):
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial.
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Integer coefficients (ascending) of the n-th cyclotomic polynomial.
 
     Computed by dividing x^n - 1 by the cyclotomic polynomials of the proper
-    divisors of n; every division is exact.
+    divisors of n.  Each divisor is monic, so the long division needs no
+    rational arithmetic, and every division is exact.
     """
     if n < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {n}")
-    poly = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            q, r = _poly_divmod(poly, list(cyclotomic_poly(d)))
-            if _trim(list(r)):
+            divisor = cyclotomic_poly(d)
+            db = len(divisor) - 1
+            q = [0] * (len(poly) - db)
+            for k in reversed(range(len(q))):
+                coef = q[k] = poly[k + db]
+                if coef:
+                    for j, bj in enumerate(divisor):
+                        poly[k + j] -= coef * bj
+            if any(poly[:db]):
                 raise ArithmeticError(f"non-exact division while building index {n}")
             poly = q
     return tuple(poly)
@@ -152,25 +165,25 @@ class CyclotomicBackend:
         self.n = n
         self.modulus = cyclotomic_poly(n)
         self.degree = len(self.modulus) - 1
-        self.zero = tuple([_ZERO] * self.degree)
-        self.one = self._reduce([_ONE])
+        self.zero = (0,) * self.degree
+        self.one = (1,) + self.zero[1:]
         # z^e for every exponent mod n: multiply the previous power by z, then
         # fold its z^degree term back, which the monic modulus makes one step
         self._mono = [self.one]
         for _ in range(n - 1):
-            top, shifted = self._mono[-1][-1], (_ZERO,) + self._mono[-1][:-1]
+            top, shifted = self._mono[-1][-1], (0,) + self._mono[-1][:-1]
             self._mono.append(tuple(x - top * m for x, m in zip(shifted, self.modulus)) if top else shifted)
 
-    def _reduce(self, poly) -> tuple[Fraction, ...]:
+    def _reduce(self, poly) -> tuple:
         _, r = _poly_divmod(list(poly), list(self.modulus))
         r = list(r) + [_ZERO] * (self.degree - len(r))
         return tuple(r[: self.degree])
 
     def from_int(self, k: int):
-        return self._reduce([Fraction(k)])
+        return (k,) + self.zero[1:]
 
     def from_fraction(self, q):
-        return self._reduce([Fraction(q)])
+        return (Fraction(q),) + self.zero[1:]
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -182,9 +195,18 @@ class CyclotomicBackend:
         return tuple(-x for x in a)
 
     def mul(self, a, b):
+        """Schoolbook product, then each z^e with e >= degree folded in as z^(e mod n)."""
         if not any(a) or not any(b):
             return self.zero
-        return self._reduce(_poly_mul(list(a), list(b)))
+        d = self.degree
+        out = _poly_mul(a, b)
+        for e in range(d, 2 * d - 1):
+            c = out[e]
+            if c:
+                for k, m in enumerate(self._mono[e % self.n]):
+                    if m:
+                        out[k] += c * m
+        return tuple(out[:d])
 
     def scale(self, a, q):
         q = Fraction(q)
@@ -192,7 +214,7 @@ class CyclotomicBackend:
 
     def conj(self, a):
         """Complex conjugation: substitute z -> z^(n-1) monomial by monomial."""
-        out = [_ZERO] * self.degree
+        out = [0] * self.degree
         for k, c in enumerate(a):
             if c:
                 mono = self._mono[(k * (self.n - 1)) % self.n]

@@ -36,6 +36,8 @@ from dualitylab.hopf import (
     group_part,
     hopf_equal,
     LinearMap,
+    mul_vec,
+    pair_mul,
     product_iso_check,
     tensor_hopf,
     unitarity_check,
@@ -228,6 +230,77 @@ def test_cohom_conditions_agree_with_direct_formulas(orders, kind, entry, delta)
         verdicts = {c.name: c.passed for c in side}
         assert verdicts["comultiplicative"] == direct_comultiplicative(m)
         assert verdicts["counital"] == direct_counital(m)
+
+
+# The products before the row index, kept as oracles: they probe mul at every
+# index pair, in the order of the operands.
+
+
+def probed_mul_vec(h, v, w):
+    b = h.backend
+    acc = {}
+    for i, a in v.items():
+        for j, c in w.items():
+            cell = h.mul.get((i, j))
+            if cell:
+                ac = b.mul(a, c)
+                for k, x in cell.items():
+                    acc[k] = b.add(acc.get(k, b.zero), b.mul(ac, x))
+    return acc
+
+
+def probed_pair_mul(h, p, q):
+    b = h.backend
+    acc = {}
+    for (a1, a2), x in p.items():
+        for (c1, c2), y in q.items():
+            left = h.mul.get((a1, c1))
+            right = h.mul.get((a2, c2))
+            if left and right:
+                xy = b.mul(x, y)
+                for u, s in left.items():
+                    xys = b.mul(xy, s)
+                    for v, t in right.items():
+                        acc[(u, v)] = b.add(acc.get((u, v), b.zero), b.mul(xys, t))
+    return acc
+
+
+PRODUCT_ALGEBRAS = {
+    "functions": function_algebra,
+    "group": group_algebra,
+    "dual functions": lambda g, b: dual_hopf(function_algebra(g, b)),
+    "dual group": lambda g, b: dual_hopf(group_algebra(g, b)),
+    "functions (x) group": lambda g, b: tensor_hopf(function_algebra(g, b), group_algebra(g, b)),
+}
+
+
+def scalars(b):
+    if not b.exact:
+        parts = st.floats(-4, 4, allow_nan=False)
+        return st.builds(complex, parts, parts)
+    coeffs = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+    return st.lists(coeffs, min_size=b.degree, max_size=b.degree).map(tuple)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    group=st.sampled_from(sorted(GUARD_GROUPS)),
+    algebra=st.sampled_from(sorted(PRODUCT_ALGEBRAS)),
+    kind=st.sampled_from(["float", "cyclotomic"]),
+    data=st.data(),
+)
+def test_row_indexed_products_match_probing_every_pair(group, algebra, kind, data):
+    g = make_group(GUARD_GROUPS[group])
+    b = guard_backend(g, kind)
+    h = PRODUCT_ALGEBRAS[algebra](g, b)
+    index = st.integers(0, h.dim - 1)
+    v, w = (data.draw(st.dictionaries(index, scalars(b), max_size=h.dim)) for _ in range(2))
+    p, q = (data.draw(st.dictionaries(st.tuples(index, index), scalars(b), max_size=8)) for _ in range(2))
+    # repr of each value, so a float summed in another order fails too
+    assert ({k: repr(x) for k, x in mul_vec(h, v, w).items()}
+            == {k: repr(x) for k, x in probed_mul_vec(h, v, w).items()})
+    assert ({k: repr(x) for k, x in pair_mul(h, p, q).items()}
+            == {k: repr(x) for k, x in probed_pair_mul(h, p, q).items()})
 
 
 def counting_folds(monkeypatch) -> collections.Counter:

@@ -4,8 +4,11 @@ import cmath
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualitylab import CyclotomicBackend, ComplexFloatBackend, cyclotomic_poly, make_backend
+from dualitylab.scalars import _poly_divmod, _poly_mul, _trim
 
 
 def poly(*coeffs):
@@ -130,4 +133,81 @@ def test_monomials_match_polynomial_reduction(n):
     assert len(b._mono) == n
     for e, mono in enumerate(b._mono):
         assert mono == b._reduce([Fraction(0)] * e + [Fraction(1)]), (n, e)
-        assert all(isinstance(c, Fraction) for c in mono)
+        assert all(isinstance(c, int) for c in mono)
+
+
+ORDERS = [*range(1, 61), 105, 210]
+COEFFS = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def operands(draw, b):
+    """Values as the backends make them: int tuples, and the int/Fraction mixes
+    that from_fraction, scale and inv return."""
+    terms = draw(st.dictionaries(st.integers(0, b.degree - 1), COEFFS, max_size=6))
+    raw = tuple(terms.get(k, 0) for k in range(b.degree))
+    q = draw(COEFFS)
+    made = draw(st.sampled_from(["raw", "from_fraction", "scale", "inv"]))
+    if made == "from_fraction":
+        return b.add(b.from_fraction(q), b.root(draw(st.integers(0, b.n - 1)), b.n))
+    if made == "scale":
+        return b.scale(raw, q)
+    if made == "inv":
+        k, e = draw(st.integers(2, 4)), draw(st.integers(0, b.n - 1))
+        return b.inv(b.add(b.from_int(k), b.root(e, b.n)))
+    return raw
+
+
+def fraction_mul(b, x, y):
+    """The rational reference: multiply as polynomials, reduce by long division."""
+    return b._reduce(_poly_mul([Fraction(c) for c in x], [Fraction(c) for c in y]))
+
+
+def fraction_conj(b, x):
+    """The rational reference: z^k goes to z^((n - k) mod n), then reduce."""
+    poly = [Fraction(0)] * b.n
+    for k, c in enumerate(x):
+        poly[(b.n - k) % b.n] += c
+    return b._reduce(poly)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_integer_mul_and_conj_match_fraction_reduction(n, data):
+    b = CyclotomicBackend(n)
+    x, y = data.draw(operands(b)), data.draw(operands(b))
+    assert b.mul(x, y) == fraction_mul(b, x, y)
+    assert b.conj(x) == fraction_conj(b, x)
+
+
+def test_integer_values_stay_integer():
+    b = CyclotomicBackend(105)
+    x = b.add(b.from_int(3), b.root(1, 105))
+    for value in (b.zero, b.one, b.from_int(-2), b.mul(x, b.root(104, 105)), b.conj(x)):
+        assert all(isinstance(c, int) for c in value)
+
+
+def test_cyclotomic_poly_matches_fraction_long_division():
+    fraction_polys: dict = {}
+    for n in range(1, 301):
+        poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+        for d in range(1, n):
+            if n % d == 0:
+                poly, r = _poly_divmod(poly, fraction_polys[d])
+                assert not _trim(r)
+        fraction_polys[n] = tuple(poly)
+        assert cyclotomic_poly(n) == fraction_polys[n], n
+        assert all(isinstance(c, int) for c in cyclotomic_poly(n))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(n=st.sampled_from([*range(1, 41), 105]), data=st.data())
+def test_inverse_of_integer_values(n, data):
+    b = CyclotomicBackend(n)
+    x = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=b.degree, max_size=b.degree)))
+    if b.is_zero(x):
+        return
+    inv = b.inv(x)
+    assert not any(isinstance(c, float) for c in inv)
+    assert b.mul(x, inv) == b.one
