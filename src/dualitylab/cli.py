@@ -31,11 +31,13 @@ from .groups import (
 )
 from .hopf import (
     check_hopf_axioms,
+    dual_hopf,
     duality_cycle,
     function_algebra,
     group_algebra,
     group_part,
     product_iso_check,
+    same_tensors,
 )
 from .length import (
     DEFAULT_ELEMENT_CAP,
@@ -368,10 +370,16 @@ def _cmd_hopf_axioms(params):
     group = params["group"]
     backend = params["backend"]
     checks = []
+    checked = []  # (algebra, its axioms, its dual's axioms)
     for alg in params["algebras"]:
         build = function_algebra if alg == "function" else group_algebra
         h = build(group, backend)
-        for prefix, axioms in zip((alg, f"{alg}-dual"), check_hopf_axioms(h)):
+        # dual_hopf twice returns the same tensors, so when h's dual is an
+        # algebra already checked, h's two lists are that algebra's, swapped
+        dual = dual_hopf(h)
+        lists = next(((d, a) for k, a, d in checked if same_tensors(dual, k)), None) or check_hopf_axioms(h)
+        checked.append((h, *lists))
+        for prefix, axioms in zip((alg, f"{alg}-dual"), lists):
             checks.extend(_rename(prefix, c) for c in axioms)
     results = {"order": group.order, "backend": backend.name}
     return checks, results, {}

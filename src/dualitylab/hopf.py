@@ -279,6 +279,30 @@ def hopf_equal(h1: HopfAlgebra, h2: HopfAlgebra) -> tuple[bool, float]:
     return all(ok for ok, _ in results), max(r for _, r in results)
 
 
+def same_tensors(h: HopfAlgebra, k: HopfAlgebra) -> bool:
+    """Whether h and k have literally equal structure: the same dim, backend and
+    five tensors under ``==``; labels and source are ignored.
+
+    A check of h then stands for the same check of k, so callers run it once.
+    ``hopf_equal`` does not fit: it compares under the float tolerance.  Dict
+    ``==`` ignores key order, which only sets the order in which floats are
+    summed, and that is enough here: the algebras built in this module carry
+    only the values 0 and 1, so only a linear map such as ``fourier``'s
+    carries others, and such a map is compared with its own transpose, which
+    ``_transpose`` lists in the map's own key order when the map is symmetric
+    and every column lists its rows in column order.
+    """
+    return (
+        h.dim == k.dim
+        and h.backend == k.backend
+        and h.mul == k.mul
+        and h.unit == k.unit
+        and h.comul == k.comul
+        and h.counit == k.counit
+        and h.antipode == k.antipode
+    )
+
+
 def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
     """The dual Hopf algebra on the dual basis: transpose all five tensors.
 
@@ -672,10 +696,15 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
     counital, antipode.  Each map's comultiplicative and counital conditions
     are the other's multiplicative and unital ones, computed once: six folds
     for ten results.  Their witnesses are an (i,j) pair of dual basis vectors
-    and ``unit``.
+    and ``unit``.  When the transpose is literally phi (equal columns, and
+    duals ``same_tensors`` as phi's domain and codomain), its conditions are
+    phi's: three folds.
     """
     transpose = LinearMap(dual_hopf(phi.codomain), dual_hopf(phi.domain), _transpose(phi.columns))
-    (mult, unital, antipode), (t_mult, t_unital, t_antipode) = _algebra_hom(phi), _algebra_hom(transpose)
+    hom = _algebra_hom(phi)
+    shared = (transpose.columns == phi.columns and same_tensors(transpose.domain, phi.domain)
+              and same_tensors(transpose.codomain, phi.codomain))
+    (mult, unital, antipode), (t_mult, t_unital, t_antipode) = hom, hom if shared else _algebra_hom(transpose)
     return (
         [mult, unital, replace(t_mult, name="comultiplicative"), replace(t_unital, name="counital"), antipode],
         [t_mult, t_unital, replace(mult, name="comultiplicative"), replace(unital, name="counital"), t_antipode],
@@ -730,7 +759,15 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     as literal equality.  Both hom stages come from one ``check_linear_hom``
     call: the comultiplicative and counital conditions of transform-hom are
     the multiplicative and unital conditions of transpose-hom, and the other
-    way round.
+    way round.  The composite is the dual side's conjugate transpose times
+    the map, in Z[zeta_n] on the exact backend, scaled by 1/|G| once per
+    entry before it meets the identity.
+
+    The character table is symmetric, so unperturbed its transpose and the
+    dual side's transposed map are literally the map itself: transpose-hom
+    then reuses the transform-hom conditions and the dual side's unitarity
+    is the unitarity stage.  A perturbed map takes the full path wherever its
+    input differs.
 
     ``perturb`` bumps one matrix entry before checking; a single corrupted
     entry must trip at least one stage.
@@ -763,19 +800,17 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     ok, worst = compare(b, _entries(_transpose(phi.columns)), want)
     stages.append(CheckResult(name="transpose-columns", passed=ok, residual=worst))
 
-    stages.append(unitarity_check(phi, group.order))
+    unitarity = unitarity_check(phi, group.order)
+    stages.append(unitarity)
 
     # the dual side's transform, transposed and inverted, closes the cycle
     dual_phi = fourier(chars.group, b)
     s_map = LinearMap(dual_phi.domain, dual_phi.codomain, _transpose(dual_phi.columns))
-    s_unit = unitarity_check(s_map, group.order)
+    s_unit = unitarity if s_map.columns == phi.columns else unitarity_check(s_map, group.order)
+    composite = _compose(b, _conj_transpose(b, s_map.columns), phi.columns)
     inv_scale = Fraction(1, group.order)
-    s_inv = {
-        t: {i: b.scale(x, inv_scale) for i, x in col.items()}
-        for t, col in _conj_transpose(b, s_map.columns).items()
-    }
-    composite = _compose(b, s_inv, phi.columns)
-    ok, worst = compare(b, _entries(composite), {(i, i): b.one for i in range(group.order)})
+    scaled = {k: b.scale(x, inv_scale) for k, x in _entries(composite).items()}
+    ok, worst = compare(b, scaled, {(i, i): b.one for i in range(group.order)})
     stages.append(
         CheckResult(name="cycle-identity", passed=s_unit.passed and ok, residual=max(worst, s_unit.residual))
     )

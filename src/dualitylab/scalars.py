@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -186,13 +187,13 @@ class CyclotomicBackend:
         return (Fraction(q),) + self.zero[1:]
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(operator.sub, a, b))
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def mul(self, a, b):
         """Schoolbook product, then each z^e with e >= degree folded in as z^(e mod n)."""

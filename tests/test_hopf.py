@@ -18,8 +18,9 @@ from dualitylab import (
     make_backend,
     make_group,
 )
-from dualitylab import hopf
+from dualitylab import cli, hopf
 from dualitylab.cli import main
+from dualitylab.reports import CheckResult
 from dualitylab.hopf import (
     BRUTE_FORCE_DIM_CAP,
     DUALITY_ORDER_CAP,
@@ -323,9 +324,11 @@ def test_hopf_axioms_run_folds_each_identity_once(tmp_path, monkeypatch, capsys)
     }))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    # function and group algebra, each with its dual: four algebras, one fold
-    # per algebra axiom and per compatibility axiom, none for the coalgebra ones
-    assert calls == {"associativity": 4, "unit": 4, "bialgebra": 4, "antipode": 4}
+    # function and group algebra, each with its dual, are two distinct tensor
+    # sets: the group algebra is the function algebra's dual, so its lists are
+    # reused; one fold per algebra axiom and per compatibility axiom of each
+    # set, none for the coalgebra ones
+    assert calls == {"associativity": 2, "unit": 2, "bialgebra": 2, "antipode": 2}
     rows = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
     assert len(rows) == 24
 
@@ -334,7 +337,148 @@ def test_duality_cycle_folds_each_hom_condition_once(monkeypatch):
     calls = counting_folds(monkeypatch)
     g = make_group(GroupSpec.finite_abelian([6]))
     assert duality_cycle(g, exact_backend_for(g)).passed
+    # the character table is symmetric: its transpose and the dual side's map
+    # are literally itself, so each condition and unitarity fold once
+    assert calls == {"multiplicative": 1, "unital": 1, "antipode": 1, "unitarity": 1}
+
+
+def test_perturbed_duality_cycle_folds_both_sides(monkeypatch):
+    calls = counting_folds(monkeypatch)
+    g = make_group(GroupSpec.finite_abelian([6]))
+    assert not duality_cycle(g, exact_backend_for(g), perturb=(1, 2)).passed
+    # an off-diagonal bump breaks the symmetry: nothing is shared
     assert calls == {"multiplicative": 2, "unital": 2, "antipode": 2, "unitarity": 2}
+
+
+def unshared_hom(phi):
+    """check_linear_hom with the transpose's conditions always computed."""
+    transpose = LinearMap(dual_hopf(phi.codomain), dual_hopf(phi.domain), hopf._transpose(phi.columns))
+    (mult, unital, antipode), (t_mult, t_unital, t_antipode) = (
+        hopf._algebra_hom(phi), hopf._algebra_hom(transpose))
+    rename = dataclasses.replace
+    return (
+        [mult, unital, rename(t_mult, name="comultiplicative"), rename(t_unital, name="counital"), antipode],
+        [t_mult, t_unital, rename(mult, name="comultiplicative"), rename(unital, name="counital"), t_antipode],
+    )
+
+
+def unshared_stages(group, b, phi):
+    """The duality-cycle stages of phi with nothing shared and the inverse
+    scaled by 1/|G| term by term before the composite."""
+    hom, transpose_hom = unshared_hom(phi)
+    chars = dual_group(group)
+    want = {
+        (i, j): chars.value(m, t, b)
+        for j, m in enumerate(chars.group.elements())
+        for i, t in enumerate(group.elements())
+    }
+    ok, worst = compare(b, hopf._entries(hopf._transpose(phi.columns)), want)
+    dual_phi = fourier(chars.group, b)
+    s_map = LinearMap(dual_phi.domain, dual_phi.codomain, hopf._transpose(dual_phi.columns))
+    s_unit = unitarity_check(s_map, group.order)
+    inv_scale = Fraction(1, group.order)
+    s_inv = {
+        t: {i: b.scale(x, inv_scale) for i, x in col.items()}
+        for t, col in hopf._conj_transpose(b, s_map.columns).items()
+    }
+    composite = hopf._compose(b, s_inv, phi.columns)
+    cycle_ok, cycle_worst = compare(b, hopf._entries(composite), {(i, i): b.one for i in range(group.order)})
+    return [
+        hopf._all_of("transform-hom", hom),
+        hopf._all_of("transpose-hom", transpose_hom),
+        CheckResult(name="transpose-columns", passed=ok, residual=worst),
+        unitarity_check(phi, group.order),
+        CheckResult(name="cycle-identity", passed=s_unit.passed and cycle_ok,
+                    residual=max(cycle_worst, s_unit.residual)),
+    ]
+
+
+ORACLE_CYCLE_GROUPS = ([2], [3], [4], [6], [2, 2], [2, 3])
+
+
+@pytest.mark.parametrize("kind", ["float", "cyclotomic"])
+@pytest.mark.parametrize("orders", ORACLE_CYCLE_GROUPS, ids=str)
+def test_shared_cycle_stages_match_unshared(orders, kind):
+    g = make_group(GroupSpec.finite_abelian(orders))
+    b = guard_backend(g, kind)
+    cells = itertools.product(range(g.order), repeat=2)
+    for perturb in [None, *cells]:
+        rep = duality_cycle(g, b, perturb)
+        got, want = list(rep.stages), unshared_stages(g, b, rep.transform)
+        if perturb is not None and not b.exact:
+            # scaling once per entry instead of once per term moves where a
+            # float rounds: a perturbed composite's residual may move by an
+            # ulp or two (Z3, Z6, Z2xZ3), the verdict may not
+            assert got[-1].residual == pytest.approx(want[-1].residual, rel=1e-12, abs=1e-15), perturb
+            got[-1] = dataclasses.replace(got[-1], residual=want[-1].residual)
+        # repr of every result, so a residual rounded differently fails too
+        assert [repr(s) for s in got] == [repr(s) for s in want], perturb
+        assert ([[repr(c) for c in side] for side in check_linear_hom(rep.transform)]
+                == [[repr(c) for c in side] for side in unshared_hom(rep.transform)]), perturb
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("kind", ["float", "cyclotomic"])
+@pytest.mark.parametrize("group", ["S3", "Z6", "Z2xZ2"])
+def test_reused_axiom_lists_match_direct_check(monkeypatch, group, kind, corrupt):
+    g = make_group({"S3": GroupSpec.symmetric(3), "Z6": GroupSpec.finite_abelian([6]),
+                    "Z2xZ2": GroupSpec.finite_abelian([2, 2])}[group])
+    b = guard_backend(g, kind)
+    if corrupt:
+        # a function algebra with one antipode entry doubled, and its dual as
+        # the group algebra: the failing rows tell an algebra from its dual
+        def bad_functions(grp, backend):
+            h = function_algebra(grp, backend)
+            return dataclasses.replace(h, antipode={**h.antipode, 1: {1: backend.from_int(2)}})
+
+        monkeypatch.setattr(cli, "function_algebra", bad_functions)
+        monkeypatch.setattr(cli, "group_algebra", lambda grp, backend: dual_hopf(bad_functions(grp, backend)))
+    checks, _, _ = cli._cmd_hopf_axioms({"group": g, "backend": b, "algebras": ("function", "group")})
+    # the group algebra's two lists follow the function algebra's and are
+    # reused from them, swapped
+    assert len(checks) == 24
+    assert all(c.passed for c in checks) != corrupt
+    for prefix, got, want in zip(("group", "group-dual"), (checks[12:18], checks[18:]),
+                                 check_hopf_axioms(cli.group_algebra(g, b))):
+        assert [repr(c) for c in got] == [repr(cli._rename(prefix, c)) for c in want]
+
+
+def test_same_tensors_compares_structure_not_names():
+    g = make_group(GroupSpec.symmetric(3))
+    b = make_backend("cyclotomic", order=6)
+    h, k = function_algebra(g, b), group_algebra(g, b)
+    assert hopf.same_tensors(dual_hopf(h), k) and hopf.same_tensors(h, dual_hopf(k))
+    assert dual_hopf(h).labels != k.labels and dual_hopf(h).source != h.source
+    assert not hopf.same_tensors(h, k)
+    two = b.from_int(2)
+    for changed in (
+        {"dim": 7},
+        {"backend": make_backend("cyclotomic", order=12)},
+        {"mul": {**k.mul, (0, 0): {0: two}}},
+        {"unit": {0: two}},
+        {"comul": {**k.comul, 0: {(0, 0): two}}},
+        {"counit": {**k.counit, 0: two}},
+        {"antipode": {**k.antipode, 0: {0: two}}},
+    ):
+        assert not hopf.same_tensors(k, dataclasses.replace(k, **changed)), changed
+    # literal, not within the float tolerance that hopf_equal allows
+    f = group_algebra(g, make_backend("float"))
+    near = dataclasses.replace(f, unit={0: 1 + 1e-12})
+    assert hopf_equal(f, near)[0] and not hopf.same_tensors(f, near)
+
+
+def test_symmetric_map_with_unequal_duals_checks_both_sides():
+    # pulling functions on Z3 back along the swap of 0 and 1: a symmetric
+    # matrix and an algebra map, but the swap is no group automorphism, so
+    # the transpose between the duals is not multiplicative
+    g = make_group(GroupSpec.finite_abelian([3]))
+    b = make_backend("cyclotomic", order=3)
+    h = function_algebra(g, b)
+    phi = LinearMap(h, h, {0: {1: b.one}, 1: {0: b.one}, 2: {2: b.one}})
+    hom, transpose_hom = check_linear_hom(phi)
+    assert hom[0].passed and not transpose_hom[0].passed
+    assert ([[repr(c) for c in side] for side in (hom, transpose_hom)]
+            == [[repr(c) for c in side] for side in unshared_hom(phi)])
 
 
 def test_dual_swaps_the_two_constructions():
