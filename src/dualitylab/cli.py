@@ -163,19 +163,6 @@ class RunConfig:
 
 
 _COMMON_KEYS = {"command", "seed", "tolerance"}
-_BACKEND_COMMANDS = {"hopf-axioms", "duality-cycle", "group-part", "tensor-iso"}
-
-_COMMAND_KEYS = {
-    "hopf-axioms": {"group", "algebra", "backend"},
-    "duality-cycle": {"group", "perturb", "backend"},
-    "group-part": {"group", "algebra", "mode", "expectedCount", "backend"},
-    "tensor-iso": {"left", "right", "backend"},
-    "cayley": {"group", "generators", "weights", "radius", "elementCap", "samples"},
-    "counterexample": {"group", "nMax", "C"},
-    "nuclearity": {"group", "generators", "weights", "radius", "elementCap"},
-    "seminorm-suite": {"group", "radius", "elementCap", "count", "trials"},
-    "polar-suite": {"group", "radius", "elementCap", "weightF", "weightG", "trials"},
-}
 
 
 def parse_config(raw, seed_override=None, backend_override=None) -> RunConfig:
@@ -184,9 +171,9 @@ def parse_config(raw, seed_override=None, backend_override=None) -> RunConfig:
         fail("$", f"top level must be an object, got {type(raw).__name__}")
     if "command" not in raw:
         fail("command", "required")
-    command = _as_str(raw["command"], "command", choices=set(_COMMAND_KEYS))
-    allowed = _COMMON_KEYS | _COMMAND_KEYS[command]
-    unknown = set(raw) - allowed
+    command = _as_str(raw["command"], "command", choices=set(_COMMANDS))
+    keys, parse, _ = _COMMANDS[command]
+    unknown = set(raw) - _COMMON_KEYS - keys
     if unknown:
         raise ConfigError([(k, "unknown key") for k in sorted(unknown)])
 
@@ -197,7 +184,7 @@ def parse_config(raw, seed_override=None, backend_override=None) -> RunConfig:
         fail("tolerance", f"must be positive, got {tolerance}")
 
     backend_name = None
-    if command in _BACKEND_COMMANDS:
+    if "backend" in keys:
         backend_name = _as_str(
             raw.get("backend", "cyclotomic"), "backend", choices={"float", "cyclotomic"}
         )
@@ -210,7 +197,7 @@ def parse_config(raw, seed_override=None, backend_override=None) -> RunConfig:
         params["backend_name"] = backend_name
         inputs["backend"] = backend_name
 
-    _PARSERS[command](raw, params, inputs)
+    parse(raw, params, inputs)
     return RunConfig(command=command, params=params, inputs=inputs)
 
 
@@ -289,9 +276,27 @@ def _parse_ball(raw, params, inputs, default_radius=DEFAULT_RADIUS):
     return gens_echo
 
 
+def _check_printable_sphere_rows(group: Group, weights: WeightFunction, radius: Fraction) -> None:
+    """Reject a radius whose spheres.csv rows reach a bound 2^(n-1) of more digits than str() allows.
+
+    Rows run to level floor(radius), on a finite group to at most (order - 1) * max weight, the
+    longest a shortest word can be.  A digit limit of 0, or a Python without one, means no limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    level = math.floor(radius)
+    if group.is_finite:
+        level = min(level, (group.order - 1) * max((int(w) for w in weights.values), default=0))
+    top = (10**limit - 1).bit_length()  # 2^m has more than `limit` digits exactly when m >= top
+    if limit and level > top:
+        fail("radius", f"sphere rows would reach level {level}, but a bound 2^(n-1) past level {top} "
+                       f"has more than {limit} digits, the integer string limit")
+
+
 def _parse_cayley(raw, params, inputs):
     inputs["generators"] = _parse_ball(raw, params, inputs)
     weights, inputs["weights"] = _parse_weights(raw, len(params["generators"].elements), "weights")
+    if weights.is_injective_integer:
+        _check_printable_sphere_rows(params["group"], weights, params["radius"])
     samples = as_int(raw.get("samples", 500), "samples", minimum=0)
     params.update(weights=weights, samples=samples)
     inputs["samples"] = samples
@@ -335,19 +340,6 @@ def _parse_polar_suite(raw, params, inputs):
     params.update(trials=trials, recipe_f=parse_recipe(inputs["weightF"], "weightF"),
                   recipe_g=parse_recipe(inputs["weightG"], "weightG"))
     inputs["trials"] = trials
-
-
-_PARSERS = {
-    "hopf-axioms": _parse_hopf_axioms,
-    "duality-cycle": _parse_duality_cycle,
-    "group-part": _parse_group_part,
-    "tensor-iso": _parse_tensor_iso,
-    "cayley": _parse_cayley,
-    "counterexample": _parse_counterexample,
-    "nuclearity": _parse_nuclearity,
-    "seminorm-suite": _parse_seminorm_suite,
-    "polar-suite": _parse_polar_suite,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -592,22 +584,30 @@ def _cmd_polar_suite(params):
     return checks, results, {}
 
 
-_RUNNERS = {
-    "hopf-axioms": _cmd_hopf_axioms,
-    "duality-cycle": _cmd_duality_cycle,
-    "group-part": _cmd_group_part,
-    "tensor-iso": _cmd_tensor_iso,
-    "cayley": _cmd_cayley,
-    "counterexample": _cmd_counterexample,
-    "nuclearity": _cmd_nuclearity,
-    "seminorm-suite": _cmd_seminorm_suite,
-    "polar-suite": _cmd_polar_suite,
+# command -> (the config keys it takes besides _COMMON_KEYS, parser, runner);
+# a command takes a scalar backend exactly when "backend" is among its keys
+_COMMANDS = {
+    "hopf-axioms": ({"group", "algebra", "backend"}, _parse_hopf_axioms, _cmd_hopf_axioms),
+    "duality-cycle": ({"group", "perturb", "backend"}, _parse_duality_cycle, _cmd_duality_cycle),
+    "group-part": ({"group", "algebra", "mode", "expectedCount", "backend"}, _parse_group_part,
+                   _cmd_group_part),
+    "tensor-iso": ({"left", "right", "backend"}, _parse_tensor_iso, _cmd_tensor_iso),
+    "cayley": ({"group", "generators", "weights", "radius", "elementCap", "samples"}, _parse_cayley,
+               _cmd_cayley),
+    "counterexample": ({"group", "nMax", "C"}, _parse_counterexample, _cmd_counterexample),
+    "nuclearity": ({"group", "generators", "weights", "radius", "elementCap"}, _parse_nuclearity,
+                   _cmd_nuclearity),
+    "seminorm-suite": ({"group", "radius", "elementCap", "count", "trials"}, _parse_seminorm_suite,
+                       _cmd_seminorm_suite),
+    "polar-suite": ({"group", "radius", "elementCap", "weightF", "weightG", "trials"}, _parse_polar_suite,
+                    _cmd_polar_suite),
 }
 
 
 def run_command(cfg: RunConfig) -> tuple[dict, dict]:
     """Execute the configured command; returns (report dict, csv tables)."""
-    checks, results, tables = _RUNNERS[cfg.command](cfg.params)
+    _, _, run = _COMMANDS[cfg.command]
+    checks, results, tables = run(cfg.params)
     report = {
         "allPass": all(c.passed for c in checks),
         "checks": [c.to_json() for c in checks],

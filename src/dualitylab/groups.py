@@ -410,7 +410,7 @@ class GeneratorSet:
     closed_under_inverse: bool = False
 
 
-def make_generator_set(group: Group, elements: Sequence[Element], check_generates: bool = True) -> GeneratorSet:
+def make_generator_set(group: Group, elements: Sequence[Element]) -> GeneratorSet:
     """Validate generators against the group and package them.
 
     Duplicates are rejected.  For finite groups the semigroup closure is
@@ -424,7 +424,7 @@ def make_generator_set(group: Group, elements: Sequence[Element], check_generate
             raise ValueError(f"duplicate generator {e!r}")
         seen.add(e)
     closed = all(group.inv(e) in seen for e in canon)
-    if check_generates and group.is_finite:
+    if group.is_finite:
         reached = {group.identity}
         frontier = [group.identity]
         while frontier:
@@ -466,18 +466,18 @@ def standard_generators(group: Group) -> GeneratorSet:
         return make_generator_set(group, [swap, cycle])
     if isinstance(group, HeisenbergGroup):
         a, b = (1, 0, 0), (0, 1, 0)
-        return make_generator_set(group, [a, group.inv(a), b, group.inv(b)], check_generates=False)
+        return make_generator_set(group, [a, group.inv(a), b, group.inv(b)])
     if isinstance(group, FreeGroup):
         gens = []
         for i in range(1, group.rank + 1):
             gens.extend([(i,), (-i,)])
-        return make_generator_set(group, gens, check_generates=False)
+        return make_generator_set(group, gens)
     if isinstance(group, FreeAbelianGroup):
         gens = []
         for i in range(group.rank):
             e = tuple(1 if j == i else 0 for j in range(group.rank))
             gens.extend([e, group.inv(e)])
-        return make_generator_set(group, gens, check_generates=False)
+        return make_generator_set(group, gens)
     raise ValueError(f"no standard generator set for {group.label!r}")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,8 +40,9 @@ class WeightFunction:
                 raise ValueError(f"weight {w} is negative")
 
     @classmethod
-    def constant(cls, count: int, value=1) -> "WeightFunction":
-        return cls(tuple(Fraction(value) for _ in range(count)))
+    def constant(cls, count: int) -> "WeightFunction":
+        """Weight 1 on every generator: the plain word length."""
+        return cls((Fraction(1),) * count)
 
     @classmethod
     def enumerated(cls, count: int) -> "WeightFunction":
@@ -89,7 +90,6 @@ class LengthReport:
     lengths: dict[Element, Fraction]
     truncated: bool
     boundary: Fraction | None
-    _spheres: dict | None = field(default=None, repr=False)
 
     def __contains__(self, x) -> bool:
         return self.group.check(x) in self.lengths
@@ -121,12 +121,10 @@ class LengthReport:
 
     def spheres(self) -> dict[Fraction, tuple[Element, ...]]:
         """Level sets of the length, keyed by exact level, elements sorted."""
-        if self._spheres is None:
-            acc: dict[Fraction, list[Element]] = {}
-            for x, v in self.lengths.items():
-                acc.setdefault(v, []).append(x)
-            self._spheres = {v: tuple(xs) for v, xs in sorted(acc.items())}
-        return self._spheres
+        acc: dict[Fraction, list[Element]] = {}
+        for x, v in self.lengths.items():
+            acc.setdefault(v, []).append(x)
+        return {v: tuple(xs) for v, xs in sorted(acc.items())}
 
     def sphere_complete(self, level) -> bool:
         """True when every group element of this length appears in the table."""

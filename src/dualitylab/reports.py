@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 REL_TOL = 1e-12
+LOOSE_TOL = 1e-9  # for the rounding of tight products: exp of a sum against a product of exps
 
 
 class ConfigError(ValueError):
@@ -118,6 +119,20 @@ def sample_pairs(pool, samples: int, seed: int, holds) -> SampledInequality:
         if not verdict:
             violations.append((x, y))
     return SampledInequality(checked=checked, skipped=skipped, violations=tuple(violations))
+
+
+def leq_trials(name: str, trials: int, draw, rtol: float) -> CheckResult:
+    """Test ``leq(lhs, rhs, rtol)`` on ``trials`` pairs from ``draw()``, called in order.
+
+    Passes when every pair holds; the residual is the worst lhs - rhs, floored at 0.
+    """
+    worst = 0.0
+    ok = True
+    for _ in range(trials):
+        lhs, rhs = draw()
+        worst = max(worst, lhs - rhs)
+        ok = ok and leq(lhs, rhs, rtol)
+    return CheckResult(name, ok, residual=worst)
 
 
 def dump_json(payload: dict) -> str:

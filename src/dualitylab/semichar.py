@@ -3,7 +3,10 @@
 A weight here is a function f on a group with f >= 1 and
 f(x*y) <= f(x) * f(y); the grammar below produces only such functions, so
 submultiplicativity holds by construction and the sampled verifier exists for
-cross-checks and for user-supplied raw tables.
+cross-checks and for user-supplied raw tables.  Both audits here, the sampled
+f(x*y) <= f(x) f(y) and f(x) <= exp(length(x)) over the settled ball, compare
+at ``reports.LOOSE_TOL`` (1e-9), which absorbs the rounding of exp of a sum
+against a product of exps.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from fractions import Fraction
 
 from .groups import DirectProductGroup, Element, GeneratorSet, Group
 from .length import LengthReport, UnexploredError, WeightFunction
-from .reports import ConfigError, SampledInequality, as_fraction, fail, leq, sample_pairs
-
-_REL_TOL = 1e-9
+from .reports import LOOSE_TOL, ConfigError, SampledInequality, as_fraction, fail, leq, sample_pairs
 
 
 class Semicharacter:
@@ -181,27 +182,21 @@ class TableWeight(Semicharacter):
 def sampled_submultiplicativity(
     f: Semicharacter,
     elements,
-    group: Group | None = None,
+    group: Group,
     samples: int = 400,
     seed: int = 0,
-    rel_tol: float = _REL_TOL,
 ) -> SampledInequality:
-    """Sample pairs from ``elements`` and test f(x*y) <= f(x) f(y).
+    """Sample pairs from ``elements`` and test f(x*y) <= f(x) f(y) in ``group``.
 
-    Pairs that leave the evaluable region are skipped.  The tolerance absorbs
-    float rounding of genuinely tight cases (exp of sums versus products of
-    exps).
+    Pairs that leave the evaluable region are skipped.
     """
-    group = group or f.group
-    if group is None:
-        raise ValueError("need a group to multiply in")
     pool = [group.check(x) for x in elements]
     if not pool:
         raise ValueError("empty sample pool")
 
     def holds(x, y):
         try:
-            return leq(f.value(group.mul(x, y)), f.value(x) * f.value(y), rel_tol)
+            return leq(f.value(group.mul(x, y)), f.value(x) * f.value(y), LOOSE_TOL)
         except UnexploredError:
             return None
 
@@ -232,7 +227,6 @@ def _rat_at_least(x: float) -> Fraction:
 def majorization_check(
     f: Semicharacter,
     report: LengthReport,
-    rel_tol: float = _REL_TOL,
 ) -> tuple[int, tuple[Element, ...]]:
     """Verify f(x) <= exp(length(x)) across the settled region of ``report``.
 
@@ -242,7 +236,7 @@ def majorization_check(
     checked = 0
     for x, v in report.final_items():
         checked += 1
-        if not leq(f.value(x), math.exp(float(v)), rel_tol):
+        if not leq(f.value(x), math.exp(float(v)), LOOSE_TOL):
             violations.append(x)
     return checked, tuple(violations)
 

@@ -1,10 +1,13 @@
 """Finitely supported convolution vectors, weighted seminorms, polar certificates.
 
 Coefficients are complex doubles and every seminorm value is a real double,
-whatever scalar backend the Hopf layer uses; comparisons therefore run at a
-relative tolerance of 1e-12, except the convolution-submultiplicativity
-trial, which allows 1e-9.  Weights come from the semicharacter grammar, so
-submultiplicativity of the underlying weight is available by construction.
+whatever scalar backend the Hopf layer uses; comparisons therefore run through
+``reports.leq`` at ``REL_TOL`` (1e-12), except the
+convolution-submultiplicativity trial, which allows ``LOOSE_TOL`` (1e-9).
+Each sampled lhs <= rhs trial set is one ``reports.leq_trials`` fold: it
+passes when every draw holds and reports the worst lhs - rhs, floored at 0.
+Weights come from the semicharacter grammar, so submultiplicativity of the
+underlying weight is available by construction.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .groups import Element, Group
 from .length import LengthReport
-from .reports import REL_TOL, CheckResult, leq
+from .reports import LOOSE_TOL, REL_TOL, CheckResult, leq, leq_trials
 from .semichar import Semicharacter
 
 
@@ -112,14 +115,14 @@ def dual_norm_extremizer(alpha: WeightedVector, f: Semicharacter) -> dict[Elemen
     return out
 
 
-def rectangle_polar_contains(alpha: WeightedVector, f: Semicharacter, rtol: float = REL_TOL) -> bool:
+def rectangle_polar_contains(alpha: WeightedVector, f: Semicharacter) -> bool:
     """Membership of alpha in the polar of the rectangle of f: seminorm <= 1."""
-    return leq(seminorm(alpha, f), 1.0, rtol)
+    return leq(seminorm(alpha, f), 1.0)
 
 
-def rectangle_bipolar_contains(table: Mapping[Element, complex], f: Semicharacter, rtol: float = REL_TOL) -> bool:
+def rectangle_bipolar_contains(table: Mapping[Element, complex], f: Semicharacter) -> bool:
     """Membership of a table in the bipolar: pointwise |value| <= weight."""
-    return all(leq(abs(complex(v)), f.value(x), rtol) for x, v in table.items())
+    return all(leq(abs(complex(v)), f.value(x)) for x, v in table.items())
 
 
 def bipolar_pairing_audit(
@@ -179,16 +182,16 @@ class Decomposition:
     beta: WeightedVector | None = None
     gamma: WeightedVector | None = None
 
-    def verify(self, alpha: WeightedVector, f: Semicharacter, g: Semicharacter, rtol: float = REL_TOL) -> bool:
+    def verify(self, alpha: WeightedVector, f: Semicharacter, g: Semicharacter) -> bool:
         if not self.feasible:
-            return not leq(self.min_norm, 1.0, rtol)
+            return not leq(self.min_norm, 1.0)
         recombined = self.beta.scaled(self.lam) + self.gamma.scaled(1.0 - self.lam)
-        if recombined.max_abs_diff(alpha) > rtol * max(1.0, *(abs(c) for c in alpha.coeffs.values()), 0.0):
+        if recombined.max_abs_diff(alpha) > REL_TOL * max(1.0, *(abs(c) for c in alpha.coeffs.values()), 0.0):
             return False
         return (
             0.0 <= self.lam <= 1.0
-            and leq(seminorm(self.beta, f), 1.0, rtol)
-            and leq(seminorm(self.gamma, g), 1.0, rtol)
+            and leq(seminorm(self.beta, f), 1.0)
+            and leq(seminorm(self.gamma, g), 1.0)
         )
 
 
@@ -264,10 +267,11 @@ class SubmultiplicativeSeminorm:
         return self.scale * self.weights[x]
 
 
-def random_table(support, rng: np.random.Generator, spread: float = 2.0) -> dict:
+def random_table(support, rng: np.random.Generator) -> dict:
+    """Complex values on ``support``, real and imaginary parts drawn from N(0, 2^2)."""
     out = {}
     for x in support:
-        re, im = rng.normal(0.0, spread, size=2)
+        re, im = rng.normal(0.0, 2.0, size=2)
         out[x] = complex(float(re), float(im))
     return out
 
@@ -285,16 +289,13 @@ def seminorm_support_check(
     # idempotent indicators force q(1_x) <= q(1_x)^2
     ok = all(leq(q.indicator_value(x), q.indicator_value(x) ** 2) for x in q.support)
     results.append(CheckResult(name="idempotent-consistency", passed=ok))
-    worst = 0.0
-    ok = True
-    for _ in range(trials):
+
+    def draw():
         u = random_table(q.support, rng)
         v = random_table(q.support, rng)
-        uv = {x: u[x] * v[x] for x in q.support}
-        lhs, rhs = q(uv), q(u) * q(v)
-        worst = max(worst, lhs - rhs)
-        ok = ok and leq(lhs, rhs)
-    results.append(CheckResult(name="submultiplicative", passed=ok, residual=max(worst, 0.0)))
+        return q({x: u[x] * v[x] for x in q.support}), q(u) * q(v)
+
+    results.append(leq_trials("submultiplicative", trials, draw, REL_TOL))
     return results
 
 
@@ -305,15 +306,12 @@ def domination_check(
 ) -> CheckResult:
     """q(u) <= (sum of indicator values) * sup |u| on the support, sampled."""
     total = math.fsum(q.indicator_value(x) for x in q.support)
-    worst = 0.0
-    ok = True
-    for _ in range(trials):
+
+    def draw():
         u = random_table(q.support, rng)
-        sup = max(abs(u[x]) for x in q.support)
-        lhs = q(u)
-        worst = max(worst, lhs - total * sup)
-        ok = ok and leq(lhs, total * sup)
-    return CheckResult(name="domination", passed=ok, residual=max(worst, 0.0))
+        return q(u), total * max(abs(u[x]) for x in q.support)
+
+    return leq_trials("domination", trials, draw, REL_TOL)
 
 
 def summability_check(
@@ -363,8 +361,9 @@ class MinWeight:
         return min(self.f.value(x), self.g.value(x))
 
 
-def _random_vector(group, region, rng: np.random.Generator, max_support: int = 6) -> WeightedVector:
-    size = int(rng.integers(1, max_support + 1))
+def _random_vector(group, region, rng: np.random.Generator) -> WeightedVector:
+    """A vector on 1 to 6 points of ``region`` with standard normal coefficients."""
+    size = int(rng.integers(1, 7))
     picks = rng.choice(len(region), size=min(size, len(region)), replace=False)
     items = []
     for i in picks:
@@ -393,30 +392,22 @@ def weighted_property_trials(
         raise ValueError("need a group to multiply in")
     rng = np.random.default_rng(seed)
     region = [group.check(x) for x in region]
-    results = []
 
-    worst = 0.0
-    ok = True
-    for _ in range(trials):
+    def draw_convolution():
         alpha = _random_vector(group, region, rng)
         beta = _random_vector(group, region, rng)
-        lhs = seminorm(convolve(alpha, beta), f)
-        rhs = seminorm(alpha, f) * seminorm(beta, f)
-        worst = max(worst, lhs - rhs)
-        ok = ok and leq(lhs, rhs, 1e-9)
-    results.append(CheckResult(name="convolution-submultiplicative", passed=ok, residual=max(worst, 0.0)))
+        return seminorm(convolve(alpha, beta), f), seminorm(alpha, f) * seminorm(beta, f)
 
-    worst = 0.0
-    ok = True
-    for _ in range(trials):
+    def draw_projection():
         alpha = _random_vector(group, region, rng)
         size = int(rng.integers(0, len(region) + 1))
         keep = [region[int(i)] for i in rng.choice(len(region), size=size, replace=False)]
-        lhs = seminorm(project(alpha, keep), f)
-        rhs = seminorm(alpha, f)
-        worst = max(worst, lhs - rhs)
-        ok = ok and leq(lhs, rhs)
-    results.append(CheckResult(name="projection-contraction", passed=ok, residual=max(worst, 0.0)))
+        return seminorm(project(alpha, keep), f), seminorm(alpha, f)
+
+    results = [
+        leq_trials("convolution-submultiplicative", trials, draw_convolution, LOOSE_TOL),
+        leq_trials("projection-contraction", trials, draw_projection, REL_TOL),
+    ]
 
     worst = 0.0
     ok = True

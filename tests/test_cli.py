@@ -1,6 +1,7 @@
 """Config validation, command execution, exit codes, and artifact layout."""
 
 import json
+import time
 
 import pytest
 
@@ -327,6 +328,22 @@ def test_cayley_rows_stop_at_the_diameter_of_a_finite_group(tmp_path, capsys, ra
     assert len((out / "spheres.csv").read_text().splitlines()) == 6
     [sphere] = [c for c in report["checks"] if c["name"] == "sphere-bound"]
     assert sphere["passed"] and sphere["detail"] == "levels 1..5 complete"
+
+
+@pytest.mark.parametrize("group,radius", [
+    ({"kind": "free_abelian", "rank": 1}, 15000),
+    ({"kind": "finite_abelian", "orders": [40000]}, 20000),
+], ids=["line-radius-15000", "z40000-radius-20000"])
+def test_cayley_rejects_sphere_bounds_past_the_int_string_limit(tmp_path, capsys, group, radius):
+    # the rows would reach level 15000 or 20000, where 2^(n-1) has more than
+    # 4300 digits; parse time refuses before anything is explored or written
+    cfg = write_config(tmp_path, "run.json", {"command": "cayley", "group": group, "radius": radius})
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(f"config error at radius: sphere rows would reach level {radius},")
+    assert not out.exists()
 
 
 def test_main_check_failure_exit_code(tmp_path, capsys):

@@ -35,6 +35,7 @@ from dualitylab import (
     summability_check,
     weighted_property_trials,
 )
+from dualitylab.reports import LOOSE_TOL, REL_TOL, CheckResult, leq_trials
 
 Z = make_group(GroupSpec.free_abelian(1))
 REPORT = explore_ball(Z, standard_generators(Z), WeightFunction.enumerated(2), radius=14)
@@ -266,3 +267,43 @@ def test_property_trials_all_pass():
         assert c.passed, c
     # the extremizer identity is tight to near machine precision
     assert out[2].residual <= 1e-12
+
+
+def hand_trial_loop(pairs, rtol):
+    """The lhs <= rhs trial loop that ``leq_trials`` folds, kept as its oracle."""
+    worst = 0.0
+    ok = True
+    for lhs, rhs in pairs:
+        worst = max(worst, lhs - rhs)
+        ok = ok and leq(lhs, rhs, rtol)
+    return CheckResult(name="trial", passed=ok, residual=max(worst, 0.0))
+
+
+# pairs anywhere, and pairs within a few 1e-9 of each other, where the two
+# tolerances decide differently
+_ANY_PAIR = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+_NEAR_PAIR = st.tuples(st.floats(1e-3, 1e3), st.floats(-3e-9, 3e-9)).map(lambda t: (t[0] * (1 + t[1]), t[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.one_of(_ANY_PAIR, _NEAR_PAIR), max_size=12), rtol=st.sampled_from([REL_TOL, LOOSE_TOL]))
+def test_leq_trials_matches_the_hand_loop(pairs, rtol):
+    drawn = []
+
+    def draw():
+        drawn.append(pairs[len(drawn)])
+        return drawn[-1]
+
+    got = leq_trials("trial", len(pairs), draw, rtol)
+    assert repr(got) == repr(hand_trial_loop(pairs, rtol))
+    # every draw is made, in order, also after a failing pair
+    assert drawn == pairs
+    assert got.residual >= 0.0
+
+
+def test_leq_trials_tolerances_and_residual_floor():
+    tight = [(1.0 + 1e-10, 1.0)]
+    assert not leq_trials("t", 1, iter(tight).__next__, REL_TOL).passed
+    assert leq_trials("t", 1, iter(tight).__next__, LOOSE_TOL).passed
+    slack = [(0.5, 1.0), (1.0, 3.0)]
+    assert leq_trials("t", 2, iter(slack).__next__, REL_TOL) == CheckResult("t", True, residual=0.0)
