@@ -44,8 +44,10 @@ from .length import (
     DEFAULT_RADIUS,
     WeightFunction,
     explore_ball,
+    gap_bound,
     heisenberg_witness,
     nuclearity_witness,
+    sphere_bound,
     sphere_bound_check,
     subadditivity_check,
     summability_partial_sums,
@@ -276,27 +278,38 @@ def _parse_ball(raw, params, inputs, default_radius=DEFAULT_RADIUS):
     return gens_echo
 
 
-def _check_printable_sphere_rows(group: Group, weights: WeightFunction, radius: Fraction) -> None:
-    """Reject a radius whose spheres.csv rows reach a bound 2^(n-1) of more digits than str() allows.
+def _reachable_length(group: Group, weights: WeightFunction, radius: Fraction) -> int:
+    """The longest length a settled element can have under integer weights.
 
-    Rows run to level floor(radius), on a finite group to at most (order - 1) * max weight, the
-    longest a shortest word can be.  A digit limit of 0, or a Python without one, means no limit.
+    That is floor(radius), on a finite group at most (order - 1) * max weight, the longest a
+    shortest word can be.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     level = math.floor(radius)
     if group.is_finite:
         level = min(level, (group.order - 1) * max((int(w) for w in weights.values), default=0))
+    return level
+
+
+def _check_printable_sphere_rows(level: int, bound) -> None:
+    """Reject a radius whose spheres.csv rows reach a bound of more digits than str() allows.
+
+    ``level`` is the highest row a run can write and ``bound(n)`` the row bound at level n, at
+    least 2^(n-1).  A digit limit of 0, or a Python without one, means no limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     top = (10**limit - 1).bit_length()  # 2^m has more than `limit` digits exactly when m >= top
-    if limit and level > top:
-        fail("radius", f"sphere rows would reach level {level}, but a bound 2^(n-1) past level {top} "
-                       f"has more than {limit} digits, the integer string limit")
+    # past `top` even 2^(n-1) is too long, so the bound is evaluated only below it
+    if limit and (level > top or bound(level) >= 10**limit):
+        fail("radius", f"sphere rows would reach level {level}, where the bound has more than "
+                       f"{limit} digits, the integer string limit")
 
 
 def _parse_cayley(raw, params, inputs):
     inputs["generators"] = _parse_ball(raw, params, inputs)
     weights, inputs["weights"] = _parse_weights(raw, len(params["generators"].elements), "weights")
     if weights.is_injective_integer:
-        _check_printable_sphere_rows(params["group"], weights, params["radius"])
+        _check_printable_sphere_rows(_reachable_length(params["group"], weights, params["radius"]),
+                                     sphere_bound)
     samples = as_int(raw.get("samples", 500), "samples", minimum=0)
     params.update(weights=weights, samples=samples)
     inputs["samples"] = samples
@@ -320,6 +333,14 @@ def _parse_nuclearity(raw, params, inputs):
     weights, inputs["weights"] = _parse_weights(raw, len(params["generators"].elements), "weights")
     if not weights.is_integer:
         fail("weights", "nuclearity needs integer base weights")
+    # along a base-shortest word of length l, each letter of weight w_k costs k more in the
+    # companion, so the gap is at most c l with c = max k / w_k, and at most R - l for a
+    # companion length R: at most R c / (1 + c) (R itself when a weight is 0)
+    level = _reachable_length(params["group"], weights.shifted_by_index(), params["radius"])
+    if min(weights.values) > 0:
+        c = max(k / w for k, w in enumerate(weights.values, start=1))
+        level = math.floor(level * c / (1 + c))
+    _check_printable_sphere_rows(level, gap_bound)
     params["weights"] = weights
 
 
@@ -547,7 +568,7 @@ def _cmd_seminorm_suite(params):
         size = int(rng.integers(1, min(8, len(region)) + 1))
         picks = rng.choice(len(region), size=size, replace=False)
         support = tuple(region[int(i)] for i in picks)
-        weights = {x: float(rng.uniform(1.0, 4.0)) for x in support}
+        weights = dict(zip(support, rng.uniform(1.0, 4.0, size=size).tolist()))
         scale = float(rng.uniform(1.0, 3.0))
         q = SubmultiplicativeSeminorm(support=support, weights=weights, scale=scale)
         outcomes = seminorm_support_check(q, rng, trials=params["trials"])

@@ -274,6 +274,16 @@ class SphereRow:
     cumulative: float
 
 
+def sphere_bound(n: int) -> int:
+    """2^(n-1), the number of compositions of n: the most elements a level-n sphere holds."""
+    return 2 ** (n - 1)
+
+
+def gap_bound(n: int) -> int:
+    """n * 2^(n-1), and 1 at n = 0: the most elements a nuclearity gap-n level holds."""
+    return n * 2 ** (n - 1) if n >= 1 else 1
+
+
 def _sphere_rows(counts, bound) -> tuple[SphereRow, ...]:
     rows = []
     cumulative = 0.0
@@ -311,7 +321,7 @@ def sphere_bound_check(report: LengthReport) -> SphereBoundReport:
             top = min(top, math.floor(max(v for _, v in final)))
     spheres = report.spheres()
     counts = [(n, len(spheres.get(Fraction(n), ()))) for n in range(1, top + 1)]
-    return SphereBoundReport(rows=_sphere_rows(counts, lambda n: 2 ** (n - 1)), max_level=top)
+    return SphereBoundReport(rows=_sphere_rows(counts, sphere_bound), max_level=top)
 
 
 @dataclass(frozen=True)
@@ -404,7 +414,7 @@ def nuclearity_witness(
         region += 1
         counts[int(d)] = counts.get(int(d), 0) + 1
         partial_terms.append(math.exp(-float(d)))
-    rows = _sphere_rows(sorted(counts.items()), lambda n: n * 2 ** (n - 1) if n >= 1 else 1)
+    rows = _sphere_rows(sorted(counts.items()), gap_bound)
     r = SERIES_RATIO
     closed = 1.0 + r / (2.0 * (1.0 - r) ** 2)
     return NuclearityReport(

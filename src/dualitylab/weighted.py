@@ -8,6 +8,11 @@ Each sampled lhs <= rhs trial set is one ``reports.leq_trials`` fold: it
 passes when every draw holds and reports the worst lhs - rhs, floored at 0.
 Weights come from the semicharacter grammar, so submultiplicativity of the
 underlying weight is available by construction.
+
+Each ``weighted_property_trials`` call reads every weight once per element
+and keeps the value for the rest of the call.  Each random vector or table
+takes all its coefficients from one numpy draw, which consumes the stream in
+the order one draw per support point would, so a seed gives the same values.
 """
 
 from __future__ import annotations
@@ -162,12 +167,15 @@ def random_rectangle_member(
 ) -> dict[Element, complex]:
     """A random table with |value| <= margin * weight on a random subregion."""
     size = int(rng.integers(1, len(region) + 1))
-    picks = rng.choice(len(region), size=size, replace=False)
+    picks = rng.choice(len(region), size=size, replace=False).tolist()
+    # one draw for the (radius, angle) pairs, in the order uniform(0, margin)
+    # then uniform(0, 2 pi) per point would consume them
+    u = rng.random(2 * size)
+    radii = (margin * u[0::2]).tolist()
+    angles = (2.0 * math.pi * u[1::2]).tolist()
     out: dict[Element, complex] = {}
-    for i in picks:
-        x = region[int(i)]
-        r = float(rng.uniform(0.0, margin))
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    for i, r, theta in zip(picks, radii, angles):
+        x = region[i]
         out[x] = f.value(x) * r * cmath.exp(1j * theta)
     return out
 
@@ -267,13 +275,14 @@ class SubmultiplicativeSeminorm:
         return self.scale * self.weights[x]
 
 
+def _complex_normals(rng: np.random.Generator, scale: float, count: int) -> list[complex]:
+    """``count`` complex values from one draw, real then imaginary part of each from N(0, scale^2)."""
+    return rng.normal(0.0, scale, size=(count, 2)).view(np.complex128).ravel().tolist()
+
+
 def random_table(support, rng: np.random.Generator) -> dict:
     """Complex values on ``support``, real and imaginary parts drawn from N(0, 2^2)."""
-    out = {}
-    for x in support:
-        re, im = rng.normal(0.0, 2.0, size=2)
-        out[x] = complex(float(re), float(im))
-    return out
+    return dict(zip(support, _complex_normals(rng, 2.0, len(support))))
 
 
 def seminorm_support_check(
@@ -361,15 +370,29 @@ class MinWeight:
         return min(self.f.value(x), self.g.value(x))
 
 
+class _ReadOnce(dict):
+    """A weight read at most once per element; values are deterministic, so reads agree."""
+
+    def __init__(self, f: Semicharacter):
+        super().__init__()
+        self.group, self._read = f.group, f.value
+
+    def __missing__(self, x) -> float:
+        v = self[x] = self._read(x)
+        return v
+
+    value = dict.__getitem__
+
+
 def _random_vector(group, region, rng: np.random.Generator) -> WeightedVector:
-    """A vector on 1 to 6 points of ``region`` with standard normal coefficients."""
-    size = int(rng.integers(1, 7))
-    picks = rng.choice(len(region), size=min(size, len(region)), replace=False)
-    items = []
-    for i in picks:
-        re, im = rng.normal(0.0, 1.0, size=2)
-        items.append((region[int(i)], complex(float(re), float(im))))
-    return WeightedVector.from_items(group, items)
+    """A vector on 1 to 6 points of ``region`` with standard normal coefficients.
+
+    ``region`` holds checked elements, so the vector is built without checking them again.
+    """
+    size = min(int(rng.integers(1, 7)), len(region))
+    picks = rng.choice(len(region), size=size, replace=False).tolist()
+    coeffs = _complex_normals(rng, 1.0, size)
+    return WeightedVector(group, {region[i]: c for i, c in zip(picks, coeffs) if c != 0})
 
 
 def weighted_property_trials(
@@ -392,6 +415,8 @@ def weighted_property_trials(
         raise ValueError("need a group to multiply in")
     rng = np.random.default_rng(seed)
     region = [group.check(x) for x in region]
+    # every element read below is a region element or a product of two, already canonical
+    f, g = _ReadOnce(f), _ReadOnce(g)
 
     def draw_convolution():
         alpha = _random_vector(group, region, rng)

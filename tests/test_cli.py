@@ -346,6 +346,24 @@ def test_cayley_rejects_sphere_bounds_past_the_int_string_limit(tmp_path, capsys
     assert not out.exists()
 
 
+def test_nuclearity_rejects_gap_bounds_past_the_int_string_limit(tmp_path, capsys):
+    # gaps on the line reach at most R / 2: level 15000 at radius 30000, where
+    # n 2^(n-1) has more than 4300 digits; parse time refuses before anything is written
+    line = {"kind": "free_abelian", "rank": 1}
+    cfg = write_config(tmp_path, "run.json", {"command": "nuclearity", "group": line, "radius": 30000})
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("config error at radius: sphere rows would reach level 15000,")
+    assert not out.exists()
+    # levels 7500 and 10750 (bounds of 2,262 and 3,240 digits: both runs finish), Z6 capped
+    # at its diameter, the benchmark's Heisenberg run
+    for group, radius in ((line, 15000), (line, 21500), ({"kind": "finite_abelian", "orders": [6]}, 20000),
+                          ({"kind": "heisenberg"}, 28)):
+        parse_config({"command": "nuclearity", "group": group, "radius": radius})
+
+
 def test_main_check_failure_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "run.json", {
         "command": "group-part",

@@ -1,6 +1,8 @@
 """Weighted convolution seminorms, polar membership, and decompositions."""
 
+import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dualitylab import (
     GroupSpec,
     MinWeight,
     Scale,
+    Semicharacter,
     SubmultiplicativeSeminorm,
     WeightFunction,
     WeightedVector,
@@ -35,6 +38,7 @@ from dualitylab import (
     summability_check,
     weighted_property_trials,
 )
+from dualitylab import weighted
 from dualitylab.reports import LOOSE_TOL, REL_TOL, CheckResult, leq_trials
 
 Z = make_group(GroupSpec.free_abelian(1))
@@ -267,6 +271,97 @@ def test_property_trials_all_pass():
         assert c.passed, c
     # the extremizer identity is tight to near machine precision
     assert out[2].residual <= 1e-12
+
+
+# The per-point draws each batched draw replaces, kept as their oracles.
+
+
+def per_point_vector(group, region, rng):
+    size = int(rng.integers(1, 7))
+    picks = rng.choice(len(region), size=min(size, len(region)), replace=False)
+    items = []
+    for i in picks:
+        re, im = rng.normal(0.0, 1.0, size=2)
+        items.append((region[int(i)], complex(float(re), float(im))))
+    return WeightedVector.from_items(group, items)
+
+
+def per_point_rectangle_member(f, region, rng, margin=1.0):
+    size = int(rng.integers(1, len(region) + 1))
+    picks = rng.choice(len(region), size=size, replace=False)
+    out = {}
+    for i in picks:
+        x = region[int(i)]
+        r = float(rng.uniform(0.0, margin))
+        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        out[x] = f.value(x) * r * cmath.exp(1j * theta)
+    return out
+
+
+def per_point_table(support, rng):
+    out = {}
+    for x in support:
+        re, im = rng.normal(0.0, 2.0, size=2)
+        out[x] = complex(float(re), float(im))
+    return out
+
+
+WIDE = explore_ball(Z, standard_generators(Z), WeightFunction.enumerated(2), radius=60)
+WIDE_F = ExpLength(WIDE)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 13, 40])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_batched_draws_keep_the_stream(seed, size):
+    region = [x for x, _ in WIDE.final_items()][:size]
+    assert len(region) == size
+    draws = [
+        (lambda rng: weighted._random_vector(Z, region, rng).coeffs,
+         lambda rng: per_point_vector(Z, region, rng).coeffs),
+        *((lambda rng, m=m: random_rectangle_member(WIDE_F, region, rng, margin=m),
+           lambda rng, m=m: per_point_rectangle_member(WIDE_F, region, rng, margin=m))
+          for m in (0.5, 1.0, 1.5)),
+        (lambda rng: random_table(region, rng), lambda rng: per_point_table(region, rng)),
+    ]
+    batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        for draw, oracle in draws:
+            got, want = draw(batched), oracle(looped)
+            # same points in the same order, bit-equal values
+            assert list(got.items()) == list(want.items())
+    assert batched.bit_generator.state == looped.bit_generator.state
+
+
+class CountingWeight(Semicharacter):
+    """Delegates to a weight and counts the reads per element."""
+
+    def __init__(self, f):
+        self.f, self.group = f, f.group
+        self.reads = Counter()
+
+    def value(self, x):
+        self.reads[x] += 1
+        return self.f.value(x)
+
+
+def test_property_trials_read_each_weight_once_per_element(monkeypatch):
+    z2 = make_group(GroupSpec.free_abelian(2))
+    report = explore_ball(z2, standard_generators(z2), WeightFunction.enumerated(4), radius=8)
+    half = [x for x, v in report.final_items() if 2 * v <= 8]
+    f, g = CountingWeight(ExpLength(report)), CountingWeight(Scale(3, Constant(1)))
+    out = weighted_property_trials(f, g, half, trials=100, seed=3)
+    assert f.reads and set(f.reads.values()) == {1} and set(g.reads.values()) == {1}
+    # the memo lives for one call: a second call reads each element once more
+    weighted_property_trials(f, g, half, trials=100, seed=3)
+    assert set(f.reads.values()) == {2}
+    # the same results, to the last bit, with every read going to the weight
+    monkeypatch.setattr(weighted, "_ReadOnce", lambda w: w)
+    plain_f, plain_g = CountingWeight(ExpLength(report)), CountingWeight(Scale(3, Constant(1)))
+    assert repr(weighted_property_trials(plain_f, plain_g, half, trials=100, seed=3)) == repr(out)
+    assert max(plain_f.reads.values()) > 1
+    # the public weight still validates its argument
+    with pytest.raises(ValueError):
+        ExpLength(report).value((1.0, 0))
 
 
 def hand_trial_loop(pairs, rtol):
