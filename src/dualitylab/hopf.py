@@ -21,7 +21,7 @@ from .groups import (
     direct_product,
     make_group,
 )
-from .reports import CheckResult
+from .reports import CheckResult, as_int
 
 TENSOR_DIM_CAP = 10**4
 BRUTE_FORCE_DIM_CAP = 64
@@ -390,24 +390,28 @@ def _bialgebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
     return fold_checks("bialgebra", b, pairs_bialgebra()), fold_checks("antipode", b, pairs_antipode())
 
 
+def _sides(folds: tuple, co_names: tuple[str, str], shared: tuple) -> tuple[list, list]:
+    """Each side's own algebra folds, the other side's renamed co_names, then the shared folds."""
+    return tuple([*own, *(replace(c, name=n) for c, n in zip(other, co_names)), *shared]
+                 for own, other in (folds, folds[::-1]))
+
+
 def check_hopf_axioms(h: HopfAlgebra) -> tuple[list[CheckResult], list[CheckResult]]:
     """Verify the axioms of h and of dual_hopf(h) on basis elements.
 
     Returns (axioms of h, axioms of the dual), each ordered associativity,
     unit, coassociativity, counit, bialgebra, antipode.  The dual's product
     and unit are h's transposed coproduct and counit, so each side's
-    coassociativity and counit are the other side's associativity and unit,
-    computed once: eight folds for twelve results.  Their witnesses name dual
-    basis vectors: a (p,q,c) triple, and ``left i`` or ``right i``.
+    coassociativity and counit are the other side's associativity and unit.
+    The dual's bialgebra and antipode identities are h's transposed, so both
+    lists share one fold of each, on the side with fewer coproduct entries
+    (h on a tie): six folds for twelve results.  Coalgebra witnesses name dual
+    basis vectors; shared ones, the basis of the side they were folded on.
     """
     dual = dual_hopf(h)
-    (assoc, unit), (dual_assoc, dual_unit) = _algebra_axioms(h), _algebra_axioms(dual)
-    return (
-        [assoc, unit, replace(dual_assoc, name="coassociativity"), replace(dual_unit, name="counit"),
-         *_bialgebra_axioms(h)],
-        [dual_assoc, dual_unit, replace(assoc, name="coassociativity"), replace(unit, name="counit"),
-         *_bialgebra_axioms(dual)],
-    )
+    cheaper = min((h, dual), key=lambda k: sum(map(len, k.comul.values())))
+    return _sides((_algebra_axioms(h), _algebra_axioms(dual)), ("coassociativity", "counit"),
+                  _bialgebra_axioms(cheaper))
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +669,9 @@ def fourier(group: Group, backend) -> LinearMap:
     return LinearMap(domain=dom, codomain=cod, columns=columns)
 
 
-def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult, CheckResult]:
-    """The multiplicative, unital and antipode conditions of phi."""
-    h, k = phi.domain, phi.codomain
-    b = h.backend
+def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
+    """The multiplicative and unital conditions of phi."""
+    h, k, b = phi.domain, phi.codomain, phi.domain.backend
     img = [phi.columns.get(i, {}) for i in range(h.dim)]
 
     def pairs_mult():
@@ -678,16 +681,9 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult, CheckResult]
                 rhs = mul_vec(k, img[i], img[j])
                 yield f"({i},{j})", lhs, rhs
 
-    def pairs_antipode():
-        for i in range(h.dim):
-            lhs = _apply(b, k.antipode, img[i])
-            rhs = _apply(b, phi.columns, h.antipode.get(i, {}))
-            yield str(i), lhs, rhs
-
     return (
         fold_checks("multiplicative", b, pairs_mult()),
         fold_checks("unital", b, [("unit", _apply(b, phi.columns, h.unit), dict(k.unit))]),
-        fold_checks("antipode", b, pairs_antipode()),
     )
 
 
@@ -697,21 +693,22 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
     Returns (conditions of phi, conditions of the transpose dual_hopf(k) ->
     dual_hopf(h)), each ordered multiplicative, unital, comultiplicative,
     counital, antipode.  Each map's comultiplicative and counital conditions
-    are the other's multiplicative and unital ones, computed once: six folds
-    for ten results.  Their witnesses are an (i,j) pair of dual basis vectors
-    and ``unit``.  When the transpose is literally phi (equal columns, and
-    duals ``same_tensors`` as phi's domain and codomain), its conditions are
-    phi's: three folds.
+    are the other's multiplicative and unital ones, and the transpose's
+    antipode condition is phi's transposed, so it is folded once, on phi:
+    five folds for ten results.  Coalgebra witnesses name dual basis vectors
+    (an (i,j) pair, ``unit``), the antipode witness a basis vector of h.  When
+    the transpose is literally phi (equal columns, and duals ``same_tensors``
+    as phi's domain and codomain), its conditions are phi's: three folds.
     """
-    transpose = LinearMap(dual_hopf(phi.codomain), dual_hopf(phi.domain), _transpose(phi.columns))
+    h, k, b = phi.domain, phi.codomain, phi.domain.backend
+    transpose = LinearMap(dual_hopf(k), dual_hopf(h), _transpose(phi.columns))
     hom = _algebra_hom(phi)
-    shared = (transpose.columns == phi.columns and same_tensors(transpose.domain, phi.domain)
-              and same_tensors(transpose.codomain, phi.codomain))
-    (mult, unital, antipode), (t_mult, t_unital, t_antipode) = hom, hom if shared else _algebra_hom(transpose)
-    return (
-        [mult, unital, replace(t_mult, name="comultiplicative"), replace(t_unital, name="counital"), antipode],
-        [t_mult, t_unital, replace(mult, name="comultiplicative"), replace(unital, name="counital"), t_antipode],
-    )
+    shared = (transpose.columns == phi.columns and same_tensors(transpose.domain, h)
+              and same_tensors(transpose.codomain, k))
+    left, right = _compose(b, k.antipode, phi.columns), _compose(b, phi.columns, h.antipode)
+    antipode = fold_checks("antipode", b, ((str(i), left.get(i, {}), right.get(i, {})) for i in range(h.dim)))
+    return _sides((hom, hom if shared else _algebra_hom(transpose)), ("comultiplicative", "counital"),
+                  (antipode,))
 
 
 def unitarity_check(phi: LinearMap, order: int) -> CheckResult:
@@ -760,11 +757,9 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     composing the map with the inverse of the dual side's transposed map lands
     back on the identity matrix, which realizes the biduality identification
     as literal equality.  Both hom stages come from one ``check_linear_hom``
-    call: the comultiplicative and counital conditions of transform-hom are
-    the multiplicative and unital conditions of transpose-hom, and the other
-    way round.  The composite is the dual side's conjugate transpose times
-    the map, in Z[zeta_n] on the exact backend, scaled by 1/|G| once per
-    entry before it meets the identity.
+    call, which says which conditions the two maps share.  The composite is
+    the dual side's conjugate transpose times the map, in Z[zeta_n] on the
+    exact backend, scaled by 1/|G| once per entry before it meets the identity.
 
     The character table is symmetric, so unperturbed its transpose and the
     dual side's transposed map are literally the map itself: transpose-hom
@@ -782,7 +777,8 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     b = backend
     phi = fourier(group, b)
     if perturb is not None:
-        i, j = perturb
+        i, j = (as_int(x, f"perturb[{k}]", minimum=0, maximum=group.order - 1)
+                for k, x in enumerate(perturb))
         columns = {t: dict(col) for t, col in phi.columns.items()}
         columns[j][i] = b.add(columns[j][i], b.one)
         phi = LinearMap(phi.domain, phi.codomain, columns)

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -37,7 +38,7 @@ def as_int(value, path: str, minimum=None, maximum=None) -> int:
 
 
 def as_fraction(value, path: str, minimum=None) -> Fraction:
-    """Exact rational from an int, a decimal float, or an [num, den] pair."""
+    """Exact rational from an int, a decimal float, or an [num, den] pair, within float range."""
     if isinstance(value, bool):
         fail(path, f"expected a number, got {value!r}")
     if isinstance(value, Fraction):  # internal defaults and parsed recipes arrive exact
@@ -58,6 +59,8 @@ def as_fraction(value, path: str, minimum=None) -> Fraction:
         q = Fraction(value[0], value[1])
     else:
         fail(path, f"expected a number or [num, den] pair, got {value!r}")
+    if abs(q) > sys.float_info.max:  # tolerance, C and recipe values are read as floats
+        fail(path, f"must be within float range (magnitude <= {sys.float_info.max:.4g})")
     if minimum is not None and q < minimum:
         fail(path, f"must be >= {minimum}, got {q}")
     return q

@@ -14,6 +14,9 @@ def errors(raw, **kwargs):
     return exc.value.errors
 
 
+PAST_FLOAT_RANGE = "must be within float range (magnitude <= 1.798e+308)"
+
+
 def test_command_required_and_validated():
     assert errors({}) == [("command", "required")]
     (path, msg), = errors({"command": "fourier"})
@@ -115,6 +118,9 @@ def test_recipe_and_weights_constraints():
     assert errors({**base, "weightG": {"kind": "const", "value": [1, 2]}}) == [
         ("weightG.value", "must be >= 1, got 1/2")
     ]
+    assert errors({**base, "weightG": {"kind": "const", "value": [10**400, 1]}}) == [
+        ("weightG.value", PAST_FLOAT_RANGE)
+    ]
     # a key that belongs to another kind is reported where it sits
     assert errors({**base, "weightF": {"kind": "const", "arg": {"kind": "bogus"}}}) == [
         ("weightF.arg", "not a const field")
@@ -139,6 +145,9 @@ def test_common_field_constraints():
     assert errors({**base, "tolerance": 0}) == [("tolerance", "must be positive, got 0.0")]
     (path, msg), = errors({**base, "tolerance": [1, 0]})
     assert path == "tolerance" and msg == "denominator must be nonzero"
+    assert errors({**base, "tolerance": [10**400, 1]}) == [("tolerance", PAST_FLOAT_RANGE)]
+    assert errors({**base, "C": [10**400, 3]}) == [("C", PAST_FLOAT_RANGE)]
+    assert errors({**base, "C": [-(10**400), 3]}) == [("C", PAST_FLOAT_RANGE)]
 
 
 def test_overrides_and_echoes():
@@ -393,6 +402,18 @@ def test_main_config_error_exit_codes(tmp_path, capsys):
     rc = main(["--config", str(cfg)])
     assert rc == 2
     assert capsys.readouterr().err == "config error at nMax: required\n"
+
+    # numbers past float range stop at parse time, not in float() mid-run
+    huge = [10**400, 1]
+    for path, payload in [
+        ("tolerance", {"command": "counterexample", "nMax": 2, "tolerance": huge}),
+        ("C", {"command": "counterexample", "nMax": 2, "C": huge}),
+        ("weightG.value", {"command": "polar-suite", "group": {"kind": "free_abelian", "rank": 1},
+                           "weightG": {"kind": "const", "value": huge}}),
+    ]:
+        cfg = write_config(tmp_path, "huge.json", payload)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "huge")]) == 2
+        assert capsys.readouterr().err == f"config error at {path}: {PAST_FLOAT_RANGE}\n"
 
 
 def test_main_seed_and_backend_overrides(tmp_path, capsys):

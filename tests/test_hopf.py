@@ -188,7 +188,7 @@ def corrupted(entries: dict, key, backend, delta) -> dict:
     group=st.sampled_from(sorted(GUARD_GROUPS)),
     build=st.sampled_from([function_algebra, group_algebra]),
     kind=st.sampled_from(["float", "cyclotomic"]),
-    tensor=st.sampled_from(["comul", "counit", "mul", "unit"]),
+    tensor=st.sampled_from(["comul", "counit", "mul", "unit", "antipode"]),
     picks=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
     delta=st.sampled_from(DELTAS),
 )
@@ -197,8 +197,8 @@ def test_coalgebra_rows_agree_with_direct_formulas(group, build, kind, tensor, p
     b = guard_backend(g, kind)
     h = build(g, b)
     i, p, q = (x % h.dim for x in picks)
-    if tensor in ("comul", "mul"):
-        outer, key = ((i, p), q) if tensor == "mul" else (i, (p, q))
+    if tensor in ("comul", "mul", "antipode"):
+        outer, key = {"mul": ((i, p), q), "comul": (i, (p, q)), "antipode": (i, p)}[tensor]
         table = dict(getattr(h, tensor))
         table[outer] = corrupted(table.get(outer, {}), key, b, delta)
     else:
@@ -208,6 +208,14 @@ def test_coalgebra_rows_agree_with_direct_formulas(group, build, kind, tensor, p
         verdicts = {c.name: c.passed for c in side}
         assert verdicts["coassociativity"] == direct_coassociativity(algebra)
         assert verdicts["counit"] == direct_counit(algebra)
+        # the shared bialgebra and antipode rows against a fold on this side
+        # itself; witnesses are not compared, as they name the basis of the
+        # side the shared row was folded on
+        got = {c.name: c for c in side}
+        for want in hopf._bialgebra_axioms(algebra):
+            assert got[want.name].passed == want.passed, want.name
+            if b.exact:
+                assert got[want.name].residual == want.residual, want.name
 
 
 @settings(max_examples=160, derandomize=True, deadline=None)
@@ -326,9 +334,9 @@ def test_hopf_axioms_run_folds_each_identity_once(tmp_path, monkeypatch, capsys)
     capsys.readouterr()
     # function and group algebra, each with its dual, are two distinct tensor
     # sets: the group algebra is the function algebra's dual, so its lists are
-    # reused; one fold per algebra axiom and per compatibility axiom of each
-    # set, none for the coalgebra ones
-    assert calls == {"associativity": 2, "unit": 2, "bialgebra": 2, "antipode": 2}
+    # reused; one fold per algebra axiom of each set, one per compatibility
+    # axiom, on the side with the smaller coproduct, none for the coalgebra ones
+    assert calls == {"associativity": 2, "unit": 2, "bialgebra": 1, "antipode": 1}
     rows = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
     assert len(rows) == 24
 
@@ -346,20 +354,42 @@ def test_perturbed_duality_cycle_folds_both_sides(monkeypatch):
     calls = counting_folds(monkeypatch)
     g = make_group(GroupSpec.finite_abelian([6]))
     assert not duality_cycle(g, exact_backend_for(g), perturb=(1, 2)).passed
-    # an off-diagonal bump breaks the symmetry: nothing is shared
-    assert calls == {"multiplicative": 2, "unital": 2, "antipode": 2, "unitarity": 2}
+    # an off-diagonal bump breaks the symmetry: only the antipode condition,
+    # which the transpose shares with the map, folds once
+    assert calls == {"multiplicative": 2, "unital": 2, "antipode": 1, "unitarity": 2}
+
+
+def antipode_hom(phi):
+    """The antipode condition S_k phi = phi S_h of phi: h -> k, column by column."""
+    h, k = phi.domain, phi.codomain
+    b = h.backend
+    return hopf.fold_checks("antipode", b, (
+        (str(i), hopf._apply(b, k.antipode, phi.columns.get(i, {})),
+         hopf._apply(b, phi.columns, h.antipode.get(i, {})))
+        for i in range(h.dim)
+    ))
 
 
 def unshared_hom(phi):
-    """check_linear_hom with the transpose's conditions always computed."""
+    """check_linear_hom with the transpose's conditions always computed, the
+    antipode condition included."""
     transpose = LinearMap(dual_hopf(phi.codomain), dual_hopf(phi.domain), hopf._transpose(phi.columns))
-    (mult, unital, antipode), (t_mult, t_unital, t_antipode) = (
-        hopf._algebra_hom(phi), hopf._algebra_hom(transpose))
+    (mult, unital), (t_mult, t_unital) = hopf._algebra_hom(phi), hopf._algebra_hom(transpose)
+    antipode, t_antipode = antipode_hom(phi), antipode_hom(transpose)
     rename = dataclasses.replace
     return (
         [mult, unital, rename(t_mult, name="comultiplicative"), rename(t_unital, name="counital"), antipode],
         [t_mult, t_unital, rename(mult, name="comultiplicative"), rename(unital, name="counital"), t_antipode],
     )
+
+
+def unshared_reprs(phi):
+    """The reprs check_linear_hom(phi) must give: unshared_hom's, except that
+    the transpose's antipode row, folded on phi, carries phi's witness; its
+    verdict and residual are still the transpose's own."""
+    hom, transpose_hom = unshared_hom(phi)
+    transpose_hom[-1] = dataclasses.replace(transpose_hom[-1], detail=hom[-1].detail)
+    return [[repr(c) for c in side] for side in (hom, transpose_hom)]
 
 
 def unshared_stages(group, b, phi):
@@ -414,7 +444,7 @@ def test_shared_cycle_stages_match_unshared(orders, kind):
         # repr of every result, so a residual rounded differently fails too
         assert [repr(s) for s in got] == [repr(s) for s in want], perturb
         assert ([[repr(c) for c in side] for side in check_linear_hom(rep.transform)]
-                == [[repr(c) for c in side] for side in unshared_hom(rep.transform)]), perturb
+                == unshared_reprs(rep.transform)), perturb
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
@@ -477,8 +507,7 @@ def test_symmetric_map_with_unequal_duals_checks_both_sides():
     phi = LinearMap(h, h, {0: {1: b.one}, 1: {0: b.one}, 2: {2: b.one}})
     hom, transpose_hom = check_linear_hom(phi)
     assert hom[0].passed and not transpose_hom[0].passed
-    assert ([[repr(c) for c in side] for side in (hom, transpose_hom)]
-            == [[repr(c) for c in side] for side in unshared_hom(phi)])
+    assert [[repr(c) for c in side] for side in (hom, transpose_hom)] == unshared_reprs(phi)
 
 
 def test_dual_swaps_the_two_constructions():
@@ -556,6 +585,19 @@ def test_fourier_rejects_nonabelian():
         fourier(s3, make_backend("float"))
     with pytest.raises(ValueError):
         duality_cycle(s3, make_backend("float"))
+
+
+@pytest.mark.parametrize("perturb, message", [
+    ((3, 0), "perturb[0]: must be <= 2, got 3"),
+    ((0, 3), "perturb[1]: must be <= 2, got 3"),
+    ((-1, 0), "perturb[0]: must be >= 0, got -1"),
+    ((0, -1), "perturb[1]: must be >= 0, got -1"),
+])
+def test_duality_cycle_rejects_perturb_outside_the_matrix(perturb, message):
+    g = make_group(GroupSpec.finite_abelian([3]))
+    with pytest.raises(ValueError) as exc:
+        duality_cycle(g, make_backend("cyclotomic", order=3), perturb=perturb)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("orders", [[1], [2], [6], [2, 2], [12]])
