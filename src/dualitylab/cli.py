@@ -36,6 +36,7 @@ from .hopf import (
     function_algebra,
     group_algebra,
     group_part,
+    perturb_entry,
     product_iso_check,
     same_tensors,
 )
@@ -231,9 +232,7 @@ def _parse_duality_cycle(raw, params, inputs):
     if perturb is not None:
         if not isinstance(perturb, list) or len(perturb) != 2:
             fail("perturb", f"expected [row, col], got {perturb!r}")
-        i = as_int(perturb[0], "perturb[0]", minimum=0, maximum=group.order - 1)
-        j = as_int(perturb[1], "perturb[1]", minimum=0, maximum=group.order - 1)
-        perturb = (i, j)
+        perturb = perturb_entry(perturb, group.order)
     params["perturb"] = perturb
     inputs["perturb"] = None if perturb is None else list(perturb)
 

@@ -350,7 +350,8 @@ def summability_partial_sums(report: LengthReport) -> SummabilityReport:
         raise ValueError("summability bound needs distinct positive integer weights")
     partial = math.fsum(math.exp(-float(v)) for v in report.lengths.values())
     top = report.max_complete_integer_level()
-    finite = 1.0 + math.fsum(math.ldexp(math.exp(-n), n - 1) for n in range(1, top + 1))
+    # exp(-n) is 0.0 past n = 745 (below the least subnormal), so no later term adds anything
+    finite = 1.0 + math.fsum(math.ldexp(math.exp(-n), n - 1) for n in range(1, min(top, 745) + 1))
     r = SERIES_RATIO
     closed = 1.0 + r / (2.0 * (1.0 - r))
     return SummabilityReport(partial=partial, finite_bound=finite, closed_form=closed, max_level=top)

@@ -196,7 +196,12 @@ class CyclotomicBackend:
         return tuple(map(operator.neg, a))
 
     def mul(self, a, b):
-        """Schoolbook product, then each z^e with e >= degree folded in as z^(e mod n)."""
+        """The other factor when one is one (as every structure constant built here is 0 or 1), else
+        the schoolbook product, then each z^e with e >= degree folded in as z^(e mod n)."""
+        if a == self.one:
+            return b
+        if b == self.one:
+            return a
         if not any(a) or not any(b):
             return self.zero
         d = self.degree

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualitylab import (
@@ -310,6 +310,87 @@ def test_row_indexed_products_match_probing_every_pair(group, algebra, kind, dat
             == {k: repr(x) for k, x in probed_mul_vec(h, v, w).items()})
     assert ({k: repr(x) for k, x in pair_mul(h, p, q).items()}
             == {k: repr(x) for k, x in probed_pair_mul(h, p, q).items()})
+
+
+def unskipped_algebra_axioms(h):
+    """_algebra_axioms before empty triples were skipped, kept as the oracle:
+    all n^3 associativity triples, k ascending."""
+    b, dim = h.backend, h.dim
+
+    def pairs_assoc():
+        for i, j, k in itertools.product(range(dim), repeat=3):
+            lhs = mul_vec(h, h.mul.get((i, j), {}), h.basis(k))
+            rhs = mul_vec(h, h.basis(i), h.mul.get((j, k), {}))
+            yield f"({i},{j},{k})", lhs, rhs
+
+    def pairs_unit():
+        for i in range(dim):
+            yield f"left {i}", mul_vec(h, h.unit, h.basis(i)), h.basis(i)
+            yield f"right {i}", mul_vec(h, h.basis(i), h.unit), h.basis(i)
+
+    return hopf.fold_checks("associativity", b, pairs_assoc()), hopf.fold_checks("unit", b, pairs_unit())
+
+
+SKIP_GROUPS = {"S3": GroupSpec.symmetric(3), "Z4": GroupSpec.finite_abelian([4]),
+               "Z2xZ2": GroupSpec.finite_abelian([2, 2])}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    group=st.sampled_from(sorted(SKIP_GROUPS)),
+    build=st.sampled_from([function_algebra, group_algebra]),
+    kind=st.sampled_from(["float", "cyclotomic"]),
+    edits=st.lists(st.tuples(st.sampled_from(["add", "drop", "empty", "zero"]),
+                             st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+                             st.sampled_from(DELTAS)), min_size=1, max_size=4),
+)
+# cells (1, 3) and (1, 2), added in that order, make row 1 of mul run out of
+# ascending order: triples (0, 1, 2) and (0, 1, 3) fail, and (0, 1, 2) is the witness
+@example(group="Z4", build=function_algebra, kind="cyclotomic",
+         edits=[("add", (1, 3, 0), Fraction(1)), ("add", (1, 2, 0), Fraction(1))])
+def test_skipped_associativity_triples_match_the_full_fold(group, build, kind, edits):
+    g = make_group(SKIP_GROUPS[group])
+    b = guard_backend(g, kind)
+    h = build(g, b)
+    mul = dict(h.mul)
+    for edit, picks, delta in edits:
+        i, j, k = (x % h.dim for x in picks)
+        if edit == "add":  # a new or changed entry, in a new or existing cell
+            mul[(i, j)] = corrupted(mul.get((i, j), {}), k, b, delta)
+        elif edit == "drop":
+            mul.pop((i, j), None)
+        elif edit == "empty":
+            mul[(i, j)] = {}
+        else:  # a nonempty cell whose values are all zero
+            mul[(i, j)] = {x: b.zero for x in {k, *mul.get((i, j), {})}}
+    bad = dataclasses.replace(h, mul=mul)
+    assert hopf._algebra_axioms(bad) == unskipped_algebra_axioms(bad)
+
+
+@pytest.mark.parametrize("build, triples", [(function_algebra, lambda n: 2 * n * n - n),
+                                            (group_algebra, lambda n: n ** 3)])
+@pytest.mark.parametrize("group", sorted(SKIP_GROUPS))
+def test_associativity_compares_only_triples_with_a_nonempty_side(monkeypatch, group, build, triples):
+    g = make_group(SKIP_GROUPS[group])
+    calls = collections.Counter()
+    fold, compare = hopf.fold_checks, hopf.compare
+    folding = []
+
+    def counted_fold(name, backend, pairs):
+        folding.append(name)
+        return fold(name, backend, pairs)
+
+    def counted_compare(backend, u, v):
+        calls[folding[-1]] += 1
+        return compare(backend, u, v)
+
+    monkeypatch.setattr(hopf, "fold_checks", counted_fold)
+    monkeypatch.setattr(hopf, "compare", counted_compare)
+    h = build(g, exact_backend_for(g))
+    assert all(c.passed for c in hopf._algebra_axioms(h))
+    # the function algebra's product is diagonal: n^2 triples (i, i, k) and
+    # n^2 - n triples (i, j, j) with i != j; the group algebra has no empty cell
+    assert calls == {"associativity": triples(h.dim), "unit": 2 * h.dim}
 
 
 def counting_folds(monkeypatch) -> collections.Counter:

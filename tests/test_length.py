@@ -219,6 +219,25 @@ def test_summability_hand_value():
     assert abs(out.closed_form - (1 + r / (2 * (1 - r)))) < 1e-12
 
 
+def test_summability_stops_where_exp_underflows(monkeypatch):
+    z2 = make_group(GroupSpec.finite_abelian([2]))
+    rep = explore_ball(z2, standard_generators(z2), WeightFunction.enumerated(1), radius=10**5)
+    terms = []
+    ldexp = math.ldexp
+
+    def counted(x, i):
+        terms.append(i)
+        return ldexp(x, i)
+
+    monkeypatch.setattr(math, "ldexp", counted)
+    out = summability_partial_sums(rep)
+    monkeypatch.undo()
+    # exp(-746) is 0.0, so the terms stop at n = 745 while the level stays the radius
+    assert len(terms) == 745 and out.max_level == 10**5
+    full = 1.0 + math.fsum(math.ldexp(math.exp(-n), n - 1) for n in range(1, 10**5 + 1))
+    assert out.finite_bound == full and out.passed
+
+
 def test_summability_rejects_truncated():
     f2 = make_group(GroupSpec.free(2))
     rep = explore_ball(f2, standard_generators(f2), WeightFunction.enumerated(4), radius=12,

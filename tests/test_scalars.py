@@ -181,6 +181,29 @@ def test_integer_mul_and_conj_match_fraction_reduction(n, data):
     assert b.conj(x) == fraction_conj(b, x)
 
 
+def schoolbook_mul(b, x, y):
+    """CyclotomicBackend.mul without its shortcut for one: every product runs the schoolbook."""
+    if not any(x) or not any(y):
+        return b.zero
+    out = _poly_mul(x, y)
+    for e in range(b.degree, 2 * b.degree - 1):
+        if out[e]:
+            for k, m in enumerate(b._mono[e % b.n]):
+                out[k] += out[e] * m
+    return tuple(out[:b.degree])
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 15])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mul_by_one_matches_schoolbook(n, data):
+    b = CyclotomicBackend(n)
+    x = data.draw(operands(b))
+    for one in (b.one, b.from_fraction(1)):
+        for got, want in ((b.mul(one, x), schoolbook_mul(b, one, x)), (b.mul(x, one), schoolbook_mul(b, x, one))):
+            assert got == want and b.format(got) == b.format(want)
+
+
 def test_integer_values_stay_integer():
     b = CyclotomicBackend(105)
     x = b.add(b.from_int(3), b.root(1, 105))
