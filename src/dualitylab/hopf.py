@@ -142,9 +142,11 @@ def group_algebra(group: Group, backend) -> HopfAlgebra:
 
 
 def _vec_add_scaled(backend, acc: dict, scalar, vec: Mapping) -> None:
+    """acc += scalar * vec; a key new to acc takes its scaled entry as it is, not added to zero."""
     for k, x in vec.items():
-        cur = acc.get(k, backend.zero)
-        acc[k] = backend.add(cur, backend.mul(scalar, x))
+        y = backend.mul(scalar, x)
+        cur = acc.get(k)
+        acc[k] = y if cur is None else backend.add(cur, y)
 
 
 def mul_vec(h: HopfAlgebra, v: Mapping, w: Mapping) -> dict:

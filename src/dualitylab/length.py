@@ -4,6 +4,12 @@ The central object is a truncated length table: a uniform-cost search from the
 identity assigns each reachable element the cheapest total generator weight
 that produces it.  Weights are exact rationals; the search runs on integers
 after clearing denominators, so priority ordering never suffers float ties.
+It settles the ball one integer cost level at a time (Dial's buckets, "Algorithm
+360", CACM 1969, with a heap over the distinct pending costs so that sparse
+costs such as weights 1 and 10^9 skip the empty levels), and every element
+of a level shares that level's one ``Fraction``, so ``spheres`` and
+``summability_partial_sums`` do one dict lookup or one ``exp`` per level,
+not per element.
 """
 
 from __future__ import annotations
@@ -75,9 +81,10 @@ class LengthReport:
     """Result of one ball exploration.
 
     ``lengths`` maps each settled element to its exact length, in (length,
-    element) order.  ``boundary`` is the cheapest cost left unexpanded when the
-    search stopped; a recorded value is final exactly when it lies strictly
-    below it.  ``boundary`` is None when the frontier drained completely, in
+    element) order; from ``explore_ball`` all elements of one level hold the
+    same ``Fraction`` object.  ``boundary`` is the cheapest cost left
+    unexpanded when the search stopped; a recorded value is final exactly
+    when it lies strictly below it.  ``boundary`` is None when the frontier drained completely, in
     which case everything recorded is final and every sphere up to the radius
     is complete.
     """
@@ -120,10 +127,19 @@ class LengthReport:
         return [(x, v) for x, v in self.lengths.items() if v < self.boundary]
 
     def spheres(self) -> dict[Fraction, tuple[Element, ...]]:
-        """Level sets of the length, keyed by exact level, elements sorted."""
+        """Level sets of the length, keyed by exact level, elements in table order.
+
+        A run of elements holding one level object costs one dict lookup; a
+        hand-built table whose equal levels are distinct objects, or out of
+        order, still groups by value.
+        """
         acc: dict[Fraction, list[Element]] = {}
+        level = None
         for x, v in self.lengths.items():
-            acc.setdefault(v, []).append(x)
+            if v is not level:
+                level = v
+                run = acc.setdefault(v, [])
+            run.append(x)
         return {v: tuple(xs) for v, xs in sorted(acc.items())}
 
     def sphere_complete(self, level) -> bool:
@@ -155,6 +171,11 @@ def explore_ball(
     Every element whose length is at most ``radius`` is settled, unless the
     element cap fires first; in that case the report is marked truncated and
     the boundary records where certainty ends.
+
+    Costs are integers, so the frontier is a list of candidates per pending
+    cost plus a heap of those costs.  A level is heapified when it opens and
+    settles in element order, as one (cost, element) heap would, so the cap
+    keeps the same elements; a zero-weight step pushes onto the open level.
     """
     radius = Fraction(radius)
     if radius < 0:
@@ -170,36 +191,51 @@ def explore_ball(
     int_weights = [int(w * scale) for w in weights.values]
     int_radius = math.floor(radius * scale)  # costs are integers, so c <= r*scale iff c <= this
 
-    identity = group.identity
-    settled: dict[Element, int] = {}
-    best: dict[Element, int] = {identity: 0}
-    heap: list[tuple[int, Element]] = [(0, identity)]
+    # the frontier: a heap of the distinct pending costs, each owning a list of
+    # candidates; a candidate is stale once a cheaper cost for it was recorded
+    best: dict[Element, int] = {group.identity: 0}
+    pending: dict[int, list[Element]] = {0: [group.identity]}
+    costs = [0]
+    lengths: dict[Element, Fraction] = {}
+    settled = 0
     truncated = False
     boundary_int: int | None = None
+    mul, steps = group.mul, list(zip(gens, int_weights))
+    heappop, heappush = heapq.heappop, heapq.heappush
 
-    while heap:
-        cost, x = heapq.heappop(heap)
-        if x in settled:
-            continue
-        if cost > int_radius:
-            boundary_int = cost
-            break
-        if len(settled) >= element_cap:
-            truncated = True
-            boundary_int = cost
-            break
-        settled[x] = cost
-        for a, w in zip(gens, int_weights):
-            y = group.mul(x, a)
-            c = cost + w
-            if c <= int_radius and (y not in settled) and c < best.get(y, c + 1):
-                best[y] = c
-                heapq.heappush(heap, (c, y))
+    while costs and not truncated:
+        cost = heappop(costs)
+        level = pending.pop(cost)
+        # settle the level in element order, as a (cost, element) heap would
+        heapq.heapify(level)
+        out: list[Element] = []
+        while level:
+            x = heappop(level)
+            if best[x] < cost:
+                continue
+            if settled >= element_cap:
+                truncated = True
+                boundary_int = cost
+                break
+            settled += 1
+            out.append(x)
+            for a, w in steps:
+                y = mul(x, a)
+                c = cost + w
+                if c <= int_radius:
+                    b = best.get(y)
+                    if b is None or c < b:
+                        best[y] = c
+                        if c == cost:  # a zero-weight step stays on the open level
+                            heappush(level, y)
+                        elif c in pending:
+                            pending[c].append(y)
+                        else:
+                            pending[c] = [y]
+                            heappush(costs, c)
+        out.sort()  # a zero-weight step may settle an element below one settled before it
+        lengths.update(dict.fromkeys(out, Fraction(cost, scale)))
 
-    lengths = {
-        x: Fraction(c, scale)
-        for x, c in sorted(settled.items(), key=lambda item: (item[1], item[0]))
-    }
     boundary = None if boundary_int is None else Fraction(boundary_int, scale)
     return LengthReport(
         group=group,
@@ -348,7 +384,15 @@ def summability_partial_sums(report: LengthReport) -> SummabilityReport:
         raise ValueError("summability needs a non-truncated exploration")
     if not report.weights.is_injective_integer:
         raise ValueError("summability bound needs distinct positive integer weights")
-    partial = math.fsum(math.exp(-float(v)) for v in report.lengths.values())
+    # one exp per run of a shared level; fsum is exact, so it sums the same terms bit for bit
+    terms = []
+    level = None
+    for v in report.lengths.values():
+        if v is not level:
+            level = v
+            term = math.exp(-float(v))
+        terms.append(term)
+    partial = math.fsum(terms)
     top = report.max_complete_integer_level()
     # exp(-n) is 0.0 past n = 745 (below the least subnormal), so no later term adds anything
     finite = 1.0 + math.fsum(math.ldexp(math.exp(-n), n - 1) for n in range(1, min(top, 745) + 1))

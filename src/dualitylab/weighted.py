@@ -143,6 +143,17 @@ def bipolar_pairing_audit(
     point, the single-point polar member that exposes any pointwise excess;
     the two verdicts must agree.
     """
+    for x in table:
+        group.check(x)
+    return _bipolar_pairing_audit(table, f, members)
+
+
+def _bipolar_pairing_audit(table, f, members) -> tuple[bool, bool, float]:
+    """``bipolar_pairing_audit`` on a table whose points are checked elements.
+
+    The single-point member at x is c 1_x with c = phase / f(x), and pairs to
+    c * table[x], so it needs no vector.
+    """
     pointwise = rectangle_bipolar_contains(table, f)
     worst = 0.0
     for alpha in members:
@@ -153,9 +164,8 @@ def bipolar_pairing_audit(
         v = complex(v)
         if v == 0:
             continue
-        phase = v.conjugate() / abs(v)
-        alpha = WeightedVector.basis(group, x, phase / f.value(x))
-        worst = max(worst, abs(pairing(alpha, table)))
+        c = v.conjugate() / abs(v) / f.value(x)
+        worst = max(worst, abs(c * v))
     return pointwise, leq(worst, 1.0), worst
 
 
@@ -461,7 +471,7 @@ def weighted_property_trials(
         n = seminorm(alpha, f)
         if n > 0:
             members.append(alpha.scaled(1.0 / (n * (1.0 + 1e-9))))
-        pointwise, paired, _ = bipolar_pairing_audit(table, f, group, members)
+        pointwise, paired, _ = _bipolar_pairing_audit(table, f, members)
         if pointwise == paired:
             agreements += 1
         else:

@@ -393,6 +393,42 @@ def test_associativity_compares_only_triples_with_a_nonempty_side(monkeypatch, g
     assert calls == {"associativity": triples(h.dim), "unit": 2 * h.dim}
 
 
+def added_to_zero(backend, acc, scalar, vec):
+    """acc += scalar * vec with every new key started from zero, kept as the oracle."""
+    for k, x in vec.items():
+        acc[k] = backend.add(acc.get(k, backend.zero), backend.mul(scalar, x))
+
+
+@st.composite
+def scalar_of(draw, b):
+    if b.exact:
+        q = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        return draw(st.sampled_from([b.zero, b.one, b.from_fraction(q), b.root(draw(st.integers(0, 11)), 12),
+                                     b.add(b.from_int(draw(st.integers(-2, 2))), b.root(5, 12))]))
+    return draw(st.sampled_from([0j, -0.0 + 0j, complex(-0.0, -0.0), 1 + 0j]) | st.complex_numbers(
+        max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(["float", "cyclotomic"]), st.data())
+def test_new_accumulator_keys_skip_the_add_to_zero(kind, data):
+    b = make_backend(kind, order=12)
+    entries = st.dictionaries(st.integers(0, 5), scalar_of(b), max_size=6)
+    acc, vec, scalar = data.draw(entries), data.draw(entries), data.draw(scalar_of(b))
+    want = dict(acc)
+    added_to_zero(b, want, scalar, vec)
+    adds = []
+    add = b.add
+    b.add = lambda x, y: adds.append(x) or add(x, y)
+    got = dict(acc)
+    hopf._vec_add_scaled(b, got, scalar, vec)
+    assert list(got) == list(want) and got == want
+    if b.exact:
+        assert [b.format(v) for v in got.values()] == [b.format(v) for v in want.values()]
+    # only keys already in the accumulator take an add
+    assert len(adds) == len(vec.keys() & acc.keys())
+
+
 def counting_folds(monkeypatch) -> collections.Counter:
     calls = collections.Counter()
     fold = hopf.fold_checks

@@ -1,6 +1,7 @@
 """Length exploration against independent oracles, plus the counting bounds."""
 
 import dataclasses
+import heapq
 import itertools
 import math
 import time
@@ -85,6 +86,124 @@ def test_weighted_bfs_oracle_z2():
         frontier = nxt
     rep = explore_ball(z2, gens, WeightFunction.of(weights), radius=8)
     assert rep.lengths == dict(sorted(best.items(), key=lambda kv: (kv[1], kv[0])))
+
+
+def heap_search(group, gens, weights, radius, element_cap):
+    """The single (cost, element) heap search that the level buckets replaced.
+
+    Returns (lengths, truncated, boundary) as ``explore_ball`` reports them.
+    """
+    scale = math.lcm(*(w.denominator for w in weights))
+    int_weights = [int(w * scale) for w in weights]
+    int_radius = math.floor(radius * scale)
+    settled = {}
+    best = {group.identity: 0}
+    heap = [(0, group.identity)]
+    truncated = False
+    boundary_int = None
+    while heap:
+        cost, x = heapq.heappop(heap)
+        if x in settled:
+            continue
+        if cost > int_radius:
+            boundary_int = cost
+            break
+        if len(settled) >= element_cap:
+            truncated = True
+            boundary_int = cost
+            break
+        settled[x] = cost
+        for a, w in zip(gens.elements, int_weights):
+            y = group.mul(x, a)
+            c = cost + w
+            if c <= int_radius and (y not in settled) and c < best.get(y, c + 1):
+                best[y] = c
+                heapq.heappush(heap, (c, y))
+    lengths = {x: Fraction(c, scale) for x, c in sorted(settled.items(), key=lambda kv: (kv[1], kv[0]))}
+    return lengths, truncated, None if boundary_int is None else Fraction(boundary_int, scale)
+
+
+def spheres_by_value(lengths):
+    """Level sets grouped by value alone, one hash per element."""
+    acc = {}
+    for x, v in lengths.items():
+        acc.setdefault(v, []).append(x)
+    return {v: tuple(xs) for v, xs in sorted(acc.items())}
+
+
+SEARCH_GROUPS = [GroupSpec.free_abelian(1), GroupSpec.free_abelian(2), GroupSpec.free(2),
+                 GroupSpec.heisenberg(), GroupSpec.finite_abelian([2, 3]),
+                 GroupSpec.finite_abelian([5]), GroupSpec.symmetric(3)]
+SEARCH_WEIGHTS = (st.sampled_from([0, 1, 2, 3, Fraction(1, 2), Fraction(2, 3), 10**9])
+                  | st.fractions(min_value=0, max_value=4, max_denominator=6))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_level_buckets_match_the_heap_search(data):
+    group = make_group(data.draw(st.sampled_from(SEARCH_GROUPS)))
+    gens = standard_generators(group)
+    weights = data.draw(st.lists(SEARCH_WEIGHTS, min_size=len(gens.elements),
+                                 max_size=len(gens.elements)))
+    radius = data.draw(st.sampled_from([0, 10**9]) | st.fractions(min_value=0, max_value=8,
+                                                                  max_denominator=4))
+    cap = data.draw(st.integers(min_value=1, max_value=300))
+    rep = explore_ball(group, gens, WeightFunction.of(weights), radius, cap)
+    lengths, truncated, boundary = heap_search(group, gens, [Fraction(w) for w in weights],
+                                               Fraction(radius), cap)
+    assert list(rep.lengths.items()) == list(lengths.items())
+    assert (rep.truncated, rep.boundary) == (truncated, boundary)
+    assert list(rep.spheres().items()) == list(spheres_by_value(lengths).items())
+    # every element of one level holds the same Fraction object
+    assert len({id(v) for v in rep.lengths.values()}) == len(set(rep.lengths.values()))
+
+
+def test_cap_inside_a_level_keeps_the_least_elements():
+    # level 1 of Z is queued as (1,) then (-1,); a cap of 2 keeps (-1,), the lesser one
+    z = make_group(GroupSpec.free_abelian(1))
+    gens = standard_generators(z)
+    rep = explore_ball(z, gens, WeightFunction.constant(2), radius=3, element_cap=2)
+    assert rep.lengths == {(0,): 0, (-1,): 1}
+    assert rep.truncated and rep.boundary == 1
+    assert (rep.lengths, rep.truncated, rep.boundary) == heap_search(z, gens, [Fraction(1)] * 2, 3, 2)
+
+
+def test_zero_weight_step_settles_on_the_open_level():
+    # +1 costs nothing, so a zero-weight step pushes (1,), (2,), ... into level 0, each
+    # settling after the element that reached it, before (-1,) opens level 1
+    z = make_group(GroupSpec.free_abelian(1))
+    gens = standard_generators(z)
+    rep = explore_ball(z, gens, WeightFunction.of([0, 1]), radius=2, element_cap=5)
+    assert rep.lengths == {(k,): 0 for k in range(5)}
+    assert rep.truncated and rep.boundary == 0
+    assert (rep.lengths, rep.truncated, rep.boundary) == heap_search(
+        z, gens, [Fraction(0), Fraction(1)], 2, 5)
+
+
+def test_spheres_join_equal_levels_held_apart():
+    # equal levels as distinct Fraction objects, one of them out of order
+    rep = dataclasses.replace(line_report(radius=0), lengths={
+        (0,): Fraction(0), (1,): Fraction(1), (-1,): Fraction(2), (2,): Fraction(2, 1),
+        (-2,): Fraction(4, 2), (3,): Fraction(3, 3), (4,): Fraction(4)})
+    assert rep.lengths[(1,)] is not rep.lengths[(3,)]
+    assert rep.spheres() == spheres_by_value(rep.lengths)
+    assert rep.spheres()[Fraction(1)] == ((1,), (3,))
+    assert rep.spheres()[Fraction(2)] == ((-1,), (2,), (-2,))
+
+
+def test_summability_over_levels_matches_the_per_element_sum():
+    heis = make_group(GroupSpec.heisenberg())
+    reps = [
+        line_report(radius=9),
+        explore_ball(heis, standard_generators(heis), WeightFunction.enumerated(4), radius=12),
+        # equal levels as distinct objects: each run takes its own term
+        dataclasses.replace(line_report(radius=4), lengths={
+            (0,): Fraction(0), (1,): Fraction(1), (-1,): Fraction(2), (2,): Fraction(2, 1),
+            (3,): Fraction(3), (-2,): Fraction(4), (4,): Fraction(8, 2)}),
+    ]
+    for rep in reps:
+        per_element = math.fsum(math.exp(-float(v)) for v in rep.lengths.values())
+        assert summability_partial_sums(rep).partial == per_element
 
 
 def test_truncation_and_boundary():

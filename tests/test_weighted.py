@@ -160,6 +160,45 @@ def test_bipolar_audit_agreement_and_guard():
         bipolar_pairing_audit(inside, F, Z, [bad_member])
 
 
+def basis_route_worst(table, f, group):
+    """The single-point members built as checked vectors and paired, kept as the oracle."""
+    worst = 0.0
+    for x, v in table.items():
+        v = complex(v)
+        if v == 0:
+            continue
+        alpha = WeightedVector.basis(group, x, v.conjugate() / abs(v) / f.value(x))
+        worst = max(worst, abs(pairing(alpha, table)))
+    return worst
+
+
+PAIRING_VALUES = st.sampled_from([0.0, -0.0, 1e-300, -2.5, math.e]) | st.complex_numbers(
+    max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.dictionaries(st.sampled_from(HALF), PAIRING_VALUES, max_size=8))
+def test_single_point_members_pair_without_vectors(table):
+    pointwise, paired, worst = weighted._bipolar_pairing_audit(table, F, [])
+    assert worst == basis_route_worst(table, F, Z)
+    assert (pointwise, paired, worst) == bipolar_pairing_audit(table, F, Z, [])
+
+
+def test_property_trials_build_no_single_point_vectors(monkeypatch):
+    g = Scale(3, Constant(1))
+    out = weighted_property_trials(F, g, HALF, trials=100, seed=5)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a trial rebuilt and re-checked a region point")
+
+    monkeypatch.setattr(WeightedVector, "from_items", rebuilt)
+    assert repr(weighted_property_trials(F, g, HALF, trials=100, seed=5)) == repr(out)
+    monkeypatch.undo()
+    # the public audit still checks every point of its table
+    with pytest.raises(ValueError):
+        bipolar_pairing_audit({(0,): 0.5, (0, 1): 0.0}, F, Z, [])
+
+
 def test_random_rectangle_member_stays_inside():
     rng = np.random.default_rng(3)
     for _ in range(50):
