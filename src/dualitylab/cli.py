@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -366,10 +366,6 @@ def _parse_polar_suite(raw, params, inputs):
 # command runners
 
 
-def _rename(prefix: str, c: CheckResult) -> CheckResult:
-    return CheckResult(name=f"{prefix}/{c.name}", passed=c.passed, residual=c.residual, detail=c.detail)
-
-
 def _capped(fn, *args, **kwargs):
     """Run a library call, turning cap violations into a structured failure."""
     try:
@@ -392,7 +388,7 @@ def _cmd_hopf_axioms(params):
         lists = next(((d, a) for k, a, d in checked if same_tensors(dual, k)), None) or check_hopf_axioms(h)
         checked.append((h, *lists))
         for prefix, axioms in zip((alg, f"{alg}-dual"), lists):
-            checks.extend(_rename(prefix, c) for c in axioms)
+            checks.extend(replace(c, name=f"{prefix}/{c.name}") for c in axioms)
     results = {"order": group.order, "backend": backend.name}
     return checks, results, {}
 
@@ -431,7 +427,7 @@ def _cmd_group_part(params):
     for mode in params["modes"]:
         res, cap = _capped(group_part, h, mode)
         if cap is not None:
-            checks.append(_rename(mode, cap))
+            checks.append(replace(cap, name=f"{mode}/{cap.name}"))
             continue
         counts[mode] = res.count
         checks.append(CheckResult(f"{mode}/verified", res.verified, res.worst_residual))

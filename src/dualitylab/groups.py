@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .reports import as_int, fail
 
@@ -410,12 +410,32 @@ class GeneratorSet:
     closed_under_inverse: bool = False
 
 
+def walk(start, gens: Sequence, step: Callable) -> dict:
+    """Breadth-first walk of a Cayley graph: everything reachable from start by right steps.
+
+    Returns a dict, in the order reached, mapping each element reached to the
+    edge (x, g) that first reached it, so that step(x, g) is that element;
+    start maps to None.  An element is expanded by every g of gens in order,
+    so step runs once per element reached and generator.  The elements may be
+    group elements (step ``group.mul``) or table indices (step through a law).
+    """
+    tree = {start: None}
+    queue = [start]
+    for x in queue:
+        for g in gens:
+            y = step(x, g)
+            if y not in tree:
+                tree[y] = (x, g)
+                queue.append(y)
+    return tree
+
+
 def make_generator_set(group: Group, elements: Sequence[Element]) -> GeneratorSet:
     """Validate generators against the group and package them.
 
-    Duplicates are rejected.  For finite groups the semigroup closure is
-    checked against the whole group; infinite built-ins rely on the standard
-    sets constructed by ``standard_generators``.
+    Duplicates are rejected.  For finite groups the semigroup closure, one
+    ``walk`` from the identity, is checked against the whole group; infinite
+    built-ins rely on the standard sets constructed by ``standard_generators``.
     """
     canon = tuple(group.check(e) for e in elements)
     seen = set()
@@ -425,21 +445,9 @@ def make_generator_set(group: Group, elements: Sequence[Element]) -> GeneratorSe
         seen.add(e)
     closed = all(group.inv(e) in seen for e in canon)
     if group.is_finite:
-        reached = {group.identity}
-        frontier = [group.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for a in canon:
-                    y = group.mul(x, a)
-                    if y not in reached:
-                        reached.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if len(reached) != group.order:
-            raise ValueError(
-                f"generators reach only {len(reached)} of {group.order} elements of {group.label}"
-            )
+        reached = len(walk(group.identity, canon, group.mul))
+        if reached != group.order:
+            raise ValueError(f"generators reach only {reached} of {group.order} elements of {group.label}")
     return GeneratorSet(elements=canon, closed_under_inverse=closed)
 
 

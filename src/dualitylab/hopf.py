@@ -20,6 +20,7 @@ from .groups import (
     GroupSpec,
     direct_product,
     make_group,
+    walk,
 )
 from .reports import CheckResult, as_int
 
@@ -271,17 +272,23 @@ def _all_of(name: str, checks: list[CheckResult]) -> CheckResult:
     )
 
 
+def _tensor_cells(h1: HopfAlgebra, h2: HopfAlgebra):
+    """(tag, h1 cell, h2 cell) for every cell of the five tensors of two algebras of one dimension."""
+    yield "unit", h1.unit, h2.unit
+    yield "counit", h1.counit, h2.counit
+    for i in range(h1.dim):
+        for j in range(h1.dim):
+            yield f"mul ({i},{j})", h1.mul.get((i, j), {}), h2.mul.get((i, j), {})
+        yield f"comul {i}", h1.comul.get(i, {}), h2.comul.get(i, {})
+        yield f"antipode {i}", h1.antipode.get(i, {}), h2.antipode.get(i, {})
+
+
 def hopf_equal(h1: HopfAlgebra, h2: HopfAlgebra) -> tuple[bool, float]:
     """Tensor-by-tensor equality under h1's backend; returns (equal, residual)."""
     if h1.dim != h2.dim:
         return False, float("inf")
-    pairs = [(h1.unit, h2.unit), (h1.counit, h2.counit)]
-    for i in range(h1.dim):
-        pairs.extend((h1.mul.get((i, j), {}), h2.mul.get((i, j), {})) for j in range(h1.dim))
-        pairs.append((h1.comul.get(i, {}), h2.comul.get(i, {})))
-        pairs.append((h1.antipode.get(i, {}), h2.antipode.get(i, {})))
-    results = [compare(h1.backend, u, v) for u, v in pairs]
-    return all(ok for ok, _ in results), max(r for _, r in results)
+    c = fold_checks("", h1.backend, _tensor_cells(h1, h2))
+    return c.passed, c.residual
 
 
 def same_tensors(h: HopfAlgebra, k: HopfAlgebra) -> bool:
@@ -476,72 +483,37 @@ def _mul_is_diagonal(h: HopfAlgebra) -> bool:
     ) and compare(b, h.unit, {i: b.one for i in range(h.dim)})[0]
 
 
-def _element_order(law, e: int, g: int) -> int:
-    acc = g
-    order = 1
-    while acc != e:
-        acc = law[acc][g]
-        order += 1
-    return order
-
-
-def _span(law, e: int, gens: list[int]) -> set[int]:
-    reached = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = law[x][g]
-                if y not in reached:
-                    reached.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return reached
-
-
 def _multiplicative_functions(law, e: int, backend) -> list[tuple]:
     """All functions u with u(s)u(t) = u(s*t) and u(e) = 1, as value tuples.
 
-    Enumerates root-of-unity assignments on a greedily built generating set,
-    extends along the Cayley graph, and keeps the assignments that survive the
-    full multiplication-table audit.
+    Enumerates root-of-unity assignments on a greedily built generating set:
+    each element not yet reached joins it and the Cayley graph is walked
+    again.  The last walk's spanning tree does not depend on the assignment,
+    so each candidate is extended along its edges, in the order reached, and
+    kept when it survives the full multiplication-table audit.
     """
     n = len(law)
+
+    def step(x, g):
+        return law[x][g]
+
     gens: list[int] = []
-    closure = {e}
+    tree = {e: None}
     for cand in range(n):
-        if cand in closure:
-            continue
-        gens.append(cand)
-        closure = _span(law, e, gens)
-        if len(closure) == n:
-            break
-    orders = [_element_order(law, e, g) for g in gens]
+        if cand not in tree:
+            gens.append(cand)
+            tree = walk(e, gens, step)
+    orders = [len(walk(e, [g], step)) for g in gens]
+    edges = list(tree.items())[1:]
     found: list[tuple] = []
     for expos in itertools.product(*(range(o) for o in orders)):
+        assign = {g: backend.root(k, o) for g, k, o in zip(gens, expos, orders)}
         values: list = [None] * n
         values[e] = backend.one
-        frontier = [e]
-        assign = {g: backend.root(k, o) for g, k, o in zip(gens, expos, orders)}
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = law[x][g]
-                    if values[y] is None:
-                        values[y] = backend.mul(values[x], assign[g])
-                        nxt.append(y)
-            frontier = nxt
-        ok = True
-        for s in range(n):
-            for t in range(n):
-                if not backend.eq(backend.mul(values[s], values[t]), values[law[s][t]]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        for y, (x, g) in edges:
+            values[y] = backend.mul(values[x], assign[g])
+        if all(backend.eq(backend.mul(values[s], values[t]), values[law[s][t]])
+               for s in range(n) for t in range(n)):
             tup = tuple(values)
             if not any(all(backend.eq(a, c) for a, c in zip(tup, other)) for other in found):
                 found.append(tup)
@@ -860,16 +832,12 @@ def product_iso_check(g1: Group, g2: Group, backend) -> list[CheckResult]:
     The enumeration of a direct product lists pairs in row-major order, which
     is exactly the tensor index convention, so the point-mass bijection is the
     identity matrix and the comparison is literal tensor equality.  Both the
-    convolution-side and function-side isomorphisms are checked.
+    convolution-side and function-side isomorphisms are checked; a failing
+    one names its first differing cell, such as ``mul (i,j)`` or ``comul i``.
     """
     prod = direct_product(g1, g2)
     results = []
-    t = tensor_hopf(group_algebra(g1, backend), group_algebra(g2, backend))
-    p = group_algebra(prod, backend)
-    ok, worst = hopf_equal(p, t)
-    results.append(CheckResult(name="convolution-side", passed=ok, residual=worst))
-    t = tensor_hopf(function_algebra(g1, backend), function_algebra(g2, backend))
-    p = function_algebra(prod, backend)
-    ok, worst = hopf_equal(p, t)
-    results.append(CheckResult(name="function-side", passed=ok, residual=worst))
+    for name, build in (("convolution-side", group_algebra), ("function-side", function_algebra)):
+        t = tensor_hopf(build(g1, backend), build(g2, backend))
+        results.append(fold_checks(name, backend, _tensor_cells(build(prod, backend), t)))
     return results

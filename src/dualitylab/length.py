@@ -449,11 +449,14 @@ def nuclearity_witness(
     partial_terms = []
     region = 0
     excluded = 0
+    # both balls hold canonical elements, so the shifted one is read without re-checking them
+    bound = shifted.boundary
     for x, lf in base.final_items():
-        if not shifted.is_final(x):
+        ls = shifted.lengths.get(x)
+        if ls is None or (bound is not None and ls >= bound):
             excluded += 1
             continue
-        d = shifted.lengths[x] - lf
+        d = ls - lf
         if d.denominator != 1:
             raise ValueError(f"non-integer gap {d} at {group.format(x)}")
         region += 1

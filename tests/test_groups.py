@@ -23,6 +23,7 @@ from dualitylab import (
     standard_generators,
     weighted_property_trials,
 )
+from dualitylab.groups import walk
 
 
 def heis_matrix(t):
@@ -176,6 +177,50 @@ def test_generator_set_validation():
     assert not gens.closed_under_inverse
     gens = make_generator_set(z6, [(1,), (5,)])
     assert gens.closed_under_inverse
+
+
+def test_walk_order_and_parent_edges():
+    z6 = make_group(GroupSpec.finite_abelian([6]))
+    tree = walk((0,), [(1,), (5,)], z6.mul)
+    # breadth first: each element is expanded by every generator in order
+    assert list(tree.items()) == [
+        ((0,), None),
+        ((1,), ((0,), (1,))),
+        ((5,), ((0,), (5,))),
+        ((2,), ((1,), (1,))),
+        ((4,), ((5,), (5,))),
+        ((3,), ((2,), (1,))),
+    ]
+    assert walk((0,), [], z6.mul) == {(0,): None}
+    # table indices, stepping through a law; every edge steps to the element it is keyed by
+    law = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    tree = walk(0, [2], lambda x, g: law[x][g])
+    assert tree == {0: None, 2: (0, 2)}
+    s4 = make_group(GroupSpec.symmetric(4))
+    tree = walk(s4.identity, standard_generators(s4).elements, s4.mul)
+    assert len(tree) == 24
+    assert all(s4.mul(*edge) == y for y, edge in tree.items() if edge is not None)
+
+
+@pytest.mark.parametrize("spec, gens, reached", [
+    (GroupSpec.finite_abelian([6]), [(1,)], 6),
+    (GroupSpec.finite_abelian([6]), [(1,), (5,)], 6),
+    (GroupSpec.finite_abelian([6]), [(2,)], 3),
+    (GroupSpec.finite_abelian([2, 6]), [(1, 0), (0, 1), (0, 5)], 12),
+    (GroupSpec.symmetric(4), [(1, 0, 2, 3), (1, 2, 3, 0), (3, 0, 1, 2)], 24),
+    (GroupSpec.symmetric(3), [], 1),
+])
+def test_generator_set_multiplies_each_reached_element_by_each_generator(monkeypatch, spec, gens, reached):
+    g = make_group(spec)
+    calls = []
+    mul = g.mul
+    monkeypatch.setattr(g, "mul", lambda x, y: calls.append((x, y)) or mul(x, y))
+    if reached < g.order:
+        with pytest.raises(ValueError, match=f"reach only {reached} of"):
+            make_generator_set(g, gens)
+    else:
+        make_generator_set(g, gens)
+    assert len(calls) == reached * len(gens)
 
 
 def test_direct_product_enumeration_row_major():

@@ -587,7 +587,7 @@ def test_reused_axiom_lists_match_direct_check(monkeypatch, group, kind, corrupt
     assert all(c.passed for c in checks) != corrupt
     for prefix, got, want in zip(("group", "group-dual"), (checks[12:18], checks[18:]),
                                  check_hopf_axioms(cli.group_algebra(g, b))):
-        assert [repr(c) for c in got] == [repr(cli._rename(prefix, c)) for c in want]
+        assert [repr(c) for c in got] == [repr(dataclasses.replace(c, name=f"{prefix}/{c.name}")) for c in want]
 
 
 def test_same_tensors_compares_structure_not_names():
@@ -787,6 +787,114 @@ def test_group_part_function_algebra_s3():
         assert r.worst_residual == 0.0
 
 
+def frontier_multiplicative_functions(law, e, backend):
+    """The search as it stood before one spanning tree served every candidate:
+    a greedy generating set grown by re-walking frontiers, element orders by
+    repeated steps, and a fresh frontier walk for each root assignment."""
+    def span(gens):
+        reached, frontier = {e}, [e]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = law[x][g]
+                    if y not in reached:
+                        reached.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return reached
+
+    def element_order(g):
+        acc, order = g, 1
+        while acc != e:
+            acc, order = law[acc][g], order + 1
+        return order
+
+    n = len(law)
+    gens, closure = [], {e}
+    for cand in range(n):
+        if cand in closure:
+            continue
+        gens.append(cand)
+        closure = span(gens)
+        if len(closure) == n:
+            break
+    orders = [element_order(g) for g in gens]
+    found = []
+    for expos in itertools.product(*(range(o) for o in orders)):
+        values = [None] * n
+        values[e] = backend.one
+        frontier = [e]
+        assign = {g: backend.root(k, o) for g, k, o in zip(gens, expos, orders)}
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = law[x][g]
+                    if values[y] is None:
+                        values[y] = backend.mul(values[x], assign[g])
+                        nxt.append(y)
+            frontier = nxt
+        ok = True
+        for a in range(n):
+            for c in range(n):
+                if not backend.eq(backend.mul(values[a], values[c]), values[law[a][c]]):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            tup = tuple(values)
+            if not any(all(backend.eq(a, c) for a, c in zip(tup, other)) for other in found):
+                found.append(tup)
+    return found
+
+
+class CountingMul:
+    """A backend whose mul records its operands, in call order."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def mul(self, x, y):
+        self.calls.append((x, y))
+        return self.backend.mul(x, y)
+
+
+TABLE_GROUPS = {
+    "S1": GroupSpec.symmetric(1), "S2": GroupSpec.symmetric(2), "S3": GroupSpec.symmetric(3),
+    "S4": GroupSpec.symmetric(4), "Z1": GroupSpec.finite_abelian([1]), "Z7": GroupSpec.finite_abelian([7]),
+    "Z12": GroupSpec.finite_abelian([12]), "Z2xZ2": GroupSpec.finite_abelian([2, 2]),
+    "Z2xZ4": GroupSpec.finite_abelian([2, 4]), "Z3xZ3": GroupSpec.finite_abelian([3, 3]),
+    "Z2xZ3xZ4": GroupSpec.finite_abelian([2, 3, 4]), "Z2xZ2xZ2": GroupSpec.finite_abelian([2, 2, 2]),
+}
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(group=st.sampled_from(sorted(TABLE_GROUPS)), kind=st.sampled_from(["float", "cyclotomic"]),
+       data=st.data())
+def test_one_spanning_tree_matches_a_walk_per_candidate(group, kind, data):
+    g = make_group(TABLE_GROUPS[group])
+    _, law, _, e = hopf._cayley_table(g)
+    # relabel the elements, so the greedy generating set and its tree vary
+    perm = data.draw(st.permutations(range(len(law))))
+    relabeled = [None] * len(law)
+    for i, row in enumerate(law):
+        relabeled[perm[i]] = [None] * len(law)
+        for j, k in enumerate(row):
+            relabeled[perm[i]][perm[j]] = perm[k]
+    base = make_backend("float") if kind == "float" else make_backend("cyclotomic", order=g.exponent)
+    want, got = CountingMul(base), CountingMul(base)
+    expected = frontier_multiplicative_functions(relabeled, perm[e], want)
+    found = hopf._multiplicative_functions(relabeled, perm[e], got)
+    assert repr(found) == repr(expected)
+    assert got.calls == want.calls
+
+
 def test_group_part_group_algebra_deltas():
     g = make_group(GroupSpec.symmetric(3))
     b = make_backend("cyclotomic", order=6)
@@ -830,6 +938,37 @@ def test_tensor_of_cyclic_factors():
         assert c.passed and c.residual == 0.0, c
     for c in product_iso_check(z2, z3, b):
         assert c.passed and c.residual == 0.0, c
+
+
+@pytest.mark.parametrize("kind", ["float", "cyclotomic"])
+@pytest.mark.parametrize("tensor, key, tag", [
+    ("unit", None, "unit"), ("counit", None, "counit"), ("mul", (1, 4), "mul (1,4)"),
+    ("comul", 3, "comul 3"), ("antipode", 5, "antipode 5"),
+])
+def test_tensor_iso_names_the_first_differing_cell(monkeypatch, kind, tensor, key, tag):
+    b = make_backend("float") if kind == "float" else make_backend("cyclotomic", order=6)
+    z2 = make_group(GroupSpec.finite_abelian([2]))
+    z3 = make_group(GroupSpec.finite_abelian([3]))
+    build = hopf.tensor_hopf
+
+    def corrupted_tensor(h, k):
+        t = build(h, k)
+        value = getattr(t, tensor)
+        if key is None:
+            return dataclasses.replace(t, **{tensor: corrupted(value, 0, b, Fraction(1, 2))})
+        cell = {**value.get(key, {})}
+        first = next(iter(cell), 0 if tensor != "comul" else (0, 0))
+        return dataclasses.replace(t, **{tensor: {**value, key: corrupted(cell, first, b, Fraction(1, 2))}})
+
+    monkeypatch.setattr(hopf, "tensor_hopf", corrupted_tensor)
+    for c in product_iso_check(z2, z3, b):
+        assert not c.passed and c.detail == tag and c.residual == 0.5, c
+    monkeypatch.undo()
+    # passing rows carry no detail, and hopf_equal keeps its pair
+    assert [c.detail for c in product_iso_check(z2, z3, b)] == ["", ""]
+    h = function_algebra(z2, b)
+    assert hopf_equal(h, h) == (True, 0.0)
+    assert hopf_equal(h, function_algebra(z3, b)) == (False, float("inf"))
 
 
 def test_tensor_guards():

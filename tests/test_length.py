@@ -380,6 +380,28 @@ def test_nuclearity_gap_hand_values():
     assert abs(out.closed_form - (1 + r / (2 * (1 - r) ** 2))) < 1e-12
 
 
+@pytest.mark.parametrize("spec, weights, radius, cap", [
+    (GroupSpec.free_abelian(1), None, 9, 10**5),
+    (GroupSpec.heisenberg(), None, 6, 10**5),
+    (GroupSpec.free(2), None, 12, 300),  # truncated: the shifted ball's boundary excludes elements
+    (GroupSpec.free(2), [1, 1, 1, 1], 9, 19),  # two settled base elements lie at that boundary
+])
+def test_nuclearity_reads_the_shifted_ball_without_checks(monkeypatch, spec, weights, radius, cap):
+    g = make_group(spec)
+    gens = standard_generators(g)
+    w = WeightFunction.of(weights) if weights else WeightFunction.enumerated(len(gens.elements))
+    base = explore_ball(g, gens, w, radius, cap)
+    shifted = explore_ball(g, gens, w.shifted_by_index(), radius, cap)
+    final = [shifted.is_final(x) for x, _ in base.final_items()]
+    calls = []
+    monkeypatch.setattr(g, "check", lambda x: calls.append(x) or x)
+    out = nuclearity_witness(g, gens, w, radius, cap)
+    # both balls hold canonical elements, so no element is checked again
+    assert calls == []
+    assert (out.region_size, out.excluded) == (final.count(True), final.count(False))
+    assert out.excluded > 0
+
+
 def test_nuclearity_needs_integer_weights():
     z = make_group(GroupSpec.free_abelian(1))
     gens = standard_generators(z)

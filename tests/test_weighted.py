@@ -199,6 +199,21 @@ def test_property_trials_build_no_single_point_vectors(monkeypatch):
         bipolar_pairing_audit({(0,): 0.5, (0, 1): 0.0}, F, Z, [])
 
 
+def test_property_trials_check_each_element_at_most_twice(monkeypatch):
+    # once as a region element on entry, once when the suite reads f there;
+    # the projection draw keeps region elements without checking them again
+    z = make_group(GroupSpec.free_abelian(1))
+    report = explore_ball(z, standard_generators(z), WeightFunction.enumerated(2), radius=14)
+    region = [x for x, v in report.lengths.items() if 2 * v <= 14]
+    out = weighted_property_trials(ExpLength(report), g_weight(), region, group=z, trials=100, seed=5)
+    seen = Counter()
+    check = z.check
+    monkeypatch.setattr(z, "check", lambda x: seen.update([x]) or check(x))
+    again = weighted_property_trials(ExpLength(report), g_weight(), region, group=z, trials=100, seed=5)
+    assert repr(again) == repr(out)
+    assert max(seen.values()) <= 2, seen.most_common(3)
+
+
 def test_random_rectangle_member_stays_inside():
     rng = np.random.default_rng(3)
     for _ in range(50):
