@@ -336,7 +336,7 @@ def _parse_nuclearity(raw, params, inputs):
     # companion, so the gap is at most c l with c = max k / w_k, and at most R - l for a
     # companion length R: at most R c / (1 + c) (R itself when a weight is 0)
     level = _reachable_length(params["group"], weights.shifted_by_index(), params["radius"])
-    if min(weights.values) > 0:
+    if weights.values and min(weights.values) > 0:
         c = max(k / w for k, w in enumerate(weights.values, start=1))
         level = math.floor(level * c / (1 + c))
     _check_printable_sphere_rows(level, gap_bound)

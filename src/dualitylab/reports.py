@@ -124,18 +124,27 @@ def sample_pairs(pool, samples: int, seed: int, holds) -> SampledInequality:
     return SampledInequality(checked=checked, skipped=skipped, violations=tuple(violations))
 
 
+def fold(name: str, outcomes) -> CheckResult:
+    """One named check over ``(ok, residual, tag)`` outcomes, every one consumed in order.
+
+    Passes when every outcome is ok; the residual is the worst one, floored at 0,
+    and the detail is the first failing tag.
+    """
+    passed, worst, witness = True, 0.0, ""
+    for ok, residual, tag in outcomes:
+        worst = max(worst, residual)
+        if passed and not ok:
+            passed, witness = False, tag
+    return CheckResult(name, passed, residual=worst, detail=witness)
+
+
 def leq_trials(name: str, trials: int, draw, rtol: float) -> CheckResult:
     """Test ``leq(lhs, rhs, rtol)`` on ``trials`` pairs from ``draw()``, called in order.
 
     Passes when every pair holds; the residual is the worst lhs - rhs, floored at 0.
     """
-    worst = 0.0
-    ok = True
-    for _ in range(trials):
-        lhs, rhs = draw()
-        worst = max(worst, lhs - rhs)
-        ok = ok and leq(lhs, rhs, rtol)
-    return CheckResult(name, ok, residual=worst)
+    pairs = (draw() for _ in range(trials))
+    return fold(name, ((leq(lhs, rhs, rtol), lhs - rhs, "") for lhs, rhs in pairs))
 
 
 def dump_json(payload: dict) -> str:

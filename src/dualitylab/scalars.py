@@ -2,14 +2,15 @@
 
 The exact backend works in the field of rationals with a primitive N-th root
 of unity adjoined.  Values are coefficient tuples against the power basis
-1, z, ..., z^(d-1), reduced modulo the N-th cyclotomic polynomial.  Products
-of roots of unity stay in Z[z], where the monic modulus keeps every step in
-plain ``int`` arithmetic; ``Fraction`` coefficients appear only in values that
-leave Z[z] through ``from_fraction``, ``scale`` or ``inv``, and the two kinds
-mix freely.  Equality is literal tuple equality, and inversion runs the
-extended Euclidean algorithm against the (irreducible) modulus.  ``residual``
-is 0.0 for equal values and otherwise the float distance of the complex
-embeddings: it is reported, never used to decide.
+1, z, ..., z^(d-1), reduced modulo the N-th cyclotomic polynomial.  The
+operations are ring ones, ``add`` and ``mul``, plus ``conj`` and ``scale``.
+Roots of unity and everything ``add``, ``mul`` and ``conj`` build from them
+stay in Z[z], where the monic modulus keeps every step in plain ``int``
+arithmetic; values stay ``int`` tuples until ``scale``, the one place a
+``Fraction`` enters, and the two kinds mix freely after it.  Equality is
+literal tuple equality.  ``residual`` is 0.0 for equal values and otherwise
+the float distance of the complex embeddings: it is reported, never used to
+decide.
 """
 
 from __future__ import annotations
@@ -20,16 +21,6 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -38,23 +29,6 @@ def _poly_mul(a, b):
                 if bj:
                     out[i + j] += ai * bj
     return out
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of a by b over the rationals; b must be nonzero."""
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    if db < 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = [_ZERO] * max(len(a) - db, 0)
-    while len(_trim(a)) - 1 >= db and a:
-        da = len(a) - 1
-        coef = Fraction(a[-1]) / lead  # int / int would be a float
-        q[da - db] = coef
-        for j, bj in enumerate(b):
-            a[da - db + j] -= coef * bj
-        _trim(a)
-    return q, a
 
 
 @lru_cache(maxsize=None)
@@ -100,28 +74,14 @@ class ComplexFloatBackend:
     def from_int(self, n: int):
         return complex(n)
 
-    def from_fraction(self, q) -> complex:
-        return complex(float(Fraction(q)))
-
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
 
-    def neg(self, a):
-        return -a
-
     def conj(self, a):
         return a.conjugate()
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1.0 / a
 
     def scale(self, a, q):
         return a * float(Fraction(q))
@@ -175,25 +135,11 @@ class CyclotomicBackend:
             top, shifted = self._mono[-1][-1], (0,) + self._mono[-1][:-1]
             self._mono.append(tuple(x - top * m for x, m in zip(shifted, self.modulus)) if top else shifted)
 
-    def _reduce(self, poly) -> tuple:
-        _, r = _poly_divmod(list(poly), list(self.modulus))
-        r = list(r) + [_ZERO] * (self.degree - len(r))
-        return tuple(r[: self.degree])
-
     def from_int(self, k: int):
         return (k,) + self.zero[1:]
 
-    def from_fraction(self, q):
-        return (Fraction(q),) + self.zero[1:]
-
     def add(self, a, b):
         return tuple(map(operator.add, a, b))
-
-    def sub(self, a, b):
-        return tuple(map(operator.sub, a, b))
-
-    def neg(self, a):
-        return tuple(map(operator.neg, a))
 
     def mul(self, a, b):
         """The other factor when one is one (as every structure constant built here is 0 or 1), else
@@ -227,27 +173,6 @@ class CyclotomicBackend:
                 for j, m in enumerate(mono):
                     out[j] += c * m
         return tuple(out)
-
-    def inv(self, a):
-        """Extended Euclid against the modulus; defined for every nonzero value."""
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero")
-        # invariants: r0 = s0 * a (mod modulus), r1 = s1 * a (mod modulus)
-        r0, r1 = _trim(list(self.modulus)), _trim(list(a))
-        s0, s1 = [_ZERO], [_ONE]
-        while _trim(list(r1)):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, _trim(r)
-            qs1 = _poly_mul(q, s1) if q and s1 else []
-            s2 = [
-                (s0[i] if i < len(s0) else _ZERO) - (qs1[i] if i < len(qs1) else _ZERO)
-                for i in range(max(len(s0), len(qs1), 1))
-            ]
-            s0, s1 = s1, _trim(s2)
-        if len(r0) != 1:
-            raise ArithmeticError("modulus not coprime to value; reducible modulus?")
-        c = r0[0]
-        return self._reduce([x / c for x in s0])
 
     def root(self, k: int, m: int):
         """z_m^k as an element of this field; m must divide the ambient order."""

@@ -6,6 +6,8 @@ whatever scalar backend the Hopf layer uses; comparisons therefore run through
 convolution-submultiplicativity trial, which allows ``LOOSE_TOL`` (1e-9).
 Each sampled lhs <= rhs trial set is one ``reports.leq_trials`` fold: it
 passes when every draw holds and reports the worst lhs - rhs, floored at 0.
+The extremizer and decomposition trials fold their per-trial outcomes
+through ``reports.fold`` the same way.
 Weights come from the semicharacter grammar, so submultiplicativity of the
 underlying weight is available by construction.
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .groups import Element, Group
 from .length import LengthReport
-from .reports import LOOSE_TOL, REL_TOL, CheckResult, leq, leq_trials
+from .reports import LOOSE_TOL, REL_TOL, CheckResult, fold, leq, leq_trials
 from .semichar import Semicharacter
 
 
@@ -441,65 +443,45 @@ def weighted_property_trials(
         kept = WeightedVector(group, {x: c for x, c in alpha.coeffs.items() if x in keep})
         return seminorm(kept, f), seminorm(alpha, f)
 
-    results = [
-        leq_trials("convolution-submultiplicative", trials, draw_convolution, LOOSE_TOL),
-        leq_trials("projection-contraction", trials, draw_projection, REL_TOL),
-    ]
-
-    worst = 0.0
-    ok = True
-    for _ in range(trials):
+    def draw_extremizer():
         alpha = _random_vector(group, region, rng)
-        u = dual_norm_extremizer(alpha, f)
-        value = pairing(alpha, u)
+        value = pairing(alpha, dual_norm_extremizer(alpha, f))
         target = seminorm(alpha, f)
-        err = abs(value - target)
-        rel = err / max(target, 1.0)
-        worst = max(worst, rel)
-        ok = ok and rel <= REL_TOL
+        rel = abs(value - target) / max(target, 1.0)
         member = random_rectangle_member(f, region, rng)
-        ok = ok and leq(abs(pairing(alpha, member)), target)
-    results.append(CheckResult(name="extremizer-optimal", passed=ok, residual=worst))
+        return rel <= REL_TOL and leq(abs(pairing(alpha, member)), target), rel, ""
 
-    ok = True
-    agreements = 0
-    for _ in range(trials):
+    def draw_bipolar():
         margin = 0.5 if rng.uniform() < 0.5 else 1.5
         table = random_rectangle_member(f, region, rng, margin=margin)
-        members = [
-            _random_vector(group, region, rng).scaled(0.0),  # zero member
-        ]
+        members = [_random_vector(group, region, rng).scaled(0.0)]  # zero member
         alpha = _random_vector(group, region, rng)
         n = seminorm(alpha, f)
         if n > 0:
             members.append(alpha.scaled(1.0 / (n * (1.0 + 1e-9))))
         pointwise, paired, _ = _bipolar_pairing_audit(table, f, members)
-        if pointwise == paired:
-            agreements += 1
-        else:
-            ok = False
-    results.append(
-        CheckResult(
-            name="bipolar-agreement",
-            passed=ok,
-            detail=f"{agreements}/{trials} agreed",
-        )
-    )
+        return pointwise == paired
 
-    ok = True
-    worst = 0.0
-    for _ in range(trials):
+    def draw_decomposition():
         alpha = _random_vector(group, region, rng)
         norm = seminorm(alpha, MinWeight(f, g))
         if norm == 0.0:
-            continue
+            return True, 0.0, ""
         target = float(rng.uniform(0.2, 1.2))
         alpha = alpha.scaled(target / norm)
         dec = absconv_decompose(alpha, f, g)
-        expected_feasible = leq(dec.min_norm, 1.0)
-        ok = ok and (dec.feasible == expected_feasible) and dec.verify(alpha, f, g)
-        if dec.feasible:
-            recombined = dec.beta.scaled(dec.lam) + dec.gamma.scaled(1.0 - dec.lam)
-            worst = max(worst, recombined.max_abs_diff(alpha))
-    results.append(CheckResult(name="decomposition-sound", passed=ok, residual=worst))
+        sound = dec.feasible == leq(dec.min_norm, 1.0) and dec.verify(alpha, f, g)
+        if not dec.feasible:
+            return sound, 0.0, ""
+        recombined = dec.beta.scaled(dec.lam) + dec.gamma.scaled(1.0 - dec.lam)
+        return sound, recombined.max_abs_diff(alpha), ""
+
+    results = [
+        leq_trials("convolution-submultiplicative", trials, draw_convolution, LOOSE_TOL),
+        leq_trials("projection-contraction", trials, draw_projection, REL_TOL),
+        fold("extremizer-optimal", (draw_extremizer() for _ in range(trials))),
+    ]
+    agreed = [draw_bipolar() for _ in range(trials)]
+    results.append(CheckResult("bipolar-agreement", all(agreed), detail=f"{sum(agreed)}/{trials} agreed"))
+    results.append(fold("decomposition-sound", (draw_decomposition() for _ in range(trials))))
     return results

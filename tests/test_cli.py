@@ -373,6 +373,16 @@ def test_nuclearity_rejects_gap_bounds_past_the_int_string_limit(tmp_path, capsy
         parse_config({"command": "nuclearity", "group": group, "radius": radius})
 
 
+@pytest.mark.parametrize("group", [{"kind": "symmetric", "degree": 1}, {"kind": "finite_abelian", "orders": [1]}])
+def test_nuclearity_on_a_group_without_generators(tmp_path, group):
+    # no generators means no weights, so the gap-level bound has no weight to divide by
+    cfg = write_config(tmp_path, "run.json", {"command": "nuclearity", "group": group, "radius": 3})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "spheres.csv").read_text(encoding="utf-8").splitlines()[1:] == ["0,1,1,1.0"]
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["allPass"]
+
+
 def test_main_check_failure_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "run.json", {
         "command": "group-part",

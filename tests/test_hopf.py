@@ -179,7 +179,7 @@ def guard_backend(group, kind):
 
 def corrupted(entries: dict, key, backend, delta) -> dict:
     entries = dict(entries)
-    entries[key] = backend.add(entries.get(key, backend.zero), backend.from_fraction(delta))
+    entries[key] = backend.add(entries.get(key, backend.zero), backend.scale(backend.one, delta))
     return entries
 
 
@@ -403,7 +403,7 @@ def added_to_zero(backend, acc, scalar, vec):
 def scalar_of(draw, b):
     if b.exact:
         q = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
-        return draw(st.sampled_from([b.zero, b.one, b.from_fraction(q), b.root(draw(st.integers(0, 11)), 12),
+        return draw(st.sampled_from([b.zero, b.one, b.scale(b.one, q), b.root(draw(st.integers(0, 11)), 12),
                                      b.add(b.from_int(draw(st.integers(-2, 2))), b.root(5, 12))]))
     return draw(st.sampled_from([0j, -0.0 + 0j, complex(-0.0, -0.0), 1 + 0j]) | st.complex_numbers(
         max_magnitude=1e3, allow_nan=False, allow_infinity=False))

@@ -39,7 +39,7 @@ from dualitylab import (
     weighted_property_trials,
 )
 from dualitylab import weighted
-from dualitylab.reports import LOOSE_TOL, REL_TOL, CheckResult, leq_trials
+from dualitylab.reports import LOOSE_TOL, REL_TOL, CheckResult, fold, leq_trials
 
 Z = make_group(GroupSpec.free_abelian(1))
 REPORT = explore_ball(Z, standard_generators(Z), WeightFunction.enumerated(2), radius=14)
@@ -456,3 +456,130 @@ def test_leq_trials_tolerances_and_residual_floor():
     assert leq_trials("t", 1, iter(tight).__next__, LOOSE_TOL).passed
     slack = [(0.5, 1.0), (1.0, 3.0)]
     assert leq_trials("t", 2, iter(slack).__next__, REL_TOL) == CheckResult("t", True, residual=0.0)
+
+
+def hand_property_trials(f, g, region, group, trials, seed):
+    """``weighted_property_trials`` with its extremizer, bipolar and decomposition
+    checks as hand-written loops, kept as the oracle of their folds."""
+    w = weighted
+    rng = np.random.default_rng(seed)
+    region = [group.check(x) for x in region]
+    f, g = w._ReadOnce(f), w._ReadOnce(g)
+
+    def draw_convolution():
+        alpha = w._random_vector(group, region, rng)
+        beta = w._random_vector(group, region, rng)
+        return seminorm(convolve(alpha, beta), f), seminorm(alpha, f) * seminorm(beta, f)
+
+    def draw_projection():
+        alpha = w._random_vector(group, region, rng)
+        size = int(rng.integers(0, len(region) + 1))
+        keep = {region[int(i)] for i in rng.choice(len(region), size=size, replace=False)}
+        kept = WeightedVector(group, {x: c for x, c in alpha.coeffs.items() if x in keep})
+        return seminorm(kept, f), seminorm(alpha, f)
+
+    results = [
+        leq_trials("convolution-submultiplicative", trials, draw_convolution, LOOSE_TOL),
+        leq_trials("projection-contraction", trials, draw_projection, w.REL_TOL),
+    ]
+
+    worst = 0.0
+    ok = True
+    for _ in range(trials):
+        alpha = w._random_vector(group, region, rng)
+        u = dual_norm_extremizer(alpha, f)
+        value = pairing(alpha, u)
+        target = seminorm(alpha, f)
+        err = abs(value - target)
+        rel = err / max(target, 1.0)
+        worst = max(worst, rel)
+        ok = ok and rel <= w.REL_TOL
+        member = w.random_rectangle_member(f, region, rng)
+        ok = ok and leq(abs(pairing(alpha, member)), target)
+    results.append(CheckResult(name="extremizer-optimal", passed=ok, residual=worst))
+
+    ok = True
+    agreements = 0
+    for _ in range(trials):
+        margin = 0.5 if rng.uniform() < 0.5 else 1.5
+        table = w.random_rectangle_member(f, region, rng, margin=margin)
+        members = [w._random_vector(group, region, rng).scaled(0.0)]
+        alpha = w._random_vector(group, region, rng)
+        n = seminorm(alpha, f)
+        if n > 0:
+            members.append(alpha.scaled(1.0 / (n * (1.0 + 1e-9))))
+        pointwise, paired, _ = w._bipolar_pairing_audit(table, f, members)
+        if pointwise == paired:
+            agreements += 1
+        else:
+            ok = False
+    results.append(CheckResult(name="bipolar-agreement", passed=ok, detail=f"{agreements}/{trials} agreed"))
+
+    ok = True
+    worst = 0.0
+    for _ in range(trials):
+        alpha = w._random_vector(group, region, rng)
+        norm = seminorm(alpha, MinWeight(f, g))
+        if norm == 0.0:
+            continue
+        target = float(rng.uniform(0.2, 1.2))
+        alpha = alpha.scaled(target / norm)
+        dec = absconv_decompose(alpha, f, g)
+        expected_feasible = leq(dec.min_norm, 1.0)
+        ok = ok and (dec.feasible == expected_feasible) and dec.verify(alpha, f, g)
+        if dec.feasible:
+            recombined = dec.beta.scaled(dec.lam) + dec.gamma.scaled(1.0 - dec.lam)
+            worst = max(worst, recombined.max_abs_diff(alpha))
+    results.append(CheckResult(name="decomposition-sound", passed=ok, residual=worst))
+    return results
+
+
+Z2 = make_group(GroupSpec.free_abelian(2))
+Z2_REPORT = explore_ball(Z2, standard_generators(Z2), WeightFunction.enumerated(4), radius=8)
+Z2_HALF = [x for x, v in Z2_REPORT.final_items() if 2 * v <= 8]
+BALLS = [(Z, F, HALF), (Z2, ExpLength(Z2_REPORT), Z2_HALF)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ball=st.sampled_from(BALLS),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+    trials=st.integers(1, 25),
+    seed=st.integers(0, 2**32 - 1),
+    fault=st.sampled_from([None, "tolerance", "members"]),
+)
+def test_property_trial_folds_match_the_hand_loops(ball, picks, trials, seed, fault):
+    group, f, half = ball
+    region = list(dict.fromkeys(half[i % len(half)] for i in picks))
+    g = Scale(3, Constant(1))
+    draw_member = weighted.random_rectangle_member
+    with pytest.MonkeyPatch.context() as mp:
+        # injected faults make trials fail, so the folds' failing paths are compared too
+        if fault == "tolerance":
+            # no trial meets a negative tolerance, and the pointwise bipolar verdict
+            # turns on the table's size, so disagreements occur
+            mp.setattr(weighted, "REL_TOL", -1.0)
+            mp.setattr(weighted, "rectangle_bipolar_contains", lambda table, f: len(table) % 2 == 0)
+        if fault == "members":
+            # the same draws, three times outside the rectangle: a member can out-pair alpha
+            scaled = lambda *args, **kwargs: {x: 3 * v for x, v in draw_member(*args, **kwargs).items()}
+            mp.setattr(weighted, "random_rectangle_member", scaled)
+        want = hand_property_trials(f, g, region, group, trials, seed)
+        got = weighted_property_trials(f, g, region, group=group, trials=trials, seed=seed)
+    assert got == want
+    if fault == "tolerance":
+        assert not got[2].passed
+
+
+def test_fold_consumes_every_outcome_and_names_the_first_failure():
+    seen = []
+
+    def outcomes():
+        for ok, residual, tag in [(True, -2.0, "a"), (False, 0.5, "b"), (True, 3.0, "c"), (False, 1.0, "d")]:
+            seen.append(tag)
+            yield ok, residual, tag
+
+    assert fold("t", outcomes()) == CheckResult("t", False, residual=3.0, detail="b")
+    assert seen == ["a", "b", "c", "d"]
+    assert fold("t", [(True, -1.0, "a")]) == CheckResult("t", True, residual=0.0)
+    assert fold("t", []) == CheckResult("t", True)
