@@ -40,8 +40,6 @@ from .length import (
     LengthReport,
     UnexploredError,
     WeightFunction,
-    composition_count,
-    enumerate_compositions,
     explore_ball,
     heisenberg_witness,
     nuclearity_witness,
@@ -52,9 +50,7 @@ from .length import (
 from .reports import CheckResult, ConfigError, dump_json, leq, write_csv, write_json
 from .scalars import ComplexFloatBackend, CyclotomicBackend, cyclotomic_poly, make_backend
 from .semichar import (
-    Box,
     Constant,
-    Diagonal,
     ExpLength,
     Inverse,
     Max,
@@ -62,7 +58,6 @@ from .semichar import (
     Scale,
     Semicharacter,
     Sum,
-    TableWeight,
     build_semicharacter,
     majorization_check,
     majorize,
@@ -75,12 +70,10 @@ from .weighted import (
     SubmultiplicativeSeminorm,
     WeightedVector,
     absconv_decompose,
-    bipolar_pairing_audit,
     convolve,
     domination_check,
     dual_norm_extremizer,
     pairing,
-    project,
     random_rectangle_member,
     random_table,
     rectangle_bipolar_contains,

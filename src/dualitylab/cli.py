@@ -558,8 +558,8 @@ def _cmd_seminorm_suite(params):
     region = [x for x, _ in report.final_items()]
     f = ExpLength(report)
     rng = np.random.default_rng(params["seed"])
-    agg = {name: (True, 0.0) for name in _SEMINORM_CHECKS}
-    for _ in range(params["count"]):
+    agg = {name: (True, 0.0, "") for name in _SEMINORM_CHECKS}  # passed, worst, first failure
+    for k in range(params["count"]):
         size = int(rng.integers(1, min(8, len(region)) + 1))
         picks = rng.choice(len(region), size=size, replace=False)
         support = tuple(region[int(i)] for i in picks)
@@ -570,10 +570,12 @@ def _cmd_seminorm_suite(params):
         outcomes.append(domination_check(q, rng, trials=params["trials"]))
         outcomes.append(summability_check(q, f, report))
         for c in outcomes:
-            ok, worst = agg[c.name]
-            agg[c.name] = (ok and c.passed, max(worst, c.residual))
+            ok, worst, first = agg[c.name]
+            if ok and not c.passed:
+                ok, first = False, f"; first failure in seminorm {k}" + (f", {c.detail}" if c.detail else "")
+            agg[c.name] = (ok, max(worst, c.residual), first)
     detail = f"{params['count']} seminorms x {params['trials']} tables"
-    checks = [CheckResult(name, agg[name][0], agg[name][1], detail) for name in _SEMINORM_CHECKS]
+    checks = [CheckResult(name, ok, worst, detail + first) for name, (ok, worst, first) in agg.items()]
     results = {"regionSize": len(region), "count": params["count"], "trials": params["trials"]}
     return checks, results, {}
 

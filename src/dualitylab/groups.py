@@ -342,7 +342,7 @@ class FreeAbelianGroup(Group):
 
 
 class DirectProductGroup(Group):
-    """G x H with pair elements (x, y); used by box weights and tensor checks."""
+    """G x H with pair elements (x, y); used by the tensor-product isomorphism check."""
 
     kind = "product"
 

@@ -25,6 +25,11 @@ from .groups import (
 from .reports import CheckResult, as_int
 
 TENSOR_DIM_CAP = 10**4
+# group-part bruteForce at dimension 64, one duality-lab process each (Python
+# 3.11, 2-core x86-64 host): the exact function algebra of Z64 took 6.2 s,
+# those of Z2^6, Z4^3 and Z8^2 1.5-2.8 s, float function algebras 1.4-2.0 s
+# and every group algebra at most 0.55 s, so the cap is reached in seconds;
+# S3 and S4 are the non-abelian groups the config grammar builds within it
 BRUTE_FORCE_DIM_CAP = 64
 # the exact cycle is slowest at prime orders (largest phi(n)): Z79, the
 # largest prime under the cap, took 54-60 s in three runs and Z83 68 s

@@ -142,13 +142,6 @@ class LengthReport:
             run.append(x)
         return {v: tuple(xs) for v, xs in sorted(acc.items())}
 
-    def sphere_complete(self, level) -> bool:
-        """True when every group element of this length appears in the table."""
-        level = Fraction(level)
-        if level > self.radius:
-            return False
-        return self.boundary is None or level < self.boundary
-
     def max_complete_integer_level(self) -> int:
         """Largest n with all spheres at integer levels <= n complete (-1 if none).
 
@@ -270,34 +263,7 @@ def subadditivity_check(report: LengthReport, samples: int = 500, seed: int = 0)
 
 
 # ---------------------------------------------------------------------------
-# compositions and the sphere-counting bounds
-
-
-def enumerate_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """All ordered tuples of ``parts`` positive integers summing to ``total``.
-
-    Lexicographically ascending.  The count is binomial(total-1, parts-1).
-    """
-    if parts < 1 or total < 1:
-        raise ValueError(f"need total >= 1 and parts >= 1, got {total}, {parts}")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for first in range(1, remaining - slots + 2):
-            rec(prefix + [first], remaining - first, slots - 1)
-
-    if total >= parts:
-        rec([], total, parts)
-    return out
-
-
-def composition_count(total: int, parts: int) -> int:
-    if parts < 1 or total < 1:
-        raise ValueError(f"need total >= 1 and parts >= 1, got {total}, {parts}")
-    return math.comb(total - 1, parts - 1)
+# sphere-counting bounds
 
 
 @dataclass(frozen=True)

@@ -141,10 +141,18 @@ def fold(name: str, outcomes) -> CheckResult:
 def leq_trials(name: str, trials: int, draw, rtol: float) -> CheckResult:
     """Test ``leq(lhs, rhs, rtol)`` on ``trials`` pairs from ``draw()``, called in order.
 
-    Passes when every pair holds; the residual is the worst lhs - rhs, floored at 0.
+    Passes when every pair holds; the residual is the worst lhs - rhs, floored at 0,
+    and the detail names the first failing trial and its pair.
     """
-    pairs = (draw() for _ in range(trials))
-    return fold(name, ((leq(lhs, rhs, rtol), lhs - rhs, "") for lhs, rhs in pairs))
+
+    def outcomes():
+        for i in range(trials):
+            lhs, rhs = draw()
+            ok = leq(lhs, rhs, rtol)
+            # a tag costs a string, so only a failing trial builds one
+            yield ok, lhs - rhs, "" if ok else f"trial {i}: lhs {lhs!r}, rhs {rhs!r}"
+
+    return fold(name, outcomes())
 
 
 def dump_json(payload: dict) -> str:

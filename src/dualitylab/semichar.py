@@ -2,8 +2,8 @@
 
 A weight here is a function f on a group with f >= 1 and
 f(x*y) <= f(x) * f(y); the grammar below produces only such functions, so
-submultiplicativity holds by construction and the sampled verifier exists for
-cross-checks and for user-supplied raw tables.  Both audits here, the sampled
+submultiplicativity holds by construction and the sampled verifier is a
+cross-check of that construction.  Both audits here, the sampled
 f(x*y) <= f(x) f(y) and f(x) <= exp(length(x)) over the settled ball, compare
 at ``reports.LOOSE_TOL`` (1e-9), which absorbs the rounding of exp of a sum
 against a product of exps.
@@ -15,7 +15,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .groups import DirectProductGroup, Element, GeneratorSet, Group
+from .groups import Element, GeneratorSet, Group
 from .length import LengthReport, UnexploredError, WeightFunction
 from .reports import LOOSE_TOL, ConfigError, SampledInequality, as_fraction, fail, leq, sample_pairs
 
@@ -34,12 +34,6 @@ class Semicharacter:
 
     def __call__(self, x) -> float:
         return self.value(x)
-
-    def __add__(self, other):
-        return Sum(self, other)
-
-    def __mul__(self, other):
-        return Product(self, other)
 
 
 def _join_groups(f: Semicharacter, g: Semicharacter) -> Group | None:
@@ -123,60 +117,6 @@ class Inverse(Semicharacter):
 
     def value(self, x) -> float:
         return self.f.value(self.group.inv(self.group.check(x)))
-
-
-class Diagonal(Semicharacter):
-    """Restrict a weight on G x G to the diagonal: x -> f((x, x))."""
-
-    def __init__(self, f: Semicharacter, base: Group):
-        if not isinstance(f.group, DirectProductGroup):
-            raise ValueError("diagonal needs a weight on a product group")
-        if f.group.left is not base or f.group.right is not base:
-            raise ValueError("diagonal needs both factors equal to the base group")
-        self.f = f
-        self.group = base
-
-    def value(self, x) -> float:
-        return self.f.value((x, x))
-
-
-class Box(Semicharacter):
-    """The product weight (s, t) -> f(s) * g(t) on G x H."""
-
-    def __init__(self, f: Semicharacter, g: Semicharacter, product: DirectProductGroup):
-        if not isinstance(product, DirectProductGroup):
-            raise ValueError("box weight needs a product group")
-        if f.group is not None and f.group is not product.left:
-            raise ValueError("left factor mismatch")
-        if g.group is not None and g.group is not product.right:
-            raise ValueError("right factor mismatch")
-        self.f, self.g = f, g
-        self.group = product
-
-    def value(self, x) -> float:
-        s, t = self.group.check(x)
-        return self.f.value(s) * self.g.value(t)
-
-
-class TableWeight(Semicharacter):
-    """A raw table of values >= 1; submultiplicativity is the caller's claim.
-
-    Use ``sampled_submultiplicativity`` to audit one of these.
-    """
-
-    def __init__(self, group: Group, table: dict):
-        self.group = group
-        self.table = {group.check(x): float(v) for x, v in table.items()}
-        for x, v in self.table.items():
-            if v < 1.0:
-                raise ValueError(f"table value {v} < 1 at {group.format(x)}")
-
-    def value(self, x) -> float:
-        x = self.group.check(x)
-        try:
-            return self.table[x]
-        except KeyError:
-            raise UnexploredError(f"{self.group.format(x)} not in table") from None
 
 
 def sampled_submultiplicativity(

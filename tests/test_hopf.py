@@ -928,6 +928,13 @@ def test_group_part_validation():
         group_part(hbig, mode="brute_force")
 
 
+def test_group_part_brute_force_at_the_cap():
+    edge = make_group(GroupSpec.finite_abelian([2] * 6))
+    assert edge.order == BRUTE_FORCE_DIM_CAP
+    part = group_part(group_algebra(edge, make_backend("float")), mode="brute_force")
+    assert part.count == BRUTE_FORCE_DIM_CAP and part.verified and part.closed_under_product
+
+
 def test_tensor_of_cyclic_factors():
     b = make_backend("cyclotomic", order=6)
     z2 = make_group(GroupSpec.finite_abelian([2]))

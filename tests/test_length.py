@@ -2,7 +2,6 @@
 
 import dataclasses
 import heapq
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -16,8 +15,6 @@ from dualitylab import (
     GroupSpec,
     UnexploredError,
     WeightFunction,
-    composition_count,
-    enumerate_compositions,
     explore_ball,
     heisenberg_witness,
     make_generator_set,
@@ -222,11 +219,16 @@ def test_truncation_and_boundary():
     assert rep.max_complete_integer_level() < 10
 
 
+def sphere_complete(report, level):
+    """Every element of length ``level`` is in the table: within the radius, below any boundary."""
+    return level <= report.radius and (report.boundary is None or level < report.boundary)
+
+
 def scanned_complete_level(report):
     """Reference: step down from floor(radius) until a level is complete."""
     n = int(report.radius)
     if report.boundary is not None:
-        while n >= 0 and not report.sphere_complete(n):
+        while n >= 0 and not sphere_complete(report, n):
             n -= 1
     return n
 
@@ -251,8 +253,8 @@ def test_max_complete_level_of_truncated_huge_radius():
     bound = sphere_bound_check(rep)
     assert time.perf_counter() - start < 1.0
     assert level == math.ceil(rep.boundary) - 1 == bound.max_level
-    assert all(rep.sphere_complete(n) for n in range(level + 1))
-    assert not rep.sphere_complete(level + 1)
+    assert all(sphere_complete(rep, n) for n in range(level + 1))
+    assert not sphere_complete(rep, level + 1)
 
 
 def test_radius_zero_and_validation():
@@ -287,29 +289,6 @@ def test_subadditivity_sampled():
     reph = explore_ball(heis, standard_generators(heis), WeightFunction.enumerated(4), radius=10)
     resh = subadditivity_check(reph, samples=400, seed=3)
     assert resh.passed
-
-
-def test_compositions_against_product_scan():
-    # oracle: filter the full integer grid for positive parts with the right sum
-    for total in range(1, 10):
-        for parts in range(1, 6):
-            expected = sorted(
-                t for t in itertools.product(range(1, total + 1), repeat=parts)
-                if sum(t) == total
-            )
-            got = enumerate_compositions(total, parts)
-            assert got == expected
-            assert len(got) == composition_count(total, parts)
-
-
-def test_composition_count_binomial():
-    for n in range(1, 13):
-        for j in range(1, n + 1):
-            assert composition_count(n, j) == math.comb(n - 1, j - 1)
-    with pytest.raises(ValueError):
-        composition_count(0, 1)
-    with pytest.raises(ValueError):
-        enumerate_compositions(3, 0)
 
 
 def test_sphere_bound_line():

@@ -6,9 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dualitylab import (
-    Box,
     Constant,
-    Diagonal,
     ExpLength,
     GroupSpec,
     Inverse,
@@ -16,11 +14,9 @@ from dualitylab import (
     Scale,
     Sum,
     Max,
-    TableWeight,
     UnexploredError,
     WeightFunction,
     build_semicharacter,
-    direct_product,
     explore_ball,
     majorization_check,
     majorize,
@@ -80,11 +76,8 @@ def test_sum_product_max(line):
     assert abs(Sum(f, c)(x) - (f(x) + 2)) < 1e-12
     assert abs(Product(f, c)(x) - 2 * f(x)) < 1e-12
     assert abs(Max(f, c)(x) - max(f(x), 2.0)) < 1e-12
-    # operator sugar routes through the same nodes
-    assert abs((f + c)(x) - Sum(f, c)(x)) < 1e-12
-    assert abs((f * c)(x) - Product(f, c)(x)) < 1e-12
     s3 = make_group(GroupSpec.symmetric(3))
-    other = TableWeight(s3, {s3.identity: 1.0})
+    other = ExpLength(explore_ball(s3, standard_generators(s3), WeightFunction.enumerated(2), radius=2))
     with pytest.raises(ValueError):
         Sum(f, other)  # mismatched home groups
 
@@ -95,39 +88,6 @@ def test_inverse_flips_argument(line):
     h = Inverse(f, group=z)
     assert abs(h((2,)) - f((-2,))) < 1e-12
     assert abs(h((2,)) - math.exp(4)) < 1e-12
-
-
-def test_box_and_diagonal(line):
-    z, rep = line
-    f = ExpLength(rep)
-    g = Scale(2, Constant(1))
-    prod = direct_product(z, z)
-    box = Box(f, g, prod)
-    pair = ((3,), (-1,))
-    assert abs(box(pair) - f((3,)) * 2.0) < 1e-12
-    # box of f with itself, pinched back onto the diagonal: x -> f(x)^2
-    diag = Diagonal(Box(f, f, prod), z)
-    assert abs(diag((3,)) - f((3,)) ** 2) < 1e-12
-    with pytest.raises(ValueError):
-        Box(f, g, z)  # not a product group
-    with pytest.raises(ValueError):
-        Diagonal(f, z)  # f lives on z, not z x z
-    s3 = make_group(GroupSpec.symmetric(3))
-    with pytest.raises(ValueError):
-        Box(f, g, direct_product(s3, z))  # left factor mismatch
-    with pytest.raises(ValueError):
-        Diagonal(Box(f, f, prod), s3)  # factors are not the base
-
-
-def test_table_weight(line):
-    z, _ = line
-    table = {(0,): 1.0, (1,): 2.0, (-1,): 4.0}
-    t = TableWeight(z, table)
-    assert t((1,)) == 2.0
-    with pytest.raises(UnexploredError):
-        t((2,))
-    with pytest.raises(ValueError):
-        TableWeight(z, {(0,): 0.5})
 
 
 def test_majorize_recovers_weights(line):

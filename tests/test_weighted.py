@@ -19,7 +19,6 @@ from dualitylab import (
     WeightFunction,
     WeightedVector,
     absconv_decompose,
-    bipolar_pairing_audit,
     convolve,
     domination_check,
     dual_norm_extremizer,
@@ -27,7 +26,6 @@ from dualitylab import (
     leq,
     make_group,
     pairing,
-    project,
     random_rectangle_member,
     random_table,
     rectangle_bipolar_contains,
@@ -64,9 +62,9 @@ def test_from_items_merges_and_drops_zeros():
 def test_group_mismatch_rejected():
     other = make_group(GroupSpec.free_abelian(1))
     with pytest.raises(ValueError):
-        vec([((0,), 1.0)]) + WeightedVector.basis(other, (0,), 1.0)
+        vec([((0,), 1.0)]) + WeightedVector.from_items(other, [((0,), 1.0)])
     with pytest.raises(ValueError):
-        convolve(vec([((0,), 1.0)]), WeightedVector.basis(other, (0,), 1.0))
+        convolve(vec([((0,), 1.0)]), WeightedVector.from_items(other, [((0,), 1.0)]))
 
 
 def test_seminorm_hand_value():
@@ -91,18 +89,10 @@ def test_convolution_matches_numpy_polynomial_product():
 
 
 def test_convolution_shifts_by_group_law():
-    delta = WeightedVector.basis(Z, (-3,), 2.0)
+    delta = vec([((-3,), 2.0)])
     alpha = vec([((1,), 1.0), ((5,), -1.0)])
     out = convolve(delta, alpha)
     assert out.coeffs == {(-2,): 2 + 0j, (2,): -2 + 0j}
-
-
-def test_projection_keeps_exact_coefficients():
-    alpha = vec([((0,), 1.0), ((1,), 2.0), ((2,), 3.0)])
-    out = project(alpha, [(1,), (2,), (9,)])
-    assert out.coeffs == {(1,): 2 + 0j, (2,): 3 + 0j}
-    assert seminorm(out, F) <= seminorm(alpha, F)
-    assert project(alpha, []).coeffs == {}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -118,7 +108,7 @@ def test_projection_keeps_exact_coefficients():
 )
 def test_projection_contracts_property(items, keep):
     alpha = vec([((x,), c) for x, c in items])
-    out = project(alpha, [(x,) for x in keep])
+    out = WeightedVector(Z, {x: c for x, c in alpha.coeffs.items() if x[0] in keep})
     assert leq(seminorm(out, F), seminorm(alpha, F))
 
 
@@ -140,24 +130,24 @@ def test_extremizer_attains_the_seminorm():
 
 
 def test_polar_membership_boundary():
-    assert rectangle_polar_contains(WeightedVector.basis(Z, (0,), 1.0), F)
-    assert not rectangle_polar_contains(WeightedVector.basis(Z, (1,), 1.0), F)
-    assert rectangle_polar_contains(WeightedVector.basis(Z, (1,), math.exp(-1)), F)
+    assert rectangle_polar_contains(vec([((0,), 1.0)]), F)
+    assert not rectangle_polar_contains(vec([((1,), 1.0)]), F)
+    assert rectangle_polar_contains(vec([((1,), math.exp(-1))]), F)
     assert rectangle_bipolar_contains({(0,): 1.0, (1,): math.e}, F)
     assert not rectangle_bipolar_contains({(1,): math.e * 1.01}, F)
 
 
 def test_bipolar_audit_agreement_and_guard():
     inside = {(0,): 0.5, (1,): math.e * 0.9}
-    members = [WeightedVector.basis(Z, (0,), 0.7)]
-    pointwise, paired, worst = bipolar_pairing_audit(inside, F, Z, members)
+    members = [vec([((0,), 0.7)])]
+    pointwise, paired, worst = weighted._bipolar_pairing_audit(inside, F, members)
     assert pointwise and paired and worst <= 1.0 + 1e-12
     outside = {(1,): math.e * 1.5}
-    pointwise, paired, worst = bipolar_pairing_audit(outside, F, Z, members)
+    pointwise, paired, worst = weighted._bipolar_pairing_audit(outside, F, members)
     assert not pointwise and not paired and worst > 1.0
-    bad_member = WeightedVector.basis(Z, (1,), 1.0)  # seminorm e > 1
+    bad_member = vec([((1,), 1.0)])  # seminorm e > 1
     with pytest.raises(ValueError):
-        bipolar_pairing_audit(inside, F, Z, [bad_member])
+        weighted._bipolar_pairing_audit(inside, F, [bad_member])
 
 
 def basis_route_worst(table, f, group):
@@ -167,7 +157,7 @@ def basis_route_worst(table, f, group):
         v = complex(v)
         if v == 0:
             continue
-        alpha = WeightedVector.basis(group, x, v.conjugate() / abs(v) / f.value(x))
+        alpha = WeightedVector.from_items(group, [(x, v.conjugate() / abs(v) / f.value(x))])
         worst = max(worst, abs(pairing(alpha, table)))
     return worst
 
@@ -181,7 +171,6 @@ PAIRING_VALUES = st.sampled_from([0.0, -0.0, 1e-300, -2.5, math.e]) | st.complex
 def test_single_point_members_pair_without_vectors(table):
     pointwise, paired, worst = weighted._bipolar_pairing_audit(table, F, [])
     assert worst == basis_route_worst(table, F, Z)
-    assert (pointwise, paired, worst) == bipolar_pairing_audit(table, F, Z, [])
 
 
 def test_property_trials_build_no_single_point_vectors(monkeypatch):
@@ -193,10 +182,6 @@ def test_property_trials_build_no_single_point_vectors(monkeypatch):
 
     monkeypatch.setattr(WeightedVector, "from_items", rebuilt)
     assert repr(weighted_property_trials(F, g, HALF, trials=100, seed=5)) == repr(out)
-    monkeypatch.undo()
-    # the public audit still checks every point of its table
-    with pytest.raises(ValueError):
-        bipolar_pairing_audit({(0,): 0.5, (0, 1): 0.0}, F, Z, [])
 
 
 def test_property_trials_check_each_element_at_most_twice(monkeypatch):
@@ -422,10 +407,12 @@ def hand_trial_loop(pairs, rtol):
     """The lhs <= rhs trial loop that ``leq_trials`` folds, kept as its oracle."""
     worst = 0.0
     ok = True
-    for lhs, rhs in pairs:
+    detail = ""
+    for i, (lhs, rhs) in enumerate(pairs):
         worst = max(worst, lhs - rhs)
-        ok = ok and leq(lhs, rhs, rtol)
-    return CheckResult(name="trial", passed=ok, residual=max(worst, 0.0))
+        if ok and not leq(lhs, rhs, rtol):
+            ok, detail = False, f"trial {i}: lhs {lhs!r}, rhs {rhs!r}"
+    return CheckResult(name="trial", passed=ok, residual=max(worst, 0.0), detail=detail)
 
 
 # pairs anywhere, and pairs within a few 1e-9 of each other, where the two
@@ -452,7 +439,8 @@ def test_leq_trials_matches_the_hand_loop(pairs, rtol):
 
 def test_leq_trials_tolerances_and_residual_floor():
     tight = [(1.0 + 1e-10, 1.0)]
-    assert not leq_trials("t", 1, iter(tight).__next__, REL_TOL).passed
+    failed = leq_trials("t", 1, iter(tight).__next__, REL_TOL)
+    assert not failed.passed and failed.detail == "trial 0: lhs 1.0000000001, rhs 1.0"
     assert leq_trials("t", 1, iter(tight).__next__, LOOSE_TOL).passed
     slack = [(0.5, 1.0), (1.0, 3.0)]
     assert leq_trials("t", 2, iter(slack).__next__, REL_TOL) == CheckResult("t", True, residual=0.0)
@@ -483,9 +471,13 @@ def hand_property_trials(f, g, region, group, trials, seed):
         leq_trials("projection-contraction", trials, draw_projection, w.REL_TOL),
     ]
 
+    def witness(i, alpha):
+        return f"trial {i}: support " + " ".join(group.format(x) for x in sorted(alpha.coeffs))
+
     worst = 0.0
     ok = True
-    for _ in range(trials):
+    detail = ""
+    for i in range(trials):
         alpha = w._random_vector(group, region, rng)
         u = dual_norm_extremizer(alpha, f)
         value = pairing(alpha, u)
@@ -493,10 +485,10 @@ def hand_property_trials(f, g, region, group, trials, seed):
         err = abs(value - target)
         rel = err / max(target, 1.0)
         worst = max(worst, rel)
-        ok = ok and rel <= w.REL_TOL
         member = w.random_rectangle_member(f, region, rng)
-        ok = ok and leq(abs(pairing(alpha, member)), target)
-    results.append(CheckResult(name="extremizer-optimal", passed=ok, residual=worst))
+        if ok and not (rel <= w.REL_TOL and leq(abs(pairing(alpha, member)), target)):
+            ok, detail = False, witness(i, alpha)
+    results.append(CheckResult(name="extremizer-optimal", passed=ok, residual=worst, detail=detail))
 
     ok = True
     agreements = 0
@@ -517,7 +509,8 @@ def hand_property_trials(f, g, region, group, trials, seed):
 
     ok = True
     worst = 0.0
-    for _ in range(trials):
+    detail = ""
+    for i in range(trials):
         alpha = w._random_vector(group, region, rng)
         norm = seminorm(alpha, MinWeight(f, g))
         if norm == 0.0:
@@ -526,11 +519,12 @@ def hand_property_trials(f, g, region, group, trials, seed):
         alpha = alpha.scaled(target / norm)
         dec = absconv_decompose(alpha, f, g)
         expected_feasible = leq(dec.min_norm, 1.0)
-        ok = ok and (dec.feasible == expected_feasible) and dec.verify(alpha, f, g)
+        if ok and not ((dec.feasible == expected_feasible) and dec.verify(alpha, f, g)):
+            ok, detail = False, witness(i, alpha)
         if dec.feasible:
             recombined = dec.beta.scaled(dec.lam) + dec.gamma.scaled(1.0 - dec.lam)
             worst = max(worst, recombined.max_abs_diff(alpha))
-    results.append(CheckResult(name="decomposition-sound", passed=ok, residual=worst))
+    results.append(CheckResult(name="decomposition-sound", passed=ok, residual=worst, detail=detail))
     return results
 
 
@@ -568,7 +562,7 @@ def test_property_trial_folds_match_the_hand_loops(ball, picks, trials, seed, fa
         got = weighted_property_trials(f, g, region, group=group, trials=trials, seed=seed)
     assert got == want
     if fault == "tolerance":
-        assert not got[2].passed
+        assert not got[2].passed and got[2].detail.startswith("trial 0: support ")
 
 
 def test_fold_consumes_every_outcome_and_names_the_first_failure():
