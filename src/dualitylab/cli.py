@@ -27,6 +27,7 @@ from .groups import (
     element_from_payload,
     make_generator_set,
     make_group,
+    require,
     standard_generators,
 )
 from .hopf import (
@@ -54,7 +55,7 @@ from .length import (
     summability_partial_sums,
 )
 from .reports import CheckResult, ConfigError, as_fraction, as_int, fail, write_csv, write_json
-from .scalars import make_backend
+from .scalars import make_backend, require_tolerance
 from .semichar import (
     ExpLength,
     build_semicharacter,
@@ -77,6 +78,17 @@ from .weighted import (
 
 def _echo_fraction(q: Fraction):
     return int(q) if q.denominator == 1 else str(q)
+
+
+def _rooted(path: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``; a ConfigError's paths, relative to the call's argument, are
+    joined onto the JSON path ``path``, and any other ValueError is reported at ``path``."""
+    try:
+        return call(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError([(f"{path}.{p}" if p else path, m) for p, m in exc.errors]) from None
+    except ValueError as exc:
+        fail(path, str(exc))
 
 
 def _as_str(value, path: str, choices=None) -> str:
@@ -102,42 +114,21 @@ def _parse_group(obj, path: str) -> tuple[Group, dict]:
     kind = _as_str(obj["kind"], f"{path}.kind")
     label = _as_str(obj.get("label", ""), f"{path}.label")
     fields = {k: obj[k] for k in _GROUP_FIELDS if k in obj}
-    try:
-        spec = GroupSpec(kind=kind, label=label, **fields)
-    except ConfigError as exc:
-        raise ConfigError([(f"{path}.{p}", m) for p, m in exc.errors]) from None
+    spec = _rooted(path, GroupSpec, kind=kind, label=label, **fields)
     echo = {"kind": kind, **fields}
     if label:
         echo["label"] = label
     return make_group(spec), echo
 
 
-def _require_finite(group: Group, path: str) -> Group:
-    if not group.is_finite:
-        fail(path, f"this command needs a finite group, got {group.label!r}")
-    return group
-
-
 def _parse_generators(raw, group: Group, path: str) -> tuple[GeneratorSet, object]:
     value = raw.get("generators", "standard")
     if value == "standard":
-        try:
-            return standard_generators(group), "standard"
-        except ValueError as exc:
-            fail(path, str(exc))
+        return _rooted(path, standard_generators, group), "standard"
     if not isinstance(value, list) or not value:
         fail(path, "expected \"standard\" or a non-empty list of elements")
-    elems = []
-    for i, payload in enumerate(value):
-        try:
-            elems.append(element_from_payload(group, payload))
-        except ValueError as exc:
-            fail(f"{path}[{i}]", str(exc))
-    try:
-        gens = make_generator_set(group, elems)
-    except ValueError as exc:
-        fail(path, str(exc))
-    return gens, value
+    elems = [_rooted(f"{path}[{i}]", element_from_payload, group, p) for i, p in enumerate(value)]
+    return _rooted(path, make_generator_set, group, elems), value
 
 
 def _parse_weights(raw, count: int, path: str) -> tuple[WeightFunction, object]:
@@ -148,8 +139,7 @@ def _parse_weights(raw, count: int, path: str) -> tuple[WeightFunction, object]:
         return WeightFunction.constant(count), "constant"
     if not isinstance(value, list):
         fail(path, "expected \"enumerated\", \"constant\", or a list of weights")
-    if len(value) != count:
-        fail(path, f"expected {count} weights (one per generator), got {len(value)}")
+    _rooted(path, WeightFunction.require_count, value, count)
     parsed = [as_fraction(v, f"{path}[{i}]", minimum=0) for i, v in enumerate(value)]
     return WeightFunction(tuple(parsed)), value
 
@@ -183,8 +173,7 @@ def parse_config(raw, seed_override=None, backend_override=None) -> RunConfig:
     seed = raw.get("seed", 0) if seed_override is None else seed_override
     seed = as_int(seed, "seed", minimum=0, maximum=2**64 - 1)
     tolerance = float(as_fraction(raw.get("tolerance", 1e-9), "tolerance"))
-    if tolerance <= 0:
-        fail("tolerance", f"must be positive, got {tolerance}")
+    _rooted("tolerance", require_tolerance, tolerance)
 
     backend_name = None
     if "backend" in keys:
@@ -212,7 +201,7 @@ def _make_backend_for(params, *groups):
 def _parse_finite(raw, params, inputs) -> Group:
     """The finite group and its backend, which every structure command shares."""
     group, inputs["group"] = _parse_group(raw.get("group"), "group")
-    params["group"] = _require_finite(group, "group")
+    params["group"] = _rooted("group", require, group)
     params["backend"] = _make_backend_for(params, group)
     return group
 
@@ -225,9 +214,7 @@ def _parse_hopf_axioms(raw, params, inputs):
 
 
 def _parse_duality_cycle(raw, params, inputs):
-    group = _parse_finite(raw, params, inputs)
-    if group.kind != "finite_abelian":
-        fail("group.kind", "duality-cycle needs a finite_abelian group")
+    group = _rooted("group", require, _parse_finite(raw, params, inputs), "finite_abelian")
     perturb = raw.get("perturb")
     if perturb is not None:
         if not isinstance(perturb, list) or len(perturb) != 2:
@@ -260,8 +247,8 @@ def _parse_group_part(raw, params, inputs):
 def _parse_tensor_iso(raw, params, inputs):
     left, inputs["left"] = _parse_group(raw.get("left"), "left")
     right, inputs["right"] = _parse_group(raw.get("right"), "right")
-    params["left"] = _require_finite(left, "left")
-    params["right"] = _require_finite(right, "right")
+    params["left"] = _rooted("left", require, left)
+    params["right"] = _rooted("right", require, right)
     params["backend"] = _make_backend_for(params, left, right)
 
 
@@ -316,8 +303,7 @@ def _parse_cayley(raw, params, inputs):
 
 def _parse_counterexample(raw, params, inputs):
     group, inputs["group"] = _parse_group(raw.get("group", {"kind": "heisenberg"}), "group")
-    if group.kind != "heisenberg":
-        fail("group.kind", "counterexample needs the heisenberg group")
+    _rooted("group", require, group, "heisenberg")
     if "nMax" not in raw:
         fail("nMax", "required")
     n_max = as_int(raw["nMax"], "nMax", minimum=1, maximum=10**4)
@@ -330,8 +316,7 @@ def _parse_counterexample(raw, params, inputs):
 def _parse_nuclearity(raw, params, inputs):
     inputs["generators"] = _parse_ball(raw, params, inputs)
     weights, inputs["weights"] = _parse_weights(raw, len(params["generators"].elements), "weights")
-    if not weights.is_integer:
-        fail("weights", "nuclearity needs integer base weights")
+    _rooted("weights", weights.require_integer)
     # along a base-shortest word of length l, each letter of weight w_k costs k more in the
     # companion, so the gap is at most c l with c = max k / w_k, and at most R - l for a
     # companion length R: at most R c / (1 + c) (R itself when a weight is 0)

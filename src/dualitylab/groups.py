@@ -100,7 +100,6 @@ class Group:
     is_finite: bool = False
 
     def __init__(self, spec: GroupSpec, label: str):
-        self.spec = spec
         self.label = spec.label or label
 
     @property
@@ -349,7 +348,6 @@ class DirectProductGroup(Group):
     def __init__(self, left: Group, right: Group):
         self.left = left
         self.right = right
-        self.spec = None
         self.label = f"({left.label})x({right.label})"
         self.is_finite = left.is_finite and right.is_finite
 
@@ -400,6 +398,18 @@ def make_group(spec: GroupSpec) -> Group:
 
 def direct_product(left: Group, right: Group) -> DirectProductGroup:
     return DirectProductGroup(left, right)
+
+
+def require(group: Group, kind: str | None = None) -> Group:
+    """The group a construction needs: finite, or of ``kind`` when one is named.
+
+    ConfigError at "" for an infinite group, or at "kind" for a group of another kind.
+    """
+    if kind is None and not group.is_finite:
+        fail("", f"needs a finite group, got {group.label!r}")
+    if kind not in (None, group.kind):
+        fail("kind", f"needs a {kind} group, got kind {group.kind!r}")
+    return group
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groups import Element, GeneratorSet, Group
-from .reports import SampledInequality, leq, sample_pairs
+from .groups import Element, GeneratorSet, Group, require
+from .reports import SampledInequality, fail, leq, sample_pairs
 
 DEFAULT_RADIUS = Fraction(14)
 DEFAULT_ELEMENT_CAP = 10**6
@@ -55,9 +55,16 @@ class WeightFunction:
         """Weight k on the k-th generator (1-based): the canonical injective mode."""
         return cls(tuple(Fraction(k) for k in range(1, count + 1)))
 
-    @classmethod
-    def of(cls, values: Sequence) -> "WeightFunction":
-        return cls(tuple(Fraction(v) for v in values))
+    @staticmethod
+    def require_count(values: Sequence, count: int) -> None:
+        """One weight per generator; ConfigError at "" unless ``values`` holds ``count``."""
+        if len(values) != count:
+            fail("", f"expected {count} weights (one per generator), got {len(values)}")
+
+    def require_integer(self) -> None:
+        """Integer base weights, which the nuclearity witness needs; ConfigError at "" otherwise."""
+        if not self.is_integer:
+            fail("", "nuclearity needs integer base weights")
 
     @property
     def is_integer(self) -> bool:
@@ -176,10 +183,7 @@ def explore_ball(
     if element_cap < 1:
         raise ValueError(f"element cap must be positive, got {element_cap}")
     gens = generators.elements
-    if len(gens) != len(weights.values):
-        raise ValueError(
-            f"{len(gens)} generators but {len(weights.values)} weights"
-        )
+    WeightFunction.require_count(weights.values, len(gens))
     scale = math.lcm(*(w.denominator for w in weights.values))
     int_weights = [int(w * scale) for w in weights.values]
     int_radius = math.floor(radius * scale)  # costs are integers, so c <= r*scale iff c <= this
@@ -407,8 +411,7 @@ def nuclearity_witness(
     partial sums of exp(-d) stay below 1 + r / (2 (1 - r)^2), r = 2/e.
     The check runs on the region where both lengths are settled.
     """
-    if not weights.is_integer:
-        raise ValueError("nuclearity witness needs integer base weights")
+    weights.require_integer()
     base = explore_ball(group, generators, weights, radius, element_cap)
     shifted = explore_ball(group, generators, weights.shifted_by_index(), radius, element_cap)
     counts: dict[int, int] = {}
@@ -509,8 +512,7 @@ def heisenberg_witness(group: Group, n_max: int, constant=1) -> HeisenbergWitnes
     against rational enclosures of ln 2.  The logs in each row are floats for
     display only.
     """
-    if group.kind != "heisenberg":
-        raise ValueError(f"witness needs the Heisenberg group, got kind {group.kind!r}")
+    require(group, "heisenberg")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     constant = Fraction(constant)

@@ -16,11 +16,11 @@ LOOSE_TOL = 1e-9  # for the rounding of tight products: exp of a sum against a p
 
 
 class ConfigError(ValueError):
-    """Invalid input; carries (path, message) pairs, one per JSON path at fault."""
+    """Invalid input: (path, message) pairs, one per path at fault, "" for the checked argument."""
 
     def __init__(self, errors):
         self.errors = [(str(p), str(m)) for p, m in errors]
-        super().__init__("; ".join(f"{p}: {m}" for p, m in self.errors))
+        super().__init__("; ".join(f"{p}: {m}" if p else m for p, m in self.errors))
 
 
 def fail(path: str, message: str):

@@ -21,6 +21,16 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
+from .reports import fail
+
+
+def require_tolerance(tolerance: float) -> float:
+    """The float backend's equality tolerance; ConfigError at "" unless it is positive."""
+    if tolerance <= 0:
+        fail("", f"must be positive, got {tolerance}")
+    return tolerance
+
+
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -65,9 +75,7 @@ class ComplexFloatBackend:
     exact = False
 
     def __init__(self, tolerance: float = 1e-9):
-        if tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
-        self.tolerance = tolerance
+        self.tolerance = require_tolerance(tolerance)
         self.zero = 0j
         self.one = 1 + 0j
 

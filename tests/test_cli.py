@@ -3,10 +3,23 @@
 import json
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
-from dualitylab import weighted
+from dualitylab import (
+    ComplexFloatBackend,
+    GroupSpec,
+    WeightFunction,
+    duality_cycle,
+    explore_ball,
+    function_algebra,
+    heisenberg_witness,
+    make_group,
+    nuclearity_witness,
+    standard_generators,
+    weighted,
+)
 from dualitylab.cli import ConfigError, main, parse_config, run_command
 
 
@@ -78,14 +91,14 @@ def test_counterexample_constraints():
     ]
     assert errors({"command": "counterexample", "nMax": 3,
                    "group": {"kind": "free", "rank": 2}}) == [
-        ("group.kind", "counterexample needs the heisenberg group")
+        ("group.kind", "needs a heisenberg group, got kind 'free'")
     ]
 
 
 def test_duality_cycle_constraints():
     base = {"command": "duality-cycle"}
     assert errors({**base, "group": {"kind": "symmetric", "degree": 3}}) == [
-        ("group.kind", "duality-cycle needs a finite_abelian group")
+        ("group.kind", "needs a finite_abelian group, got kind 'symmetric'")
     ]
     z2 = {"kind": "finite_abelian", "orders": [2]}
     assert errors({**base, "group": z2, "perturb": [1]}) == [
@@ -150,6 +163,33 @@ def test_common_field_constraints():
     assert errors({**base, "tolerance": [10**400, 1]}) == [("tolerance", PAST_FLOAT_RANGE)]
     assert errors({**base, "C": [10**400, 3]}) == [("C", PAST_FLOAT_RANGE)]
     assert errors({**base, "C": [-(10**400), 3]}) == [("C", PAST_FLOAT_RANGE)]
+
+
+Z, S3, F2 = (make_group(spec) for spec in
+              (GroupSpec.free_abelian(1), GroupSpec.symmetric(3), GroupSpec.free(2)))
+
+
+# each input rule: a config that breaks it, the JSON path of the rule's argument there,
+# and a library call that breaks it the same way
+@pytest.mark.parametrize("config, root, call", [
+    ({"command": "hopf-axioms", "group": {"kind": "free_abelian", "rank": 1}}, "group",
+     lambda: function_algebra(Z, ComplexFloatBackend())),
+    ({"command": "duality-cycle", "group": {"kind": "symmetric", "degree": 3}}, "group",
+     lambda: duality_cycle(S3, ComplexFloatBackend())),
+    ({"command": "counterexample", "nMax": 3, "group": {"kind": "free", "rank": 2}}, "group",
+     lambda: heisenberg_witness(F2, 3)),
+    ({"command": "nuclearity", "group": {"kind": "free_abelian", "rank": 1}, "weights": [[1, 2], 1]},
+     "weights",
+     lambda: nuclearity_witness(Z, standard_generators(Z), WeightFunction((Fraction(1, 2), Fraction(1))))),
+    ({"command": "cayley", "group": {"kind": "free", "rank": 2}, "weights": [1, 2, 3]}, "weights",
+     lambda: explore_ball(F2, standard_generators(F2), WeightFunction.enumerated(3))),
+    ({"command": "counterexample", "nMax": 3, "tolerance": 0}, "tolerance",
+     lambda: ComplexFloatBackend(0.0)),
+], ids=["finite", "finite_abelian", "heisenberg", "integer-weights", "weight-count", "tolerance"])
+def test_cli_reports_the_library_rule_at_its_path(config, root, call):
+    with pytest.raises(ConfigError) as exc:
+        call()
+    assert errors(config) == [(f"{root}.{p}" if p else root, m) for p, m in exc.value.errors]
 
 
 def test_overrides_and_echoes():

@@ -935,6 +935,44 @@ def test_group_part_brute_force_at_the_cap():
     assert part.count == BRUTE_FORCE_DIM_CAP and part.verified and part.closed_under_product
 
 
+def closed_by_full_scan(h, vectors):
+    """The closure verdict as a scan of the whole family for every product."""
+    return all(hopf._contains(h.backend, vectors, mul_vec(h, v, w)) for v in vectors for w in vectors)
+
+
+def closure_families():
+    """(algebra, family, closed?) triples, closed ones from group_part and open ones made by hand."""
+    for kind, orders in (("float", [2, 3]), ("cyclotomic", [2, 3]), ("float", [4])):
+        g = make_group(GroupSpec.finite_abelian(orders))
+        b = make_backend(kind, order=g.exponent)
+        for build in (function_algebra, group_algebra):
+            h = build(g, b)
+            yield h, list(group_part(h).vectors), True
+    s3 = make_group(GroupSpec.symmetric(3))
+    for kind in ("float", "cyclotomic"):
+        b = make_backend(kind, order=6)
+        h = group_algebra(s3, b)
+        deltas = list(group_part(h).vectors)
+        # a corrupted cell: delta_1 * delta_2 = 2 delta_0, whose support is delta_0's
+        two = b.add(b.one, b.one)
+        yield dataclasses.replace(h, mul={**h.mul, (1, 2): {0: two}}), deltas, False
+        # a product off the family's supports entirely
+        yield dataclasses.replace(h, mul={**h.mul, (1, 2): {0: b.one, 3: b.one}}), deltas, False
+    # float noise at the is_zero threshold: the product's support drops a key that
+    # the family member keeps, yet the two are equal within the tolerance
+    h = group_algebra(make_group(GroupSpec.finite_abelian([2])), make_backend("float", tolerance=1e-9))
+    noisy = {0: 1 + 0j, 1: 1.2e-9 + 0j}
+    yield dataclasses.replace(h, mul={(0, 0): {0: 1 + 0j, 1: 0.6e-9 + 0j}}), [noisy], True
+
+
+def test_closure_buckets_match_the_full_scan():
+    seen = collections.Counter()
+    for h, vectors, closed in closure_families():
+        assert hopf._closed_under_product(h, vectors) == closed_by_full_scan(h, vectors) == closed
+        seen[closed] += 1
+    assert seen == {True: 7, False: 4}
+
+
 def test_tensor_of_cyclic_factors():
     b = make_backend("cyclotomic", order=6)
     z2 = make_group(GroupSpec.finite_abelian([2]))

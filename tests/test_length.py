@@ -27,6 +27,11 @@ from dualitylab import (
 )
 
 
+def weights_of(values) -> WeightFunction:
+    """A weight function from ints, Fractions or strings, one per generator."""
+    return WeightFunction(tuple(Fraction(v) for v in values))
+
+
 def line_report(radius=14):
     z = make_group(GroupSpec.free_abelian(1))
     gens = standard_generators(z)
@@ -81,7 +86,7 @@ def test_weighted_bfs_oracle_z2():
                     best[y] = cy
                     nxt[y] = cy
         frontier = nxt
-    rep = explore_ball(z2, gens, WeightFunction.of(weights), radius=8)
+    rep = explore_ball(z2, gens, weights_of(weights), radius=8)
     assert rep.lengths == dict(sorted(best.items(), key=lambda kv: (kv[1], kv[0])))
 
 
@@ -145,7 +150,7 @@ def test_level_buckets_match_the_heap_search(data):
     radius = data.draw(st.sampled_from([0, 10**9]) | st.fractions(min_value=0, max_value=8,
                                                                   max_denominator=4))
     cap = data.draw(st.integers(min_value=1, max_value=300))
-    rep = explore_ball(group, gens, WeightFunction.of(weights), radius, cap)
+    rep = explore_ball(group, gens, weights_of(weights), radius, cap)
     lengths, truncated, boundary = heap_search(group, gens, [Fraction(w) for w in weights],
                                                Fraction(radius), cap)
     assert list(rep.lengths.items()) == list(lengths.items())
@@ -170,7 +175,7 @@ def test_zero_weight_step_settles_on_the_open_level():
     # settling after the element that reached it, before (-1,) opens level 1
     z = make_group(GroupSpec.free_abelian(1))
     gens = standard_generators(z)
-    rep = explore_ball(z, gens, WeightFunction.of([0, 1]), radius=2, element_cap=5)
+    rep = explore_ball(z, gens, weights_of([0, 1]), radius=2, element_cap=5)
     assert rep.lengths == {(k,): 0 for k in range(5)}
     assert rep.truncated and rep.boundary == 0
     assert (rep.lengths, rep.truncated, rep.boundary) == heap_search(
@@ -267,7 +272,7 @@ def test_radius_zero_and_validation():
     with pytest.raises(ValueError):
         explore_ball(z, gens, WeightFunction.enumerated(3), radius=1)  # count mismatch
     with pytest.raises(ValueError):
-        WeightFunction.of([-1])
+        weights_of([-1])
     with pytest.raises(ValueError):
         explore_ball(z, gens, WeightFunction.enumerated(2), radius=1, element_cap=0)
 
@@ -275,7 +280,7 @@ def test_radius_zero_and_validation():
 def test_rational_weights_exact_priorities():
     z = make_group(GroupSpec.free_abelian(1))
     gens = standard_generators(z)
-    rep = explore_ball(z, gens, WeightFunction.of([Fraction(1, 3), Fraction(1, 2)]), radius=2)
+    rep = explore_ball(z, gens, weights_of([Fraction(1, 3), Fraction(1, 2)]), radius=2)
     assert rep.final_length((3,)) == 1
     assert rep.final_length((-2,)) == 1
     assert rep.final_length((6,)) == 2
@@ -368,7 +373,7 @@ def test_nuclearity_gap_hand_values():
 def test_nuclearity_reads_the_shifted_ball_without_checks(monkeypatch, spec, weights, radius, cap):
     g = make_group(spec)
     gens = standard_generators(g)
-    w = WeightFunction.of(weights) if weights else WeightFunction.enumerated(len(gens.elements))
+    w = weights_of(weights) if weights else WeightFunction.enumerated(len(gens.elements))
     base = explore_ball(g, gens, w, radius, cap)
     shifted = explore_ball(g, gens, w.shifted_by_index(), radius, cap)
     final = [shifted.is_final(x) for x, _ in base.final_items()]
@@ -385,7 +390,7 @@ def test_nuclearity_needs_integer_weights():
     z = make_group(GroupSpec.free_abelian(1))
     gens = standard_generators(z)
     with pytest.raises(ValueError):
-        nuclearity_witness(z, gens, WeightFunction.of([Fraction(1, 2), Fraction(1)]), radius=2)
+        nuclearity_witness(z, gens, weights_of([Fraction(1, 2), Fraction(1)]), radius=2)
 
 
 def heis_matrix_power(mat, n):
@@ -458,4 +463,4 @@ def test_weight_function_helpers():
     shifted = w.shifted_by_index()
     assert [int(v) for v in shifted.values] == [2, 4, 6]
     assert not WeightFunction.constant(2).is_injective_integer
-    assert not WeightFunction.of([Fraction(1, 2), Fraction(1)]).is_integer
+    assert not weights_of([Fraction(1, 2), Fraction(1)]).is_integer

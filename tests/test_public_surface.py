@@ -11,6 +11,9 @@ also appears in a comment or a docstring counts as reached, and so does a
 method that shares its name with a used one (a ``basis`` method on a second
 class would pass on ``HopfAlgebra.basis``'s calls).  The guard finds names
 that nothing mentions; it cannot prove that a mentioned name is called.
+
+No linter runs on the library, so a second check stands in for one rule of
+it: a module other than ``__init__.py`` may not import a name it never uses.
 """
 
 import ast
@@ -51,3 +54,22 @@ def test_every_public_name_is_reached_outside_tests():
     assert public
     unreached = [where for where, bare in public if words[bare] <= definitions[bare]]
     assert unreached == [], f"public names only tests reach: {unreached}"
+
+
+def imported_names(tree):
+    """Each name a module's imports bind, with its line (``from __future__`` excluded)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported_names(tree) if name not in used]
+    assert unused == [], f"imported but never used: {unused}"
