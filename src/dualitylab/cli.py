@@ -39,6 +39,7 @@ from .hopf import (
     group_part,
     perturb_entry,
     product_iso_check,
+    require_cycle_group,
     same_tensors,
 )
 from .length import (
@@ -198,10 +199,11 @@ def _make_backend_for(params, *groups):
     return make_backend(params["backend_name"], tolerance=params["tolerance"], order=order)
 
 
-def _parse_finite(raw, params, inputs) -> Group:
-    """The finite group and its backend, which every structure command shares."""
+def _parse_finite(raw, params, inputs, rule=require) -> Group:
+    """The finite group and its backend, which every structure command shares; ``rule`` is
+    the library check the command's group must pass, run before the backend is built."""
     group, inputs["group"] = _parse_group(raw.get("group"), "group")
-    params["group"] = _rooted("group", require, group)
+    params["group"] = _rooted("group", rule, group)
     params["backend"] = _make_backend_for(params, group)
     return group
 
@@ -214,7 +216,7 @@ def _parse_hopf_axioms(raw, params, inputs):
 
 
 def _parse_duality_cycle(raw, params, inputs):
-    group = _rooted("group", require, _parse_finite(raw, params, inputs), "finite_abelian")
+    group = _parse_finite(raw, params, inputs, require_cycle_group)
     perturb = raw.get("perturb")
     if perturb is not None:
         if not isinstance(perturb, list) or len(perturb) != 2:
@@ -381,9 +383,7 @@ def _cmd_hopf_axioms(params):
 def _cmd_duality_cycle(params):
     group = params["group"]
     backend = params["backend"]
-    rep, cap = _capped(duality_cycle, group, backend, params["perturb"])
-    if cap is not None:
-        return [cap], {"order": group.order}, {}
+    rep = duality_cycle(group, backend, params["perturb"])
     if params["perturb"] is None:
         checks = list(rep.stages)
     else:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .groups import Group, GroupSpec, direct_product, make_group, require, walk
-from .reports import CheckResult, as_int
+from .reports import CheckResult, as_int, fail
 
 TENSOR_DIM_CAP = 10**4
 # group-part bruteForce at dimension 64, one duality-lab process each (Python
@@ -24,10 +24,11 @@ TENSOR_DIM_CAP = 10**4
 # and every group algebra at most 0.55 s, so the cap is reached in seconds;
 # S3 and S4 are the non-abelian groups the config grammar builds within it
 BRUTE_FORCE_DIM_CAP = 64
-# the exact cycle is slowest at prime orders (largest phi(n)): Z79, the
-# largest prime under the cap, took 54-60 s in three runs and Z83 68 s
-# (Python 3.11, 2-core x86-64 host), so orders up to 82 finish in a minute
-DUALITY_ORDER_CAP = 82
+# the exact cycle is slowest at prime orders (largest phi(n)); through duality-lab,
+# one process each (Python 3.11, 2-core x86-64 host): Z79 9.1 s, Z83 11.7 s,
+# Z101 20.8 s, Z113 34.2 s, and Z127, the largest prime under the cap, 41.5-50.4 s
+# in three runs at 174 MB peak, so orders up to 128 finish in a minute
+DUALITY_ORDER_CAP = 128
 
 # Vec maps basis index -> scalar; PairVec maps (index, index) -> scalar.
 
@@ -735,6 +736,17 @@ def perturb_entry(perturb, order: int) -> tuple[int, ...]:
     return tuple(as_int(x, f"perturb[{k}]", minimum=0, maximum=order - 1) for k, x in enumerate(perturb))
 
 
+def require_cycle_group(group: Group) -> Group:
+    """The group duality_cycle takes: finite abelian, of order at most DUALITY_ORDER_CAP.
+
+    ConfigError at "kind" for a group of another kind, or at "" for an order over the cap.
+    """
+    require(group, "finite_abelian")  # before the cap: an infinite group has no order
+    if group.order > DUALITY_ORDER_CAP:
+        fail("", f"duality cycle capped at order {DUALITY_ORDER_CAP}, got {group.order}")
+    return group
+
+
 def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None) -> CycleReport:
     """Round-trip a finite abelian group through characters and dualization.
 
@@ -758,9 +770,7 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     ``perturb`` bumps one matrix entry before checking; a single corrupted
     entry must trip at least one stage.
     """
-    require(group, "finite_abelian")  # before the cap: an infinite group has no order
-    if group.order > DUALITY_ORDER_CAP:
-        raise ValueError(f"duality cycle capped at order {DUALITY_ORDER_CAP}, got {group.order}")
+    require_cycle_group(group)
     b = backend
     phi = fourier(group, b)
     if perturb is not None:

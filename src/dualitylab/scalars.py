@@ -7,10 +7,14 @@ operations are ring ones, ``add`` and ``mul``, plus ``conj`` and ``scale``.
 Roots of unity and everything ``add``, ``mul`` and ``conj`` build from them
 stay in Z[z], where the monic modulus keeps every step in plain ``int``
 arithmetic; values stay ``int`` tuples until ``scale``, the one place a
-``Fraction`` enters, and the two kinds mix freely after it.  Equality is
-literal tuple equality.  ``residual`` is 0.0 for equal values and otherwise
-the float distance of the complex embeddings: it is reported, never used to
-decide.
+``Fraction`` enters, and the two kinds mix freely after it.  The roots
+themselves are looked up rather than computed with: the product of z^a and
+z^b is z^((a+b) mod N) and the conjugate of z^a is z^(-a mod N), both read
+from the table of powers.  Reduction modulo the cyclotomic polynomial gives
+every element one tuple, so the lookup returns the tuple the schoolbook
+product would.  Equality is literal tuple equality.  ``residual`` is 0.0 for
+equal values and otherwise the float distance of the complex embeddings: it
+is reported, never used to decide.
 """
 
 from __future__ import annotations
@@ -142,6 +146,8 @@ class CyclotomicBackend:
         for _ in range(n - 1):
             top, shifted = self._mono[-1][-1], (0,) + self._mono[-1][:-1]
             self._mono.append(tuple(x - top * m for x, m in zip(shifted, self.modulus)) if top else shifted)
+        # the exponent of each root: the powers are distinct field elements, so distinct tuples
+        self._log = {z: e for e, z in enumerate(self._mono)}
 
     def from_int(self, k: int):
         return (k,) + self.zero[1:]
@@ -150,12 +156,18 @@ class CyclotomicBackend:
         return tuple(map(operator.add, a, b))
 
     def mul(self, a, b):
-        """The other factor when one is one (as every structure constant built here is 0 or 1), else
-        the schoolbook product, then each z^e with e >= degree folded in as z^(e mod n)."""
+        """The other factor when one is one (as every structure constant built here is 0 or 1),
+        z^((a+b) mod n) when both are roots z^a and z^b (as every character value is), else the
+        schoolbook product, then each z^e with e >= degree folded in as z^(e mod n)."""
         if a == self.one:
             return b
         if b == self.one:
             return a
+        ka = self._log.get(a)
+        if ka is not None:
+            kb = self._log.get(b)
+            if kb is not None:
+                return self._mono[(ka + kb) % self.n]
         if not any(a) or not any(b):
             return self.zero
         d = self.degree
@@ -173,7 +185,11 @@ class CyclotomicBackend:
         return tuple(x * q for x in a)
 
     def conj(self, a):
-        """Complex conjugation: substitute z -> z^(n-1) monomial by monomial."""
+        """Complex conjugation: z^(-a mod n) for a root z^a, else substitute z -> z^(n-1)
+        monomial by monomial."""
+        e = self._log.get(a)
+        if e is not None:
+            return self._mono[-e % self.n]
         out = [0] * self.degree
         for k, c in enumerate(a):
             if c:

@@ -21,6 +21,7 @@ from dualitylab import (
     weighted,
 )
 from dualitylab.cli import ConfigError, main, parse_config, run_command
+from dualitylab.hopf import DUALITY_ORDER_CAP
 
 
 def errors(raw, **kwargs):
@@ -165,8 +166,9 @@ def test_common_field_constraints():
     assert errors({**base, "C": [-(10**400), 3]}) == [("C", PAST_FLOAT_RANGE)]
 
 
-Z, S3, F2 = (make_group(spec) for spec in
-              (GroupSpec.free_abelian(1), GroupSpec.symmetric(3), GroupSpec.free(2)))
+Z, S3, F2, Z_PAST_CAP = (make_group(spec) for spec in
+                         (GroupSpec.free_abelian(1), GroupSpec.symmetric(3), GroupSpec.free(2),
+                          GroupSpec.finite_abelian([DUALITY_ORDER_CAP + 1])))
 
 
 # each input rule: a config that breaks it, the JSON path of the rule's argument there,
@@ -176,6 +178,8 @@ Z, S3, F2 = (make_group(spec) for spec in
      lambda: function_algebra(Z, ComplexFloatBackend())),
     ({"command": "duality-cycle", "group": {"kind": "symmetric", "degree": 3}}, "group",
      lambda: duality_cycle(S3, ComplexFloatBackend())),
+    ({"command": "duality-cycle", "group": {"kind": "finite_abelian", "orders": [DUALITY_ORDER_CAP + 1]}},
+     "group", lambda: duality_cycle(Z_PAST_CAP, ComplexFloatBackend())),
     ({"command": "counterexample", "nMax": 3, "group": {"kind": "free", "rank": 2}}, "group",
      lambda: heisenberg_witness(F2, 3)),
     ({"command": "nuclearity", "group": {"kind": "free_abelian", "rank": 1}, "weights": [[1, 2], 1]},
@@ -185,7 +189,7 @@ Z, S3, F2 = (make_group(spec) for spec in
      lambda: explore_ball(F2, standard_generators(F2), WeightFunction.enumerated(3))),
     ({"command": "counterexample", "nMax": 3, "tolerance": 0}, "tolerance",
      lambda: ComplexFloatBackend(0.0)),
-], ids=["finite", "finite_abelian", "heisenberg", "integer-weights", "weight-count", "tolerance"])
+], ids=["finite", "finite_abelian", "duality-order", "heisenberg", "integer-weights", "weight-count", "tolerance"])
 def test_cli_reports_the_library_rule_at_its_path(config, root, call):
     with pytest.raises(ConfigError) as exc:
         call()
@@ -417,6 +421,17 @@ def test_cayley_rejects_sphere_bounds_past_the_int_string_limit(tmp_path, capsys
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith(f"config error at radius: sphere rows would reach level {radius},")
     assert not out.exists()
+
+
+def test_duality_cycle_rejects_orders_past_the_cap(tmp_path, capsys):
+    order = DUALITY_ORDER_CAP + 1
+    cfg = write_config(tmp_path, "run.json", {"command": "duality-cycle",
+                                              "group": {"kind": "finite_abelian", "orders": [order]}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error at group: duality cycle capped at order {DUALITY_ORDER_CAP}, got {order}\n")
+    assert not (out / "report.json").exists()
 
 
 def test_nuclearity_rejects_gap_bounds_past_the_int_string_limit(tmp_path, capsys):

@@ -202,7 +202,8 @@ def test_integer_mul_and_conj_match_fraction_reduction(n, data):
 
 
 def schoolbook_mul(b, x, y):
-    """CyclotomicBackend.mul without its shortcut for one: every product runs the schoolbook."""
+    """CyclotomicBackend.mul without its shortcuts for one and for two roots: every product runs
+    the schoolbook."""
     if not any(x) or not any(y):
         return b.zero
     out = _poly_mul(x, y)
@@ -222,6 +223,27 @@ def test_mul_by_one_matches_schoolbook(n, data):
     for one in (b.one, b.scale(b.one, 1)):
         for got, want in ((b.mul(one, x), schoolbook_mul(b, one, x)), (b.mul(x, one), schoolbook_mul(b, x, one))):
             assert got == want and b.format(got) == b.format(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12, 15, 16, 105])
+def test_root_products_and_conjugates_match_the_references(n):
+    # two roots multiply by adding exponents; a root scaled by 1 holds Fractions yet hashes and
+    # compares like the int root, so the lookup hands back ints, which == and format cannot tell
+    # from the schoolbook's Fractions.  The Fraction schoolbook takes about 3 ms a product at
+    # order 105, so there the scaled factor runs over four roots, monomial and dense, not all 105
+    b = CyclotomicBackend(n)
+    roots = [b.root(k, n) for k in range(n)]
+    scaled = set(roots if n < 100 else roots[1::26])
+    for x in roots:
+        assert b.conj(x) == fraction_conj(b, x)
+        for y in roots:
+            got = b.mul(x, y)
+            assert got == schoolbook_mul(b, x, y) and all(isinstance(c, int) for c in got)
+            pairs = [(b.scale(x, 1), y)] if x in scaled else []
+            pairs += [(x, b.scale(y, 1))] if y in scaled else []
+            for xs, ys in pairs:
+                got, want = b.mul(xs, ys), schoolbook_mul(b, xs, ys)
+                assert got == want and b.format(got) == b.format(want)
 
 
 def test_integer_values_stay_integer():
