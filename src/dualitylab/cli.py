@@ -39,7 +39,9 @@ from .hopf import (
     group_part,
     perturb_entry,
     product_iso_check,
+    require_brute_force_dim,
     require_cycle_group,
+    require_tensor_dim,
     same_tensors,
 )
 from .length import (
@@ -186,25 +188,20 @@ def parse_config(raw, seed_override=None, backend_override=None) -> RunConfig:
 
     params: dict = {"seed": seed, "tolerance": tolerance}
     inputs: dict = {"command": command, "seed": seed, "tolerance": tolerance}
-    if backend_name is not None:
-        params["backend_name"] = backend_name
-        inputs["backend"] = backend_name
-
     parse(raw, params, inputs)
+    if backend_name is not None:
+        # built after every rule has passed: a cyclotomic backend's tables grow with the order
+        inputs["backend"] = backend_name
+        groups = [params[k] for k in ("group", "left", "right") if k in params]
+        params["backend"] = make_backend(backend_name, tolerance=tolerance,
+                                         order=math.lcm(*(g.exponent for g in groups)))
     return RunConfig(command=command, params=params, inputs=inputs)
 
 
-def _make_backend_for(params, *groups):
-    order = math.lcm(*(g.exponent for g in groups))
-    return make_backend(params["backend_name"], tolerance=params["tolerance"], order=order)
-
-
 def _parse_finite(raw, params, inputs, rule=require) -> Group:
-    """The finite group and its backend, which every structure command shares; ``rule`` is
-    the library check the command's group must pass, run before the backend is built."""
+    """The finite group every structure command shares; ``rule`` is the library check it must pass."""
     group, inputs["group"] = _parse_group(raw.get("group"), "group")
     params["group"] = _rooted("group", rule, group)
-    params["backend"] = _make_backend_for(params, group)
     return group
 
 
@@ -227,7 +224,7 @@ def _parse_duality_cycle(raw, params, inputs):
 
 
 def _parse_group_part(raw, params, inputs):
-    _parse_finite(raw, params, inputs)
+    group = _parse_finite(raw, params, inputs)
     algebra = _as_str(raw.get("algebra", "group"), "algebra", choices={"function", "group"})
     mode = _as_str(raw.get("mode", "both"), "mode", choices={"closedForm", "bruteForce", "both"})
     expected = raw.get("expectedCount")
@@ -239,6 +236,8 @@ def _parse_group_part(raw, params, inputs):
         "bruteForce": ("brute_force",),
         "both": ("closed_form", "brute_force"),
     }[mode]
+    if "brute_force" in params["modes"]:
+        _rooted("mode", require_brute_force_dim, group.order)
     params["expected"] = expected
     inputs["algebra"] = algebra
     inputs["mode"] = mode
@@ -251,7 +250,7 @@ def _parse_tensor_iso(raw, params, inputs):
     right, inputs["right"] = _parse_group(raw.get("right"), "right")
     params["left"] = _rooted("left", require, left)
     params["right"] = _rooted("right", require, right)
-    params["backend"] = _make_backend_for(params, left, right)
+    _rooted("right", require_tensor_dim, left.order * right.order)
 
 
 def _parse_ball(raw, params, inputs, default_radius=DEFAULT_RADIUS):
@@ -353,14 +352,6 @@ def _parse_polar_suite(raw, params, inputs):
 # command runners
 
 
-def _capped(fn, *args, **kwargs):
-    """Run a library call, turning cap violations into a structured failure."""
-    try:
-        return fn(*args, **kwargs), None
-    except ValueError as exc:
-        return None, CheckResult(name="resource-cap", passed=False, detail=str(exc))
-
-
 def _cmd_hopf_axioms(params):
     group = params["group"]
     backend = params["backend"]
@@ -410,17 +401,14 @@ def _cmd_group_part(params):
     checks = []
     counts = {}
     for mode in params["modes"]:
-        res, cap = _capped(group_part, h, mode)
-        if cap is not None:
-            checks.append(replace(cap, name=f"{mode}/{cap.name}"))
-            continue
+        res = group_part(h, mode)
         counts[mode] = res.count
         checks.append(CheckResult(f"{mode}/verified", res.verified, res.worst_residual))
         checks.append(CheckResult(f"{mode}/closed-under-product", res.closed_under_product))
     if len(counts) == 2:
         a, b = counts["closed_form"], counts["brute_force"]
         checks.append(CheckResult("modes-agree", a == b, detail=f"closed {a}, brute {b}"))
-    if params["expected"] is not None and counts:
+    if params["expected"] is not None:
         count = next(iter(counts.values()))
         checks.append(
             CheckResult("expected-count", count == params["expected"],
@@ -432,8 +420,7 @@ def _cmd_group_part(params):
 
 
 def _cmd_tensor_iso(params):
-    res, cap = _capped(product_iso_check, params["left"], params["right"], params["backend"])
-    checks = res if res is not None else [cap]
+    checks = product_iso_check(params["left"], params["right"], params["backend"])
     results = {
         "leftOrder": params["left"].order,
         "rightOrder": params["right"].order,

@@ -1,9 +1,12 @@
 """Config validation, command execution, exit codes, and artifact layout."""
 
+import ast
 import json
+import math
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,14 +17,19 @@ from dualitylab import (
     duality_cycle,
     explore_ball,
     function_algebra,
+    group_algebra,
+    group_part,
     heisenberg_witness,
     make_group,
     nuclearity_witness,
+    product_iso_check,
     standard_generators,
     weighted,
 )
+from dualitylab import cli
 from dualitylab.cli import ConfigError, main, parse_config, run_command
-from dualitylab.hopf import DUALITY_ORDER_CAP
+from dualitylab.groups import SYMMETRIC_DEGREE_CAP
+from dualitylab.hopf import BRUTE_FORCE_DIM_CAP, DUALITY_ORDER_CAP, TENSOR_DIM_CAP
 
 
 def errors(raw, **kwargs):
@@ -166,9 +174,12 @@ def test_common_field_constraints():
     assert errors({**base, "C": [-(10**400), 3]}) == [("C", PAST_FLOAT_RANGE)]
 
 
-Z, S3, F2, Z_PAST_CAP = (make_group(spec) for spec in
-                         (GroupSpec.free_abelian(1), GroupSpec.symmetric(3), GroupSpec.free(2),
-                          GroupSpec.finite_abelian([DUALITY_ORDER_CAP + 1])))
+# a tensor-iso factor whose square passes TENSOR_DIM_CAP
+TENSOR_SIDE = math.isqrt(TENSOR_DIM_CAP) + 1
+Z, S3, F2, Z_PAST_CAP, Z_PAST_BRUTE, Z_SIDE = (make_group(spec) for spec in
+    (GroupSpec.free_abelian(1), GroupSpec.symmetric(3), GroupSpec.free(2),
+     GroupSpec.finite_abelian([DUALITY_ORDER_CAP + 1]), GroupSpec.finite_abelian([BRUTE_FORCE_DIM_CAP + 1]),
+     GroupSpec.finite_abelian([TENSOR_SIDE])))
 
 
 # each input rule: a config that breaks it, the JSON path of the rule's argument there,
@@ -189,11 +200,56 @@ Z, S3, F2, Z_PAST_CAP = (make_group(spec) for spec in
      lambda: explore_ball(F2, standard_generators(F2), WeightFunction.enumerated(3))),
     ({"command": "counterexample", "nMax": 3, "tolerance": 0}, "tolerance",
      lambda: ComplexFloatBackend(0.0)),
-], ids=["finite", "finite_abelian", "duality-order", "heisenberg", "integer-weights", "weight-count", "tolerance"])
+    ({"command": "group-part", "group": {"kind": "finite_abelian", "orders": [BRUTE_FORCE_DIM_CAP + 1]},
+      "mode": "bruteForce"}, "mode",
+     lambda: group_part(group_algebra(Z_PAST_BRUTE, ComplexFloatBackend()), "brute_force")),
+    ({"command": "tensor-iso", "left": {"kind": "finite_abelian", "orders": [TENSOR_SIDE]},
+      "right": {"kind": "finite_abelian", "orders": [TENSOR_SIDE]}}, "right",
+     lambda: product_iso_check(Z_SIDE, Z_SIDE, ComplexFloatBackend())),
+], ids=["finite", "finite_abelian", "duality-order", "heisenberg", "integer-weights", "weight-count", "tolerance",
+        "brute-force-dim", "tensor-dim"])
 def test_cli_reports_the_library_rule_at_its_path(config, root, call):
     with pytest.raises(ConfigError) as exc:
         call()
     assert errors(config) == [(f"{root}.{p}" if p else root, m) for p, m in exc.value.errors]
+
+
+# each module-level size cap in the library: a config just past it, and the JSON path it is refused at
+OVER_CAP = {
+    "SYMMETRIC_DEGREE_CAP": ({"command": "hopf-axioms",
+                              "group": {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP + 1}}, "group.degree"),
+    "DUALITY_ORDER_CAP": ({"command": "duality-cycle",
+                           "group": {"kind": "finite_abelian", "orders": [DUALITY_ORDER_CAP + 1]}}, "group"),
+    "BRUTE_FORCE_DIM_CAP": ({"command": "group-part", "mode": "both",
+                             "group": {"kind": "finite_abelian", "orders": [BRUTE_FORCE_DIM_CAP + 1]}}, "mode"),
+    "TENSOR_DIM_CAP": ({"command": "tensor-iso", "left": {"kind": "finite_abelian", "orders": [TENSOR_DIM_CAP + 1]},
+                        "right": {"kind": "finite_abelian", "orders": [1]}}, "right"),
+}
+# names that end in _CAP but bound nothing a config can pass: the elementCap default only
+# sets where explore_ball truncates, which a run reports as a resource-cap row
+NOT_A_SIZE_CAP = {"DEFAULT_ELEMENT_CAP"}
+
+
+def test_every_size_cap_is_refused_at_parse_time():
+    caps = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                caps.update(t.id for t in node.targets if isinstance(t, ast.Name) and t.id.endswith("_CAP"))
+    assert NOT_A_SIZE_CAP <= caps
+    assert caps - NOT_A_SIZE_CAP == set(OVER_CAP)
+    for name, (config, root) in OVER_CAP.items():
+        assert [p for p, _ in errors(config)] == [root], name
+
+
+def test_configs_exactly_at_each_cap_are_accepted():
+    assert BRUTE_FORCE_DIM_CAP == 2**6
+    parse_config({"command": "group-part", "mode": "bruteForce",
+                  "group": {"kind": "finite_abelian", "orders": [2] * 6}})
+    parse_config({"command": "tensor-iso", "left": {"kind": "finite_abelian", "orders": [TENSOR_DIM_CAP]},
+                  "right": {"kind": "finite_abelian", "orders": [1]}})
+    parse_config({"command": "hopf-axioms", "group": {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP}})
+    parse_config({"command": "duality-cycle", "group": {"kind": "finite_abelian", "orders": [DUALITY_ORDER_CAP]}})
 
 
 def test_overrides_and_echoes():
@@ -432,6 +488,31 @@ def test_duality_cycle_rejects_orders_past_the_cap(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error at group: duality cycle capped at order {DUALITY_ORDER_CAP}, got {order}\n")
     assert not (out / "report.json").exists()
+
+
+def test_tensor_iso_past_the_cap_exits_2_before_a_backend_is_built(tmp_path, capsys, monkeypatch):
+    def no_backend(*args, **kwargs):
+        raise AssertionError("backend built for a refused config")
+
+    monkeypatch.setattr(cli, "make_backend", no_backend)
+    cfg = write_config(tmp_path, "run.json", {"command": "tensor-iso",
+                                              "left": {"kind": "finite_abelian", "orders": [101]},
+                                              "right": {"kind": "finite_abelian", "orders": [100]}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error at right: tensor dimension 10100 exceeds the cap {TENSOR_DIM_CAP}\n")
+    assert not (out / "report.json").exists()
+
+
+def test_group_part_closed_form_runs_past_the_brute_force_cap(tmp_path, capsys):
+    cfg = write_config(tmp_path, "run.json", {"command": "group-part", "mode": "closedForm",
+                                              "group": {"kind": "symmetric", "degree": 5}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["counts"] == {"closed_form": 120}
 
 
 def test_nuclearity_rejects_gap_bounds_past_the_int_string_limit(tmp_path, capsys):
