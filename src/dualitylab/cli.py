@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +40,7 @@ from .hopf import (
     group_part,
     perturb_entry,
     product_iso_check,
+    require_axioms_dim,
     require_brute_force_dim,
     require_cycle_group,
     require_tensor_dim,
@@ -57,7 +59,7 @@ from .length import (
     subadditivity_check,
     summability_partial_sums,
 )
-from .reports import CheckResult, ConfigError, as_fraction, as_int, fail, write_csv, write_json
+from .reports import CheckResult, ConfigError, as_fraction, as_int, fail, fold, write_csv, write_json
 from .scalars import make_backend, require_tolerance
 from .semichar import (
     ExpLength,
@@ -76,7 +78,7 @@ from .weighted import (
 
 
 # ---------------------------------------------------------------------------
-# field-level parsing
+# field-level parsing: each parser takes a field's value and JSON path and returns (value, echo)
 
 
 def _echo_fraction(q: Fraction):
@@ -102,6 +104,19 @@ def _as_str(value, path: str, choices=None) -> str:
     return value
 
 
+def _parse_choice(value, path: str, *choices):
+    return (_as_str(value, path, set(choices)),) * 2
+
+
+def _parse_int(value, path: str, minimum: int, maximum=None):
+    return (as_int(value, path, minimum=minimum, maximum=maximum),) * 2
+
+
+def _parse_fraction(value, path: str):
+    q = as_fraction(value, path, minimum=0)
+    return q, _echo_fraction(q)
+
+
 _GROUP_FIELDS = ("orders", "rank", "degree")
 
 
@@ -124,8 +139,7 @@ def _parse_group(obj, path: str) -> tuple[Group, dict]:
     return make_group(spec), echo
 
 
-def _parse_generators(raw, group: Group, path: str) -> tuple[GeneratorSet, object]:
-    value = raw.get("generators", "standard")
+def _parse_generators(value, path: str, group: Group) -> tuple[GeneratorSet, object]:
     if value == "standard":
         return _rooted(path, standard_generators, group), "standard"
     if not isinstance(value, list) or not value:
@@ -134,8 +148,7 @@ def _parse_generators(raw, group: Group, path: str) -> tuple[GeneratorSet, objec
     return _rooted(path, make_generator_set, group, elems), value
 
 
-def _parse_weights(raw, count: int, path: str) -> tuple[WeightFunction, object]:
-    value = raw.get("weights", "enumerated")
+def _parse_weights(value, path: str, count: int) -> tuple[WeightFunction, object]:
     if value == "enumerated":
         return WeightFunction.enumerated(count), "enumerated"
     if value == "constant":
@@ -147,6 +160,19 @@ def _parse_weights(raw, count: int, path: str) -> tuple[WeightFunction, object]:
     return WeightFunction(tuple(parsed)), value
 
 
+def _parse_perturb(value, path: str, order: int):
+    if value is None:
+        return None, None
+    if not isinstance(value, list) or len(value) != 2:
+        fail(path, f"expected [row, col], got {value!r}")
+    entry = perturb_entry(value, order)
+    return entry, list(entry)
+
+
+def _parse_recipe(value, path: str):
+    return parse_recipe(value, path), value
+
+
 # ---------------------------------------------------------------------------
 # the run configuration
 
@@ -154,8 +180,30 @@ def _parse_weights(raw, count: int, path: str) -> tuple[WeightFunction, object]:
 @dataclass
 class RunConfig:
     command: str
-    params: dict
+    run: Callable[[], tuple[list[CheckResult], dict, dict]]  # -> (checks, results, csv tables)
     inputs: dict
+
+
+class _Fields:
+    """One config's fields as its command reads them.
+
+    ``fields(key, default, parse, *args)`` passes the key's value (``default`` when it is absent)
+    and the key, as its JSON path, to ``parse``, writes the echo it returns to ``inputs[key]``,
+    and returns the value.
+    """
+
+    def __init__(self, raw: dict, inputs: dict):
+        self.raw, self.inputs = raw, inputs
+
+    def __call__(self, key: str, default, parse, *args):
+        value, self.inputs[key] = parse(self.raw.get(key, default), key, *args)
+        return value
+
+    def backend(self, *groups):
+        """The scalar backend over the lcm of the groups' exponents; a command builds it after
+        every rule has passed, since a cyclotomic backend's tables grow with the order."""
+        return make_backend(self.inputs["backend"], tolerance=self.inputs["tolerance"],
+                            order=math.lcm(*(g.exponent for g in groups)))
 
 
 _COMMON_KEYS = {"command", "seed", "tolerance"}
@@ -168,7 +216,7 @@ def parse_config(raw, seed_override=None, backend_override=None) -> RunConfig:
     if "command" not in raw:
         fail("command", "required")
     command = _as_str(raw["command"], "command", choices=set(_COMMANDS))
-    keys, parse, _ = _COMMANDS[command]
+    keys, read = _COMMANDS[command]
     unknown = set(raw) - _COMMON_KEYS - keys
     if unknown:
         raise ConfigError([(k, "unknown key") for k in sorted(unknown)])
@@ -178,91 +226,133 @@ def parse_config(raw, seed_override=None, backend_override=None) -> RunConfig:
     tolerance = float(as_fraction(raw.get("tolerance", 1e-9), "tolerance"))
     _rooted("tolerance", require_tolerance, tolerance)
 
-    backend_name = None
+    fields = _Fields(raw, {"command": command, "seed": seed, "tolerance": tolerance})
     if "backend" in keys:
-        backend_name = _as_str(
-            raw.get("backend", "cyclotomic"), "backend", choices={"float", "cyclotomic"}
-        )
+        fields("backend", "cyclotomic", _parse_choice, "float", "cyclotomic")
         if backend_override is not None:
-            backend_name = backend_override
-
-    params: dict = {"seed": seed, "tolerance": tolerance}
-    inputs: dict = {"command": command, "seed": seed, "tolerance": tolerance}
-    parse(raw, params, inputs)
-    if backend_name is not None:
-        # built after every rule has passed: a cyclotomic backend's tables grow with the order
-        inputs["backend"] = backend_name
-        groups = [params[k] for k in ("group", "left", "right") if k in params]
-        params["backend"] = make_backend(backend_name, tolerance=tolerance,
-                                         order=math.lcm(*(g.exponent for g in groups)))
-    return RunConfig(command=command, params=params, inputs=inputs)
+            fields.inputs["backend"] = backend_override
+    run = read(fields)
+    return RunConfig(command=command, run=run, inputs=fields.inputs)
 
 
-def _parse_finite(raw, params, inputs, rule=require) -> Group:
-    """The finite group every structure command shares; ``rule`` is the library check it must pass."""
-    group, inputs["group"] = _parse_group(raw.get("group"), "group")
-    params["group"] = _rooted("group", rule, group)
-    return group
+# ---------------------------------------------------------------------------
+# commands: each reads its fields and returns its run
 
 
-def _parse_hopf_axioms(raw, params, inputs):
-    _parse_finite(raw, params, inputs)
-    algebra = _as_str(raw.get("algebra", "both"), "algebra", choices={"function", "group", "both"})
-    params["algebras"] = ("function", "group") if algebra == "both" else (algebra,)
-    inputs["algebra"] = algebra
+def _hopf_axioms(fields):
+    group = _rooted("group", require, fields("group", None, _parse_group))
+    _rooted("group", require_axioms_dim, group.order)
+    algebra = fields("algebra", "both", _parse_choice, "function", "group", "both")
+    algebras = ("function", "group") if algebra == "both" else (algebra,)
+    backend = fields.backend(group)
+
+    def run():
+        checks = []
+        checked = []  # (algebra, its axioms, its dual's axioms)
+        for alg in algebras:
+            build = function_algebra if alg == "function" else group_algebra
+            h = build(group, backend)
+            # dual_hopf twice returns the same tensors, so when h's dual is an
+            # algebra already checked, h's two lists are that algebra's, swapped
+            dual = dual_hopf(h)
+            lists = next(((d, a) for k, a, d in checked if same_tensors(dual, k)), None) or check_hopf_axioms(h)
+            checked.append((h, *lists))
+            for prefix, axioms in zip((alg, f"{alg}-dual"), lists):
+                checks.extend(replace(c, name=f"{prefix}/{c.name}") for c in axioms)
+        return checks, {"order": group.order, "backend": backend.name}, {}
+
+    return run
 
 
-def _parse_duality_cycle(raw, params, inputs):
-    group = _parse_finite(raw, params, inputs, require_cycle_group)
-    perturb = raw.get("perturb")
-    if perturb is not None:
-        if not isinstance(perturb, list) or len(perturb) != 2:
-            fail("perturb", f"expected [row, col], got {perturb!r}")
-        perturb = perturb_entry(perturb, group.order)
-    params["perturb"] = perturb
-    inputs["perturb"] = None if perturb is None else list(perturb)
+def _duality_cycle(fields):
+    group = _rooted("group", require_cycle_group, fields("group", None, _parse_group))
+    perturb = fields("perturb", None, _parse_perturb, group.order)
+    backend = fields.backend(group)
+
+    def run():
+        rep = duality_cycle(group, backend, perturb)
+        if perturb is None:
+            checks = list(rep.stages)
+        else:
+            failing = [s.name for s in rep.stages if not s.passed]
+            checks = [
+                CheckResult(
+                    name="perturbation-detected",
+                    passed=not rep.passed,
+                    detail="tripped: " + ", ".join(failing) if failing else "no stage tripped",
+                )
+            ]
+        columns = rep.transform.columns
+        rows = [[i, j, backend.format(columns[j][i])] for i in range(group.order) for j in range(group.order)]
+        tables = {"fourier.csv": (["row", "col", "value"], rows)}
+        results = {"order": group.order, "backend": backend.name, "perturbed": perturb is not None}
+        return checks, results, tables
+
+    return run
 
 
-def _parse_group_part(raw, params, inputs):
-    group = _parse_finite(raw, params, inputs)
-    algebra = _as_str(raw.get("algebra", "group"), "algebra", choices={"function", "group"})
-    mode = _as_str(raw.get("mode", "both"), "mode", choices={"closedForm", "bruteForce", "both"})
-    expected = raw.get("expectedCount")
-    if expected is not None:
-        expected = as_int(expected, "expectedCount", minimum=0)
-    params["algebra"] = algebra
-    params["modes"] = {
-        "closedForm": ("closed_form",),
-        "bruteForce": ("brute_force",),
-        "both": ("closed_form", "brute_force"),
-    }[mode]
-    if "brute_force" in params["modes"]:
+_MODES = {"closedForm": ("closed_form",), "bruteForce": ("brute_force",),
+          "both": ("closed_form", "brute_force")}
+
+
+def _group_part(fields):
+    group = _rooted("group", require, fields("group", None, _parse_group))
+    algebra = fields("algebra", "group", _parse_choice, "function", "group")
+    modes = _MODES[fields("mode", "both", _parse_choice, *_MODES)]
+    expected = None
+    if fields.raw.get("expectedCount") is not None:
+        expected = fields("expectedCount", None, _parse_int, 0)
+    if "brute_force" in modes:
         _rooted("mode", require_brute_force_dim, group.order)
-    params["expected"] = expected
-    inputs["algebra"] = algebra
-    inputs["mode"] = mode
-    if expected is not None:
-        inputs["expectedCount"] = expected
+    backend = fields.backend(group)
+
+    def run():
+        h = (function_algebra if algebra == "function" else group_algebra)(group, backend)
+        checks = []
+        counts = {}
+        for mode in modes:
+            res = group_part(h, mode)
+            counts[mode] = res.count
+            checks.append(CheckResult(f"{mode}/verified", res.verified, res.worst_residual))
+            checks.append(CheckResult(f"{mode}/closed-under-product", res.closed_under_product))
+        if len(counts) == 2:
+            a, b = counts["closed_form"], counts["brute_force"]
+            checks.append(CheckResult("modes-agree", a == b, detail=f"closed {a}, brute {b}"))
+        if expected is not None:
+            count = next(iter(counts.values()))
+            checks.append(CheckResult("expected-count", count == expected,
+                                      detail=f"found {count}, expected {expected}"))
+        return checks, {"algebra": algebra, "counts": dict(sorted(counts.items())), "dimension": h.dim}, {}
+
+    return run
 
 
-def _parse_tensor_iso(raw, params, inputs):
-    left, inputs["left"] = _parse_group(raw.get("left"), "left")
-    right, inputs["right"] = _parse_group(raw.get("right"), "right")
-    params["left"] = _rooted("left", require, left)
-    params["right"] = _rooted("right", require, right)
+def _tensor_iso(fields):
+    left = fields("left", None, _parse_group)
+    right = fields("right", None, _parse_group)
+    _rooted("left", require, left)
+    _rooted("right", require, right)
     _rooted("right", require_tensor_dim, left.order * right.order)
+    backend = fields.backend(left, right)
+
+    def run():
+        checks = product_iso_check(left, right, backend)
+        return checks, {"leftOrder": left.order, "rightOrder": right.order,
+                        "productOrder": left.order * right.order}, {}
+
+    return run
 
 
-def _parse_ball(raw, params, inputs, default_radius=DEFAULT_RADIUS):
-    """The fields every search command shares; returns the generators' echo."""
-    group, inputs["group"] = _parse_group(raw.get("group"), "group")
-    gens, gens_echo = _parse_generators(raw, group, "generators")
-    radius = as_fraction(raw.get("radius", default_radius), "radius", minimum=0)
-    cap = as_int(raw.get("elementCap", DEFAULT_ELEMENT_CAP), "elementCap", minimum=1)
-    params.update(group=group, generators=gens, radius=radius, element_cap=cap)
-    inputs["radius"] = _echo_fraction(radius)
-    inputs["elementCap"] = cap
-    return gens_echo
+def _ball(fields, generators: bool, default_radius=DEFAULT_RADIUS) -> tuple:
+    """(group, generators, radius, elementCap), the fields every search command shares;
+    without a ``generators`` key the ball takes the standard generators."""
+    group = fields("group", None, _parse_group)
+    if generators:
+        gens = fields("generators", "standard", _parse_generators, group)
+    else:
+        gens = standard_generators(group)
+    radius = fields("radius", default_radius, _parse_fraction)
+    return group, gens, radius, fields("elementCap", DEFAULT_ELEMENT_CAP, _parse_int, 1)
 
 
 def _reachable_length(group: Group, weights: WeightFunction, radius: Fraction) -> int:
@@ -291,144 +381,6 @@ def _check_printable_sphere_rows(level: int, bound) -> None:
                        f"{limit} digits, the integer string limit")
 
 
-def _parse_cayley(raw, params, inputs):
-    inputs["generators"] = _parse_ball(raw, params, inputs)
-    weights, inputs["weights"] = _parse_weights(raw, len(params["generators"].elements), "weights")
-    if weights.is_injective_integer:
-        _check_printable_sphere_rows(_reachable_length(params["group"], weights, params["radius"]),
-                                     sphere_bound)
-    samples = as_int(raw.get("samples", 500), "samples", minimum=0)
-    params.update(weights=weights, samples=samples)
-    inputs["samples"] = samples
-
-
-def _parse_counterexample(raw, params, inputs):
-    group, inputs["group"] = _parse_group(raw.get("group", {"kind": "heisenberg"}), "group")
-    _rooted("group", require, group, "heisenberg")
-    if "nMax" not in raw:
-        fail("nMax", "required")
-    n_max = as_int(raw["nMax"], "nMax", minimum=1, maximum=10**4)
-    constant = as_fraction(raw.get("C", 1), "C", minimum=0)
-    params.update(group=group, n_max=n_max, constant=constant)
-    inputs["nMax"] = n_max
-    inputs["C"] = _echo_fraction(constant)
-
-
-def _parse_nuclearity(raw, params, inputs):
-    inputs["generators"] = _parse_ball(raw, params, inputs)
-    weights, inputs["weights"] = _parse_weights(raw, len(params["generators"].elements), "weights")
-    _rooted("weights", weights.require_integer)
-    # along a base-shortest word of length l, each letter of weight w_k costs k more in the
-    # companion, so the gap is at most c l with c = max k / w_k, and at most R - l for a
-    # companion length R: at most R c / (1 + c) (R itself when a weight is 0)
-    level = _reachable_length(params["group"], weights.shifted_by_index(), params["radius"])
-    if weights.values and min(weights.values) > 0:
-        c = max(k / w for k, w in enumerate(weights.values, start=1))
-        level = math.floor(level * c / (1 + c))
-    _check_printable_sphere_rows(level, gap_bound)
-    params["weights"] = weights
-
-
-def _parse_seminorm_suite(raw, params, inputs):
-    _parse_ball(raw, params, inputs, default_radius=8)
-    count = as_int(raw.get("count", 20), "count", minimum=1)
-    trials = as_int(raw.get("trials", 200), "trials", minimum=1)
-    params.update(count=count, trials=trials)
-    inputs["count"] = count
-    inputs["trials"] = trials
-
-
-def _parse_polar_suite(raw, params, inputs):
-    _parse_ball(raw, params, inputs)
-    trials = as_int(raw.get("trials", 1000), "trials", minimum=1)
-    inputs["weightF"] = raw.get("weightF", {"kind": "expLength"})
-    inputs["weightG"] = raw.get("weightG", {"kind": "const", "value": 3})
-    params.update(trials=trials, recipe_f=parse_recipe(inputs["weightF"], "weightF"),
-                  recipe_g=parse_recipe(inputs["weightG"], "weightG"))
-    inputs["trials"] = trials
-
-
-# ---------------------------------------------------------------------------
-# command runners
-
-
-def _cmd_hopf_axioms(params):
-    group = params["group"]
-    backend = params["backend"]
-    checks = []
-    checked = []  # (algebra, its axioms, its dual's axioms)
-    for alg in params["algebras"]:
-        build = function_algebra if alg == "function" else group_algebra
-        h = build(group, backend)
-        # dual_hopf twice returns the same tensors, so when h's dual is an
-        # algebra already checked, h's two lists are that algebra's, swapped
-        dual = dual_hopf(h)
-        lists = next(((d, a) for k, a, d in checked if same_tensors(dual, k)), None) or check_hopf_axioms(h)
-        checked.append((h, *lists))
-        for prefix, axioms in zip((alg, f"{alg}-dual"), lists):
-            checks.extend(replace(c, name=f"{prefix}/{c.name}") for c in axioms)
-    results = {"order": group.order, "backend": backend.name}
-    return checks, results, {}
-
-
-def _cmd_duality_cycle(params):
-    group = params["group"]
-    backend = params["backend"]
-    rep = duality_cycle(group, backend, params["perturb"])
-    if params["perturb"] is None:
-        checks = list(rep.stages)
-    else:
-        failing = [s.name for s in rep.stages if not s.passed]
-        checks = [
-            CheckResult(
-                name="perturbation-detected",
-                passed=not rep.passed,
-                detail="tripped: " + ", ".join(failing) if failing else "no stage tripped",
-            )
-        ]
-    columns = rep.transform.columns
-    rows = [[i, j, backend.format(columns[j][i])] for i in range(group.order) for j in range(group.order)]
-    tables = {"fourier.csv": (["row", "col", "value"], rows)}
-    results = {"order": group.order, "backend": backend.name, "perturbed": params["perturb"] is not None}
-    return checks, results, tables
-
-
-def _cmd_group_part(params):
-    group = params["group"]
-    backend = params["backend"]
-    build = function_algebra if params["algebra"] == "function" else group_algebra
-    h = build(group, backend)
-    checks = []
-    counts = {}
-    for mode in params["modes"]:
-        res = group_part(h, mode)
-        counts[mode] = res.count
-        checks.append(CheckResult(f"{mode}/verified", res.verified, res.worst_residual))
-        checks.append(CheckResult(f"{mode}/closed-under-product", res.closed_under_product))
-    if len(counts) == 2:
-        a, b = counts["closed_form"], counts["brute_force"]
-        checks.append(CheckResult("modes-agree", a == b, detail=f"closed {a}, brute {b}"))
-    if params["expected"] is not None:
-        count = next(iter(counts.values()))
-        checks.append(
-            CheckResult("expected-count", count == params["expected"],
-                        detail=f"found {count}, expected {params['expected']}")
-        )
-    results = {"algebra": params["algebra"], "counts": {k: v for k, v in sorted(counts.items())},
-               "dimension": h.dim}
-    return checks, results, {}
-
-
-def _cmd_tensor_iso(params):
-    checks = product_iso_check(params["left"], params["right"], params["backend"])
-    results = {
-        "leftOrder": params["left"].order,
-        "rightOrder": params["right"].order,
-        "productOrder": params["left"].order * params["right"].order,
-    }
-    return checks, results, {}
-
-
 def _spheres_table(rows) -> dict:
     """``spheres.csv`` from sphere rows (sphere sizes or nuclearity gap counts)."""
     return {"spheres.csv": (["level", "count", "bound", "cumulative_sum"],
@@ -440,164 +392,188 @@ def _partial_check(name: str, passed: bool, rep) -> CheckResult:
                        detail=f"partial {rep.partial:.12g}, closed form {rep.closed_form:.12g}")
 
 
-def _cmd_cayley(params):
-    report = explore_ball(
-        params["group"], params["generators"], params["weights"],
-        params["radius"], params["element_cap"],
-    )
-    checks = []
-    tables = {}
-    sub = subadditivity_check(report, samples=params["samples"], seed=params["seed"])
-    checks.append(sub.as_check("subadditivity"))
-    if params["weights"].is_injective_integer:
-        spheres = sphere_bound_check(report)
-        checks.append(
-            CheckResult("sphere-bound", spheres.passed,
-                        detail=f"levels 1..{spheres.max_level} complete")
-        )
-        tables.update(_spheres_table(spheres.rows))
-        if not report.truncated:
-            summ = summability_partial_sums(report)
-            checks.append(_partial_check("summability", summ.passed, summ))
-    results = {
-        "settled": len(report.lengths),
-        "truncated": report.truncated,
-        "boundary": None if report.boundary is None else _echo_fraction(report.boundary),
-        "maxCompleteLevel": report.max_complete_integer_level(),
-    }
-    return checks, results, tables
+def _cayley(fields):
+    group, gens, radius, cap = _ball(fields, generators=True)
+    weights = fields("weights", "enumerated", _parse_weights, len(gens.elements))
+    if weights.is_injective_integer:
+        _check_printable_sphere_rows(_reachable_length(group, weights, radius), sphere_bound)
+    samples = fields("samples", 500, _parse_int, 0)
+    seed = fields.inputs["seed"]
+
+    def run():
+        report = explore_ball(group, gens, weights, radius, cap)
+        checks = []
+        tables = {}
+        sub = subadditivity_check(report, samples=samples, seed=seed)
+        checks.append(sub.as_check("subadditivity"))
+        if weights.is_injective_integer:
+            spheres = sphere_bound_check(report)
+            checks.append(
+                CheckResult("sphere-bound", spheres.passed,
+                            detail=f"levels 1..{spheres.max_level} complete")
+            )
+            tables.update(_spheres_table(spheres.rows))
+            if not report.truncated:
+                summ = summability_partial_sums(report)
+                checks.append(_partial_check("summability", summ.passed, summ))
+        results = {
+            "settled": len(report.lengths),
+            "truncated": report.truncated,
+            "boundary": None if report.boundary is None else _echo_fraction(report.boundary),
+            "maxCompleteLevel": report.max_complete_integer_level(),
+        }
+        return checks, results, tables
+
+    return run
 
 
-def _cmd_counterexample(params):
-    rep = heisenberg_witness(params["group"], params["n_max"], params["constant"])
-    first = rep.first_violation
-    checks = [
-        CheckResult("central-products", rep.products_pass,
-                    detail=f"n = 1..{params['n_max']} verified"),
-        CheckResult(
-            "envelope-crossing",
-            all(r.violated == (r.n >= first) for r in rep.rows),
-            detail=f"first violation at n = {first}",
-        ),
-    ]
-    results = {"firstViolation": first, "nMax": params["n_max"], "C": _echo_fraction(rep.constant)}
-    return checks, results, {}
+def _counterexample(fields):
+    group = _rooted("group", require, fields("group", {"kind": "heisenberg"}, _parse_group), "heisenberg")
+    if "nMax" not in fields.raw:
+        fail("nMax", "required")
+    n_max = fields("nMax", None, _parse_int, 1, 10**4)
+    constant = fields("C", 1, _parse_fraction)
+
+    def run():
+        rep = heisenberg_witness(group, n_max, constant)
+        first = rep.first_violation
+        checks = [
+            CheckResult("central-products", rep.products_pass, detail=f"n = 1..{n_max} verified"),
+            CheckResult(
+                "envelope-crossing",
+                all(r.violated == (r.n >= first) for r in rep.rows),
+                detail=f"first violation at n = {first}",
+            ),
+        ]
+        return checks, {"firstViolation": first, "nMax": n_max, "C": _echo_fraction(rep.constant)}, {}
+
+    return run
 
 
-def _cmd_nuclearity(params):
-    rep = nuclearity_witness(
-        params["group"], params["generators"], params["weights"],
-        params["radius"], params["element_cap"],
-    )
-    checks = [
-        CheckResult("difference-counts", rep.counts_pass,
-                    detail=f"{len(rep.rows)} gap levels, region {rep.region_size}"),
-        _partial_check("difference-partial", rep.partial_pass, rep),
-    ]
-    tables = _spheres_table(rep.rows)
-    results = {
-        "regionSize": rep.region_size,
-        "excluded": rep.excluded,
-        "partial": rep.partial,
-        "closedForm": rep.closed_form,
-    }
-    return checks, results, tables
+def _nuclearity(fields):
+    group, gens, radius, cap = _ball(fields, generators=True)
+    weights = fields("weights", "enumerated", _parse_weights, len(gens.elements))
+    _rooted("weights", weights.require_integer)
+    # along a base-shortest word of length l, each letter of weight w_k costs k more in the
+    # companion, so the gap is at most c l with c = max k / w_k, and at most R - l for a
+    # companion length R: at most R c / (1 + c) (R itself when a weight is 0)
+    level = _reachable_length(group, weights.shifted_by_index(), radius)
+    if weights.values and min(weights.values) > 0:
+        c = max(k / w for k, w in enumerate(weights.values, start=1))
+        level = math.floor(level * c / (1 + c))
+    _check_printable_sphere_rows(level, gap_bound)
+
+    def run():
+        rep = nuclearity_witness(group, gens, weights, radius, cap)
+        checks = [
+            CheckResult("difference-counts", rep.counts_pass,
+                        detail=f"{len(rep.rows)} gap levels, region {rep.region_size}"),
+            _partial_check("difference-partial", rep.partial_pass, rep),
+        ]
+        results = {
+            "regionSize": rep.region_size,
+            "excluded": rep.excluded,
+            "partial": rep.partial,
+            "closedForm": rep.closed_form,
+        }
+        return checks, results, _spheres_table(rep.rows)
+
+    return run
 
 
 _SEMINORM_CHECKS = ("indicator-floor", "idempotent-consistency", "submultiplicative",
                     "domination", "summability")
 
 
-def _explore_enumerated(params):
-    """The ball under enumerated weights, plus the runner output when it was truncated."""
-    report = explore_ball(
-        params["group"], params["generators"], WeightFunction.enumerated(len(params["generators"].elements)),
-        params["radius"], params["element_cap"],
-    )
+def _explore_enumerated(ball, run):
+    """``run(report)`` on the ball explored under enumerated weights; a truncated exploration
+    gives one failing resource-cap row instead."""
+    group, gens, radius, cap = ball
+    report = explore_ball(group, gens, WeightFunction.enumerated(len(gens.elements)), radius, cap)
     if not report.truncated:
-        return report, None
-    return report, (
-        [CheckResult("resource-cap", False, detail="exploration truncated; raise elementCap or lower radius")],
-        {"settled": len(report.lengths)},
-        {},
-    )
+        return run(report)
+    detail = "exploration truncated; raise elementCap or lower radius"
+    return [CheckResult("resource-cap", False, detail=detail)], {"settled": len(report.lengths)}, {}
 
 
-def _cmd_seminorm_suite(params):
-    report, truncated = _explore_enumerated(params)
-    if truncated:
-        return truncated
-    region = [x for x, _ in report.final_items()]
-    f = ExpLength(report)
-    rng = np.random.default_rng(params["seed"])
-    agg = {name: (True, 0.0, "") for name in _SEMINORM_CHECKS}  # passed, worst, first failure
-    for k in range(params["count"]):
-        size = int(rng.integers(1, min(8, len(region)) + 1))
-        picks = rng.choice(len(region), size=size, replace=False)
-        support = tuple(region[int(i)] for i in picks)
-        weights = dict(zip(support, rng.uniform(1.0, 4.0, size=size).tolist()))
-        scale = float(rng.uniform(1.0, 3.0))
-        q = SubmultiplicativeSeminorm(support=support, weights=weights, scale=scale)
-        outcomes = seminorm_support_check(q, rng, trials=params["trials"])
-        outcomes.append(domination_check(q, rng, trials=params["trials"]))
-        outcomes.append(summability_check(q, f, report))
-        for c in outcomes:
-            ok, worst, first = agg[c.name]
-            if ok and not c.passed:
-                ok, first = False, f"; first failure in seminorm {k}" + (f", {c.detail}" if c.detail else "")
-            agg[c.name] = (ok, max(worst, c.residual), first)
-    detail = f"{params['count']} seminorms x {params['trials']} tables"
-    checks = [CheckResult(name, ok, worst, detail + first) for name, (ok, worst, first) in agg.items()]
-    results = {"regionSize": len(region), "count": params["count"], "trials": params["trials"]}
-    return checks, results, {}
+def _seminorm_suite(fields):
+    ball = _ball(fields, generators=False, default_radius=8)
+    count = fields("count", 20, _parse_int, 1)
+    trials = fields("trials", 200, _parse_int, 1)
+    seed = fields.inputs["seed"]
+
+    def run(report):
+        region = [x for x, _ in report.final_items()]
+        f = ExpLength(report)
+        rng = np.random.default_rng(seed)
+        drawn = []  # each seminorm's checks, in _SEMINORM_CHECKS order
+        for _ in range(count):
+            size = int(rng.integers(1, min(8, len(region)) + 1))
+            picks = rng.choice(len(region), size=size, replace=False)
+            support = tuple(region[int(i)] for i in picks)
+            weights = dict(zip(support, rng.uniform(1.0, 4.0, size=size).tolist()))
+            scale = float(rng.uniform(1.0, 3.0))
+            q = SubmultiplicativeSeminorm(support=support, weights=weights, scale=scale)
+            outcomes = seminorm_support_check(q, rng, trials=trials)
+            outcomes.append(domination_check(q, rng, trials=trials))
+            outcomes.append(summability_check(q, f, report))
+            drawn.append(outcomes)
+        detail = f"{count} seminorms x {trials} tables"
+        checks = []
+        for name, column in zip(_SEMINORM_CHECKS, zip(*drawn)):
+            folded = fold(name, ((c.passed, c.residual, "" if c.passed else
+                                  f"; first failure in seminorm {k}" + (f", {c.detail}" if c.detail else ""))
+                                 for k, c in enumerate(column)))
+            checks.append(replace(folded, detail=detail + folded.detail))
+        return checks, {"regionSize": len(region), "count": count, "trials": trials}, {}
+
+    return lambda: _explore_enumerated(ball, run)
 
 
-def _cmd_polar_suite(params):
-    report, truncated = _explore_enumerated(params)
-    if truncated:
-        return truncated
-    # products of half-radius elements stay settled, so every weight evaluates
-    half = [x for x, v in report.final_items() if 2 * v <= report.radius]
-    if reads_inverse(params["recipe_f"]) or reads_inverse(params["recipe_g"]):
-        # a weight read at (x*y)^-1 = y^-1 x^-1 needs the inverses half-radius too
-        inv = params["group"].inv
-        settled = set(half)
-        half = [x for x in half if inv(x) in settled]
-    f = build_semicharacter(params["recipe_f"], report)
-    g = build_semicharacter(params["recipe_g"], report)
-    checks = weighted_property_trials(f, g, half, group=params["group"], trials=params["trials"],
-                                      seed=params["seed"])
-    for name, weight in (("weight-f", f), ("weight-g", g)):
-        sub = sampled_submultiplicativity(weight, half, group=params["group"], seed=params["seed"])
-        checks.append(sub.as_check(f"{name}-submultiplicative"))
-    results = {"regionSize": len(half), "trials": params["trials"]}
-    return checks, results, {}
+def _polar_suite(fields):
+    ball = _ball(fields, generators=False)
+    trials = fields("trials", 1000, _parse_int, 1)
+    recipe_f = fields("weightF", {"kind": "expLength"}, _parse_recipe)
+    recipe_g = fields("weightG", {"kind": "const", "value": 3}, _parse_recipe)
+    seed = fields.inputs["seed"]
+    group = ball[0]
+
+    def run(report):
+        # products of half-radius elements stay settled, so every weight evaluates
+        half = [x for x, v in report.final_items() if 2 * v <= report.radius]
+        if reads_inverse(recipe_f) or reads_inverse(recipe_g):
+            # a weight read at (x*y)^-1 = y^-1 x^-1 needs the inverses half-radius too
+            settled = set(half)
+            half = [x for x in half if group.inv(x) in settled]
+        f = build_semicharacter(recipe_f, report)
+        g = build_semicharacter(recipe_g, report)
+        checks = weighted_property_trials(f, g, half, group=group, trials=trials, seed=seed)
+        for name, weight in (("weight-f", f), ("weight-g", g)):
+            sub = sampled_submultiplicativity(weight, half, group=group, seed=seed)
+            checks.append(sub.as_check(f"{name}-submultiplicative"))
+        return checks, {"regionSize": len(half), "trials": trials}, {}
+
+    return lambda: _explore_enumerated(ball, run)
 
 
-# command -> (the config keys it takes besides _COMMON_KEYS, parser, runner);
-# a command takes a scalar backend exactly when "backend" is among its keys
+# command -> (the config keys it takes besides _COMMON_KEYS, the function that reads them
+# and returns the run); a command takes a scalar backend exactly when "backend" is among its keys
 _COMMANDS = {
-    "hopf-axioms": ({"group", "algebra", "backend"}, _parse_hopf_axioms, _cmd_hopf_axioms),
-    "duality-cycle": ({"group", "perturb", "backend"}, _parse_duality_cycle, _cmd_duality_cycle),
-    "group-part": ({"group", "algebra", "mode", "expectedCount", "backend"}, _parse_group_part,
-                   _cmd_group_part),
-    "tensor-iso": ({"left", "right", "backend"}, _parse_tensor_iso, _cmd_tensor_iso),
-    "cayley": ({"group", "generators", "weights", "radius", "elementCap", "samples"}, _parse_cayley,
-               _cmd_cayley),
-    "counterexample": ({"group", "nMax", "C"}, _parse_counterexample, _cmd_counterexample),
-    "nuclearity": ({"group", "generators", "weights", "radius", "elementCap"}, _parse_nuclearity,
-                   _cmd_nuclearity),
-    "seminorm-suite": ({"group", "radius", "elementCap", "count", "trials"}, _parse_seminorm_suite,
-                       _cmd_seminorm_suite),
-    "polar-suite": ({"group", "radius", "elementCap", "weightF", "weightG", "trials"}, _parse_polar_suite,
-                    _cmd_polar_suite),
+    "hopf-axioms": ({"group", "algebra", "backend"}, _hopf_axioms),
+    "duality-cycle": ({"group", "perturb", "backend"}, _duality_cycle),
+    "group-part": ({"group", "algebra", "mode", "expectedCount", "backend"}, _group_part),
+    "tensor-iso": ({"left", "right", "backend"}, _tensor_iso),
+    "cayley": ({"group", "generators", "weights", "radius", "elementCap", "samples"}, _cayley),
+    "counterexample": ({"group", "nMax", "C"}, _counterexample),
+    "nuclearity": ({"group", "generators", "weights", "radius", "elementCap"}, _nuclearity),
+    "seminorm-suite": ({"group", "radius", "elementCap", "count", "trials"}, _seminorm_suite),
+    "polar-suite": ({"group", "radius", "elementCap", "weightF", "weightG", "trials"}, _polar_suite),
 }
 
 
 def run_command(cfg: RunConfig) -> tuple[dict, dict]:
     """Execute the configured command; returns (report dict, csv tables)."""
-    _, _, run = _COMMANDS[cfg.command]
-    checks, results, tables = run(cfg.params)
+    checks, results, tables = cfg.run()
     report = {
         "allPass": all(c.passed for c in checks),
         "checks": [c.to_json() for c in checks],

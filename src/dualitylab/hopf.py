@@ -33,6 +33,12 @@ BRUTE_FORCE_DIM_CAP = 64
 # Z101 20.8 s, Z113 34.2 s, and Z127, the largest prime under the cap, 41.5-50.4 s
 # in three runs at 174 MB peak, so orders up to 128 finish in a minute
 DUALITY_ORDER_CAP = 128
+# hopf-axioms folds grow as dim^3 and are slowest at prime orders; through duality-lab,
+# one process each (Python 3.11, 2-core x86-64 host), algebra both: exact Z120 9.3 s,
+# S5 10.1 s, Z163 43.1 s, Z180 40.5 s and Z179, the largest prime under the cap,
+# 56.8 and 62.4 s at 57 MB peak; float Z163 23.6 s and Z179 32.5 s; so dimensions up
+# to 180 finish in about a minute, and S6 (720) is refused
+HOPF_AXIOMS_DIM_CAP = 180
 
 # Vec maps basis index -> scalar; PairVec maps (index, index) -> scalar.
 
@@ -422,6 +428,12 @@ def _sides(folds: tuple, co_names: tuple[str, str], shared: tuple) -> tuple[list
                  for own, other in (folds, folds[::-1]))
 
 
+def require_axioms_dim(dim: int) -> None:
+    """ConfigError at "" for a check_hopf_axioms dimension over HOPF_AXIOMS_DIM_CAP."""
+    if dim > HOPF_AXIOMS_DIM_CAP:
+        fail("", f"hopf axioms capped at dimension {HOPF_AXIOMS_DIM_CAP}, got {dim}")
+
+
 def check_hopf_axioms(h: HopfAlgebra) -> tuple[list[CheckResult], list[CheckResult]]:
     """Verify the axioms of h and of dual_hopf(h) on basis elements.
 
@@ -434,6 +446,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> tuple[list[CheckResult], list[CheckResu
     (h on a tie): six folds for twelve results.  Coalgebra witnesses name dual
     basis vectors; shared ones, the basis of the side they were folded on.
     """
+    require_axioms_dim(h.dim)
     dual = dual_hopf(h)
     cheaper = min((h, dual), key=lambda k: sum(map(len, k.comul.values())))
     return _sides((_algebra_axioms(h), _algebra_axioms(dual)), ("coassociativity", "counit"),

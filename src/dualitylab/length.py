@@ -133,6 +133,21 @@ class LengthReport:
             return list(self.lengths.items())
         return [(x, v) for x, v in self.lengths.items() if v < self.boundary]
 
+    def exp_length_sum(self) -> float:
+        """The sum of exp(-length) over the final entries, one exp per run of a shared level.
+
+        ``fsum`` is exact, so the same terms give the same bits in any grouping, and an entry
+        that is not final adds a 0.0 that changes nothing.
+        """
+        terms = []
+        level = None
+        for v in self.lengths.values():
+            if v is not level:
+                level = v
+                term = math.exp(-float(v)) if self.boundary is None or v < self.boundary else 0.0
+            terms.append(term)
+        return math.fsum(terms)
+
     def spheres(self) -> dict[Fraction, tuple[Element, ...]]:
         """Level sets of the length, keyed by exact level, elements in table order.
 
@@ -354,15 +369,7 @@ def summability_partial_sums(report: LengthReport) -> SummabilityReport:
         raise ValueError("summability needs a non-truncated exploration")
     if not report.weights.is_injective_integer:
         raise ValueError("summability bound needs distinct positive integer weights")
-    # one exp per run of a shared level; fsum is exact, so it sums the same terms bit for bit
-    terms = []
-    level = None
-    for v in report.lengths.values():
-        if v is not level:
-            level = v
-            term = math.exp(-float(v))
-        terms.append(term)
-    partial = math.fsum(terms)
+    partial = report.exp_length_sum()
     top = report.max_complete_integer_level()
     # exp(-n) is 0.0 past n = 745 (below the least subnormal), so no later term adds anything
     finite = 1.0 + math.fsum(math.ldexp(math.exp(-n), n - 1) for n in range(1, min(top, 745) + 1))

@@ -331,7 +331,7 @@ def summability_check(
         term = f.value(x) * q.indicator_value(x)
         mass += term
         envelope = max(envelope, term * math.exp(ell))
-    partial = math.fsum(math.exp(-float(v)) for _, v in report.final_items())
+    partial = report.exp_length_sum()
     ok = leq(mass, envelope * partial)
     return CheckResult(
         name="summability",

@@ -14,6 +14,7 @@ from dualitylab import (
     ComplexFloatBackend,
     GroupSpec,
     WeightFunction,
+    check_hopf_axioms,
     duality_cycle,
     explore_ball,
     function_algebra,
@@ -29,7 +30,7 @@ from dualitylab import (
 from dualitylab import cli
 from dualitylab.cli import ConfigError, main, parse_config, run_command
 from dualitylab.groups import SYMMETRIC_DEGREE_CAP
-from dualitylab.hopf import BRUTE_FORCE_DIM_CAP, DUALITY_ORDER_CAP, TENSOR_DIM_CAP
+from dualitylab.hopf import BRUTE_FORCE_DIM_CAP, DUALITY_ORDER_CAP, HOPF_AXIOMS_DIM_CAP, TENSOR_DIM_CAP
 
 
 def errors(raw, **kwargs):
@@ -176,10 +177,10 @@ def test_common_field_constraints():
 
 # a tensor-iso factor whose square passes TENSOR_DIM_CAP
 TENSOR_SIDE = math.isqrt(TENSOR_DIM_CAP) + 1
-Z, S3, F2, Z_PAST_CAP, Z_PAST_BRUTE, Z_SIDE = (make_group(spec) for spec in
+Z, S3, F2, Z_PAST_CAP, Z_PAST_BRUTE, Z_SIDE, Z_PAST_AXIOMS = (make_group(spec) for spec in
     (GroupSpec.free_abelian(1), GroupSpec.symmetric(3), GroupSpec.free(2),
      GroupSpec.finite_abelian([DUALITY_ORDER_CAP + 1]), GroupSpec.finite_abelian([BRUTE_FORCE_DIM_CAP + 1]),
-     GroupSpec.finite_abelian([TENSOR_SIDE])))
+     GroupSpec.finite_abelian([TENSOR_SIDE]), GroupSpec.finite_abelian([HOPF_AXIOMS_DIM_CAP + 1])))
 
 
 # each input rule: a config that breaks it, the JSON path of the rule's argument there,
@@ -206,8 +207,10 @@ Z, S3, F2, Z_PAST_CAP, Z_PAST_BRUTE, Z_SIDE = (make_group(spec) for spec in
     ({"command": "tensor-iso", "left": {"kind": "finite_abelian", "orders": [TENSOR_SIDE]},
       "right": {"kind": "finite_abelian", "orders": [TENSOR_SIDE]}}, "right",
      lambda: product_iso_check(Z_SIDE, Z_SIDE, ComplexFloatBackend())),
+    ({"command": "hopf-axioms", "group": {"kind": "finite_abelian", "orders": [HOPF_AXIOMS_DIM_CAP + 1]}}, "group",
+     lambda: check_hopf_axioms(function_algebra(Z_PAST_AXIOMS, ComplexFloatBackend()))),
 ], ids=["finite", "finite_abelian", "duality-order", "heisenberg", "integer-weights", "weight-count", "tolerance",
-        "brute-force-dim", "tensor-dim"])
+        "brute-force-dim", "tensor-dim", "axioms-dim"])
 def test_cli_reports_the_library_rule_at_its_path(config, root, call):
     with pytest.raises(ConfigError) as exc:
         call()
@@ -224,6 +227,8 @@ OVER_CAP = {
                              "group": {"kind": "finite_abelian", "orders": [BRUTE_FORCE_DIM_CAP + 1]}}, "mode"),
     "TENSOR_DIM_CAP": ({"command": "tensor-iso", "left": {"kind": "finite_abelian", "orders": [TENSOR_DIM_CAP + 1]},
                         "right": {"kind": "finite_abelian", "orders": [1]}}, "right"),
+    "HOPF_AXIOMS_DIM_CAP": ({"command": "hopf-axioms",
+                             "group": {"kind": "finite_abelian", "orders": [HOPF_AXIOMS_DIM_CAP + 1]}}, "group"),
 }
 # names that end in _CAP but bound nothing a config can pass: the elementCap default only
 # sets where explore_ball truncates, which a run reports as a resource-cap row
@@ -248,13 +253,15 @@ def test_configs_exactly_at_each_cap_are_accepted():
                   "group": {"kind": "finite_abelian", "orders": [2] * 6}})
     parse_config({"command": "tensor-iso", "left": {"kind": "finite_abelian", "orders": [TENSOR_DIM_CAP]},
                   "right": {"kind": "finite_abelian", "orders": [1]}})
-    parse_config({"command": "hopf-axioms", "group": {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP}})
+    parse_config({"command": "group-part", "mode": "closedForm",
+                  "group": {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP}})
+    parse_config({"command": "hopf-axioms", "group": {"kind": "finite_abelian", "orders": [HOPF_AXIOMS_DIM_CAP]}})
     parse_config({"command": "duality-cycle", "group": {"kind": "finite_abelian", "orders": [DUALITY_ORDER_CAP]}})
 
 
 def test_overrides_and_echoes():
     cfg = parse_config({"command": "counterexample", "nMax": 2, "seed": 5}, seed_override=9)
-    assert cfg.inputs["seed"] == 9 and cfg.params["seed"] == 9
+    assert cfg.inputs["seed"] == 9
     assert errors({"command": "counterexample", "nMax": 2}, seed_override=-3) == [
         ("seed", "must be >= 0, got -3")
     ]
@@ -277,6 +284,35 @@ def test_overrides_and_echoes():
                         "group": {"kind": "free_abelian", "rank": 1}})
     assert cfg.inputs["weightF"] == {"kind": "expLength"}
     assert cfg.inputs["weightG"] == {"kind": "const", "value": 3}
+
+
+# per command, a config that sets every key the command declares
+EVERY_KEY = {
+    "hopf-axioms": {"group": {"kind": "symmetric", "degree": 3}, "algebra": "group", "backend": "float"},
+    "duality-cycle": {"group": {"kind": "finite_abelian", "orders": [2]}, "perturb": [0, 1], "backend": "float"},
+    "group-part": {"group": {"kind": "symmetric", "degree": 3}, "algebra": "function", "mode": "closedForm",
+                   "expectedCount": 2, "backend": "float"},
+    "tensor-iso": {"left": {"kind": "finite_abelian", "orders": [2]},
+                   "right": {"kind": "finite_abelian", "orders": [3]}, "backend": "float"},
+    "cayley": {"group": {"kind": "free", "rank": 2}, "generators": "standard", "weights": "constant",
+               "radius": 3, "elementCap": 100, "samples": 10},
+    "counterexample": {"group": {"kind": "heisenberg"}, "nMax": 3, "C": 1},
+    "nuclearity": {"group": {"kind": "free_abelian", "rank": 1}, "generators": "standard", "weights": [1, 2],
+                   "radius": 4, "elementCap": 100},
+    "seminorm-suite": {"group": {"kind": "free_abelian", "rank": 1}, "radius": 4, "elementCap": 100,
+                       "count": 2, "trials": 5},
+    "polar-suite": {"group": {"kind": "free_abelian", "rank": 1}, "radius": 4, "elementCap": 100,
+                    "weightF": {"kind": "expLength"}, "weightG": {"kind": "const", "value": 2}, "trials": 5},
+}
+
+
+def test_inputs_echo_exactly_the_declared_keys():
+    assert set(EVERY_KEY) == set(cli._COMMANDS)
+    for command, fields in EVERY_KEY.items():
+        keys, _ = cli._COMMANDS[command]
+        assert set(fields) == keys, command
+        cfg = parse_config({"command": command, "seed": 1, "tolerance": 1e-9, **fields})
+        assert set(cfg.inputs) == keys | {"command", "seed", "tolerance"}, command
 
 
 def test_run_counterexample_results():
@@ -352,6 +388,16 @@ def test_run_seminorm_and_polar_check_names():
         "bipolar-agreement", "decomposition-sound",
         "weight-f-submultiplicative", "weight-g-submultiplicative",
     ]
+
+
+def test_truncated_suite_exploration_is_one_failing_row():
+    for command in ("seminorm-suite", "polar-suite"):
+        report, tables = run_command(parse_config({"command": command, "elementCap": 2,
+                                                   "group": {"kind": "free_abelian", "rank": 1}}))
+        assert not report["allPass"] and tables == {}
+        assert report["checks"] == [{"name": "resource-cap", "passed": False, "residual": 0.0,
+                                     "detail": "exploration truncated; raise elementCap or lower radius"}]
+        assert report["results"] == {"settled": 2}
 
 
 def test_failing_trial_rows_name_their_trial(monkeypatch):

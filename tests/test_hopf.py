@@ -568,8 +568,9 @@ def test_shared_cycle_stages_match_unshared(orders, kind):
 @pytest.mark.parametrize("kind", ["float", "cyclotomic"])
 @pytest.mark.parametrize("group", ["S3", "Z6", "Z2xZ2"])
 def test_reused_axiom_lists_match_direct_check(monkeypatch, group, kind, corrupt):
-    g = make_group({"S3": GroupSpec.symmetric(3), "Z6": GroupSpec.finite_abelian([6]),
-                    "Z2xZ2": GroupSpec.finite_abelian([2, 2])}[group])
+    spec = {"S3": {"kind": "symmetric", "degree": 3}, "Z6": {"kind": "finite_abelian", "orders": [6]},
+            "Z2xZ2": {"kind": "finite_abelian", "orders": [2, 2]}}[group]
+    g = make_group(GroupSpec(**spec))
     b = guard_backend(g, kind)
     if corrupt:
         # a function algebra with one antipode entry doubled, and its dual as
@@ -580,7 +581,8 @@ def test_reused_axiom_lists_match_direct_check(monkeypatch, group, kind, corrupt
 
         monkeypatch.setattr(cli, "function_algebra", bad_functions)
         monkeypatch.setattr(cli, "group_algebra", lambda grp, backend: dual_hopf(bad_functions(grp, backend)))
-    checks, _, _ = cli._cmd_hopf_axioms({"group": g, "backend": b, "algebras": ("function", "group")})
+    cfg = cli.parse_config({"command": "hopf-axioms", "group": spec, "algebra": "both", "backend": kind})
+    checks = [CheckResult(**c) for c in cli.run_command(cfg)[0]["checks"]]
     # the group algebra's two lists follow the function algebra's and are
     # reused from them, swapped
     assert len(checks) == 24
