@@ -200,8 +200,9 @@ class _Fields:
         return value
 
     def backend(self, *groups):
-        """The scalar backend over the lcm of the groups' exponents; a command builds it after
-        every rule has passed, since a cyclotomic backend's tables grow with the order."""
+        """The scalar backend over the lcm of the groups' exponents (order 1, the rationals, for
+        no groups); a command builds it after every rule has passed, since a cyclotomic backend's
+        tables grow with the order."""
         return make_backend(self.inputs["backend"], tolerance=self.inputs["tolerance"],
                             order=math.lcm(*(g.exponent for g in groups)))
 
@@ -244,7 +245,8 @@ def _hopf_axioms(fields):
     _rooted("group", require_axioms_dim, group.order)
     algebra = fields("algebra", "both", _parse_choice, "function", "group", "both")
     algebras = ("function", "group") if algebra == "both" else (algebra,)
-    backend = fields.backend(group)
+    # every structure constant of both algebras is 0 or 1, so no roots of unity are needed
+    backend = fields.backend()
 
     def run():
         checks = []

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .groups import Group, GroupSpec, direct_product, make_group, require, walk
 from .reports import CheckResult, as_int, fail
 
@@ -33,12 +35,13 @@ BRUTE_FORCE_DIM_CAP = 64
 # Z101 20.8 s, Z113 34.2 s, and Z127, the largest prime under the cap, 41.5-50.4 s
 # in three runs at 174 MB peak, so orders up to 128 finish in a minute
 DUALITY_ORDER_CAP = 128
-# hopf-axioms folds grow as dim^3 and are slowest at prime orders; through duality-lab,
-# one process each (Python 3.11, 2-core x86-64 host), algebra both: exact Z120 9.3 s,
-# S5 10.1 s, Z163 43.1 s, Z180 40.5 s and Z179, the largest prime under the cap,
-# 56.8 and 62.4 s at 57 MB peak; float Z163 23.6 s and Z179 32.5 s; so dimensions up
-# to 180 finish in about a minute, and S6 (720) is refused
-HOPF_AXIOMS_DIM_CAP = 180
+# hopf-axioms on the rationals (every structure constant is 0 or 1), with the group law's
+# associativity decided on an int array; through duality-lab, one process each (Python 3.11,
+# 2-core x86-64 host), algebra both: S6 (dim 720) 14.5-18.0 s exact and 13.5-17.7 s float,
+# Z720 18.1 s exact and 17.9 s float, and Z719, the largest prime under the cap, 15.9-18.7 s
+# exact and 18.7 s float, each at 488-491 MB peak; so dimensions up to 720, S6 among them,
+# finish in well under a minute
+HOPF_AXIOMS_DIM_CAP = 720
 
 # Vec maps basis index -> scalar; PairVec maps (index, index) -> scalar.
 
@@ -366,9 +369,50 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
 # axiom checking
 
 
+def _monomial_law(h: HopfAlgebra):
+    """h's product as an (n, n) int array, law[i, j] = k for mul[(i, j)] == {k: one}; None unless
+    every one of the n^2 cells is one int key in range(n) whose value is literally == one."""
+    one, dim = h.backend.one, h.dim
+    law = np.empty((dim, dim), dtype=np.intp)
+    for i, j in itertools.product(range(dim), repeat=2):
+        cell = h.mul.get((i, j))
+        if cell is None or len(cell) != 1:
+            return None
+        ((k, x),) = cell.items()
+        # a key of -1 would index the array from the end, so the range is checked here
+        if type(k) is not int or not 0 <= k < dim or not x == one:
+            return None
+        law[i, j] = k
+    return law
+
+
+def _law_associativity(b, law) -> CheckResult:
+    """The associativity fold of a monomial law, decided row by row as law[law[i]] == law[i][law].
+
+    Each product of the fold is one on one basis vector, so a triple either agrees (residual
+    0.0) or compares one with zero on two keys (residual(one, zero)); the first failing triple
+    in (i, j, k) order is the witness, and it fails only where one and zero are not eq.
+    """
+    dim = len(law)
+    for i in range(dim):
+        bad = np.flatnonzero(law[law[i]] != law[i][law])
+        if bad.size:
+            j, k = divmod(int(bad[0]), dim)
+            passed = b.eq(b.one, b.zero)
+            return CheckResult(name="associativity", passed=passed, residual=b.residual(b.one, b.zero),
+                               detail="" if passed else f"({i},{j},{k})")
+    return CheckResult("associativity", True)
+
+
 def _algebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
-    """Associativity and unit of h on basis elements; a triple whose cells (i, j) and (j, k)
-    are both empty compares two zero vectors (a pass, residual 0.0) and is skipped."""
+    """Associativity and unit of h on basis elements.
+
+    When every cell of mul is one basis vector with coefficient one (a law of composition, as
+    on the group algebra and the function algebra's dual), associativity is decided on the law
+    as an int array, with the verdict, residual and witness of the fold; any other product is
+    folded triple by triple.  The fold skips a triple whose cells (i, j) and (j, k) are both
+    empty: it would compare two zero vectors (a pass, residual 0.0).
+    """
     b, dim = h.backend, h.dim
 
     def pairs_assoc():
@@ -385,7 +429,9 @@ def _algebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
             yield f"left {i}", mul_vec(h, h.unit, h.basis(i)), h.basis(i)
             yield f"right {i}", mul_vec(h, h.basis(i), h.unit), h.basis(i)
 
-    return fold_checks("associativity", b, pairs_assoc()), fold_checks("unit", b, pairs_unit())
+    law = _monomial_law(h)
+    assoc = fold_checks("associativity", b, pairs_assoc()) if law is None else _law_associativity(b, law)
+    return assoc, fold_checks("unit", b, pairs_unit())
 
 
 def _bialgebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:

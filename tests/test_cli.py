@@ -256,6 +256,8 @@ def test_configs_exactly_at_each_cap_are_accepted():
     parse_config({"command": "group-part", "mode": "closedForm",
                   "group": {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP}})
     parse_config({"command": "hopf-axioms", "group": {"kind": "finite_abelian", "orders": [HOPF_AXIOMS_DIM_CAP]}})
+    assert math.factorial(SYMMETRIC_DEGREE_CAP) <= HOPF_AXIOMS_DIM_CAP
+    parse_config({"command": "hopf-axioms", "group": {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP}})
     parse_config({"command": "duality-cycle", "group": {"kind": "finite_abelian", "orders": [DUALITY_ORDER_CAP]}})
 
 
@@ -534,6 +536,15 @@ def test_duality_cycle_rejects_orders_past_the_cap(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error at group: duality cycle capped at order {DUALITY_ORDER_CAP}, got {order}\n")
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, order", [("hopf-axioms", 1), ("duality-cycle", 12), ("group-part", 12)])
+def test_backend_order_is_what_the_command_needs(monkeypatch, command, order):
+    # hopf-axioms' structure constants are all 0 or 1; characters need the exponent's roots
+    built = []
+    monkeypatch.setattr(cli, "make_backend", lambda *args, **kwargs: built.append(kwargs["order"]))
+    parse_config({"command": command, "group": {"kind": "finite_abelian", "orders": [4, 6]}})
+    assert built == [order]
 
 
 def test_tensor_iso_past_the_cap_exits_2_before_a_backend_is_built(tmp_path, capsys, monkeypatch):
