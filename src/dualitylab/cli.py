@@ -43,6 +43,7 @@ from .hopf import (
     require_axioms_dim,
     require_brute_force_dim,
     require_cycle_group,
+    require_group_part_order,
     require_tensor_dim,
     same_tensors,
 )
@@ -256,8 +257,8 @@ def _hopf_axioms(fields):
             h = build(group, backend)
             # dual_hopf twice returns the same tensors, so when h's dual is an
             # algebra already checked, h's two lists are that algebra's, swapped
-            dual = dual_hopf(h)
-            lists = next(((d, a) for k, a, d in checked if same_tensors(dual, k)), None) or check_hopf_axioms(h)
+            reused = ((d, a) for k, a, d in checked if same_tensors(dual_hopf(h), k))
+            lists = next(reused, None) or check_hopf_axioms(h)
             checked.append((h, *lists))
             for prefix, axioms in zip((alg, f"{alg}-dual"), lists):
                 checks.extend(replace(c, name=f"{prefix}/{c.name}") for c in axioms)
@@ -304,6 +305,7 @@ def _group_part(fields):
     expected = None
     if fields.raw.get("expectedCount") is not None:
         expected = fields("expectedCount", None, _parse_int, 0)
+    _rooted("group", require_group_part_order, group, algebra)
     if "brute_force" in modes:
         _rooted("mode", require_brute_force_dim, group.order)
     backend = fields.backend(group)

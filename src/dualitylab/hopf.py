@@ -42,6 +42,15 @@ DUALITY_ORDER_CAP = 128
 # exact and 18.7 s float, each at 488-491 MB peak; so dimensions up to 720, S6 among them,
 # finish in well under a minute
 HOPF_AXIOMS_DIM_CAP = 720
+# group-part caps, in either mode; runs through duality-lab, one process each (Python 3.11, 2-core
+# x86-64 host), closedForm.  The function algebra costs about characters x order^2: Z149 52.0 s exact and
+# 21.8 s float, Z150 37.9 s exact and 22.6 s float, each under 45 MB, and S6 (2 characters) 5.1 s
+# exact and 5.4 s float; so work up to that of an abelian group of order 150 finishes in a minute
+GROUP_PART_FUNCTION_ORDER_CAP = 150
+# the group algebra's n^2 product cells bind memory, and prime orders make slow exact scalars:
+# Z1399 47.4 s exact and 14.5 s float at 829 MB peak, Z1400 27.1 s exact and 13.1 s float, Z1499
+# 62.5 s exact at 929 MB; so orders up to 1400 finish in a minute and 1 GB
+GROUP_PART_GROUP_ORDER_CAP = 1400
 
 # Vec maps basis index -> scalar; PairVec maps (index, index) -> scalar.
 
@@ -53,10 +62,8 @@ class HopfAlgebra:
     mul[(i, j)] is the product of basis elements i and j as a Vec; comul[i]
     is the coproduct of basis element i as a PairVec; unit and counit are a
     Vec and a coefficient row; antipode[i] is the image of basis element i.
-    Missing entries mean zero.  ``source`` tags the two canonical
-    constructions ("functions" or "group", with the group law on basis
-    indices and the identity's index) so closed-form shortcuts can be
-    dispatched; it never affects verification.
+    Missing entries mean zero.  The tensors are the whole algebra: nothing
+    else records which construction built it.
 
     ``rows`` is mul indexed by its left factor, rows[i][j] = mul[(i, j)] for
     the nonzero cells, built with the algebra so products walk one row
@@ -71,7 +78,6 @@ class HopfAlgebra:
     comul: Mapping
     counit: Mapping
     antipode: Mapping
-    source: tuple[str, list[list[int]], int] | None = None
     rows: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,7 +127,6 @@ def function_algebra(group: Group, backend) -> HopfAlgebra:
         comul=comul,
         counit={e: one},
         antipode={i: {inverse[i]: one} for i in range(n)},
-        source=("functions", law, e),
     )
 
 
@@ -143,7 +148,6 @@ def group_algebra(group: Group, backend) -> HopfAlgebra:
         comul={i: {(i, i): one} for i in range(n)},
         counit={i: one for i in range(n)},
         antipode={i: {inverse[i]: one} for i in range(n)},
-        source=("group", law, e),
     )
 
 
@@ -318,7 +322,7 @@ def hopf_equal(h1: HopfAlgebra, h2: HopfAlgebra) -> tuple[bool, float]:
 
 def same_tensors(h: HopfAlgebra, k: HopfAlgebra) -> bool:
     """Whether h and k have literally equal structure: the same dim, backend and
-    five tensors under ``==``; labels and source are ignored.
+    five tensors under ``==``; labels are ignored.
 
     A check of h then stands for the same check of k, so callers run it once.
     ``hopf_equal`` does not fit: it compares under the float tolerance.  Dict
@@ -348,10 +352,6 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
     swap roles, and the antipode transposes.  Applying this twice returns
     literally the same tensors.
     """
-    source = None
-    if h.source is not None:
-        tag, *table = h.source
-        source = ("group" if tag == "functions" else "functions", *table)
     return HopfAlgebra(
         dim=h.dim,
         labels=tuple(lbl + "*" for lbl in h.labels),
@@ -361,7 +361,6 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
         comul=_transpose(h.mul),
         counit=dict(h.unit),
         antipode=_transpose(h.antipode),
-        source=source,
     )
 
 
@@ -369,21 +368,30 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
 # axiom checking
 
 
-def _monomial_law(h: HopfAlgebra):
-    """h's product as an (n, n) int array, law[i, j] = k for mul[(i, j)] == {k: one}; None unless
-    every one of the n^2 cells is one int key in range(n) whose value is literally == one."""
+def _monomial_law(h: HopfAlgebra, coproduct: bool = False):
+    """The map from pairs to points that h's product (or coproduct) spells out, as a table
+    law[i][j] = k; None unless each pair (i, j) of range(n)^2 occurs exactly once and every i, j,
+    k is an int in range(n) whose coefficient is literally == one.
+
+    The product cell mul[(i, j)] = {k: one} and the coproduct term comul[k] = {(i, j): one} spell
+    the same entry: the product of a group algebra and the coproduct of a function algebra are
+    the group law.  Either tensor is read in place, in one pass.
+    """
     one, dim = h.backend.one, h.dim
-    law = np.empty((dim, dim), dtype=np.intp)
-    for i, j in itertools.product(range(dim), repeat=2):
-        cell = h.mul.get((i, j))
-        if cell is None or len(cell) != 1:
+    if coproduct:
+        entries = ((ij, k, x) for k, cell in h.comul.items() for ij, x in cell.items())
+    else:
+        entries = ((ij, k, x) for ij, cell in h.mul.items() for k, x in cell.items())
+    law = [[-1] * dim for _ in range(dim)]
+    count = 0
+    for (i, j), k, x in entries:
+        # a negative index would reach a row or entry from the end, so the range is checked here
+        if (type(i) is not int or type(j) is not int or type(k) is not int or not x == one
+                or not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim) or law[i][j] != -1):
             return None
-        ((k, x),) = cell.items()
-        # a key of -1 would index the array from the end, so the range is checked here
-        if type(k) is not int or not 0 <= k < dim or not x == one:
-            return None
-        law[i, j] = k
-    return law
+        law[i][j] = k
+        count += 1
+    return law if count == dim * dim else None
 
 
 def _law_associativity(b, law) -> CheckResult:
@@ -394,6 +402,7 @@ def _law_associativity(b, law) -> CheckResult:
     in (i, j, k) order is the witness, and it fails only where one and zero are not eq.
     """
     dim = len(law)
+    law = np.array(law, dtype=np.intp)
     for i in range(dim):
         bad = np.flatnonzero(law[law[i]] != law[i][law])
         if bad.size:
@@ -407,11 +416,11 @@ def _law_associativity(b, law) -> CheckResult:
 def _algebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
     """Associativity and unit of h on basis elements.
 
-    When every cell of mul is one basis vector with coefficient one (a law of composition, as
-    on the group algebra and the function algebra's dual), associativity is decided on the law
-    as an int array, with the verdict, residual and witness of the fold; any other product is
-    folded triple by triple.  The fold skips a triple whose cells (i, j) and (j, k) are both
-    empty: it would compare two zero vectors (a pass, residual 0.0).
+    When mul reads as a law (``_monomial_law``), as on the group algebra and the function
+    algebra's dual, associativity is decided on the law as an int array, with the verdict,
+    residual and witness of the fold; any other product is folded triple by triple.  The fold
+    skips a triple whose cells (i, j) and (j, k) are both empty: it would compare two zero
+    vectors (a pass, residual 0.0).
     """
     b, dim = h.backend, h.dim
 
@@ -523,32 +532,6 @@ def _is_grouplike(h: HopfAlgebra, v: Mapping) -> tuple[bool, float]:
     return compare(b, _apply(b, h.comul, v), _kron(b, v, v))
 
 
-def _index_law_from_comul(h: HopfAlgebra) -> tuple[list[list[int]], int] | None:
-    """Recover a group law from a coproduct of pure factorization type.
-
-    Requires every coproduct entry to be the backend one and the pair map
-    (s, t) -> point to be total; returns None when the shape does not match.
-    """
-    b = h.backend
-    law = [[-1] * h.dim for _ in range(h.dim)]
-    for x in range(h.dim):
-        for (s, t), c in h.comul.get(x, {}).items():
-            if not b.eq(c, b.one):
-                return None
-            if law[s][t] != -1:
-                return None
-            law[s][t] = x
-    if any(-1 in row for row in law):
-        return None
-    ident = [i for i in range(h.dim) if b.eq(h.counit.get(i, b.zero), b.one)]
-    rest_zero = all(
-        b.is_zero(h.counit.get(i, b.zero)) for i in range(h.dim) if i not in ident
-    )
-    if len(ident) != 1 or not rest_zero:
-        return None
-    return law, ident[0]
-
-
 def _mul_is_diagonal(h: HopfAlgebra) -> bool:
     """Pointwise product: orthogonal basis idempotents and the all-ones unit."""
     b = h.backend
@@ -595,6 +578,34 @@ def _multiplicative_functions(law, e: int, backend) -> list[tuple]:
     return found
 
 
+def _law_characters(h: HopfAlgebra, law) -> list[dict]:
+    """The multiplicative functions on law as vectors; the identity is the row equal to range(n),
+    and ValueError says that no row is."""
+    b, identity = h.backend, list(range(h.dim))
+    e = next((i for i, row in enumerate(law) if row == identity), None)
+    if e is None:
+        raise ValueError("the coproduct's law has no identity")
+    return [{i: v for i, v in enumerate(values) if not b.is_zero(v)}
+            for values in _multiplicative_functions(law, e, b)]
+
+
+def require_group_part_order(group: Group, algebra: str) -> None:
+    """ConfigError at "" for a group_part config past its cap: a group algebra ("group") of order
+    over GROUP_PART_GROUP_ORDER_CAP, or a function algebra ("function") with more characters x
+    order^2 than an abelian group of order GROUP_PART_FUNCTION_ORDER_CAP.  The count of characters,
+    |G / [G, G]|, is the order for an abelian group and 2 for a symmetric group of degree >= 2 (the
+    trivial and the sign character), and the order, a bound, for any other."""
+    n = group.order
+    if algebra == "group":
+        if n > GROUP_PART_GROUP_ORDER_CAP:
+            fail("", f"group-part on the group algebra capped at order {GROUP_PART_GROUP_ORDER_CAP}, got {n}")
+        return
+    characters = min(n, 2) if group.kind == "symmetric" else n
+    if characters * n * n > GROUP_PART_FUNCTION_ORDER_CAP**3:
+        fail("", f"group-part on the function algebra capped at characters x order^2 = "
+                 f"{GROUP_PART_FUNCTION_ORDER_CAP}^3, got {characters} x {n}^2")
+
+
 def require_brute_force_dim(dim: int) -> None:
     """ConfigError at "" for a brute-force group_part dimension over BRUTE_FORCE_DIM_CAP."""
     if dim > BRUTE_FORCE_DIM_CAP:
@@ -604,41 +615,34 @@ def require_brute_force_dim(dim: int) -> None:
 def group_part(h: HopfAlgebra, mode: str = "closed_form") -> GroupPartResult:
     """All nonzero vectors whose coproduct is their own tensor square.
 
-    closed_form dispatches on the tagged construction: every point mass in a
-    group algebra qualifies; in a function algebra the qualifying vectors are
-    exactly the multiplicative root-of-unity functions, enumerated on a
-    generating set.  brute_force ignores the tag and works from the tensors
-    alone (dimension capped): a basis scan plus, when multiplication is
-    pointwise-diagonal, the same multiplicative-function search driven by the
-    group law recovered from the coproduct.  Every returned vector is
+    Both modes read the coproduct (``_monomial_law``).  closed_form decides
+    from it alone: a coproduct that reads as a group law, as a function
+    algebra's does, gives the multiplicative root-of-unity functions on that
+    law, enumerated on a generating set; one with comul[i] == {(i, i): one}
+    for every i, as a group algebra's, gives the point masses; any other
+    raises ValueError.  brute_force (dimension capped) scans the basis and,
+    when multiplication is pointwise-diagonal, adds the multiplicative
+    functions on the coproduct's law.  Every returned vector is
     residual-verified, and closure under the product is checked.
     """
     b = h.backend
-    vectors: list[dict] = []
     if mode == "closed_form":
-        if h.source is None:
-            raise ValueError("closed_form needs a tagged construction; use brute_force")
-        tag, law, e = h.source
-        if tag == "group":
+        law = _monomial_law(h, coproduct=True)
+        if law is not None:
+            vectors = _law_characters(h, law)
+        elif all(h.comul.get(i) == {(i, i): b.one} for i in range(h.dim)):
             vectors = [h.basis(i) for i in range(h.dim)]
-        elif tag == "functions":
-            for values in _multiplicative_functions(law, e, b):
-                vectors.append({i: v for i, v in enumerate(values) if not b.is_zero(v)})
         else:
-            raise ValueError(f"unknown source tag {tag!r}")
+            raise ValueError("closed_form needs a coproduct that is a group law or makes every basis vector "
+                             "grouplike; use brute_force")
     elif mode == "brute_force":
         require_brute_force_dim(h.dim)
-        for i in range(h.dim):
-            ok, _ = _is_grouplike(h, h.basis(i))
-            if ok:
-                vectors.append(h.basis(i))
+        vectors = [h.basis(i) for i in range(h.dim) if _is_grouplike(h, h.basis(i))[0]]
         if _mul_is_diagonal(h):
-            recovered = _index_law_from_comul(h)
-            if recovered is None:
+            law = _monomial_law(h, coproduct=True)
+            if law is None:
                 raise ValueError("diagonal multiplication but no factorization-type coproduct")
-            law, e = recovered
-            for values in _multiplicative_functions(law, e, b):
-                cand = {i: v for i, v in enumerate(values) if not b.is_zero(v)}
+            for cand in _law_characters(h, law):
                 if not _contains(b, vectors, cand):
                     vectors.append(cand)
         elif not vectors:

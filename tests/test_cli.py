@@ -30,7 +30,15 @@ from dualitylab import (
 from dualitylab import cli
 from dualitylab.cli import ConfigError, main, parse_config, run_command
 from dualitylab.groups import SYMMETRIC_DEGREE_CAP
-from dualitylab.hopf import BRUTE_FORCE_DIM_CAP, DUALITY_ORDER_CAP, HOPF_AXIOMS_DIM_CAP, TENSOR_DIM_CAP
+from dualitylab.hopf import (
+    BRUTE_FORCE_DIM_CAP,
+    DUALITY_ORDER_CAP,
+    GROUP_PART_FUNCTION_ORDER_CAP,
+    GROUP_PART_GROUP_ORDER_CAP,
+    HOPF_AXIOMS_DIM_CAP,
+    TENSOR_DIM_CAP,
+    require_group_part_order,
+)
 
 
 def errors(raw, **kwargs):
@@ -177,10 +185,13 @@ def test_common_field_constraints():
 
 # a tensor-iso factor whose square passes TENSOR_DIM_CAP
 TENSOR_SIDE = math.isqrt(TENSOR_DIM_CAP) + 1
-Z, S3, F2, Z_PAST_CAP, Z_PAST_BRUTE, Z_SIDE, Z_PAST_AXIOMS = (make_group(spec) for spec in
+Z, S3, F2, Z_PAST_CAP, Z_PAST_BRUTE, Z_SIDE, Z_PAST_AXIOMS, Z_PAST_FUNCTION_PART, Z_PAST_GROUP_PART = (
+    make_group(spec) for spec in
     (GroupSpec.free_abelian(1), GroupSpec.symmetric(3), GroupSpec.free(2),
      GroupSpec.finite_abelian([DUALITY_ORDER_CAP + 1]), GroupSpec.finite_abelian([BRUTE_FORCE_DIM_CAP + 1]),
-     GroupSpec.finite_abelian([TENSOR_SIDE]), GroupSpec.finite_abelian([HOPF_AXIOMS_DIM_CAP + 1])))
+     GroupSpec.finite_abelian([TENSOR_SIDE]), GroupSpec.finite_abelian([HOPF_AXIOMS_DIM_CAP + 1]),
+     GroupSpec.finite_abelian([GROUP_PART_FUNCTION_ORDER_CAP + 1]),
+     GroupSpec.finite_abelian([GROUP_PART_GROUP_ORDER_CAP + 1])))
 
 
 # each input rule: a config that breaks it, the JSON path of the rule's argument there,
@@ -209,8 +220,14 @@ Z, S3, F2, Z_PAST_CAP, Z_PAST_BRUTE, Z_SIDE, Z_PAST_AXIOMS = (make_group(spec) f
      lambda: product_iso_check(Z_SIDE, Z_SIDE, ComplexFloatBackend())),
     ({"command": "hopf-axioms", "group": {"kind": "finite_abelian", "orders": [HOPF_AXIOMS_DIM_CAP + 1]}}, "group",
      lambda: check_hopf_axioms(function_algebra(Z_PAST_AXIOMS, ComplexFloatBackend()))),
+    ({"command": "group-part", "algebra": "function", "mode": "closedForm",
+      "group": {"kind": "finite_abelian", "orders": [GROUP_PART_FUNCTION_ORDER_CAP + 1]}}, "group",
+     lambda: require_group_part_order(Z_PAST_FUNCTION_PART, "function")),
+    ({"command": "group-part", "algebra": "group", "mode": "closedForm",
+      "group": {"kind": "finite_abelian", "orders": [GROUP_PART_GROUP_ORDER_CAP + 1]}}, "group",
+     lambda: require_group_part_order(Z_PAST_GROUP_PART, "group")),
 ], ids=["finite", "finite_abelian", "duality-order", "heisenberg", "integer-weights", "weight-count", "tolerance",
-        "brute-force-dim", "tensor-dim", "axioms-dim"])
+        "brute-force-dim", "tensor-dim", "axioms-dim", "function-part-order", "group-part-order"])
 def test_cli_reports_the_library_rule_at_its_path(config, root, call):
     with pytest.raises(ConfigError) as exc:
         call()
@@ -229,6 +246,12 @@ OVER_CAP = {
                         "right": {"kind": "finite_abelian", "orders": [1]}}, "right"),
     "HOPF_AXIOMS_DIM_CAP": ({"command": "hopf-axioms",
                              "group": {"kind": "finite_abelian", "orders": [HOPF_AXIOMS_DIM_CAP + 1]}}, "group"),
+    "GROUP_PART_FUNCTION_ORDER_CAP": ({"command": "group-part", "algebra": "function", "mode": "closedForm",
+                                       "group": {"kind": "finite_abelian",
+                                                 "orders": [GROUP_PART_FUNCTION_ORDER_CAP + 1]}}, "group"),
+    "GROUP_PART_GROUP_ORDER_CAP": ({"command": "group-part", "algebra": "group", "mode": "closedForm",
+                                    "group": {"kind": "finite_abelian",
+                                              "orders": [GROUP_PART_GROUP_ORDER_CAP + 1]}}, "group"),
 }
 # names that end in _CAP but bound nothing a config can pass: the elementCap default only
 # sets where explore_ball truncates, which a run reports as a resource-cap row
@@ -253,8 +276,12 @@ def test_configs_exactly_at_each_cap_are_accepted():
                   "group": {"kind": "finite_abelian", "orders": [2] * 6}})
     parse_config({"command": "tensor-iso", "left": {"kind": "finite_abelian", "orders": [TENSOR_DIM_CAP]},
                   "right": {"kind": "finite_abelian", "orders": [1]}})
-    parse_config({"command": "group-part", "mode": "closedForm",
-                  "group": {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP}})
+    for algebra in ("function", "group"):
+        parse_config({"command": "group-part", "mode": "closedForm", "algebra": algebra,
+                      "group": {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP}})
+    for algebra, cap in (("function", GROUP_PART_FUNCTION_ORDER_CAP), ("group", GROUP_PART_GROUP_ORDER_CAP)):
+        parse_config({"command": "group-part", "mode": "closedForm", "algebra": algebra,
+                      "group": {"kind": "finite_abelian", "orders": [cap]}})
     parse_config({"command": "hopf-axioms", "group": {"kind": "finite_abelian", "orders": [HOPF_AXIOMS_DIM_CAP]}})
     assert math.factorial(SYMMETRIC_DEGREE_CAP) <= HOPF_AXIOMS_DIM_CAP
     parse_config({"command": "hopf-axioms", "group": {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP}})
@@ -559,6 +586,25 @@ def test_tensor_iso_past_the_cap_exits_2_before_a_backend_is_built(tmp_path, cap
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"config error at right: tensor dimension 10100 exceeds the cap {TENSOR_DIM_CAP}\n")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("algebra, order, message", [
+    ("function", 151, f"group-part on the function algebra capped at characters x order^2 = "
+                      f"{GROUP_PART_FUNCTION_ORDER_CAP}^3, got 151 x 151^2"),
+    ("group", 20011, f"group-part on the group algebra capped at order {GROUP_PART_GROUP_ORDER_CAP}, got 20011"),
+])
+def test_group_part_past_the_cap_exits_2_before_a_backend_is_built(tmp_path, capsys, monkeypatch,
+                                                                    algebra, order, message):
+    def no_backend(*args, **kwargs):
+        raise AssertionError("backend built for a refused config")
+
+    monkeypatch.setattr(cli, "make_backend", no_backend)
+    cfg = write_config(tmp_path, "run.json", {"command": "group-part", "algebra": algebra, "mode": "closedForm",
+                                              "group": {"kind": "finite_abelian", "orders": [order]}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error at group: {message}\n"
     assert not (out / "report.json").exists()
 
 

@@ -448,7 +448,10 @@ def test_law_associativity_matches_the_full_fold(law, kind, edit, picks):
     if cell is not None:
         mul[(i, j)] = cell
     h = dataclasses.replace(h, mul=mul)
-    assert (hopf._monomial_law(h) is None) == (edit not in ("none", "swap"))
+    law = hopf._monomial_law(h)
+    assert (law is None) == (edit not in ("none", "swap"))
+    # the dual's coproduct is h's product transposed, so it spells the same law, or none
+    assert hopf._monomial_law(dual_hopf(h), coproduct=True) == law
     assert hopf._algebra_axioms(h) == unskipped_algebra_axioms(h)
 
 
@@ -672,7 +675,7 @@ def test_same_tensors_compares_structure_not_names():
     b = make_backend("cyclotomic", order=6)
     h, k = function_algebra(g, b), group_algebra(g, b)
     assert hopf.same_tensors(dual_hopf(h), k) and hopf.same_tensors(h, dual_hopf(k))
-    assert dual_hopf(h).labels != k.labels and dual_hopf(h).source != h.source
+    assert dual_hopf(h).labels != k.labels
     assert not hopf.same_tensors(h, k)
     two = b.from_int(2)
     for changed in (
@@ -1010,6 +1013,41 @@ def test_group_part_brute_force_at_the_cap():
     assert edge.order == BRUTE_FORCE_DIM_CAP
     part = group_part(group_algebra(edge, make_backend("float")), mode="brute_force")
     assert part.count == BRUTE_FORCE_DIM_CAP and part.verified and part.closed_under_product
+
+
+def test_closed_form_reads_the_coproduct_not_the_construction():
+    z4 = make_group(GroupSpec.finite_abelian([4]))
+    b = make_backend("cyclotomic", order=4)
+    # a function algebra given the group algebra's coproduct: its grouplikes are the point masses
+    h = dataclasses.replace(function_algebra(z4, b), comul=group_algebra(z4, b).comul)
+    part = group_part(h, "closed_form")
+    assert part.vectors == tuple(h.basis(i) for i in range(4))
+    assert part.verified and part.worst_residual == 0.0
+
+
+def test_closed_form_on_tensor_products():
+    b = make_backend("cyclotomic", order=6)
+    z2, z3 = (make_group(GroupSpec.finite_abelian([n])) for n in (2, 3))
+    for left, right in ((group_algebra, group_algebra), (function_algebra, function_algebra)):
+        t = tensor_hopf(left(z2, b), right(z3, b))
+        closed, brute = group_part(t, "closed_form"), group_part(t, "brute_force")
+        assert closed.count == brute.count == 6
+        assert closed.verified and closed.closed_under_product
+        assert {frozenset(v.items()) for v in closed.vectors} == {frozenset(v.items()) for v in brute.vectors}
+    # functions on Z2 times point masses of Z3: the coproduct is neither a law nor diagonal
+    with pytest.raises(ValueError):
+        group_part(tensor_hopf(function_algebra(z2, b), group_algebra(z3, b)), "closed_form")
+
+
+def test_a_negative_coproduct_key_gives_no_law():
+    h = function_algebra(make_group(GroupSpec.finite_abelian([4])), make_backend("float"))
+    # 3 + 0 = 3: the term (3, 0) of comul[3] becomes (-1, 0), which would index row 3 from the end
+    comul = {**h.comul, 3: {((-1, 0) if st == (3, 0) else st): c for st, c in h.comul[3].items()}}
+    h = dataclasses.replace(h, comul=comul)
+    assert hopf._monomial_law(h, coproduct=True) is None
+    for mode in ("closed_form", "brute_force"):
+        with pytest.raises(ValueError):
+            group_part(h, mode)
 
 
 def closed_by_full_scan(h, vectors):
