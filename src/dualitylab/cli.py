@@ -308,7 +308,9 @@ def _group_part(fields):
     _rooted("group", require_group_part_order, group, algebra)
     if "brute_force" in modes:
         _rooted("mode", require_brute_force_dim, group.order)
-    backend = fields.backend(group)
+    # the group algebra's structure constants and point masses are 0 or 1; the function
+    # algebra's characters need the exponent's roots
+    backend = fields.backend(group) if algebra == "function" else fields.backend()
 
     def run():
         h = (function_algebra if algebra == "function" else group_algebra)(group, backend)
@@ -337,7 +339,8 @@ def _tensor_iso(fields):
     _rooted("left", require, left)
     _rooted("right", require, right)
     _rooted("right", require_tensor_dim, left.order * right.order)
-    backend = fields.backend(left, right)
+    # both sides' structure constants are 0 or 1, so no roots of unity are needed
+    backend = fields.backend()
 
     def run():
         checks = product_iso_check(left, right, backend)

@@ -32,8 +32,10 @@ TENSOR_DIM_CAP = 1500
 BRUTE_FORCE_DIM_CAP = 64
 # the exact cycle is slowest at prime orders (largest phi(n)); through duality-lab,
 # one process each (Python 3.11, 2-core x86-64 host): Z79 9.1 s, Z83 11.7 s,
-# Z101 20.8 s, Z113 34.2 s, and Z127, the largest prime under the cap, 41.5-50.4 s
-# in three runs at 174 MB peak, so orders up to 128 finish in a minute
+# Z101 20.8 s, Z113 34.2 s, and Z127, the largest prime under the cap, 39.3-48.6 s
+# in three runs at 174 MB peak (float 3.0 s), so orders up to 128 finish in a minute;
+# perturbed, the map and its transpose fold apart and exact Z127 took 67.4 s.  The dense
+# _compose sums and the Fraction scaling bind it, not the hom fold
 DUALITY_ORDER_CAP = 128
 # hopf-axioms on the rationals (every structure constant is 0 or 1), with the group law's
 # associativity decided on an int array; through duality-lab, one process each (Python 3.11,
@@ -47,9 +49,10 @@ HOPF_AXIOMS_DIM_CAP = 720
 # 21.8 s float, Z150 37.9 s exact and 22.6 s float, each under 45 MB, and S6 (2 characters) 5.1 s
 # exact and 5.4 s float; so work up to that of an abelian group of order 150 finishes in a minute
 GROUP_PART_FUNCTION_ORDER_CAP = 150
-# the group algebra's n^2 product cells bind memory, and prime orders make slow exact scalars:
-# Z1399 47.4 s exact and 14.5 s float at 829 MB peak, Z1400 27.1 s exact and 13.1 s float, Z1499
-# 62.5 s exact at 929 MB; so orders up to 1400 finish in a minute and 1 GB
+# the group algebra's n^2 product cells bind memory; exact runs are on the rationals, as every
+# structure constant and point mass is 0 or 1: Z1399 16.1 s exact at 814 MB peak (53.5 s with the
+# order-1399 backend it used to build) and 14.5 s float at 829 MB, Z1400 13.1 s float, and with the
+# cap lifted Z1499 16.7 s exact at 912 MB (57.3 s); so orders up to 1400 finish in a minute and 1 GB
 GROUP_PART_GROUP_ORDER_CAP = 1400
 
 # Vec maps basis index -> scalar; PairVec maps (index, index) -> scalar.
@@ -394,6 +397,18 @@ def _monomial_law(h: HopfAlgebra, coproduct: bool = False):
     return law if count == dim * dim else None
 
 
+def _diagonal_product(h: HopfAlgebra):
+    """The dict d with mul[(m, m)] == {m: d[m]} for every cell and no other cell, as a pointwise
+    product spells out; None for any other product.  Read literally, not under the tolerance:
+    a product is then one multiplication per shared index, as ``mul_vec`` would run it."""
+    d = {}
+    for (i, j), cell in h.mul.items():
+        if i != j or len(cell) != 1 or i not in cell:
+            return None
+        d[i] = cell[i]
+    return d
+
+
 def _law_associativity(b, law) -> CheckResult:
     """The associativity fold of a monomial law, decided row by row as law[law[i]] == law[i][law].
 
@@ -726,16 +741,34 @@ def fourier(group: Group, backend) -> LinearMap:
 
 
 def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
-    """The multiplicative and unital conditions of phi."""
+    """The multiplicative and unital conditions of phi: h -> k, phi(ij) = phi(i) phi(j) on every
+    basis pair (i, j), in (i, j) order, and phi(unit) = unit.
+
+    Both sides are read before the fold.  When h's product reads as a law (``_monomial_law``),
+    as the group algebra's and a function algebra's dual's do, phi(ij) is phi(law[i][j]), so
+    phi is applied to each basis vector once instead of to each of the n^2 cells.  When k's
+    product is diagonal (``_diagonal_product``), as a function algebra's and a group algebra's
+    dual's are, phi(i) phi(j) is the pointwise product over the indices they share, each
+    scaled by the diagonal, in phi(i)'s order.  Either way the scalar operations are the ones
+    ``_apply`` and ``mul_vec`` run, in the same order, so verdicts, residuals and witnesses do
+    not move; any other h or k is folded with those two calls.
+    """
     h, k, b = phi.domain, phi.codomain, phi.domain.backend
     img = [phi.columns.get(i, {}) for i in range(h.dim)]
+    law, diagonal = _monomial_law(h), _diagonal_product(k)
+
+    def product(u, v):
+        if diagonal is None:
+            return mul_vec(k, u, v)
+        return {m: b.mul(b.mul(a, v[m]), diagonal[m]) for m, a in u.items() if m in v and m in diagonal}
 
     def pairs_mult():
+        if law is not None:
+            images = [_apply(b, phi.columns, {m: b.one}) for m in range(h.dim)]
         for i in range(h.dim):
             for j in range(h.dim):
-                lhs = _apply(b, phi.columns, h.mul.get((i, j), {}))
-                rhs = mul_vec(k, img[i], img[j])
-                yield f"({i},{j})", lhs, rhs
+                lhs = _apply(b, phi.columns, h.mul.get((i, j), {})) if law is None else images[law[i][j]]
+                yield f"({i},{j})", lhs, product(img[i], img[j])
 
     return (
         fold_checks("multiplicative", b, pairs_mult()),
@@ -755,6 +788,10 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
     (an (i,j) pair, ``unit``), the antipode witness a basis vector of h.  When
     the transpose is literally phi (equal columns, and duals ``same_tensors``
     as phi's domain and codomain), its conditions are phi's: three folds.
+    Each multiplicative fold reads its domain's law and its codomain's
+    diagonal where they have one (``_algebra_hom``), as both maps of a
+    character table do: the group algebra onto a function algebra, and the
+    function algebra's dual onto the group algebra's dual.
     """
     h, k, b = phi.domain, phi.codomain, phi.domain.backend
     transpose = LinearMap(dual_hopf(k), dual_hopf(h), _transpose(phi.columns))
@@ -837,7 +874,10 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     dual side's transposed map are literally the map itself: transpose-hom
     then reuses the transform-hom conditions and the dual side's unitarity
     is the unitarity stage.  A perturbed map takes the full path wherever its
-    input differs.
+    input differs.  Perturbed or not, each hom fold applies its map once per
+    basis vector and multiplies images pointwise (``_algebra_hom``), so what
+    the cycle spends most on is the dense sums of ``_compose`` (antipode,
+    unitarity, composite) and, exact, the ``Fraction`` scaling.
 
     ``perturb`` bumps one matrix entry before checking; a single corrupted
     entry must trip at least one stage.

@@ -565,12 +565,20 @@ def test_duality_cycle_rejects_orders_past_the_cap(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("command, order", [("hopf-axioms", 1), ("duality-cycle", 12), ("group-part", 12)])
-def test_backend_order_is_what_the_command_needs(monkeypatch, command, order):
-    # hopf-axioms' structure constants are all 0 or 1; characters need the exponent's roots
+@pytest.mark.parametrize("command, extra, order", [
+    pytest.param("hopf-axioms", {}, 1, id="hopf-axioms-1"),
+    pytest.param("duality-cycle", {}, 12, id="duality-cycle-12"),
+    pytest.param("group-part", {"algebra": "group"}, 1, id="group-part-1"),
+    pytest.param("group-part", {"algebra": "function"}, 12, id="group-part-12"),
+    pytest.param("tensor-iso", {"left": {"kind": "finite_abelian", "orders": [4]},
+                                "right": {"kind": "finite_abelian", "orders": [6]}}, 1, id="tensor-iso-1"),
+])
+def test_backend_order_is_what_the_command_needs(monkeypatch, command, extra, order):
+    # structure constants and point masses are all 0 or 1; characters need the exponent's roots
     built = []
     monkeypatch.setattr(cli, "make_backend", lambda *args, **kwargs: built.append(kwargs["order"]))
-    parse_config({"command": command, "group": {"kind": "finite_abelian", "orders": [4, 6]}})
+    group = {} if command == "tensor-iso" else {"group": {"kind": "finite_abelian", "orders": [4, 6]}}
+    parse_config({"command": command, **group, **extra})
     assert built == [order]
 
 

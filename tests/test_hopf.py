@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualitylab import (
@@ -565,11 +565,26 @@ def antipode_hom(phi):
     ))
 
 
+def generic_hom(phi):
+    """The multiplicative and unital conditions of phi: h -> k folded without reading
+    either side's structure: phi applied to every product cell of h against ``mul_vec`` of
+    the two images in k."""
+    h, k = phi.domain, phi.codomain
+    b = h.backend
+    img = [phi.columns.get(i, {}) for i in range(h.dim)]
+    return (
+        hopf.fold_checks("multiplicative", b, (
+            (f"({i},{j})", hopf._apply(b, phi.columns, h.mul.get((i, j), {})), mul_vec(k, img[i], img[j]))
+            for i in range(h.dim) for j in range(h.dim))),
+        hopf.fold_checks("unital", b, [("unit", hopf._apply(b, phi.columns, h.unit), dict(k.unit))]),
+    )
+
+
 def unshared_hom(phi):
     """check_linear_hom with the transpose's conditions always computed, the
     antipode condition included."""
     transpose = LinearMap(dual_hopf(phi.codomain), dual_hopf(phi.domain), hopf._transpose(phi.columns))
-    (mult, unital), (t_mult, t_unital) = hopf._algebra_hom(phi), hopf._algebra_hom(transpose)
+    (mult, unital), (t_mult, t_unital) = generic_hom(phi), generic_hom(transpose)
     antipode, t_antipode = antipode_hom(phi), antipode_hom(transpose)
     rename = dataclasses.replace
     return (
@@ -619,6 +634,120 @@ def unshared_stages(group, b, phi):
 
 
 ORACLE_CYCLE_GROUPS = ([2], [3], [4], [6], [2, 2], [2, 3])
+HOM_GROUPS = {
+    **{f"Z{n}": GroupSpec.finite_abelian([n]) for n in range(1, 8)},
+    **{f"Z{a}xZ{c}": GroupSpec.finite_abelian([a, c]) for a, c in ((2, 2), (2, 3), (2, 4), (3, 3))},
+    "S3": GroupSpec.symmetric(3),  # a law that is not symmetric
+}
+# maps whose domain reads as a law or not and whose codomain is diagonal or not
+HOM_MAPS = {
+    "fourier": lambda g, b: fourier(g, b) if g.kind == "finite_abelian" else None,
+    "function identity": lambda g, b: LinearMap(function_algebra(g, b), function_algebra(g, b),
+                                                {i: {i: b.one} for i in range(g.order)}),
+    "group identity": lambda g, b: LinearMap(group_algebra(g, b), group_algebra(g, b),
+                                             {i: {i: b.one} for i in range(g.order)}),
+}
+# a new value for one entry given the old one (None: missing) and a root r of order e
+HOM_ENTRIES = {
+    "kept": lambda b, x, r, e: x,
+    "root": lambda b, x, r, e: b.root(r, e),
+    "bumped": lambda b, x, r, e: b.add(b.one if x is None else x, b.one),
+}
+
+
+def scaled_cell(h, key, value):
+    """h with every coefficient of its product cell at key replaced by value."""
+    if key not in h.mul:
+        return h
+    return dataclasses.replace(h, mul={**h.mul, key: {m: value for m in h.mul[key]}})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    group=st.sampled_from(sorted(HOM_GROUPS)),
+    kind=st.sampled_from(["float", "cyclotomic"]),
+    build=st.sampled_from(sorted(HOM_MAPS)),
+    entry=st.sampled_from(sorted(HOM_ENTRIES)),
+    transpose=st.booleans(),
+    cell=st.sampled_from(["domain", "codomain", None]),
+    cell_value=st.sampled_from(sorted(HOM_ENTRIES)),
+    picks=st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8), st.integers(0, 8)),
+)
+def test_read_hom_fold_matches_the_generic_fold(group, kind, build, entry, transpose, cell, cell_value, picks):
+    g = make_group(HOM_GROUPS[group])
+    b = guard_backend(g, kind)
+    e = g.exponent
+    i, j, m, r = (x % g.order for x in picks)
+    phi = HOM_MAPS[build](g, b)
+    assume(phi is not None)
+    columns = {t: dict(col) for t, col in phi.columns.items()}
+    x = HOM_ENTRIES[entry](b, columns[j].get(i), r, e)
+    if x is not None:
+        columns[j][i] = x
+    phi = LinearMap(phi.domain, phi.codomain, columns)
+    if transpose:
+        phi = LinearMap(dual_hopf(phi.codomain), dual_hopf(phi.domain), hopf._transpose(phi.columns))
+    # one cell's coefficient: a diagonal codomain's off one, or a domain law's off one
+    value = HOM_ENTRIES[cell_value](b, b.one, r, e)
+    if cell == "codomain":
+        phi = LinearMap(phi.domain, scaled_cell(phi.codomain, (m, m), value), phi.columns)
+    elif cell == "domain":
+        phi = LinearMap(scaled_cell(phi.domain, (m, i), value), phi.codomain, phi.columns)
+    # repr of both results: verdict, residual to the bit, witness
+    assert repr(hopf._algebra_hom(phi)) == repr(generic_hom(phi))
+
+
+def counting_hom_work(monkeypatch) -> collections.Counter:
+    """Counts of mul_vec calls ("mul_vec") and of _apply calls made inside each named fold."""
+    calls = collections.Counter()
+    folding = []
+    fold, apply, product = hopf.fold_checks, hopf._apply, hopf.mul_vec
+
+    def counted_fold(name, backend, pairs):
+        folding.append(name)
+        try:
+            return fold(name, backend, pairs)
+        finally:
+            folding.pop()
+
+    def counted_apply(*args):
+        calls[folding[-1] if folding else None] += 1
+        return apply(*args)
+
+    def counted_product(*args):
+        calls["mul_vec"] += 1
+        return product(*args)
+
+    monkeypatch.setattr(hopf, "fold_checks", counted_fold)
+    monkeypatch.setattr(hopf, "_apply", counted_apply)
+    monkeypatch.setattr(hopf, "mul_vec", counted_product)
+    return calls
+
+
+@pytest.mark.parametrize("perturb", [None, (1, 2)])
+@pytest.mark.parametrize("kind", ["float", "cyclotomic"])
+def test_duality_hom_fold_reads_the_law_and_the_diagonal(monkeypatch, kind, perturb):
+    g = make_group(GroupSpec.finite_abelian([6]))
+    calls = counting_hom_work(monkeypatch)
+    duality_cycle(g, guard_backend(g, kind), perturb)
+    # each multiplicative fold applies the map once per basis vector of its law
+    # domain and multiplies in its diagonal codomain without mul_vec; perturbed,
+    # the map and its transpose fold apart
+    folds = 1 if perturb is None else 2
+    assert calls["mul_vec"] == 0
+    assert calls["multiplicative"] == folds * g.order
+
+
+def test_hom_fold_into_a_group_algebra_multiplies_every_pair(monkeypatch):
+    g = make_group(GroupSpec.finite_abelian([6]))
+    b = exact_backend_for(g)
+    calls = counting_hom_work(monkeypatch)
+    h = group_algebra(g, b)
+    hopf._algebra_hom(LinearMap(h, h, {i: {i: b.one} for i in range(g.order)}))
+    # the domain's law still spares the left side, but a product that is not
+    # diagonal goes through mul_vec
+    assert calls["mul_vec"] == g.order ** 2
+    assert calls["multiplicative"] == g.order
 
 
 @pytest.mark.parametrize("kind", ["float", "cyclotomic"])
