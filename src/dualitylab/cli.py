@@ -41,7 +41,6 @@ from .hopf import (
     perturb_entry,
     product_iso_check,
     require_axioms_dim,
-    require_brute_force_dim,
     require_cycle_group,
     require_group_part_order,
     require_tensor_dim,
@@ -305,9 +304,7 @@ def _group_part(fields):
     expected = None
     if fields.raw.get("expectedCount") is not None:
         expected = fields("expectedCount", None, _parse_int, 0)
-    _rooted("group", require_group_part_order, group, algebra)
-    if "brute_force" in modes:
-        _rooted("mode", require_brute_force_dim, group.order)
+    _rooted("group", require_group_part_order, group, algebra, len(modes))
     # the group algebra's structure constants and point masses are 0 or 1; the function
     # algebra's characters need the exponent's roots
     backend = fields.backend(group) if algebra == "function" else fields.backend()

@@ -24,19 +24,13 @@ from .reports import CheckResult, as_int, fail
 # Z35xZ40 (1400) 31.7 s at 1682 MB, Z30xZ50 (1500) 37.2 s at 1891 MB, and float
 # 39.0 s at 1960 MB, so dimensions up to 1500 finish in a minute and 2 GB
 TENSOR_DIM_CAP = 1500
-# group-part bruteForce at dimension 64, one duality-lab process each (Python
-# 3.11, 2-core x86-64 host): the exact function algebra of Z64 took 6.2 s,
-# those of Z2^6, Z4^3 and Z8^2 1.5-2.8 s, float function algebras 1.4-2.0 s
-# and every group algebra at most 0.55 s, so the cap is reached in seconds;
-# S3 and S4 are the non-abelian groups the config grammar builds within it
-BRUTE_FORCE_DIM_CAP = 64
-# the exact cycle is slowest at prime orders (largest phi(n)); through duality-lab,
-# one process each (Python 3.11, 2-core x86-64 host): Z79 9.1 s, Z83 11.7 s,
-# Z101 20.8 s, Z113 34.2 s, and Z127, the largest prime under the cap, 39.3-48.6 s
-# in three runs at 174 MB peak (float 3.0 s), so orders up to 128 finish in a minute;
-# perturbed, the map and its transpose fold apart and exact Z127 took 67.4 s.  The dense
-# _compose sums and the Fraction scaling bind it, not the hom fold
-DUALITY_ORDER_CAP = 128
+# the exact cycle costs about n^3 x phi(n) coefficient operations; perturbed, the map and its
+# transpose fold apart, which is what binds the cap.  Through duality-lab, one process each
+# (Python 3.11, 2-core x86-64 host), exact, unperturbed and perturb [1, 2]: Z113 (the largest
+# phi(n) under the cap) 20.7 and 33.5 s, Z121 25.0 and 42.8 s, Z125 29.6 and 42.3 s, each under
+# 150 MB peak, so orders up to 126 finish in a minute; perturbed Z127 took 55.3-67.4 s in three
+# runs, two of them past a minute.  The dense _compose sums and the Fraction scaling bind it
+DUALITY_ORDER_CAP = 126
 # hopf-axioms on the rationals (every structure constant is 0 or 1), with the group law's
 # associativity decided on an int array; through duality-lab, one process each (Python 3.11,
 # 2-core x86-64 host), algebra both: S6 (dim 720) 14.5-18.0 s exact and 13.5-17.7 s float,
@@ -44,15 +38,19 @@ DUALITY_ORDER_CAP = 128
 # exact and 18.7 s float, each at 488-491 MB peak; so dimensions up to 720, S6 among them,
 # finish in well under a minute
 HOPF_AXIOMS_DIM_CAP = 720
-# group-part caps, in either mode; runs through duality-lab, one process each (Python 3.11, 2-core
-# x86-64 host), closedForm.  The function algebra costs about characters x order^2: Z149 52.0 s exact and
-# 21.8 s float, Z150 37.9 s exact and 22.6 s float, each under 45 MB, and S6 (2 characters) 5.1 s
-# exact and 5.4 s float; so work up to that of an abelian group of order 150 finishes in a minute
+# group-part caps, the one size rule of either mode; runs through duality-lab, one process each
+# (Python 3.11, 2-core x86-64 host).  The function algebra costs about characters x order^2 per
+# mode run, brute force as much as the closed form: closedForm Z149 52.0 s exact and 21.8 s float,
+# Z150 37.9 s exact and 22.6 s float, each under 45 MB; mode both, two runs, Z119 (the largest
+# abelian order the cap admits for both) 30.4 s exact and 17.1 s float, Z113 39.5 s exact and
+# 17.7 s float, S6 (2 characters) 14.9 s exact and 9.4 s float at 194-226 MB; so runs x work up to
+# that of one run on an abelian group of order 150 finishes in a minute
 GROUP_PART_FUNCTION_ORDER_CAP = 150
-# the group algebra's n^2 product cells bind memory; exact runs are on the rationals, as every
-# structure constant and point mass is 0 or 1: Z1399 16.1 s exact at 814 MB peak (53.5 s with the
-# order-1399 backend it used to build) and 14.5 s float at 829 MB, Z1400 13.1 s float, and with the
-# cap lifted Z1499 16.7 s exact at 912 MB (57.3 s); so orders up to 1400 finish in a minute and 1 GB
+# the group algebra's n^2 product cells bind memory, in any mode; exact runs are on the rationals, as
+# every structure constant and point mass is 0 or 1: Z1399 16.1 s exact at 814 MB peak (53.5 s with
+# the order-1399 backend it used to build) and 14.5 s float at 829 MB, Z1400 13.1 s float, mode both
+# Z1400 22.4 s exact and 20.6 s float at 815 MB, and with the cap lifted Z1499 16.7 s exact at 912 MB
+# (57.3 s); so orders up to 1400 finish in a minute and 1 GB
 GROUP_PART_GROUP_ORDER_CAP = 1400
 
 # Vec maps basis index -> scalar; PairVec maps (index, index) -> scalar.
@@ -530,7 +528,6 @@ def check_hopf_axioms(h: HopfAlgebra) -> tuple[list[CheckResult], list[CheckResu
 @dataclass(frozen=True)
 class GroupPartResult:
     vectors: tuple[dict, ...]
-    mode: str
     verified: bool          # every vector passed the coproduct residual test
     closed_under_product: bool
     worst_residual: float
@@ -545,15 +542,6 @@ def _is_grouplike(h: HopfAlgebra, v: Mapping) -> tuple[bool, float]:
     if all(b.is_zero(x) for x in v.values()):
         return False, 0.0
     return compare(b, _apply(b, h.comul, v), _kron(b, v, v))
-
-
-def _mul_is_diagonal(h: HopfAlgebra) -> bool:
-    """Pointwise product: orthogonal basis idempotents and the all-ones unit."""
-    b = h.backend
-    cells = set(h.mul) | {(i, i) for i in range(h.dim)}
-    return all(
-        compare(b, h.mul.get((i, j), {}), {i: b.one} if i == j else {})[0] for i, j in cells
-    ) and compare(b, h.unit, {i: b.one for i in range(h.dim)})[0]
 
 
 def _multiplicative_functions(law, e: int, backend) -> list[tuple]:
@@ -604,74 +592,58 @@ def _law_characters(h: HopfAlgebra, law) -> list[dict]:
             for values in _multiplicative_functions(law, e, b)]
 
 
-def require_group_part_order(group: Group, algebra: str) -> None:
-    """ConfigError at "" for a group_part config past its cap: a group algebra ("group") of order
-    over GROUP_PART_GROUP_ORDER_CAP, or a function algebra ("function") with more characters x
-    order^2 than an abelian group of order GROUP_PART_FUNCTION_ORDER_CAP.  The count of characters,
-    |G / [G, G]|, is the order for an abelian group and 2 for a symmetric group of degree >= 2 (the
-    trivial and the sign character), and the order, a bound, for any other."""
+def require_group_part_order(group: Group, algebra: str, runs: int) -> None:
+    """ConfigError at "" for a group_part config past its cap, the one size rule of either mode;
+    runs is how many modes the config asks for (1, or 2 for both).  A group algebra ("group") is
+    capped at order GROUP_PART_GROUP_ORDER_CAP in any mode, as memory binds it.  A function algebra
+    ("function") costs about characters x order^2 per run in either mode, and runs x characters x
+    order^2 is capped at that of one run on an abelian group of order GROUP_PART_FUNCTION_ORDER_CAP.
+    The count of characters, |G / [G, G]|, is the order for an abelian group and 2 for a symmetric
+    group of degree >= 2 (the trivial and the sign character), and the order, a bound, for any other."""
     n = group.order
     if algebra == "group":
         if n > GROUP_PART_GROUP_ORDER_CAP:
             fail("", f"group-part on the group algebra capped at order {GROUP_PART_GROUP_ORDER_CAP}, got {n}")
         return
     characters = min(n, 2) if group.kind == "symmetric" else n
-    if characters * n * n > GROUP_PART_FUNCTION_ORDER_CAP**3:
-        fail("", f"group-part on the function algebra capped at characters x order^2 = "
-                 f"{GROUP_PART_FUNCTION_ORDER_CAP}^3, got {characters} x {n}^2")
-
-
-def require_brute_force_dim(dim: int) -> None:
-    """ConfigError at "" for a brute-force group_part dimension over BRUTE_FORCE_DIM_CAP."""
-    if dim > BRUTE_FORCE_DIM_CAP:
-        fail("", f"brute force capped at dimension {BRUTE_FORCE_DIM_CAP}, got {dim}")
+    if runs * characters * n * n > GROUP_PART_FUNCTION_ORDER_CAP**3:
+        fail("", f"group-part on the function algebra capped at runs x characters x order^2 = "
+                 f"{GROUP_PART_FUNCTION_ORDER_CAP}^3, got {runs} x {characters} x {n}^2")
 
 
 def group_part(h: HopfAlgebra, mode: str = "closed_form") -> GroupPartResult:
     """All nonzero vectors whose coproduct is their own tensor square.
 
-    Both modes read the coproduct (``_monomial_law``).  closed_form decides
-    from it alone: a coproduct that reads as a group law, as a function
+    Both modes find the vectors from the coproduct alone, never the product.
+    A coproduct that reads as a group law (``_monomial_law``), as a function
     algebra's does, gives the multiplicative root-of-unity functions on that
-    law, enumerated on a generating set; one with comul[i] == {(i, i): one}
-    for every i, as a group algebra's, gives the point masses; any other
-    raises ValueError.  brute_force (dimension capped) scans the basis and,
-    when multiplication is pointwise-diagonal, adds the multiplicative
-    functions on the coproduct's law.  Every returned vector is
-    residual-verified, and closure under the product is checked.
+    law, enumerated on a generating set.  closed_form returns those, or, when
+    there is no law and comul[i] == {(i, i): one} for every i, as on a group
+    algebra, the point masses; any other coproduct raises ValueError.
+    brute_force keeps every basis vector that passes the residual test and
+    adds each multiplicative function not already among them; it raises
+    ValueError only when neither step finds a vector.  Every returned vector
+    is residual-verified, and closure under the product is checked.
     """
+    if mode not in ("closed_form", "brute_force"):
+        raise ValueError(f"unknown mode {mode!r} (expected 'closed_form' or 'brute_force')")
     b = h.backend
-    if mode == "closed_form":
-        law = _monomial_law(h, coproduct=True)
-        if law is not None:
-            vectors = _law_characters(h, law)
-        elif all(h.comul.get(i) == {(i, i): b.one} for i in range(h.dim)):
-            vectors = [h.basis(i) for i in range(h.dim)]
-        else:
+    law = _monomial_law(h, coproduct=True)
+    vectors = [] if law is None else _law_characters(h, law)
+    if mode == "brute_force":
+        basis = [h.basis(i) for i in range(h.dim) if _is_grouplike(h, h.basis(i))[0]]
+        vectors = basis + [v for v in vectors if not _contains(b, basis, v)]
+        if not vectors:
+            raise ValueError("brute force found no grouplike basis vector and no group law in the coproduct")
+    elif law is None:
+        if not all(h.comul.get(i) == {(i, i): b.one} for i in range(h.dim)):
             raise ValueError("closed_form needs a coproduct that is a group law or makes every basis vector "
                              "grouplike; use brute_force")
-    elif mode == "brute_force":
-        require_brute_force_dim(h.dim)
-        vectors = [h.basis(i) for i in range(h.dim) if _is_grouplike(h, h.basis(i))[0]]
-        if _mul_is_diagonal(h):
-            law = _monomial_law(h, coproduct=True)
-            if law is None:
-                raise ValueError("diagonal multiplication but no factorization-type coproduct")
-            for cand in _law_characters(h, law):
-                if not _contains(b, vectors, cand):
-                    vectors.append(cand)
-        elif not vectors:
-            raise ValueError(
-                "brute force covers basis-grouplike and pointwise-diagonal shapes; "
-                "this algebra is neither"
-            )
-    else:
-        raise ValueError(f"unknown mode {mode!r} (expected 'closed_form' or 'brute_force')")
+        vectors = [h.basis(i) for i in range(h.dim)]
 
     grouplike = [_is_grouplike(h, v) for v in vectors]
     return GroupPartResult(
         vectors=tuple(vectors),
-        mode=mode,
         verified=all(ok for ok, _ in grouplike),
         closed_under_product=_closed_under_product(h, vectors),
         worst_residual=max((r for _, r in grouplike), default=0.0),

@@ -1,6 +1,7 @@
 """Config validation, command execution, exit codes, and artifact layout."""
 
 import ast
+import itertools
 import json
 import math
 import re
@@ -19,7 +20,6 @@ from dualitylab import (
     explore_ball,
     function_algebra,
     group_algebra,
-    group_part,
     heisenberg_witness,
     make_group,
     nuclearity_witness,
@@ -31,7 +31,6 @@ from dualitylab import cli
 from dualitylab.cli import ConfigError, main, parse_config, run_command
 from dualitylab.groups import SYMMETRIC_DEGREE_CAP
 from dualitylab.hopf import (
-    BRUTE_FORCE_DIM_CAP,
     DUALITY_ORDER_CAP,
     GROUP_PART_FUNCTION_ORDER_CAP,
     GROUP_PART_GROUP_ORDER_CAP,
@@ -185,10 +184,12 @@ def test_common_field_constraints():
 
 # a tensor-iso factor whose square passes TENSOR_DIM_CAP
 TENSOR_SIDE = math.isqrt(TENSOR_DIM_CAP) + 1
-Z, S3, F2, Z_PAST_CAP, Z_PAST_BRUTE, Z_SIDE, Z_PAST_AXIOMS, Z_PAST_FUNCTION_PART, Z_PAST_GROUP_PART = (
+# the least abelian order past the function-algebra bound for two runs (mode both)
+BOTH_PAST = next(n for n in itertools.count(1) if 2 * n**3 > GROUP_PART_FUNCTION_ORDER_CAP**3)
+Z, S3, F2, Z_PAST_CAP, Z_PAST_BOTH, Z_SIDE, Z_PAST_AXIOMS, Z_PAST_FUNCTION_PART, Z_PAST_GROUP_PART = (
     make_group(spec) for spec in
     (GroupSpec.free_abelian(1), GroupSpec.symmetric(3), GroupSpec.free(2),
-     GroupSpec.finite_abelian([DUALITY_ORDER_CAP + 1]), GroupSpec.finite_abelian([BRUTE_FORCE_DIM_CAP + 1]),
+     GroupSpec.finite_abelian([DUALITY_ORDER_CAP + 1]), GroupSpec.finite_abelian([BOTH_PAST]),
      GroupSpec.finite_abelian([TENSOR_SIDE]), GroupSpec.finite_abelian([HOPF_AXIOMS_DIM_CAP + 1]),
      GroupSpec.finite_abelian([GROUP_PART_FUNCTION_ORDER_CAP + 1]),
      GroupSpec.finite_abelian([GROUP_PART_GROUP_ORDER_CAP + 1])))
@@ -212,9 +213,9 @@ Z, S3, F2, Z_PAST_CAP, Z_PAST_BRUTE, Z_SIDE, Z_PAST_AXIOMS, Z_PAST_FUNCTION_PART
      lambda: explore_ball(F2, standard_generators(F2), WeightFunction.enumerated(3))),
     ({"command": "counterexample", "nMax": 3, "tolerance": 0}, "tolerance",
      lambda: ComplexFloatBackend(0.0)),
-    ({"command": "group-part", "group": {"kind": "finite_abelian", "orders": [BRUTE_FORCE_DIM_CAP + 1]},
-      "mode": "bruteForce"}, "mode",
-     lambda: group_part(group_algebra(Z_PAST_BRUTE, ComplexFloatBackend()), "brute_force")),
+    ({"command": "group-part", "algebra": "function", "mode": "both",
+      "group": {"kind": "finite_abelian", "orders": [BOTH_PAST]}}, "group",
+     lambda: require_group_part_order(Z_PAST_BOTH, "function", 2)),
     ({"command": "tensor-iso", "left": {"kind": "finite_abelian", "orders": [TENSOR_SIDE]},
       "right": {"kind": "finite_abelian", "orders": [TENSOR_SIDE]}}, "right",
      lambda: product_iso_check(Z_SIDE, Z_SIDE, ComplexFloatBackend())),
@@ -222,12 +223,12 @@ Z, S3, F2, Z_PAST_CAP, Z_PAST_BRUTE, Z_SIDE, Z_PAST_AXIOMS, Z_PAST_FUNCTION_PART
      lambda: check_hopf_axioms(function_algebra(Z_PAST_AXIOMS, ComplexFloatBackend()))),
     ({"command": "group-part", "algebra": "function", "mode": "closedForm",
       "group": {"kind": "finite_abelian", "orders": [GROUP_PART_FUNCTION_ORDER_CAP + 1]}}, "group",
-     lambda: require_group_part_order(Z_PAST_FUNCTION_PART, "function")),
+     lambda: require_group_part_order(Z_PAST_FUNCTION_PART, "function", 1)),
     ({"command": "group-part", "algebra": "group", "mode": "closedForm",
       "group": {"kind": "finite_abelian", "orders": [GROUP_PART_GROUP_ORDER_CAP + 1]}}, "group",
-     lambda: require_group_part_order(Z_PAST_GROUP_PART, "group")),
+     lambda: require_group_part_order(Z_PAST_GROUP_PART, "group", 1)),
 ], ids=["finite", "finite_abelian", "duality-order", "heisenberg", "integer-weights", "weight-count", "tolerance",
-        "brute-force-dim", "tensor-dim", "axioms-dim", "function-part-order", "group-part-order"])
+        "both-function-part-order", "tensor-dim", "axioms-dim", "function-part-order", "group-part-order"])
 def test_cli_reports_the_library_rule_at_its_path(config, root, call):
     with pytest.raises(ConfigError) as exc:
         call()
@@ -240,15 +241,12 @@ OVER_CAP = {
                               "group": {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP + 1}}, "group.degree"),
     "DUALITY_ORDER_CAP": ({"command": "duality-cycle",
                            "group": {"kind": "finite_abelian", "orders": [DUALITY_ORDER_CAP + 1]}}, "group"),
-    "BRUTE_FORCE_DIM_CAP": ({"command": "group-part", "mode": "both",
-                             "group": {"kind": "finite_abelian", "orders": [BRUTE_FORCE_DIM_CAP + 1]}}, "mode"),
     "TENSOR_DIM_CAP": ({"command": "tensor-iso", "left": {"kind": "finite_abelian", "orders": [TENSOR_DIM_CAP + 1]},
                         "right": {"kind": "finite_abelian", "orders": [1]}}, "right"),
     "HOPF_AXIOMS_DIM_CAP": ({"command": "hopf-axioms",
                              "group": {"kind": "finite_abelian", "orders": [HOPF_AXIOMS_DIM_CAP + 1]}}, "group"),
-    "GROUP_PART_FUNCTION_ORDER_CAP": ({"command": "group-part", "algebra": "function", "mode": "closedForm",
-                                       "group": {"kind": "finite_abelian",
-                                                 "orders": [GROUP_PART_FUNCTION_ORDER_CAP + 1]}}, "group"),
+    "GROUP_PART_FUNCTION_ORDER_CAP": ({"command": "group-part", "algebra": "function", "mode": "both",
+                                       "group": {"kind": "finite_abelian", "orders": [BOTH_PAST]}}, "group"),
     "GROUP_PART_GROUP_ORDER_CAP": ({"command": "group-part", "algebra": "group", "mode": "closedForm",
                                     "group": {"kind": "finite_abelian",
                                               "orders": [GROUP_PART_GROUP_ORDER_CAP + 1]}}, "group"),
@@ -271,9 +269,6 @@ def test_every_size_cap_is_refused_at_parse_time():
 
 
 def test_configs_exactly_at_each_cap_are_accepted():
-    assert BRUTE_FORCE_DIM_CAP == 2**6
-    parse_config({"command": "group-part", "mode": "bruteForce",
-                  "group": {"kind": "finite_abelian", "orders": [2] * 6}})
     parse_config({"command": "tensor-iso", "left": {"kind": "finite_abelian", "orders": [TENSOR_DIM_CAP]},
                   "right": {"kind": "finite_abelian", "orders": [1]}})
     for algebra in ("function", "group"):
@@ -282,6 +277,12 @@ def test_configs_exactly_at_each_cap_are_accepted():
     for algebra, cap in (("function", GROUP_PART_FUNCTION_ORDER_CAP), ("group", GROUP_PART_GROUP_ORDER_CAP)):
         parse_config({"command": "group-part", "mode": "closedForm", "algebra": algebra,
                       "group": {"kind": "finite_abelian", "orders": [cap]}})
+    # two runs: Z119 is the largest abelian order within the function bound, S6 has 2 characters
+    for group in ({"kind": "finite_abelian", "orders": [BOTH_PAST - 1]},
+                  {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP}):
+        parse_config({"command": "group-part", "mode": "both", "algebra": "function", "group": group})
+    parse_config({"command": "group-part", "mode": "bruteForce", "algebra": "group",
+                  "group": {"kind": "finite_abelian", "orders": [GROUP_PART_GROUP_ORDER_CAP]}})
     parse_config({"command": "hopf-axioms", "group": {"kind": "finite_abelian", "orders": [HOPF_AXIOMS_DIM_CAP]}})
     assert math.factorial(SYMMETRIC_DEGREE_CAP) <= HOPF_AXIOMS_DIM_CAP
     parse_config({"command": "hopf-axioms", "group": {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP}})
@@ -597,18 +598,21 @@ def test_tensor_iso_past_the_cap_exits_2_before_a_backend_is_built(tmp_path, cap
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("algebra, order, message", [
-    ("function", 151, f"group-part on the function algebra capped at characters x order^2 = "
-                      f"{GROUP_PART_FUNCTION_ORDER_CAP}^3, got 151 x 151^2"),
-    ("group", 20011, f"group-part on the group algebra capped at order {GROUP_PART_GROUP_ORDER_CAP}, got 20011"),
+@pytest.mark.parametrize("algebra, order, message, mode", [
+    ("function", 151, f"group-part on the function algebra capped at runs x characters x order^2 = "
+                      f"{GROUP_PART_FUNCTION_ORDER_CAP}^3, got 1 x 151 x 151^2", "closedForm"),
+    ("group", 20011, f"group-part on the group algebra capped at order {GROUP_PART_GROUP_ORDER_CAP}, got 20011",
+     "closedForm"),
+    ("function", BOTH_PAST, f"group-part on the function algebra capped at runs x characters x order^2 = "
+                            f"{GROUP_PART_FUNCTION_ORDER_CAP}^3, got 2 x {BOTH_PAST} x {BOTH_PAST}^2", "both"),
 ])
 def test_group_part_past_the_cap_exits_2_before_a_backend_is_built(tmp_path, capsys, monkeypatch,
-                                                                    algebra, order, message):
+                                                                    algebra, order, message, mode):
     def no_backend(*args, **kwargs):
         raise AssertionError("backend built for a refused config")
 
     monkeypatch.setattr(cli, "make_backend", no_backend)
-    cfg = write_config(tmp_path, "run.json", {"command": "group-part", "algebra": algebra, "mode": "closedForm",
+    cfg = write_config(tmp_path, "run.json", {"command": "group-part", "algebra": algebra, "mode": mode,
                                               "group": {"kind": "finite_abelian", "orders": [order]}})
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
@@ -616,14 +620,15 @@ def test_group_part_past_the_cap_exits_2_before_a_backend_is_built(tmp_path, cap
     assert not (out / "report.json").exists()
 
 
-def test_group_part_closed_form_runs_past_the_brute_force_cap(tmp_path, capsys):
-    cfg = write_config(tmp_path, "run.json", {"command": "group-part", "mode": "closedForm",
-                                              "group": {"kind": "symmetric", "degree": 5}})
+def test_group_part_both_modes_run_on_s5(tmp_path, capsys):
+    # the default mode is both; S5's group algebra has dimension 120
+    cfg = write_config(tmp_path, "run.json", {"command": "group-part", "group": {"kind": "symmetric", "degree": 5}})
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads((out / "report.json").read_text())
-    assert report["results"]["counts"] == {"closed_form": 120}
+    assert report["results"]["counts"] == {"brute_force": 120, "closed_form": 120}
+    assert report["allPass"]
 
 
 def test_nuclearity_rejects_gap_bounds_past_the_int_string_limit(tmp_path, capsys):

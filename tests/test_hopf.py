@@ -22,7 +22,6 @@ from dualitylab import cli, hopf
 from dualitylab.cli import main
 from dualitylab.reports import CheckResult
 from dualitylab.hopf import (
-    BRUTE_FORCE_DIM_CAP,
     DUALITY_ORDER_CAP,
     TENSOR_DIM_CAP,
     check_hopf_axioms,
@@ -1131,17 +1130,26 @@ def test_group_part_validation():
     h = function_algebra(g, make_backend("float"))
     with pytest.raises(ValueError):
         group_part(h, mode="guess")
-    big = make_group(GroupSpec.finite_abelian([BRUTE_FORCE_DIM_CAP + 1]))
-    hbig = function_algebra(big, make_backend("float"))
-    with pytest.raises(ValueError):
-        group_part(hbig, mode="brute_force")
 
 
-def test_group_part_brute_force_at_the_cap():
-    edge = make_group(GroupSpec.finite_abelian([2] * 6))
-    assert edge.order == BRUTE_FORCE_DIM_CAP
-    part = group_part(group_algebra(edge, make_backend("float")), mode="brute_force")
-    assert part.count == BRUTE_FORCE_DIM_CAP and part.verified and part.closed_under_product
+def test_group_part_brute_force_has_no_dimension_cap():
+    # require_group_part_order is the one size rule; the library takes any dimension
+    g = make_group(GroupSpec.finite_abelian([2] * 7))
+    part = group_part(group_algebra(g, make_backend("float")), mode="brute_force")
+    assert part.count == g.order == 128 and part.verified and part.closed_under_product
+
+
+def test_group_part_modes_agree_when_the_product_is_not_pointwise():
+    # a function algebra's coproduct (the group law) under the group algebra's convolution product:
+    # grouplikes depend on the coproduct alone, so both modes find the characters of Z4
+    z4 = make_group(GroupSpec.finite_abelian([4]))
+    b = make_backend("cyclotomic", order=4)
+    conv = group_algebra(z4, b)
+    h = dataclasses.replace(function_algebra(z4, b), mul=conv.mul, unit=conv.unit)
+    closed, brute = group_part(h, "closed_form"), group_part(h, "brute_force")
+    assert closed.count == 4 and closed.verified and closed.worst_residual == 0.0
+    assert brute.vectors == closed.vectors
+    assert (brute.verified, brute.closed_under_product) == (closed.verified, closed.closed_under_product)
 
 
 def test_closed_form_reads_the_coproduct_not_the_construction():
