@@ -48,7 +48,7 @@ print(f"dual of functions equals the group algebra: {same} (residual {residual})
 phi = fourier(group, backend)
 for check in check_linear_hom(phi)[0]:
     print(f"  fourier {check.name:16s} passed={check.passed}")
-print("unitarity:", unitarity_check(phi, group.order))
+print("unitarity:", unitarity_check(phi))
 
 # four steps -- transform, transpose, dual transform, identification --
 # compose to the identity matrix, entry for entry

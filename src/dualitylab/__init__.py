@@ -18,7 +18,6 @@ from .groups import (
     standard_generators,
 )
 from .hopf import (
-    CharacterGroup,
     CycleReport,
     HopfAlgebra,
     LinearMap,

@@ -60,7 +60,7 @@ from .length import (
     summability_partial_sums,
 )
 from .reports import CheckResult, ConfigError, as_fraction, as_int, fail, fold, write_csv, write_json
-from .scalars import make_backend, require_tolerance
+from .scalars import DEFAULT_TOLERANCE, make_backend, require_tolerance
 from .semichar import (
     ExpLength,
     build_semicharacter,
@@ -224,7 +224,7 @@ def parse_config(raw, seed_override=None, backend_override=None) -> RunConfig:
 
     seed = raw.get("seed", 0) if seed_override is None else seed_override
     seed = as_int(seed, "seed", minimum=0, maximum=2**64 - 1)
-    tolerance = float(as_fraction(raw.get("tolerance", 1e-9), "tolerance"))
+    tolerance = float(as_fraction(raw.get("tolerance", DEFAULT_TOLERANCE), "tolerance"))
     _rooted("tolerance", require_tolerance, tolerance)
 
     fields = _Fields(raw, {"command": command, "seed": seed, "tolerance": tolerance})

@@ -210,16 +210,6 @@ def _kron(backend, u: Mapping, v: Mapping, key=lambda p, q: (p, q)) -> dict:
     return {key(p, q): backend.mul(x, y) for p, x in u.items() for q, y in v.items()}
 
 
-def counit_vec(h: HopfAlgebra, v: Mapping):
-    b = h.backend
-    acc = b.zero
-    for i, a in v.items():
-        c = h.counit.get(i)
-        if c is not None:
-            acc = b.add(acc, b.mul(a, c))
-    return acc
-
-
 def pair_mul(h: HopfAlgebra, p: Mapping, q: Mapping) -> dict:
     """Componentwise product in the tensor square."""
     b = h.backend
@@ -459,6 +449,7 @@ def _algebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
 def _bialgebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
     """The bialgebra compatibility and the antipode identities of h on basis elements."""
     b, dim = h.backend, h.dim
+    counit = {i: {0: c} for i, c in h.counit.items()}
 
     def pairs_bialgebra():
         for i in range(dim):
@@ -469,10 +460,10 @@ def _bialgebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
         yield "comul of unit", _apply(b, h.comul, h.unit), _kron(b, h.unit, h.unit)
         for i in range(dim):
             for j in range(dim):
-                lhs = {0: counit_vec(h, h.mul.get((i, j), {}))}
+                lhs = _apply(b, counit, h.mul.get((i, j), {}))
                 rhs = {0: b.mul(h.counit.get(i, b.zero), h.counit.get(j, b.zero))}
                 yield f"counit x product ({i},{j})", lhs, rhs
-        yield "counit of unit", {0: counit_vec(h, h.unit)}, {0: b.one}
+        yield "counit of unit", _apply(b, counit, h.unit), {0: b.one}
 
     def pairs_antipode():
         for i in range(dim):
@@ -654,31 +645,25 @@ def group_part(h: HopfAlgebra, mode: str = "closed_form") -> GroupPartResult:
 # characters of finite abelian groups and the Fourier transform
 
 
-@dataclass(frozen=True)
-class CharacterGroup:
-    """The character group of a finite abelian group, indexed like the group.
-
-    A character with index tuple m sends x to the product over coordinates of
-    the order-n_i root of unity raised to m_i * x_i.  The index tuples form
-    the same direct product of cyclic groups, which is what ``group`` holds.
-    """
-
-    orders: tuple[int, ...]
-    group: Group
-    exponent: int
-
-    def value(self, m, x, backend):
-        k = 0
-        for mi, xi, ni in zip(m, x, self.orders):
-            k += mi * xi * (self.exponent // ni)
-        return backend.root(k % self.exponent, self.exponent)
-
-
-def dual_group(group: Group) -> CharacterGroup:
-    """Character group of a finite abelian group."""
+def dual_group(group: Group) -> Group:
+    """The index group of the characters of a finite abelian group: the same orders, labelled
+    with a ``^``.  Character m sends t to the product over coordinates k of the order-n_k root of
+    unity raised to m_k t_k, so its index tuples m compose as the group's own elements do."""
     require(group, "finite_abelian")
-    index_group = make_group(GroupSpec.finite_abelian(group.orders, label=group.label + "^"))
-    return CharacterGroup(orders=group.orders, group=index_group, exponent=group.exponent)
+    return make_group(GroupSpec.finite_abelian(group.orders, label=group.label + "^"))
+
+
+def _character_table(group: Group, backend) -> dict:
+    """The character table of a finite abelian group as sparse columns: columns[j][i] is the value
+    of character i of dual_group(group) at element j, the exponent's root of unity raised to
+    sum_k m_k t_k (exponent / n_k).  Both index sets enumerate the same tuples, and m and t enter
+    the root index alike, so the table is symmetric: read by columns it is the dual group's table."""
+    characters = list(dual_group(group).elements())
+    e = group.exponent
+    steps = [e // n for n in group.orders]
+    return {j: {i: backend.root(sum(mk * tk * s for mk, tk, s in zip(m, t, steps)) % e, e)
+                for i, m in enumerate(characters)}
+            for j, t in enumerate(group.elements())}
 
 
 @dataclass(frozen=True)
@@ -699,17 +684,10 @@ def fourier(group: Group, backend) -> LinearMap:
 
     A point mass at t goes to the function evaluating each character at t, so
     the entry in row m (character index) and column t is that character's
-    value.  Rows are orthogonal: M conj(M^T) = |G| I.
+    value, read from ``_character_table``.  Rows are orthogonal: M conj(M^T) = |G| I.
     """
-    chars = dual_group(group)
-    dom = group_algebra(group, backend)
-    cod = function_algebra(chars.group, backend)
-    characters = list(chars.group.elements())
-    columns = {
-        j: {i: chars.value(m, t, backend) for i, m in enumerate(characters)}
-        for j, t in enumerate(group.elements())
-    }
-    return LinearMap(domain=dom, codomain=cod, columns=columns)
+    columns = _character_table(group, backend)
+    return LinearMap(group_algebra(group, backend), function_algebra(dual_group(group), backend), columns)
 
 
 def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
@@ -776,11 +754,11 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
                   (antipode,))
 
 
-def unitarity_check(phi: LinearMap, order: int) -> CheckResult:
-    """Row orthogonality M conj(M^T) = order * I under the backend."""
+def unitarity_check(phi: LinearMap) -> CheckResult:
+    """Row orthogonality M conj(M^T) = |G| I under the backend, |G| the dimension of phi's domain."""
     b = phi.domain.backend
-    gram = _compose(b, phi.columns, _conj_transpose(b, phi.columns))
-    target_diag = b.from_int(order)
+    gram = _compose(b, phi.columns, _conj(b, _transpose(phi.columns)))
+    target_diag = b.from_int(phi.domain.dim)
     n = phi.codomain.dim
     return fold_checks("unitarity", b, (
         (f"rows ({i},{j})", {0: gram.get(j, {}).get(i, b.zero)}, {0: target_diag if i == j else b.zero})
@@ -798,8 +776,9 @@ def _entries(columns: Mapping) -> dict:
     return {(i, j): x for j, col in columns.items() for i, x in col.items()}
 
 
-def _conj_transpose(backend, columns: Mapping) -> dict:
-    return {r: {k: backend.conj(x) for k, x in row.items()} for r, row in _transpose(columns).items()}
+def _conj(backend, columns: Mapping) -> dict:
+    """The entrywise conjugate of a sparse map."""
+    return {j: {i: backend.conj(x) for i, x in col.items()} for j, col in columns.items()}
 
 
 @dataclass(frozen=True)
@@ -838,8 +817,13 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     composing the map with the inverse of the dual side's transposed map lands
     back on the identity matrix, which realizes the biduality identification
     as literal equality.  Both hom stages come from one ``check_linear_hom``
-    call, which says which conditions the two maps share.  The composite is
-    the dual side's conjugate transpose times the map, in Z[zeta_n] on the
+    call, which says which conditions the two maps share.
+
+    The dual side is the character table alone, ``_character_table(dual_group(group))``,
+    with no algebras of its own.  Under the biduality its transposed map has
+    phi's type, so it is a LinearMap between phi's algebras, whose backend and
+    dimensions are all ``unitarity_check`` reads.
+    The composite is the table's conjugate times the map, in Z[zeta_n] on the
     exact backend, scaled by 1/|G| once per entry before it meets the identity.
 
     The character table is symmetric, so unperturbed its transpose and the
@@ -869,18 +853,18 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     stages.append(_all_of("transpose-hom", transpose_hom))
 
     # the transpose sends a point mass at a character to that character's value table,
-    # which is the dual side's transform: value(m, t) and value(t, m) share one root index
-    dual_phi = fourier(dual_group(group).group, b)
-    ok, worst = compare(b, _entries(_transpose(phi.columns)), _entries(dual_phi.columns))
+    # which is the dual side's table read by rows: value(m, t) and value(t, m) share one root index
+    table = _character_table(dual_group(group), b)
+    s_map = LinearMap(phi.domain, phi.codomain, _transpose(table))
+    ok, worst = compare(b, _entries(phi.columns), _entries(s_map.columns))
     stages.append(CheckResult(name="transpose-columns", passed=ok, residual=worst))
 
-    unitarity = unitarity_check(phi, group.order)
+    unitarity = unitarity_check(phi)
     stages.append(unitarity)
 
-    # the dual side's transform, transposed and inverted, closes the cycle
-    s_map = LinearMap(dual_phi.domain, dual_phi.codomain, _transpose(dual_phi.columns))
-    s_unit = unitarity if s_map.columns == phi.columns else unitarity_check(s_map, group.order)
-    composite = _compose(b, _conj_transpose(b, s_map.columns), phi.columns)
+    # the dual side's transposed map, inverted, closes the cycle
+    s_unit = unitarity if s_map.columns == phi.columns else unitarity_check(s_map)
+    composite = _compose(b, _conj(b, table), phi.columns)
     inv_scale = Fraction(1, group.order)
     scaled = {k: b.scale(x, inv_scale) for k, x in _entries(composite).items()}
     ok, worst = compare(b, scaled, {(i, i): b.one for i in range(group.order)})

@@ -27,6 +27,8 @@ from functools import lru_cache
 
 from .reports import fail
 
+DEFAULT_TOLERANCE = 1e-9  # the float backend's equality tolerance when a config or caller gives none
+
 
 def require_tolerance(tolerance: float) -> float:
     """The float backend's equality tolerance; ConfigError at "" unless it is positive."""
@@ -78,7 +80,7 @@ class ComplexFloatBackend:
     name = "float"
     exact = False
 
-    def __init__(self, tolerance: float = 1e-9):
+    def __init__(self, tolerance: float = DEFAULT_TOLERANCE):
         self.tolerance = require_tolerance(tolerance)
         self.zero = 0j
         self.one = 1 + 0j
@@ -252,7 +254,7 @@ class CyclotomicBackend:
         return hash((self.name, self.n))
 
 
-def make_backend(name: str, tolerance: float = 1e-9, order: int | None = None):
+def make_backend(name: str, tolerance: float = DEFAULT_TOLERANCE, order: int | None = None):
     """Build a backend by name: 'float' or 'cyclotomic' (needs the root order)."""
     if name == "float":
         return ComplexFloatBackend(tolerance=tolerance)

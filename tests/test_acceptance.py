@@ -121,7 +121,7 @@ def test_criterion_02_fourier_duality(capsys):
         for c in itertools.chain(*check_linear_hom(phi)):
             if not c.passed or c.residual != 0.0:
                 failures.append((g.label, c.name))
-        u = unitarity_check(phi, g.order)
+        u = unitarity_check(phi)
         if not u.passed or u.residual != 0.0:
             failures.append((g.label, "unitarity"))
     conclude(capsys, 2, "fourier transform is a hopf hom with exact unitarity",

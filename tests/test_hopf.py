@@ -553,6 +553,21 @@ def test_perturbed_duality_cycle_folds_both_sides(monkeypatch):
     assert calls == {"multiplicative": 2, "unital": 2, "antipode": 1, "unitarity": 2}
 
 
+@pytest.mark.parametrize("kind", ["float", "cyclotomic"])
+@pytest.mark.parametrize("perturb", [None, (1, 2), (3, 3)], ids=str)
+def test_duality_cycle_builds_one_pair_of_algebras(monkeypatch, perturb, kind):
+    built = collections.Counter()
+    for name in ("group_algebra", "function_algebra"):
+        def counted(*args, _name=name, _build=getattr(hopf, name)):
+            built[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(hopf, name, counted)
+    g = make_group(GroupSpec.finite_abelian([2, 3]))
+    duality_cycle(g, guard_backend(g, kind), perturb)
+    # the dual side is the character table alone: no second transform, so no second pair of algebras
+    assert built == {"group_algebra": 1, "function_algebra": 1}
+
+
 def antipode_hom(phi):
     """The antipode condition S_k phi = phi S_h of phi: h -> k, column by column."""
     h, k = phi.domain, phi.codomain
@@ -603,22 +618,24 @@ def unshared_reprs(phi):
 
 def unshared_stages(group, b, phi):
     """The duality-cycle stages of phi with nothing shared and the inverse
-    scaled by 1/|G| term by term before the composite."""
+    scaled by 1/|G| term by term before the composite.  Character values come
+    from their formula here, chi_m(t) = root(sum_k m_k t_k e / n_k mod e, e)
+    with e the exponent, not from the code under test."""
     hom, transpose_hom = unshared_hom(phi)
-    chars = dual_group(group)
-    want = {
-        (i, j): chars.value(m, t, b)
-        for j, m in enumerate(chars.group.elements())
-        for i, t in enumerate(group.elements())
-    }
-    ok, worst = compare(b, hopf._entries(hopf._transpose(phi.columns)), want)
-    dual_phi = fourier(chars.group, b)
-    s_map = LinearMap(dual_phi.domain, dual_phi.codomain, hopf._transpose(dual_phi.columns))
-    s_unit = unitarity_check(s_map, group.order)
+    e, elems = group.exponent, list(group.elements())
+
+    def value(m, t):
+        return b.root(sum(mk * tk * e // nk for mk, tk, nk in zip(m, t, group.orders)) % e, e)
+
+    # the dual side's transform: column s (a character of G) holds its value at each t of G^^ = G
+    dual = {j: {i: value(t, s) for i, t in enumerate(elems)} for j, s in enumerate(elems)}
+    ok, worst = compare(b, hopf._entries(hopf._transpose(phi.columns)), hopf._entries(dual))
+    s_map = LinearMap(phi.domain, phi.codomain, hopf._transpose(dual))
+    s_unit = unitarity_check(s_map)
     inv_scale = Fraction(1, group.order)
     s_inv = {
-        t: {i: b.scale(x, inv_scale) for i, x in col.items()}
-        for t, col in hopf._conj_transpose(b, s_map.columns).items()
+        t: {i: b.scale(b.conj(x), inv_scale) for i, x in row.items()}
+        for t, row in hopf._transpose(s_map.columns).items()
     }
     composite = hopf._compose(b, s_inv, phi.columns)
     cycle_ok, cycle_worst = compare(b, hopf._entries(composite), {(i, i): b.one for i in range(group.order)})
@@ -626,7 +643,7 @@ def unshared_stages(group, b, phi):
         hopf._all_of("transform-hom", hom),
         hopf._all_of("transpose-hom", transpose_hom),
         CheckResult(name="transpose-columns", passed=ok, residual=worst),
-        unitarity_check(phi, group.order),
+        unitarity_check(phi),
         CheckResult(name="cycle-identity", passed=s_unit.passed and cycle_ok,
                     residual=max(cycle_worst, s_unit.residual)),
     ]
@@ -871,14 +888,16 @@ def test_fourier_matches_character_formula(orders):
             assert abs(phi.columns[j][i] - expect) < 1e-12
 
 
-def test_dual_group_character_values():
-    g = make_group(GroupSpec.finite_abelian([4]))
+def test_dual_group_is_the_index_group():
+    g = make_group(GroupSpec.finite_abelian([2, 4], label="G"))
     d = dual_group(g)
-    b = make_backend("float")
-    for m in range(4):
-        for x in range(4):
-            got = d.value((m,), (x,), b)
-            assert abs(got - 1j ** (m * x)) < 1e-12
+    # a plain group on the same orders: its elements are the character indices
+    assert (d.kind, d.orders, d.label) == ("finite_abelian", (2, 4), "G^")
+    assert list(d.elements()) == list(g.elements())
+    assert dual_group(d).orders == g.orders
+    # they index the rows of the character table, the points of fourier's codomain
+    phi = fourier(g, make_backend("float"))
+    assert phi.codomain.labels == tuple("1_" + d.format(m) for m in d.elements())
 
 
 def test_fourier_is_hom_and_unitary():
@@ -890,7 +909,7 @@ def test_fourier_is_hom_and_unitary():
             assert tuple(c.name for c in out) == HOM_CHECKS
             for c in out:
                 assert c.passed and c.residual == 0.0, (orders, c)
-        u = unitarity_check(phi, g.order)
+        u = unitarity_check(phi)
         assert u.passed and u.residual == 0.0
 
 
