@@ -24,13 +24,14 @@ from .reports import CheckResult, as_int, fail
 # Z35xZ40 (1400) 31.7 s at 1682 MB, Z30xZ50 (1500) 37.2 s at 1891 MB, and float
 # 39.0 s at 1960 MB, so dimensions up to 1500 finish in a minute and 2 GB
 TENSOR_DIM_CAP = 1500
-# the exact cycle costs about n^3 x phi(n) coefficient operations; perturbed, the map and its
-# transpose fold apart, which is what binds the cap.  Through duality-lab, one process each
-# (Python 3.11, 2-core x86-64 host), exact, unperturbed and perturb [1, 2]: Z113 (the largest
-# phi(n) under the cap) 20.7 and 33.5 s, Z121 25.0 and 42.8 s, Z125 29.6 and 42.3 s, each under
-# 150 MB peak, so orders up to 126 finish in a minute; perturbed Z127 took 55.3-67.4 s in three
-# runs, two of them past a minute.  The dense _compose sums and the Fraction scaling bind it
-DUALITY_ORDER_CAP = 126
+# the exact cycle reads its dense folds as root exponents (_exponents) unless an entry is not a root,
+# as a perturbed one mostly is: that map and its transpose then fold apart through the backend, at
+# about n^3 x phi(n) coefficient operations, which binds the cap.  Through duality-lab, one process
+# each (Python 3.11, 2-core x86-64 host), exact, unperturbed and perturb [1, 2]: Z113 0.8 and 29.9 s,
+# Z121 1.0 and 37.3 s, Z125 1.1 and 35.5 s, Z126 0.5 and 16.6 s, and Z127 (the largest phi(n) the
+# cap admits) 1.3-1.4 and 42.8-43.5 s in three runs, each at most 111 MB peak; so orders up to 127
+# finish in a minute.  No larger order was run
+DUALITY_ORDER_CAP = 127
 # hopf-axioms on the rationals (every structure constant is 0 or 1), with the group law's
 # associativity decided on an int array; through duality-lab, one process each (Python 3.11,
 # 2-core x86-64 host), algebra both: S6 (dim 720) 14.5-18.0 s exact and 13.5-17.7 s float,
@@ -690,6 +691,42 @@ def fourier(group: Group, backend) -> LinearMap:
     return LinearMap(group_algebra(group, backend), function_algebra(dual_group(group), backend), columns)
 
 
+def _exponents(b, columns: Mapping, n: int):
+    """columns read as an (n, n) intp array E of root exponents, E[r, c] = b._log[columns[c][r]];
+    None unless b is cyclotomic, columns holds exactly the entries of range(n)^2 and each is a
+    root.  Read from the values checked, so a bumped entry that is itself a root is read as it is.
+    The backend is told by its name, so a wrapper that forwards its attributes reads the same."""
+    if b.name != "cyclotomic" or len(columns) != n:
+        return None
+    try:
+        cols = [columns[c] for c in range(n)]
+        if any(len(col) != n for col in cols):
+            return None
+        return np.array([[b._log[col[r]] for col in cols] for r in range(n)], dtype=np.intp)
+    except KeyError:
+        return None
+
+
+def _root_sums(b, exponents) -> np.ndarray:
+    """sum_k z^exponents[..., k] for each leading index, as an int array of coefficient rows: a
+    bincount of the exponents mod n per entry times the table of powers, the reduced tuple that
+    b.add of the roots reaches, since Z[z] sums are plain int sums of the power-basis rows."""
+    lead, n = exponents.shape[:-1], b.n
+    cells = int(np.prod(lead))
+    flat = (exponents.reshape(cells, -1) % n + (np.arange(cells) * n)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=cells * n).reshape(cells, n)
+    return (counts @ np.array(b._mono, dtype=np.int64)).reshape(*lead, b.degree)
+
+
+def _off_identity(sums: np.ndarray, scale: int) -> list:
+    """((i, j), value tuple) for each entry of an (n, n, degree) root-sum array that differs from
+    scale times the identity, in (i, j) order."""
+    target = np.zeros_like(sums)
+    diag = np.arange(len(sums))
+    target[diag, diag, 0] = scale
+    return [((i, j), tuple(sums[i, j].tolist())) for i, j in np.argwhere((sums != target).any(-1)).tolist()]
+
+
 def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
     """The multiplicative and unital conditions of phi: h -> k, phi(ij) = phi(i) phi(j) on every
     basis pair (i, j), in (i, j) order, and phi(unit) = unit.
@@ -701,11 +738,19 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
     dual's are, phi(i) phi(j) is the pointwise product over the indices they share, each
     scaled by the diagonal, in phi(i)'s order.  Either way the scalar operations are the ones
     ``_apply`` and ``mul_vec`` run, in the same order, so verdicts, residuals and witnesses do
-    not move; any other h or k is folded with those two calls.
+    not move; any other h or k is folded with those two calls.  When both reads hold and every
+    column entry and diagonal cell is a root on the cyclotomic backend (``_exponents``), the pairs
+    are decided as exponents, E[:, law] == E[:, :, None] + E[:, None, :] + D mod n, and only a
+    pair that differs is folded, on its differing entries: an equal entry adds residual 0.0 and
+    no witness, so the check is the full fold's.
     """
     h, k, b = phi.domain, phi.codomain, phi.domain.backend
     img = [phi.columns.get(i, {}) for i in range(h.dim)]
     law, diagonal = _monomial_law(h), _diagonal_product(k)
+    exps = diag = None
+    if law is not None and diagonal is not None and k.dim == h.dim == len(diagonal):
+        exps = _exponents(b, phi.columns, h.dim)
+        diag = None if exps is None else [b._log.get(diagonal.get(m)) for m in range(h.dim)]
 
     def product(u, v):
         if diagonal is None:
@@ -713,6 +758,13 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
         return {m: b.mul(b.mul(a, v[m]), diagonal[m]) for m, a in u.items() if m in v and m in diagonal}
 
     def pairs_mult():
+        if diag is not None and None not in diag:
+            bad = exps[:, np.array(law, dtype=np.intp)] != (
+                exps[:, :, None] + exps[:, None, :] + np.array(diag)[:, None, None]) % b.n
+            for i, j in np.argwhere(bad.any(0)).tolist():
+                u = {m: img[i][m] for m in np.flatnonzero(bad[:, i, j]).tolist()}
+                yield f"({i},{j})", {m: img[law[i][j]][m] for m in u}, product(u, img[j])
+            return
         if law is not None:
             images = [_apply(b, phi.columns, {m: b.one}) for m in range(h.dim)]
         for i in range(h.dim):
@@ -755,11 +807,21 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
 
 
 def unitarity_check(phi: LinearMap) -> CheckResult:
-    """Row orthogonality M conj(M^T) = |G| I under the backend, |G| the dimension of phi's domain."""
+    """Row orthogonality M conj(M^T) = |G| I under the backend, |G| the dimension of phi's domain.
+
+    When phi is square and every entry is a root on the cyclotomic backend (``_exponents``), the
+    gram is one ``_root_sums`` call, entry (i, j) the sum over k of z^(E[i, k] - E[j, k]), and only
+    the entries that differ from |G| I are folded, as an equal one adds residual 0.0 and no
+    witness; otherwise the gram is summed by ``_compose``.
+    """
     b = phi.domain.backend
-    gram = _compose(b, phi.columns, _conj(b, _transpose(phi.columns)))
     target_diag = b.from_int(phi.domain.dim)
     n = phi.codomain.dim
+    exps = _exponents(b, phi.columns, n) if phi.domain.dim == n else None
+    if exps is not None:
+        return fold_checks("unitarity", b, ((f"rows ({i},{j})", {0: x}, {0: target_diag if i == j else b.zero})
+                                            for (i, j), x in _off_identity(_root_sums(b, exps[:, None] - exps), n)))
+    gram = _compose(b, phi.columns, _conj(b, _transpose(phi.columns)))
     return fold_checks("unitarity", b, (
         (f"rows ({i},{j})", {0: gram.get(j, {}).get(i, b.zero)}, {0: target_diag if i == j else b.zero})
         for i in range(n) for j in range(n)
@@ -823,17 +885,25 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     with no algebras of its own.  Under the biduality its transposed map has
     phi's type, so it is a LinearMap between phi's algebras, whose backend and
     dimensions are all ``unitarity_check`` reads.
-    The composite is the table's conjugate times the map, in Z[zeta_n] on the
-    exact backend, scaled by 1/|G| once per entry before it meets the identity.
+    The composite is the table's conjugate times the map.  On the float backend
+    it is scaled by 1/|G| once per entry before it meets the identity.  On the
+    exact backend it is compared with |G| I in Z[zeta_n], and only an entry
+    that differs is scaled, for its residual.
 
     The character table is symmetric, so unperturbed its transpose and the
     dual side's transposed map are literally the map itself: transpose-hom
     then reuses the transform-hom conditions and the dual side's unitarity
     is the unitarity stage.  A perturbed map takes the full path wherever its
-    input differs.  Perturbed or not, each hom fold applies its map once per
-    basis vector and multiplies images pointwise (``_algebra_hom``), so what
-    the cycle spends most on is the dense sums of ``_compose`` (antipode,
-    unitarity, composite) and, exact, the ``Fraction`` scaling.
+    input differs.  On the exact backend the three dense n^3 folds (the
+    multiplicative fold, unitarity and the composite) read the map's entries
+    as root exponents (``_exponents``) and sum roots as exponent counts
+    (``_root_sums``), with no backend operation per term.  A map with an entry
+    that is not a root, as most bumped entries are, or a missing one falls
+    back to the backend sums: each hom fold then applies its map once per
+    basis vector and multiplies images pointwise (``_algebra_hom``), and the
+    gram and the composite are the dense sums of ``_compose``, which is what a
+    perturbed exact cycle spends most on.  The float backend always takes
+    that path.
 
     ``perturb`` bumps one matrix entry before checking; a single corrupted
     entry must trip at least one stage.
@@ -864,10 +934,24 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
 
     # the dual side's transposed map, inverted, closes the cycle
     s_unit = unitarity if s_map.columns == phi.columns else unitarity_check(s_map)
-    composite = _compose(b, _conj(b, table), phi.columns)
-    inv_scale = Fraction(1, group.order)
-    scaled = {k: b.scale(x, inv_scale) for k, x in _entries(composite).items()}
-    ok, worst = compare(b, scaled, {(i, i): b.one for i in range(group.order)})
+    n, inv_scale = group.order, Fraction(1, group.order)
+    identity = {(i, i): b.one for i in range(n)}
+    if b.exact:
+        # the composite meets |G| I in Z[zeta] before scaling: only an entry that differs is
+        # scaled, for its residual
+        exps, t_exps = _exponents(b, phi.columns, n), _exponents(b, table, n)
+        if exps is not None and t_exps is not None:
+            # entry (r, j) is the root sum over k of z^(E[k, j] - T[r, k])
+            off = _off_identity(_root_sums(b, exps.T - t_exps[:, None]), n)
+        else:
+            composite = _entries(_compose(b, _conj(b, table), phi.columns))
+            off = [(k, x) for k in composite.keys() | identity.keys()
+                   if not b.eq(x := composite.get(k, b.zero), b.from_int(n) if k in identity else b.zero)]
+        ok = not off
+        worst = max((b.residual(b.scale(x, inv_scale), identity.get(k, b.zero)) for k, x in off), default=0.0)
+    else:
+        composite = _compose(b, _conj(b, table), phi.columns)
+        ok, worst = compare(b, {k: b.scale(x, inv_scale) for k, x in _entries(composite).items()}, identity)
     stages.append(
         CheckResult(name="cycle-identity", passed=s_unit.passed and ok, residual=max(worst, s_unit.residual))
     )

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dualitylab import (
 from dualitylab import cli, hopf
 from dualitylab.cli import main
 from dualitylab.reports import CheckResult
+from dualitylab.scalars import CyclotomicBackend
 from dualitylab.hopf import (
     DUALITY_ORDER_CAP,
     TENSOR_DIM_CAP,
@@ -749,9 +751,16 @@ def test_duality_hom_fold_reads_the_law_and_the_diagonal(monkeypatch, kind, pert
     # each multiplicative fold applies the map once per basis vector of its law
     # domain and multiplies in its diagonal codomain without mul_vec; perturbed,
     # the map and its transpose fold apart
-    folds = 1 if perturb is None else 2
     assert calls["mul_vec"] == 0
-    assert calls["multiplicative"] == folds * g.order
+    if kind == "float":
+        folds = 1 if perturb is None else 2
+        assert calls["multiplicative"] == folds * g.order
+    else:
+        # exact, every entry is a root, the bumped one too (1 + z^2 = z in Z[z_6]), so the
+        # multiplicative, unitarity and composite folds read exponents and apply nothing: the
+        # antipode condition's two _compose and each unital fold's one are all that apply the map
+        assert calls["multiplicative"] == calls["unitarity"] == 0
+        assert calls[None] == 2 * g.order + (1 if perturb is None else 2)
 
 
 def test_hom_fold_into_a_group_algebra_multiplies_every_pair(monkeypatch):
@@ -785,6 +794,152 @@ def test_shared_cycle_stages_match_unshared(orders, kind):
         assert [repr(s) for s in got] == [repr(s) for s in want], perturb
         assert ([[repr(c) for c in side] for side in check_linear_hom(rep.transform)]
                 == unshared_reprs(rep.transform)), perturb
+
+
+def backend_unitarity(phi):
+    """unitarity_check with the gram summed through the backend by ``_compose`` and every entry folded."""
+    b, n = phi.domain.backend, phi.codomain.dim
+    gram = hopf._compose(b, phi.columns, hopf._conj(b, hopf._transpose(phi.columns)))
+    target = b.from_int(phi.domain.dim)
+    return hopf.fold_checks("unitarity", b, (
+        (f"rows ({i},{j})", {0: gram.get(j, {}).get(i, b.zero)}, {0: target if i == j else b.zero})
+        for i in range(n) for j in range(n)))
+
+
+def backend_stages(group, b, phi):
+    """The duality-cycle stages of phi with every dense fold run through the backend: the hom
+    conditions by ``generic_hom``, the gram and the composite by ``_compose``, and every entry
+    of the composite scaled by 1/|G| before it meets the identity.  The dual side's table is the
+    code's own, which test_shared_cycle_stages_match_unshared pins to the character formula."""
+    hom, transpose_hom = unshared_hom(phi)
+    table = hopf._character_table(dual_group(group), b)
+    s_map = LinearMap(phi.domain, phi.codomain, hopf._transpose(table))
+    ok, worst = compare(b, hopf._entries(phi.columns), hopf._entries(s_map.columns))
+    s_unit = backend_unitarity(s_map)
+    composite = hopf._entries(hopf._compose(b, hopf._conj(b, table), phi.columns))
+    inv_scale = Fraction(1, group.order)
+    cycle_ok, cycle_worst = compare(b, {k: b.scale(x, inv_scale) for k, x in composite.items()},
+                                    {(i, i): b.one for i in range(group.order)})
+    return [
+        hopf._all_of("transform-hom", hom),
+        hopf._all_of("transpose-hom", transpose_hom),
+        CheckResult(name="transpose-columns", passed=ok, residual=worst),
+        backend_unitarity(phi),
+        CheckResult(name="cycle-identity", passed=s_unit.passed and cycle_ok,
+                    residual=max(cycle_worst, s_unit.residual)),
+    ]
+
+
+CYCLE_GROUPS = {
+    **{f"Z{n}": [n] for n in range(1, 17)},
+    **{f"Z{a}xZ{c}": [a, c] for a, c in ((2, 2), (2, 3), (2, 4), (2, 6), (3, 3), (3, 6), (4, 4))},
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    group=st.sampled_from(sorted(CYCLE_GROUPS)),
+    kind=st.sampled_from(["float", "cyclotomic"]),
+    edit=st.sampled_from(["none", "bumped", "root", "roots", "missing"]),
+    picks=st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15)),
+)
+# a bump that is itself a root (1 + z^2 = z in Z[z_6]), and one that is not (1 + z)
+@example(group="Z6", kind="cyclotomic", edit="bumped", picks=(1, 2, 0))
+@example(group="Z6", kind="cyclotomic", edit="bumped", picks=(1, 1, 0))
+@example(group="Z4", kind="cyclotomic", edit="missing", picks=(2, 3, 0))
+@example(group="Z6", kind="float", edit="none", picks=(0, 0, 0))
+def test_cycle_stages_match_the_backend_folds(group, kind, edit, picks):
+    g = make_group(GroupSpec.finite_abelian(CYCLE_GROUPS[group]))
+    b = guard_backend(g, kind)
+    i, j, r = (x % g.order for x in picks)
+    phi = fourier(g, b)
+    columns = {t: dict(col) for t, col in phi.columns.items()}
+    if edit in ("root", "roots"):
+        columns[j][i] = b.root(r, g.exponent)
+    if edit == "roots":
+        # a second root in the same column: a pair may then differ on two entries
+        columns[j][r] = b.root(i + j, g.exponent)
+    elif edit == "missing":
+        del columns[j][i]
+    sums = []
+    root_sums = hopf._root_sums
+
+    def counted_root_sums(*args):
+        sums.append(args)
+        return root_sums(*args)
+
+    with mock.patch.object(hopf, "_root_sums", counted_root_sums):
+        if edit == "bumped":
+            rep = duality_cycle(g, b, (i, j))
+        else:
+            with mock.patch.object(hopf, "fourier", lambda *_: LinearMap(phi.domain, phi.codomain, columns)):
+                rep = duality_cycle(g, b)
+    # repr of every stage: verdict, residual to the bit, witness
+    assert [repr(s) for s in rep.stages] == [repr(s) for s in backend_stages(g, b, rep.transform)]
+    read = hopf._exponents(b, rep.transform.columns, g.order)
+    if kind == "float":
+        assert read is None and not sums
+    elif edit == "missing":
+        assert read is None
+    elif edit != "bumped":
+        # every entry is a root: the gram and the composite are each one root-sum call, and so is
+        # the dual side's gram when the map is no longer the table itself
+        assert read is not None and len(sums) == (2 if rep.transform.columns == fourier(g, b).columns else 3)
+
+
+def test_a_bump_that_is_a_root_is_read_from_the_value():
+    g = make_group(GroupSpec.finite_abelian([6]))
+    b = exact_backend_for(g)
+    rep = duality_cycle(g, b, perturb=(1, 2))
+    # character 1 at element 2 is z^2, bumped to 1 + z^2 = z: the exponent is the value's, not the table's
+    assert rep.transform.columns[2][1] == b.root(1, 6)
+    assert hopf._exponents(b, rep.transform.columns, 6)[1, 2] == 1
+    assert not rep.passed
+    assert [s.name for s in rep.stages if not s.passed] == ["transform-hom", "transpose-hom",
+                                                          "transpose-columns", "unitarity", "cycle-identity"]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(order=st.integers(1, 30), data=st.data())
+def test_root_sums_match_compose(order, data):
+    b = make_backend("cyclotomic", order=order)
+    n = data.draw(st.integers(1, 6))
+    exps = np.array(data.draw(st.lists(st.lists(st.integers(0, order - 1), min_size=n, max_size=n),
+                                       min_size=n, max_size=n)), dtype=np.intp)
+    columns = {c: {r: b.root(int(exps[r, c]), order) for r in range(n)} for c in range(n)}
+    assert (hopf._exponents(b, columns, n) == exps).all()
+    gram = hopf._compose(b, columns, hopf._conj(b, hopf._transpose(columns)))
+    sums = hopf._root_sums(b, exps[:, None] - exps)
+    # the same reduced tuple, int for int, as the backend's sum of the same roots
+    assert [[tuple(sums[i, j].tolist()) for j in range(n)] for i in range(n)] == \
+        [[gram[j][i] for j in range(n)] for i in range(n)]
+
+
+def test_exponents_read_through_a_forwarding_backend():
+    class Forwarding:
+        """A wrapper that forwards every attribute, as a counting proxy does."""
+        def __init__(self, inner):
+            self._inner = inner
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    g = make_group(GroupSpec.finite_abelian([6]))
+    b = exact_backend_for(g)
+    columns = fourier(g, b).columns
+    assert (hopf._exponents(Forwarding(b), columns, 6) == hopf._exponents(b, columns, 6)).all()
+
+
+def test_exact_unitarity_makes_no_backend_mul(monkeypatch):
+    g = make_group(GroupSpec.finite_abelian([12]))
+    b = exact_backend_for(g)
+    phi = fourier(g, b)
+    muls = []
+    mul = CyclotomicBackend.mul
+    monkeypatch.setattr(CyclotomicBackend, "mul", lambda self, x, y: muls.append((x, y)) or mul(self, x, y))
+    result = unitarity_check(phi)
+    assert result.passed and result.residual == 0.0
+    assert muls == []
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
