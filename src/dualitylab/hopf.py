@@ -718,13 +718,23 @@ def _root_sums(b, exponents) -> np.ndarray:
     return (counts @ np.array(b._mono, dtype=np.int64)).reshape(*lead, b.degree)
 
 
-def _off_identity(sums: np.ndarray, scale: int) -> list:
-    """((i, j), value tuple) for each entry of an (n, n, degree) root-sum array that differs from
-    scale times the identity, in (i, j) order."""
-    target = np.zeros_like(sums)
-    diag = np.arange(len(sums))
-    target[diag, diag, 0] = scale
-    return [((i, j), tuple(sums[i, j].tolist())) for i, j in np.argwhere((sums != target).any(-1)).tolist()]
+def _against_identity(b, product, n: int, scale: int) -> list:
+    """((i, j), x) for each entry x of an n x n product that a fold against scale times the identity
+    must see, in (i, j) order.  product is an (n, n, degree) ``_root_sums`` array, or sparse columns
+    with entry (i, j) at product[j][i].  On the exact backend these are the entries that differ, as
+    an equal one adds residual 0.0 and no witness; on the float backend every entry, as the
+    residual of a passing one is reported too."""
+    if isinstance(product, np.ndarray):
+        target = np.zeros_like(product)
+        diag = np.arange(n)
+        target[diag, diag, 0] = scale
+        return [((i, j), tuple(product[i, j].tolist()))
+                for i, j in np.argwhere((product != target).any(-1)).tolist()]
+    entries = [((i, j), product.get(j, {}).get(i, b.zero)) for i in range(n) for j in range(n)]
+    if not b.exact:
+        return entries
+    diagonal = b.from_int(scale)
+    return [((i, j), x) for (i, j), x in entries if not b.eq(x, diagonal if i == j else b.zero)]
 
 
 def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
@@ -809,23 +819,18 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
 def unitarity_check(phi: LinearMap) -> CheckResult:
     """Row orthogonality M conj(M^T) = |G| I under the backend, |G| the dimension of phi's domain.
 
-    When phi is square and every entry is a root on the cyclotomic backend (``_exponents``), the
-    gram is one ``_root_sums`` call, entry (i, j) the sum over k of z^(E[i, k] - E[j, k]), and only
-    the entries that differ from |G| I are folded, as an equal one adds residual 0.0 and no
-    witness; otherwise the gram is summed by ``_compose``.
+    The gram is an n x n product, n the codomain's dimension.  When phi is square and every entry is
+    a root on the cyclotomic backend (``_exponents``), it is one ``_root_sums`` call, entry (i, j)
+    the sum over k of z^(E[i, k] - E[j, k]); otherwise it is summed by ``_compose``.  Either way
+    the fold sees the entries ``_against_identity`` lists.
     """
-    b = phi.domain.backend
-    target_diag = b.from_int(phi.domain.dim)
-    n = phi.codomain.dim
-    exps = _exponents(b, phi.columns, n) if phi.domain.dim == n else None
-    if exps is not None:
-        return fold_checks("unitarity", b, ((f"rows ({i},{j})", {0: x}, {0: target_diag if i == j else b.zero})
-                                            for (i, j), x in _off_identity(_root_sums(b, exps[:, None] - exps), n)))
-    gram = _compose(b, phi.columns, _conj(b, _transpose(phi.columns)))
-    return fold_checks("unitarity", b, (
-        (f"rows ({i},{j})", {0: gram.get(j, {}).get(i, b.zero)}, {0: target_diag if i == j else b.zero})
-        for i in range(n) for j in range(n)
-    ))
+    b, n, scale = phi.domain.backend, phi.codomain.dim, phi.domain.dim
+    exps = _exponents(b, phi.columns, n) if scale == n else None
+    gram = (_compose(b, phi.columns, _conj(b, _transpose(phi.columns))) if exps is None
+            else _root_sums(b, exps[:, None] - exps))
+    target = b.from_int(scale)
+    return fold_checks("unitarity", b, ((f"rows ({i},{j})", {0: x}, {0: target if i == j else b.zero})
+                                        for (i, j), x in _against_identity(b, gram, n, scale)))
 
 
 def _compose(backend, a: Mapping, c: Mapping) -> dict:
@@ -885,25 +890,26 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     with no algebras of its own.  Under the biduality its transposed map has
     phi's type, so it is a LinearMap between phi's algebras, whose backend and
     dimensions are all ``unitarity_check`` reads.
-    The composite is the table's conjugate times the map.  On the float backend
-    it is scaled by 1/|G| once per entry before it meets the identity.  On the
-    exact backend it is compared with |G| I in Z[zeta_n], and only an entry
-    that differs is scaled, for its residual.
+
+    Unitarity and cycle-identity each fold one n x n product against |G| I:
+    the gram, the map times its conjugate transpose, and the composite, the
+    table's conjugate times the map.  A product is one ``_root_sums`` call
+    when ``_exponents`` reads every operand, else a ``_compose`` sum, and its
+    one ``fold_checks`` call sees what ``_against_identity`` lists: on the
+    exact backend the entries that differ from |G| I in Z[zeta_n], before any
+    scaling.  The composite's listed entries are scaled by 1/|G| and meet the
+    identity in one row, into which the dual side's unitarity is folded.
 
     The character table is symmetric, so unperturbed its transpose and the
     dual side's transposed map are literally the map itself: transpose-hom
     then reuses the transform-hom conditions and the dual side's unitarity
     is the unitarity stage.  A perturbed map takes the full path wherever its
-    input differs.  On the exact backend the three dense n^3 folds (the
-    multiplicative fold, unitarity and the composite) read the map's entries
-    as root exponents (``_exponents``) and sum roots as exponent counts
-    (``_root_sums``), with no backend operation per term.  A map with an entry
-    that is not a root, as most bumped entries are, or a missing one falls
-    back to the backend sums: each hom fold then applies its map once per
-    basis vector and multiplies images pointwise (``_algebra_hom``), and the
-    gram and the composite are the dense sums of ``_compose``, which is what a
-    perturbed exact cycle spends most on.  The float backend always takes
-    that path.
+    input differs.  A map with an entry that is not a root, as most bumped
+    entries are, or a missing one, is summed through the backend: each hom
+    fold then applies its map once per basis vector and multiplies images
+    pointwise (``_algebra_hom``), and the gram and the composite are
+    ``_compose`` sums, which is what a perturbed exact cycle spends most on.
+    The float backend always takes that path.
 
     ``perturb`` bumps one matrix entry before checking; a single corrupted
     entry must trip at least one stage.
@@ -913,9 +919,9 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     phi = fourier(group, b)
     if perturb is not None:
         i, j = perturb_entry(perturb, group.order)
-        columns = {t: dict(col) for t, col in phi.columns.items()}
-        columns[j][i] = b.add(columns[j][i], b.one)
-        phi = LinearMap(phi.domain, phi.codomain, columns)
+        column = phi.columns[j]
+        phi = LinearMap(phi.domain, phi.codomain,
+                        {**phi.columns, j: {**column, i: b.add(column[i], b.one)}})
     stages = []
 
     hom, transpose_hom = check_linear_hom(phi)
@@ -926,8 +932,7 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     # which is the dual side's table read by rows: value(m, t) and value(t, m) share one root index
     table = _character_table(dual_group(group), b)
     s_map = LinearMap(phi.domain, phi.codomain, _transpose(table))
-    ok, worst = compare(b, _entries(phi.columns), _entries(s_map.columns))
-    stages.append(CheckResult(name="transpose-columns", passed=ok, residual=worst))
+    stages.append(fold_checks("transpose-columns", b, [("", _entries(phi.columns), _entries(s_map.columns))]))
 
     unitarity = unitarity_check(phi)
     stages.append(unitarity)
@@ -935,26 +940,13 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     # the dual side's transposed map, inverted, closes the cycle
     s_unit = unitarity if s_map.columns == phi.columns else unitarity_check(s_map)
     n, inv_scale = group.order, Fraction(1, group.order)
-    identity = {(i, i): b.one for i in range(n)}
-    if b.exact:
-        # the composite meets |G| I in Z[zeta] before scaling: only an entry that differs is
-        # scaled, for its residual
-        exps, t_exps = _exponents(b, phi.columns, n), _exponents(b, table, n)
-        if exps is not None and t_exps is not None:
-            # entry (r, j) is the root sum over k of z^(E[k, j] - T[r, k])
-            off = _off_identity(_root_sums(b, exps.T - t_exps[:, None]), n)
-        else:
-            composite = _entries(_compose(b, _conj(b, table), phi.columns))
-            off = [(k, x) for k in composite.keys() | identity.keys()
-                   if not b.eq(x := composite.get(k, b.zero), b.from_int(n) if k in identity else b.zero)]
-        ok = not off
-        worst = max((b.residual(b.scale(x, inv_scale), identity.get(k, b.zero)) for k, x in off), default=0.0)
-    else:
-        composite = _compose(b, _conj(b, table), phi.columns)
-        ok, worst = compare(b, {k: b.scale(x, inv_scale) for k, x in _entries(composite).items()}, identity)
-    stages.append(
-        CheckResult(name="cycle-identity", passed=s_unit.passed and ok, residual=max(worst, s_unit.residual))
-    )
+    exps, t_exps = _exponents(b, phi.columns, n), _exponents(b, table, n)
+    # entry (r, j) is the root sum over k of z^(E[k, j] - T[r, k])
+    composite = (_compose(b, _conj(b, table), phi.columns) if exps is None or t_exps is None
+                 else _root_sums(b, exps.T - t_exps[:, None]))
+    scaled = {k: b.scale(x, inv_scale) for k, x in _against_identity(b, composite, n, n)}
+    cycle = fold_checks("cycle-identity", b, [("", scaled, {k: b.one for k in scaled if k[0] == k[1]})])
+    stages.append(replace(cycle, passed=cycle.passed and s_unit.passed, residual=max(cycle.residual, s_unit.residual)))
     return CycleReport(stages=tuple(stages), transform=phi)
 
 

@@ -543,7 +543,8 @@ def test_duality_cycle_folds_each_hom_condition_once(monkeypatch):
     assert duality_cycle(g, exact_backend_for(g)).passed
     # the character table is symmetric: its transpose and the dual side's map
     # are literally itself, so each condition and unitarity fold once
-    assert calls == {"multiplicative": 1, "unital": 1, "antipode": 1, "unitarity": 1}
+    assert calls == {"multiplicative": 1, "unital": 1, "antipode": 1, "unitarity": 1,
+                     "transpose-columns": 1, "cycle-identity": 1}
 
 
 def test_perturbed_duality_cycle_folds_both_sides(monkeypatch):
@@ -552,7 +553,8 @@ def test_perturbed_duality_cycle_folds_both_sides(monkeypatch):
     assert not duality_cycle(g, exact_backend_for(g), perturb=(1, 2)).passed
     # an off-diagonal bump breaks the symmetry: only the antipode condition,
     # which the transpose shares with the map, folds once
-    assert calls == {"multiplicative": 2, "unital": 2, "antipode": 1, "unitarity": 2}
+    assert calls == {"multiplicative": 2, "unital": 2, "antipode": 1, "unitarity": 2,
+                     "transpose-columns": 1, "cycle-identity": 1}
 
 
 @pytest.mark.parametrize("kind", ["float", "cyclotomic"])
@@ -913,6 +915,31 @@ def test_root_sums_match_compose(order, data):
     # the same reduced tuple, int for int, as the backend's sum of the same roots
     assert [[tuple(sums[i, j].tolist()) for j in range(n)] for i in range(n)] == \
         [[gram[j][i] for j in range(n)] for i in range(n)]
+    # and the same entries listed against c I from either representation: the gram, and a
+    # composite with one entry that differs
+    assert hopf._against_identity(b, sums, n, n) == hopf._against_identity(b, gram, n, n)
+    r, c, e = (data.draw(st.integers(0, m)) for m in (n - 1, n - 1, order - 1))
+    composite = {j: {i: b.from_int(n if i == j else 0) for i in range(n)} for j in range(n)}
+    composite[c][r] = b.add(composite[c][r], b.root(e, order))
+    array = np.zeros((n, n, b.degree), dtype=np.int64)
+    array[range(n), range(n), 0] = n
+    array[r, c] = composite[c][r]
+    listed = hopf._against_identity(b, array, n, n)
+    assert listed == hopf._against_identity(b, composite, n, n)
+    assert [k for k, _ in listed] == [(r, c)]
+
+
+@pytest.mark.parametrize("kind", ["float", "cyclotomic"])
+def test_unitarity_of_a_map_between_unequal_dimensions(kind):
+    b = make_backend("float") if kind == "float" else make_backend("cyclotomic", order=6)
+    domain = group_algebra(make_group(GroupSpec.finite_abelian([2])), b)
+    codomain = function_algebra(make_group(GroupSpec.finite_abelian([3])), b)
+    # one entry, 1 + z6: the gram's (0, 0) entry is |1 + z6|^2 = 3, the codomain's dimension,
+    # while the target's diagonal is 2, the domain's
+    phi = LinearMap(domain, codomain, {0: {0: b.add(b.one, b.root(1, 6))}})
+    result = unitarity_check(phi)
+    assert repr(result) == repr(backend_unitarity(phi))
+    assert (result.passed, result.detail, result.residual) == (False, "rows (0,0)", 2.0)
 
 
 def test_exponents_read_through_a_forwarding_backend():
