@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .groups import (
+    SIZE_FIELDS,
     GeneratorSet,
     Group,
     GroupSpec,
@@ -117,21 +118,18 @@ def _parse_fraction(value, path: str):
     return q, _echo_fraction(q)
 
 
-_GROUP_FIELDS = ("orders", "rank", "degree")
-
-
 def _parse_group(obj, path: str) -> tuple[Group, dict]:
     """JSON shape only; ``GroupSpec`` holds the per-kind field rules."""
     if not isinstance(obj, dict):
         fail(path, f"expected an object, got {obj!r}")
-    unknown = set(obj) - {"kind", "label", *_GROUP_FIELDS}
+    unknown = set(obj) - {"kind", "label", *SIZE_FIELDS}
     if unknown:
         raise ConfigError([(f"{path}.{k}", "unknown key") for k in sorted(unknown)])
     if "kind" not in obj:
         fail(f"{path}.kind", "required")
     kind = _as_str(obj["kind"], f"{path}.kind")
     label = _as_str(obj.get("label", ""), f"{path}.label")
-    fields = {k: obj[k] for k in _GROUP_FIELDS if k in obj}
+    fields = {k: obj[k] for k in SIZE_FIELDS if k in obj}
     spec = _rooted(path, GroupSpec, kind=kind, label=label, **fields)
     echo = {"kind": kind, **fields}
     if label:

@@ -18,15 +18,7 @@ Element = tuple
 
 SYMMETRIC_DEGREE_CAP = 6
 
-# group kind -> the one size field it takes (None: the kind takes none)
-_KIND_FIELD = {
-    "finite_abelian": "orders",
-    "symmetric": "degree",
-    "heisenberg": None,
-    "free": "rank",
-    "free_abelian": "rank",
-}
-GROUP_KINDS = tuple(_KIND_FIELD)
+SIZE_FIELDS = ("orders", "rank", "degree")  # each kind takes at most one: its class's size_field
 _UNSET = object()  # a field not given, as distinct from one given as None (JSON null)
 
 
@@ -44,9 +36,9 @@ class GroupSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in GROUP_KINDS:
-            fail("kind", f"unknown group kind {self.kind!r} (expected one of {GROUP_KINDS})")
-        own = _KIND_FIELD[self.kind]
+        if self.kind not in _BUILDERS:
+            fail("kind", f"unknown group kind {self.kind!r} (expected one of {tuple(_BUILDERS)})")
+        own = _BUILDERS[self.kind].size_field
         if own == "orders":
             if not isinstance(self.orders, (list, tuple)) or not self.orders:
                 fail("orders", "expected a non-empty list of positive integers")
@@ -58,7 +50,7 @@ class GroupSpec:
                 fail(own, "required")
             as_int(getattr(self, own), own, minimum=1,
                    maximum=SYMMETRIC_DEGREE_CAP if own == "degree" else None)
-        for other in ("orders", "rank", "degree"):
+        for other in SIZE_FIELDS:
             if other != own:
                 if getattr(self, other) is not _UNSET:
                     fail(other, f"not a {self.kind} field")
@@ -88,28 +80,25 @@ class GroupSpec:
 class Group:
     """Base class: a group whose elements are canonical tuples.
 
-    Subclasses fix the payload shape and implement the law.  ``check`` is the
-    membership gate, run wherever elements enter from a caller: payload
-    parsing, generator sets, ``power``, ``format``, weighted vectors, length
-    lookups and the sampled checks; a payload from the wrong group raises
-    ValueError there.  ``mul`` and ``inv`` take canonical elements and do not
-    re-check them, because search loops call them millions of times.
+    Subclasses fix the payload shape and implement the law; ``identity`` and
+    ``order`` are plain attributes, set once when the group is built.
+    ``check`` is the membership gate, run wherever elements enter from a
+    caller: payload parsing, generator sets, ``power``, ``format``, weighted
+    vectors, length lookups and the sampled checks; a payload from the wrong
+    group raises ValueError there.  ``mul`` and ``inv`` take canonical elements
+    and do not re-check them, because search loops call them millions of times.
     """
 
     kind: str = ""
+    size_field: str | None = None  # the one GroupSpec field the kind takes (None: it takes none)
     is_finite: bool = False
+    identity: Element
+    order: int | None = None  # number of elements, or None when infinite
 
-    def __init__(self, spec: GroupSpec, label: str):
+    def __init__(self, spec: GroupSpec, label: str, identity: Element, order: int | None = None):
         self.label = spec.label or label
-
-    @property
-    def identity(self) -> Element:
-        raise NotImplementedError
-
-    @property
-    def order(self) -> int | None:
-        """Number of elements, or None when infinite."""
-        return None
+        self.identity = identity
+        self.order = order
 
     def check(self, x) -> Element:
         """Validate x as an element and return its canonical form."""
@@ -163,21 +152,13 @@ class FiniteAbelianGroup(Group):
     """Direct product of cyclic groups Z_{n_1} x ... x Z_{n_r}, residue tuples."""
 
     kind = "finite_abelian"
+    size_field = "orders"
     is_finite = True
 
     def __init__(self, spec: GroupSpec):
-        super().__init__(spec, "Z" + "x".join(str(n) for n in spec.orders))
+        super().__init__(spec, "Z" + "x".join(str(n) for n in spec.orders),
+                         tuple(0 for _ in spec.orders), math.prod(spec.orders))
         self.orders = spec.orders
-        self._order = math.prod(self.orders)
-        self._identity = tuple(0 for _ in self.orders)
-
-    @property
-    def identity(self) -> Element:
-        return self._identity
-
-    @property
-    def order(self) -> int:
-        return self._order
 
     @property
     def exponent(self) -> int:
@@ -204,21 +185,12 @@ class SymmetricGroup(Group):
     """Permutations of {0..n-1} as image tuples; (p*q)[i] = p[q[i]]."""
 
     kind = "symmetric"
+    size_field = "degree"
     is_finite = True
 
     def __init__(self, spec: GroupSpec):
-        super().__init__(spec, f"S{spec.degree}")
+        super().__init__(spec, f"S{spec.degree}", tuple(range(spec.degree)), math.factorial(spec.degree))
         self.degree = spec.degree
-        self._identity = tuple(range(self.degree))
-        self._order = math.factorial(self.degree)
-
-    @property
-    def identity(self) -> Element:
-        return self._identity
-
-    @property
-    def order(self) -> int:
-        return self._order
 
     @property
     def exponent(self) -> int:
@@ -257,11 +229,7 @@ class HeisenbergGroup(Group):
     is_finite = False
 
     def __init__(self, spec: GroupSpec):
-        super().__init__(spec, "Heis")
-
-    @property
-    def identity(self) -> Element:
-        return (0, 0, 0)
+        super().__init__(spec, "Heis", (0, 0, 0))
 
     def check(self, x) -> Element:
         return _check_int_tuple(x, 3, self.label)
@@ -282,15 +250,12 @@ class FreeGroup(Group):
     """
 
     kind = "free"
+    size_field = "rank"
     is_finite = False
 
     def __init__(self, spec: GroupSpec):
-        super().__init__(spec, f"F{spec.rank}")
+        super().__init__(spec, f"F{spec.rank}", ())
         self.rank = spec.rank
-
-    @property
-    def identity(self) -> Element:
-        return ()
 
     def check(self, x) -> Element:
         if not isinstance(x, tuple):
@@ -320,15 +285,12 @@ class FreeAbelianGroup(Group):
     """Z^r with componentwise addition; elements are integer vectors."""
 
     kind = "free_abelian"
+    size_field = "rank"
     is_finite = False
 
     def __init__(self, spec: GroupSpec):
-        super().__init__(spec, f"Z^{spec.rank}")
+        super().__init__(spec, f"Z^{spec.rank}", tuple(0 for _ in range(spec.rank)))
         self.rank = spec.rank
-
-    @property
-    def identity(self) -> Element:
-        return tuple(0 for _ in range(self.rank))
 
     def check(self, x) -> Element:
         return _check_int_tuple(x, self.rank, self.label)
@@ -350,16 +312,8 @@ class DirectProductGroup(Group):
         self.right = right
         self.label = f"({left.label})x({right.label})"
         self.is_finite = left.is_finite and right.is_finite
-
-    @property
-    def identity(self) -> Element:
-        return (self.left.identity, self.right.identity)
-
-    @property
-    def order(self) -> int | None:
-        if self.is_finite:
-            return self.left.order * self.right.order
-        return None
+        self.identity = (left.identity, right.identity)
+        self.order = left.order * right.order if self.is_finite else None
 
     def check(self, x) -> Element:
         if not isinstance(x, tuple) or len(x) != 2:
@@ -382,13 +336,9 @@ class DirectProductGroup(Group):
         return f"({self.left.format(x[0])}|{self.right.format(x[1])})"
 
 
-_BUILDERS = {
-    "finite_abelian": FiniteAbelianGroup,
-    "symmetric": SymmetricGroup,
-    "heisenberg": HeisenbergGroup,
-    "free": FreeGroup,
-    "free_abelian": FreeAbelianGroup,
-}
+# group kind -> its class; the order is the one the unknown-kind message lists
+_BUILDERS = {cls.kind: cls for cls in (FiniteAbelianGroup, SymmetricGroup, HeisenbergGroup, FreeGroup,
+                                       FreeAbelianGroup)}
 
 
 def make_group(spec: GroupSpec) -> Group:
@@ -417,7 +367,6 @@ class GeneratorSet:
     """An ordered tuple of generators; order matters for enumerated weights."""
 
     elements: tuple[Element, ...]
-    closed_under_inverse: bool = False
 
 
 def walk(start, gens: Sequence, step: Callable) -> dict:
@@ -453,12 +402,11 @@ def make_generator_set(group: Group, elements: Sequence[Element]) -> GeneratorSe
         if e in seen:
             raise ValueError(f"duplicate generator {e!r}")
         seen.add(e)
-    closed = all(group.inv(e) in seen for e in canon)
     if group.is_finite:
         reached = len(walk(group.identity, canon, group.mul))
         if reached != group.order:
             raise ValueError(f"generators reach only {reached} of {group.order} elements of {group.label}")
-    return GeneratorSet(elements=canon, closed_under_inverse=closed)
+    return GeneratorSet(elements=canon)
 
 
 def standard_generators(group: Group) -> GeneratorSet:

@@ -398,23 +398,22 @@ def _diagonal_product(h: HopfAlgebra):
     return d
 
 
-def _law_associativity(b, law) -> CheckResult:
-    """The associativity fold of a monomial law, decided row by row as law[law[i]] == law[i][law].
+def _law_associativity(b, law):
+    """The associativity fold's first failing triple of a monomial law, as (tag, lhs, rhs); none
+    when law[law[i]] == law[i][law] holds row by row.
 
     Each product of the fold is one on one basis vector, so a triple either agrees (residual
-    0.0) or compares one with zero on two keys (residual(one, zero)); the first failing triple
-    in (i, j, k) order is the witness, and it fails only where one and zero are not eq.
+    0.0) or compares one with zero on two keys (residual(one, zero)); folding the first failing
+    triple in (i, j, k) order gives the full fold's verdict, residual and witness.
     """
     dim = len(law)
-    law = np.array(law, dtype=np.intp)
+    table = np.array(law, dtype=np.intp)
     for i in range(dim):
-        bad = np.flatnonzero(law[law[i]] != law[i][law])
+        bad = np.flatnonzero(table[table[i]] != table[i][table])
         if bad.size:
             j, k = divmod(int(bad[0]), dim)
-            passed = b.eq(b.one, b.zero)
-            return CheckResult(name="associativity", passed=passed, residual=b.residual(b.one, b.zero),
-                               detail="" if passed else f"({i},{j},{k})")
-    return CheckResult("associativity", True)
+            yield f"({i},{j},{k})", {law[law[i][j]][k]: b.one}, {law[i][law[j][k]]: b.one}
+            return
 
 
 def _algebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
@@ -443,7 +442,7 @@ def _algebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
             yield f"right {i}", mul_vec(h, h.basis(i), h.unit), h.basis(i)
 
     law = _monomial_law(h)
-    assoc = fold_checks("associativity", b, pairs_assoc()) if law is None else _law_associativity(b, law)
+    assoc = fold_checks("associativity", b, pairs_assoc() if law is None else _law_associativity(b, law))
     return assoc, fold_checks("unit", b, pairs_unit())
 
 

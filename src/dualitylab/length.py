@@ -100,7 +100,6 @@ class LengthReport:
     generators: GeneratorSet
     weights: WeightFunction
     radius: Fraction
-    element_cap: int
     lengths: dict[Element, Fraction]
     truncated: bool
     boundary: Fraction | None
@@ -254,7 +253,6 @@ def explore_ball(
         generators=generators,
         weights=weights,
         radius=radius,
-        element_cap=element_cap,
         lengths=lengths,
         truncated=truncated,
         boundary=boundary,
@@ -350,7 +348,6 @@ class SummabilityReport:
     partial: float
     finite_bound: float
     closed_form: float
-    max_level: int
 
     @property
     def passed(self) -> bool:
@@ -375,7 +372,7 @@ def summability_partial_sums(report: LengthReport) -> SummabilityReport:
     finite = 1.0 + math.fsum(math.ldexp(math.exp(-n), n - 1) for n in range(1, min(top, 745) + 1))
     r = SERIES_RATIO
     closed = 1.0 + r / (2.0 * (1.0 - r))
-    return SummabilityReport(partial=partial, finite_bound=finite, closed_form=closed, max_level=top)
+    return SummabilityReport(partial=partial, finite_bound=finite, closed_form=closed)
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,6 @@ def test_standard_generators():
     heis = make_group(GroupSpec.heisenberg())
     gens = standard_generators(heis)
     assert gens.elements == ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-    assert gens.closed_under_inverse
     z = make_group(GroupSpec.free_abelian(1))
     assert standard_generators(z).elements == ((1,), (-1,))
     f2 = make_group(GroupSpec.free(2))
@@ -173,10 +172,8 @@ def test_generator_set_validation():
         make_generator_set(z6, [(1,), (1,)])  # duplicate
     with pytest.raises(ValueError):
         make_generator_set(z6, [(2,)])  # generates only the even residues
-    gens = make_generator_set(z6, [(1,)])
-    assert not gens.closed_under_inverse
-    gens = make_generator_set(z6, [(1,), (5,)])
-    assert gens.closed_under_inverse
+    make_generator_set(z6, [(1,)])
+    make_generator_set(z6, [(1,), (5,)])
 
 
 def test_walk_order_and_parent_edges():
@@ -233,6 +230,39 @@ def test_direct_product_enumeration_row_major():
     x, y = ((1,), (2,)), ((1,), (1,))
     assert p.mul(x, y) == ((0,), (0,))
     assert p.inv(x) == ((1,), (1,))
+
+
+def generators_of(g):
+    """The standard generators, or for a direct product each factor's paired with the other's identity."""
+    if g.kind == "product":
+        return ([(x, g.right.identity) for x in generators_of(g.left)]
+                + [(g.left.identity, y) for y in generators_of(g.right)])
+    return standard_generators(g).elements
+
+
+@pytest.mark.parametrize("specs", [
+    (GroupSpec.finite_abelian([2, 3]),), (GroupSpec.symmetric(3),), (GroupSpec.heisenberg(),),
+    (GroupSpec.free(2),), (GroupSpec.free_abelian(2),),
+    (GroupSpec.finite_abelian([2]), GroupSpec.symmetric(3)), (GroupSpec.symmetric(3), GroupSpec.free(2)),
+], ids=["Z2xZ3", "S3", "Heis", "F2", "Z^2", "Z2xS3", "S3xF2"])
+def test_group_data(specs):
+    g = direct_product(*map(make_group, specs)) if len(specs) == 2 else make_group(*specs)
+    for x in generators_of(g):
+        assert g.mul(g.identity, x) == x == g.mul(x, g.identity)
+    assert g.is_finite == (g.order is not None)
+    if g.is_finite:
+        assert g.order == len(list(g.elements()))
+    else:
+        with pytest.raises(ValueError):
+            g.elements()
+    # the kinds are listed in their one order, and each takes only its own size field
+    with pytest.raises(ValueError) as exc:
+        GroupSpec(kind="nosuch")
+    kinds = "('finite_abelian', 'symmetric', 'heisenberg', 'free', 'free_abelian')"
+    assert exc.value.errors == [("kind", f"unknown group kind 'nosuch' (expected one of {kinds})")]
+    with pytest.raises(ValueError) as exc:
+        GroupSpec(kind="finite_abelian", orders=[2], rank=1)
+    assert exc.value.errors == [("rank", "not a finite_abelian field")]
 
 
 def test_element_from_payload():
