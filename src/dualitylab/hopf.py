@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -30,7 +31,8 @@ TENSOR_DIM_CAP = 1500
 # each (Python 3.11, 2-core x86-64 host), exact, unperturbed and perturb [1, 2]: Z113 0.8 and 29.9 s,
 # Z121 1.0 and 37.3 s, Z125 1.1 and 35.5 s, Z126 0.5 and 16.6 s, and Z127 (the largest phi(n) the
 # cap admits) 1.3-1.4 and 42.8-43.5 s in three runs, each at most 111 MB peak; so orders up to 127
-# finish in a minute.  No larger order was run
+# finish in a minute.  The float cycle folds on float64 arrays (_floats), perturbed too: Z127 0.33-0.35
+# and 0.41-0.43 s in three runs each, at most 49 MB peak.  No larger order was run
 DUALITY_ORDER_CAP = 127
 # hopf-axioms on the rationals (every structure constant is 0 or 1), with the group law's
 # associativity decided on an int array; through duality-lab, one process each (Python 3.11,
@@ -678,6 +680,19 @@ class LinearMap:
     codomain: HopfAlgebra
     columns: Mapping
 
+    @cached_property
+    def _dense(self):
+        """The columns read once as a dense array for the duality cycle's n^3 folds: root exponents
+        on the cyclotomic backend (``_exponents``), (re, im) float64 parts on the float backend
+        (``_floats``); None when the map is not square or the read does not hold.  Cached on the
+        map, so the hom fold, the gram and the composite share one read; columns must not change
+        after it."""
+        b, n = self.domain.backend, self.domain.dim
+        if self.codomain.dim != n:
+            return None
+        exps = _exponents(b, self.columns, n)
+        return exps if exps is not None else _floats(b, self.columns, n)
+
 
 def fourier(group: Group, backend) -> LinearMap:
     """The character-table map from the group algebra to functions on characters.
@@ -717,18 +732,101 @@ def _root_sums(b, exponents) -> np.ndarray:
     return (counts @ np.array(b._mono, dtype=np.int64)).reshape(*lead, b.degree)
 
 
+# a part past this magnitude could overflow a fold's products, where abs() of a complex raises
+# OverflowError and np.hypot gives inf; under it every float fold's residual is finite
+_FLOAT_PART_BOUND = 2.0**300
+
+
+def _float_parts(rows):
+    """rows of entries as two float64 arrays, real and imaginary parts; None unless every entry is a
+    complex whose parts are at most _FLOAT_PART_BOUND in magnitude (so finite).  Read, not computed:
+    the parts keep their bits."""
+    if any(type(x) is not complex for row in rows for x in row):
+        return None
+    z = np.array(rows, dtype=np.complex128)
+    parts = z.real.copy(), z.imag.copy()
+    return parts if all((np.abs(p) <= _FLOAT_PART_BOUND).all() for p in parts) else None
+
+
+def _floats(b, columns: Mapping, n: int):
+    """columns read as (re, im) float64 (n, n) arrays, re[r, c] + im[r, c] j = columns[c][r]; None
+    unless b is the float backend (told by its name, as in ``_exponents``), columns lists range(n)
+    in order, each column lists its rows as range(n) in order, the order in which ``_compose``
+    sums, and ``_float_parts`` reads every entry."""
+    order = list(range(n))
+    if b.name != "float" or list(columns) != order:
+        return None
+    cols = [columns[c] for c in order]
+    if any(list(col) != order for col in cols):
+        return None
+    parts = _float_parts([list(col.values()) for col in cols])
+    return None if parts is None else tuple(p.T.copy() for p in parts)
+
+
+def _times(x, y):
+    """The entrywise product of two (re, im) pairs as CPython multiplies complex numbers, one float64
+    ufunc per operation: numpy's own complex product rounds differently."""
+    (xr, xi), (yr, yi) = x, y
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _float_matmul(a, c):
+    """The (re, im) product of two (re, im) n x n pairs, entry (i, j) the sum over k of
+    a[i, k] c[k, j] added in k order from the first term as it is, as ``_compose`` adds it."""
+    acc = None
+    for k in range(a[0].shape[1]):
+        term = _times((a[0][:, k, None], a[1][:, k, None]), (c[0][k], c[1][k]))
+        acc = term if acc is None else (acc[0] + term[0], acc[1] + term[1])
+    return acc
+
+
+def _fold_cells(res, tolerance) -> list[int]:
+    """Flat indices into res, in C order, of its first residual past tolerance and of its first
+    largest one.  Folded in that order they give the verdict, worst residual and witness of a fold
+    over every cell of res, each residual finite, as ``_floats`` keeps it."""
+    flat = res.ravel()
+    return sorted({*np.flatnonzero(flat > tolerance)[:1].tolist(), int(flat.argmax())})
+
+
+def _float_hom_pairs(b, m, d, law):
+    """(tag, lhs, rhs) of the cells a multiplicative fold must see, in (i, j) order, for a map read
+    by ``_floats`` as m, a diagonal d as (re, im) length-n vectors and a law: lhs = one m read through the law,
+    rhs = (m[:, i] m[:, j]) d, each product as ``_apply`` and ``_algebra_hom`` form it.  One row i at
+    a time, laid out (j, r), so no n^3 array is held; each row's two ``_fold_cells`` are kept, and
+    the fold's two are picked from those."""
+    n, tolerance = len(law), b.tolerance
+    images = tuple(p.T.copy() for p in _times((b.one.real, b.one.imag), m))   # [c, r]: phi(c) at r
+    columns = tuple(p.T.copy() for p in m)                                     # [j, r]: m[r, j]
+    cells = []
+    for i, row in enumerate(np.array(law, dtype=np.intp)):
+        lhs = tuple(p[row] for p in images)
+        rhs = _times(_times((m[0][:, i], m[1][:, i]), columns), d)
+        res = np.hypot(lhs[0] - rhs[0], lhs[1] - rhs[1])
+        for j, r in (divmod(f, n) for f in _fold_cells(res, tolerance)):
+            cells.append((res[j, r], f"({i},{j})", {r: complex(lhs[0][j, r], lhs[1][j, r])},
+                          {r: complex(rhs[0][j, r], rhs[1][j, r])}))
+    return [cells[f][1:] for f in _fold_cells(np.array([c[0] for c in cells]), tolerance)]
+
+
 def _against_identity(b, product, n: int, scale: int) -> list:
     """((i, j), x) for each entry x of an n x n product that a fold against scale times the identity
-    must see, in (i, j) order.  product is an (n, n, degree) ``_root_sums`` array, or sparse columns
-    with entry (i, j) at product[j][i].  On the exact backend these are the entries that differ, as
-    an equal one adds residual 0.0 and no witness; on the float backend every entry, as the
-    residual of a passing one is reported too."""
+    must see, in (i, j) order.  product is an (n, n, degree) ``_root_sums`` array, a (re, im) pair
+    of float64 (n, n) arrays, or sparse columns with entry (i, j) at product[j][i].  On the exact
+    backend these are the entries that differ, as an equal one adds residual 0.0 and no witness.
+    On the float backend a pair gives its first entry past the tolerance and its first worst one
+    (``_fold_cells``), which fold to the verdict, residual and witness of every entry; sparse
+    columns give every entry."""
     if isinstance(product, np.ndarray):
         target = np.zeros_like(product)
         diag = np.arange(n)
         target[diag, diag, 0] = scale
         return [((i, j), tuple(product[i, j].tolist()))
                 for i, j in np.argwhere((product != target).any(-1)).tolist()]
+    if isinstance(product, tuple):
+        target = b.from_int(scale)
+        res = np.hypot(*(p - np.diag(np.full(n, t)) for p, t in zip(product, (target.real, target.imag))))
+        return [((i, j), complex(product[0][i, j], product[1][i, j]))
+                for i, j in (divmod(f, n) for f in _fold_cells(res, b.tolerance))]
     entries = [((i, j), product.get(j, {}).get(i, b.zero)) for i in range(n) for j in range(n)]
     if not b.exact:
         return entries
@@ -747,19 +845,27 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
     dual's are, phi(i) phi(j) is the pointwise product over the indices they share, each
     scaled by the diagonal, in phi(i)'s order.  Either way the scalar operations are the ones
     ``_apply`` and ``mul_vec`` run, in the same order, so verdicts, residuals and witnesses do
-    not move; any other h or k is folded with those two calls.  When both reads hold and every
-    column entry and diagonal cell is a root on the cyclotomic backend (``_exponents``), the pairs
-    are decided as exponents, E[:, law] == E[:, :, None] + E[:, None, :] + D mod n, and only a
-    pair that differs is folded, on its differing entries: an equal entry adds residual 0.0 and
-    no witness, so the check is the full fold's.
+    not move; any other h or k is folded with those two calls.  When both reads hold, phi's dense
+    read (``LinearMap._dense``) holds and so does the same read of the diagonal, the fold runs on
+    arrays.  On the cyclotomic backend, every entry a root (``_exponents``), the pairs are decided
+    as exponents, E[:, law] == E[:, :, None] + E[:, None, :] + D mod n, and only a pair that
+    differs is folded, on its differing entries: an equal entry adds residual 0.0 and no witness,
+    so the check is the full fold's.  On the float backend (``_floats``) both sides are float64
+    parts, one row i at a time, with the scalar operations above, and the fold sees its first
+    failing and its worst cell (``_float_hom_pairs``), so again the check is the full fold's.
     """
     h, k, b = phi.domain, phi.codomain, phi.domain.backend
     img = [phi.columns.get(i, {}) for i in range(h.dim)]
     law, diagonal = _monomial_law(h), _diagonal_product(k)
-    exps = diag = None
+    read = diag = None
     if law is not None and diagonal is not None and k.dim == h.dim == len(diagonal):
-        exps = _exponents(b, phi.columns, h.dim)
-        diag = None if exps is None else [b._log.get(diagonal.get(m)) for m in range(h.dim)]
+        read, values = phi._dense, [diagonal.get(m) for m in range(h.dim)]
+        if isinstance(read, np.ndarray):
+            diag = [b._log.get(x) for x in values]
+            diag = None if None in diag else np.array(diag)
+        elif read is not None:
+            diag = _float_parts([values])
+            diag = None if diag is None else tuple(p[0] for p in diag)
 
     def product(u, v):
         if diagonal is None:
@@ -767,12 +873,15 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
         return {m: b.mul(b.mul(a, v[m]), diagonal[m]) for m, a in u.items() if m in v and m in diagonal}
 
     def pairs_mult():
-        if diag is not None and None not in diag:
-            bad = exps[:, np.array(law, dtype=np.intp)] != (
-                exps[:, :, None] + exps[:, None, :] + np.array(diag)[:, None, None]) % b.n
+        if diag is not None and isinstance(read, np.ndarray):
+            bad = read[:, np.array(law, dtype=np.intp)] != (
+                read[:, :, None] + read[:, None, :] + diag[:, None, None]) % b.n
             for i, j in np.argwhere(bad.any(0)).tolist():
                 u = {m: img[i][m] for m in np.flatnonzero(bad[:, i, j]).tolist()}
                 yield f"({i},{j})", {m: img[law[i][j]][m] for m in u}, product(u, img[j])
+            return
+        if diag is not None:
+            yield from _float_hom_pairs(b, read, diag, law)
             return
         if law is not None:
             images = [_apply(b, phi.columns, {m: b.one}) for m in range(h.dim)]
@@ -818,15 +927,20 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
 def unitarity_check(phi: LinearMap) -> CheckResult:
     """Row orthogonality M conj(M^T) = |G| I under the backend, |G| the dimension of phi's domain.
 
-    The gram is an n x n product, n the codomain's dimension.  When phi is square and every entry is
-    a root on the cyclotomic backend (``_exponents``), it is one ``_root_sums`` call, entry (i, j)
-    the sum over k of z^(E[i, k] - E[j, k]); otherwise it is summed by ``_compose``.  Either way
-    the fold sees the entries ``_against_identity`` lists.
+    The gram is an n x n product, n the codomain's dimension.  When phi is square and its dense
+    read holds (``LinearMap._dense``), it is one ``_root_sums`` call on the cyclotomic backend,
+    entry (i, j) the sum over k of z^(E[i, k] - E[j, k]), and one ``_float_matmul`` of float64
+    parts on the float backend, with ``_compose``'s products and order of terms; otherwise it is
+    summed by ``_compose``.  Either way the fold sees the entries ``_against_identity`` lists.
     """
     b, n, scale = phi.domain.backend, phi.codomain.dim, phi.domain.dim
-    exps = _exponents(b, phi.columns, n) if scale == n else None
-    gram = (_compose(b, phi.columns, _conj(b, _transpose(phi.columns))) if exps is None
-            else _root_sums(b, exps[:, None] - exps))
+    read = phi._dense
+    if isinstance(read, np.ndarray):
+        gram = _root_sums(b, read[:, None] - read)
+    elif read is not None:
+        gram = _float_matmul(read, (read[0].T, -read[1].T))
+    else:
+        gram = _compose(b, phi.columns, _conj(b, _transpose(phi.columns)))
     target = b.from_int(scale)
     return fold_checks("unitarity", b, ((f"rows ({i},{j})", {0: x}, {0: target if i == j else b.zero})
                                         for (i, j), x in _against_identity(b, gram, n, scale)))
@@ -892,23 +1006,31 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
 
     Unitarity and cycle-identity each fold one n x n product against |G| I:
     the gram, the map times its conjugate transpose, and the composite, the
-    table's conjugate times the map.  A product is one ``_root_sums`` call
-    when ``_exponents`` reads every operand, else a ``_compose`` sum, and its
-    one ``fold_checks`` call sees what ``_against_identity`` lists: on the
-    exact backend the entries that differ from |G| I in Z[zeta_n], before any
+    table's conjugate times the map.  Each operand is read once
+    (``LinearMap._dense``; the table through the dual side's map, its
+    transpose).  A product is one ``_root_sums`` call when every operand
+    reads as exponents, one ``_float_matmul`` of float64 parts when every
+    operand reads as floats, else a ``_compose`` sum, and its one
+    ``fold_checks`` call sees what ``_against_identity`` lists: on the exact
+    backend the entries that differ from |G| I in Z[zeta_n], before any
     scaling.  The composite's listed entries are scaled by 1/|G| and meet the
-    identity in one row, into which the dual side's unitarity is folded.
+    identity in one row, into which the dual side's unitarity is folded; on
+    the float array path the whole composite is scaled first, as the
+    tolerance meets the scaled entries, and the listing is against I.
 
     The character table is symmetric, so unperturbed its transpose and the
     dual side's transposed map are literally the map itself: transpose-hom
     then reuses the transform-hom conditions and the dual side's unitarity
     is the unitarity stage.  A perturbed map takes the full path wherever its
-    input differs.  A map with an entry that is not a root, as most bumped
-    entries are, or a missing one, is summed through the backend: each hom
-    fold then applies its map once per basis vector and multiplies images
-    pointwise (``_algebra_hom``), and the gram and the composite are
-    ``_compose`` sums, which is what a perturbed exact cycle spends most on.
-    The float backend always takes that path.
+    input differs.  On the exact backend a map with an entry that is not a
+    root, as most bumped entries are, or a missing one, is summed through the
+    backend: each hom fold then applies its map once per basis vector and
+    multiplies images pointwise (``_algebra_hom``), and the gram and the
+    composite are ``_compose`` sums, which is what a perturbed exact cycle
+    spends most on.  On the float backend a bumped entry is still a finite
+    complex, so the three folds stay on arrays; only a map ``_floats`` turns
+    away (a missing or non-finite entry, rows or columns out of order) is
+    summed through the backend.
 
     ``perturb`` bumps one matrix entry before checking; a single corrupted
     entry must trip at least one stage.
@@ -939,11 +1061,17 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     # the dual side's transposed map, inverted, closes the cycle
     s_unit = unitarity if s_map.columns == phi.columns else unitarity_check(s_map)
     n, inv_scale = group.order, Fraction(1, group.order)
-    exps, t_exps = _exponents(b, phi.columns, n), _exponents(b, table, n)
-    # entry (r, j) is the root sum over k of z^(E[k, j] - T[r, k])
-    composite = (_compose(b, _conj(b, table), phi.columns) if exps is None or t_exps is None
-                 else _root_sums(b, exps.T - t_exps[:, None]))
-    scaled = {k: b.scale(x, inv_scale) for k, x in _against_identity(b, composite, n, n)}
+    # s_map's read is the table's transposed: the table's entry (r, k) is s[k, r]
+    m, s = phi._dense, s_map._dense
+    if isinstance(m, tuple) and isinstance(s, tuple):
+        # on floats the entries are scaled before they are listed, as the tolerance meets them scaled
+        composite = _times(_float_matmul((s[0].T, -s[1].T), m), (float(inv_scale), 0.0))
+        scaled = dict(_against_identity(b, composite, n, 1))
+    else:
+        # entry (r, j) is the root sum over k of z^(E[k, j] - T[r, k])
+        composite = (_root_sums(b, m.T - s.T[:, None]) if isinstance(m, np.ndarray) and isinstance(s, np.ndarray)
+                     else _compose(b, _conj(b, table), phi.columns))
+        scaled = {k: b.scale(x, inv_scale) for k, x in _against_identity(b, composite, n, n)}
     cycle = fold_checks("cycle-identity", b, [("", scaled, {k: b.one for k in scaled if k[0] == k[1]})])
     stages.append(replace(cycle, passed=cycle.passed and s_unit.passed, residual=max(cycle.residual, s_unit.residual)))
     return CycleReport(stages=tuple(stages), transform=phi)

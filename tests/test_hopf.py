@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -243,7 +244,8 @@ def test_cohom_conditions_agree_with_direct_formulas(orders, kind, entry, delta)
 
 
 # The products before the row index, kept as oracles: they probe mul at every
-# index pair, in the order of the operands.
+# index pair, in the order of the operands.  probed_mul_vec starts a new key from
+# its term as it is, not added to zero, as mul_vec's accumulator does.
 
 
 def probed_mul_vec(h, v, w):
@@ -255,7 +257,8 @@ def probed_mul_vec(h, v, w):
             if cell:
                 ac = b.mul(a, c)
                 for k, x in cell.items():
-                    acc[k] = b.add(acc.get(k, b.zero), b.mul(ac, x))
+                    y = b.mul(ac, x)
+                    acc[k] = y if k not in acc else b.add(acc[k], y)
     return acc
 
 
@@ -292,6 +295,16 @@ def scalars(b):
     return st.lists(coeffs, min_size=b.degree, max_size=b.degree).map(tuple)
 
 
+class Draws:
+    """Stands in for st.data() in an explicit example: hands out the given values in order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(
     group=st.sampled_from(sorted(GUARD_GROUPS)),
@@ -299,6 +312,9 @@ def scalars(b):
     kind=st.sampled_from(["float", "cyclotomic"]),
     data=st.data(),
 )
+# a key's first term as it is: 0j times -0.0+0j is -0.0+0j, which added to zero would be 0j
+@example(group="S3", algebra="dual functions", kind="float",
+         data=Draws({0: 0j}, {0: complex(-0.0, 0.0)}, {}, {}))
 def test_row_indexed_products_match_probing_every_pair(group, algebra, kind, data):
     g = make_group(GUARD_GROUPS[group])
     b = guard_backend(g, kind)
@@ -667,7 +683,19 @@ HOM_MAPS = {
                                                 {i: {i: b.one} for i in range(g.order)}),
     "group identity": lambda g, b: LinearMap(group_algebra(g, b), group_algebra(g, b),
                                              {i: {i: b.one} for i in range(g.order)}),
+    "noisy fourier": lambda g, b: noisy_fourier(g, b) if g.kind == "finite_abelian" else None,
 }
+
+
+def noisy_fourier(g, b):
+    """fourier's map with every entry moved by its own small rational: dense, no entry a root, and
+    within the float tolerance, so on floats it takes the array path."""
+    phi = fourier(g, b)
+    return LinearMap(phi.domain, phi.codomain, {
+        j: {i: b.add(x, b.scale(b.one, Fraction(1 + i + 2 * j, 10**12))) for i, x in col.items()}
+        for j, col in phi.columns.items()})
+
+
 # a new value for one entry given the old one (None: missing) and a root r of order e
 HOM_ENTRIES = {
     "kept": lambda b, x, r, e: x,
@@ -755,15 +783,12 @@ def test_duality_hom_fold_reads_the_law_and_the_diagonal(monkeypatch, kind, pert
     # domain and multiplies in its diagonal codomain without mul_vec; perturbed,
     # the map and its transpose fold apart
     assert calls["mul_vec"] == 0
-    if kind == "float":
-        folds = 1 if perturb is None else 2
-        assert calls["multiplicative"] == folds * g.order
-    else:
-        # exact, every entry is a root, the bumped one too (1 + z^2 = z in Z[z_6]), so the
-        # multiplicative, unitarity and composite folds read exponents and apply nothing: the
-        # antipode condition's two _compose and each unital fold's one are all that apply the map
-        assert calls["multiplicative"] == calls["unitarity"] == 0
-        assert calls[None] == 2 * g.order + (1 if perturb is None else 2)
+    # every entry is read as an array: exact, each is a root, the bumped one too (1 + z^2 = z in
+    # Z[z_6]); float, each is a finite complex.  So the multiplicative, unitarity and composite
+    # folds apply nothing: the antipode condition's two _compose and each unital fold's one are
+    # all that apply the map
+    assert calls["multiplicative"] == calls["unitarity"] == 0
+    assert calls[None] == 2 * g.order + (1 if perturb is None else 2)
 
 
 def test_hom_fold_into_a_group_algebra_multiplies_every_pair(monkeypatch):
@@ -900,6 +925,131 @@ def test_a_bump_that_is_a_root_is_read_from_the_value():
     assert not rep.passed
     assert [s.name for s in rep.stages if not s.passed] == ["transform-hom", "transpose-hom",
                                                           "transpose-columns", "unitarity", "cycle-identity"]
+
+
+@pytest.mark.parametrize("kind, reader", [("cyclotomic", "_exponents"), ("float", "_floats")])
+def test_the_cycle_reads_each_dense_operand_once(kind, reader):
+    g = make_group(GroupSpec.finite_abelian([16]))
+    b = guard_backend(g, kind)
+    with mock.patch.object(hopf, reader, wraps=getattr(hopf, reader)) as read:
+        duality_cycle(g, b)
+    # the map and the dual side's table, each read once for the hom fold, the gram and the composite
+    assert read.call_count == 2
+    with mock.patch.object(hopf, reader, wraps=getattr(hopf, reader)) as read:
+        duality_cycle(g, b, (1, 2))
+    # perturbed, the transpose folds apart: it is a map of its own, read once too
+    assert read.call_count == 3
+
+
+def awkward_floats(rng, size, top):
+    """size random float64 values mixing signed zeros, subnormals, tiny normals whose products are
+    subnormal, magnitudes up to top and ordinary values."""
+    def one():
+        k = rng.random()
+        if k < 0.1:
+            return rng.choice([0.0, -0.0])
+        if k < 0.2:
+            return rng.uniform(-1, 1) * 2.0**-1074 * rng.randrange(1, 2**52)
+        if k < 0.3:
+            return rng.uniform(-1, 1) * 1e-160
+        if k < 0.45:
+            return rng.uniform(-1, 1) * top
+        return rng.uniform(-4, 4)
+    return np.array([one() for _ in range(size)])
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_split_real_product_is_cpythons_complex_product(seed):
+    # the float array folds multiply as hopf._times does; CPython's complex * is the reference
+    xr, xi, yr, yi = (awkward_floats(random.Random(4 * seed + k), 4096, 1e150) for k in range(4))
+    for step in (1, 3):   # contiguous and strided operands
+        re, im = hopf._times((xr[::step], xi[::step]), (yr[::step], yi[::step]))
+        want = [bits(complex(a, b) * complex(c, d))
+                for a, b, c, d in zip(xr[::step], xi[::step], yr[::step], yi[::step])]
+        assert [bits(complex(r, i)) for r, i in zip(re, im)] == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_numpy_hypot_is_abs_of_a_complex(seed):
+    # the float array folds take residuals with np.hypot; the backend's residual is abs(a - b)
+    re, im = (awkward_floats(random.Random(2 * seed + k), 4096, 1e300) for k in range(2))
+    for step in (1, 3):
+        got = np.hypot(re[::step], im[::step])
+        assert [x.hex() for x in got.tolist()] == [abs(complex(a, b)).hex() for a, b in zip(re[::step], im[::step])]
+
+
+FLOAT_CYCLE_GROUPS = {
+    **{f"Z{n}": [n] for n in range(1, 25)},
+    **{f"Z{a}xZ{c}": [a, c] for a, c in ((2, 2), (2, 6), (3, 6), (2, 12), (4, 6))},
+    "Z2xZ2xZ4": [2, 2, 4],
+}
+
+
+def stage_bits(report):
+    return [(s.name, s.passed, s.residual.hex(), s.detail) for s in report.stages]
+
+
+def cycle_of(g, b, columns):
+    """duality_cycle of g with its character-table map's columns replaced by columns."""
+    phi = fourier(g, b)
+    with mock.patch.object(hopf, "fourier", lambda *_: LinearMap(phi.domain, phi.codomain, columns)):
+        return duality_cycle(g, b)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    group=st.sampled_from(sorted(FLOAT_CYCLE_GROUPS)),
+    tolerance=st.sampled_from([1e-20, 1e-15, 1e-12, 1e-9, 1e-6, 0.5]),
+    bumps=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23),
+                             st.sampled_from([1e-14, 1e-11, 1e-8, 1e-3, 1.0]),
+                             st.floats(-2, 2), st.floats(-2, 2)), max_size=3),
+)
+def test_float_array_path_gives_the_python_paths_bits(group, tolerance, bumps):
+    g = make_group(GroupSpec.finite_abelian(FLOAT_CYCLE_GROUPS[group]))
+    b = make_backend("float", tolerance=tolerance)
+    columns = {t: dict(col) for t, col in fourier(g, b).columns.items()}
+    for i, j, size, re, im in bumps:
+        columns[j % g.order][i % g.order] += complex(re, im) * size
+    got = cycle_of(g, b, columns)
+    assert got.transform._dense is not None
+    phi = LinearMap(got.transform.domain, got.transform.codomain, columns)
+    with mock.patch.object(hopf, "_floats", return_value=None):
+        # the Python path: every fold summed through the backend
+        want = cycle_of(g, b, columns)
+        want_hom = check_linear_hom(phi)
+    assert want.transform._dense is None
+    assert stage_bits(got) == stage_bits(want)
+    # each hom condition's own witness too, which a stage only names
+    assert repr(check_linear_hom(got.transform)) == repr(want_hom)
+
+
+@pytest.mark.parametrize("edit", ["missing", "rows out of order", "columns out of order", "inf", "nan",
+                                  "past the bound", "a float", "cyclotomic"])
+def test_the_float_read_falls_back(edit):
+    g = make_group(GroupSpec.finite_abelian([6]))
+    b = exact_backend_for(g) if edit == "cyclotomic" else make_backend("float")
+    columns = {t: dict(col) for t, col in fourier(g, b).columns.items()}
+    entries = {"inf": complex(math.inf, 0.0), "nan": complex(0.0, math.nan),
+               "past the bound": complex(0.0, 2.0**301), "a float": 0.5}
+    if edit == "missing":
+        del columns[2][1]
+    elif edit == "rows out of order":
+        columns[2] = dict(reversed(columns[2].items()))
+    elif edit == "columns out of order":
+        columns = dict(reversed(columns.items()))
+    elif edit in entries:
+        columns[2][1] = entries[edit]
+    assert hopf._floats(b, columns, g.order) is None
+    if edit != "cyclotomic":
+        # every fold takes the Python path, as when the read is switched off
+        rep = cycle_of(g, b, columns)
+        assert rep.transform._dense is None
+        with mock.patch.object(hopf, "_floats", return_value=None):
+            assert stage_bits(rep) == stage_bits(cycle_of(g, b, columns))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
