@@ -25,15 +25,16 @@ from .reports import CheckResult, as_int, fail
 # Z35xZ40 (1400) 31.7 s at 1682 MB, Z30xZ50 (1500) 37.2 s at 1891 MB, and float
 # 39.0 s at 1960 MB, so dimensions up to 1500 finish in a minute and 2 GB
 TENSOR_DIM_CAP = 1500
-# the exact cycle reads its dense folds as root exponents (_exponents) unless an entry is not a root,
-# as a perturbed one mostly is: that map and its transpose then fold apart through the backend, at
-# about n^3 x phi(n) coefficient operations, which binds the cap.  Through duality-lab, one process
-# each (Python 3.11, 2-core x86-64 host), exact, unperturbed and perturb [1, 2]: Z113 0.8 and 29.9 s,
-# Z121 1.0 and 37.3 s, Z125 1.1 and 35.5 s, Z126 0.5 and 16.6 s, and Z127 (the largest phi(n) the
-# cap admits) 1.3-1.4 and 42.8-43.5 s in three runs, each at most 111 MB peak; so orders up to 127
-# finish in a minute.  The float cycle folds on float64 arrays (_floats), perturbed too: Z127 0.33-0.35
-# and 0.41-0.43 s in three runs each, at most 49 MB peak.  No larger order was run
-DUALITY_ORDER_CAP = 127
+# the exact cycle reads its dense folds as root exponents (_exponents), a perturbed map too: only the
+# terms that touch an entry that is not a root go through the backend.  Memory binds, through the
+# n^3 intp arrays of the hom fold, the gram and the composite.  Through duality-lab, one process
+# each (Python 3.11, 2-core x86-64 host), three runs each, perturb [1, 2] and unperturbed: exact
+# Z127 0.81-0.83 and 0.56-0.57 s at 105-109 MB, Z251 (the largest phi(n) the cap admits)
+# 8.06-8.14 and 5.32-5.36 s at 572-587 MB, Z256 7.54-7.61 and 5.01-5.03 s at 588-596 MB; float
+# Z127 0.35-0.36 and 0.29-0.32 s at 46-49 MB, Z251 1.56 and 1.09-1.10 s at 94-103 MB, Z256
+# 1.78-1.79 and 1.22 s at 96-106 MB.  So orders up to 256 finish in ten seconds and 600 MB.  No
+# larger order was run
+DUALITY_ORDER_CAP = 256
 # hopf-axioms on the rationals (every structure constant is 0 or 1), with the group law's
 # associativity decided on an int array; through duality-lab, one process each (Python 3.11,
 # 2-core x86-64 host), algebra both: S6 (dim 720) 14.5-18.0 s exact and 13.5-17.7 s float,
@@ -659,11 +660,13 @@ def _character_table(group: Group, backend) -> dict:
     """The character table of a finite abelian group as sparse columns: columns[j][i] is the value
     of character i of dual_group(group) at element j, the exponent's root of unity raised to
     sum_k m_k t_k (exponent / n_k).  Both index sets enumerate the same tuples, and m and t enter
-    the root index alike, so the table is symmetric: read by columns it is the dual group's table."""
+    the root index alike, so the table is symmetric: read by columns it is the dual group's table.
+    Each of the exponent's roots is computed once, by ``backend.root``, and indexed by its power."""
     characters = list(dual_group(group).elements())
     e = group.exponent
     steps = [e // n for n in group.orders]
-    return {j: {i: backend.root(sum(mk * tk * s for mk, tk, s in zip(m, t, steps)) % e, e)
+    roots = [backend.root(k, e) for k in range(e)]
+    return {j: {i: roots[sum(mk * tk * s for mk, tk, s in zip(m, t, steps)) % e]
                 for i, m in enumerate(characters)}
             for j, t in enumerate(group.elements())}
 
@@ -693,6 +696,13 @@ class LinearMap:
         exps = _exponents(b, self.columns, n)
         return exps if exps is not None else _floats(b, self.columns, n)
 
+    @cached_property
+    def _holes(self) -> list:
+        """[r, c] of each hole of the exponent read, an entry E[r, c] that is not a root, in (r, c)
+        order; empty when the dense read is not one of exponents."""
+        read = self._dense
+        return np.argwhere(read < 0).tolist() if isinstance(read, np.ndarray) else []
+
 
 def fourier(group: Group, backend) -> LinearMap:
     """The character-table map from the group algebra to functions on characters.
@@ -706,30 +716,61 @@ def fourier(group: Group, backend) -> LinearMap:
 
 
 def _exponents(b, columns: Mapping, n: int):
-    """columns read as an (n, n) intp array E of root exponents, E[r, c] = b._log[columns[c][r]];
-    None unless b is cyclotomic, columns holds exactly the entries of range(n)^2 and each is a
-    root.  Read from the values checked, so a bumped entry that is itself a root is read as it is.
-    The backend is told by its name, so a wrapper that forwards its attributes reads the same."""
+    """columns read as an (n, n) intp array E of root exponents, E[r, c] = b._log[columns[c][r]],
+    and -1 at a hole, an entry that is not a root; None unless b is cyclotomic and columns holds
+    exactly the entries of range(n)^2.  Read from the values checked, so a bumped entry that is
+    itself a root is read as it is.  Each entry is looked up by subscription, and only when a
+    lookup misses is the map read again to tell a missing entry (None) from a hole.  The backend
+    is told by its name, so a wrapper that forwards its attributes reads the same."""
     if b.name != "cyclotomic" or len(columns) != n:
         return None
+    log = b._log
     try:
         cols = [columns[c] for c in range(n)]
-        if any(len(col) != n for col in cols):
-            return None
-        return np.array([[b._log[col[r]] for col in cols] for r in range(n)], dtype=np.intp)
     except KeyError:
         return None
+    if any(len(col) != n for col in cols):
+        return None
+    try:
+        return np.array([[log[col[r]] for col in cols] for r in range(n)], dtype=np.intp)
+    except KeyError:
+        pass
+    if any(r not in col for col in cols for r in range(n)):
+        return None
+    return np.array([[log.get(col[r], -1) for col in cols] for r in range(n)], dtype=np.intp)
 
 
-def _root_sums(b, exponents) -> np.ndarray:
+def _masked(touched: int, n: int) -> bool:
+    """Whether a fold over n^3 terms, touched of which meet a hole, sums the all-root terms on arrays
+    and only the touched ones through the backend: when the touched terms are fewer than the rest.
+    Past that the arrays save at most half of the backend's work, and the fold takes the backend
+    path."""
+    return touched < n**3 - touched
+
+
+def _root_sums(b, exponents, keep=None) -> np.ndarray:
     """sum_k z^exponents[..., k] for each leading index, as an int array of coefficient rows: a
     bincount of the exponents mod n per entry times the table of powers, the reduced tuple that
-    b.add of the roots reaches, since Z[z] sums are plain int sums of the power-basis rows."""
+    b.add of the roots reaches, since Z[z] sums are plain int sums of the power-basis rows.  keep,
+    a bool array that broadcasts to the exponents' shape, drops the terms where it is False: they
+    go to one spare bin past the last, which is cut off."""
     lead, n = exponents.shape[:-1], b.n
     cells = int(np.prod(lead))
-    flat = (exponents.reshape(cells, -1) % n + (np.arange(cells) * n)[:, None]).ravel()
-    counts = np.bincount(flat, minlength=cells * n).reshape(cells, n)
+    flat = exponents.reshape(cells, -1) % n + (np.arange(cells) * n)[:, None]
+    if keep is not None:
+        flat[~np.broadcast_to(keep, exponents.shape).reshape(cells, -1)] = cells * n
+    counts = np.bincount(flat.ravel(), minlength=cells * n + 1)[:cells * n].reshape(cells, n)
     return (counts @ np.array(b._mono, dtype=np.int64)).reshape(*lead, b.degree)
+
+
+def _conj_sums(b, terms) -> dict:
+    """{key: the backend sum of x conj(y)} over (key, x, y) terms: the terms of a product that touch
+    a hole of an exponent read."""
+    sums: dict = {}
+    for key, x, y in terms:
+        t = b.mul(x, b.conj(y))
+        sums[key] = b.add(sums[key], t) if key in sums else t
+    return sums
 
 
 # a part past this magnitude could overflow a fold's products, where abs() of a complex raises
@@ -808,20 +849,30 @@ def _float_hom_pairs(b, m, d, law):
     return [cells[f][1:] for f in _fold_cells(np.array([c[0] for c in cells]), tolerance)]
 
 
-def _against_identity(b, product, n: int, scale: int) -> list:
+def _against_identity(b, product, n: int, scale: int, holes: Mapping | None = None) -> list:
     """((i, j), x) for each entry x of an n x n product that a fold against scale times the identity
     must see, in (i, j) order.  product is an (n, n, degree) ``_root_sums`` array, a (re, im) pair
     of float64 (n, n) arrays, or sparse columns with entry (i, j) at product[j][i].  On the exact
     backend these are the entries that differ, as an equal one adds residual 0.0 and no witness.
-    On the float backend a pair gives its first entry past the tolerance and its first worst one
-    (``_fold_cells``), which fold to the verdict, residual and witness of every entry; sparse
-    columns give every entry."""
+    An array may leave out the terms that touch a hole of its exponent read: holes then maps
+    (i, j) to the backend sum of those terms, which is added to the array's entry before the entry
+    is compared, so the listing is that of the whole product.  On the float backend a pair gives
+    its first entry past the tolerance and its first worst one (``_fold_cells``), which fold to the
+    verdict, residual and witness of every entry; sparse columns give every entry."""
     if isinstance(product, np.ndarray):
         target = np.zeros_like(product)
         diag = np.arange(n)
         target[diag, diag, 0] = scale
-        return [((i, j), tuple(product[i, j].tolist()))
-                for i, j in np.argwhere((product != target).any(-1)).tolist()]
+        listed = [((i, j), tuple(product[i, j].tolist()))
+                  for i, j in np.argwhere((product != target).any(-1)).tolist()]
+        if not holes:
+            return listed
+        entries = dict(listed)
+        for (i, j), x in holes.items():
+            entries[i, j] = b.add(tuple(product[i, j].tolist()), x)
+        diagonal = b.from_int(scale)
+        return [((i, j), x) for (i, j), x in sorted(entries.items())
+                if not b.eq(x, diagonal if i == j else b.zero)]
     if isinstance(product, tuple):
         target = b.from_int(scale)
         res = np.hypot(*(p - np.diag(np.full(n, t)) for p, t in zip(product, (target.real, target.imag))))
@@ -847,22 +898,34 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
     ``_apply`` and ``mul_vec`` run, in the same order, so verdicts, residuals and witnesses do
     not move; any other h or k is folded with those two calls.  When both reads hold, phi's dense
     read (``LinearMap._dense``) holds and so does the same read of the diagonal, the fold runs on
-    arrays.  On the cyclotomic backend, every entry a root (``_exponents``), the pairs are decided
-    as exponents, E[:, law] == E[:, :, None] + E[:, None, :] + D mod n, and only a pair that
-    differs is folded, on its differing entries: an equal entry adds residual 0.0 and no witness,
-    so the check is the full fold's.  On the float backend (``_floats``) both sides are float64
-    parts, one row i at a time, with the scalar operations above, and the fold sees its first
-    failing and its worst cell (``_float_hom_pairs``), so again the check is the full fold's.
+    arrays.  On the cyclotomic backend (``_exponents``) the entries (r, i, j) are decided as
+    exponents, E[:, law] == E[:, :, None] + E[:, None, :] + D mod n, and only a pair that differs
+    is folded, on its differing entries: an equal entry adds residual 0.0 and no witness, so the
+    check is the full fold's.  An entry whose rhs meets a hole of the read, at (r, i) or (r, j),
+    is decided by ``b.eq`` on the backend's products instead, about 2n entries per hole; a hole
+    at its lhs alone makes it differ, as its rhs is then a root.  When such entries are not fewer
+    than the rest (``_masked``), the fold takes the backend path.  On the float backend
+    (``_floats``) both sides are float64 parts, one row i at a time, with the scalar operations
+    above, and the fold sees its first failing and its worst cell (``_float_hom_pairs``), so
+    again the check is the full fold's.
     """
     h, k, b = phi.domain, phi.codomain, phi.domain.backend
     img = [phi.columns.get(i, {}) for i in range(h.dim)]
     law, diagonal = _monomial_law(h), _diagonal_product(k)
-    read = diag = None
+    read = diag = touch = None
     if law is not None and diagonal is not None and k.dim == h.dim == len(diagonal):
         read, values = phi._dense, [diagonal.get(m) for m in range(h.dim)]
         if isinstance(read, np.ndarray):
             diag = [b._log.get(x) for x in values]
             diag = None if None in diag else np.array(diag)
+            table = np.array(law, dtype=np.intp)
+            if diag is not None and phi._holes:
+                # entry (r, i, j) is decided on the backend when a rhs cell (r, i) or (r, j) is a hole;
+                # a hole at its lhs cell alone is read as -1, unequal to the root its rhs then is, as it
+                # should be
+                hole = read < 0
+                touch = hole[:, :, None] | hole[:, None, :]
+                diag = diag if _masked(int(touch.sum()), h.dim) else None
         elif read is not None:
             diag = _float_parts([values])
             diag = None if diag is None else tuple(p[0] for p in diag)
@@ -874,8 +937,11 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
 
     def pairs_mult():
         if diag is not None and isinstance(read, np.ndarray):
-            bad = read[:, np.array(law, dtype=np.intp)] != (
-                read[:, :, None] + read[:, None, :] + diag[:, None, None]) % b.n
+            bad = read[:, table] != (read[:, :, None] + read[:, None, :] + diag[:, None, None]) % b.n
+            if touch is not None:
+                # decided on the backend's own products, as ``product`` forms them
+                for r, i, j in np.argwhere(touch).tolist():
+                    bad[r, i, j] = not b.eq(img[law[i][j]][r], b.mul(b.mul(img[i][r], img[j][r]), diagonal[r]))
             for i, j in np.argwhere(bad.any(0)).tolist():
                 u = {m: img[i][m] for m in np.flatnonzero(bad[:, i, j]).tolist()}
                 yield f"({i},{j})", {m: img[law[i][j]][m] for m in u}, product(u, img[j])
@@ -931,19 +997,29 @@ def unitarity_check(phi: LinearMap) -> CheckResult:
     read holds (``LinearMap._dense``), it is one ``_root_sums`` call on the cyclotomic backend,
     entry (i, j) the sum over k of z^(E[i, k] - E[j, k]), and one ``_float_matmul`` of float64
     parts on the float backend, with ``_compose``'s products and order of terms; otherwise it is
-    summed by ``_compose``.  Either way the fold sees the entries ``_against_identity`` lists.
+    summed by ``_compose``.  A term whose M[i, k] or M[j, k] is a hole of the exponent read is
+    kept out of the root sums and summed through the backend, 2n - 1 entries per hole, unless
+    such terms are not fewer than the rest (``_masked``): the gram is then a ``_compose`` sum.
+    Either way the fold sees the entries ``_against_identity`` lists.
     """
     b, n, scale = phi.domain.backend, phi.codomain.dim, phi.domain.dim
-    read = phi._dense
-    if isinstance(read, np.ndarray):
-        gram = _root_sums(b, read[:, None] - read)
-    elif read is not None:
+    read, holes, hole_rows = phi._dense, None, {}
+    for r, c in phi._holes:
+        hole_rows.setdefault(c, set()).add(r)
+    # term (i, j, k) meets a hole when row i or row j of column k is one
+    touched = sum(len(rows) * (2 * n - len(rows)) for rows in hole_rows.values())
+    if isinstance(read, np.ndarray) and _masked(touched, n):
+        ok, cols = read >= 0, phi.columns
+        gram = _root_sums(b, read[:, None] - read, ok[:, None] & ok if hole_rows else None)
+        holes = _conj_sums(b, (((i, j), cols[k][i], cols[k][j]) for k, rows in hole_rows.items()
+                               for i in range(n) for j in (range(n) if i in rows else rows)))
+    elif isinstance(read, tuple):
         gram = _float_matmul(read, (read[0].T, -read[1].T))
     else:
         gram = _compose(b, phi.columns, _conj(b, _transpose(phi.columns)))
     target = b.from_int(scale)
     return fold_checks("unitarity", b, ((f"rows ({i},{j})", {0: x}, {0: target if i == j else b.zero})
-                                        for (i, j), x in _against_identity(b, gram, n, scale)))
+                                        for (i, j), x in _against_identity(b, gram, n, scale, holes)))
 
 
 def _compose(backend, a: Mapping, c: Mapping) -> dict:
@@ -1022,12 +1098,18 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     dual side's transposed map are literally the map itself: transpose-hom
     then reuses the transform-hom conditions and the dual side's unitarity
     is the unitarity stage.  A perturbed map takes the full path wherever its
-    input differs.  On the exact backend a map with an entry that is not a
-    root, as most bumped entries are, or a missing one, is summed through the
-    backend: each hom fold then applies its map once per basis vector and
-    multiplies images pointwise (``_algebra_hom``), and the gram and the
-    composite are ``_compose`` sums, which is what a perturbed exact cycle
-    spends most on.  On the float backend a bumped entry is still a finite
+    input differs.  On the exact backend an entry that is not a root, as most
+    bumped entries are, is a hole of the exponent read: each of the three
+    folds sums its all-root terms on arrays and only the terms that touch a
+    hole through the backend (the composite: n entries per hole), so a
+    perturbed cycle costs about what an unperturbed one does.  Exact sums do
+    not depend on order and each value has one reduced tuple, so verdicts,
+    residuals and witnesses are those of the backend path.  A fold whose
+    hole terms are not fewer than its all-root ones (``_masked``), and every
+    fold of a map with a missing entry, is summed through the backend: each
+    hom fold then applies its map once per basis vector and multiplies
+    images pointwise (``_algebra_hom``), and the gram and the composite are
+    ``_compose`` sums.  On the float backend a bumped entry is still a finite
     complex, so the three folds stay on arrays; only a map ``_floats`` turns
     away (a missing or non-finite entry, rows or columns out of order) is
     summed through the backend.
@@ -1068,10 +1150,16 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
         composite = _times(_float_matmul((s[0].T, -s[1].T), m), (float(inv_scale), 0.0))
         scaled = dict(_against_identity(b, composite, n, 1))
     else:
-        # entry (r, j) is the root sum over k of z^(E[k, j] - T[r, k])
-        composite = (_root_sums(b, m.T - s.T[:, None]) if isinstance(m, np.ndarray) and isinstance(s, np.ndarray)
-                     else _compose(b, _conj(b, table), phi.columns))
-        scaled = {k: b.scale(x, inv_scale) for k, x in _against_identity(b, composite, n, n)}
+        # the table's entries are roots, so only the map has holes: a hole at (k, j) adds
+        # M[k, j] conj(T[r, k]) to entry (r, j) for every r
+        at = phi._holes
+        if isinstance(m, np.ndarray) and isinstance(s, np.ndarray) and _masked(n * len(at), n):
+            # entry (r, j) is the root sum over k of z^(E[k, j] - T[r, k])
+            composite = _root_sums(b, m.T - s.T[:, None], m.T >= 0 if at else None)
+            holes = _conj_sums(b, (((r, j), phi.columns[j][k], table[k][r]) for k, j in at for r in range(n)))
+        else:
+            composite, holes = _compose(b, _conj(b, table), phi.columns), None
+        scaled = {k: b.scale(x, inv_scale) for k, x in _against_identity(b, composite, n, n, holes)}
     cycle = fold_checks("cycle-identity", b, [("", scaled, {k: b.one for k in scaled if k[0] == k[1]})])
     stages.append(replace(cycle, passed=cycle.passed and s_unit.passed, residual=max(cycle.residual, s_unit.residual)))
     return CycleReport(stages=tuple(stages), transform=phi)
