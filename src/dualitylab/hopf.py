@@ -35,13 +35,15 @@ TENSOR_DIM_CAP = 1500
 # 1.78-1.79 and 1.22 s at 96-106 MB.  So orders up to 256 finish in ten seconds and 600 MB.  No
 # larger order was run
 DUALITY_ORDER_CAP = 256
-# hopf-axioms on the rationals (every structure constant is 0 or 1), with the group law's
-# associativity decided on an int array; through duality-lab, one process each (Python 3.11,
-# 2-core x86-64 host), algebra both: S6 (dim 720) 14.5-18.0 s exact and 13.5-17.7 s float,
-# Z720 18.1 s exact and 17.9 s float, and Z719, the largest prime under the cap, 15.9-18.7 s
-# exact and 18.7 s float, each at 488-491 MB peak; so dimensions up to 720, S6 among them,
-# finish in well under a minute
-HOPF_AXIOMS_DIM_CAP = 720
+# hopf-axioms on the rationals (every structure constant is 0 or 1): the law side's associativity is
+# decided on an int array, the diagonal side's on its n triples (i, i, i), and the bialgebra fold
+# leaves out its two product blocks, so a run is mostly building, transposing and reading the dict
+# tensors.  Through duality-lab, one process each (Python 3.11, 2-core x86-64 host), algebra both,
+# exact and float: S6 (dim 720) 2.45-2.83 s at 326 MB (6.3-6.5 s before those reads), Z720 and
+# Z719 2.57-2.66 s at 323 MB, Z1000 and Z997 4.96-5.37 s at 558-561 MB, and Z1200 and Z1193, the
+# largest prime under the cap, 7.83-8.07 s at 787-795 MB; so dimensions up to 1200 finish in ten
+# seconds and 1 GB.  Memory grows as n^2 and binds next
+HOPF_AXIOMS_DIM_CAP = 1200
 # group-part caps, the one size rule of either mode; runs through duality-lab, one process each
 # (Python 3.11, 2-core x86-64 host).  The function algebra costs about characters x order^2 per
 # mode run, brute force as much as the closed form: closedForm Z149 52.0 s exact and 21.8 s float,
@@ -419,18 +421,39 @@ def _law_associativity(b, law):
             return
 
 
-def _algebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
-    """Associativity and unit of h on basis elements.
+def _product_reads(h: HopfAlgebra) -> tuple:
+    """h's product read once for the axiom folds: (``_monomial_law``, ``_diagonal_product``), the
+    diagonal read only when the law does not read; each None when it does not read."""
+    law = _monomial_law(h)
+    return law, None if law is not None else _diagonal_product(h)
+
+
+def _algebra_axioms(h: HopfAlgebra, reads: tuple) -> tuple[CheckResult, CheckResult]:
+    """Associativity and unit of h on basis elements; reads is ``_product_reads(h)``.
 
     When mul reads as a law (``_monomial_law``), as on the group algebra and the function
     algebra's dual, associativity is decided on the law as an int array, with the verdict,
-    residual and witness of the fold; any other product is folded triple by triple.  The fold
-    skips a triple whose cells (i, j) and (j, k) are both empty: it would compare two zero
-    vectors (a pass, residual 0.0).
+    residual and witness of the fold.  When mul is diagonal (``_diagonal_product``), as on the
+    function algebra and the group algebra's dual, only the triples (i, i, i) have two nonempty
+    sides: each is formed with the fold's ``mul_vec`` calls, and every other triple would compare
+    two empty vectors (a pass, residual 0.0), so the fold is the full one's.  The unit fold then
+    multiplies basis(i) by entry i of the unit alone, the only entry whose product is not empty.
+    Any other product is folded triple by triple, skipping a triple whose cells (i, j) and (j, k)
+    are both empty: it too would compare two zero vectors.
     """
     b, dim = h.backend, h.dim
+    law, diagonal = reads
 
     def pairs_assoc():
+        if law is not None:
+            yield from _law_associativity(b, law)
+            return
+        if diagonal is not None:
+            for i in range(dim):
+                cell = h.mul.get((i, i))
+                if cell:
+                    yield f"({i},{i},{i})", mul_vec(h, cell, h.basis(i)), mul_vec(h, h.basis(i), cell)
+            return
         for i in range(dim):
             for j in range(dim):
                 ij = h.mul.get((i, j), {})
@@ -441,28 +464,40 @@ def _algebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
 
     def pairs_unit():
         for i in range(dim):
-            yield f"left {i}", mul_vec(h, h.unit, h.basis(i)), h.basis(i)
-            yield f"right {i}", mul_vec(h, h.basis(i), h.unit), h.basis(i)
+            unit = h.unit if diagonal is None else {i: h.unit[i]} if i in h.unit else {}
+            yield f"left {i}", mul_vec(h, unit, h.basis(i)), h.basis(i)
+            yield f"right {i}", mul_vec(h, h.basis(i), unit), h.basis(i)
 
-    law = _monomial_law(h)
-    assoc = fold_checks("associativity", b, pairs_assoc() if law is None else _law_associativity(b, law))
-    return assoc, fold_checks("unit", b, pairs_unit())
+    return fold_checks("associativity", b, pairs_assoc()), fold_checks("unit", b, pairs_unit())
 
 
-def _bialgebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
-    """The bialgebra compatibility and the antipode identities of h on basis elements."""
-    b, dim = h.backend, h.dim
+def _bialgebra_axioms(h: HopfAlgebra, reads: tuple) -> tuple[CheckResult, CheckResult]:
+    """The bialgebra compatibility and the antipode identities of h on basis elements; reads is
+    ``_product_reads(h)``.
+
+    When mul reads as a law, comul[i] == {(i, i): one} and the counit is one at every i, as on
+    the group algebra and the function algebra's dual, the cell of Delta(ij) and of
+    Delta(i) Delta(j) is (law[i][j], law[i][j]) and every factor of either side is == one, so
+    every pair (i, j) of the comul x product and counit x product blocks compares one with one:
+    a pass, residual 0.0.  Both blocks are then left out, which leaves the verdict, residual and
+    witness of the full fold; any other h folds every pair.
+    """
+    b, dim, one = h.backend, h.dim, h.backend.one
+    law = reads[0]
     counit = {i: {0: c} for i, c in h.counit.items()}
+    uniform = law is not None and all(h.comul.get(i) == {(i, i): one} and h.counit.get(i) == one
+                                      for i in range(dim))
+    span = range(0 if uniform else dim)
 
     def pairs_bialgebra():
-        for i in range(dim):
-            for j in range(dim):
+        for i in span:
+            for j in span:
                 lhs = _apply(b, h.comul, h.mul.get((i, j), {}))
                 rhs = pair_mul(h, h.comul.get(i, {}), h.comul.get(j, {}))
                 yield f"comul x product ({i},{j})", lhs, rhs
         yield "comul of unit", _apply(b, h.comul, h.unit), _kron(b, h.unit, h.unit)
-        for i in range(dim):
-            for j in range(dim):
+        for i in span:
+            for j in span:
                 lhs = _apply(b, counit, h.mul.get((i, j), {}))
                 rhs = {0: b.mul(h.counit.get(i, b.zero), h.counit.get(j, b.zero))}
                 yield f"counit x product ({i},{j})", lhs, rhs
@@ -507,12 +542,17 @@ def check_hopf_axioms(h: HopfAlgebra) -> tuple[list[CheckResult], list[CheckResu
     lists share one fold of each, on the side with fewer coproduct entries
     (h on a tie): six folds for twelve results.  Coalgebra witnesses name dual
     basis vectors; shared ones, the basis of the side they were folded on.
+    Each side's product is read once (``_product_reads``) and handed to its
+    algebra fold and, on the cheaper side, to the bialgebra fold.  On a
+    function or group algebra and its dual, one side's product is a law and
+    the other's is diagonal, and each fold decides from its read what it
+    would otherwise fold pair by pair.
     """
     require_axioms_dim(h.dim)
-    dual = dual_hopf(h)
-    cheaper = min((h, dual), key=lambda k: sum(map(len, k.comul.values())))
-    return _sides((_algebra_axioms(h), _algebra_axioms(dual)), ("coassociativity", "counit"),
-                  _bialgebra_axioms(cheaper))
+    sides = [(k, _product_reads(k)) for k in (h, dual_hopf(h))]
+    cheaper = min(sides, key=lambda side: sum(map(len, side[0].comul.values())))
+    return _sides(tuple(_algebra_axioms(*side) for side in sides), ("coassociativity", "counit"),
+                  _bialgebra_axioms(*cheaper))
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ def test_coalgebra_rows_agree_with_direct_formulas(group, build, kind, tensor, p
         # itself; witnesses are not compared, as they name the basis of the
         # side the shared row was folded on
         got = {c.name: c for c in side}
-        for want in hopf._bialgebra_axioms(algebra):
+        for want in hopf._bialgebra_axioms(algebra, hopf._product_reads(algebra)):
             assert got[want.name].passed == want.passed, want.name
             if b.exact:
                 assert got[want.name].residual == want.residual, want.name
@@ -382,10 +382,10 @@ def test_skipped_associativity_triples_match_the_full_fold(group, build, kind, e
         else:  # a nonempty cell whose values are all zero
             mul[(i, j)] = {x: b.zero for x in {k, *mul.get((i, j), {})}}
     bad = dataclasses.replace(h, mul=mul)
-    assert hopf._algebra_axioms(bad) == unskipped_algebra_axioms(bad)
+    assert hopf._algebra_axioms(bad, hopf._product_reads(bad)) == unskipped_algebra_axioms(bad)
 
 
-@pytest.mark.parametrize("build, triples", [(function_algebra, lambda n: 2 * n * n - n),
+@pytest.mark.parametrize("build, triples", [(function_algebra, lambda n: n),
                                             (group_algebra, lambda n: 0)])
 @pytest.mark.parametrize("group", sorted(SKIP_GROUPS))
 def test_associativity_compares_only_triples_with_a_nonempty_side(monkeypatch, group, build, triples):
@@ -405,10 +405,10 @@ def test_associativity_compares_only_triples_with_a_nonempty_side(monkeypatch, g
     monkeypatch.setattr(hopf, "fold_checks", counted_fold)
     monkeypatch.setattr(hopf, "compare", counted_compare)
     h = build(g, exact_backend_for(g))
-    assert all(c.passed for c in hopf._algebra_axioms(h))
-    # the function algebra's product is diagonal: n^2 triples (i, i, k) and
-    # n^2 - n triples (i, j, j) with i != j; the group algebra's product is a
-    # group law, decided on its int array without a compare
+    assert all(c.passed for c in hopf._algebra_axioms(h, hopf._product_reads(h)))
+    # the function algebra's product is diagonal: only the n triples (i, i, i)
+    # compare nonempty vectors, and only they are folded; the group algebra's
+    # product is a group law, decided on its int array without a compare
     assert calls == collections.Counter({"associativity": triples(h.dim), "unit": 2 * h.dim})
 
 
@@ -470,7 +470,7 @@ def test_law_associativity_matches_the_full_fold(law, kind, edit, picks):
     assert (law is None) == (edit not in ("none", "swap"))
     # the dual's coproduct is h's product transposed, so it spells the same law, or none
     assert hopf._monomial_law(dual_hopf(h), coproduct=True) == law
-    assert hopf._algebra_axioms(h) == unskipped_algebra_axioms(h)
+    assert hopf._algebra_axioms(h, hopf._product_reads(h)) == unskipped_algebra_axioms(h)
 
 
 # Z2 x Z2 with 1.1 = 2 and 2.1 = 0: (1.1).1 = 0 but 1.(1.1) = 3, the first failing triple
@@ -481,11 +481,154 @@ NON_ASSOCIATIVE = [[0, 1, 2, 3], [1, 2, 3, 2], [2, 0, 0, 1], [3, 2, 1, 0]]
 def test_law_associativity_names_the_first_failing_triple(kind):
     h = law_algebra(NON_ASSOCIATIVE, LAW_BACKENDS[kind]())
     assert hopf._monomial_law(h) is not None
-    assoc, unit = hopf._algebra_axioms(h)
+    assoc, unit = hopf._algebra_axioms(h, hopf._product_reads(h))
     # a tolerance of 2 makes one and zero equal, so the fold passes every triple
     passed = kind == "float, tolerance 2"
     assert assoc == CheckResult("associativity", passed, 1.0, "" if passed else "(1,1,1)")
     assert (assoc, unit) == unskipped_algebra_axioms(h)
+
+
+def generic_bialgebra_axioms(h):
+    """_bialgebra_axioms before the uniform read, kept as the oracle: every pair (i, j) of both
+    product blocks, each formed by ``_apply`` and ``pair_mul``."""
+    b, dim = h.backend, h.dim
+    counit = {i: {0: c} for i, c in h.counit.items()}
+
+    def pairs_bialgebra():
+        for i in range(dim):
+            for j in range(dim):
+                lhs = hopf._apply(b, h.comul, h.mul.get((i, j), {}))
+                rhs = pair_mul(h, h.comul.get(i, {}), h.comul.get(j, {}))
+                yield f"comul x product ({i},{j})", lhs, rhs
+        yield "comul of unit", hopf._apply(b, h.comul, h.unit), hopf._kron(b, h.unit, h.unit)
+        for i in range(dim):
+            for j in range(dim):
+                lhs = hopf._apply(b, counit, h.mul.get((i, j), {}))
+                rhs = {0: b.mul(h.counit.get(i, b.zero), h.counit.get(j, b.zero))}
+                yield f"counit x product ({i},{j})", lhs, rhs
+        yield "counit of unit", hopf._apply(b, counit, h.unit), {0: b.one}
+
+    return hopf.fold_checks("bialgebra", b, pairs_bialgebra())
+
+
+def noisy(b, x):
+    """x times 1 + 1e-15j on floats, x plus 10^-15 exactly: a value == one no longer is."""
+    return x * (1 + 1e-15j) if not b.exact else b.add(x, b.scale(b.one, Fraction(1, 10**15)))
+
+
+def bumped(b, x, delta):
+    return b.add(x, b.scale(b.one, delta))
+
+
+def with_cell(h, tensor, key, f):
+    """The replace() keyword for h's tensor with every value of its cell at key mapped by f."""
+    table = getattr(h, tensor)
+    return {tensor: {**table, key: {k: f(x) for k, x in table[key].items()}}}
+
+
+# edits at basis indices i != j; the function algebra and the group algebra's dual have a diagonal
+# product and a law coproduct, the group algebra and the function algebra's dual a law product and
+# the diagonal coproduct comul[i] == {(i, i): one}.  Each edit names what it leaves standing: the
+# product read (law or diagonal) and the bialgebra's uniform read, which needs a law side.
+READ_EDITS = {
+    "none": (lambda h, i, j, delta: {}, {"law", "diagonal", "uniform"}),
+    # a new cell off the diagonal, or on a law a second entry or another coefficient in cell (i, j)
+    "off-diagonal cell": (lambda h, i, j, delta: {"mul": {**h.mul, (i, j): corrupted(
+        h.mul.get((i, j), {}), i, h.backend, delta)}}, set()),
+    # a diagonal cell's value other than one: the diagonal read holds, with that value
+    "diagonal value": (lambda h, i, j, delta: with_cell(h, "mul", (i, i), lambda x: bumped(h.backend, x, delta)),
+                       {"diagonal"}),
+    "comul coefficient": (lambda h, i, j, delta: with_cell(h, "comul", i, lambda x: bumped(h.backend, x, delta)),
+                          {"law", "diagonal"}),
+    "counit missing": (lambda h, i, j, delta: {"counit": {k: x for k, x in h.counit.items() if k != i}},
+                       {"law", "diagonal"}),
+    "noise in mul": (lambda h, i, j, delta: with_cell(h, "mul", (i, i), lambda x: noisy(h.backend, x)),
+                     {"diagonal"}),
+    "noise in comul": (lambda h, i, j, delta: with_cell(h, "comul", i, lambda x: noisy(h.backend, x)),
+                       {"law", "diagonal"}),
+}
+READ_GROUPS = {**SKIP_GROUPS, "Z6": GroupSpec.finite_abelian([6])}
+READ_ALGEBRAS = {name: build for name, build in PRODUCT_ALGEBRAS.items() if "(x)" not in name}
+
+
+@pytest.mark.parametrize("edit", sorted(READ_EDITS))
+@pytest.mark.parametrize("algebra", sorted(READ_ALGEBRAS))
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(group=st.sampled_from(sorted(READ_GROUPS)), kind=st.sampled_from(["float", "cyclotomic"]),
+       picks=st.tuples(st.integers(0, 5), st.integers(0, 4)), delta=st.sampled_from(DELTAS))
+def test_read_folds_match_the_generic_folds(algebra, edit, group, kind, picks, delta):
+    g = make_group(READ_GROUPS[group])
+    b = guard_backend(g, kind)
+    h = READ_ALGEBRAS[algebra](g, b)
+    n = h.dim
+    i = picks[0] % n
+    j = (i + 1 + picks[1] % (n - 1)) % n
+    apply_edit, standing = READ_EDITS[edit]
+    bad = dataclasses.replace(h, **apply_edit(h, i, j, delta))
+    # the read each side takes, or the generic fold it falls back to
+    law, diagonal = hopf._product_reads(bad)
+    law_side = algebra in ("group", "dual functions")
+    assert (law is not None) == (law_side and "law" in standing)
+    assert (diagonal is not None) == (not law_side and "diagonal" in standing)
+    with mock.patch.object(hopf, "pair_mul", wraps=hopf.pair_mul) as products:
+        bialgebra, antipode = hopf._bialgebra_axioms(bad, (law, diagonal))
+    assert products.call_count == (0 if law_side and "uniform" in standing else n * n)
+    # the verdict, residual and witness of the generic folds
+    assert hopf._algebra_axioms(bad, (law, diagonal)) == unskipped_algebra_axioms(bad)
+    assert bialgebra == generic_bialgebra_axioms(bad)
+
+
+def test_near_diagonal_product_names_its_first_failing_triple():
+    g = make_group(GroupSpec.finite_abelian([4]))
+    b = make_backend("cyclotomic", order=1)
+    h = function_algebra(g, b)
+    # one cell off the diagonal, (0, 1) = 1_1: (1 0) 1 = 0 but 1 (0 1) = 1_1, so the generic fold
+    # names (1,0,1); and 1_0 times the unit, every 1_m summed, picks up 1_1 as well
+    bad = dataclasses.replace(h, mul={**h.mul, (0, 1): {1: b.one}})
+    assert hopf._product_reads(bad) == (None, None)
+    assoc, unit = hopf._algebra_axioms(bad, hopf._product_reads(bad))
+    assert assoc == CheckResult("associativity", False, 1.0, "(1,0,1)")
+    assert unit == CheckResult("unit", False, 1.0, "right 0")
+    assert (assoc, unit) == unskipped_algebra_axioms(bad)
+    # a diagonal cell of value 2 keeps the diagonal read: associativity holds, and the unit's
+    # entry 2 is 2
+    two = dataclasses.replace(h, mul={**h.mul, (2, 2): {2: b.from_int(2)}})
+    reads = hopf._product_reads(two)
+    assert reads[1] is not None
+    assert hopf._algebra_axioms(two, reads) == (CheckResult("associativity", True, 0.0, ""),
+                                                CheckResult("unit", False, 1.0, "left 2"))
+    assert hopf._algebra_axioms(two, reads) == unskipped_algebra_axioms(two)
+
+
+@pytest.mark.parametrize("kind", ["float", "cyclotomic"])
+def test_bialgebra_with_a_broken_counit_names_its_first_failing_pair(kind):
+    g = make_group(GroupSpec.symmetric(3))
+    b = guard_backend(g, kind)
+    h = group_algebra(g, b)
+    # the counit drops the point 2: the uniform read falls back, and pair (i, j) fails where
+    # exactly one of law[i][j] and the pair (i, j) holds a 2, first at (1, 2): 1 2 is not 2, as
+    # the identity is 0, so eps(1 2) = 1 but eps(1) eps(2) = 0
+    bad = dataclasses.replace(h, counit={k: x for k, x in h.counit.items() if k != 2})
+    _, law, _, e = hopf._cayley_table(g)
+    assert e == 0 and law[1][2] != 2
+    bialgebra, antipode = hopf._bialgebra_axioms(bad, hopf._product_reads(bad))
+    assert bialgebra == CheckResult("bialgebra", False, 1.0, "counit x product (1,2)")
+    assert bialgebra == generic_bialgebra_axioms(bad)
+    # S(2) 2 = e is one, but the target eps(2) e is zero
+    assert antipode == CheckResult("antipode", False, 1.0, "left 2")
+
+
+def test_function_algebra_axioms_make_no_pair_product():
+    g = make_group(GroupSpec.symmetric(4))
+    h = function_algebra(g, make_backend("cyclotomic", order=1))
+    with (mock.patch.object(hopf, "pair_mul", wraps=hopf.pair_mul) as products,
+          mock.patch.object(hopf, "mul_vec", wraps=hopf.mul_vec) as vectors):
+        assert all(c.passed for c in itertools.chain(*check_hopf_axioms(h)))
+    # two per unit pair on either side; two per triple (i, i, i) of the function algebra's diagonal
+    # product and none for its dual's law; two per antipode row, as the dual is the side the
+    # bialgebra and antipode fold on
+    assert products.call_count == 0
+    assert vectors.call_count == 8 * h.dim
 
 
 def added_to_zero(backend, acc, scalar, vec):
