@@ -46,17 +46,22 @@ DUALITY_ORDER_CAP = 256
 HOPF_AXIOMS_DIM_CAP = 1200
 # group-part caps, the one size rule of either mode; runs through duality-lab, one process each
 # (Python 3.11, 2-core x86-64 host).  The function algebra costs about characters x order^2 per
-# mode run, brute force as much as the closed form: closedForm Z149 52.0 s exact and 21.8 s float,
-# Z150 37.9 s exact and 22.6 s float, each under 45 MB; mode both, two runs, Z119 (the largest
-# abelian order the cap admits for both) 30.4 s exact and 17.1 s float, Z113 39.5 s exact and
-# 17.7 s float, S6 (2 characters) 14.9 s exact and 9.4 s float at 194-226 MB; so runs x work up to
-# that of one run on an abelian group of order 150 finishes in a minute
-GROUP_PART_FUNCTION_ORDER_CAP = 150
+# mode run on the float backend, brute force as much as the closed form; the exact backend reads
+# root exponents (_multiplicative_functions, _grouplike_read, _closure_read), so float binds:
+# closedForm Z199 28.5 s float and 0.49 s exact, Z200 29.2 s and 0.45 s, under 50 MB; mode both,
+# two runs, Z157 25.2 s float and 0.49 s exact, Z158 (the largest abelian order the cap admits for
+# both) 25.7 s and 0.46 s; S6 (2 characters) 5.2 s float and 1.0 s exact at 120-230 MB.  At the
+# old cap of 150, closedForm Z149 10.9 s float and 0.24 s exact (26.3 s before those reads), Z150
+# 11.4 s and 0.29 s (15.5 s).  So runs x work up to that of one run on an abelian group of order
+# 200 finishes in half a minute
+GROUP_PART_FUNCTION_ORDER_CAP = 200
 # the group algebra's n^2 product cells bind memory, in any mode; exact runs are on the rationals, as
 # every structure constant and point mass is 0 or 1: Z1399 16.1 s exact at 814 MB peak (53.5 s with
 # the order-1399 backend it used to build) and 14.5 s float at 829 MB, Z1400 13.1 s float, mode both
 # Z1400 22.4 s exact and 20.6 s float at 815 MB, and with the cap lifted Z1499 16.7 s exact at 912 MB
-# (57.3 s); so orders up to 1400 finish in a minute and 1 GB
+# (57.3 s).  With closure read off the law (_closure_read), closedForm Z1399 took 2.95 s exact and
+# 2.97 s float at 814 MB, against 6.45 and 6.53 s before it on the same host, and mode both Z1400
+# 3.55 s exact (10.47 s) at 815 MB; so orders up to 1400 finish in a minute and 1 GB
 GROUP_PART_GROUP_ORDER_CAP = 1400
 
 # Vec maps basis index -> scalar; PairVec maps (index, index) -> scalar.
@@ -578,6 +583,77 @@ def _is_grouplike(h: HopfAlgebra, v: Mapping) -> tuple[bool, float]:
     return compare(b, _apply(b, h.comul, v), _kron(b, v, v))
 
 
+def _sharp(b) -> bool:
+    """Whether b tells one from zero: not under a float tolerance of 1 or more, where ``eq(one,
+    zero)`` and ``is_zero(one)`` hold and a verdict on point masses is no longer read off indices."""
+    return not (b.is_zero(b.one) or b.eq(b.one, b.zero))
+
+
+def _grouplike_basis(h: HopfAlgebra, table) -> list[bool] | None:
+    """Whether each basis vector passes ``_is_grouplike``, read off the coproduct; table is its law
+    (``_monomial_law``) as an array, or None.  On a law, Delta(delta_i) is the fibre of i, each term
+    one, so delta_i is grouplike iff that fibre is exactly {(i, i)}: one bincount.  On
+    comul[i] == {(i, i): one} for every i, every basis vector is.  None for any other coproduct."""
+    b, n = h.backend, h.dim
+    if not _sharp(b):
+        return None
+    if table is not None:
+        return ((np.bincount(table.ravel(), minlength=n) == 1) & (table.diagonal() == np.arange(n))).tolist()
+    return [True] * n if all(h.comul.get(i) == {(i, i): b.one} for i in range(n)) else None
+
+
+def _grouplike_read(h: HopfAlgebra, table, v: Mapping) -> tuple[bool, float] | None:
+    """``_is_grouplike(h, v)`` read off the coproduct; None where it does not read, and
+    ``_is_grouplike`` decides.  A point mass {i: one} on comul[i] == {(i, i): one} passes
+    with residual(one, one).  On the cyclotomic backend and a law coproduct (table, as in
+    ``_grouplike_basis``), a vector of roots is read as exponents E, -1 where v has no entry: Delta(v)
+    at (p, q) is E[law[p, q]] and v (x) v is E[p] + E[q] mod N, and only the cells where the two
+    differ, in presence or exponent, go through ``residual``, as every other cell adds 0.0."""
+    b, one = h.backend, h.backend.one
+    if len(v) == 1 and _sharp(b):
+        (i, x), = v.items()
+        if x == one and h.comul.get(i) == {(i, i): one}:
+            return True, b.residual(one, one)
+    if table is None or b.name != "cyclotomic" or not v:
+        return None
+    try:
+        e = np.array([b._log[v[i]] if i in v else -1 for i in range(h.dim)], dtype=np.intp)
+    except KeyError:   # an entry that is not a root
+        return None
+    if np.count_nonzero(e >= 0) != len(v):   # a key outside range(n)
+        return None
+    lhs = e[table]
+    rhs = np.where((e[:, None] < 0) | (e < 0), -1, (e[:, None] + e) % b.n)
+    diffs = np.argwhere(lhs != rhs).tolist()
+    values = [*b._mono, b.zero]   # exponent -1: no entry
+    return not diffs, max((b.residual(values[lhs[p, q]], values[rhs[p, q]]) for p, q in diffs), default=0.0)
+
+
+def _closure_read(h: HopfAlgebra, vectors: list) -> bool | None:
+    """``_closed_under_product(h, vectors)`` read off the product; None where it does not read.
+    Point masses {i: one} on a law product (``_monomial_law``) multiply to {law[i][j]: one}, so
+    they are closed iff law[S x S] lies in S, their points.  On the cyclotomic backend, vectors
+    of n roots on the diagonal product mul[(m, m)] == {m: one} for all m multiply entrywise, the
+    exponent rows adding mod N, so they are closed iff each sum of two rows is a row."""
+    b, n, one = h.backend, h.dim, h.backend.one
+    points = [i for v in vectors if len(v) == 1
+              for i, x in v.items() if x == one and type(i) is int and 0 <= i < n]
+    law = _monomial_law(h) if len(points) == len(vectors) and _sharp(b) else None
+    if law is not None:
+        member = np.zeros(n, dtype=bool)
+        member[points] = True
+        return all(member[[law[i][j] for j in points]].all() for i in points)
+    d = _diagonal_product(h) if b.name == "cyclotomic" and all(len(v) == n for v in vectors) else None
+    if d is None or len(d) != n or not all(d.get(m) == one for m in range(n)):
+        return None
+    try:
+        rows = np.array([[b._log[v[m]] for m in range(n)] for v in vectors], dtype=np.intp).reshape(-1, n)
+    except KeyError:   # a missing index or an entry that is not a root
+        return None
+    members = {r.tobytes() for r in rows}
+    return all(t.tobytes() in members for r in rows for t in (r + rows) % b.n)
+
+
 def _multiplicative_functions(law, e: int, backend) -> list[tuple]:
     """All functions u with u(s)u(t) = u(s*t) and u(e) = 1, as value tuples.
 
@@ -585,7 +661,10 @@ def _multiplicative_functions(law, e: int, backend) -> list[tuple]:
     each element not yet reached joins it and the Cayley graph is walked
     again.  The last walk's spanning tree does not depend on the assignment,
     so each candidate is extended along its edges, in the order reached, and
-    kept when it survives the full multiplication-table audit.
+    kept when it survives the full multiplication-table audit.  On the
+    cyclotomic backend the candidates are rows of root exponents, extended and
+    audited together on arrays with no backend ``mul``, and a kept row's
+    values are ``_mono[a]``, the tuples the chain of ``mul`` calls returns.
     """
     n = len(law)
 
@@ -600,6 +679,18 @@ def _multiplicative_functions(law, e: int, backend) -> list[tuple]:
             tree = walk(e, gens, step)
     orders = [len(walk(e, [g], step)) for g in gens]
     edges = list(tree.items())[1:]
+    if backend.name == "cyclotomic":
+        assign = np.array(list(itertools.product(*([backend._log[backend.root(k, o)] for k in range(o)]
+                                                   for o in orders))), dtype=np.intp)
+        column = {g: c for c, g in enumerate(gens)}
+        exps = np.zeros((len(assign), n), dtype=np.intp)
+        for y, (x, g) in edges:
+            exps[:, y] = (exps[:, x] + assign[:, column[g]]) % backend.n
+        table = np.array(law, dtype=np.intp)
+        for s in range(n):   # row s of the audit for every candidate still standing
+            exps = exps[(exps[:, table[s]] == (exps[:, s, None] + exps) % backend.n).all(axis=1)]
+        # no row repeats: each generator is reached from e by its own edge, so rows differ there
+        return [tuple(backend._mono[a] for a in row) for row in exps.tolist()]
     found: list[tuple] = []
     for expos in itertools.product(*(range(o) for o in orders)):
         assign = {g: backend.root(k, o) for g, k, o in zip(gens, expos, orders)}
@@ -630,8 +721,9 @@ def require_group_part_order(group: Group, algebra: str, runs: int) -> None:
     """ConfigError at "" for a group_part config past its cap, the one size rule of either mode;
     runs is how many modes the config asks for (1, or 2 for both).  A group algebra ("group") is
     capped at order GROUP_PART_GROUP_ORDER_CAP in any mode, as memory binds it.  A function algebra
-    ("function") costs about characters x order^2 per run in either mode, and runs x characters x
-    order^2 is capped at that of one run on an abelian group of order GROUP_PART_FUNCTION_ORDER_CAP.
+    ("function") costs about characters x order^2 per run in either mode on the float backend, which
+    binds (the exact backend reads root exponents on arrays), and runs x characters x order^2 is
+    capped at that of one run on an abelian group of order GROUP_PART_FUNCTION_ORDER_CAP.
     The count of characters, |G / [G, G]|, is the order for an abelian group and 2 for a symmetric
     group of degree >= 2 (the trivial and the sign character), and the order, a bound, for any other."""
     n = group.order
@@ -657,15 +749,21 @@ def group_part(h: HopfAlgebra, mode: str = "closed_form") -> GroupPartResult:
     brute_force keeps every basis vector that passes the residual test and
     adds each multiplicative function not already among them; it raises
     ValueError only when neither step finds a vector.  Every returned vector
-    is residual-verified, and closure under the product is checked.
+    is residual-verified, and closure under the product is checked.  Where
+    the tensors read exactly (``_grouplike_basis``, ``_grouplike_read``,
+    ``_closure_read``) the basis scan, the residual test and the closure
+    check are decided from those reads, with the verdicts and residuals of
+    the generic functions, which decide wherever a read does not hold.
     """
     if mode not in ("closed_form", "brute_force"):
         raise ValueError(f"unknown mode {mode!r} (expected 'closed_form' or 'brute_force')")
     b = h.backend
     law = _monomial_law(h, coproduct=True)
     vectors = [] if law is None else _law_characters(h, law)
+    table = None if law is None else np.array(law, dtype=np.intp)
     if mode == "brute_force":
-        basis = [h.basis(i) for i in range(h.dim) if _is_grouplike(h, h.basis(i))[0]]
+        found = _grouplike_basis(h, table) or [_is_grouplike(h, h.basis(i))[0] for i in range(h.dim)]
+        basis = [h.basis(i) for i in range(h.dim) if found[i]]
         vectors = basis + [v for v in vectors if not _contains(b, basis, v)]
         if not vectors:
             raise ValueError("brute force found no grouplike basis vector and no group law in the coproduct")
@@ -675,11 +773,12 @@ def group_part(h: HopfAlgebra, mode: str = "closed_form") -> GroupPartResult:
                              "grouplike; use brute_force")
         vectors = [h.basis(i) for i in range(h.dim)]
 
-    grouplike = [_is_grouplike(h, v) for v in vectors]
+    grouplike = [_grouplike_read(h, table, v) or _is_grouplike(h, v) for v in vectors]
+    closed = _closure_read(h, vectors)
     return GroupPartResult(
         vectors=tuple(vectors),
         verified=all(ok for ok, _ in grouplike),
-        closed_under_product=_closed_under_product(h, vectors),
+        closed_under_product=_closed_under_product(h, vectors) if closed is None else closed,
         worst_residual=max((r for _, r in grouplike), default=0.0),
     )
 

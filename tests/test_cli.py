@@ -277,7 +277,7 @@ def test_configs_exactly_at_each_cap_are_accepted():
     for algebra, cap in (("function", GROUP_PART_FUNCTION_ORDER_CAP), ("group", GROUP_PART_GROUP_ORDER_CAP)):
         parse_config({"command": "group-part", "mode": "closedForm", "algebra": algebra,
                       "group": {"kind": "finite_abelian", "orders": [cap]}})
-    # two runs: Z119 is the largest abelian order within the function bound, S6 has 2 characters
+    # two runs: BOTH_PAST - 1 is the largest abelian order within the function bound, S6 has 2 characters
     for group in ({"kind": "finite_abelian", "orders": [BOTH_PAST - 1]},
                   {"kind": "symmetric", "degree": SYMMETRIC_DEGREE_CAP}):
         parse_config({"command": "group-part", "mode": "both", "algebra": "function", "group": group})
@@ -599,8 +599,9 @@ def test_tensor_iso_past_the_cap_exits_2_before_a_backend_is_built(tmp_path, cap
 
 
 @pytest.mark.parametrize("algebra, order, message, mode", [
-    ("function", 151, f"group-part on the function algebra capped at runs x characters x order^2 = "
-                      f"{GROUP_PART_FUNCTION_ORDER_CAP}^3, got 1 x 151 x 151^2", "closedForm"),
+    ("function", GROUP_PART_FUNCTION_ORDER_CAP + 1,
+     f"group-part on the function algebra capped at runs x characters x order^2 = {GROUP_PART_FUNCTION_ORDER_CAP}^3, "
+     f"got 1 x {GROUP_PART_FUNCTION_ORDER_CAP + 1} x {GROUP_PART_FUNCTION_ORDER_CAP + 1}^2", "closedForm"),
     ("group", 20011, f"group-part on the group algebra capped at order {GROUP_PART_GROUP_ORDER_CAP}, got 20011",
      "closedForm"),
     ("function", BOTH_PAST, f"group-part on the function algebra capped at runs x characters x order^2 = "
