@@ -28,12 +28,12 @@ TENSOR_DIM_CAP = 1500
 # the exact cycle reads its dense folds as root exponents (_exponents), a perturbed map too: only the
 # terms that touch an entry that is not a root go through the backend.  Memory binds, through the
 # n^3 intp arrays of the hom fold, the gram and the composite.  Through duality-lab, one process
-# each (Python 3.11, 2-core x86-64 host), three runs each, perturb [1, 2] and unperturbed: exact
-# Z127 0.81-0.83 and 0.56-0.57 s at 105-109 MB, Z251 (the largest phi(n) the cap admits)
-# 8.06-8.14 and 5.32-5.36 s at 572-587 MB, Z256 7.54-7.61 and 5.01-5.03 s at 588-596 MB; float
-# Z127 0.35-0.36 and 0.29-0.32 s at 46-49 MB, Z251 1.56 and 1.09-1.10 s at 94-103 MB, Z256
-# 1.78-1.79 and 1.22 s at 96-106 MB.  So orders up to 256 finish in ten seconds and 600 MB.  No
-# larger order was run
+# each (Python 3.11, 2-core x86-64 host), two to four runs each, perturb [1, 2] and unperturbed:
+# exact Z127 0.73-0.85 and 0.50-0.56 s at 105-108 MB, Z251 (the largest phi(n) the cap admits)
+# 7.89-8.17 and 5.26-5.35 s at 571-586 MB, Z256 7.38-7.52 and 4.91-5.03 s at 587-596 MB; float
+# Z127 0.31-0.40 and 0.26-0.34 s at 46-49 MB, Z251 1.50-1.54 and 1.04-1.06 s at 94-103 MB, Z256
+# 1.72-1.83 and 1.15-1.25 s at 96-106 MB.  So orders up to 256 finish in ten seconds and 600 MB.
+# No larger order was run
 DUALITY_ORDER_CAP = 256
 # hopf-axioms on the rationals (every structure constant is 0 or 1): the law side's associativity is
 # decided on an int array, the diagonal side's on its n triples (i, i, i), and the bialgebra fold
@@ -879,14 +879,6 @@ def _exponents(b, columns: Mapping, n: int):
     return np.array([[log.get(col[r], -1) for col in cols] for r in range(n)], dtype=np.intp)
 
 
-def _masked(touched: int, n: int) -> bool:
-    """Whether a fold over n^3 terms, touched of which meet a hole, sums the all-root terms on arrays
-    and only the touched ones through the backend: when the touched terms are fewer than the rest.
-    Past that the arrays save at most half of the backend's work, and the fold takes the backend
-    path."""
-    return touched < n**3 - touched
-
-
 def _root_sums(b, exponents, keep=None) -> np.ndarray:
     """sum_k z^exponents[..., k] for each leading index, as an int array of coefficient rows: a
     bincount of the exponents mod n per entry times the table of powers, the reduced tuple that
@@ -900,16 +892,6 @@ def _root_sums(b, exponents, keep=None) -> np.ndarray:
         flat[~np.broadcast_to(keep, exponents.shape).reshape(cells, -1)] = cells * n
     counts = np.bincount(flat.ravel(), minlength=cells * n + 1)[:cells * n].reshape(cells, n)
     return (counts @ np.array(b._mono, dtype=np.int64)).reshape(*lead, b.degree)
-
-
-def _conj_sums(b, terms) -> dict:
-    """{key: the backend sum of x conj(y)} over (key, x, y) terms: the terms of a product that touch
-    a hole of an exponent read."""
-    sums: dict = {}
-    for key, x, y in terms:
-        t = b.mul(x, b.conj(y))
-        sums[key] = b.add(sums[key], t) if key in sums else t
-    return sums
 
 
 # a part past this magnitude could overflow a fold's products, where abs() of a complex raises
@@ -960,6 +942,39 @@ def _float_matmul(a, c):
     return acc
 
 
+def _conj_product(b, x, y):
+    """The product P[p, q] = sum over k of X[p, k] conj(Y[q, k]), as the (product, holes) pair that
+    ``_against_identity`` takes; None unless both operands read as exponents or both as floats, and
+    the caller then sums it by ``_compose``.  Each operand is a (read, holes) pair: a dense read
+    (``LinearMap._dense``, or its transpose) with X[p, k] at read[p, k], and {(p, k): X[p, k]} at
+    each hole of an exponent read.  On floats P is one ``_float_matmul``, each term formed and
+    added in k order as ``_compose`` forms and adds it.  On exponents the all-root terms are one
+    ``_root_sums`` call, z^(X[p, k] - Y[q, k]), and only the terms that touch a hole go through
+    the backend, n per hole of X and, per hole of Y, those not met already: holes maps (p, q) to
+    their sum.  Exact sums do not depend on order, so every entry is the backend's."""
+    (xr, xh), (yr, yh) = x, y
+    if isinstance(xr, tuple) and isinstance(yr, tuple):
+        return _float_matmul(xr, (yr[0].T, -yr[1].T)), None
+    if not (isinstance(xr, np.ndarray) and isinstance(yr, np.ndarray)):
+        return None
+    # the all-root cells of each operand that has holes, broadcast over the other's rows
+    keep = (xr >= 0)[:, None] if xh else None
+    if yh:
+        keep = yr >= 0 if keep is None else keep & (yr >= 0)
+
+    def at(read, holes, p, k):
+        """X[p, k] as a value: the hole's own, or the root b._mono[e] whose exponent was read."""
+        return holes[p, k] if (p, k) in holes else b._mono[read[p, k]]
+
+    holes: dict = {}
+    terms = [(p, q, k) for p, k in xh for q in range(len(yr))]
+    terms += [(p, q, k) for q, k in yh for p in range(len(xr)) if (p, k) not in xh]
+    for p, q, k in terms:
+        t = b.mul(at(xr, xh, p, k), b.conj(at(yr, yh, q, k)))
+        holes[p, q] = b.add(holes[p, q], t) if (p, q) in holes else t
+    return _root_sums(b, xr[:, None] - yr, keep), holes
+
+
 def _fold_cells(res, tolerance) -> list[int]:
     """Flat indices into res, in C order, of its first residual past tolerance and of its first
     largest one.  Folded in that order they give the verdict, worst residual and witness of a fold
@@ -990,14 +1005,13 @@ def _float_hom_pairs(b, m, d, law):
 
 def _against_identity(b, product, n: int, scale: int, holes: Mapping | None = None) -> list:
     """((i, j), x) for each entry x of an n x n product that a fold against scale times the identity
-    must see, in (i, j) order.  product is an (n, n, degree) ``_root_sums`` array, a (re, im) pair
-    of float64 (n, n) arrays, or sparse columns with entry (i, j) at product[j][i].  On the exact
-    backend these are the entries that differ, as an equal one adds residual 0.0 and no witness.
-    An array may leave out the terms that touch a hole of its exponent read: holes then maps
-    (i, j) to the backend sum of those terms, which is added to the array's entry before the entry
-    is compared, so the listing is that of the whole product.  On the float backend a pair gives
-    its first entry past the tolerance and its first worst one (``_fold_cells``), which fold to the
-    verdict, residual and witness of every entry; sparse columns give every entry."""
+    must see, in (i, j) order.  product and holes are what ``_conj_product`` returns, or sparse
+    columns with entry (i, j) at product[j][i] and no holes.  On the exact backend these are the
+    entries that differ, as an equal one adds residual 0.0 and no witness; each hole sum is added
+    to its array entry first, so the listing is that of the whole product.  On the float backend
+    a pair gives its first entry past the tolerance and its first worst one (``_fold_cells``),
+    which fold to the verdict, residual and witness of every entry; sparse columns give every
+    entry."""
     if isinstance(product, np.ndarray):
         target = np.zeros_like(product)
         diag = np.arange(n)
@@ -1041,12 +1055,11 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
     exponents, E[:, law] == E[:, :, None] + E[:, None, :] + D mod n, and only a pair that differs
     is folded, on its differing entries: an equal entry adds residual 0.0 and no witness, so the
     check is the full fold's.  An entry whose rhs meets a hole of the read, at (r, i) or (r, j),
-    is decided by ``b.eq`` on the backend's products instead, about 2n entries per hole; a hole
-    at its lhs alone makes it differ, as its rhs is then a root.  When such entries are not fewer
-    than the rest (``_masked``), the fold takes the backend path.  On the float backend
-    (``_floats``) both sides are float64 parts, one row i at a time, with the scalar operations
-    above, and the fold sees its first failing and its worst cell (``_float_hom_pairs``), so
-    again the check is the full fold's.
+    is decided by ``b.eq`` on the backend's products instead, about 2n entries per hole, as
+    ``_conj_product`` sums only a product's hole terms; a hole at its lhs alone makes it differ,
+    as its rhs is then a root.  On the float backend (``_floats``) both sides are float64 parts,
+    one row i at a time, with the scalar operations above, and the fold sees its first failing
+    and its worst cell (``_float_hom_pairs``), so again the check is the full fold's.
     """
     h, k, b = phi.domain, phi.codomain, phi.domain.backend
     img = [phi.columns.get(i, {}) for i in range(h.dim)]
@@ -1064,7 +1077,6 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
                 # should be
                 hole = read < 0
                 touch = hole[:, :, None] | hole[:, None, :]
-                diag = diag if _masked(int(touch.sum()), h.dim) else None
         elif read is not None:
             diag = _float_parts([values])
             diag = None if diag is None else tuple(p[0] for p in diag)
@@ -1132,30 +1144,14 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
 def unitarity_check(phi: LinearMap) -> CheckResult:
     """Row orthogonality M conj(M^T) = |G| I under the backend, |G| the dimension of phi's domain.
 
-    The gram is an n x n product, n the codomain's dimension.  When phi is square and its dense
-    read holds (``LinearMap._dense``), it is one ``_root_sums`` call on the cyclotomic backend,
-    entry (i, j) the sum over k of z^(E[i, k] - E[j, k]), and one ``_float_matmul`` of float64
-    parts on the float backend, with ``_compose``'s products and order of terms; otherwise it is
-    summed by ``_compose``.  A term whose M[i, k] or M[j, k] is a hole of the exponent read is
-    kept out of the root sums and summed through the backend, 2n - 1 entries per hole, unless
-    such terms are not fewer than the rest (``_masked``): the gram is then a ``_compose`` sum.
-    Either way the fold sees the entries ``_against_identity`` lists.
+    The gram, entry (i, j) the sum over k of M[i, k] conj(M[j, k]), is ``_conj_product`` of phi's
+    dense read with itself, or a ``_compose`` sum when the read does not hold, and the fold sees
+    the entries ``_against_identity`` lists.
     """
     b, n, scale = phi.domain.backend, phi.codomain.dim, phi.domain.dim
-    read, holes, hole_rows = phi._dense, None, {}
-    for r, c in phi._holes:
-        hole_rows.setdefault(c, set()).add(r)
-    # term (i, j, k) meets a hole when row i or row j of column k is one
-    touched = sum(len(rows) * (2 * n - len(rows)) for rows in hole_rows.values())
-    if isinstance(read, np.ndarray) and _masked(touched, n):
-        ok, cols = read >= 0, phi.columns
-        gram = _root_sums(b, read[:, None] - read, ok[:, None] & ok if hole_rows else None)
-        holes = _conj_sums(b, (((i, j), cols[k][i], cols[k][j]) for k, rows in hole_rows.items()
-                               for i in range(n) for j in (range(n) if i in rows else rows)))
-    elif isinstance(read, tuple):
-        gram = _float_matmul(read, (read[0].T, -read[1].T))
-    else:
-        gram = _compose(b, phi.columns, _conj(b, _transpose(phi.columns)))
+    operand = phi._dense, {(r, c): phi.columns[c][r] for r, c in phi._holes}
+    gram, holes = (_conj_product(b, operand, operand)
+                   or (_compose(b, phi.columns, _conj(b, _transpose(phi.columns))), None))
     target = b.from_int(scale)
     return fold_checks("unitarity", b, ((f"rows ({i},{j})", {0: x}, {0: target if i == j else b.zero})
                                         for (i, j), x in _against_identity(b, gram, n, scale, holes)))
@@ -1221,17 +1217,16 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
 
     Unitarity and cycle-identity each fold one n x n product against |G| I:
     the gram, the map times its conjugate transpose, and the composite, the
-    table's conjugate times the map.  Each operand is read once
+    table's conjugate times the map, computed transposed.  Each is one
+    ``_conj_product`` of dense reads, each operand read once
     (``LinearMap._dense``; the table through the dual side's map, its
-    transpose).  A product is one ``_root_sums`` call when every operand
-    reads as exponents, one ``_float_matmul`` of float64 parts when every
-    operand reads as floats, else a ``_compose`` sum, and its one
-    ``fold_checks`` call sees what ``_against_identity`` lists: on the exact
-    backend the entries that differ from |G| I in Z[zeta_n], before any
-    scaling.  The composite's listed entries are scaled by 1/|G| and meet the
-    identity in one row, into which the dual side's unitarity is folded; on
-    the float array path the whole composite is scaled first, as the
-    tolerance meets the scaled entries, and the listing is against I.
+    transpose), or a ``_compose`` sum where a read does not hold, and its
+    one ``fold_checks`` call sees what ``_against_identity`` lists: on the
+    exact backend the entries that differ from |G| I in Z[zeta_n], before
+    any scaling.  The composite's listed entries are scaled by 1/|G| and
+    meet the identity in one row, into which the dual side's unitarity is
+    folded; on the float array path the whole composite is scaled first, as
+    the tolerance meets the scaled entries, and the listing is against I.
 
     The character table is symmetric, so unperturbed its transpose and the
     dual side's transposed map are literally the map itself: transpose-hom
@@ -1240,18 +1235,16 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     input differs.  On the exact backend an entry that is not a root, as most
     bumped entries are, is a hole of the exponent read: each of the three
     folds sums its all-root terms on arrays and only the terms that touch a
-    hole through the backend (the composite: n entries per hole), so a
-    perturbed cycle costs about what an unperturbed one does.  Exact sums do
-    not depend on order and each value has one reduced tuple, so verdicts,
-    residuals and witnesses are those of the backend path.  A fold whose
-    hole terms are not fewer than its all-root ones (``_masked``), and every
-    fold of a map with a missing entry, is summed through the backend: each
-    hom fold then applies its map once per basis vector and multiplies
-    images pointwise (``_algebra_hom``), and the gram and the composite are
-    ``_compose`` sums.  On the float backend a bumped entry is still a finite
-    complex, so the three folds stay on arrays; only a map ``_floats`` turns
-    away (a missing or non-finite entry, rows or columns out of order) is
-    summed through the backend.
+    hole through the backend, so a perturbed cycle costs about what an
+    unperturbed one does.  Exact sums do not depend on order and each value
+    has one reduced tuple, so verdicts, residuals and witnesses are those of
+    the backend path.  Every fold of a map with a missing entry is summed
+    through the backend: each hom fold then applies its map once per basis
+    vector and multiplies images pointwise (``_algebra_hom``), and the gram
+    and the composite are ``_compose`` sums.  On the float backend a bumped
+    entry is still a finite complex, so the three folds stay on arrays; only
+    a map ``_floats`` turns away (a missing or non-finite entry, rows or
+    columns out of order) is summed through the backend.
 
     ``perturb`` bumps one matrix entry before checking; a single corrupted
     entry must trip at least one stage.
@@ -1282,22 +1275,23 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     # the dual side's transposed map, inverted, closes the cycle
     s_unit = unitarity if s_map.columns == phi.columns else unitarity_check(s_map)
     n, inv_scale = group.order, Fraction(1, group.order)
-    # s_map's read is the table's transposed: the table's entry (r, k) is s[k, r]
-    m, s = phi._dense, s_map._dense
-    if isinstance(m, tuple) and isinstance(s, tuple):
+
+    def transposed(f):
+        """f's dense read transposed, X[p, k] = f's entry (k, p), and the values at its holes."""
+        read = f._dense
+        if read is not None:
+            read = read.T if isinstance(read, np.ndarray) else tuple(p.T for p in read)
+        return read, {(c, r): f.columns[c][r] for r, c in f._holes}
+
+    # the composite transposed, entry (j, r) the sum over k of M[k, j] conj(T[r, k]), with s_map's
+    # read the table T's transposed: cycle-identity folds it as one pair, whose entries and target I
+    # are the same set under a transpose.  The backend sum keeps the (r, j) orientation
+    composite, holes = (_conj_product(b, transposed(phi), transposed(s_map))
+                        or (_compose(b, _conj(b, table), phi.columns), None))
+    if isinstance(composite, tuple):
         # on floats the entries are scaled before they are listed, as the tolerance meets them scaled
-        composite = _times(_float_matmul((s[0].T, -s[1].T), m), (float(inv_scale), 0.0))
-        scaled = dict(_against_identity(b, composite, n, 1))
+        scaled = dict(_against_identity(b, _times(composite, (float(inv_scale), 0.0)), n, 1))
     else:
-        # the table's entries are roots, so only the map has holes: a hole at (k, j) adds
-        # M[k, j] conj(T[r, k]) to entry (r, j) for every r
-        at = phi._holes
-        if isinstance(m, np.ndarray) and isinstance(s, np.ndarray) and _masked(n * len(at), n):
-            # entry (r, j) is the root sum over k of z^(E[k, j] - T[r, k])
-            composite = _root_sums(b, m.T - s.T[:, None], m.T >= 0 if at else None)
-            holes = _conj_sums(b, (((r, j), phi.columns[j][k], table[k][r]) for k, j in at for r in range(n)))
-        else:
-            composite, holes = _compose(b, _conj(b, table), phi.columns), None
         scaled = {k: b.scale(x, inv_scale) for k, x in _against_identity(b, composite, n, n, holes)}
     cycle = fold_checks("cycle-identity", b, [("", scaled, {k: b.one for k in scaled if k[0] == k[1]})])
     stages.append(replace(cycle, passed=cycle.passed and s_unit.passed, residual=max(cycle.residual, s_unit.residual)))

@@ -1062,7 +1062,7 @@ def test_cycle_stages_match_the_backend_folds(group, kind, edit, picks):
 
 
 # orders of at least 4, where up to three holes leave most terms of the gram and the composite
-# all-root (``hopf._masked``)
+# all-root
 HOLE_GROUPS = {
     **{f"Z{n}": [n] for n in range(4, 17)},
     **{f"Z{a}xZ{c}": [a, c] for a, c in ((2, 2), (2, 4), (2, 6), (3, 3))},
@@ -1129,7 +1129,7 @@ def test_masked_cycle_matches_the_backend_folds(group, edits, line, missing):
 
 @pytest.mark.parametrize("holes", ["half", "all"])
 @pytest.mark.parametrize("orders", [[6], [2, 4]], ids=str)
-def test_a_map_mostly_of_holes_takes_the_backend_path(monkeypatch, orders, holes):
+def test_a_map_mostly_of_holes_folds_on_its_read(monkeypatch, orders, holes):
     g = make_group(GroupSpec.finite_abelian(orders))
     b, n = exact_backend_for(g), g.order
     columns = {t: dict(col) for t, col in fourier(g, b).columns.items()}
@@ -1142,11 +1142,10 @@ def test_a_map_mostly_of_holes_takes_the_backend_path(monkeypatch, orders, holes
         rep = cycle_of(g, b, columns)
     applied = calls["multiplicative"]
     assert [repr(s) for s in rep.stages] == [repr(s) for s in backend_stages(g, b, rep.transform)]
-    # every fold has at least as many terms that touch a hole as all-root ones, so each takes the
-    # backend path: the map and its transpose are applied once per basis vector, and only the
-    # dual side's gram is summed as exponents
-    assert applied == 2 * n
-    assert sums.call_count == 1
+    # however many terms touch a hole, every fold runs on the read: the hom folds apply no map, and
+    # the gram, the dual side's gram and the composite are one root-sum call each
+    assert applied == 0
+    assert sums.call_count == 3
 
 
 def test_a_bump_that_is_a_root_is_read_from_the_value():
@@ -1204,6 +1203,9 @@ def test_split_real_product_is_cpythons_complex_product(seed):
         re, im = hopf._times((xr[::step], xi[::step]), (yr[::step], yi[::step]))
         want = [bits(complex(a, b) * complex(c, d))
                 for a, b, c, d in zip(xr[::step], xi[::step], yr[::step], yi[::step])]
+        assert [bits(complex(r, i)) for r, i in zip(re, im)] == want
+        # the factors swapped, as the transposed composite forms each term: the same bits
+        re, im = hopf._times((yr[::step], yi[::step]), (xr[::step], xi[::step]))
         assert [bits(complex(r, i)) for r, i in zip(re, im)] == want
 
 
@@ -1322,6 +1324,51 @@ def test_root_sums_match_compose(order, data):
     listed = hopf._against_identity(b, array, n, n)
     assert listed == hopf._against_identity(b, composite, n, n)
     assert [k for k, _ in listed] == [(r, c)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["float", "cyclotomic"]), order=st.integers(1, 30), n=st.integers(1, 6),
+       holes_in=st.sampled_from(["neither", "x", "y", "both"]), data=st.data())
+def test_conj_product_matches_compose(kind, order, n, holes_in, data):
+    # distinct operands, each with or without holes: the cycle never gives its second operand holes,
+    # so only a direct test reaches that branch
+    b = make_backend(kind) if kind == "float" else make_backend("cyclotomic", order=order)
+    operands = []
+    for side in ("x", "y"):
+        if kind == "float":
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            re, im = (awkward_floats(random.Random(seed + k), n * n, 1e150).reshape(n, n) for k in range(2))
+            grid = [[complex(re[p, k], im[p, k]) for k in range(n)] for p in range(n)]
+            operands.append((grid, ((re, im), {})))
+            continue
+        exps = np.array(data.draw(st.lists(st.integers(0, order - 1), min_size=n * n, max_size=n * n)),
+                        dtype=np.intp).reshape(n, n)
+        grid = [[b.root(int(exps[p, k]), order) for k in range(n)] for p in range(n)]
+        holes = {}
+        if holes_in in (side, "both"):
+            cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                       min_size=1, unique=True))
+            for p, k in cells:
+                value = HOLE_VALUES[data.draw(st.sampled_from(sorted(HOLE_VALUES)))]
+                grid[p][k] = holes[p, k] = value(b, grid[p][k], order)
+                exps[p, k] = -1
+        operands.append((grid, (exps, holes)))
+    (x, x_read), (y, y_read) = operands
+    product, holes = hopf._conj_product(b, x_read, y_read)
+    # the oracle: sparse columns summed through the backend, entry (p, q) at [q][p]
+    x_cols = {k: {p: x[p][k] for p in range(n)} for k in range(n)}
+    y_cols = {k: {q: y[q][k] for q in range(n)} for k in range(n)}
+    want = hopf._compose(b, x_cols, hopf._conj(b, hopf._transpose(y_cols)))
+    if kind == "float":
+        # every entry, to the bit: sparse float columns list them all
+        assert holes is None
+        got = {q: {p: complex(product[0][p, q], product[1][p, q]) for p in range(n)} for q in range(n)}
+        assert ([(k, bits(v)) for k, v in hopf._against_identity(b, got, n, n)]
+                == [(k, bits(v)) for k, v in hopf._against_identity(b, want, n, n)])
+        return
+    assert bool(holes) == (holes_in != "neither")
+    for scale in (0, n):
+        assert hopf._against_identity(b, product, n, scale, holes) == hopf._against_identity(b, want, n, scale)
 
 
 @pytest.mark.parametrize("kind", ["float", "cyclotomic"])

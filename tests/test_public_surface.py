@@ -12,8 +12,12 @@ method that shares its name with a used one (a ``basis`` method on a second
 class would pass on ``HopfAlgebra.basis``'s calls).  The guard finds names
 that nothing mentions; it cannot prove that a mentioned name is called.
 
-No linter runs on the library, so a second check stands in for one rule of
-it: a module other than ``__init__.py`` may not import a name it never uses.
+No linter runs on the library, so two more checks stand in for rules of one:
+a module other than ``__init__.py`` may not import a name it never uses, and
+every private top-level ``def``, ``class`` or constant must be used in
+``src/`` outside its own definition.  Use here is by the syntax tree, a name
+loaded or an attribute read, so a docstring or comment that still names a
+helper whose last caller is gone does not keep it.
 """
 
 import ast
@@ -22,7 +26,8 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LIBRARY = sorted(p for p in (ROOT / "src" / "dualitylab").glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted((ROOT / "src" / "dualitylab").glob("*.py"))
+LIBRARY = [p for p in SOURCES if p.name != "__init__.py"]
 CALLERS = sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
@@ -73,3 +78,30 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line}: {name}" for name, line in imported_names(tree) if name not in used]
     assert unused == [], f"imported but never used: {unused}"
+
+
+def private_definitions(node):
+    """The private names a top-level statement defines: a def or class, or a constant it assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_used_in_src():
+    defined = []
+    used = Counter()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            used.update(names)
+            defined += [(f"{path.name}: {name}", name, name in names) for name in private_definitions(node)]
+    assert defined
+    # a use inside the name's own definition, as in a recursive def, does not count
+    unused = [where for where, name, own in defined if used[name] <= own]
+    assert unused == [], f"private names nothing in src/ uses: {unused}"
