@@ -10,10 +10,11 @@ concrete isomorphism whose round trip is asserted as literal matrix equality.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import ItemsView, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -23,7 +24,10 @@ from .reports import CheckResult, as_int, fail
 # tensor-iso grows as dim^2; through duality-lab, one process each (Python 3.11,
 # 2-core x86-64 host), exact backend: Z30xZ40 (dim 1200) 19.1 s at 1245 MB peak,
 # Z35xZ40 (1400) 31.7 s at 1682 MB, Z30xZ50 (1500) 37.2 s at 1891 MB, and float
-# 39.0 s at 1960 MB, so dimensions up to 1500 finish in a minute and 2 GB
+# 39.0 s at 1960 MB, so dimensions up to 1500 finish in a minute and 2 GB.  With the
+# laws stored as int arrays and compared as arrays (_differing_cell), Z30xZ50 took
+# 2.68-2.75 s at 85 MB, against 15.3 s at 1891 MB before them on the same host, two
+# runs each: memory no longer binds, and the cap is to be re-sized from recorded runs
 TENSOR_DIM_CAP = 1500
 # the exact cycle reads its dense folds as root exponents (_exponents), a perturbed map too: only the
 # terms that touch an entry that is not a root go through the backend.  Memory binds, through the
@@ -42,7 +46,9 @@ DUALITY_ORDER_CAP = 256
 # exact and float: S6 (dim 720) 2.45-2.83 s at 326 MB (6.3-6.5 s before those reads), Z720 and
 # Z719 2.57-2.66 s at 323 MB, Z1000 and Z997 4.96-5.37 s at 558-561 MB, and Z1200 and Z1193, the
 # largest prime under the cap, 7.83-8.07 s at 787-795 MB; so dimensions up to 1200 finish in ten
-# seconds and 1 GB.  Memory grows as n^2 and binds next
+# seconds and 1 GB.  With the laws stored as int arrays (_LawView), one Cayley table per group and
+# the associativity rows formed in reused buffers, exact S6 took 1.18-1.20 s at 49 MB, against
+# 2.33-2.37 s at 326 MB before them on the same host, two runs each; the cap is to be re-sized
 HOPF_AXIOMS_DIM_CAP = 1200
 # group-part caps, the one size rule of either mode; runs through duality-lab, one process each
 # (Python 3.11, 2-core x86-64 host).  The function algebra costs about characters x order^2 per
@@ -55,13 +61,18 @@ HOPF_AXIOMS_DIM_CAP = 1200
 # 11.4 s and 0.29 s (15.5 s).  So runs x work up to that of one run on an abelian group of order
 # 200 finishes in half a minute
 GROUP_PART_FUNCTION_ORDER_CAP = 200
-# the group algebra's n^2 product cells bind memory, in any mode; exact runs are on the rationals, as
-# every structure constant and point mass is 0 or 1: Z1399 16.1 s exact at 814 MB peak (53.5 s with
-# the order-1399 backend it used to build) and 14.5 s float at 829 MB, Z1400 13.1 s float, mode both
+# the group algebra's n^2 product cells bound memory, in any mode, while they were dicts; exact runs
+# are on the rationals, as every structure constant and point mass is 0 or 1: Z1399 16.1 s exact at
+# 814 MB peak (53.5 s with the order-1399 backend it used to build) and 14.5 s float at 829 MB,
+# Z1400 13.1 s float, mode both
 # Z1400 22.4 s exact and 20.6 s float at 815 MB, and with the cap lifted Z1499 16.7 s exact at 912 MB
 # (57.3 s).  With closure read off the law (_closure_read), closedForm Z1399 took 2.95 s exact and
 # 2.97 s float at 814 MB, against 6.45 and 6.53 s before it on the same host, and mode both Z1400
-# 3.55 s exact (10.47 s) at 815 MB; so orders up to 1400 finish in a minute and 1 GB
+# 3.55 s exact (10.47 s) at 815 MB; so orders up to 1400 finish in a minute and 1 GB.  With the law
+# stored as an int array (_LawView) and read at once, exact closedForm Z1399 took 1.18-1.19 s at
+# 63 MB and mode both Z1400 1.19-1.21 s at 63 MB, against 2.67-2.69 s at 814 MB and 3.19-3.21 s at
+# 815 MB before it on the same host, two runs each: memory no longer binds, and the cap is to be
+# re-sized by time
 GROUP_PART_GROUP_ORDER_CAP = 1400
 
 # Vec maps basis index -> scalar; PairVec maps (index, index) -> scalar.
@@ -75,11 +86,16 @@ class HopfAlgebra:
     is the coproduct of basis element i as a PairVec; unit and counit are a
     Vec and a coefficient row; antipode[i] is the image of basis element i.
     Missing entries mean zero.  The tensors are the whole algebra: nothing
-    else records which construction built it.
+    else records which construction built it.  Each tensor is a dict, or,
+    where it is a monomial law, as the group algebra's product and the
+    function algebra's coproduct are (and their duals' and tensor products'),
+    a read-only view of the law's (n, n) int array that lists, gets and
+    compares as the dict it stands for (``_LawView``).
 
     ``rows`` is mul indexed by its left factor, rows[i][j] = mul[(i, j)] for
     the nonzero cells, built with the algebra so products walk one row
-    instead of probing every index pair.
+    instead of probing every index pair; on a law view it is a view of the
+    same array.
     """
 
     dim: int
@@ -93,27 +109,38 @@ class HopfAlgebra:
     rows: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows: dict = {}
-        for (i, j), cell in self.mul.items():
-            if cell:
-                rows.setdefault(i, {})[j] = cell
+        if isinstance(self.mul, _Products):
+            rows = _Rows(self.mul)
+        else:
+            rows = {}
+            for (i, j), cell in self.mul.items():
+                if cell:
+                    rows.setdefault(i, {})[j] = cell
         object.__setattr__(self, "rows", rows)
 
     def basis(self, i: int):
         return {i: self.backend.one}
 
 
-def _cayley_table(group: Group) -> tuple[list, list[list[int]], list[int], int]:
+def _cayley_table(group: Group) -> tuple[list, np.ndarray, list[int], int]:
     """The elements of a finite group and its law on their indices.
 
-    Returns (elements, law, inverse, identity) with law[i][j] the index of
-    elements[i] * elements[j] and inverse[i] the index of elements[i]^-1.
+    Returns (elements, law, inverse, identity) with law[i, j] the index of
+    elements[i] * elements[j], a read-only (n, n) intp array, and inverse[i]
+    the index of elements[i]^-1.  The table is kept on the group object, so
+    the algebras built on one group share it, and it goes with the group.
     """
+    kept = vars(group).get("_cayley_table")
+    if kept is not None:
+        return kept
     elems = list(require(group).elements())
     index = {x: i for i, x in enumerate(elems)}
-    law = [[index[group.mul(s, t)] for t in elems] for s in elems]
-    inverse = [index[group.inv(x)] for x in elems]
-    return elems, law, inverse, index[group.identity]
+    n, mul = len(elems), group.mul
+    law = np.fromiter((index[mul(s, t)] for s in elems for t in elems), dtype=np.intp, count=n * n).reshape(n, n)
+    law.flags.writeable = False
+    table = elems, law, [index[group.inv(x)] for x in elems], index[group.identity]
+    group._cayley_table = table
+    return table
 
 
 def function_algebra(group: Group, backend) -> HopfAlgebra:
@@ -121,22 +148,19 @@ def function_algebra(group: Group, backend) -> HopfAlgebra:
 
     Product is pointwise, the coproduct of an indicator sums the indicator
     pairs over factorizations of its point, the counit evaluates at the
-    identity, and the antipode precomposes with inversion.
+    identity, and the antipode precomposes with inversion.  The coproduct
+    is the group's law (``_Fibres``), its points listed in index order.
     """
     elems, law, inverse, e = _cayley_table(group)
     n = len(elems)
     one = backend.one
-    comul: dict[int, dict] = {i: {} for i in range(n)}
-    for i in range(n):
-        for j in range(n):
-            comul[law[i][j]][(i, j)] = one
     return HopfAlgebra(
         dim=n,
         labels=tuple("1_" + group.format(x) for x in elems),
         backend=backend,
         mul={(i, i): {i: one} for i in range(n)},
         unit={i: one for i in range(n)},
-        comul=comul,
+        comul=_Fibres(law, one, lambda: np.argsort(law.ravel(), kind="stable")),
         counit={e: one},
         antipode={i: {inverse[i]: one} for i in range(n)},
     )
@@ -145,8 +169,9 @@ def function_algebra(group: Group, backend) -> HopfAlgebra:
 def group_algebra(group: Group, backend) -> HopfAlgebra:
     """The convolution algebra spanned by group elements (point masses).
 
-    Product follows the group law, every basis vector is grouplike, the
-    counit is identically one, and the antipode inverts the point.
+    Product follows the group law (``_Products``), every basis vector is
+    grouplike, the counit is identically one, and the antipode inverts the
+    point.
     """
     elems, law, inverse, e = _cayley_table(group)
     n = len(elems)
@@ -155,12 +180,278 @@ def group_algebra(group: Group, backend) -> HopfAlgebra:
         dim=n,
         labels=tuple("d_" + group.format(x) for x in elems),
         backend=backend,
-        mul={(i, j): {law[i][j]: one} for i in range(n) for j in range(n)},
+        mul=_Products(law, one),
         unit={e: one},
         comul={i: {(i, i): one} for i in range(n)},
         counit={i: one for i in range(n)},
         antipode={i: {inverse[i]: one} for i in range(n)},
     )
+
+
+# ---------------------------------------------------------------------------
+# monomial tensors stored as their law
+
+
+def _index(key, n: int):
+    """The int in range(n) that key finds as a dict key, or None: an int is itself, and any other
+    key finds the int it equals (True, 1.0, numpy ints), as in a dict lookup, which also raises
+    TypeError on an unhashable key."""
+    if type(key) is int:
+        return key if 0 <= key < n else None
+    hash(key)
+    try:
+        i = operator.index(key)
+    except TypeError:
+        return next((i for i in range(n) if i == key), None)
+    return i if 0 <= i < n else None
+
+
+def _grouped(cells: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """cells regrouped as ``_transpose`` regroups a sparse map: stably by point, the points in the
+    order each first appears, with points[m] the point of cells[m].  Each of the n points has n
+    cells, so row r of the (n, n) result lists the cells of the r-th point."""
+    _, first = np.unique(points, return_index=True)
+    n = len(first)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(n)
+    return cells[np.argsort(rank[points], kind="stable")].reshape(n, n)
+
+
+def _listing(points: list) -> tuple[list, list]:
+    """(points, position): the n points in listed order, and position[k], where k is listed."""
+    position = [0] * len(points)
+    for r, k in enumerate(points):
+        position[k] = r
+    return points, position
+
+
+def _kron_cells(hc: np.ndarray, kc: np.ndarray, dh: int, dk: int) -> np.ndarray:
+    """The cells of a tensor product's law for every pair of a cell s of h's law (hc, over dim dh)
+    and a cell t of k's (kc, over dk), s outer: cell (i1, i2) with (j1, j2) is cell
+    (i1 dk + j1, i2 dk + j2), as ``tensor_hopf`` indexes pairs.  Any leading shapes broadcast."""
+    (si, sj), (ti, tj) = np.divmod(hc, dh), np.divmod(kc, dk)
+    return (si * dk + ti) * (dh * dk) + sj * dk + tj
+
+
+class _View(Mapping):
+    """A read-only Mapping that reads as a dict, ``==`` as dict equality either way round, with no
+    entry spelled out for a length that differs.  A subclass lists its (key, value) pairs by
+    ``_items``."""
+
+    __slots__ = ()
+
+    def items(self):
+        return _ItemsView(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return len(self) == len(other) and all(key in self and self[key] == v for key, v in other.items())
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _ItemsView(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._items()
+
+
+class _LawView(_View):
+    """A monomial tensor stored as its law: law[i, j] = k on every pair (i, j) of range(n)^2, each
+    coefficient ``one``, read as the dict of dicts it stands for.  law is a read-only intp array,
+    a group's law or a tensor product of such, so each row and each column is a permutation of
+    range(n).
+
+    The n^2 cells, flat indices i n + j, are listed in the order the dict lists them: ``cells``,
+    given as None for row-major order or as a function that returns it, called on first use.  Two
+    views of one role are equal when their laws and ones are; ``transposed`` hands the same array
+    over in the other role.  Python loops read ``flat()``, the law as one list, made once."""
+
+    __slots__ = ("law", "one", "_cells", "_memo")
+
+    def __init__(self, law: np.ndarray, one, cells=None):
+        self.law, self.one, self._cells, self._memo = law, one, cells, {}
+
+    def cells(self) -> np.ndarray:
+        if "cells" not in self._memo:
+            c = self._cells
+            self._memo["cells"] = np.arange(self.law.size) if c is None else c()
+        return self._memo["cells"]
+
+    def flat(self) -> list:
+        if "flat" not in self._memo:
+            self._memo["flat"] = self.law.ravel().tolist()
+        return self._memo["flat"]
+
+    def _cell(self, key):
+        """The flat cell of a pair key (i, j), or None for any other key, as in a dict lookup."""
+        n = len(self.law)
+        if type(key) is tuple and len(key) == 2 and type(key[0]) is int and type(key[1]) is int:
+            i, j = key
+            return i * n + j if 0 <= i < n and 0 <= j < n else None
+        hash(key)
+        if not isinstance(key, tuple) or len(key) != 2:
+            return None
+        i, j = _index(key[0], n), _index(key[1], n)
+        return None if i is None or j is None else i * n + j
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.one == other.one and np.array_equal(self.law, other.law)
+        return super().__eq__(other)
+
+
+class _Products(_LawView):
+    """A product that is a monomial law: mul[(i, j)] == {law[i, j]: one}."""
+
+    __slots__ = ()
+
+    def __len__(self):
+        return self.law.size
+
+    def __iter__(self):
+        n = len(self.law)
+        return (divmod(c, n) for c in self.cells().tolist())
+
+    def _items(self):
+        n, flat, one = len(self.law), self.flat(), self.one
+        return ((divmod(c, n), {flat[c]: one}) for c in self.cells().tolist())
+
+    def __getitem__(self, key):
+        c = self._cell(key)
+        if c is None:
+            raise KeyError(key)
+        return {self.flat()[c]: self.one}
+
+    def transposed(self) -> "_Fibres":
+        return _Fibres(self.law, self.one, lambda: _grouped(self.cells(), self.law.ravel()[self.cells()]).ravel())
+
+
+class _Fibres(_LawView):
+    """A coproduct that is a monomial law: comul[k] == {(i, j): one for every law[i, j] == k}, a
+    ``_Fibre``.  cells lists the fibres one after another, n cells each, in key order."""
+
+    __slots__ = ()
+
+    def runs(self) -> np.ndarray:
+        """The cells as an (n, n) array, row r the fibre of the r-th key."""
+        n = len(self.law)
+        return self.cells().reshape(n, n)
+
+    def listing(self) -> tuple[list, list]:
+        """``_listing`` of the points, each the point of its row of runs()."""
+        if "listing" not in self._memo:
+            self._memo["listing"] = _listing(self.law.ravel()[self.runs()[:, 0]].tolist())
+        return self._memo["listing"]
+
+    def __len__(self):
+        return len(self.law)
+
+    def __iter__(self):
+        return iter(self.listing()[0])
+
+    def _items(self):
+        return ((k, _Fibre(self, k)) for k in self)
+
+    def __getitem__(self, key):
+        k = _index(key, len(self.law))
+        if k is None:
+            raise KeyError(key)
+        return _Fibre(self, k)
+
+    def transposed(self) -> _Products:
+        return _Products(self.law, self.one, self.cells)
+
+
+class _Fibre(_View):
+    """One fibre of a ``_Fibres``: {(i, j): one for every law[i, j] == k}, in the listed order."""
+
+    __slots__ = ("_law", "_k")
+
+    def __init__(self, law: _Fibres, k: int):
+        self._law, self._k = law, k
+
+    def __len__(self):
+        return len(self._law.law)
+
+    def __iter__(self):
+        law, n = self._law, len(self._law.law)
+        return (divmod(c, n) for c in law.runs()[law.listing()[1][self._k]].tolist())
+
+    def _items(self):
+        one = self._law.one
+        return ((ij, one) for ij in self)
+
+    def __getitem__(self, key):
+        c = self._law._cell(key)
+        if c is None or self._law.flat()[c] != self._k:
+            raise KeyError(key)
+        return self._law.one
+
+
+class _Rows(_View):
+    """``HopfAlgebra.rows`` of a ``_Products``: rows[i][j] == mul[(i, j)], a ``_Row``.  The rows
+    are listed in the order of their first cells in mul, and each row's cells in mul's order, as
+    building the dict cell by cell would list them."""
+
+    __slots__ = ("_mul", "_memo")
+
+    def __init__(self, mul: _Products):
+        self._mul, self._memo = mul, {}
+
+    def order(self) -> tuple:
+        """(cells, listing): mul's cells as an (n, n) array, row r the cells of the r-th row listed,
+        and ``_listing`` of the rows."""
+        if "order" not in self._memo:
+            m, n = self._mul, len(self)
+            cells = _grouped(m.cells(), m.cells() // n)
+            self._memo["order"] = cells, _listing((cells[:, 0] // n).tolist())
+        return self._memo["order"]
+
+    def __len__(self):
+        return len(self._mul.law)
+
+    def __iter__(self):
+        return iter(self.order()[1][0])
+
+    def _items(self):
+        return ((i, _Row(self, i)) for i in self)
+
+    def __getitem__(self, key):
+        i = _index(key, len(self))
+        if i is None:
+            raise KeyError(key)
+        return _Row(self, i)
+
+
+class _Row(_View):
+    """Row i of a ``_Rows``: {j: {law[i, j]: one}}."""
+
+    __slots__ = ("_rows", "_i")
+
+    def __init__(self, rows: _Rows, i: int):
+        self._rows, self._i = rows, i
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __iter__(self):
+        cells, (_, position) = self._rows.order()
+        return iter((cells[position[self._i]] % len(self._rows)).tolist())
+
+    def _items(self):
+        return ((j, self[j]) for j in self)
+
+    def __getitem__(self, key):
+        n = len(self._rows)
+        j = _index(key, n)
+        if j is None:
+            raise KeyError(key)
+        m = self._rows._mul
+        return {m.flat()[self._i * n + j]: m.one}
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +498,11 @@ def _apply(backend, columns: Mapping, v: Mapping) -> dict:
     return acc
 
 
-def _transpose(columns: Mapping) -> dict:
-    """Swap the roles of column keys and row keys in a sparse map."""
+def _transpose(columns: Mapping) -> Mapping:
+    """Swap the roles of column keys and row keys in a sparse map; a law view hands its array over
+    in the other role (``_LawView``)."""
+    if isinstance(columns, _LawView):
+        return columns.transposed()
     rows: dict = {}
     for k, col in columns.items():
         for r, c in col.items():
@@ -314,11 +608,58 @@ def _tensor_cells(h1: HopfAlgebra, h2: HopfAlgebra):
         yield f"antipode {i}", h1.antipode.get(i, {}), h2.antipode.get(i, {})
 
 
+def _differing_cell(h1: HopfAlgebra, h2: HopfAlgebra) -> list | None:
+    """The first cell of ``_tensor_cells(h1, h2)`` whose two sides differ, as a list of that one
+    (tag, h1 cell, h2 cell), or [] when none does; None where the read does not hold.
+
+    It holds when h1 and h2 have one dimension n, every coefficient of both is == the backend's
+    one, and each tensor is a law view on both sides (in one role, compared as int arrays: a
+    product cell differs where the laws do, and so does the fibre of each point there) or a dict
+    equal on both sides.  Then each differing cell compares one with zero at some key and one
+    with one at the rest, so all have residual residual(one, zero) and one verdict, and each equal
+    cell adds 0.0: the first differing cell alone folds to the full fold's verdict, residual and
+    witness, as in ``_law_associativity``, also under a float tolerance of 1 or more, where
+    eq(one, zero) holds."""
+    n, one = h1.dim, h1.backend.one
+    if h2.dim != n:
+        return None
+    first = []   # (position in _tensor_cells order, tag, tensor, key)
+    for name in ("unit", "counit", "mul", "comul", "antipode"):
+        t1, t2 = getattr(h1, name), getattr(h2, name)
+        if not (isinstance(t1, _LawView) or isinstance(t2, _LawView)):
+            vectors = (t1, t2) if name in ("unit", "counit") else (*t1.values(), *t2.values())
+            if t1 != t2 or not all(x == one for v in vectors for x in v.values()):
+                return None
+            continue
+        if type(t1) is not type(t2) or not (len(t1.law) == len(t2.law) == n and t1.one == one == t2.one):
+            return None
+        cells = np.flatnonzero(t1.law.ravel() != t2.law.ravel())
+        if not cells.size:
+            continue
+        if name == "mul":   # per i: n product cells, comul i, antipode i
+            i, j = divmod(int(cells[0]), n)
+            first.append((2 + i * (n + 2) + j, f"mul ({i},{j})", name, (i, j)))
+        else:   # each point has n cells in either law, so the differing cells hold one set of points
+            k = int(t1.law.ravel()[cells].min())
+            first.append((2 + k * (n + 2) + n, f"comul {k}", name, k))
+    if not first:
+        return []
+    _, tag, name, key = min(first)
+    return [(tag, getattr(h1, name).get(key, {}), getattr(h2, name).get(key, {}))]
+
+
+def _tensor_fold(name: str, backend, h1: HopfAlgebra, h2: HopfAlgebra) -> CheckResult:
+    """fold_checks over ``_tensor_cells(h1, h2)``: on its first differing cell alone where
+    ``_differing_cell`` reads the tensors, else on every cell."""
+    cells = _differing_cell(h1, h2)
+    return fold_checks(name, backend, _tensor_cells(h1, h2) if cells is None else cells)
+
+
 def hopf_equal(h1: HopfAlgebra, h2: HopfAlgebra) -> tuple[bool, float]:
     """Tensor-by-tensor equality under h1's backend; returns (equal, residual)."""
     if h1.dim != h2.dim:
         return False, float("inf")
-    c = fold_checks("", h1.backend, _tensor_cells(h1, h2))
+    c = _tensor_fold("", h1.backend, h1, h2)
     return c.passed, c.residual
 
 
@@ -333,7 +674,9 @@ def same_tensors(h: HopfAlgebra, k: HopfAlgebra) -> bool:
     only the values 0 and 1, so only a linear map such as ``fourier``'s
     carries others, and such a map is compared with its own transpose, which
     ``_transpose`` lists in the map's own key order when the map is symmetric
-    and every column lists its rows in column order.
+    and every column lists its rows in column order.  Two law views in one
+    role compare their arrays and coefficients (``_LawView``), with no cell
+    spelled out.
     """
     return (
         h.dim == k.dim
@@ -352,7 +695,10 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
     Multiplication of the dual is the transpose of the coproduct, the
     coproduct of the dual is the transpose of multiplication, unit and counit
     swap roles, and the antipode transposes.  Applying this twice returns
-    literally the same tensors.
+    literally the same tensors.  A law view is handed over in the other role,
+    on the same array with no copy: the group algebra's product becomes the
+    dual's coproduct, and the function algebra's coproduct the dual's
+    product, each listed as ``_transpose`` would list the dict.
     """
     return HopfAlgebra(
         dim=h.dim,
@@ -371,19 +717,23 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
 
 
 def _monomial_law(h: HopfAlgebra, coproduct: bool = False):
-    """The map from pairs to points that h's product (or coproduct) spells out, as a table
-    law[i][j] = k; None unless each pair (i, j) of range(n)^2 occurs exactly once and every i, j,
-    k is an int in range(n) whose coefficient is literally == one.
+    """The map from pairs to points that h's product (or coproduct) spells out, as an (n, n) intp
+    array law[i, j] = k; None unless each pair (i, j) of range(n)^2 occurs exactly once and every
+    i, j, k is an int in range(n) whose coefficient is literally == one.
 
     The product cell mul[(i, j)] = {k: one} and the coproduct term comul[k] = {(i, j): one} spell
     the same entry: the product of a group algebra and the coproduct of a function algebra are
-    the group law.  Either tensor is read in place, in one pass.
+    the group law.  A law view (``_Products``, ``_Fibres``) in that role gives its array at once;
+    any other tensor is read in place, in one pass.
     """
     one, dim = h.backend.one, h.dim
+    tensor = h.comul if coproduct else h.mul
+    if isinstance(tensor, _Fibres if coproduct else _Products):
+        return tensor.law if tensor.one == one and len(tensor.law) == dim else None
     if coproduct:
-        entries = ((ij, k, x) for k, cell in h.comul.items() for ij, x in cell.items())
+        entries = ((ij, k, x) for k, cell in tensor.items() for ij, x in cell.items())
     else:
-        entries = ((ij, k, x) for ij, cell in h.mul.items() for k, x in cell.items())
+        entries = ((ij, k, x) for ij, cell in tensor.items() for k, x in cell.items())
     law = [[-1] * dim for _ in range(dim)]
     count = 0
     for (i, j), k, x in entries:
@@ -393,7 +743,7 @@ def _monomial_law(h: HopfAlgebra, coproduct: bool = False):
             return None
         law[i][j] = k
         count += 1
-    return law if count == dim * dim else None
+    return np.array(law, dtype=np.intp).reshape(dim, dim) if count == dim * dim else None
 
 
 def _diagonal_product(h: HopfAlgebra):
@@ -409,20 +759,24 @@ def _diagonal_product(h: HopfAlgebra):
 
 
 def _law_associativity(b, law):
-    """The associativity fold's first failing triple of a monomial law, as (tag, lhs, rhs); none
-    when law[law[i]] == law[i][law] holds row by row.
+    """The associativity fold's first failing triple of a monomial law (an (n, n) int array), as
+    (tag, lhs, rhs); none when law[law[i]] == law[i][law] holds row by row.
 
     Each product of the fold is one on one basis vector, so a triple either agrees (residual
     0.0) or compares one with zero on two keys (residual(one, zero)); folding the first failing
-    triple in (i, j, k) order gives the full fold's verdict, residual and witness.
+    triple in (i, j, k) order gives the full fold's verdict, residual and witness.  The rows are
+    formed in three buffers made once: an (n, n) temporary per row is a fresh allocation that the
+    allocator maps and unmaps each time, which took 1.9 s against 0.75 s for S6's 720 rows on a
+    2-core x86-64 host.  Every entry of a law is in range(n), so ``take`` clips nothing.
     """
     dim = len(law)
-    table = np.array(law, dtype=np.intp)
+    lhs, rhs, differs = np.empty_like(law), np.empty_like(law), np.empty(law.shape, dtype=bool)
     for i in range(dim):
-        bad = np.flatnonzero(table[table[i]] != table[i][table])
-        if bad.size:
-            j, k = divmod(int(bad[0]), dim)
-            yield f"({i},{j},{k})", {law[law[i][j]][k]: b.one}, {law[i][law[j][k]]: b.one}
+        np.take(law, law[i], axis=0, out=lhs, mode="clip")   # law[law[i][j]][k] at (j, k)
+        np.take(law[i], law, out=rhs, mode="clip")           # law[i][law[j][k]]
+        if np.not_equal(lhs, rhs, out=differs).any():
+            j, k = divmod(int(np.flatnonzero(differs)[0]), dim)
+            yield f"({i},{j},{k})", {int(law[law[i, j], k]): b.one}, {int(law[i, law[j, k]]): b.one}
             return
 
 
@@ -530,6 +884,11 @@ def _sides(folds: tuple, co_names: tuple[str, str], shared: tuple) -> tuple[list
                  for own, other in (folds, folds[::-1]))
 
 
+def _coproduct_terms(comul: Mapping) -> int:
+    """sum(map(len, comul.values())): the terms of a coproduct; a law view has one per cell."""
+    return comul.law.size if isinstance(comul, _Fibres) else sum(map(len, comul.values()))
+
+
 def require_axioms_dim(dim: int) -> None:
     """ConfigError at "" for a check_hopf_axioms dimension over HOPF_AXIOMS_DIM_CAP."""
     if dim > HOPF_AXIOMS_DIM_CAP:
@@ -555,7 +914,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> tuple[list[CheckResult], list[CheckResu
     """
     require_axioms_dim(h.dim)
     sides = [(k, _product_reads(k)) for k in (h, dual_hopf(h))]
-    cheaper = min(sides, key=lambda side: sum(map(len, side[0].comul.values())))
+    cheaper = min(sides, key=lambda side: _coproduct_terms(side[0].comul))
     return _sides(tuple(_algebra_axioms(*side) for side in sides), ("coassociativity", "counit"),
                   _bialgebra_axioms(*cheaper))
 
@@ -642,7 +1001,8 @@ def _closure_read(h: HopfAlgebra, vectors: list) -> bool | None:
     if law is not None:
         member = np.zeros(n, dtype=bool)
         member[points] = True
-        return all(member[[law[i][j] for j in points]].all() for i in points)
+        at = np.array(points, dtype=np.intp)
+        return bool(member[law[at[:, None], at]].all())
     d = _diagonal_product(h) if b.name == "cyclotomic" and all(len(v) == n for v in vectors) else None
     if d is None or len(d) != n or not all(d.get(m) == one for m in range(n)):
         return None
@@ -654,7 +1014,7 @@ def _closure_read(h: HopfAlgebra, vectors: list) -> bool | None:
     return all(t.tobytes() in members for r in rows for t in (r + rows) % b.n)
 
 
-def _multiplicative_functions(law, e: int, backend) -> list[tuple]:
+def _multiplicative_functions(law, e: int, backend, table=None) -> list[tuple]:
     """All functions u with u(s)u(t) = u(s*t) and u(e) = 1, as value tuples.
 
     Enumerates root-of-unity assignments on a greedily built generating set:
@@ -665,6 +1025,8 @@ def _multiplicative_functions(law, e: int, backend) -> list[tuple]:
     cyclotomic backend the candidates are rows of root exponents, extended and
     audited together on arrays with no backend ``mul``, and a kept row's
     values are ``_mono[a]``, the tuples the chain of ``mul`` calls returns.
+    law is read as lists, law[x][g]; table, the same law as an array, is
+    read by the audit, and made from law when None.
     """
     n = len(law)
 
@@ -686,7 +1048,7 @@ def _multiplicative_functions(law, e: int, backend) -> list[tuple]:
         exps = np.zeros((len(assign), n), dtype=np.intp)
         for y, (x, g) in edges:
             exps[:, y] = (exps[:, x] + assign[:, column[g]]) % backend.n
-        table = np.array(law, dtype=np.intp)
+        table = np.array(law, dtype=np.intp) if table is None else table
         for s in range(n):   # row s of the audit for every candidate still standing
             exps = exps[(exps[:, table[s]] == (exps[:, s, None] + exps) % backend.n).all(axis=1)]
         # no row repeats: each generator is reached from e by its own edge, so rows differ there
@@ -707,20 +1069,21 @@ def _multiplicative_functions(law, e: int, backend) -> list[tuple]:
 
 
 def _law_characters(h: HopfAlgebra, law) -> list[dict]:
-    """The multiplicative functions on law as vectors; the identity is the row equal to range(n),
-    and ValueError says that no row is."""
-    b, identity = h.backend, list(range(h.dim))
-    e = next((i for i, row in enumerate(law) if row == identity), None)
+    """The multiplicative functions on law, an (n, n) int array, as vectors; the identity is the row
+    equal to range(n), and ValueError says that no row is."""
+    b, identity, rows = h.backend, list(range(h.dim)), law.tolist()
+    e = next((i for i, row in enumerate(rows) if row == identity), None)
     if e is None:
         raise ValueError("the coproduct's law has no identity")
     return [{i: v for i, v in enumerate(values) if not b.is_zero(v)}
-            for values in _multiplicative_functions(law, e, b)]
+            for values in _multiplicative_functions(rows, e, b, law)]
 
 
 def require_group_part_order(group: Group, algebra: str, runs: int) -> None:
     """ConfigError at "" for a group_part config past its cap, the one size rule of either mode;
     runs is how many modes the config asks for (1, or 2 for both).  A group algebra ("group") is
-    capped at order GROUP_PART_GROUP_ORDER_CAP in any mode, as memory binds it.  A function algebra
+    capped at order GROUP_PART_GROUP_ORDER_CAP in any mode, set when its n^2 product dicts bound
+    memory.  A function algebra
     ("function") costs about characters x order^2 per run in either mode on the float backend, which
     binds (the exact backend reads root exponents on arrays), and runs x characters x order^2 is
     capped at that of one run on an abelian group of order GROUP_PART_FUNCTION_ORDER_CAP.
@@ -758,16 +1121,15 @@ def group_part(h: HopfAlgebra, mode: str = "closed_form") -> GroupPartResult:
     if mode not in ("closed_form", "brute_force"):
         raise ValueError(f"unknown mode {mode!r} (expected 'closed_form' or 'brute_force')")
     b = h.backend
-    law = _monomial_law(h, coproduct=True)
-    vectors = [] if law is None else _law_characters(h, law)
-    table = None if law is None else np.array(law, dtype=np.intp)
+    table = _monomial_law(h, coproduct=True)
+    vectors = [] if table is None else _law_characters(h, table)
     if mode == "brute_force":
         found = _grouplike_basis(h, table) or [_is_grouplike(h, h.basis(i))[0] for i in range(h.dim)]
         basis = [h.basis(i) for i in range(h.dim) if found[i]]
         vectors = basis + [v for v in vectors if not _contains(b, basis, v)]
         if not vectors:
             raise ValueError("brute force found no grouplike basis vector and no group law in the coproduct")
-    elif law is None:
+    elif table is None:
         if not all(h.comul.get(i) == {(i, i): b.one} for i in range(h.dim)):
             raise ValueError("closed_form needs a coproduct that is a group law or makes every basis vector "
                              "grouplike; use brute_force")
@@ -985,15 +1347,15 @@ def _fold_cells(res, tolerance) -> list[int]:
 
 def _float_hom_pairs(b, m, d, law):
     """(tag, lhs, rhs) of the cells a multiplicative fold must see, in (i, j) order, for a map read
-    by ``_floats`` as m, a diagonal d as (re, im) length-n vectors and a law: lhs = one m read through the law,
-    rhs = (m[:, i] m[:, j]) d, each product as ``_apply`` and ``_algebra_hom`` form it.  One row i at
-    a time, laid out (j, r), so no n^3 array is held; each row's two ``_fold_cells`` are kept, and
-    the fold's two are picked from those."""
+    by ``_floats`` as m, a diagonal d as (re, im) length-n vectors and a law as an (n, n) int array:
+    lhs = one m read through the law, rhs = (m[:, i] m[:, j]) d, each product as ``_apply`` and
+    ``_algebra_hom`` form it.  One row i at a time, laid out (j, r), so no n^3 array is held; each
+    row's two ``_fold_cells`` are kept, and the fold's two are picked from those."""
     n, tolerance = len(law), b.tolerance
     images = tuple(p.T.copy() for p in _times((b.one.real, b.one.imag), m))   # [c, r]: phi(c) at r
     columns = tuple(p.T.copy() for p in m)                                     # [j, r]: m[r, j]
     cells = []
-    for i, row in enumerate(np.array(law, dtype=np.intp)):
+    for i, row in enumerate(law):
         lhs = tuple(p[row] for p in images)
         rhs = _times(_times((m[0][:, i], m[1][:, i]), columns), d)
         res = np.hypot(lhs[0] - rhs[0], lhs[1] - rhs[1])
@@ -1063,14 +1425,14 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
     """
     h, k, b = phi.domain, phi.codomain, phi.domain.backend
     img = [phi.columns.get(i, {}) for i in range(h.dim)]
-    law, diagonal = _monomial_law(h), _diagonal_product(k)
+    table, diagonal = _monomial_law(h), _diagonal_product(k)
+    law = None if table is None else table.tolist()
     read = diag = touch = None
     if law is not None and diagonal is not None and k.dim == h.dim == len(diagonal):
         read, values = phi._dense, [diagonal.get(m) for m in range(h.dim)]
         if isinstance(read, np.ndarray):
             diag = [b._log.get(x) for x in values]
             diag = None if None in diag else np.array(diag)
-            table = np.array(law, dtype=np.intp)
             if diag is not None and phi._holes:
                 # entry (r, i, j) is decided on the backend when a rhs cell (r, i) or (r, j) is a hole;
                 # a hole at its lhs cell alone is read as -1, unequal to the root its rhs then is, as it
@@ -1098,7 +1460,7 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
                 yield f"({i},{j})", {m: img[law[i][j]][m] for m in u}, product(u, img[j])
             return
         if diag is not None:
-            yield from _float_hom_pairs(b, read, diag, law)
+            yield from _float_hom_pairs(b, read, diag, table)
             return
         if law is not None:
             images = [_apply(b, phi.columns, {m: b.one}) for m in range(h.dim)]
@@ -1309,12 +1671,13 @@ def require_tensor_dim(dim: int) -> None:
 
 
 def tensor_hopf(h: HopfAlgebra, k: HopfAlgebra) -> HopfAlgebra:
-    """Tensor product Hopf structure; pair (i, j) gets index i * dim(k) + j."""
+    """Tensor product Hopf structure; pair (i, j) gets index i * dim(k) + j.  Two law views in one
+    role make one law view, their Kronecker law; any other pair of tensors makes a dict."""
     require_tensor_dim(h.dim * k.dim)
     if h.backend != k.backend:
         raise ValueError("tensor factors must share a backend")
     b = h.backend
-    dk = k.dim
+    dh, dk = h.dim, k.dim
 
     def idx(i, j):
         return i * dk + j
@@ -1323,8 +1686,22 @@ def tensor_hopf(h: HopfAlgebra, k: HopfAlgebra) -> HopfAlgebra:
         return (idx(s[0], t[0]), idx(s[1], t[1]))
 
     def blocks(hm, km, outer, inner):
-        """The tensor of two sparse maps: column (s, t) is the outer product of columns s and t."""
-        return {outer(s, t): _kron(b, x, y, inner) for s, x in hm.items() for t, y in km.items()}
+        """The tensor of two sparse maps: column (s, t) is the outer product of columns s and t.
+        Of two law views in one role it is the Kronecker law law_h[i1, i2] dk + law_k[j1, j2] at
+        (i1 dk + j1, i2 dk + j2), its cells listed in the order of the dict's blocks."""
+        if not (type(hm) is type(km) and isinstance(hm, _LawView)
+                and len(hm.law) == dh and len(km.law) == dk):
+            return {outer(s, t): _kron(b, x, y, inner) for s, x in hm.items() for t, y in km.items()}
+        law = (hm.law[:, None, :, None] * dk + km.law[None, :, None, :]).reshape(dh * dk, dh * dk)
+        law.flags.writeable = False
+
+        def cells():
+            if isinstance(hm, _Products):   # cell t of k inside cell s of h
+                return _kron_cells(hm.cells()[:, None], km.cells(), dh, dk).ravel()
+            # fibre t of k inside fibre s of h, then cell q of k inside cell p of h
+            return _kron_cells(hm.runs()[:, None, :, None], km.runs()[None, :, None, :], dh, dk).ravel()
+
+        return type(hm)(law, b.mul(hm.one, km.one), cells)
 
     return HopfAlgebra(
         dim=h.dim * k.dim,
@@ -1348,10 +1725,14 @@ def product_iso_check(g1: Group, g2: Group, backend) -> list[CheckResult]:
     identity matrix and the comparison is literal tensor equality.  Both the
     convolution-side and function-side isomorphisms are checked; a failing
     one names its first differing cell, such as ``mul (i,j)`` or ``comul i``.
+    The product side's law is the product group's own (``_cayley_table``),
+    the tensor side's the Kronecker law of the factors', so the two are built
+    two ways; each of the three groups makes one table for both sides, and
+    two law views are compared as arrays (``_tensor_fold``).
     """
     prod = direct_product(g1, g2)
     results = []
     for name, build in (("convolution-side", group_algebra), ("function-side", function_algebra)):
         t = tensor_hopf(build(g1, backend), build(g2, backend))
-        results.append(fold_checks(name, backend, _tensor_cells(build(prod, backend), t)))
+        results.append(_tensor_fold(name, backend, build(prod, backend), t))
     return results
