@@ -25,7 +25,7 @@ from .reports import CheckResult, as_int, fail
 # 2-core x86-64 host), exact backend: Z30xZ40 (dim 1200) 19.1 s at 1245 MB peak,
 # Z35xZ40 (1400) 31.7 s at 1682 MB, Z30xZ50 (1500) 37.2 s at 1891 MB, and float
 # 39.0 s at 1960 MB, so dimensions up to 1500 finish in a minute and 2 GB.  With the
-# laws stored as int arrays and compared as arrays (_differing_cell), Z30xZ50 took
+# laws stored as int arrays and compared as arrays (_tensor_fold), Z30xZ50 took
 # 2.68-2.75 s at 85 MB, against 15.3 s at 1891 MB before them on the same host, two
 # runs each: memory no longer binds, and the cap is to be re-sized from recorded runs
 TENSOR_DIM_CAP = 1500
@@ -608,51 +608,24 @@ def _tensor_cells(h1: HopfAlgebra, h2: HopfAlgebra):
         yield f"antipode {i}", h1.antipode.get(i, {}), h2.antipode.get(i, {})
 
 
-def _differing_cell(h1: HopfAlgebra, h2: HopfAlgebra) -> list | None:
-    """The first cell of ``_tensor_cells(h1, h2)`` whose two sides differ, as a list of that one
-    (tag, h1 cell, h2 cell), or [] when none does; None where the read does not hold.
-
-    It holds when h1 and h2 have one dimension n, every coefficient of both is == the backend's
-    one, and each tensor is a law view on both sides (in one role, compared as int arrays: a
-    product cell differs where the laws do, and so does the fibre of each point there) or a dict
-    equal on both sides.  Then each differing cell compares one with zero at some key and one
-    with one at the rest, so all have residual residual(one, zero) and one verdict, and each equal
-    cell adds 0.0: the first differing cell alone folds to the full fold's verdict, residual and
-    witness, as in ``_law_associativity``, also under a float tolerance of 1 or more, where
-    eq(one, zero) holds."""
-    n, one = h1.dim, h1.backend.one
-    if h2.dim != n:
-        return None
-    first = []   # (position in _tensor_cells order, tag, tensor, key)
-    for name in ("unit", "counit", "mul", "comul", "antipode"):
-        t1, t2 = getattr(h1, name), getattr(h2, name)
-        if not (isinstance(t1, _LawView) or isinstance(t2, _LawView)):
-            vectors = (t1, t2) if name in ("unit", "counit") else (*t1.values(), *t2.values())
-            if t1 != t2 or not all(x == one for v in vectors for x in v.values()):
-                return None
-            continue
-        if type(t1) is not type(t2) or not (len(t1.law) == len(t2.law) == n and t1.one == one == t2.one):
-            return None
-        cells = np.flatnonzero(t1.law.ravel() != t2.law.ravel())
-        if not cells.size:
-            continue
-        if name == "mul":   # per i: n product cells, comul i, antipode i
-            i, j = divmod(int(cells[0]), n)
-            first.append((2 + i * (n + 2) + j, f"mul ({i},{j})", name, (i, j)))
-        else:   # each point has n cells in either law, so the differing cells hold one set of points
-            k = int(t1.law.ravel()[cells].min())
-            first.append((2 + k * (n + 2) + n, f"comul {k}", name, k))
-    if not first:
-        return []
-    _, tag, name, key = min(first)
-    return [(tag, getattr(h1, name).get(key, {}), getattr(h2, name).get(key, {}))]
+def _all_one(t, one, vector: bool) -> bool:
+    """Whether every coefficient of a tensor is == one: a law view's ``one``, else each entry of the
+    vector (unit, counit) or of each of its cells."""
+    if isinstance(t, _LawView):
+        return t.one == one
+    return all(x == one for v in ((t,) if vector else t.values()) for x in v.values())
 
 
 def _tensor_fold(name: str, backend, h1: HopfAlgebra, h2: HopfAlgebra) -> CheckResult:
-    """fold_checks over ``_tensor_cells(h1, h2)``: on its first differing cell alone where
-    ``_differing_cell`` reads the tensors, else on every cell."""
-    cells = _differing_cell(h1, h2)
-    return fold_checks(name, backend, _tensor_cells(h1, h2) if cells is None else cells)
+    """fold_checks over ``_tensor_cells(h1, h2)``.  When each of the five tensors is == on both
+    sides (two law views compare their arrays) and every coefficient is the backend's one, every
+    cell compares one with one and adds 0.0, so the fold passes with no witness, and no cell is
+    spelled out."""
+    one = backend.one
+    if all(getattr(h1, t) == getattr(h2, t) and _all_one(getattr(h1, t), one, t in ("unit", "counit"))
+           for t in ("unit", "counit", "mul", "comul", "antipode")):
+        return CheckResult(name=name, passed=True, residual=0.0, detail="")
+    return fold_checks(name, backend, _tensor_cells(h1, h2))
 
 
 def hopf_equal(h1: HopfAlgebra, h2: HopfAlgebra) -> tuple[bool, float]:
@@ -1014,7 +987,7 @@ def _closure_read(h: HopfAlgebra, vectors: list) -> bool | None:
     return all(t.tobytes() in members for r in rows for t in (r + rows) % b.n)
 
 
-def _multiplicative_functions(law, e: int, backend, table=None) -> list[tuple]:
+def _multiplicative_functions(law: np.ndarray, e: int, backend) -> list[tuple]:
     """All functions u with u(s)u(t) = u(s*t) and u(e) = 1, as value tuples.
 
     Enumerates root-of-unity assignments on a greedily built generating set:
@@ -1025,13 +998,13 @@ def _multiplicative_functions(law, e: int, backend, table=None) -> list[tuple]:
     cyclotomic backend the candidates are rows of root exponents, extended and
     audited together on arrays with no backend ``mul``, and a kept row's
     values are ``_mono[a]``, the tuples the chain of ``mul`` calls returns.
-    law is read as lists, law[x][g]; table, the same law as an array, is
-    read by the audit, and made from law when None.
+    law is an (n, n) int array, read by the audit; the walks and the
+    float audit read it as lists, made once.
     """
-    n = len(law)
+    n, rows = len(law), law.tolist()
 
     def step(x, g):
-        return law[x][g]
+        return rows[x][g]
 
     gens: list[int] = []
     tree = {e: None}
@@ -1048,9 +1021,8 @@ def _multiplicative_functions(law, e: int, backend, table=None) -> list[tuple]:
         exps = np.zeros((len(assign), n), dtype=np.intp)
         for y, (x, g) in edges:
             exps[:, y] = (exps[:, x] + assign[:, column[g]]) % backend.n
-        table = np.array(law, dtype=np.intp) if table is None else table
         for s in range(n):   # row s of the audit for every candidate still standing
-            exps = exps[(exps[:, table[s]] == (exps[:, s, None] + exps) % backend.n).all(axis=1)]
+            exps = exps[(exps[:, law[s]] == (exps[:, s, None] + exps) % backend.n).all(axis=1)]
         # no row repeats: each generator is reached from e by its own edge, so rows differ there
         return [tuple(backend._mono[a] for a in row) for row in exps.tolist()]
     found: list[tuple] = []
@@ -1060,7 +1032,7 @@ def _multiplicative_functions(law, e: int, backend, table=None) -> list[tuple]:
         values[e] = backend.one
         for y, (x, g) in edges:
             values[y] = backend.mul(values[x], assign[g])
-        if all(backend.eq(backend.mul(values[s], values[t]), values[law[s][t]])
+        if all(backend.eq(backend.mul(values[s], values[t]), values[rows[s][t]])
                for s in range(n) for t in range(n)):
             tup = tuple(values)
             if not any(all(backend.eq(a, c) for a, c in zip(tup, other)) for other in found):
@@ -1071,12 +1043,12 @@ def _multiplicative_functions(law, e: int, backend, table=None) -> list[tuple]:
 def _law_characters(h: HopfAlgebra, law) -> list[dict]:
     """The multiplicative functions on law, an (n, n) int array, as vectors; the identity is the row
     equal to range(n), and ValueError says that no row is."""
-    b, identity, rows = h.backend, list(range(h.dim)), law.tolist()
-    e = next((i for i, row in enumerate(rows) if row == identity), None)
-    if e is None:
+    b = h.backend
+    identities = np.flatnonzero((law == np.arange(h.dim)).all(axis=1))
+    if not identities.size:
         raise ValueError("the coproduct's law has no identity")
     return [{i: v for i, v in enumerate(values) if not b.is_zero(v)}
-            for values in _multiplicative_functions(rows, e, b, law)]
+            for values in _multiplicative_functions(law, int(identities[0]), b)]
 
 
 def require_group_part_order(group: Group, algebra: str, runs: int) -> None:
@@ -1727,8 +1699,9 @@ def product_iso_check(g1: Group, g2: Group, backend) -> list[CheckResult]:
     one names its first differing cell, such as ``mul (i,j)`` or ``comul i``.
     The product side's law is the product group's own (``_cayley_table``),
     the tensor side's the Kronecker law of the factors', so the two are built
-    two ways; each of the three groups makes one table for both sides, and
-    two law views are compared as arrays (``_tensor_fold``).
+    two ways; each of the three groups makes one table for both sides, two
+    law views are compared as arrays, and only a side that differs is folded
+    cell by cell (``_tensor_fold``).
     """
     prod = direct_product(g1, g2)
     results = []

@@ -1780,7 +1780,7 @@ def test_one_spanning_tree_matches_a_walk_per_candidate(group, kind, data):
     base = make_backend("float") if kind == "float" else make_backend("cyclotomic", order=g.exponent)
     want, got = CountingMul(base), CountingMul(base)
     expected = frontier_multiplicative_functions(relabeled, perm[e], want)
-    found = hopf._multiplicative_functions(relabeled, perm[e], got)
+    found = hopf._multiplicative_functions(np.array(relabeled, dtype=np.intp), perm[e], got)
     assert repr(found) == repr(expected)
     # the float path makes the walk's own muls; the cyclotomic one sums root exponents and makes none
     assert got.calls == (want.calls if kind == "float" else [])

@@ -227,12 +227,7 @@ def test_tensor_iso_array_compare_matches_the_cell_fold(orders, build, kind, edi
     pair = [build(hopf.direct_product(g1, g2), b), tensor_hopf(build(g1, b), build(g2, b))]
     for part, side, picks in edits:
         pair[side] = corrupt(pair[side], part, picks, b)
-    # the read holds where only the laws differ, and folds to the generic fold's verdict, residual
-    # and witness; an edited dict tensor is folded cell by cell
-    dicts_equal = all(getattr(pair[0], name) == getattr(pair[1], name)
-                      for name in ("unit", "counit", "mul", "comul", "antipode")
-                      if not isinstance(getattr(pair[0], name), hopf._LawView))
-    assert (hopf._differing_cell(*pair) is not None) == dicts_equal
+    # the array compare gives the generic fold's verdict, residual and witness
     got = hopf._tensor_fold("side", b, *pair)
     assert repr(got) == repr(hopf.fold_checks("side", b, hopf._tensor_cells(*pair)))
     if not edits:
@@ -248,11 +243,10 @@ def test_tensor_iso_folds_every_cell_of_a_tensor_it_cannot_read():
                 dataclasses.replace(p, unit={0: two}),
                 dataclasses.replace(t, mul={k: dict(v) for k, v in t.mul.items()}),   # a dict against a view
                 dataclasses.replace(t, antipode={**t.antipode, "x": {0: b.one}})):   # a dict that differs
-        assert hopf._differing_cell(p, bad) is None
         assert hopf._tensor_fold("", b, p, bad) == hopf.fold_checks("", b, hopf._tensor_cells(p, bad))
     # equal dicts whose coefficients are not all one: an equal cell of them need not add 0.0
-    assert hopf._differing_cell(dataclasses.replace(p, antipode={0: {0: two}}),
-                                dataclasses.replace(t, antipode={0: {0: two}})) is None
+    p2, t2 = (dataclasses.replace(x, antipode={0: {0: two}}) for x in (p, t))
+    assert hopf._tensor_fold("", b, p2, t2) == hopf.fold_checks("", b, hopf._tensor_cells(p2, t2))
 
 
 def test_tensor_iso_read_takes_the_first_differing_cell_of_either_law():
@@ -266,9 +260,9 @@ def test_tensor_iso_read_takes_the_first_differing_cell_of_either_law():
     # the product differs from row 2 on, the coproduct at the points 0 and 1
     k = dataclasses.replace(h, mul=hopf._Products(np.where(np.arange(4)[:, None] >= 2, swapped, law), b.one),
                             comul=hopf._Fibres(swapped, b.one, lambda: np.argsort(swapped.ravel(), kind="stable")))
-    read = hopf._differing_cell(h, k)
-    assert read is not None and read[0][0] == "comul 0"
-    assert hopf._tensor_fold("", b, h, k) == hopf.fold_checks("", b, hopf._tensor_cells(h, k))
+    got = hopf._tensor_fold("", b, h, k)
+    assert got == hopf.fold_checks("", b, hopf._tensor_cells(h, k))
+    assert got.detail == "comul 0"
 
 
 def count_group_products(monkeypatch, tmp_path, config, runs=1):
