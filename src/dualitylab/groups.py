@@ -1,8 +1,11 @@
 """Concrete discrete groups with exact arithmetic and canonical element forms.
 
 Elements are plain tuples in a per-kind normal form, so they hash, compare,
-and serialize deterministically.  All arithmetic uses Python integers, which
-are arbitrary precision; nothing here can wrap around silently.
+and serialize deterministically.  All element arithmetic uses Python integers,
+which are arbitrary precision; nothing here can wrap around silently.  A finite
+group's law on element indices (``Group.law``) is an intp array, whose entries
+stay below twice the order or, for a symmetric group's composites, below
+degree**degree.
 """
 
 from __future__ import annotations
@@ -12,11 +15,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .reports import as_int, fail
 
 Element = tuple
 
 SYMMETRIC_DEGREE_CAP = 6
+# cells of the largest temporary a symmetric group's law makes, 128 KiB of intp (glibc's default
+# mmap threshold), so that the law is the one n x n array it makes
+_BLOCK_CELLS = 2**14
 
 SIZE_FIELDS = ("orders", "rank", "degree")  # each kind takes at most one: its class's size_field
 _UNSET = object()  # a field not given, as distinct from one given as None (JSON null)
@@ -119,6 +127,17 @@ class Group:
         """Deterministic enumeration; only finite groups support it."""
         raise ValueError(f"group {self.label!r} is infinite and cannot be enumerated")
 
+    def law(self) -> np.ndarray:
+        """The law on indices in elements() order: an (n, n) intp array whose [i, j] is the index of
+        the i-th element times the j-th.  Here one ``mul`` per cell; a kind whose law is arithmetic
+        on its own elements() order computes it on arrays instead, so a subclass that lists the
+        elements in another order must override this too."""
+        elems = list(self.elements())
+        index = {x: i for i, x in enumerate(elems)}
+        n, mul = len(elems), self.mul
+        return np.fromiter((index[mul(s, t)] for s in elems for t in elems), dtype=np.intp,
+                           count=n * n).reshape(n, n)
+
     def format(self, x: Element) -> str:
         return repr(self.check(x))
 
@@ -180,6 +199,23 @@ class FiniteAbelianGroup(Group):
     def elements(self) -> Iterator[Element]:
         return iter(itertools.product(*(range(n) for n in self.orders)))
 
+    def law(self) -> np.ndarray:
+        # elements() lists residue tuples last coordinate fastest, so x has index sum_k x_k stride_k.
+        # Coordinate by coordinate from the last, the law adds x_k stride_k + y_k stride_k and takes
+        # the remainder by n_k stride_k, which reduces x_k + y_k mod n_k and keeps the coordinates
+        # after k, as they sum to less than stride_k; all in place, so the law is the one n x n array
+        n = self.order
+        index = np.arange(n, dtype=np.intp)
+        law = np.zeros((n, n), dtype=np.intp)
+        stride = 1
+        for m in reversed(self.orders):
+            place = index // stride % m * stride
+            law += place[:, None]
+            law += place
+            stride *= m
+            law %= stride
+        return law
+
 
 class SymmetricGroup(Group):
     """Permutations of {0..n-1} as image tuples; (p*q)[i] = p[q[i]]."""
@@ -215,6 +251,23 @@ class SymmetricGroup(Group):
 
     def elements(self) -> Iterator[Element]:
         return iter(itertools.permutations(range(self.degree)))
+
+    def law(self) -> np.ndarray:
+        # the permutations as image rows; row p of the law composes p with every q, (p * q)[i] =
+        # p[q[i]], which is p's row read at q's images, and ranks each composite by its base-degree
+        # code.  A block of rows at a time, so that no temporary holds more than _BLOCK_CELLS cells
+        d = self.degree
+        perms = np.array(list(self.elements()), dtype=np.intp).reshape(-1, d)
+        n = len(perms)
+        powers = d ** np.arange(d - 1, -1, -1)
+        rank = np.zeros(d**d, dtype=np.intp)
+        rank[perms @ powers] = np.arange(n)
+        law = np.empty((n, n), dtype=np.intp)
+        block = max(1, _BLOCK_CELLS // (n * d))
+        for start in range(0, n, block):
+            rows = slice(start, start + block)
+            law[rows] = rank[perms[rows][:, perms] @ powers]
+        return law
 
 
 class HeisenbergGroup(Group):

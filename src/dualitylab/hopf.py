@@ -48,7 +48,10 @@ DUALITY_ORDER_CAP = 256
 # largest prime under the cap, 7.83-8.07 s at 787-795 MB; so dimensions up to 1200 finish in ten
 # seconds and 1 GB.  With the laws stored as int arrays (_LawView), one Cayley table per group and
 # the associativity rows formed in reused buffers, exact S6 took 1.18-1.20 s at 49 MB, against
-# 2.33-2.37 s at 326 MB before them on the same host, two runs each; the cap is to be re-sized
+# 2.33-2.37 s at 326 MB before them on the same host, two runs each.  With S6's law composed on
+# arrays (SymmetricGroup.law) in place of 518,400 group.mul calls, exact S6 took 1.88-2.28 s at
+# 49.4-49.5 MB, against 2.37-3.32 s at 49.4-49.5 MB before it, four runs each on a loaded host;
+# the cap is to be re-sized
 HOPF_AXIOMS_DIM_CAP = 1200
 # group-part caps, the one size rule of either mode; runs through duality-lab, one process each
 # (Python 3.11, 2-core x86-64 host).  The function algebra costs about characters x order^2 per
@@ -71,8 +74,11 @@ GROUP_PART_FUNCTION_ORDER_CAP = 200
 # 3.55 s exact (10.47 s) at 815 MB; so orders up to 1400 finish in a minute and 1 GB.  With the law
 # stored as an int array (_LawView) and read at once, exact closedForm Z1399 took 1.18-1.19 s at
 # 63 MB and mode both Z1400 1.19-1.21 s at 63 MB, against 2.67-2.69 s at 814 MB and 3.19-3.21 s at
-# 815 MB before it on the same host, two runs each: memory no longer binds, and the cap is to be
-# re-sized by time
+# 815 MB before it on the same host, two runs each: memory no longer binds.  With the law computed
+# by index arithmetic (FiniteAbelianGroup.law) in place of n^2 group.mul calls, exact closedForm
+# Z1399 took 0.27-0.37 s at 63.1-63.2 MB and mode both Z1400 0.39-0.45 s at 63.5-63.6 MB, against
+# 2.24-4.07 s at 63.0-63.1 MB and 2.14-3.86 s at 63.4 MB before it, four runs each on a loaded
+# host; the cap is to be re-sized by time
 GROUP_PART_GROUP_ORDER_CAP = 1400
 
 # Vec maps basis index -> scalar; PairVec maps (index, index) -> scalar.
@@ -127,16 +133,18 @@ def _cayley_table(group: Group) -> tuple[list, np.ndarray, list[int], int]:
 
     Returns (elements, law, inverse, identity) with law[i, j] the index of
     elements[i] * elements[j], a read-only (n, n) intp array, and inverse[i]
-    the index of elements[i]^-1.  The table is kept on the group object, so
-    the algebras built on one group share it, and it goes with the group.
+    the index of elements[i]^-1.  The law is the group's own (``Group.law``):
+    index arithmetic on a finite abelian group, permutation composition on a
+    symmetric group, one ``mul`` per cell on any other.  The table is kept on
+    the group object, so the algebras built on one group share it, and it goes
+    with the group.
     """
     kept = vars(group).get("_cayley_table")
     if kept is not None:
         return kept
     elems = list(require(group).elements())
     index = {x: i for i, x in enumerate(elems)}
-    n, mul = len(elems), group.mul
-    law = np.fromiter((index[mul(s, t)] for s in elems for t in elems), dtype=np.intp, count=n * n).reshape(n, n)
+    law = group.law()
     law.flags.writeable = False
     table = elems, law, [index[group.inv(x)] for x in elems], index[group.identity]
     group._cayley_table = table
@@ -1132,16 +1140,17 @@ def dual_group(group: Group) -> Group:
 def _character_table(group: Group, backend) -> dict:
     """The character table of a finite abelian group as sparse columns: columns[j][i] is the value
     of character i of dual_group(group) at element j, the exponent's root of unity raised to
-    sum_k m_k t_k (exponent / n_k).  Both index sets enumerate the same tuples, and m and t enter
-    the root index alike, so the table is symmetric: read by columns it is the dual group's table.
-    Each of the exponent's roots is computed once, by ``backend.root``, and indexed by its power."""
-    characters = list(dual_group(group).elements())
+    sum_k m_k t_k (exponent / n_k).  Both index sets enumerate the same tuples, so the root indices
+    are one matrix product of the element digits D, (D steps) D^T mod exponent; and m and t enter
+    it alike, so the table is symmetric: read by columns it is the dual group's table.  Each of the
+    exponent's roots is computed once, by ``backend.root``, and indexed by its power."""
+    require(group, "finite_abelian")
     e = group.exponent
-    steps = [e // n for n in group.orders]
+    digits = np.array(list(group.elements()), dtype=np.intp)
+    powers = (digits * [e // n for n in group.orders]) @ digits.T % e
     roots = [backend.root(k, e) for k in range(e)]
-    return {j: {i: roots[sum(mk * tk * s for mk, tk, s in zip(m, t, steps)) % e]
-                for i, m in enumerate(characters)}
-            for j, t in enumerate(group.elements())}
+    keys = range(group.order)
+    return {j: dict(zip(keys, map(roots.__getitem__, row))) for j, row in enumerate(powers.tolist())}
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ generic cell fold does."""
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from dualitylab import hopf
 from dualitylab.cli import main
-from dualitylab.groups import DirectProductGroup, FiniteAbelianGroup, GroupSpec, SymmetricGroup, make_group
+from dualitylab.groups import DirectProductGroup, FiniteAbelianGroup, Group, GroupSpec, SymmetricGroup, make_group
 from dualitylab.hopf import dual_hopf, function_algebra, group_algebra, tensor_hopf
 from dualitylab.scalars import make_backend
 
@@ -41,7 +42,10 @@ def dict_algebra(build, g, b):
 
 class Listed(FiniteAbelianGroup):
     """A finite abelian group whose elements are listed from the start-th on, so that index 0 is not
-    the identity and the first row of its law is not range(n)."""
+    the identity and the first row of its law is not range(n).  Its law is the generic ``mul`` loop,
+    as the index arithmetic of ``FiniteAbelianGroup.law`` holds in that class's own order only."""
+
+    law = Group.law
 
     def __init__(self, spec, start):
         super().__init__(spec)
@@ -265,32 +269,62 @@ def test_tensor_iso_read_takes_the_first_differing_cell_of_either_law():
     assert got.detail == "comul 0"
 
 
-def count_group_products(monkeypatch, tmp_path, config, runs=1):
-    """group.mul calls of each run of config through cli.main; a direct product's count includes
-    its factors'."""
-    calls = [0]
+def count_group_work(monkeypatch, tmp_path, config, runs=1):
+    """(group.mul calls, laws built per group label) of each run of config through cli.main; a
+    direct product's mul count includes its factors'."""
+    calls, laws = [0], Counter()
     for cls in (FiniteAbelianGroup, SymmetricGroup, DirectProductGroup):
         def counted(self, x, y, _mul=cls.mul):
             calls[0] += 1
             return _mul(self, x, y)
         monkeypatch.setattr(cls, "mul", counted)
+    for cls in (Group, FiniteAbelianGroup, SymmetricGroup):
+        def built(self, _law=cls.law):
+            laws[self.label] += 1
+            return _law(self)
+        monkeypatch.setattr(cls, "law", built)
     counts = []
     for run in range(runs):
         calls[0] = 0
+        laws.clear()
         assert main(["--config", str(config), "--out", str(tmp_path / f"out{run}")]) == 0
-        counts.append(calls[0])
+        counts.append((calls[0], dict(laws)))
     return counts
 
 
-@pytest.mark.parametrize("config, products", [
-    # S3: one 6 x 6 table serves the function algebra, the group algebra and their duals
-    ("hopf_axioms_s3.json", 36),
-    # Z2, Z3 and their product, whose 36 products each make one product in each factor
-    ("tensor_iso_z2_z3.json", 4 + 9 + 3 * 36),
-])
-def test_each_group_builds_one_cayley_table_per_run(monkeypatch, tmp_path, capsys, config, products):
+@pytest.mark.parametrize("config, products, tables", [
+    # S3: one table, by permutation composition, serves the function algebra, the group algebra and
+    # their duals
+    ("hopf_axioms_s3.json", 0, {"S3": 1}),
+    # Z2 and Z3 by index arithmetic; their product by its own mul loop, whose 36 products each make
+    # one product in each factor
+    ("tensor_iso_z2_z3.json", 3 * 36, {"Z2": 1, "Z3": 1, "(Z2)x(Z3)": 1}),
+], ids=["hopf_axioms_s3.json-0", "tensor_iso_z2_z3.json-108"])
+def test_each_group_builds_one_cayley_table_per_run(monkeypatch, tmp_path, capsys, config, products, tables):
     path = Path(__file__).parents[1] / "configs" / config
     # run twice in one process: no table outlives its group, so each run makes its own
-    assert count_group_products(monkeypatch, tmp_path, path, runs=2) == [products, products]
+    assert count_group_work(monkeypatch, tmp_path, path, runs=2) == [(products, tables)] * 2
     capsys.readouterr()
     assert json.loads((tmp_path / "out0" / "report.json").read_text())["allPass"]
+
+
+def test_tensor_iso_reads_the_product_groups_own_law(monkeypatch):
+    # one corrupted product of the product group: its law is its own mul loop, not the factors'
+    # laws put together, so each side fails at the first cell the corruption reaches
+    b = make_backend("cyclotomic", order=1)
+    z2, z3 = (make_group(GroupSpec.finite_abelian([n])) for n in (2, 3))
+    assert all(c.passed for c in hopf.product_iso_check(z2, z3, b))
+    x, y = ((1,), (0,)), ((0,), (1,))   # elements 3 and 1, whose product is element 4, ((1,), (1,))
+
+    def corrupted(left, right):
+        prod = DirectProductGroup(left, right)
+        mul = prod.mul
+        prod.mul = lambda s, t: ((1,), (2,)) if (s, t) == (x, y) else mul(s, t)   # element 5
+        return prod
+
+    monkeypatch.setattr(hopf, "direct_product", corrupted)
+    got = hopf.product_iso_check(z2, z3, b)
+    # the group algebra's product differs at cell (3, 1); the function algebra's coproduct at the
+    # fibres of 4 and 5, and its product, pointwise, not at all
+    assert [(c.name, c.passed, c.detail) for c in got] == [
+        ("convolution-side", False, "mul (3,1)"), ("function-side", False, "comul 4")]
