@@ -41,17 +41,18 @@ TENSOR_DIM_CAP = 1500
 DUALITY_ORDER_CAP = 256
 # hopf-axioms on the rationals (every structure constant is 0 or 1): the law side's associativity is
 # decided on an int array, the diagonal side's on its n triples (i, i, i), and the bialgebra fold
-# leaves out its two product blocks, so a run is mostly building, transposing and reading the dict
-# tensors.  Through duality-lab, one process each (Python 3.11, 2-core x86-64 host), algebra both,
-# exact and float: S6 (dim 720) 2.45-2.83 s at 326 MB (6.3-6.5 s before those reads), Z720 and
-# Z719 2.57-2.66 s at 323 MB, Z1000 and Z997 4.96-5.37 s at 558-561 MB, and Z1200 and Z1193, the
-# largest prime under the cap, 7.83-8.07 s at 787-795 MB; so dimensions up to 1200 finish in ten
-# seconds and 1 GB.  With the laws stored as int arrays (_LawView), one Cayley table per group and
-# the associativity rows formed in reused buffers, exact S6 took 1.18-1.20 s at 49 MB, against
-# 2.33-2.37 s at 326 MB before them on the same host, two runs each.  With S6's law composed on
-# arrays (SymmetricGroup.law) in place of 518,400 group.mul calls, exact S6 took 1.88-2.28 s at
-# 49.4-49.5 MB, against 2.37-3.32 s at 49.4-49.5 MB before it, four runs each on a loaded host;
-# the cap is to be re-sized
+# leaves out its two product blocks.  What grows is time, through that associativity read: n rows of
+# two (n, n) gathers (_law_associativity), n^3 cells in all, about nine tenths of an S6 run under
+# cProfile; memory is its three (n, n) buffers.  Recorded runs: through duality-lab, one process
+# each (Python 3.11, 2-core x86-64 host), algebra both, exact and float: S6 (dim 720) 2.45-2.83 s at
+# 326 MB (6.3-6.5 s before those reads), Z720 and Z719 2.57-2.66 s at 323 MB, Z1000 and Z997
+# 4.96-5.37 s at 558-561 MB, and Z1200 and Z1193, the largest prime under the cap, 7.83-8.07 s at
+# 787-795 MB; so dimensions up to 1200 finish in ten seconds and 1 GB.  With the laws stored as int
+# arrays (_LawView), one Cayley table per group and the associativity rows formed in reused buffers,
+# exact S6 took 1.18-1.20 s at 49 MB, against 2.33-2.37 s at 326 MB before them on the same host,
+# two runs each.  With S6's law composed on arrays (SymmetricGroup.law) in place of 518,400
+# group.mul calls, exact S6 took 1.88-2.28 s at 49.4-49.5 MB, against 2.37-3.32 s at 49.4-49.5 MB
+# before it, four runs each on a loaded host; the cap is to be re-sized
 HOPF_AXIOMS_DIM_CAP = 1200
 # group-part caps, the one size rule of either mode; runs through duality-lab, one process each
 # (Python 3.11, 2-core x86-64 host).  The function algebra costs about characters x order^2 per
@@ -64,21 +65,23 @@ HOPF_AXIOMS_DIM_CAP = 1200
 # 11.4 s and 0.29 s (15.5 s).  So runs x work up to that of one run on an abelian group of order
 # 200 finishes in half a minute
 GROUP_PART_FUNCTION_ORDER_CAP = 200
-# the group algebra's n^2 product cells bound memory, in any mode, while they were dicts; exact runs
-# are on the rationals, as every structure constant and point mass is 0 or 1: Z1399 16.1 s exact at
-# 814 MB peak (53.5 s with the order-1399 backend it used to build) and 14.5 s float at 829 MB,
-# Z1400 13.1 s float, mode both
-# Z1400 22.4 s exact and 20.6 s float at 815 MB, and with the cap lifted Z1499 16.7 s exact at 912 MB
-# (57.3 s).  With closure read off the law (_closure_read), closedForm Z1399 took 2.95 s exact and
-# 2.97 s float at 814 MB, against 6.45 and 6.53 s before it on the same host, and mode both Z1400
-# 3.55 s exact (10.47 s) at 815 MB; so orders up to 1400 finish in a minute and 1 GB.  With the law
-# stored as an int array (_LawView) and read at once, exact closedForm Z1399 took 1.18-1.19 s at
-# 63 MB and mode both Z1400 1.19-1.21 s at 63 MB, against 2.67-2.69 s at 814 MB and 3.19-3.21 s at
-# 815 MB before it on the same host, two runs each: memory no longer binds.  With the law computed
-# by index arithmetic (FiniteAbelianGroup.law) in place of n^2 group.mul calls, exact closedForm
-# Z1399 took 0.27-0.37 s at 63.1-63.2 MB and mode both Z1400 0.39-0.45 s at 63.5-63.6 MB, against
-# 2.24-4.07 s at 63.0-63.1 MB and 2.14-3.86 s at 63.4 MB before it, four runs each on a loaded
-# host; the cap is to be re-sized by time
+# group-part on the group algebra, in any mode, does n^2 array work: the law, its bincount
+# (_grouplike_basis) and the (n, n) gather of the closure read (_closure_read), with 63 MB peak at
+# Z1400 in the last runs below, so neither time nor memory binds near the cap.  Exact runs are on
+# the rationals, as every structure constant and point mass is 0 or 1.  Recorded runs, while the
+# product cells were dicts: Z1399 16.1 s exact at 814 MB peak (53.5 s with the order-1399 backend it
+# used to build) and 14.5 s float at 829 MB; Z1400 13.1 s float; mode both, Z1400 22.4 s exact and
+# 20.6 s float at 815 MB; and with the cap lifted Z1499 16.7 s exact at 912 MB (57.3 s).  With
+# closure read off the law (_closure_read), closedForm Z1399 took 2.95 s exact and 2.97 s float at
+# 814 MB, against 6.45 and 6.53 s before it on the same host, and mode both Z1400 3.55 s exact
+# (10.47 s) at 815 MB; so orders up to 1400 finish in a minute and 1 GB.  With the law stored as an
+# int array (_LawView) and read at once, exact closedForm Z1399 took 1.18-1.19 s at 63 MB and mode
+# both Z1400 1.19-1.21 s at 63 MB, against 2.67-2.69 s at 814 MB and 3.19-3.21 s at 815 MB before it
+# on the same host, two runs each: memory no longer binds.  With the law computed by index
+# arithmetic (FiniteAbelianGroup.law) in place of n^2 group.mul calls, exact closedForm Z1399 took
+# 0.27-0.37 s at 63.1-63.2 MB and mode both Z1400 0.39-0.45 s at 63.5-63.6 MB, against 2.24-4.07 s
+# at 63.0-63.1 MB and 2.14-3.86 s at 63.4 MB before it, four runs each on a loaded host; the cap is
+# to be re-sized by time
 GROUP_PART_GROUP_ORDER_CAP = 1400
 
 # Vec maps basis index -> scalar; PairVec maps (index, index) -> scalar.
@@ -95,8 +98,9 @@ class HopfAlgebra:
     else records which construction built it.  Each tensor is a dict, or,
     where it is a monomial law, as the group algebra's product and the
     function algebra's coproduct are (and their duals' and tensor products'),
-    a read-only view of the law's (n, n) int array that lists, gets and
-    compares as the dict it stands for (``_LawView``).
+    a read-only view of the law's (n, n) int array that gets and compares
+    as the dict it stands for and lists its entries in one fixed order, which
+    no output depends on (``_LawView``).
 
     ``rows`` is mul indexed by its left factor, rows[i][j] = mul[(i, j)] for
     the nonzero cells, built with the algebra so products walk one row
@@ -157,7 +161,7 @@ def function_algebra(group: Group, backend) -> HopfAlgebra:
     Product is pointwise, the coproduct of an indicator sums the indicator
     pairs over factorizations of its point, the counit evaluates at the
     identity, and the antipode precomposes with inversion.  The coproduct
-    is the group's law (``_Fibres``), its points listed in index order.
+    is the group's law (``_Fibres``).
     """
     elems, law, inverse, e = _cayley_table(group)
     n = len(elems)
@@ -168,7 +172,7 @@ def function_algebra(group: Group, backend) -> HopfAlgebra:
         backend=backend,
         mul={(i, i): {i: one} for i in range(n)},
         unit={i: one for i in range(n)},
-        comul=_Fibres(law, one, lambda: np.argsort(law.ravel(), kind="stable")),
+        comul=_Fibres(law, one),
         counit={e: one},
         antipode={i: {inverse[i]: one} for i in range(n)},
     )
@@ -214,42 +218,18 @@ def _index(key, n: int):
     return i if 0 <= i < n else None
 
 
-def _grouped(cells: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """cells regrouped as ``_transpose`` regroups a sparse map: stably by point, the points in the
-    order each first appears, with points[m] the point of cells[m].  Each of the n points has n
-    cells, so row r of the (n, n) result lists the cells of the r-th point."""
-    _, first = np.unique(points, return_index=True)
-    n = len(first)
-    rank = np.empty(n, dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(n)
-    return cells[np.argsort(rank[points], kind="stable")].reshape(n, n)
-
-
-def _listing(points: list) -> tuple[list, list]:
-    """(points, position): the n points in listed order, and position[k], where k is listed."""
-    position = [0] * len(points)
-    for r, k in enumerate(points):
-        position[k] = r
-    return points, position
-
-
-def _kron_cells(hc: np.ndarray, kc: np.ndarray, dh: int, dk: int) -> np.ndarray:
-    """The cells of a tensor product's law for every pair of a cell s of h's law (hc, over dim dh)
-    and a cell t of k's (kc, over dk), s outer: cell (i1, i2) with (j1, j2) is cell
-    (i1 dk + j1, i2 dk + j2), as ``tensor_hopf`` indexes pairs.  Any leading shapes broadcast."""
-    (si, sj), (ti, tj) = np.divmod(hc, dh), np.divmod(kc, dk)
-    return (si * dk + ti) * (dh * dk) + sj * dk + tj
-
-
 class _View(Mapping):
     """A read-only Mapping that reads as a dict, ``==`` as dict equality either way round, with no
-    entry spelled out for a length that differs.  A subclass lists its (key, value) pairs by
-    ``_items``."""
+    entry spelled out for a length that differs.  ``items()`` lists ``_items``, (key, self[key])
+    over the keys, which a subclass may list faster."""
 
     __slots__ = ()
 
     def items(self):
         return _ItemsView(self)
+
+    def _items(self):
+        return ((k, self[k]) for k in self)
 
     def __eq__(self, other):
         if not isinstance(other, Mapping):
@@ -269,25 +249,22 @@ class _ItemsView(ItemsView):
 
 class _LawView(_View):
     """A monomial tensor stored as its law: law[i, j] = k on every pair (i, j) of range(n)^2, each
-    coefficient ``one``, read as the dict of dicts it stands for.  law is a read-only intp array,
-    a group's law or a tensor product of such, so each row and each column is a permutation of
-    range(n).
+    coefficient ``one``, read as the dict of dicts it stands for.  law is a read-only (n, n) intp
+    array of points in range(n), such as a group's law or a tensor product of such.
 
-    The n^2 cells, flat indices i n + j, are listed in the order the dict lists them: ``cells``,
-    given as None for row-major order or as a function that returns it, called on first use.  Two
-    views of one role are equal when their laws and ones are; ``transposed`` hands the same array
-    over in the other role.  Python loops read ``flat()``, the law as one list, made once."""
+    A view lists in one fixed order: ``_Products`` row-major, ``_Fibres`` the keys 0..n-1 with
+    each fibre row-major, ``_Rows`` and ``_Row`` range(n).  No output depends on it: every
+    coefficient is ``one``; ``_apply`` adds at most one term per key for each input entry;
+    ``mul_vec`` sums in the order of v and w, and never walks a view's row, which has n cells;
+    the sums of ``pair_mul`` over fibres add equal terms; every witness tag comes from a ``range``
+    loop; and ``compare`` folds over a key union.  Two views of one role are equal when their laws
+    and ones are; ``transposed`` hands the same array over in the other role.  Python loops read
+    ``flat()``, the law as one list, made once."""
 
-    __slots__ = ("law", "one", "_cells", "_memo")
+    __slots__ = ("law", "one", "_memo")
 
-    def __init__(self, law: np.ndarray, one, cells=None):
-        self.law, self.one, self._cells, self._memo = law, one, cells, {}
-
-    def cells(self) -> np.ndarray:
-        if "cells" not in self._memo:
-            c = self._cells
-            self._memo["cells"] = np.arange(self.law.size) if c is None else c()
-        return self._memo["cells"]
+    def __init__(self, law: np.ndarray, one):
+        self.law, self.one, self._memo = law, one, {}
 
     def flat(self) -> list:
         if "flat" not in self._memo:
@@ -313,7 +290,7 @@ class _LawView(_View):
 
 
 class _Products(_LawView):
-    """A product that is a monomial law: mul[(i, j)] == {law[i, j]: one}."""
+    """A product that is a monomial law: mul[(i, j)] == {law[i, j]: one}, listed row-major."""
 
     __slots__ = ()
 
@@ -321,12 +298,11 @@ class _Products(_LawView):
         return self.law.size
 
     def __iter__(self):
-        n = len(self.law)
-        return (divmod(c, n) for c in self.cells().tolist())
+        return itertools.product(range(len(self.law)), repeat=2)
 
     def _items(self):
         n, flat, one = len(self.law), self.flat(), self.one
-        return ((divmod(c, n), {flat[c]: one}) for c in self.cells().tolist())
+        return (((i, j), {flat[i * n + j]: one}) for i, j in self)
 
     def __getitem__(self, key):
         c = self._cell(key)
@@ -335,34 +311,29 @@ class _Products(_LawView):
         return {self.flat()[c]: self.one}
 
     def transposed(self) -> "_Fibres":
-        return _Fibres(self.law, self.one, lambda: _grouped(self.cells(), self.law.ravel()[self.cells()]).ravel())
+        return _Fibres(self.law, self.one)
 
 
 class _Fibres(_LawView):
     """A coproduct that is a monomial law: comul[k] == {(i, j): one for every law[i, j] == k}, a
-    ``_Fibre``.  cells lists the fibres one after another, n cells each, in key order."""
+    ``_Fibre``, for k in range(n); a fibre may hold any number of cells, none included."""
 
     __slots__ = ()
 
-    def runs(self) -> np.ndarray:
-        """The cells as an (n, n) array, row r the fibre of the r-th key."""
-        n = len(self.law)
-        return self.cells().reshape(n, n)
-
-    def listing(self) -> tuple[list, list]:
-        """``_listing`` of the points, each the point of its row of runs()."""
-        if "listing" not in self._memo:
-            self._memo["listing"] = _listing(self.law.ravel()[self.runs()[:, 0]].tolist())
-        return self._memo["listing"]
+    def fibres(self) -> tuple:
+        """(cells, bounds): the flat cells in one stable argsort of their points, and the list
+        bounds, with the fibre of k at cells[bounds[k]:bounds[k + 1]], made once."""
+        if "fibres" not in self._memo:
+            points = self.law.ravel()
+            bounds = [0, *np.cumsum(np.bincount(points, minlength=len(self.law))).tolist()]
+            self._memo["fibres"] = np.argsort(points, kind="stable"), bounds
+        return self._memo["fibres"]
 
     def __len__(self):
         return len(self.law)
 
     def __iter__(self):
-        return iter(self.listing()[0])
-
-    def _items(self):
-        return ((k, _Fibre(self, k)) for k in self)
+        return iter(range(len(self.law)))
 
     def __getitem__(self, key):
         k = _index(key, len(self.law))
@@ -371,11 +342,11 @@ class _Fibres(_LawView):
         return _Fibre(self, k)
 
     def transposed(self) -> _Products:
-        return _Products(self.law, self.one, self.cells)
+        return _Products(self.law, self.one)
 
 
 class _Fibre(_View):
-    """One fibre of a ``_Fibres``: {(i, j): one for every law[i, j] == k}, in the listed order."""
+    """One fibre of a ``_Fibres``: {(i, j): one for every law[i, j] == k}, listed row-major."""
 
     __slots__ = ("_law", "_k")
 
@@ -383,11 +354,12 @@ class _Fibre(_View):
         self._law, self._k = law, k
 
     def __len__(self):
-        return len(self._law.law)
+        _, bounds = self._law.fibres()
+        return bounds[self._k + 1] - bounds[self._k]
 
     def __iter__(self):
-        law, n = self._law, len(self._law.law)
-        return (divmod(c, n) for c in law.runs()[law.listing()[1][self._k]].tolist())
+        (cells, bounds), n = self._law.fibres(), len(self._law.law)
+        return (divmod(c, n) for c in cells[bounds[self._k]:bounds[self._k + 1]].tolist())
 
     def _items(self):
         one = self._law.one
@@ -401,32 +373,19 @@ class _Fibre(_View):
 
 
 class _Rows(_View):
-    """``HopfAlgebra.rows`` of a ``_Products``: rows[i][j] == mul[(i, j)], a ``_Row``.  The rows
-    are listed in the order of their first cells in mul, and each row's cells in mul's order, as
-    building the dict cell by cell would list them."""
+    """``HopfAlgebra.rows`` of a ``_Products``: rows[i][j] == mul[(i, j)], a ``_Row``, for i in
+    range(n)."""
 
-    __slots__ = ("_mul", "_memo")
+    __slots__ = ("_mul",)
 
     def __init__(self, mul: _Products):
-        self._mul, self._memo = mul, {}
-
-    def order(self) -> tuple:
-        """(cells, listing): mul's cells as an (n, n) array, row r the cells of the r-th row listed,
-        and ``_listing`` of the rows."""
-        if "order" not in self._memo:
-            m, n = self._mul, len(self)
-            cells = _grouped(m.cells(), m.cells() // n)
-            self._memo["order"] = cells, _listing((cells[:, 0] // n).tolist())
-        return self._memo["order"]
+        self._mul = mul
 
     def __len__(self):
         return len(self._mul.law)
 
     def __iter__(self):
-        return iter(self.order()[1][0])
-
-    def _items(self):
-        return ((i, _Row(self, i)) for i in self)
+        return iter(range(len(self)))
 
     def __getitem__(self, key):
         i = _index(key, len(self))
@@ -436,7 +395,7 @@ class _Rows(_View):
 
 
 class _Row(_View):
-    """Row i of a ``_Rows``: {j: {law[i, j]: one}}."""
+    """Row i of a ``_Rows``: {j: {law[i, j]: one}} for j in range(n)."""
 
     __slots__ = ("_rows", "_i")
 
@@ -447,11 +406,7 @@ class _Row(_View):
         return len(self._rows)
 
     def __iter__(self):
-        cells, (_, position) = self._rows.order()
-        return iter((cells[position[self._i]] % len(self._rows)).tolist())
-
-    def _items(self):
-        return ((j, self[j]) for j in self)
+        return iter(range(len(self._rows)))
 
     def __getitem__(self, key):
         n = len(self._rows)
@@ -679,7 +634,7 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
     literally the same tensors.  A law view is handed over in the other role,
     on the same array with no copy: the group algebra's product becomes the
     dual's coproduct, and the function algebra's coproduct the dual's
-    product, each listed as ``_transpose`` would list the dict.
+    product, each listed in its role's fixed order (``_LawView``).
     """
     return HopfAlgebra(
         dim=h.dim,
@@ -1062,11 +1017,11 @@ def _law_characters(h: HopfAlgebra, law) -> list[dict]:
 def require_group_part_order(group: Group, algebra: str, runs: int) -> None:
     """ConfigError at "" for a group_part config past its cap, the one size rule of either mode;
     runs is how many modes the config asks for (1, or 2 for both).  A group algebra ("group") is
-    capped at order GROUP_PART_GROUP_ORDER_CAP in any mode, set when its n^2 product dicts bound
-    memory.  A function algebra
-    ("function") costs about characters x order^2 per run in either mode on the float backend, which
-    binds (the exact backend reads root exponents on arrays), and runs x characters x order^2 is
-    capped at that of one run on an abelian group of order GROUP_PART_FUNCTION_ORDER_CAP.
+    capped at order GROUP_PART_GROUP_ORDER_CAP in any mode; its work is n^2 array reads of the law,
+    and neither time nor memory binds at the cap.  A function algebra ("function") costs about
+    characters x order^2 per run in either mode on the float backend, which binds (the exact backend
+    reads root exponents on arrays), and runs x characters x order^2 is capped at that of one run on
+    an abelian group of order GROUP_PART_FUNCTION_ORDER_CAP.
     The count of characters, |G / [G, G]|, is the order for an abelian group and 2 for a symmetric
     group of degree >= 2 (the trivial and the sign character), and the order, a bound, for any other."""
     n = group.order
@@ -1669,20 +1624,13 @@ def tensor_hopf(h: HopfAlgebra, k: HopfAlgebra) -> HopfAlgebra:
     def blocks(hm, km, outer, inner):
         """The tensor of two sparse maps: column (s, t) is the outer product of columns s and t.
         Of two law views in one role it is the Kronecker law law_h[i1, i2] dk + law_k[j1, j2] at
-        (i1 dk + j1, i2 dk + j2), its cells listed in the order of the dict's blocks."""
+        (i1 dk + j1, i2 dk + j2), listed in its role's fixed order (``_LawView``)."""
         if not (type(hm) is type(km) and isinstance(hm, _LawView)
                 and len(hm.law) == dh and len(km.law) == dk):
             return {outer(s, t): _kron(b, x, y, inner) for s, x in hm.items() for t, y in km.items()}
         law = (hm.law[:, None, :, None] * dk + km.law[None, :, None, :]).reshape(dh * dk, dh * dk)
         law.flags.writeable = False
-
-        def cells():
-            if isinstance(hm, _Products):   # cell t of k inside cell s of h
-                return _kron_cells(hm.cells()[:, None], km.cells(), dh, dk).ravel()
-            # fibre t of k inside fibre s of h, then cell q of k inside cell p of h
-            return _kron_cells(hm.runs()[:, None, :, None], km.runs()[None, :, None, :], dh, dk).ravel()
-
-        return type(hm)(law, b.mul(hm.one, km.one), cells)
+        return type(hm)(law, b.mul(hm.one, km.one))
 
     return HopfAlgebra(
         dim=h.dim * k.dim,

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from dualitylab import hopf
 from dualitylab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,3 +58,36 @@ def test_goldens_agree_with_benchmark_digests(tmp_path, capsys):
         assert main(["--config", str(path), "--out", str(tmp_path / name)]) == 0
         capsys.readouterr()
         assert sha256s(tmp_path / name) == DIGESTS[name], name
+
+
+LAW_VIEWS = (hopf._Products, hopf._Fibres, hopf._Fibre, hopf._Rows, hopf._Row)
+LAW_CONFIGS = [c for c in CONFIGS if c.stem.startswith(("hopf_axioms_", "group_part_", "tensor_iso_", "duality_cycle_"))]
+# the committed configs and the float instances read every law view by lookup or as its array; a
+# float group-part on the function algebra lists fibres, as _is_grouplike applies the coproduct
+FIBRES_LISTED = {"command": "group-part", "group": {"kind": "finite_abelian", "orders": [2, 3]},
+                 "algebra": "function", "mode": "both", "backend": "float"}
+
+
+def test_law_view_listing_order_reaches_no_byte(monkeypatch, tmp_path, capsys):
+    def run(name, config):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(path), "--out", str(tmp_path / name)]) == 0
+        return sha256s(tmp_path / name)
+
+    forward = run("fibres-listed", FIBRES_LISTED)
+    # every law view lists its entries in reverse
+    listed = []
+    for cls in LAW_VIEWS:
+        def reversed_listing(self, _iter=cls.__iter__):
+            listed.append(type(self))
+            return reversed(list(_iter(self)))
+        monkeypatch.setattr(cls, "__iter__", reversed_listing)
+    for config in LAW_CONFIGS:
+        main(["--config", str(config), "--out", str(tmp_path / config.stem)])
+        assert sha256s(tmp_path / config.stem) == sha256s(GOLDEN_DIR / config.stem), config.stem
+    for name, config in FLOAT_INSTANCES.items():
+        assert run(name, config) == DIGESTS[name], name
+    assert run("fibres-listed-reversed", FIBRES_LISTED) == forward
+    capsys.readouterr()
+    assert len(LAW_CONFIGS) == 8 and hopf._Fibre in listed

@@ -88,22 +88,19 @@ HITS_AS_OTHER_TYPES = [True, 1.0, np.int64(1), (True, 0), (np.int64(0), 1.0)]
 
 
 def assert_reads_match(view, plain, depth=1):
-    """Every read the library makes of a Mapping, on view and on plain, alike."""
-    assert len(view) == len(plain)
-    assert list(view) == list(plain)
-    assert list(view.keys()) == list(plain.keys())
-    assert view.keys() == plain.keys()
-    assert [k for k, _ in view.items()] == [k for k, _ in plain.items()]
-    assert {**view} == plain and list({**view}) == list(plain)
+    """Every read the library makes of a Mapping, on view and on plain, alike, in any listing
+    order: each lists the same keys once, with the same entries."""
+    assert len(view) == len(plain) == len(list(view)) == len(view.items())
+    assert set(view) == set(plain.keys()) and view.keys() == plain.keys()
+    assert {k for k, _ in view.items()} == set(plain)
+    assert {**view} == plain and dict(view) == plain
     assert view == plain and plain == view and not view != plain and not plain != view
     for key, value in plain.items():
         assert key in view and view[key] == value and value == view[key] and view.get(key) == value
         if depth:
             assert_reads_match(view[key], value, depth - 1)
     for key, got in view.items():
-        assert got == plain[key]
-    for key, got in zip(view.values(), plain.values()):
-        assert key == got
+        assert got == plain[key] and got == view[key]
     for key in MISSES + HITS_AS_OTHER_TYPES:
         assert (key in view) == (key in plain), key
         assert view.get(key, "missing") == plain.get(key, "missing"), key
@@ -123,6 +120,26 @@ def assert_reads_match(view, plain, depth=1):
         assert view != other and other != view and not view == other and not other == view
 
 
+def checked(h):
+    """What the checks make of h, as repr and residual.hex() strings: ``check_hopf_axioms``,
+    ``_tensor_fold`` of h against itself and the cell fold it stands for, and ``group_part`` in
+    both modes, or the ValueError it raises."""
+    def shown(c):
+        return repr(c), c.residual.hex()
+
+    b = h.backend
+    got = [shown(c) for side in hopf.check_hopf_axioms(h) for c in side]
+    got += [shown(hopf._tensor_fold("self", b, h, h)), shown(hopf.fold_checks("self", b, hopf._tensor_cells(h, h)))]
+    for mode in ("closed_form", "brute_force"):
+        try:
+            part = hopf.group_part(h, mode)
+        except ValueError as e:
+            got.append(str(e))
+        else:
+            got.append((repr(part), part.worst_residual.hex()))
+    return got
+
+
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(g=groups(), build=st.sampled_from([function_algebra, group_algebra]),
        kind=st.sampled_from(sorted(BACKENDS)), data=st.data())
@@ -133,7 +150,7 @@ def test_law_views_read_as_the_dicts_they_replace(g, build, kind, data):
     for name in ("mul", "comul", "rows"):
         assert_reads_match(getattr(view, name), getattr(plain, name))
     assert view == plain and hopf.same_tensors(view, plain) and hopf.same_tensors(plain, view)
-    assert repr(view.mul) == repr(plain.mul) and repr(view.comul) == repr(plain.comul)
+    assert checked(view) == checked(plain)
     assert hopf.same_tensors(dual_hopf(dual_hopf(view)), view)
     # replace builds rows again, from whatever mul it is given
     other = make_group(GroupSpec.finite_abelian([view.dim]))
@@ -144,25 +161,10 @@ def test_law_views_read_as_the_dicts_they_replace(g, build, kind, data):
     assert_reads_match(view.rows, as_dict.rows)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(g=groups(), data=st.data())
-def test_a_law_view_listed_in_any_order_reads_as_its_dict(g, data):
-    b = BACKENDS["cyclotomic"]()
-    law = hopf._cayley_table(g)[1]
-    n = len(law)
-    cells = np.array(data.draw(st.permutations(range(n * n))), dtype=np.intp)
-    view = hopf._Products(law, b.one, lambda: cells)
-    plain = {divmod(int(c), n): {int(law.flat[c]): b.one} for c in cells}
-    h, k = (dataclasses.replace(group_algebra(g, b), mul=mul) for mul in (view, plain))
-    assert_reads_match(h.mul, k.mul)
-    assert_reads_match(h.rows, k.rows)
-    for step in range(2):
-        h, k = dual_hopf(h), dual_hopf(k)
-        assert_reads_match(h.comul if step == 0 else h.mul, k.comul if step == 0 else k.mul)
-    assert_reads_match(h.rows, k.rows)
-
-
-def test_law_views_share_one_array_and_hold_no_cells():
+def test_law_views_share_one_array_and_hold_no_cells(monkeypatch):
+    sorts = []
+    fibres = hopf._Fibres.fibres
+    monkeypatch.setattr(hopf._Fibres, "fibres", lambda self: sorts.append(self) or fibres(self))
     g = make_group(GroupSpec.symmetric(4))
     b = make_backend("cyclotomic", order=1)
     f, h = function_algebra(g, b), group_algebra(g, b)
@@ -172,24 +174,24 @@ def test_law_views_share_one_array_and_hold_no_cells():
     assert not law.flags.writeable
     assert hopf._monomial_law(h) is law and hopf._monomial_law(f, coproduct=True) is law
     assert hopf._coproduct_terms(f.comul) == sum(map(len, dict_algebra(function_algebra, g, b).comul.values()))
-    # the axioms of both algebras and their duals, as hopf-axioms runs them, list no cell and no
-    # fibre: each law is read as its array, and each row by index
+    # the axioms of both algebras and their duals, as hopf-axioms runs them, list no fibre, so no
+    # view sorts its cells by point: each law is read as its array, and each row by index
     for k in (f, h):
         assert all(c.passed for side in hopf.check_hopf_axioms(k) for c in side)
     assert hopf.same_tensors(dual_hopf(h), f)
-    assert "cells" not in f.comul._memo and "cells" not in h.mul._memo
+    assert sorts == [] and "fibres" not in f.comul._memo
     # views of one law compare their coefficients too, as the dicts do
     two = b.from_int(2)
     for view in (h.mul, f.comul):
-        other = type(view)(law, two, view._cells)
+        other = type(view)(law, two)
         assert view != other and dict(view.items()) != dict(other.items())
-        assert view == type(view)(law.copy(), b.from_int(1), view._cells)
+        assert view == type(view)(law.copy(), b.from_int(1))
 
 
 def corrupt(h, part, picks, b):
-    """h with one 0/1 edit: one product cell of its law moved to another point, or two points of its
-    law swapped, an antipode image moved, or a unit or counit point moved, dropped or added.  A
-    coproduct law has its points swapped, so it keeps a group law's shape and its fibres read."""
+    """h with one 0/1 edit: one cell of its law moved to another point, which leaves fibres of
+    other sizes than n, or two points of its law swapped, an antipode image moved, or a unit or
+    counit point moved, dropped or added."""
     n, (p, q, r) = h.dim, (x % h.dim for x in picks)
     if part == "law":
         name = "mul" if isinstance(h.mul, hopf._LawView) else "comul"
@@ -199,14 +201,13 @@ def corrupt(h, part, picks, b):
         swap = np.arange(n)
         swap[[p, q]] = q, p
         law = swap[view.law]
-        if name == "mul" and r % 2:   # one cell alone
+        if r % 2:   # one cell alone
             law = view.law.copy()
             law[p, q] = (law[p, q] + 1 + r) % n
         law.flags.writeable = False
         if name == "mul":
             return dataclasses.replace(h, mul=hopf._Products(law, view.one))
-        fibres = hopf._Fibres(law, view.one, lambda: np.argsort(law.ravel(), kind="stable"))
-        return dataclasses.replace(h, comul=fibres)
+        return dataclasses.replace(h, comul=hopf._Fibres(law, view.one))
     if part == "inverse":
         return dataclasses.replace(h, antipode={**h.antipode, p: {q: b.one}})
     vec = dict(getattr(h, part))
@@ -263,7 +264,7 @@ def test_tensor_iso_read_takes_the_first_differing_cell_of_either_law():
     swapped = np.where(law == 0, 1, np.where(law == 1, 0, law))
     # the product differs from row 2 on, the coproduct at the points 0 and 1
     k = dataclasses.replace(h, mul=hopf._Products(np.where(np.arange(4)[:, None] >= 2, swapped, law), b.one),
-                            comul=hopf._Fibres(swapped, b.one, lambda: np.argsort(swapped.ravel(), kind="stable")))
+                            comul=hopf._Fibres(swapped, b.one))
     got = hopf._tensor_fold("", b, h, k)
     assert got == hopf.fold_checks("", b, hopf._tensor_cells(h, k))
     assert got.detail == "comul 0"
@@ -308,23 +309,44 @@ def test_each_group_builds_one_cayley_table_per_run(monkeypatch, tmp_path, capsy
     assert json.loads((tmp_path / "out0" / "report.json").read_text())["allPass"]
 
 
+X, Y = ((1,), (0,)), ((0,), (1,))   # elements 3 and 1 of Z2xZ3, whose product is element 4, ((1,), (1,))
+
+
+def corrupted(left, right):
+    """The direct product of left and right, with the one product X * Y moved to element 5."""
+    prod = DirectProductGroup(left, right)
+    mul = prod.mul
+    prod.mul = lambda s, t: ((1,), (2,)) if (s, t) == (X, Y) else mul(s, t)
+    return prod
+
+
 def test_tensor_iso_reads_the_product_groups_own_law(monkeypatch):
     # one corrupted product of the product group: its law is its own mul loop, not the factors'
     # laws put together, so each side fails at the first cell the corruption reaches
     b = make_backend("cyclotomic", order=1)
     z2, z3 = (make_group(GroupSpec.finite_abelian([n])) for n in (2, 3))
     assert all(c.passed for c in hopf.product_iso_check(z2, z3, b))
-    x, y = ((1,), (0,)), ((0,), (1,))   # elements 3 and 1, whose product is element 4, ((1,), (1,))
-
-    def corrupted(left, right):
-        prod = DirectProductGroup(left, right)
-        mul = prod.mul
-        prod.mul = lambda s, t: ((1,), (2,)) if (s, t) == (x, y) else mul(s, t)   # element 5
-        return prod
-
     monkeypatch.setattr(hopf, "direct_product", corrupted)
     got = hopf.product_iso_check(z2, z3, b)
     # the group algebra's product differs at cell (3, 1); the function algebra's coproduct at the
     # fibres of 4 and 5, and its product, pointwise, not at all
     assert [(c.name, c.passed, c.detail) for c in got] == [
         ("convolution-side", False, "mul (3,1)"), ("function-side", False, "comul 4")]
+
+
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_fibres_of_a_law_that_is_no_group_law_read_as_their_dict(kind):
+    # on the corrupted product the fibre of 4 has 5 cells and that of 5 has 7: each view fibre
+    # lists, counts and finds the cells the dict built by the loop holds, and no other
+    b = BACKENDS[kind]()
+    prod = corrupted(*(make_group(GroupSpec.finite_abelian([n])) for n in (2, 3)))
+    view, plain = function_algebra(prod, b).comul, dict_algebra(function_algebra, prod, b).comul
+    assert [len(plain[k]) for k in range(6)] == [6, 6, 6, 6, 5, 7]
+    for k, fibre in plain.items():
+        assert dict(view[k]) == fibre and len(view[k]) == len(fibre)
+        assert all(view[k][ij] == one for ij, one in fibre.items())
+        for ij in set(np.ndindex(6, 6)) - fibre.keys():
+            assert ij not in view[k] and view[k].get(ij) is None
+    assert view == plain and plain == view
+    assert_reads_match(view, plain)
+    assert_reads_match(dual_hopf(dual_hopf(function_algebra(prod, b))).comul, plain)
