@@ -660,12 +660,15 @@ def _monomial_law(h: HopfAlgebra, coproduct: bool = False):
     The product cell mul[(i, j)] = {k: one} and the coproduct term comul[k] = {(i, j): one} spell
     the same entry: the product of a group algebra and the coproduct of a function algebra are
     the group law.  A law view (``_Products``, ``_Fibres``) in that role gives its array at once;
-    any other tensor is read in place, in one pass.
+    any other tensor is read in place, in one pass, once its count of cells (product) or terms
+    (coproduct) is dim^2, which a law needs: a diagonal tensor has dim of them.
     """
     one, dim = h.backend.one, h.dim
     tensor = h.comul if coproduct else h.mul
     if isinstance(tensor, _Fibres if coproduct else _Products):
         return tensor.law if tensor.one == one and len(tensor.law) == dim else None
+    if (_coproduct_terms(tensor) if coproduct else len(tensor)) != dim * dim:
+        return None
     if coproduct:
         entries = ((ij, k, x) for k, cell in tensor.items() for ij, x in cell.items())
     else:
@@ -680,6 +683,25 @@ def _monomial_law(h: HopfAlgebra, coproduct: bool = False):
         law[i][j] = k
         count += 1
     return np.array(law, dtype=np.intp).reshape(dim, dim) if count == dim * dim else None
+
+
+def _permutation(h: HopfAlgebra) -> list[int] | None:
+    """The permutation p that h's antipode spells out, antipode[i] == {p[i]: one} for i in range(n),
+    read in ``_monomial_law``'s manner; None unless the keys are the ints of range(n), each column
+    holds one int of range(n) whose coefficient is literally == one, and p is a bijection.  The
+    antipodes of the group and function algebras, and their duals', are the inverse map."""
+    one, n = h.backend.one, h.dim
+    if len(h.antipode) != n:
+        return None
+    p = [-1] * n
+    for i, col in h.antipode.items():
+        if type(i) is not int or not 0 <= i < n or p[i] != -1 or len(col) != 1:
+            return None
+        (k, x), = col.items()
+        if type(k) is not int or not 0 <= k < n or not x == one:
+            return None
+        p[i] = k
+    return p if len(set(p)) == n else None
 
 
 def _diagonal_product(h: HopfAlgebra):
@@ -1281,6 +1303,24 @@ def _fold_cells(res, tolerance) -> list[int]:
     return sorted({*np.flatnonzero(flat > tolerance)[:1].tolist(), int(flat.argmax())})
 
 
+def _read_cells(b, x, y, values) -> list:
+    """((a, c), lhs, rhs) for the cells of two dense reads x and y of one (m, n) layout that a fold
+    of x against y over every cell must see, in (a, c) order: both exponent arrays (``_exponents``)
+    or both (re, im) pairs (``_floats``).  On exponents these are the cells that differ, as an equal
+    cell adds residual 0.0 and no witness; a cell where either side is a hole is decided by ``b.eq``
+    on values(a, c), the two backend values the fold compares there, which every listed cell takes.
+    On floats they are the first cell past the tolerance and the first worst one (``_fold_cells``),
+    valued from the read's parts."""
+    if isinstance(x, tuple):
+        res = np.hypot(x[0] - y[0], x[1] - y[1])
+        return [(cell, complex(x[0][cell], x[1][cell]), complex(y[0][cell], y[1][cell]))
+                for cell in (divmod(f, res.shape[1]) for f in _fold_cells(res, b.tolerance))]
+    bad = x != y
+    for a, c in np.argwhere((x < 0) | (y < 0)).tolist():
+        bad[a, c] = not b.eq(*values(a, c))
+    return [((a, c), *values(a, c)) for a, c in np.argwhere(bad).tolist()]
+
+
 def _float_hom_pairs(b, m, d, law):
     """(tag, lhs, rhs) of the cells a multiplicative fold must see, in (i, j) order, for a map read
     by ``_floats`` as m, a diagonal d as (re, im) length-n vectors and a law as an (n, n) int array:
@@ -1426,17 +1466,42 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
     Each multiplicative fold reads its domain's law and its codomain's
     diagonal where they have one (``_algebra_hom``), as both maps of a
     character table do: the group algebra onto a function algebra, and the
-    function algebra's dual onto the group algebra's dual.
+    function algebra's dual onto the group algebra's dual.  The antipode
+    fold reads each antipode as a permutation and phi's dense read where
+    both hold, as on a character table, whose antipodes are the inverse map
+    (``_antipode_hom``); any other map is folded on two ``_compose`` sums.
     """
-    h, k, b = phi.domain, phi.codomain, phi.domain.backend
+    h, k = phi.domain, phi.codomain
     transpose = LinearMap(dual_hopf(k), dual_hopf(h), _transpose(phi.columns))
     hom = _algebra_hom(phi)
     shared = (transpose.columns == phi.columns and same_tensors(transpose.domain, h)
               and same_tensors(transpose.codomain, k))
-    left, right = _compose(b, k.antipode, phi.columns), _compose(b, phi.columns, h.antipode)
-    antipode = fold_checks("antipode", b, ((str(i), left.get(i, {}), right.get(i, {})) for i in range(h.dim)))
     return _sides((hom, hom if shared else _algebra_hom(transpose)), ("comultiplicative", "counital"),
-                  (antipode,))
+                  (_antipode_hom(phi),))
+
+
+def _antipode_hom(phi: LinearMap) -> CheckResult:
+    """The antipode condition of phi: h -> k, S_k phi = phi S_h column by column, witness the column.
+
+    When phi's dense read holds and each antipode reads as a permutation (``_permutation``, ph of h
+    and pk of k), column i of S_k phi is M[pk^-1[s], i] one at s and of phi S_h one M[s, ph[i]], so
+    the fold compares two arrays of the read laid out (i, s), each cell ``_read_cells`` lists one
+    pair tagged with its column, which folds to the columns' verdict, residual and witness.  On
+    floats no product by one is formed: x one equals x but perhaps in the sign of a zero, which no
+    residual sees.  Otherwise both sides are ``_compose`` sums."""
+    h, k, b = phi.domain, phi.codomain, phi.domain.backend
+    read, ph, pk = phi._dense, _permutation(h), _permutation(k)
+    if read is None or ph is None or pk is None:
+        left, right = _compose(b, k.antipode, phi.columns), _compose(b, phi.columns, h.antipode)
+        return fold_checks("antipode", b, ((str(i), left.get(i, {}), right.get(i, {})) for i in range(h.dim)))
+    back, one, cols = np.argsort(pk).tolist(), b.one, phi.columns
+
+    def laid(f):
+        return tuple(map(f, read)) if isinstance(read, tuple) else f(read)
+
+    cells = _read_cells(b, laid(lambda m: m[back].T), laid(lambda m: m[:, ph].T),
+                        lambda i, s: (b.mul(cols[i][back[s]], one), b.mul(one, cols[ph[i]][s])))
+    return fold_checks("antipode", b, ((str(i), {s: u}, {s: v}) for (i, s), u, v in cells))
 
 
 def unitarity_check(phi: LinearMap) -> CheckResult:
@@ -1478,6 +1543,17 @@ class CycleReport:
     @property
     def passed(self) -> bool:
         return all(s.passed for s in self.stages)
+
+
+def _transpose_columns(phi: LinearMap, s_map: LinearMap) -> CheckResult:
+    """The transpose-columns stage: every entry of phi against s_map's, one pair with no witness.
+    When both dense reads hold, the fold sees the cells ``_read_cells`` lists; otherwise every
+    entry (``_entries``)."""
+    b, x, y = phi.domain.backend, phi._dense, s_map._dense
+    if x is None or y is None:
+        return fold_checks("transpose-columns", b, [("", _entries(phi.columns), _entries(s_map.columns))])
+    cells = _read_cells(b, x, y, lambda r, c: (phi.columns[c][r], s_map.columns[c][r]))
+    return fold_checks("transpose-columns", b, [("", {rc: u for rc, u, _ in cells}, {rc: v for rc, _, v in cells})])
 
 
 def perturb_entry(perturb, order: int) -> tuple[int, ...]:
@@ -1544,6 +1620,14 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     a map ``_floats`` turns away (a missing or non-finite entry, rows or
     columns out of order) is summed through the backend.
 
+    The antipode condition and transpose-columns compare two arrays of the
+    dense reads cell by cell (``_read_cells``): phi's read with its rows and
+    its columns permuted by the two antipodes (``_antipode_hom``), and phi's
+    read with the dual side's map's (``_transpose_columns``).  Exact, they
+    list the cells whose exponents differ, a cell at a hole decided by the
+    backend; float, the first failing and the first worst cell.  Where a
+    read does not hold they fold ``_compose`` sums and every entry.
+
     ``perturb`` bumps one matrix entry before checking; a single corrupted
     entry must trip at least one stage.
     """
@@ -1565,7 +1649,7 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     # which is the dual side's table read by rows: value(m, t) and value(t, m) share one root index
     table = _character_table(dual_group(group), b)
     s_map = LinearMap(phi.domain, phi.codomain, _transpose(table))
-    stages.append(fold_checks("transpose-columns", b, [("", _entries(phi.columns), _entries(s_map.columns))]))
+    stages.append(_transpose_columns(phi, s_map))
 
     unitarity = unitarity_check(phi)
     stages.append(unitarity)

@@ -930,11 +930,11 @@ def test_duality_hom_fold_reads_the_law_and_the_diagonal(monkeypatch, kind, pert
     # the map and its transpose fold apart
     assert calls["mul_vec"] == 0
     # every entry is read as an array: exact, each is a root, the bumped one too (1 + z^2 = z in
-    # Z[z_6]); float, each is a finite complex.  So the multiplicative, unitarity and composite
-    # folds apply nothing: the antipode condition's two _compose and each unital fold's one are
-    # all that apply the map
+    # Z[z_6]); float, each is a finite complex.  Both antipodes read as permutations, so the
+    # multiplicative, antipode, unitarity and composite folds apply nothing: each unital fold's one
+    # apply is all there is
     assert calls["multiplicative"] == calls["unitarity"] == 0
-    assert calls[None] == 2 * g.order + (1 if perturb is None else 2)
+    assert calls[None] == (1 if perturb is None else 2)
 
 
 def test_hom_fold_into_a_group_algebra_multiplies_every_pair(monkeypatch):
@@ -1121,11 +1121,10 @@ def test_masked_cycle_matches_the_backend_folds(group, edits, line, missing):
         return
     holes = sorted([i, j] for j, col in columns.items() for i, x in col.items() if x not in b._log)
     assert rep.transform._holes == holes and np.argwhere(read < 0).tolist() == holes
-    # the gram, the dual side's gram and the composite are one root-sum call each, and the hom
-    # folds run on the read: the antipode condition's two _compose and each unital fold's one are
-    # all that apply the map
+    # the gram, the dual side's gram and the composite are one root-sum call each, and the hom and
+    # antipode folds run on the read: each unital fold's one apply is all there is
     assert sums.call_count == (2 if columns == fourier(g, b).columns else 3)
-    assert applies.call_count == 2 * n + (1 if hopf._transpose(columns) == columns else 2)
+    assert applies.call_count == (1 if hopf._transpose(columns) == columns else 2)
 
 
 @pytest.mark.parametrize("holes", ["half", "all"])
@@ -1287,6 +1286,160 @@ def test_the_float_read_falls_back(edit):
         assert rep.transform._dense is None
         with mock.patch.object(hopf, "_floats", return_value=None):
             assert stage_bits(rep) == stage_bits(cycle_of(g, b, columns))
+
+
+# edits of an antipode s = {i: {p[i]: one}}, of dimension n >= 2: "none" and "a rotation" (no
+# involution, unlike the inverse map) read as permutations, and every other one must not read, so the
+# fold takes the _compose sums
+READ_ANTIPODES = ("none", "a rotation")
+ANTIPODE_EDITS = {
+    "none": lambda b, s: s,
+    "a rotation": lambda b, s: {i: {(i + 1) % len(s): x for x in c.values()} for i, c in s.items()},
+    "coefficient 2": lambda b, s: {**s, 0: {k: b.add(x, x) for k, x in s[0].items()}},
+    "missing column": lambda b, s: {i: c for i, c in s.items() if i != len(s) - 1},
+    "two entries": lambda b, s: {**s, 0: {**s[0], **s[len(s) - 1]}},
+    "not a bijection": lambda b, s: {**s, 0: dict(s[len(s) - 1])},
+    "key out of range": lambda b, s: {**s, 0: {len(s): b.one}},
+    "key -1": lambda b, s: {**s, 0: {-1: b.one}},
+    "key True": lambda b, s: {i: {(True if k == 1 else k): x for k, x in c.items()} for i, c in s.items()},
+    "key 1.0": lambda b, s: {i: {(1.0 if k == 1 else k): x for k, x in c.items()} for i, c in s.items()},
+    "column key True": lambda b, s: {(True if i == 1 else i): c for i, c in s.items()},
+}
+# a new value for a float entry x: signed zeros, subnormals and parts at or near the read's bound keep
+# the read; a part past it drops the read
+FLOAT_BUMPS = {
+    "-0 real": lambda x: complex(-0.0, x.imag),
+    "-0 imag": lambda x: complex(x.real, -0.0),
+    "+0, -0": lambda x: complex(0.0, -0.0),
+    "subnormal": lambda x: complex(-5e-324, x.imag),
+    "at the bound": lambda x: complex(2.0**300, x.imag),
+    "near the bound": lambda x: complex(x.real, -2.0**300 * (1 - 2.0**-52)),
+    "within the tolerance": lambda x: x + 1e-12,
+    "plus one": lambda x: x + 1,
+    "past the bound": lambda x: complex(2.0**300 * (1 + 2.0**-52), 0.0),
+}
+ANTIPODE_GROUPS = {
+    **{f"Z{n}": [n] for n in range(2, 9)},
+    **{f"Z{a}xZ{c}": [a, c] for a, c in ((2, 2), (2, 3), (3, 3))},
+}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    group=st.sampled_from(sorted(ANTIPODE_GROUPS)),
+    kind=st.sampled_from(["float", "cyclotomic"]),
+    # a map of random roots (exact) or random complexes (float), whose residuals tell the cells apart,
+    # in place of the character table
+    seed=st.one_of(st.none(), st.integers(0, 2**16)),
+    shape=st.sampled_from(["square", "transposed", "non-square"]),
+    # about half the examples read, half must not
+    edit=st.one_of(st.sampled_from(READ_ANTIPODES), st.sampled_from(sorted(ANTIPODE_EDITS))),
+    # the antipodes edited; on both sides, two rotations, neither of which is its own inverse
+    side=st.sampled_from(["domain", "codomain", "both"]),
+    bumps=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=3),
+)
+@example(group="Z4", kind="float", seed=None, shape="square", edit="none", side="domain",
+         bumps=[(1, 2, 0), (3, 1, 1)])
+@example(group="Z6", kind="cyclotomic", seed=None, shape="square", edit="none", side="domain",
+         bumps=[(1, 2, 1)])
+# two holes that the antipode condition compares with each other: M[-s, i] against M[s, -i]
+@example(group="Z6", kind="cyclotomic", seed=None, shape="square", edit="none", side="domain",
+         bumps=[(1, 2, 0), (5, 4, 2)])
+# a codomain antipode that sends two basis vectors to one: S_k phi then adds two entries of a column
+@example(group="Z5", kind="float", seed=1, shape="square", edit="not a bijection", side="codomain",
+         bumps=[(0, 0, 6)])
+def test_read_antipode_and_columns_folds_match_the_generic_folds(group, kind, seed, shape, edit, side, bumps):
+    g = make_group(GroupSpec.finite_abelian(ANTIPODE_GROUPS[group]))
+    b, n = guard_backend(g, kind), g.order
+    phi = fourier(g, b)
+    if seed is not None:
+        rng = random.Random(seed)
+        phi = LinearMap(phi.domain, phi.codomain, {j: {i: b.root(rng.randrange(g.exponent), g.exponent) if b.exact
+                                                       else complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                                                       for i in range(n)} for j in range(n)})
+    if shape == "non-square":
+        # one row fewer: an n - 1 dimensional codomain
+        codomain = function_algebra(make_group(GroupSpec.finite_abelian([n - 1])), b)
+        phi = LinearMap(phi.domain, codomain, {j: {r: x for r, x in col.items() if r < n - 1}
+                                               for j, col in phi.columns.items()})
+    elif shape == "transposed":
+        phi = LinearMap(dual_hopf(phi.codomain), dual_hopf(phi.domain), hopf._transpose(phi.columns))
+    # the map to compare with in transpose-columns: phi with its first bumped entry made zero, a hole
+    # of the exact read that may meet a hole of the bumped map
+    i, j, _ = bumps[0]
+    other = {t: dict(col) for t, col in phi.columns.items()}
+    other[j % len(other)][i % len(other[j % len(other)])] = b.zero
+    other = LinearMap(phi.domain, phi.codomain, other)
+    columns = {t: dict(col) for t, col in phi.columns.items()}
+    for i, j, v in bumps:
+        j %= len(columns)
+        i %= len(columns[j])
+        x = columns[j][i]
+        if b.exact:
+            # a hole (plus one, plus three, a fraction, zero), or a root read from the value
+            columns[j][i] = HOLE_VALUES[sorted(HOLE_VALUES)[v % len(HOLE_VALUES)]](b, x, g.exponent)
+        else:
+            columns[j][i] = FLOAT_BUMPS[sorted(FLOAT_BUMPS)[v]](x)
+    sides = ["domain", "codomain"] if side == "both" else [side]
+    phi = dataclasses.replace(phi, columns=columns, **{
+        s: dataclasses.replace(getattr(phi, s), antipode=ANTIPODE_EDITS[edit](b, getattr(phi, s).antipode))
+        for s in sides})
+    past = not b.exact and any(max(abs(x.real), abs(x.imag)) > 2.0**300
+                               for col in columns.values() for x in col.values())
+    assert (phi._dense is None) == (shape == "non-square" or past)
+    reads = phi._dense is not None and edit in READ_ANTIPODES
+    assert reads == (hopf._permutation(phi.domain) is not None and hopf._permutation(phi.codomain) is not None
+                     and phi._dense is not None)
+
+    with mock.patch.object(hopf, "_compose", wraps=hopf._compose) as composed:
+        got = hopf._antipode_hom(phi)
+    want = antipode_hom(phi)
+    # verdict, residual to the bit, witness; an antipode or map that does not read sums both sides
+    assert (repr(got), got.residual.hex()) == (repr(want), want.residual.hex())
+    assert composed.call_count == (0 if reads else 2)
+
+    # transpose-columns: the bumped map against the other one, both read or every entry listed
+    with mock.patch.object(hopf, "_entries", wraps=hopf._entries) as listed:
+        got = hopf._transpose_columns(phi, other)
+    want = hopf.fold_checks("transpose-columns", b, [("", hopf._entries(phi.columns),
+                                                          hopf._entries(other.columns))])
+    assert (repr(got), got.residual.hex()) == (repr(want), want.residual.hex())
+    assert listed.call_count == (0 if phi._dense is not None else 2)
+
+
+def test_signed_zero_parts_give_the_compose_paths_bits(tmp_path, capsys):
+    g = make_group(GroupSpec.finite_abelian([4]))
+    b = make_backend("float")
+    phi = fourier(g, b)
+    # Z4's character table with every part under 1e-15 made -0.0, and one entry moved to -0.0 + 0.5j
+    columns = {j: {i: complex(*(-0.0 if abs(p) < 1e-15 else p for p in (x.real, x.imag))) for i, x in col.items()}
+               for j, col in phi.columns.items()}
+    columns[2][1] = complex(-0.0, 0.5)
+    phi = LinearMap(phi.domain, phi.codomain, columns)
+    entries = [x for col in columns.values() for x in col.values()]
+    # the product by one that the _compose path forms moves the sign of a zero part
+    assert any(bits(x * b.one) != bits(x) for x in entries) and any(bits(b.one * x) != bits(x) for x in entries)
+    assert None not in (phi._dense, hopf._permutation(phi.domain), hopf._permutation(phi.codomain))
+    got = hopf._antipode_hom(phi)
+    with mock.patch.object(hopf, "_permutation", return_value=None):
+        want = hopf._antipode_hom(phi)
+    assert not got.passed
+    assert (got.passed, got.residual.hex(), got.detail) == (want.passed, want.residual.hex(), want.detail)
+
+    cfg = tmp_path / "z4.json"
+    cfg.write_text(json.dumps({"command": "duality-cycle", "group": {"kind": "finite_abelian", "orders": [4]},
+                               "backend": "float"}))
+    reports = []
+    for patches in ([], [mock.patch.object(hopf, "_permutation", return_value=None)]):
+        out = tmp_path / f"out{len(reports)}"
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(hopf, "fourier", lambda *_: phi))
+            for p in patches:
+                stack.enter_context(p)
+            assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        reports.append((out / "report.json").read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -1868,6 +2021,27 @@ def test_a_negative_coproduct_key_gives_no_law():
     for mode in ("closed_form", "brute_force"):
         with pytest.raises(ValueError):
             group_part(h, mode)
+
+
+class CountedItems(dict):
+    """A dict that counts its items() calls."""
+    items_calls = 0
+
+    def items(self):
+        self.items_calls += 1
+        return super().items()
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.finite_abelian([6]), GroupSpec.symmetric(3)], ids=["Z6", "S3"])
+def test_a_diagonal_tensor_gives_no_law_before_it_is_read(spec):
+    g, b = make_group(spec), make_backend("float")
+    # the group algebra's coproduct and the function algebra's product have n entries, not n^2
+    for h, role in ((group_algebra(g, b), "comul"), (function_algebra(g, b), "mul")):
+        tensor = CountedItems(getattr(h, role))
+        h = dataclasses.replace(h, **{role: tensor})
+        tensor.items_calls = 0   # HopfAlgebra lists its product once, to index it by rows
+        assert hopf._monomial_law(h, coproduct=role == "comul") is None
+        assert tensor.items_calls == 0
 
 
 def closed_by_full_scan(h, vectors):
