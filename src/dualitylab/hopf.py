@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .groups import Group, GroupSpec, direct_product, make_group, require, walk
-from .reports import CheckResult, as_int, fail
+from .reports import CheckResult, as_int, fail, fold
 
 # tensor-iso grows as dim^2; through duality-lab, one process each (Python 3.11,
 # 2-core x86-64 host), exact backend: Z30xZ40 (dim 1200) 19.1 s at 1245 MB peak,
@@ -515,16 +515,9 @@ def compare(backend, u: Mapping, v: Mapping) -> tuple[bool, float]:
 
 
 def fold_checks(name: str, backend, pairs: Iterable) -> CheckResult:
-    """One named check over (tag, lhs, rhs) comparisons; the first failing tag is the witness."""
-    ok = True
-    worst = 0.0
-    witness = ""
-    for tag, lhs, rhs in pairs:
-        same, r = compare(backend, lhs, rhs)
-        worst = max(worst, r)
-        if ok and not same:
-            ok, witness = False, tag
-    return CheckResult(name=name, passed=ok, residual=worst, detail=witness)
+    """One named check over (tag, lhs, rhs) comparisons, each ``compare``d and folded by
+    ``reports.fold``; the first failing tag is the witness."""
+    return fold(name, ((*compare(backend, lhs, rhs), tag) for tag, lhs, rhs in pairs))
 
 
 def _contains(backend, vectors, v: Mapping) -> bool:
@@ -535,19 +528,8 @@ def _contains(backend, vectors, v: Mapping) -> bool:
 
 
 def _closed_under_product(h: HopfAlgebra, vectors: list) -> bool:
-    """Whether every product of two of vectors equals one of them: each is sought first among
-    the vectors of its support (the keys whose value is not ``is_zero``), then among all, so
-    the verdict is the full scan's while a closed family costs one bucket per product."""
-    b = h.backend
-
-    def support(v):
-        return frozenset(k for k, x in v.items() if not b.is_zero(x))
-
-    buckets: dict = {}
-    for v in vectors:
-        buckets.setdefault(support(v), []).append(v)
-    return all(_contains(b, buckets.get(support(p), ()), p) or _contains(b, vectors, p)
-               for p in (mul_vec(h, v, w) for v in vectors for w in vectors))
+    """Whether every product of two of vectors equals one of them, each sought among all."""
+    return all(_contains(h.backend, vectors, mul_vec(h, v, w)) for v in vectors for w in vectors)
 
 
 def _all_of(name: str, checks: list[CheckResult]) -> CheckResult:
@@ -716,6 +698,13 @@ def _diagonal_product(h: HopfAlgebra):
     return d
 
 
+def _diagonal_coproduct(h: HopfAlgebra) -> bool:
+    """Whether comul[i] == {(i, i): one} for every i of range(dim), the coproduct of a group algebra,
+    which makes every basis vector grouplike.  Read literally, as ``_diagonal_product`` is."""
+    one = h.backend.one
+    return all(h.comul.get(i) == {(i, i): one} for i in range(h.dim))
+
+
 def _law_associativity(b, law):
     """The associativity fold's first failing triple of a monomial law (an (n, n) int array), as
     (tag, lhs, rhs); none when law[law[i]] == law[i][law] holds row by row.
@@ -755,8 +744,7 @@ def _algebra_axioms(h: HopfAlgebra, reads: tuple) -> tuple[CheckResult, CheckRes
     sides: each is formed with the fold's ``mul_vec`` calls, and every other triple would compare
     two empty vectors (a pass, residual 0.0), so the fold is the full one's.  The unit fold then
     multiplies basis(i) by entry i of the unit alone, the only entry whose product is not empty.
-    Any other product is folded triple by triple, skipping a triple whose cells (i, j) and (j, k)
-    are both empty: it too would compare two zero vectors.
+    Any other product is folded on every triple (i, j, k).
     """
     b, dim = h.backend, h.dim
     law, diagonal = reads
@@ -771,13 +759,9 @@ def _algebra_axioms(h: HopfAlgebra, reads: tuple) -> tuple[CheckResult, CheckRes
                 if cell:
                     yield f"({i},{i},{i})", mul_vec(h, cell, h.basis(i)), mul_vec(h, h.basis(i), cell)
             return
-        for i in range(dim):
-            for j in range(dim):
-                ij = h.mul.get((i, j), {})
-                for k in range(dim) if ij else sorted(h.rows.get(j, ())):
-                    lhs = mul_vec(h, ij, h.basis(k))
-                    rhs = mul_vec(h, h.basis(i), h.mul.get((j, k), {}))
-                    yield f"({i},{j},{k})", lhs, rhs
+        for i, j, k in itertools.product(range(dim), repeat=3):
+            lhs = mul_vec(h, h.mul.get((i, j), {}), h.basis(k))
+            yield f"({i},{j},{k})", lhs, mul_vec(h, h.basis(i), h.mul.get((j, k), {}))
 
     def pairs_unit():
         for i in range(dim):
@@ -802,8 +786,7 @@ def _bialgebra_axioms(h: HopfAlgebra, reads: tuple) -> tuple[CheckResult, CheckR
     b, dim, one = h.backend, h.dim, h.backend.one
     law = reads[0]
     counit = {i: {0: c} for i, c in h.counit.items()}
-    uniform = law is not None and all(h.comul.get(i) == {(i, i): one} and h.counit.get(i) == one
-                                      for i in range(dim))
+    uniform = law is not None and _diagonal_coproduct(h) and all(h.counit.get(i) == one for i in range(dim))
     span = range(0 if uniform else dim)
 
     def pairs_bialgebra():
@@ -900,23 +883,15 @@ def _is_grouplike(h: HopfAlgebra, v: Mapping) -> tuple[bool, float]:
     return compare(b, _apply(b, h.comul, v), _kron(b, v, v))
 
 
-def _sharp(b) -> bool:
-    """Whether b tells one from zero: not under a float tolerance of 1 or more, where ``eq(one,
-    zero)`` and ``is_zero(one)`` hold and a verdict on point masses is no longer read off indices."""
-    return not (b.is_zero(b.one) or b.eq(b.one, b.zero))
-
-
 def _grouplike_basis(h: HopfAlgebra, table) -> list[bool] | None:
     """Whether each basis vector passes ``_is_grouplike``, read off the coproduct; table is its law
     (``_monomial_law``) as an array, or None.  On a law, Delta(delta_i) is the fibre of i, each term
     one, so delta_i is grouplike iff that fibre is exactly {(i, i)}: one bincount.  On
     comul[i] == {(i, i): one} for every i, every basis vector is.  None for any other coproduct."""
-    b, n = h.backend, h.dim
-    if not _sharp(b):
-        return None
+    n = h.dim
     if table is not None:
         return ((np.bincount(table.ravel(), minlength=n) == 1) & (table.diagonal() == np.arange(n))).tolist()
-    return [True] * n if all(h.comul.get(i) == {(i, i): b.one} for i in range(n)) else None
+    return [True] * n if _diagonal_coproduct(h) else None
 
 
 def _grouplike_read(h: HopfAlgebra, table, v: Mapping) -> tuple[bool, float] | None:
@@ -927,7 +902,7 @@ def _grouplike_read(h: HopfAlgebra, table, v: Mapping) -> tuple[bool, float] | N
     at (p, q) is E[law[p, q]] and v (x) v is E[p] + E[q] mod N, and only the cells where the two
     differ, in presence or exponent, go through ``residual``, as every other cell adds 0.0."""
     b, one = h.backend, h.backend.one
-    if len(v) == 1 and _sharp(b):
+    if len(v) == 1:
         (i, x), = v.items()
         if x == one and h.comul.get(i) == {(i, i): one}:
             return True, b.residual(one, one)
@@ -955,7 +930,7 @@ def _closure_read(h: HopfAlgebra, vectors: list) -> bool | None:
     b, n, one = h.backend, h.dim, h.backend.one
     points = [i for v in vectors if len(v) == 1
               for i, x in v.items() if x == one and type(i) is int and 0 <= i < n]
-    law = _monomial_law(h) if len(points) == len(vectors) and _sharp(b) else None
+    law = _monomial_law(h) if len(points) == len(vectors) else None
     if law is not None:
         member = np.zeros(n, dtype=bool)
         member[points] = True
@@ -1064,8 +1039,9 @@ def group_part(h: HopfAlgebra, mode: str = "closed_form") -> GroupPartResult:
     A coproduct that reads as a group law (``_monomial_law``), as a function
     algebra's does, gives the multiplicative root-of-unity functions on that
     law, enumerated on a generating set.  closed_form returns those, or, when
-    there is no law and comul[i] == {(i, i): one} for every i, as on a group
-    algebra, the point masses; any other coproduct raises ValueError.
+    there is no law and comul[i] == {(i, i): one} for every i
+    (``_diagonal_coproduct``), as on a group algebra, the point masses; any
+    other coproduct raises ValueError.
     brute_force keeps every basis vector that passes the residual test and
     adds each multiplicative function not already among them; it raises
     ValueError only when neither step finds a vector.  Every returned vector
@@ -1073,7 +1049,9 @@ def group_part(h: HopfAlgebra, mode: str = "closed_form") -> GroupPartResult:
     the tensors read exactly (``_grouplike_basis``, ``_grouplike_read``,
     ``_closure_read``) the basis scan, the residual test and the closure
     check are decided from those reads, with the verdicts and residuals of
-    the generic functions, which decide wherever a read does not hold.
+    the generic functions, which decide wherever a read does not hold: the
+    closure check then seeks every product among all the vectors
+    (``_closed_under_product``).
     """
     if mode not in ("closed_form", "brute_force"):
         raise ValueError(f"unknown mode {mode!r} (expected 'closed_form' or 'brute_force')")
@@ -1087,7 +1065,7 @@ def group_part(h: HopfAlgebra, mode: str = "closed_form") -> GroupPartResult:
         if not vectors:
             raise ValueError("brute force found no grouplike basis vector and no group law in the coproduct")
     elif table is None:
-        if not all(h.comul.get(i) == {(i, i): b.one} for i in range(h.dim)):
+        if not _diagonal_coproduct(h):
             raise ValueError("closed_form needs a coproduct that is a group law or makes every basis vector "
                              "grouplike; use brute_force")
         vectors = [h.basis(i) for i in range(h.dim)]
@@ -1325,7 +1303,7 @@ def _float_hom_pairs(b, m, d, law):
     """(tag, lhs, rhs) of the cells a multiplicative fold must see, in (i, j) order, for a map read
     by ``_floats`` as m, a diagonal d as (re, im) length-n vectors and a law as an (n, n) int array:
     lhs = one m read through the law, rhs = (m[:, i] m[:, j]) d, each product as ``_apply`` and
-    ``_algebra_hom`` form it.  One row i at a time, laid out (j, r), so no n^3 array is held; each
+    ``mul_vec`` form it.  One row i at a time, laid out (j, r), so no n^3 array is held; each
     row's two ``_fold_cells`` are kept, and the fold's two are picked from those."""
     n, tolerance = len(law), b.tolerance
     images = tuple(p.T.copy() for p in _times((b.one.real, b.one.imag), m))   # [c, r]: phi(c) at r
@@ -1347,9 +1325,8 @@ def _against_identity(b, product, n: int, scale: int, holes: Mapping | None = No
     columns with entry (i, j) at product[j][i] and no holes.  On the exact backend these are the
     entries that differ, as an equal one adds residual 0.0 and no witness; each hole sum is added
     to its array entry first, so the listing is that of the whole product.  On the float backend
-    a pair gives its first entry past the tolerance and its first worst one (``_fold_cells``),
-    which fold to the verdict, residual and witness of every entry; sparse columns give every
-    entry."""
+    a pair gives what ``_read_cells`` lists against scale times the identity's parts, which fold
+    to the verdict, residual and witness of every entry; sparse columns give every entry."""
     if isinstance(product, np.ndarray):
         target = np.zeros_like(product)
         diag = np.arange(n)
@@ -1366,9 +1343,8 @@ def _against_identity(b, product, n: int, scale: int, holes: Mapping | None = No
                 if not b.eq(x, diagonal if i == j else b.zero)]
     if isinstance(product, tuple):
         target = b.from_int(scale)
-        res = np.hypot(*(p - np.diag(np.full(n, t)) for p, t in zip(product, (target.real, target.imag))))
-        return [((i, j), complex(product[0][i, j], product[1][i, j]))
-                for i, j in (divmod(f, n) for f in _fold_cells(res, b.tolerance))]
+        eye = tuple(np.diag(np.full(n, t)) for t in (target.real, target.imag))
+        return [(cell, x) for cell, x, _ in _read_cells(b, product, eye, None)]
     entries = [((i, j), product.get(j, {}).get(i, b.zero)) for i in range(n) for j in range(n)]
     if not b.exact:
         return entries
@@ -1380,24 +1356,21 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
     """The multiplicative and unital conditions of phi: h -> k, phi(ij) = phi(i) phi(j) on every
     basis pair (i, j), in (i, j) order, and phi(unit) = unit.
 
-    Both sides are read before the fold.  When h's product reads as a law (``_monomial_law``),
-    as the group algebra's and a function algebra's dual's do, phi(ij) is phi(law[i][j]), so
-    phi is applied to each basis vector once instead of to each of the n^2 cells.  When k's
-    product is diagonal (``_diagonal_product``), as a function algebra's and a group algebra's
-    dual's are, phi(i) phi(j) is the pointwise product over the indices they share, each
-    scaled by the diagonal, in phi(i)'s order.  Either way the scalar operations are the ones
-    ``_apply`` and ``mul_vec`` run, in the same order, so verdicts, residuals and witnesses do
-    not move; any other h or k is folded with those two calls.  When both reads hold, phi's dense
-    read (``LinearMap._dense``) holds and so does the same read of the diagonal, the fold runs on
+    Each pair folds phi applied to the product cell (``_apply``) against the product of the two
+    images (``mul_vec``).  When h's product reads as a law (``_monomial_law``), as the group
+    algebra's and a function algebra's dual's do, k's product is diagonal (``_diagonal_product``),
+    as a function algebra's and a group algebra's dual's are, and phi's dense read
+    (``LinearMap._dense``) holds and so does the same read of the diagonal, the fold runs on
     arrays.  On the cyclotomic backend (``_exponents``) the entries (r, i, j) are decided as
     exponents, E[:, law] == E[:, :, None] + E[:, None, :] + D mod n, and only a pair that differs
-    is folded, on its differing entries: an equal entry adds residual 0.0 and no witness, so the
-    check is the full fold's.  An entry whose rhs meets a hole of the read, at (r, i) or (r, j),
-    is decided by ``b.eq`` on the backend's products instead, about 2n entries per hole, as
-    ``_conj_product`` sums only a product's hole terms; a hole at its lhs alone makes it differ,
-    as its rhs is then a root.  On the float backend (``_floats``) both sides are float64 parts,
-    one row i at a time, with the scalar operations above, and the fold sees its first failing
-    and its worst cell (``_float_hom_pairs``), so again the check is the full fold's.
+    is folded, on its differing entries, its rhs by ``mul_vec``: an equal entry adds residual 0.0
+    and no witness, so the check is the full fold's.  An entry whose rhs meets a hole of the read,
+    at (r, i) or (r, j), is decided by ``b.eq`` on the backend's products instead, about 2n
+    entries per hole, as ``_conj_product`` sums only a product's hole terms; a hole at its lhs
+    alone makes it differ, as its rhs is then a root.  On the float backend (``_floats``) both
+    sides are float64 parts, one row i at a time, with the scalar operations ``_apply`` and
+    ``mul_vec`` run, and the fold sees its first failing and its worst cell
+    (``_float_hom_pairs``), so again the check is the full fold's.
     """
     h, k, b = phi.domain, phi.codomain, phi.domain.backend
     img = [phi.columns.get(i, {}) for i in range(h.dim)]
@@ -1419,31 +1392,23 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
             diag = _float_parts([values])
             diag = None if diag is None else tuple(p[0] for p in diag)
 
-    def product(u, v):
-        if diagonal is None:
-            return mul_vec(k, u, v)
-        return {m: b.mul(b.mul(a, v[m]), diagonal[m]) for m, a in u.items() if m in v and m in diagonal}
-
     def pairs_mult():
         if diag is not None and isinstance(read, np.ndarray):
             bad = read[:, table] != (read[:, :, None] + read[:, None, :] + diag[:, None, None]) % b.n
             if touch is not None:
-                # decided on the backend's own products, as ``product`` forms them
+                # decided on the backend's own products, as ``mul_vec`` forms them on a diagonal
                 for r, i, j in np.argwhere(touch).tolist():
                     bad[r, i, j] = not b.eq(img[law[i][j]][r], b.mul(b.mul(img[i][r], img[j][r]), diagonal[r]))
             for i, j in np.argwhere(bad.any(0)).tolist():
                 u = {m: img[i][m] for m in np.flatnonzero(bad[:, i, j]).tolist()}
-                yield f"({i},{j})", {m: img[law[i][j]][m] for m in u}, product(u, img[j])
+                yield f"({i},{j})", {m: img[law[i][j]][m] for m in u}, mul_vec(k, u, img[j])
             return
         if diag is not None:
             yield from _float_hom_pairs(b, read, diag, table)
             return
-        if law is not None:
-            images = [_apply(b, phi.columns, {m: b.one}) for m in range(h.dim)]
-        for i in range(h.dim):
-            for j in range(h.dim):
-                lhs = _apply(b, phi.columns, h.mul.get((i, j), {})) if law is None else images[law[i][j]]
-                yield f"({i},{j})", lhs, product(img[i], img[j])
+        for i, j in itertools.product(range(h.dim), repeat=2):
+            lhs = _apply(b, phi.columns, h.mul.get((i, j), {}))
+            yield f"({i},{j})", lhs, mul_vec(k, img[i], img[j])
 
     return (
         fold_checks("multiplicative", b, pairs_mult()),
@@ -1613,9 +1578,9 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     unperturbed one does.  Exact sums do not depend on order and each value
     has one reduced tuple, so verdicts, residuals and witnesses are those of
     the backend path.  Every fold of a map with a missing entry is summed
-    through the backend: each hom fold then applies its map once per basis
-    vector and multiplies images pointwise (``_algebra_hom``), and the gram
-    and the composite are ``_compose`` sums.  On the float backend a bumped
+    through the backend: each hom fold then applies its map to every product
+    cell and multiplies the two images (``_algebra_hom``), and the gram and
+    the composite are ``_compose`` sums.  On the float backend a bumped
     entry is still a finite complex, so the three folds stay on arrays; only
     a map ``_floats`` turns away (a missing or non-finite entry, rows or
     columns out of order) is summed through the backend.

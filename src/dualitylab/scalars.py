@@ -31,9 +31,12 @@ DEFAULT_TOLERANCE = 1e-9  # the float backend's equality tolerance when a config
 
 
 def require_tolerance(tolerance: float) -> float:
-    """The float backend's equality tolerance; ConfigError at "" unless it is positive."""
+    """The float backend's equality tolerance; ConfigError at "" unless it is positive and below 1:
+    at 1 or more ``eq(one, zero)`` holds, so no verdict tells a vector from zero."""
     if tolerance <= 0:
         fail("", f"must be positive, got {tolerance}")
+    if tolerance >= 1:
+        fail("", f"must be below 1, where one and zero compare equal, got {tolerance}")
     return tolerance
 
 

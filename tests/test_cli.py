@@ -182,6 +182,26 @@ def test_common_field_constraints():
     assert errors({**base, "C": [-(10**400), 3]}) == [("C", PAST_FLOAT_RANGE)]
 
 
+@pytest.mark.parametrize("tolerance, mode",
+                         [(2, "bruteForce"), (1, "bruteForce"), (1, "both"), ([3, 2], "closedForm")])
+def test_a_tolerance_that_makes_one_zero_is_refused(tmp_path, capsys, tolerance, mode):
+    # at a tolerance of 1 or more one and zero compare equal, so no grouplike basis vector is
+    # told from zero; the config stops at parse time, not in a traceback mid-run
+    cfg = write_config(tmp_path, "run.json", {
+        "command": "group-part", "group": {"kind": "symmetric", "degree": 3}, "algebra": "group",
+        "mode": mode, "backend": "float", "tolerance": tolerance})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    value = float(Fraction(*tolerance) if isinstance(tolerance, list) else tolerance)
+    message = f"must be below 1, where one and zero compare equal, got {value}"
+    assert capsys.readouterr().err == f"config error at tolerance: {message}\n"
+    assert not out.exists()
+    with pytest.raises(ConfigError) as exc:
+        ComplexFloatBackend(tolerance=value)
+    assert exc.value.errors == [("", message)]
+    assert ComplexFloatBackend(tolerance=0.999).tolerance == 0.999
+
+
 # a tensor-iso factor whose square passes TENSOR_DIM_CAP
 TENSOR_SIDE = math.isqrt(TENSOR_DIM_CAP) + 1
 # the least abelian order past the function-algebra bound for two runs (mode both)

@@ -21,7 +21,6 @@ from dualitylab.scalars import make_backend
 BACKENDS = {
     "cyclotomic": lambda: make_backend("cyclotomic", order=1),
     "float": lambda: make_backend("float"),
-    "float, tolerance 2": lambda: make_backend("float", tolerance=2.0),
 }
 
 
