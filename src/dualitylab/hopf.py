@@ -52,7 +52,9 @@ DUALITY_ORDER_CAP = 256
 # exact S6 took 1.18-1.20 s at 49 MB, against 2.33-2.37 s at 326 MB before them on the same host,
 # two runs each.  With S6's law composed on arrays (SymmetricGroup.law) in place of 518,400
 # group.mul calls, exact S6 took 1.88-2.28 s at 49.4-49.5 MB, against 2.37-3.32 s at 49.4-49.5 MB
-# before it, four runs each on a loaded host; the cap is to be re-sized
+# before it, four runs each on a loaded host.  With no list of a law view's n^2 cells kept (_LawView),
+# exact S6 took 1.26-1.51 s at 50.3-50.4 MB and Z1193 7.24-7.38 s at 79.4 MB, against 1.34-1.37 s at
+# 52.2-52.3 MB and 7.33-7.36 s at 90.7 MB before it, two runs each; the cap is to be re-sized
 HOPF_AXIOMS_DIM_CAP = 1200
 # group-part caps, the one size rule of either mode; runs through duality-lab, one process each
 # (Python 3.11, 2-core x86-64 host).  The function algebra costs about characters x order^2 per
@@ -102,10 +104,10 @@ class HopfAlgebra:
     as the dict it stands for and lists its entries in one fixed order, which
     no output depends on (``_LawView``).
 
-    ``rows`` is mul indexed by its left factor, rows[i][j] = mul[(i, j)] for
-    the nonzero cells, built with the algebra so products walk one row
-    instead of probing every index pair; on a law view it is a view of the
-    same array.
+    ``rows`` indexes a dict product by its left factor, rows[i][j] =
+    mul[(i, j)] for the nonzero cells, built with the algebra so products
+    may walk one row instead of probing every index pair; for a law view it
+    is ``{}``, as each cell is read from the view's array.
     """
 
     dim: int
@@ -116,13 +118,11 @@ class HopfAlgebra:
     comul: Mapping
     counit: Mapping
     antipode: Mapping
-    rows: Mapping = field(init=False, repr=False, compare=False)
+    rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.mul, _Products):
-            rows = _Rows(self.mul)
-        else:
-            rows = {}
+        rows = {}
+        if not isinstance(self.mul, _Products):
             for (i, j), cell in self.mul.items():
                 if cell:
                     rows.setdefault(i, {})[j] = cell
@@ -250,26 +250,20 @@ class _ItemsView(ItemsView):
 class _LawView(_View):
     """A monomial tensor stored as its law: law[i, j] = k on every pair (i, j) of range(n)^2, each
     coefficient ``one``, read as the dict of dicts it stands for.  law is a read-only (n, n) intp
-    array of points in range(n), such as a group's law or a tensor product of such.
+    array of points in range(n), such as a group's law or a tensor product of such.  A view holds
+    its array and ``one`` and nothing else: each cell is read from the array when it is asked for.
 
     A view lists in one fixed order: ``_Products`` row-major, ``_Fibres`` the keys 0..n-1 with
-    each fibre row-major, ``_Rows`` and ``_Row`` range(n).  No output depends on it: every
-    coefficient is ``one``; ``_apply`` adds at most one term per key for each input entry;
-    ``mul_vec`` sums in the order of v and w, and never walks a view's row, which has n cells;
-    the sums of ``pair_mul`` over fibres add equal terms; every witness tag comes from a ``range``
+    each fibre row-major.  No output depends on it: every coefficient is ``one``; ``_apply`` adds
+    at most one term per key for each input entry; ``mul_vec`` sums in the order of v and w; the
+    sums of ``pair_mul`` over fibres add equal terms; every witness tag comes from a ``range``
     loop; and ``compare`` folds over a key union.  Two views of one role are equal when their laws
-    and ones are; ``transposed`` hands the same array over in the other role.  Python loops read
-    ``flat()``, the law as one list, made once."""
+    and ones are; ``transposed`` hands the same array over in the other role."""
 
-    __slots__ = ("law", "one", "_memo")
+    __slots__ = ("law", "one")
 
     def __init__(self, law: np.ndarray, one):
-        self.law, self.one, self._memo = law, one, {}
-
-    def flat(self) -> list:
-        if "flat" not in self._memo:
-            self._memo["flat"] = self.law.ravel().tolist()
-        return self._memo["flat"]
+        self.law, self.one = law, one
 
     def _cell(self, key):
         """The flat cell of a pair key (i, j), or None for any other key, as in a dict lookup."""
@@ -301,14 +295,14 @@ class _Products(_LawView):
         return itertools.product(range(len(self.law)), repeat=2)
 
     def _items(self):
-        n, flat, one = len(self.law), self.flat(), self.one
+        n, flat, one = len(self.law), self.law.ravel().tolist(), self.one
         return (((i, j), {flat[i * n + j]: one}) for i, j in self)
 
     def __getitem__(self, key):
         c = self._cell(key)
         if c is None:
             raise KeyError(key)
-        return {self.flat()[c]: self.one}
+        return {self.law.item(c): self.one}
 
     def transposed(self) -> "_Fibres":
         return _Fibres(self.law, self.one)
@@ -318,7 +312,11 @@ class _Fibres(_LawView):
     """A coproduct that is a monomial law: comul[k] == {(i, j): one for every law[i, j] == k}, a
     ``_Fibre``, for k in range(n); a fibre may hold any number of cells, none included."""
 
-    __slots__ = ()
+    __slots__ = ("_memo",)
+
+    def __init__(self, law: np.ndarray, one):
+        super().__init__(law, one)
+        self._memo = {}
 
     def fibres(self) -> tuple:
         """(cells, bounds): the flat cells in one stable argsort of their points, and the list
@@ -367,54 +365,9 @@ class _Fibre(_View):
 
     def __getitem__(self, key):
         c = self._law._cell(key)
-        if c is None or self._law.flat()[c] != self._k:
+        if c is None or self._law.law.item(c) != self._k:
             raise KeyError(key)
         return self._law.one
-
-
-class _Rows(_View):
-    """``HopfAlgebra.rows`` of a ``_Products``: rows[i][j] == mul[(i, j)], a ``_Row``, for i in
-    range(n)."""
-
-    __slots__ = ("_mul",)
-
-    def __init__(self, mul: _Products):
-        self._mul = mul
-
-    def __len__(self):
-        return len(self._mul.law)
-
-    def __iter__(self):
-        return iter(range(len(self)))
-
-    def __getitem__(self, key):
-        i = _index(key, len(self))
-        if i is None:
-            raise KeyError(key)
-        return _Row(self, i)
-
-
-class _Row(_View):
-    """Row i of a ``_Rows``: {j: {law[i, j]: one}} for j in range(n)."""
-
-    __slots__ = ("_rows", "_i")
-
-    def __init__(self, rows: _Rows, i: int):
-        self._rows, self._i = rows, i
-
-    def __len__(self):
-        return len(self._rows)
-
-    def __iter__(self):
-        return iter(range(len(self._rows)))
-
-    def __getitem__(self, key):
-        n = len(self._rows)
-        j = _index(key, n)
-        if j is None:
-            raise KeyError(key)
-        m = self._rows._mul
-        return {m.flat()[self._i * n + j]: m.one}
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +383,14 @@ def _vec_add_scaled(backend, acc: dict, scalar, vec: Mapping) -> None:
 
 
 def mul_vec(h: HopfAlgebra, v: Mapping, w: Mapping) -> dict:
-    """The product v w, walking for each i of v the shorter of row i and w."""
+    """The product v w, walking for each i of v row i of ``h.rows`` where it exists and is shorter
+    than w, and otherwise w, each cell read as ``h.mul.get((i, j))``: a law view has no rows, and
+    its cells are read from its array."""
     b = h.backend
     acc: dict = {}
     for i, a in v.items():
         row = h.rows.get(i)
-        if not row:
-            continue
-        if len(row) < len(w):
+        if row is not None and len(row) < len(w):
             # row order instead of w order gives the same sums, bit for bit,
             # while distinct cells of one row share no basis vector, as in
             # every algebra built here
@@ -447,7 +400,7 @@ def mul_vec(h: HopfAlgebra, v: Mapping, w: Mapping) -> dict:
                     _vec_add_scaled(b, acc, b.mul(a, c), cell)
         else:
             for j, c in w.items():
-                cell = row.get(j)
+                cell = h.mul.get((i, j))
                 if cell:
                     _vec_add_scaled(b, acc, b.mul(a, c), cell)
     return acc
@@ -483,12 +436,8 @@ def pair_mul(h: HopfAlgebra, p: Mapping, q: Mapping) -> dict:
     b = h.backend
     acc: dict = {}
     for (a1, a2), x in p.items():
-        row1, row2 = h.rows.get(a1), h.rows.get(a2)
-        if not (row1 and row2):
-            continue
         for (c1, c2), y in q.items():
-            left = row1.get(c1)
-            right = row2.get(c2)
+            left, right = h.mul.get((a1, c1)), h.mul.get((a2, c2))
             if left and right:
                 xy = b.mul(x, y)
                 for u, s in left.items():
@@ -1156,9 +1105,9 @@ def _exponents(b, columns: Mapping, n: int):
     """columns read as an (n, n) intp array E of root exponents, E[r, c] = b._log[columns[c][r]],
     and -1 at a hole, an entry that is not a root; None unless b is cyclotomic and columns holds
     exactly the entries of range(n)^2.  Read from the values checked, so a bumped entry that is
-    itself a root is read as it is.  Each entry is looked up by subscription, and only when a
-    lookup misses is the map read again to tell a missing entry (None) from a hole.  The backend
-    is told by its name, so a wrapper that forwards its attributes reads the same."""
+    itself a root is read as it is.  Each entry is read once, by subscription, so a missing one
+    raises KeyError and gives None, and a value that is not a root reads as -1.  The backend is
+    told by its name, so a wrapper that forwards its attributes reads the same."""
     if b.name != "cyclotomic" or len(columns) != n:
         return None
     log = b._log
@@ -1169,12 +1118,9 @@ def _exponents(b, columns: Mapping, n: int):
     if any(len(col) != n for col in cols):
         return None
     try:
-        return np.array([[log[col[r]] for col in cols] for r in range(n)], dtype=np.intp)
-    except KeyError:
-        pass
-    if any(r not in col for col in cols for r in range(n)):
+        return np.array([[log.get(col[r], -1) for col in cols] for r in range(n)], dtype=np.intp)
+    except KeyError:   # a missing entry
         return None
-    return np.array([[log.get(col[r], -1) for col in cols] for r in range(n)], dtype=np.intp)
 
 
 def _root_sums(b, exponents, keep=None) -> np.ndarray:
@@ -1284,19 +1230,16 @@ def _fold_cells(res, tolerance) -> list[int]:
 def _read_cells(b, x, y, values) -> list:
     """((a, c), lhs, rhs) for the cells of two dense reads x and y of one (m, n) layout that a fold
     of x against y over every cell must see, in (a, c) order: both exponent arrays (``_exponents``)
-    or both (re, im) pairs (``_floats``).  On exponents these are the cells that differ, as an equal
-    cell adds residual 0.0 and no witness; a cell where either side is a hole is decided by ``b.eq``
-    on values(a, c), the two backend values the fold compares there, which every listed cell takes.
-    On floats they are the first cell past the tolerance and the first worst one (``_fold_cells``),
-    valued from the read's parts."""
+    or both (re, im) pairs (``_floats``).  On exponents these are the cells whose exponents differ
+    and every cell where either side is a hole, each valued by values(a, c), the two backend values
+    the fold compares there: the fold decides them, and an equal one adds residual 0.0 and no
+    witness.  On floats they are the first cell past the tolerance and the first worst one
+    (``_fold_cells``), valued from the read's parts."""
     if isinstance(x, tuple):
         res = np.hypot(x[0] - y[0], x[1] - y[1])
         return [(cell, complex(x[0][cell], x[1][cell]), complex(y[0][cell], y[1][cell]))
                 for cell in (divmod(f, res.shape[1]) for f in _fold_cells(res, b.tolerance))]
-    bad = x != y
-    for a, c in np.argwhere((x < 0) | (y < 0)).tolist():
-        bad[a, c] = not b.eq(*values(a, c))
-    return [((a, c), *values(a, c)) for a, c in np.argwhere(bad).tolist()]
+    return [((a, c), *values(a, c)) for a, c in np.argwhere((x != y) | (x < 0) | (y < 0)).tolist()]
 
 
 def _float_hom_pairs(b, m, d, law):
@@ -1323,10 +1266,10 @@ def _against_identity(b, product, n: int, scale: int, holes: Mapping | None = No
     """((i, j), x) for each entry x of an n x n product that a fold against scale times the identity
     must see, in (i, j) order.  product and holes are what ``_conj_product`` returns, or sparse
     columns with entry (i, j) at product[j][i] and no holes.  On the exact backend these are the
-    entries that differ, as an equal one adds residual 0.0 and no witness; each hole sum is added
-    to its array entry first, so the listing is that of the whole product.  On the float backend
-    a pair gives what ``_read_cells`` lists against scale times the identity's parts, which fold
-    to the verdict, residual and witness of every entry; sparse columns give every entry."""
+    entries that differ, as an equal one adds residual 0.0 and no witness, and every entry that a
+    hole sum touches, that sum added to its array entry, for the fold to decide.  On the float
+    backend a pair gives what ``_read_cells`` lists against scale times the identity's parts, which
+    fold to the verdict, residual and witness of every entry; sparse columns give every entry."""
     if isinstance(product, np.ndarray):
         target = np.zeros_like(product)
         diag = np.arange(n)
@@ -1338,9 +1281,7 @@ def _against_identity(b, product, n: int, scale: int, holes: Mapping | None = No
         entries = dict(listed)
         for (i, j), x in holes.items():
             entries[i, j] = b.add(tuple(product[i, j].tolist()), x)
-        diagonal = b.from_int(scale)
-        return [((i, j), x) for (i, j), x in sorted(entries.items())
-                if not b.eq(x, diagonal if i == j else b.zero)]
+        return sorted(entries.items())
     if isinstance(product, tuple):
         target = b.from_int(scale)
         eye = tuple(np.diag(np.full(n, t)) for t in (target.real, target.imag))
@@ -1365,8 +1306,8 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
     exponents, E[:, law] == E[:, :, None] + E[:, None, :] + D mod n, and only a pair that differs
     is folded, on its differing entries, its rhs by ``mul_vec``: an equal entry adds residual 0.0
     and no witness, so the check is the full fold's.  An entry whose rhs meets a hole of the read,
-    at (r, i) or (r, j), is decided by ``b.eq`` on the backend's products instead, about 2n
-    entries per hole, as ``_conj_product`` sums only a product's hole terms; a hole at its lhs
+    at (r, i) or (r, j), is folded too, and the fold decides it on the backend's products, about
+    2n entries per hole, as ``_conj_product`` sums only a product's hole terms; a hole at its lhs
     alone makes it differ, as its rhs is then a root.  On the float backend (``_floats``) both
     sides are float64 parts, one row i at a time, with the scalar operations ``_apply`` and
     ``mul_vec`` run, and the fold sees its first failing and its worst cell
@@ -1375,19 +1316,12 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
     h, k, b = phi.domain, phi.codomain, phi.domain.backend
     img = [phi.columns.get(i, {}) for i in range(h.dim)]
     table, diagonal = _monomial_law(h), _diagonal_product(k)
-    law = None if table is None else table.tolist()
-    read = diag = touch = None
-    if law is not None and diagonal is not None and k.dim == h.dim == len(diagonal):
+    read = diag = None
+    if table is not None and diagonal is not None and k.dim == h.dim == len(diagonal):
         read, values = phi._dense, [diagonal.get(m) for m in range(h.dim)]
         if isinstance(read, np.ndarray):
             diag = [b._log.get(x) for x in values]
             diag = None if None in diag else np.array(diag)
-            if diag is not None and phi._holes:
-                # entry (r, i, j) is decided on the backend when a rhs cell (r, i) or (r, j) is a hole;
-                # a hole at its lhs cell alone is read as -1, unequal to the root its rhs then is, as it
-                # should be
-                hole = read < 0
-                touch = hole[:, :, None] | hole[:, None, :]
         elif read is not None:
             diag = _float_parts([values])
             diag = None if diag is None else tuple(p[0] for p in diag)
@@ -1395,13 +1329,15 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
     def pairs_mult():
         if diag is not None and isinstance(read, np.ndarray):
             bad = read[:, table] != (read[:, :, None] + read[:, None, :] + diag[:, None, None]) % b.n
-            if touch is not None:
-                # decided on the backend's own products, as ``mul_vec`` forms them on a diagonal
-                for r, i, j in np.argwhere(touch).tolist():
-                    bad[r, i, j] = not b.eq(img[law[i][j]][r], b.mul(b.mul(img[i][r], img[j][r]), diagonal[r]))
+            if phi._holes:
+                # entry (r, i, j) is folded when a rhs cell (r, i) or (r, j) is a hole, and the fold
+                # decides it; a hole at its lhs cell alone is read as -1, unequal to the root its rhs
+                # then is, as it should be
+                hole = read < 0
+                bad |= hole[:, :, None] | hole[:, None, :]
             for i, j in np.argwhere(bad.any(0)).tolist():
                 u = {m: img[i][m] for m in np.flatnonzero(bad[:, i, j]).tolist()}
-                yield f"({i},{j})", {m: img[law[i][j]][m] for m in u}, mul_vec(k, u, img[j])
+                yield f"({i},{j})", {m: img[table[i, j]][m] for m in u}, mul_vec(k, u, img[j])
             return
         if diag is not None:
             yield from _float_hom_pairs(b, read, diag, table)
@@ -1589,9 +1525,9 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     dense reads cell by cell (``_read_cells``): phi's read with its rows and
     its columns permuted by the two antipodes (``_antipode_hom``), and phi's
     read with the dual side's map's (``_transpose_columns``).  Exact, they
-    list the cells whose exponents differ, a cell at a hole decided by the
-    backend; float, the first failing and the first worst cell.  Where a
-    read does not hold they fold ``_compose`` sums and every entry.
+    list the cells whose exponents differ and every cell at a hole, which
+    the fold decides; float, the first failing and the first worst cell.
+    Where a read does not hold they fold ``_compose`` sums and every entry.
 
     ``perturb`` bumps one matrix entry before checking; a single corrupted
     entry must trip at least one stage.

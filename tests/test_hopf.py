@@ -1543,8 +1543,18 @@ def test_conj_product_matches_compose(kind, order, n, holes_in, data):
                 == [(k, bits(v)) for k, v in hopf._against_identity(b, want, n, n)])
         return
     assert bool(holes) == (holes_in != "neither")
+
+    def folded(listed, scale):
+        target = b.from_int(scale)
+        return hopf.fold_checks("", b, ((str(ij), {0: x}, {0: target if ij[0] == ij[1] else b.zero})
+                                        for ij, x in listed))
+
     for scale in (0, n):
-        assert hopf._against_identity(b, product, n, scale, holes) == hopf._against_identity(b, want, n, scale)
+        got, oracle = hopf._against_identity(b, product, n, scale, holes), hopf._against_identity(b, want, n, scale)
+        # the array listing also holds every entry a hole sum touches, equal or not, for the fold to
+        # decide: it lists what the oracle does, with the same values, and folds alike
+        assert dict(got).items() >= dict(oracle).items()
+        assert folded(got, scale) == folded(oracle, scale)
 
 
 @pytest.mark.parametrize("kind", ["float", "cyclotomic"])

@@ -146,18 +146,19 @@ def test_law_views_read_as_the_dicts_they_replace(g, build, kind, data):
     b = BACKENDS[kind]()
     view, plain = derived(data.draw, build, g, b)
     assert not isinstance(plain.mul, hopf._LawView) and not isinstance(plain.comul, hopf._LawView)
-    for name in ("mul", "comul", "rows"):
+    for name in ("mul", "comul"):
         assert_reads_match(getattr(view, name), getattr(plain, name))
+    # a law product has no rows, as its cells are read from its array; a dict product's rows are
+    # the dict algebra's
+    assert view.rows == ({} if isinstance(view.mul, hopf._Products) else plain.rows)
     assert view == plain and hopf.same_tensors(view, plain) and hopf.same_tensors(plain, view)
     assert checked(view) == checked(plain)
     assert hopf.same_tensors(dual_hopf(dual_hopf(view)), view)
     # replace builds rows again, from whatever mul it is given
     other = make_group(GroupSpec.finite_abelian([view.dim]))
-    swapped = dataclasses.replace(view, mul=group_algebra(other, b).mul)
-    assert_reads_match(swapped.rows, dataclasses.replace(plain, mul=dict_algebra(group_algebra, other, b).mul).rows)
+    assert dataclasses.replace(view, mul=group_algebra(other, b).mul).rows == {}
     as_dict = dataclasses.replace(view, mul={k: dict(v) for k, v in view.mul.items()})
-    assert isinstance(as_dict.rows, dict)
-    assert_reads_match(view.rows, as_dict.rows)
+    assert isinstance(as_dict.rows, dict) and as_dict.rows == plain.rows
 
 
 def test_law_views_share_one_array_and_hold_no_cells(monkeypatch):
@@ -168,13 +169,13 @@ def test_law_views_share_one_array_and_hold_no_cells(monkeypatch):
     b = make_backend("cyclotomic", order=1)
     f, h = function_algebra(g, b), group_algebra(g, b)
     law = hopf._cayley_table(g)[1]
-    assert f.comul.law is law and h.mul.law is law and h.rows._mul is h.mul
+    assert f.comul.law is law and h.mul.law is law and h.rows == {}
     assert dual_hopf(f).mul.law is law and dual_hopf(h).comul.law is law
     assert not law.flags.writeable
     assert hopf._monomial_law(h) is law and hopf._monomial_law(f, coproduct=True) is law
     assert hopf._coproduct_terms(f.comul) == sum(map(len, dict_algebra(function_algebra, g, b).comul.values()))
     # the axioms of both algebras and their duals, as hopf-axioms runs them, list no fibre, so no
-    # view sorts its cells by point: each law is read as its array, and each row by index
+    # view sorts its cells by point: each law is read as its array, and each cell from it
     for k in (f, h):
         assert all(c.passed for side in hopf.check_hopf_axioms(k) for c in side)
     assert hopf.same_tensors(dual_hopf(h), f)
@@ -185,6 +186,24 @@ def test_law_views_share_one_array_and_hold_no_cells(monkeypatch):
         other = type(view)(law, two)
         assert view != other and dict(view.items()) != dict(other.items())
         assert view == type(view)(law.copy(), b.from_int(1))
+
+
+def test_law_views_hold_no_list_of_their_cells_after_the_axiom_checks(monkeypatch):
+    # every law view made while the axioms of S4's function and group algebras are checked, their
+    # duals' and the algebras' own among them, holds its array and its one: no list of its cells
+    views = []
+    init = hopf._LawView.__init__
+    monkeypatch.setattr(hopf._LawView, "__init__", lambda self, law, one: views.append(self) or init(self, law, one))
+    g = make_group(GroupSpec.symmetric(4))
+    for kind in sorted(BACKENDS):
+        for build in (function_algebra, group_algebra):
+            assert all(c.passed for side in hopf.check_hopf_axioms(build(g, BACKENDS[kind]())) for c in side)
+    assert len(views) == 8
+    for view in views:
+        held = [getattr(view, s) for cls in type(view).__mro__ for s in getattr(cls, "__slots__", ())
+                if hasattr(view, s)]
+        held += [x for memo in held if isinstance(memo, dict) for x in memo.values()]
+        assert not any(isinstance(x, list) for x in held), type(view)
 
 
 def corrupt(h, part, picks, b):
