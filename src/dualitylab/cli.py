@@ -282,8 +282,12 @@ def _duality_cycle(fields):
                     detail="tripped: " + ", ".join(failing) if failing else "no stage tripped",
                 )
             ]
-        columns = rep.transform.columns
-        rows = [[i, j, backend.format(columns[j][i])] for i in range(group.order) for j in range(group.order)]
+        # each distinct entry object is formatted once: the character table hands every cell of one
+        # power the same root.  Keyed by identity, not value, so 0j and -0j never share a string
+        columns, n = rep.transform.columns, group.order
+        cells = [(i, j, columns[j][i]) for i in range(n) for j in range(n)]
+        text = {k: backend.format(x) for k, x in {id(x): x for _, _, x in cells}.items()}
+        rows = [[i, j, text[id(x)]] for i, j, x in cells]
         tables = {"fourier.csv": (["row", "col", "value"], rows)}
         results = {"order": group.order, "backend": backend.name, "perturbed": perturb is not None}
         return checks, results, tables

@@ -10,6 +10,7 @@ concrete isomorphism whose round trip is asserted as literal matrix equality.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import ItemsView, Iterable, Mapping
 from dataclasses import dataclass, field, replace
@@ -903,12 +904,15 @@ def _multiplicative_functions(law: np.ndarray, e: int, backend) -> list[tuple]:
     each element not yet reached joins it and the Cayley graph is walked
     again.  The last walk's spanning tree does not depend on the assignment,
     so each candidate is extended along its edges, in the order reached, and
-    kept when it survives the full multiplication-table audit.  On the
-    cyclotomic backend the candidates are rows of root exponents, extended and
-    audited together on arrays with no backend ``mul``, and a kept row's
-    values are ``_mono[a]``, the tuples the chain of ``mul`` calls returns.
-    law is an (n, n) int array, read by the audit; the walks and the
-    float audit read it as lists, made once.
+    kept when it survives the full multiplication-table audit.  The
+    candidates are rows of root exponents mod L, the lcm of the generators'
+    orders, extended and audited together on arrays, exactly on either
+    backend: no candidate is kept or lost by a tolerance.  A kept row's
+    values are, on the cyclotomic backend, the roots its exponents name, the
+    tuples the chain of ``mul`` calls returns, and on the float backend that
+    chain of ``backend.mul`` along the tree's edges, from the generators'
+    ``backend.root`` values.  law is an (n, n) int array, read by the audit;
+    the walks read it as lists, made once.
     """
     n, rows = len(law), law.tolist()
 
@@ -923,29 +927,28 @@ def _multiplicative_functions(law: np.ndarray, e: int, backend) -> list[tuple]:
             tree = walk(e, gens, step)
     orders = [len(walk(e, [g], step)) for g in gens]
     edges = list(tree.items())[1:]
+    powers = np.array(list(itertools.product(*(range(o) for o in orders))), dtype=np.intp)
+    modulus = math.lcm(*orders)
+    gen_exps = powers * [modulus // o for o in orders]
+    column = {g: c for c, g in enumerate(gens)}
+    exps = np.zeros((len(powers), n), dtype=np.intp)
+    for y, (x, g) in edges:
+        exps[:, y] = (exps[:, x] + gen_exps[:, column[g]]) % modulus
+    for s in range(n):   # row s of the audit for every candidate still standing
+        kept = (exps[:, law[s]] == (exps[:, s, None] + exps) % modulus).all(axis=1)
+        exps, powers = exps[kept], powers[kept]
+    # no row repeats: each generator is reached from e by its own edge, so rows differ there
     if backend.name == "cyclotomic":
-        assign = np.array(list(itertools.product(*([backend._log[backend.root(k, o)] for k in range(o)]
-                                                   for o in orders))), dtype=np.intp)
-        column = {g: c for c, g in enumerate(gens)}
-        exps = np.zeros((len(assign), n), dtype=np.intp)
-        for y, (x, g) in edges:
-            exps[:, y] = (exps[:, x] + assign[:, column[g]]) % backend.n
-        for s in range(n):   # row s of the audit for every candidate still standing
-            exps = exps[(exps[:, law[s]] == (exps[:, s, None] + exps) % backend.n).all(axis=1)]
-        # no row repeats: each generator is reached from e by its own edge, so rows differ there
-        return [tuple(backend._mono[a] for a in row) for row in exps.tolist()]
+        roots = [backend.root(k, modulus) for k in range(modulus)]
+        return [tuple(map(roots.__getitem__, row)) for row in exps.tolist()]
     found: list[tuple] = []
-    for expos in itertools.product(*(range(o) for o in orders)):
+    for expos in powers.tolist():
         assign = {g: backend.root(k, o) for g, k, o in zip(gens, expos, orders)}
         values: list = [None] * n
         values[e] = backend.one
         for y, (x, g) in edges:
             values[y] = backend.mul(values[x], assign[g])
-        if all(backend.eq(backend.mul(values[s], values[t]), values[rows[s][t]])
-               for s in range(n) for t in range(n)):
-            tup = tuple(values)
-            if not any(all(backend.eq(a, c) for a, c in zip(tup, other)) for other in found):
-                found.append(tup)
+        found.append(tuple(values))
     return found
 
 
@@ -1242,23 +1245,39 @@ def _read_cells(b, x, y, values) -> list:
     return [((a, c), *values(a, c)) for a, c in np.argwhere((x != y) | (x < 0) | (y < 0)).tolist()]
 
 
+# cells (pair, r) per block of the float hom fold; called directly on a 2-core x86-64 host, Z48
+# took about 4.6 -> 2.3 ms and Z256 700 -> 340 ms against the one-row-at-a-time fold, while
+# 2^14-cell blocks raised perfbench float-duality's peak RSS by 3 % and 2^16-cell blocks of every
+# pair were slower than rows (README)
+_HOM_BLOCK_CELLS = 1 << 12
+
+
 def _float_hom_pairs(b, m, d, law):
     """(tag, lhs, rhs) of the cells a multiplicative fold must see, in (i, j) order, for a map read
     by ``_floats`` as m, a diagonal d as (re, im) length-n vectors and a law as an (n, n) int array:
     lhs = one m read through the law, rhs = (m[:, i] m[:, j]) d, each product as ``_apply`` and
-    ``mul_vec`` form it.  One row i at a time, laid out (j, r), so no n^3 array is held; each
-    row's two ``_fold_cells`` are kept, and the fold's two are picked from those."""
+    ``mul_vec`` form it.
+
+    A pair (i, j) with i > j and law[i, j] == law[j, i] is left out: IEEE products and sums
+    commute, so ``_times`` gives (m_j m_i) d the bits of (m_i m_j) d, and the left side reads the
+    same law cell, so each of its cells has the residual of its mirror's, which comes earlier.
+    The first failing and first worst cells are then never left-out ones.  The listed pairs are
+    laid out (pair, r) in blocks of about _HOM_BLOCK_CELLS cells, so no n^3 array is held; each
+    block's two ``_fold_cells`` are kept, and the fold's two are picked from those."""
     n, tolerance = len(law), b.tolerance
     images = tuple(p.T.copy() for p in _times((b.one.real, b.one.imag), m))   # [c, r]: phi(c) at r
     columns = tuple(p.T.copy() for p in m)                                     # [j, r]: m[r, j]
+    first, second = np.nonzero(~(np.tri(n, k=-1, dtype=bool) & (law == law.T)))
+    step = max(1, _HOM_BLOCK_CELLS // n)
     cells = []
-    for i, row in enumerate(law):
-        lhs = tuple(p[row] for p in images)
-        rhs = _times(_times((m[0][:, i], m[1][:, i]), columns), d)
+    for at in range(0, len(first), step):
+        i, j = first[at:at + step], second[at:at + step]
+        lhs = tuple(p[law[i, j]] for p in images)
+        rhs = _times(_times(tuple(p[i] for p in columns), tuple(p[j] for p in columns)), d)
         res = np.hypot(lhs[0] - rhs[0], lhs[1] - rhs[1])
-        for j, r in (divmod(f, n) for f in _fold_cells(res, tolerance)):
-            cells.append((res[j, r], f"({i},{j})", {r: complex(lhs[0][j, r], lhs[1][j, r])},
-                          {r: complex(rhs[0][j, r], rhs[1][j, r])}))
+        for q, r in (divmod(f, n) for f in _fold_cells(res, tolerance)):
+            cells.append((res[q, r], f"({i[q]},{j[q]})", {r: complex(lhs[0][q, r], lhs[1][q, r])},
+                          {r: complex(rhs[0][q, r], rhs[1][q, r])}))
     return [cells[f][1:] for f in _fold_cells(np.array([c[0] for c in cells]), tolerance)]
 
 
@@ -1309,9 +1328,10 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
     at (r, i) or (r, j), is folded too, and the fold decides it on the backend's products, about
     2n entries per hole, as ``_conj_product`` sums only a product's hole terms; a hole at its lhs
     alone makes it differ, as its rhs is then a root.  On the float backend (``_floats``) both
-    sides are float64 parts, one row i at a time, with the scalar operations ``_apply`` and
-    ``mul_vec`` run, and the fold sees its first failing and its worst cell
-    (``_float_hom_pairs``), so again the check is the full fold's.
+    sides are float64 parts, with the scalar operations ``_apply`` and ``mul_vec`` run, over the
+    pairs in blocks of cells, leaving out a pair (i, j), i > j, whose mirror (j, i) reads the same
+    law cell and so has the same residual bits; the fold sees its first failing and its worst
+    cell (``_float_hom_pairs``), so again the check is the full fold's.
     """
     h, k, b = phi.domain, phi.codomain, phi.domain.backend
     img = [phi.columns.get(i, {}) for i in range(h.dim)]
@@ -1364,6 +1384,9 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
     (an (i,j) pair, ``unit``), the antipode witness a basis vector of h.  When
     the transpose is literally phi (equal columns, and duals ``same_tensors``
     as phi's domain and codomain), its conditions are phi's: three folds.
+    The transpose's columns are phi's own when phi's dense read is bitwise
+    symmetric with no hole (``_self_transpose``), as a character table's
+    is, and ``_transpose``'s otherwise.
     Each multiplicative fold reads its domain's law and its codomain's
     diagonal where they have one (``_algebra_hom``), as both maps of a
     character table do: the group algebra onto a function algebra, and the
@@ -1373,12 +1396,23 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
     (``_antipode_hom``); any other map is folded on two ``_compose`` sums.
     """
     h, k = phi.domain, phi.codomain
-    transpose = LinearMap(dual_hopf(k), dual_hopf(h), _transpose(phi.columns))
+    columns = phi.columns if _self_transpose(phi) else _transpose(phi.columns)
+    transpose = LinearMap(dual_hopf(k), dual_hopf(h), columns)
     hom = _algebra_hom(phi)
     shared = (transpose.columns == phi.columns and same_tensors(transpose.domain, h)
               and same_tensors(transpose.codomain, k))
     return _sides((hom, hom if shared else _algebra_hom(transpose)), ("comultiplicative", "counital"),
                   (_antipode_hom(phi),))
+
+
+def _self_transpose(f: LinearMap) -> bool:
+    """True when f's dense read (``LinearMap._dense``) is bitwise symmetric with no hole, so f's
+    columns are its transpose's, entry for entry and bit for bit, and ``_transpose`` need not
+    build them: equal exponents are equal roots, and equal part bits are equal complexes."""
+    read = f._dense
+    if isinstance(read, np.ndarray):
+        return not f._holes and np.array_equal(read, read.T)
+    return read is not None and all(np.array_equal(p.view(np.int64), p.T.view(np.int64)) for p in read)
 
 
 def _antipode_hom(phi: LinearMap) -> CheckResult:
@@ -1488,7 +1522,9 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     The dual side is the character table alone, ``_character_table(dual_group(group))``,
     with no algebras of its own.  Under the biduality its transposed map has
     phi's type, so it is a LinearMap between phi's algebras, whose backend and
-    dimensions are all ``unitarity_check`` reads.
+    dimensions are all ``unitarity_check`` reads.  The table is symmetric, so
+    that map is built on the table itself when its dense read says so
+    (``_self_transpose``), and on ``_transpose(table)`` otherwise.
 
     Unitarity and cycle-identity each fold one n x n product against |G| I:
     the gram, the map times its conjugate transpose, and the composite, the
@@ -1549,7 +1585,9 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     # the transpose sends a point mass at a character to that character's value table,
     # which is the dual side's table read by rows: value(m, t) and value(t, m) share one root index
     table = _character_table(dual_group(group), b)
-    s_map = LinearMap(phi.domain, phi.codomain, _transpose(table))
+    s_map = LinearMap(phi.domain, phi.codomain, table)
+    if not _self_transpose(s_map):
+        s_map = LinearMap(phi.domain, phi.codomain, _transpose(table))
     stages.append(_transpose_columns(phi, s_map))
 
     unitarity = unitarity_check(phi)

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from dualitylab import (
     function_algebra,
     group_algebra,
     heisenberg_witness,
+    make_backend,
     make_group,
     nuclearity_witness,
     product_iso_check,
@@ -200,6 +202,20 @@ def test_a_tolerance_that_makes_one_zero_is_refused(tmp_path, capsys, tolerance,
         ComplexFloatBackend(tolerance=value)
     assert exc.value.errors == [("", message)]
     assert ComplexFloatBackend(tolerance=0.999).tolerance == 0.999
+
+
+@pytest.mark.parametrize("order", [6, 12])
+def test_a_tiny_float_tolerance_still_finds_every_character(tmp_path, capsys, order):
+    # the characters are enumerated exactly, on root exponents, so none is lost where their float
+    # products round past the tolerance; the checks at that tolerance then fail, and the run says so
+    cfg = write_config(tmp_path, "run.json", {
+        "command": "group-part", "group": {"kind": "finite_abelian", "orders": [order]}, "algebra": "function",
+        "backend": "float", "tolerance": 1e-16, "mode": "closedForm"})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["counts"] == {"closed_form": order} and not report["allPass"]
 
 
 # a tensor-iso factor whose square passes TENSOR_DIM_CAP
@@ -779,3 +795,43 @@ def test_perturbed_cycle_counts_as_detection(tmp_path, capsys):
     assert report["results"]["perturbed"] is True
     (check,) = report["checks"]
     assert check["name"] == "perturbation-detected" and check["passed"]
+
+
+@pytest.mark.parametrize("backend", ["float", "cyclotomic"])
+def test_fourier_csv_formats_each_distinct_entry_once(monkeypatch, backend):
+    # the character table hands every cell of one power the same root: Z12 has 12, and the bumped
+    # entry is one more object
+    b = make_backend(backend, order=12) if backend == "cyclotomic" else make_backend(backend)
+    columns = duality_cycle(make_group(GroupSpec.finite_abelian([12])), b, (1, 2)).transform.columns
+    cls, calls = type(b), []
+    original = cls.format
+
+    def counting(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(cls, "format", counting)
+    _, tables = run_command(parse_config({"command": "duality-cycle", "backend": backend, "perturb": [1, 2],
+                                          "group": {"kind": "finite_abelian", "orders": [12]}}))
+    assert len(calls) == 13
+    assert tables["fourier.csv"][1] == [[i, j, original(b, columns[j][i])] for i in range(12) for j in range(12)]
+
+
+def test_fourier_csv_keeps_the_sign_of_each_zero(tmp_path, capsys, monkeypatch):
+    # equal values whose zero signs differ are distinct objects, so none takes another's string
+    zeros = [0j, complex(0, -0.0), complex(-0.0, 0)]
+    cycle = cli.duality_cycle
+
+    def signed_zeros(group, backend, perturb):
+        rep = cycle(group, backend, perturb)
+        return replace(rep, transform=replace(rep.transform, columns={j: dict(enumerate(zeros)) for j in range(3)}))
+
+    monkeypatch.setattr(cli, "duality_cycle", signed_zeros)
+    cfg = write_config(tmp_path, "run.json", {"command": "duality-cycle", "backend": "float",
+                                              "group": {"kind": "finite_abelian", "orders": [3]}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = (out / "fourier.csv").read_text().splitlines()
+    assert lines == ["row,col,value"] + [f"{i},{j},{text}" for i, text in enumerate(["0+0j", "0-0j", "-0+0j"])
+                                         for j in range(3)]

@@ -1310,6 +1310,64 @@ def test_the_float_read_falls_back(edit):
             assert stage_bits(rep) == stage_bits(cycle_of(g, b, columns))
 
 
+def row_hom_pairs(b, m, d, law):
+    """The float hom fold over every pair (i, j), one row i at a time, each row's first failing and
+    first worst cells kept and the fold's two picked from those: the oracle of ``_float_hom_pairs``,
+    which leaves out mirrored pairs and folds the rest in blocks."""
+    n, tolerance = len(law), b.tolerance
+    images = tuple(p.T.copy() for p in hopf._times((b.one.real, b.one.imag), m))
+    columns = tuple(p.T.copy() for p in m)
+    cells = []
+    for i, row in enumerate(law):
+        lhs = tuple(p[row] for p in images)
+        rhs = hopf._times(hopf._times((m[0][:, i], m[1][:, i]), columns), d)
+        res = np.hypot(lhs[0] - rhs[0], lhs[1] - rhs[1])
+        for j, r in (divmod(f, n) for f in hopf._fold_cells(res, tolerance)):
+            cells.append((res[j, r], f"({i},{j})", {r: complex(lhs[0][j, r], lhs[1][j, r])},
+                          {r: complex(rhs[0][j, r], rhs[1][j, r])}))
+    return [cells[f][1:] for f in hopf._fold_cells(np.array([c[0] for c in cells]), tolerance)]
+
+
+# S3 commutes only in part; "non-Latin" is a random (5, 5) table that is no group law
+HOM_LAWS = {"Z1": GroupSpec.finite_abelian([1]), "Z7": GroupSpec.finite_abelian([7]),
+            "Z2xZ4": GroupSpec.finite_abelian([2, 4]), "S3": GroupSpec.symmetric(3), "non-Latin": None}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(sorted(HOM_LAWS)),
+    block=st.sampled_from(["n", "middle", "n^3"]),
+    tolerance=st.sampled_from([1e-20, 1e-12, 1e-9, 0.5]),
+    seed=st.integers(0, 2**16),
+    bumps=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                             st.sampled_from([1e-14, 1e-11, 1e-8, 1e-3, 1.0]),
+                             st.floats(-2, 2), st.floats(-2, 2)), max_size=3),
+)
+def test_mirrored_blocks_hom_fold_matches_the_row_fold(name, block, tolerance, seed, bumps):
+    b = make_backend("float", tolerance=tolerance)
+    rng = np.random.default_rng(seed)
+    if HOM_LAWS[name] is None:
+        law = rng.integers(0, 5, size=(5, 5))
+        values = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        d = tuple(rng.normal(size=5) for _ in range(2))
+    else:
+        # rows of multiplicative functions, so the unbumped map passes, and the diagonal one
+        _, law, _, e = hopf._cayley_table(make_group(HOM_LAWS[name]))
+        chars = hopf._multiplicative_functions(law, e, b)
+        values = np.array([chars[r % len(chars)] for r in range(len(law))])
+        d = np.ones(len(law)), np.zeros(len(law))
+    n = len(law)
+    for r, c, size, re, im in bumps:
+        values[r % n, c % n] += complex(re, im) * size
+    m = values.real.copy(), values.imag.copy()
+    with mock.patch.object(hopf, "_HOM_BLOCK_CELLS", {"n": n, "middle": n * (n + 1) // 2, "n^3": n**3}[block]):
+        got = hopf._float_hom_pairs(b, m, d, law)
+    want = row_hom_pairs(b, m, d, law)
+    assert repr(got) == repr(want)
+    got, want = hopf.fold_checks("multiplicative", b, got), hopf.fold_checks("multiplicative", b, want)
+    assert (repr(got), got.residual.hex()) == (repr(want), want.residual.hex())
+
+
 # edits of an antipode s = {i: {p[i]: one}}, of dimension n >= 2: "none" and "a rotation" (no
 # involution, unlike the inverse map) read as permutations, and every other one must not read, so the
 # fold takes the _compose sums
@@ -1684,6 +1742,47 @@ def test_symmetric_map_with_unequal_duals_checks_both_sides():
     assert [[repr(c) for c in side] for side in (hom, transpose_hom)] == unshared_reprs(phi)
 
 
+def dense_columns(columns, n):
+    return isinstance(columns, dict) and len(columns) == n and all(len(col) == n for col in columns.values())
+
+
+@pytest.mark.parametrize("kind", ["float", "cyclotomic"])
+@pytest.mark.parametrize("edit", [None, "bump", "equal but for a zero's sign", "two unequal holes"])
+def test_a_bitwise_symmetric_read_with_no_hole_is_its_own_transpose(kind, edit):
+    g = make_group(GroupSpec.finite_abelian([6]))
+    b = make_backend("float") if kind == "float" else exact_backend_for(g)
+    phi = fourier(g, b)
+    columns = {t: dict(col) for t, col in phi.columns.items()}
+    if edit == "bump":
+        columns[2][1] = b.add(columns[2][1], b.one)
+    elif edit == "equal but for a zero's sign":
+        # floats: the read differs in one bit; cyclotomic: equal roots, so the read is symmetric
+        columns[1][2], columns[2][1] = (complex(1.0, 0.0), complex(1.0, -0.0)) if kind == "float" else (b.one, b.one)
+    elif edit == "two unequal holes":
+        # exact: both read as -1, so only the values tell them apart; floats: an asymmetric read
+        columns[1][2], columns[2][1] = b.from_int(2), b.from_int(3)
+    phi = LinearMap(phi.domain, phi.codomain, columns)
+    own = edit is None or (edit == "equal but for a zero's sign" and kind == "cyclotomic")
+    with mock.patch.object(hopf, "_transpose", wraps=hopf._transpose) as spy:
+        got = check_linear_hom(phi)
+    assert any(dense_columns(c.args[0], 6) for c in spy.call_args_list) is not own
+    with mock.patch.object(hopf, "_self_transpose", return_value=False):
+        assert repr(got) == repr(check_linear_hom(phi))
+
+
+@pytest.mark.parametrize("kind", ["float", "cyclotomic"])
+@pytest.mark.parametrize("perturb", [None, (1, 2)])
+def test_the_cycle_transposes_only_a_map_that_is_not_symmetric(kind, perturb):
+    # the dual side's table is symmetric, and so is the map unless it is perturbed
+    g = make_group(GroupSpec.finite_abelian([6]))
+    b = make_backend("float") if kind == "float" else exact_backend_for(g)
+    with mock.patch.object(hopf, "_transpose", wraps=hopf._transpose) as spy:
+        got = duality_cycle(g, b, perturb)
+    assert sum(dense_columns(c.args[0], 6) for c in spy.call_args_list) == (perturb is not None)
+    with mock.patch.object(hopf, "_self_transpose", return_value=False):
+        assert stage_bits(got) == stage_bits(duality_cycle(g, b, perturb))
+
+
 def test_dual_swaps_the_two_constructions():
     g = make_group(GroupSpec.symmetric(3))
     b = make_backend("cyclotomic", order=6)
@@ -1967,8 +2066,9 @@ def test_one_spanning_tree_matches_a_walk_per_candidate(group, kind, data):
     expected = frontier_multiplicative_functions(relabeled, perm[e], want)
     found = hopf._multiplicative_functions(np.array(relabeled, dtype=np.intp), perm[e], got)
     assert repr(found) == repr(expected)
-    # the float path makes the walk's own muls; the cyclotomic one sums root exponents and makes none
-    assert got.calls == (want.calls if kind == "float" else [])
+    # both paths audit root exponents with no backend mul; the float path then makes the walk's own
+    # muls for each kept row, n - 1 of them, and the cyclotomic one reads its roots and makes none
+    assert len(got.calls) == ((len(law) - 1) * len(found) if kind == "float" else 0)
 
 
 def test_group_part_group_algebra_deltas():
