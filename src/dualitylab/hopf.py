@@ -1247,8 +1247,9 @@ def _read_cells(b, x, y, values) -> list:
 
 # cells (pair, r) per block of the float hom fold; called directly on a 2-core x86-64 host, Z48
 # took about 4.6 -> 2.3 ms and Z256 700 -> 340 ms against the one-row-at-a-time fold, while
-# 2^14-cell blocks raised perfbench float-duality's peak RSS by 3 % and 2^16-cell blocks of every
-# pair were slower than rows (README)
+# 2^14-cell blocks raised perfbench float-duality's peak RSS by 3 %, 2^16-cell blocks of every
+# pair were slower than rows, and rows with the mirror rule alone were slower than these blocks
+# (README)
 _HOM_BLOCK_CELLS = 1 << 12
 
 
@@ -1522,9 +1523,9 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     The dual side is the character table alone, ``_character_table(dual_group(group))``,
     with no algebras of its own.  Under the biduality its transposed map has
     phi's type, so it is a LinearMap between phi's algebras, whose backend and
-    dimensions are all ``unitarity_check`` reads.  The table is symmetric, so
-    that map is built on the table itself when its dense read says so
-    (``_self_transpose``), and on ``_transpose(table)`` otherwise.
+    dimensions are all ``unitarity_check`` reads.  The table is symmetric by
+    construction, each cell and its mirror one root object, so that map is
+    built on the table itself.
 
     Unitarity and cycle-identity each fold one n x n product against |G| I:
     the gram, the map times its conjugate transpose, and the composite, the
@@ -1586,8 +1587,6 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     # which is the dual side's table read by rows: value(m, t) and value(t, m) share one root index
     table = _character_table(dual_group(group), b)
     s_map = LinearMap(phi.domain, phi.codomain, table)
-    if not _self_transpose(s_map):
-        s_map = LinearMap(phi.domain, phi.codomain, _transpose(table))
     stages.append(_transpose_columns(phi, s_map))
 
     unitarity = unitarity_check(phi)

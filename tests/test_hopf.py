@@ -1961,10 +1961,12 @@ def test_group_part_function_algebra_s3():
         assert r.worst_residual == 0.0
 
 
-def frontier_multiplicative_functions(law, e, backend):
+def frontier_multiplicative_functions(law, e, backend, walks=None):
     """The search as it stood before one spanning tree served every candidate:
     a greedy generating set grown by re-walking frontiers, element orders by
-    repeated steps, and a fresh frontier walk for each root assignment."""
+    repeated steps, and a fresh frontier walk for each root assignment.  With
+    a CountingMul backend, walks receives the mul operands of each kept
+    candidate's walk, in call order, and not those of its audit."""
     def span(gens):
         reached, frontier = {e}, [e]
         while frontier:
@@ -2000,6 +2002,7 @@ def frontier_multiplicative_functions(law, e, backend):
         values[e] = backend.one
         frontier = [e]
         assign = {g: backend.root(k, o) for g, k, o in zip(gens, expos, orders)}
+        start = len(backend.calls) if walks is not None else 0
         while frontier:
             nxt = []
             for x in frontier:
@@ -2009,6 +2012,7 @@ def frontier_multiplicative_functions(law, e, backend):
                         values[y] = backend.mul(values[x], assign[g])
                         nxt.append(y)
             frontier = nxt
+        walked = backend.calls[start:] if walks is not None else []
         ok = True
         for a in range(n):
             for c in range(n):
@@ -2021,6 +2025,8 @@ def frontier_multiplicative_functions(law, e, backend):
             tup = tuple(values)
             if not any(all(backend.eq(a, c) for a, c in zip(tup, other)) for other in found):
                 found.append(tup)
+                if walks is not None:
+                    walks.extend(walked)
     return found
 
 
@@ -2062,13 +2068,14 @@ def test_one_spanning_tree_matches_a_walk_per_candidate(group, kind, data):
         for j, k in enumerate(row):
             relabeled[perm[i]][perm[j]] = perm[k]
     base = make_backend("float") if kind == "float" else make_backend("cyclotomic", order=g.exponent)
-    want, got = CountingMul(base), CountingMul(base)
-    expected = frontier_multiplicative_functions(relabeled, perm[e], want)
+    want, got, walks = CountingMul(base), CountingMul(base), []
+    expected = frontier_multiplicative_functions(relabeled, perm[e], want, walks)
     found = hopf._multiplicative_functions(np.array(relabeled, dtype=np.intp), perm[e], got)
     assert repr(found) == repr(expected)
-    # both paths audit root exponents with no backend mul; the float path then makes the walk's own
-    # muls for each kept row, n - 1 of them, and the cyclotomic one reads its roots and makes none
-    assert len(got.calls) == ((len(law) - 1) * len(found) if kind == "float" else 0)
+    # both paths audit root exponents with no backend mul; the float path then makes each kept
+    # row's walk muls, operand for operand and in order, and the cyclotomic one reads its roots
+    assert len(walks) == (len(law) - 1) * len(found)
+    assert repr(got.calls) == repr(walks if kind == "float" else [])
 
 
 def test_group_part_group_algebra_deltas():
@@ -2237,9 +2244,12 @@ GROUP_PART_READS = ("_grouplike_basis", "_grouplike_read", "_closure_read")
 
 
 def generic_group_part(h, mode):
-    """group_part with every structure read off, as it stood before them: the reads return None and
-    _multiplicative_functions walks each candidate through the backend.  An error is returned as
-    its repr."""
+    """group_part with every structure read off, as it stood before them: the reads return None, and
+    the backend is reached only by name, so no backend-specific read applies.  Candidates are still
+    audited on root exponents by _multiplicative_functions, as on every backend, and each kept row
+    is valued by a chain of backend.mul, so this checks the reads and not the enumeration; the
+    frontier oracle of test_one_spanning_tree_matches_a_walk_per_candidate checks that.  An error
+    is returned as its repr."""
     with contextlib.ExitStack() as stack:
         for name in GROUP_PART_READS:
             stack.enter_context(mock.patch.object(hopf, name, return_value=None))
