@@ -74,7 +74,6 @@ from .weighted import (
     dual_norm_extremizer,
     pairing,
     random_rectangle_member,
-    random_table,
     rectangle_bipolar_contains,
     rectangle_polar_contains,
     seminorm,

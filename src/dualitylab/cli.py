@@ -66,7 +66,9 @@ from .semichar import (
     ExpLength,
     build_semicharacter,
     parse_recipe,
+    reads_exp_length,
     reads_inverse,
+    require_exp_length_radius,
     sampled_submultiplicativity,
 )
 from .weighted import (
@@ -504,6 +506,7 @@ def _explore_enumerated(ball, run):
 
 def _seminorm_suite(fields):
     ball = _ball(fields, generators=False, default_radius=8)
+    _rooted("radius", require_exp_length_radius, ball[2])
     count = fields("count", 20, _parse_int, 1)
     trials = fields("trials", 200, _parse_int, 1)
     seed = fields.inputs["seed"]
@@ -541,6 +544,8 @@ def _polar_suite(fields):
     trials = fields("trials", 1000, _parse_int, 1)
     recipe_f = fields("weightF", {"kind": "expLength"}, _parse_recipe)
     recipe_g = fields("weightG", {"kind": "const", "value": 3}, _parse_recipe)
+    if reads_exp_length(recipe_f) or reads_exp_length(recipe_g):
+        _rooted("radius", require_exp_length_radius, ball[2])
     seed = fields.inputs["seed"]
     group = ball[0]
 

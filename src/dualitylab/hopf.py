@@ -21,6 +21,7 @@ import numpy as np
 
 from .groups import Group, GroupSpec, direct_product, make_group, require, walk
 from .reports import CheckResult, as_int, fail, fold
+from .scalars import times
 
 # tensor-iso grows as dim^2; through duality-lab, one process each (Python 3.11,
 # 2-core x86-64 host), exact backend: Z30xZ40 (dim 1200) 19.1 s at 1245 MB peak,
@@ -1172,19 +1173,12 @@ def _floats(b, columns: Mapping, n: int):
     return None if parts is None else tuple(p.T.copy() for p in parts)
 
 
-def _times(x, y):
-    """The entrywise product of two (re, im) pairs as CPython multiplies complex numbers, one float64
-    ufunc per operation: numpy's own complex product rounds differently."""
-    (xr, xi), (yr, yi) = x, y
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
 def _float_matmul(a, c):
     """The (re, im) product of two (re, im) n x n pairs, entry (i, j) the sum over k of
     a[i, k] c[k, j] added in k order from the first term as it is, as ``_compose`` adds it."""
     acc = None
     for k in range(a[0].shape[1]):
-        term = _times((a[0][:, k, None], a[1][:, k, None]), (c[0][k], c[1][k]))
+        term = times((a[0][:, k, None], a[1][:, k, None]), (c[0][k], c[1][k]))
         acc = term if acc is None else (acc[0] + term[0], acc[1] + term[1])
     return acc
 
@@ -1260,13 +1254,13 @@ def _float_hom_pairs(b, m, d, law):
     ``mul_vec`` form it.
 
     A pair (i, j) with i > j and law[i, j] == law[j, i] is left out: IEEE products and sums
-    commute, so ``_times`` gives (m_j m_i) d the bits of (m_i m_j) d, and the left side reads the
+    commute, so ``times`` gives (m_j m_i) d the bits of (m_i m_j) d, and the left side reads the
     same law cell, so each of its cells has the residual of its mirror's, which comes earlier.
     The first failing and first worst cells are then never left-out ones.  The listed pairs are
     laid out (pair, r) in blocks of about _HOM_BLOCK_CELLS cells, so no n^3 array is held; each
     block's two ``_fold_cells`` are kept, and the fold's two are picked from those."""
     n, tolerance = len(law), b.tolerance
-    images = tuple(p.T.copy() for p in _times((b.one.real, b.one.imag), m))   # [c, r]: phi(c) at r
+    images = tuple(p.T.copy() for p in times((b.one.real, b.one.imag), m))   # [c, r]: phi(c) at r
     columns = tuple(p.T.copy() for p in m)                                     # [j, r]: m[r, j]
     first, second = np.nonzero(~(np.tri(n, k=-1, dtype=bool) & (law == law.T)))
     step = max(1, _HOM_BLOCK_CELLS // n)
@@ -1274,7 +1268,7 @@ def _float_hom_pairs(b, m, d, law):
     for at in range(0, len(first), step):
         i, j = first[at:at + step], second[at:at + step]
         lhs = tuple(p[law[i, j]] for p in images)
-        rhs = _times(_times(tuple(p[i] for p in columns), tuple(p[j] for p in columns)), d)
+        rhs = times(times(tuple(p[i] for p in columns), tuple(p[j] for p in columns)), d)
         res = np.hypot(lhs[0] - rhs[0], lhs[1] - rhs[1])
         for q, r in (divmod(f, n) for f in _fold_cells(res, tolerance)):
             cells.append((res[q, r], f"({i[q]},{j[q]})", {r: complex(lhs[0][q, r], lhs[1][q, r])},
@@ -1610,7 +1604,7 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
                         or (_compose(b, _conj(b, table), phi.columns), None))
     if isinstance(composite, tuple):
         # on floats the entries are scaled before they are listed, as the tolerance meets them scaled
-        scaled = dict(_against_identity(b, _times(composite, (float(inv_scale), 0.0)), n, 1))
+        scaled = dict(_against_identity(b, times(composite, (float(inv_scale), 0.0)), n, 1))
     else:
         scaled = {k: b.scale(x, inv_scale) for k, x in _against_identity(b, composite, n, n, holes)}
     cycle = fold_checks("cycle-identity", b, [("", scaled, {k: b.one for k in scaled if k[0] == k[1]})])

@@ -77,6 +77,13 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def times(x, y):
+    """The entrywise product of two (re, im) pairs as CPython multiplies complex numbers, one float64
+    ufunc per operation: numpy's own complex product rounds differently."""
+    (xr, xi), (yr, yi) = x, y
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
 class ComplexFloatBackend:
     """IEEE complex numbers with a fixed absolute equality tolerance."""
 

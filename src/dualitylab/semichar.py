@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 
 from .groups import Element, GeneratorSet, Group
@@ -226,10 +227,30 @@ def parse_recipe(recipe, path: str = "recipe") -> dict:
     return out
 
 
+def _kinds(recipe: dict) -> set[str]:
+    """The kind of every node of a parsed recipe tree."""
+    subs = recipe.get("args", []) + ([recipe["arg"]] if "arg" in recipe else [])
+    return {recipe["kind"]}.union(*map(_kinds, subs))
+
+
 def reads_inverse(recipe: dict) -> bool:
     """Whether the weight a parsed recipe builds is read at x^-1, through an inverse node."""
-    subs = recipe.get("args", []) + ([recipe["arg"]] if "arg" in recipe else [])
-    return recipe["kind"] == "inverse" or any(reads_inverse(r) for r in subs)
+    return "inverse" in _kinds(recipe)
+
+
+def reads_exp_length(recipe: dict) -> bool:
+    """Whether the weight a parsed recipe builds has an ``ExpLength`` leaf."""
+    return "expLength" in _kinds(recipe)
+
+
+def require_exp_length_radius(radius) -> None:
+    """ConfigError at "" unless ``ExpLength`` can read every length up to ``radius``: exp of a
+    length above log(DBL_MAX), about 709.78, overflows a double."""
+    try:
+        math.exp(float(radius))
+    except OverflowError:
+        fail("", f"must be at most {math.log(sys.float_info.max):.6f}, past which exp(length) "
+                 f"overflows a double, got {radius}")
 
 
 def build_semicharacter(recipe: dict, report: LengthReport) -> Semicharacter:

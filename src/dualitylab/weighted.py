@@ -14,9 +14,14 @@ Weights come from the semicharacter grammar, so submultiplicativity of the
 underlying weight is available by construction.
 
 Each ``weighted_property_trials`` call reads every weight once per element
-and keeps the value for the rest of the call.  Each random vector or table
-takes all its coefficients from one numpy draw, which consumes the stream in
-the order one draw per support point would, so a seed gives the same values.
+and keeps the value for the rest of the call.  Each random vector takes all
+its coefficients from one numpy draw, which consumes the stream in the order
+one draw per support point would, so a seed gives the same values.  The
+seminorm checks draw their tables a block of trials at a time, one numpy draw
+per block, which consumes the stream in the order one draw per table would,
+and evaluate q on rows of float64 parts: |u| is ``np.hypot`` of the parts and
+u v is ``scalars.times``, CPython's complex product, because numpy's complex
+``abs`` and ``*`` round differently.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -31,6 +37,7 @@ import numpy as np
 from .groups import Element, Group
 from .length import LengthReport
 from .reports import LOOSE_TOL, REL_TOL, CheckResult, fold, leq, leq_trials
+from .scalars import times
 from .semichar import Semicharacter
 
 
@@ -180,11 +187,15 @@ class Decomposition:
     beta: WeightedVector | None = None
     gamma: WeightedVector | None = None
 
+    @cached_property
+    def recombined(self) -> WeightedVector:
+        """lam beta + (1 - lam) gamma, which a feasible certificate claims is alpha."""
+        return self.beta.scaled(self.lam) + self.gamma.scaled(1.0 - self.lam)
+
     def verify(self, alpha: WeightedVector, f: Semicharacter, g: Semicharacter) -> bool:
         if not self.feasible:
             return not leq(self.min_norm, 1.0)
-        recombined = self.beta.scaled(self.lam) + self.gamma.scaled(1.0 - self.lam)
-        if recombined.max_abs_diff(alpha) > REL_TOL * max(1.0, *(abs(c) for c in alpha.coeffs.values()), 0.0):
+        if self.recombined.max_abs_diff(alpha) > REL_TOL * max(1.0, *(abs(c) for c in alpha.coeffs.values()), 0.0):
             return False
         return (
             0.0 <= self.lam <= 1.0
@@ -243,6 +254,8 @@ class SubmultiplicativeSeminorm:
     def __post_init__(self):
         if not self.support:
             raise ValueError("support must be non-empty")
+        if len(set(self.support)) < len(self.support):
+            raise ValueError("support must list distinct elements")
         if self.scale < 1.0:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
         for x in self.support:
@@ -265,14 +278,30 @@ class SubmultiplicativeSeminorm:
         return self.scale * self.weights[x]
 
 
-def _complex_normals(rng: np.random.Generator, scale: float, count: int) -> list[complex]:
-    """``count`` complex values from one draw, real then imaginary part of each from N(0, scale^2)."""
-    return rng.normal(0.0, scale, size=(count, 2)).view(np.complex128).ravel().tolist()
+# the most support points one block of a seminorm check's tables holds, 64 KiB of float64 parts,
+# so that a check's memory does not grow with its trials
+_BLOCK_POINTS = 1 << 12
 
 
-def random_table(support, rng: np.random.Generator) -> dict:
-    """Complex values on ``support``, real and imaginary parts drawn from N(0, 2^2)."""
-    return dict(zip(support, _complex_normals(rng, 2.0, len(support))))
+def _table_blocks(q: SubmultiplicativeSeminorm, rng: np.random.Generator, trials: int, per_trial: int):
+    """The real and imaginary parts of ``per_trial`` tables on q's support for each of ``trials``
+    trials, as (m, per_trial, k) arrays for each block of m trials.
+
+    A block is one draw of (m, per_trial, k, 2) values from N(0, 2^2), in C order: real then
+    imaginary part of each point, points in support order, tables in trial order, which is the
+    order one draw per table would take them in.
+    """
+    k = len(q.support)
+    step = max(1, _BLOCK_POINTS // (per_trial * k))
+    for start in range(0, trials, step):
+        parts = rng.normal(0.0, 2.0, size=(min(step, trials - start), per_trial, k, 2))
+        yield parts[..., 0], parts[..., 1]
+
+
+def _q_rows(q: SubmultiplicativeSeminorm, modulus: np.ndarray) -> np.ndarray:
+    """q of each row of an (m, k) array of |u| in support order, with the bits of ``q(u)``."""
+    weights = np.array([q.weights[x] for x in q.support], dtype=float)
+    return float(q.scale) * (weights * modulus).max(axis=1)
 
 
 def seminorm_support_check(
@@ -289,12 +318,14 @@ def seminorm_support_check(
     ok = all(leq(q.indicator_value(x), q.indicator_value(x) ** 2) for x in q.support)
     results.append(CheckResult(name="idempotent-consistency", passed=ok))
 
-    def draw():
-        u = random_table(q.support, rng)
-        v = random_table(q.support, rng)
-        return q({x: u[x] * v[x] for x in q.support}), q(u) * q(v)
+    def pairs():
+        for re, im in _table_blocks(q, rng, trials, 2):
+            u, v = (re[:, 0], im[:, 0]), (re[:, 1], im[:, 1])
+            lhs = _q_rows(q, np.hypot(*times(u, v)))
+            rhs = _q_rows(q, np.hypot(*u)) * _q_rows(q, np.hypot(*v))
+            yield from zip(lhs.tolist(), rhs.tolist())
 
-    results.append(leq_trials("submultiplicative", trials, draw, REL_TOL))
+    results.append(leq_trials("submultiplicative", trials, pairs().__next__, REL_TOL))
     return results
 
 
@@ -306,11 +337,12 @@ def domination_check(
     """q(u) <= (sum of indicator values) * sup |u| on the support, sampled."""
     total = math.fsum(q.indicator_value(x) for x in q.support)
 
-    def draw():
-        u = random_table(q.support, rng)
-        return q(u), total * max(abs(u[x]) for x in q.support)
+    def pairs():
+        for re, im in _table_blocks(q, rng, trials, 1):
+            modulus = np.hypot(re[:, 0], im[:, 0])
+            yield from zip(_q_rows(q, modulus).tolist(), (total * modulus.max(axis=1)).tolist())
 
-    return leq_trials("domination", trials, draw, REL_TOL)
+    return leq_trials("domination", trials, pairs().__next__, REL_TOL)
 
 
 def summability_check(
@@ -381,7 +413,8 @@ def _random_vector(group, region, rng: np.random.Generator) -> WeightedVector:
     """
     size = min(int(rng.integers(1, 7)), len(region))
     picks = rng.choice(len(region), size=size, replace=False).tolist()
-    coeffs = _complex_normals(rng, 1.0, size)
+    # real then imaginary part of each coefficient from N(0, 1), in one draw
+    coeffs = rng.normal(0.0, 1.0, size=(size, 2)).view(np.complex128).ravel().tolist()
     return WeightedVector(group, {region[i]: c for i, c in zip(picks, coeffs) if c != 0})
 
 
@@ -456,8 +489,7 @@ def weighted_property_trials(
         tag = "" if sound else witness(i, alpha)
         if not dec.feasible:
             return sound, 0.0, tag
-        recombined = dec.beta.scaled(dec.lam) + dec.gamma.scaled(1.0 - dec.lam)
-        return sound, recombined.max_abs_diff(alpha), tag
+        return sound, dec.recombined.max_abs_diff(alpha), tag
 
     results = [
         leq_trials("convolution-submultiplicative", trials, draw_convolution, LOOSE_TOL),

@@ -40,6 +40,7 @@ from dualitylab.hopf import (
     TENSOR_DIM_CAP,
     require_group_part_order,
 )
+from dualitylab.semichar import require_exp_length_radius
 
 
 def errors(raw, **kwargs):
@@ -263,8 +264,11 @@ Z, S3, F2, Z_PAST_CAP, Z_PAST_BOTH, Z_SIDE, Z_PAST_AXIOMS, Z_PAST_FUNCTION_PART,
     ({"command": "group-part", "algebra": "group", "mode": "closedForm",
       "group": {"kind": "finite_abelian", "orders": [GROUP_PART_GROUP_ORDER_CAP + 1]}}, "group",
      lambda: require_group_part_order(Z_PAST_GROUP_PART, "group", 1)),
+    ({"command": "seminorm-suite", "group": {"kind": "free_abelian", "rank": 1}, "radius": 720}, "radius",
+     lambda: require_exp_length_radius(Fraction(720))),
 ], ids=["finite", "finite_abelian", "duality-order", "heisenberg", "integer-weights", "weight-count", "tolerance",
-        "both-function-part-order", "tensor-dim", "axioms-dim", "function-part-order", "group-part-order"])
+        "both-function-part-order", "tensor-dim", "axioms-dim", "function-part-order", "group-part-order",
+        "exp-length-radius"])
 def test_cli_reports_the_library_rule_at_its_path(config, root, call):
     with pytest.raises(ConfigError) as exc:
         call()
@@ -454,6 +458,38 @@ def test_run_seminorm_and_polar_check_names():
         "bipolar-agreement", "decomposition-sound",
         "weight-f-submultiplicative", "weight-g-submultiplicative",
     ]
+
+
+Z_LINE = {"kind": "free_abelian", "rank": 1}
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "seminorm-suite", "radius": 710, "trials": 5},
+    {"command": "seminorm-suite", "radius": 720, "trials": 5},
+    *({"command": "polar-suite", "radius": 716, "trials": 5, "seed": seed} for seed in range(1, 5)),
+    {"command": "polar-suite", "radius": 1430, "trials": 5},
+    {"command": "polar-suite", "radius": 720, "trials": 5, "weightF": {"kind": "const", "value": 2},
+     "weightG": {"kind": "max", "args": [{"kind": "const"}, {"kind": "expLength"}]}},
+], ids=["seminorm-710", "seminorm-720", *(f"polar-716-seed-{s}" for s in range(1, 5)), "polar-1430",
+        "polar-720-weightG"])
+def test_suites_refuse_a_radius_where_exp_length_overflows(tmp_path, capsys, config):
+    # an expLength weight read at a length above log(DBL_MAX) would overflow mid-run
+    cfg = write_config(tmp_path, "run.json", {"group": Z_LINE, **config})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at radius: must be at most 709.782713,") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "seminorm-suite", "radius": 709, "trials": 5, "seed": 1},
+    {"command": "polar-suite", "radius": 1430, "trials": 5, "weightF": {"kind": "const", "value": 2}},
+], ids=["seminorm-709", "polar-1430-without-expLength"])
+def test_suites_run_where_exp_length_stays_finite(tmp_path, capsys, config):
+    cfg = write_config(tmp_path, "run.json", {"group": Z_LINE, **config})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
 
 
 def test_truncated_suite_exploration_is_one_failing_row():

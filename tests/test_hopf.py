@@ -26,7 +26,7 @@ from dualitylab import (
 from dualitylab import cli, hopf
 from dualitylab.cli import main
 from dualitylab.reports import CheckResult
-from dualitylab.scalars import CyclotomicBackend
+from dualitylab.scalars import CyclotomicBackend, times
 from dualitylab.hopf import (
     DUALITY_ORDER_CAP,
     TENSOR_DIM_CAP,
@@ -1219,15 +1219,15 @@ def bits(z):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_split_real_product_is_cpythons_complex_product(seed):
-    # the float array folds multiply as hopf._times does; CPython's complex * is the reference
+    # the float array folds multiply as scalars.times does; CPython's complex * is the reference
     xr, xi, yr, yi = (awkward_floats(random.Random(4 * seed + k), 4096, 1e150) for k in range(4))
     for step in (1, 3):   # contiguous and strided operands
-        re, im = hopf._times((xr[::step], xi[::step]), (yr[::step], yi[::step]))
+        re, im = times((xr[::step], xi[::step]), (yr[::step], yi[::step]))
         want = [bits(complex(a, b) * complex(c, d))
                 for a, b, c, d in zip(xr[::step], xi[::step], yr[::step], yi[::step])]
         assert [bits(complex(r, i)) for r, i in zip(re, im)] == want
         # the factors swapped, as the transposed composite forms each term: the same bits
-        re, im = hopf._times((yr[::step], yi[::step]), (xr[::step], xi[::step]))
+        re, im = times((yr[::step], yi[::step]), (xr[::step], xi[::step]))
         assert [bits(complex(r, i)) for r, i in zip(re, im)] == want
 
 
@@ -1315,12 +1315,12 @@ def row_hom_pairs(b, m, d, law):
     first worst cells kept and the fold's two picked from those: the oracle of ``_float_hom_pairs``,
     which leaves out mirrored pairs and folds the rest in blocks."""
     n, tolerance = len(law), b.tolerance
-    images = tuple(p.T.copy() for p in hopf._times((b.one.real, b.one.imag), m))
+    images = tuple(p.T.copy() for p in times((b.one.real, b.one.imag), m))
     columns = tuple(p.T.copy() for p in m)
     cells = []
     for i, row in enumerate(law):
         lhs = tuple(p[row] for p in images)
-        rhs = hopf._times(hopf._times((m[0][:, i], m[1][:, i]), columns), d)
+        rhs = times(times((m[0][:, i], m[1][:, i]), columns), d)
         res = np.hypot(lhs[0] - rhs[0], lhs[1] - rhs[1])
         for j, r in (divmod(f, n) for f in hopf._fold_cells(res, tolerance)):
             cells.append((res[j, r], f"({i},{j})", {r: complex(lhs[0][j, r], lhs[1][j, r])},

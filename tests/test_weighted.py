@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -27,7 +28,6 @@ from dualitylab import (
     make_group,
     pairing,
     random_rectangle_member,
-    random_table,
     rectangle_bipolar_contains,
     rectangle_polar_contains,
     seminorm,
@@ -36,7 +36,7 @@ from dualitylab import (
     summability_check,
     weighted_property_trials,
 )
-from dualitylab import weighted
+from dualitylab import scalars, weighted
 from dualitylab.reports import LOOSE_TOL, REL_TOL, CheckResult, fold, leq_trials
 
 Z = make_group(GroupSpec.free_abelian(1))
@@ -222,6 +222,8 @@ def test_decomposition_feasible_hand_case():
     assert dec.verify(alpha, F, g)
     recombined = dec.beta.scaled(dec.lam) + dec.gamma.scaled(1 - dec.lam)
     assert recombined.max_abs_diff(alpha) <= 1e-12
+    # verify formed the recombination once, with these bits, and keeps it for the residual
+    assert dec.__dict__["recombined"].coeffs == recombined.coeffs
     assert leq(seminorm(dec.beta, F), 1.0)
     assert leq(seminorm(dec.gamma, g), 1.0)
 
@@ -270,6 +272,8 @@ def test_max_seminorm_hand_values_and_validation():
         SubmultiplicativeSeminorm(support=(x,), weights={x: 2.0}, scale=0.9)
     with pytest.raises(ValueError):
         SubmultiplicativeSeminorm(support=(x, y), weights={x: 2.0})
+    with pytest.raises(ValueError, match="distinct"):
+        SubmultiplicativeSeminorm(support=(x, y, x), weights={x: 2.0, y: 4.0})
 
 
 def test_seminorm_check_suite_passes():
@@ -289,11 +293,101 @@ def test_seminorm_check_suite_passes():
     assert summ.name == "summability" and summ.passed
 
 
+def random_table(support, rng):
+    """Complex values on ``support``, real and imaginary parts drawn from N(0, 2^2), in one draw."""
+    return dict(zip(support, rng.normal(0.0, 2.0, size=(len(support), 2)).view(np.complex128).ravel().tolist()))
+
+
 def test_random_table_shape():
     rng = np.random.default_rng(0)
     t = random_table([(0,), (1,)], rng)
     assert set(t) == {(0,), (1,)}
     assert all(isinstance(v, complex) for v in t.values())
+
+
+def looped_seminorm_checks(q, rng, trials):
+    """The sampled rows of ``seminorm_support_check`` and ``domination_check``, one
+    ``random_table`` and one ``q(...)`` per table, kept as the oracle of the block draws."""
+
+    def submultiplicative():
+        u = random_table(q.support, rng)
+        v = random_table(q.support, rng)
+        return q({x: u[x] * v[x] for x in q.support}), q(u) * q(v)
+
+    first = leq_trials("submultiplicative", trials, submultiplicative, weighted.REL_TOL)
+    total = math.fsum(q.indicator_value(x) for x in q.support)
+
+    def domination():
+        u = random_table(q.support, rng)
+        return q(u), total * max(abs(u[x]) for x in q.support)
+
+    return [first, leq_trials("domination", trials, domination, weighted.REL_TOL)]
+
+
+def block_trials(k):
+    """Trial counts at the edges of the blocks of both checks on a k-point support."""
+    edges = {weighted._BLOCK_POINTS // (per_trial * k) for per_trial in (1, 2)}
+    return sorted({1, *(b + d for b in edges for d in (-1, 0, 1))} - {0})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    weights=st.lists(st.floats(1.0, 4.0, exclude_max=True), min_size=1, max_size=8),
+    scale=st.floats(1.0, 3.0, exclude_max=True),
+    pick=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+    failing=st.booleans(),
+)
+def test_seminorm_checks_match_the_per_table_loop(weights, scale, pick, seed, failing):
+    support = tuple(sorted(HALF))[:len(weights)]
+    q = SubmultiplicativeSeminorm(support=support, weights=dict(zip(support, weights)), scale=scale)
+    choices = block_trials(len(support))
+    trials = choices[pick % len(choices)]
+    batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if failing:
+            # no trial meets a negative tolerance, so each row's first failing tag is compared too
+            mp.setattr(weighted, "REL_TOL", -1.0)
+        got = seminorm_support_check(q, batched, trials=trials)[2:] + [domination_check(q, batched, trials=trials)]
+        want = looped_seminorm_checks(q, looped, trials)
+    assert repr(got) == repr(want)
+    assert [c.residual.hex() for c in got] == [c.residual.hex() for c in want]
+    assert all(c.passed != failing for c in got)
+    assert batched.bit_generator.state == looped.bit_generator.state
+
+
+def test_the_array_modulus_and_product_are_cpythons():
+    # numpy's complex128 abs and * round differently from CPython's abs(complex) and complex *
+    # in the last bit on a fair share of N(0, 4) values, which would change the seminorm rows'
+    # bits; np.hypot of the parts and scalars.times are what the checks use instead
+    rng = np.random.default_rng(11)
+    ur, ui, vr, vi = rng.normal(0.0, 2.0, size=(4, 10**5))
+    u = [complex(a, b) for a, b in zip(ur.tolist(), ui.tolist())]
+    v = [complex(a, b) for a, b in zip(vr.tolist(), vi.tolist())]
+    assert [x.hex() for x in np.hypot(ur, ui).tolist()] == [abs(a).hex() for a in u]
+    re, im = scalars.times((ur, ui), (vr, vi))
+    want = [a * b for a, b in zip(u, v)]
+    assert [x.hex() for x in re.tolist()] == [z.real.hex() for z in want]
+    assert [x.hex() for x in im.tolist()] == [z.imag.hex() for z in want]
+
+
+def test_a_seminorm_checks_memory_does_not_grow_with_trials():
+    support = tuple(sorted(HALF))[:8]
+    q = SubmultiplicativeSeminorm(support=support, weights=dict.fromkeys(support, 2.0), scale=1.5)
+
+    def peak(trials):
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            seminorm_support_check(q, rng, trials=trials)
+            domination_check(q, rng, trials=trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10**4), peak(10**5)
+    # one block of tables at a time: ten times the trials, the same peak
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_property_trials_all_pass():
