@@ -45,7 +45,6 @@ from .hopf import (
     require_cycle_group,
     require_group_part_order,
     require_tensor_dim,
-    same_tensors,
 )
 from .length import (
     DEFAULT_ELEMENT_CAP,
@@ -74,6 +73,7 @@ from .semichar import (
 from .weighted import (
     SubmultiplicativeSeminorm,
     domination_check,
+    require_summability_radius,
     seminorm_support_check,
     summability_check,
     weighted_property_trials,
@@ -256,7 +256,7 @@ def _hopf_axioms(fields):
             h = build(group, backend)
             # dual_hopf twice returns the same tensors, so when h's dual is an
             # algebra already checked, h's two lists are that algebra's, swapped
-            reused = ((d, a) for k, a, d in checked if same_tensors(dual_hopf(h), k))
+            reused = ((d, a) for k, a, d in checked if dual_hopf(h) == k)
             lists = next(reused, None) or check_hopf_axioms(h)
             checked.append((h, *lists))
             for prefix, axioms in zip((alg, f"{alg}-dual"), lists):
@@ -504,9 +504,16 @@ def _explore_enumerated(ball, run):
     return [CheckResult("resource-cap", False, detail=detail)], {"settled": len(report.lengths)}, {}
 
 
+# the ranges seminorm-suite draws each weight and each scale from, so each q(1_x) is below their
+# product
+_SEMINORM_WEIGHTS = (1.0, 4.0)
+_SEMINORM_SCALES = (1.0, 3.0)
+
+
 def _seminorm_suite(fields):
     ball = _ball(fields, generators=False, default_radius=8)
     _rooted("radius", require_exp_length_radius, ball[2])
+    _rooted("radius", require_summability_radius, ball[2], _SEMINORM_WEIGHTS[1] * _SEMINORM_SCALES[1])
     count = fields("count", 20, _parse_int, 1)
     trials = fields("trials", 200, _parse_int, 1)
     seed = fields.inputs["seed"]
@@ -520,8 +527,8 @@ def _seminorm_suite(fields):
             size = int(rng.integers(1, min(8, len(region)) + 1))
             picks = rng.choice(len(region), size=size, replace=False)
             support = tuple(region[int(i)] for i in picks)
-            weights = dict(zip(support, rng.uniform(1.0, 4.0, size=size).tolist()))
-            scale = float(rng.uniform(1.0, 3.0))
+            weights = dict(zip(support, rng.uniform(*_SEMINORM_WEIGHTS, size=size).tolist()))
+            scale = float(rng.uniform(*_SEMINORM_SCALES))
             q = SubmultiplicativeSeminorm(support=support, weights=weights, scale=scale)
             outcomes = seminorm_support_check(q, rng, trials=trials)
             outcomes.append(domination_check(q, rng, trials=trials))

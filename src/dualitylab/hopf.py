@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from collections.abc import ItemsView, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -110,10 +109,21 @@ class HopfAlgebra:
     mul[(i, j)] for the nonzero cells, built with the algebra so products
     may walk one row instead of probing every index pair; for a law view it
     is ``{}``, as each cell is read from the view's array.
+
+    ``==`` is literal structure equality: the same dim, backend and five
+    tensors under ``==``.  Labels are for display and take no part, so an
+    algebra equals the dual of its dual, and the group algebra equals the
+    dual of the function algebra; a check of one then stands for the same
+    check of the other.  ``hopf_equal`` compares under the float tolerance
+    instead.  Dict ``==`` ignores key order, which only sets the order in
+    which floats are summed: the algebras built here carry only 0 and 1,
+    and a linear map such as ``fourier``'s is compared with its own
+    transpose, which ``_transpose`` lists in the map's key order when the
+    map is symmetric and each column lists its rows in column order.
     """
 
     dim: int
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] = field(compare=False)
     backend: object
     mul: Mapping
     unit: Mapping
@@ -207,60 +217,29 @@ def group_algebra(group: Group, backend) -> HopfAlgebra:
 
 
 def _index(key, n: int):
-    """The int in range(n) that key finds as a dict key, or None: an int is itself, and any other
-    key finds the int it equals (True, 1.0, numpy ints), as in a dict lookup, which also raises
-    TypeError on an unhashable key."""
-    if type(key) is int:
-        return key if 0 <= key < n else None
-    hash(key)
-    try:
-        i = operator.index(key)
-    except TypeError:
-        return next((i for i in range(n) if i == key), None)
-    return i if 0 <= i < n else None
+    """The int in range(n) that key finds as a dict key, or None.  A key finds the int i in a dict
+    exactly when it equals i, and a number equal to i has i's hash, which on range(n) is i itself:
+    so True, 1.0 and numpy ints find 1, and an unhashable key raises TypeError, as in a dict."""
+    i = hash(key)
+    return i if 0 <= i < n and key == i else None
 
 
-class _View(Mapping):
-    """A read-only Mapping that reads as a dict, ``==`` as dict equality either way round, with no
-    entry spelled out for a length that differs.  ``items()`` lists ``_items``, (key, self[key])
-    over the keys, which a subclass may list faster."""
-
-    __slots__ = ()
-
-    def items(self):
-        return _ItemsView(self)
-
-    def _items(self):
-        return ((k, self[k]) for k in self)
-
-    def __eq__(self, other):
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        return len(self) == len(other) and all(key in self and self[key] == v for key, v in other.items())
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
-class _ItemsView(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return self._mapping._items()
-
-
-class _LawView(_View):
+class _LawView(Mapping):
     """A monomial tensor stored as its law: law[i, j] = k on every pair (i, j) of range(n)^2, each
     coefficient ``one``, read as the dict of dicts it stands for.  law is a read-only (n, n) intp
     array of points in range(n), such as a group's law or a tensor product of such.  A view holds
-    its array and ``one`` and nothing else: each cell is read from the array when it is asked for.
+    its array and ``one`` (and a ``_Fibres`` its memoised sort) and no list of its cells: each cell
+    is read from the array when it is asked for.  Its items, keys, values and ``in`` are
+    ``Mapping``'s, from its ``__iter__`` and ``__getitem__``.
 
     A view lists in one fixed order: ``_Products`` row-major, ``_Fibres`` the keys 0..n-1 with
     each fibre row-major.  No output depends on it: every coefficient is ``one``; ``_apply`` adds
     at most one term per key for each input entry; ``mul_vec`` sums in the order of v and w; the
     sums of ``pair_mul`` over fibres add equal terms; every witness tag comes from a ``range``
-    loop; and ``compare`` folds over a key union.  Two views of one role are equal when their laws
-    and ones are; ``transposed`` hands the same array over in the other role."""
+    loop; and ``compare`` folds over a key union.  Two views of one type are equal when their laws
+    and ones are, and a view equals any other Mapping as the dict it stands for, with no entry
+    spelled out for a length that differs; ``transposed`` hands the same array over in the other
+    role."""
 
     __slots__ = ("law", "one")
 
@@ -282,7 +261,12 @@ class _LawView(_View):
     def __eq__(self, other):
         if type(other) is type(self):
             return self.one == other.one and np.array_equal(self.law, other.law)
-        return super().__eq__(other)
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return len(self) == len(other) and all(key in self and self[key] == v for key, v in other.items())
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 class _Products(_LawView):
@@ -296,10 +280,6 @@ class _Products(_LawView):
     def __iter__(self):
         return itertools.product(range(len(self.law)), repeat=2)
 
-    def _items(self):
-        n, flat, one = len(self.law), self.law.ravel().tolist(), self.one
-        return (((i, j), {flat[i * n + j]: one}) for i, j in self)
-
     def __getitem__(self, key):
         c = self._cell(key)
         if c is None:
@@ -311,8 +291,9 @@ class _Products(_LawView):
 
 
 class _Fibres(_LawView):
-    """A coproduct that is a monomial law: comul[k] == {(i, j): one for every law[i, j] == k}, a
-    ``_Fibre``, for k in range(n); a fibre may hold any number of cells, none included."""
+    """A coproduct that is a monomial law: comul[k] == {(i, j): one for every law[i, j] == k}, for
+    k in range(n), a plain dict listed row-major and cut from ``fibres()``; a fibre may hold any
+    number of cells, none included."""
 
     __slots__ = ("_memo",)
 
@@ -339,37 +320,11 @@ class _Fibres(_LawView):
         k = _index(key, len(self.law))
         if k is None:
             raise KeyError(key)
-        return _Fibre(self, k)
+        (cells, bounds), n, one = self.fibres(), len(self.law), self.one
+        return {divmod(c, n): one for c in cells[bounds[k]:bounds[k + 1]].tolist()}
 
     def transposed(self) -> _Products:
         return _Products(self.law, self.one)
-
-
-class _Fibre(_View):
-    """One fibre of a ``_Fibres``: {(i, j): one for every law[i, j] == k}, listed row-major."""
-
-    __slots__ = ("_law", "_k")
-
-    def __init__(self, law: _Fibres, k: int):
-        self._law, self._k = law, k
-
-    def __len__(self):
-        _, bounds = self._law.fibres()
-        return bounds[self._k + 1] - bounds[self._k]
-
-    def __iter__(self):
-        (cells, bounds), n = self._law.fibres(), len(self._law.law)
-        return (divmod(c, n) for c in cells[bounds[self._k]:bounds[self._k + 1]].tolist())
-
-    def _items(self):
-        one = self._law.one
-        return ((ij, one) for ij in self)
-
-    def __getitem__(self, key):
-        c = self._law._cell(key)
-        if c is None or self._law.law.item(c) != self._k:
-            raise KeyError(key)
-        return self._law.one
 
 
 # ---------------------------------------------------------------------------
@@ -530,32 +485,6 @@ def hopf_equal(h1: HopfAlgebra, h2: HopfAlgebra) -> tuple[bool, float]:
         return False, float("inf")
     c = _tensor_fold("", h1.backend, h1, h2)
     return c.passed, c.residual
-
-
-def same_tensors(h: HopfAlgebra, k: HopfAlgebra) -> bool:
-    """Whether h and k have literally equal structure: the same dim, backend and
-    five tensors under ``==``; labels are ignored.
-
-    A check of h then stands for the same check of k, so callers run it once.
-    ``hopf_equal`` does not fit: it compares under the float tolerance.  Dict
-    ``==`` ignores key order, which only sets the order in which floats are
-    summed, and that is enough here: the algebras built in this module carry
-    only the values 0 and 1, so only a linear map such as ``fourier``'s
-    carries others, and such a map is compared with its own transpose, which
-    ``_transpose`` lists in the map's own key order when the map is symmetric
-    and every column lists its rows in column order.  Two law views in one
-    role compare their arrays and coefficients (``_LawView``), with no cell
-    spelled out.
-    """
-    return (
-        h.dim == k.dim
-        and h.backend == k.backend
-        and h.mul == k.mul
-        and h.unit == k.unit
-        and h.comul == k.comul
-        and h.counit == k.counit
-        and h.antipode == k.antipode
-    )
 
 
 def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
@@ -1377,8 +1306,8 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
     antipode condition is phi's transposed, so it is folded once, on phi:
     five folds for ten results.  Coalgebra witnesses name dual basis vectors
     (an (i,j) pair, ``unit``), the antipode witness a basis vector of h.  When
-    the transpose is literally phi (equal columns, and duals ``same_tensors``
-    as phi's domain and codomain), its conditions are phi's: three folds.
+    the transpose is literally phi (equal columns, and duals ``==`` phi's
+    domain and codomain), its conditions are phi's: three folds.
     The transpose's columns are phi's own when phi's dense read is bitwise
     symmetric with no hole (``_self_transpose``), as a character table's
     is, and ``_transpose``'s otherwise.
@@ -1394,8 +1323,7 @@ def check_linear_hom(phi: LinearMap) -> tuple[list[CheckResult], list[CheckResul
     columns = phi.columns if _self_transpose(phi) else _transpose(phi.columns)
     transpose = LinearMap(dual_hopf(k), dual_hopf(h), columns)
     hom = _algebra_hom(phi)
-    shared = (transpose.columns == phi.columns and same_tensors(transpose.domain, h)
-              and same_tensors(transpose.codomain, k))
+    shared = transpose.columns == phi.columns and transpose.domain == h and transpose.codomain == k
     return _sides((hom, hom if shared else _algebra_hom(transpose)), ("comultiplicative", "counital"),
                   (_antipode_hom(phi),))
 

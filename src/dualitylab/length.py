@@ -28,6 +28,9 @@ DEFAULT_ELEMENT_CAP = 10**6
 
 # base ratio of the geometric series behind the summability bounds
 SERIES_RATIO = 2.0 / math.e
+# the sum of exp(-length) over a whole group under injective integer weights is at most this:
+# the level-n sphere holds at most 2^(n-1) elements
+SUMMABILITY_CLOSED_FORM = 1.0 + SERIES_RATIO / (2.0 * (1.0 - SERIES_RATIO))
 
 
 class UnexploredError(LookupError):
@@ -370,9 +373,7 @@ def summability_partial_sums(report: LengthReport) -> SummabilityReport:
     top = report.max_complete_integer_level()
     # exp(-n) is 0.0 past n = 745 (below the least subnormal), so no later term adds anything
     finite = 1.0 + math.fsum(math.ldexp(math.exp(-n), n - 1) for n in range(1, min(top, 745) + 1))
-    r = SERIES_RATIO
-    closed = 1.0 + r / (2.0 * (1.0 - r))
-    return SummabilityReport(partial=partial, finite_bound=finite, closed_form=closed)
+    return SummabilityReport(partial=partial, finite_bound=finite, closed_form=SUMMABILITY_CLOSED_FORM)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -35,8 +36,8 @@ from typing import Mapping
 import numpy as np
 
 from .groups import Element, Group
-from .length import LengthReport
-from .reports import LOOSE_TOL, REL_TOL, CheckResult, fold, leq, leq_trials
+from .length import SUMMABILITY_CLOSED_FORM, LengthReport
+from .reports import LOOSE_TOL, REL_TOL, CheckResult, fail, fold, leq, leq_trials
 from .scalars import times
 from .semichar import Semicharacter
 
@@ -364,13 +365,29 @@ def summability_check(
         mass += term
         envelope = max(envelope, term * math.exp(ell))
     partial = report.exp_length_sum()
-    ok = leq(mass, envelope * partial)
+    bound = envelope * partial
+    detail = f"mass {mass:.6g} envelope {envelope:.6g} partial {partial:.6g}"
+    if not math.isfinite(bound):
+        # an infinite bound would hold whatever the mass
+        return CheckResult("summability", False, detail=f"{detail}: envelope x partial overflows a double")
     return CheckResult(
         name="summability",
-        passed=ok,
-        residual=max(mass - envelope * partial, 0.0),
-        detail=f"mass {mass:.6g} envelope {envelope:.6g} partial {partial:.6g}",
+        passed=leq(mass, bound),
+        residual=max(mass - bound, 0.0),
+        detail=detail,
     )
+
+
+def require_summability_radius(radius, indicator_bound: float) -> None:
+    """ConfigError at "" unless ``summability_check`` with f = ``ExpLength`` decides on finite
+    numbers for every seminorm whose indicator values q(1_x) stay below indicator_bound, on a ball
+    of this radius explored under injective integer weights.  The check multiplies its envelope,
+    at most indicator_bound exp(2 radius), by its partial sum, at most
+    ``SUMMABILITY_CLOSED_FORM``, so the largest radius is where that product reaches DBL_MAX."""
+    limit = (math.log(sys.float_info.max) - math.log(indicator_bound * SUMMABILITY_CLOSED_FORM)) / 2
+    if radius > limit:
+        fail("", f"must be at most {limit:.6f}, past which the summability envelope times its partial "
+                 f"sum overflows a double, got {radius}")
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from dualitylab.hopf import (
     require_group_part_order,
 )
 from dualitylab.semichar import require_exp_length_radius
+from dualitylab.weighted import require_summability_radius
 
 
 def errors(raw, **kwargs):
@@ -266,9 +267,11 @@ Z, S3, F2, Z_PAST_CAP, Z_PAST_BOTH, Z_SIDE, Z_PAST_AXIOMS, Z_PAST_FUNCTION_PART,
      lambda: require_group_part_order(Z_PAST_GROUP_PART, "group", 1)),
     ({"command": "seminorm-suite", "group": {"kind": "free_abelian", "rank": 1}, "radius": 720}, "radius",
      lambda: require_exp_length_radius(Fraction(720))),
+    ({"command": "seminorm-suite", "group": {"kind": "free_abelian", "rank": 1}, "radius": 400}, "radius",
+     lambda: require_summability_radius(Fraction(400), 4.0 * 3.0)),
 ], ids=["finite", "finite_abelian", "duality-order", "heisenberg", "integer-weights", "weight-count", "tolerance",
         "both-function-part-order", "tensor-dim", "axioms-dim", "function-part-order", "group-part-order",
-        "exp-length-radius"])
+        "exp-length-radius", "summability-radius"])
 def test_cli_reports_the_library_rule_at_its_path(config, root, call):
     with pytest.raises(ConfigError) as exc:
         call()
@@ -463,33 +466,58 @@ def test_run_seminorm_and_polar_check_names():
 Z_LINE = {"kind": "free_abelian", "rank": 1}
 
 
-@pytest.mark.parametrize("config", [
-    {"command": "seminorm-suite", "radius": 710, "trials": 5},
-    {"command": "seminorm-suite", "radius": 720, "trials": 5},
-    *({"command": "polar-suite", "radius": 716, "trials": 5, "seed": seed} for seed in range(1, 5)),
-    {"command": "polar-suite", "radius": 1430, "trials": 5},
-    {"command": "polar-suite", "radius": 720, "trials": 5, "weightF": {"kind": "const", "value": 2},
-     "weightG": {"kind": "max", "args": [{"kind": "const"}, {"kind": "expLength"}]}},
-], ids=["seminorm-710", "seminorm-720", *(f"polar-716-seed-{s}" for s in range(1, 5)), "polar-1430",
-        "polar-720-weightG"])
-def test_suites_refuse_a_radius_where_exp_length_overflows(tmp_path, capsys, config):
-    # an expLength weight read at a length above log(DBL_MAX) would overflow mid-run
+EXP_LENGTH_LIMIT = "709.782713"
+# seminorm-suite draws each q(1_x) below 4 * 3, and the summability envelope q(1_x) exp(2 len x)
+# times a partial sum below 2.3922 passes DBL_MAX past this radius
+SUMMABILITY_LIMIT = "353.212794"
+
+
+@pytest.mark.parametrize("config, limit", [
+    ({"command": "seminorm-suite", "radius": 710, "trials": 5}, EXP_LENGTH_LIMIT),
+    ({"command": "seminorm-suite", "radius": 720, "trials": 5}, EXP_LENGTH_LIMIT),
+    ({"command": "seminorm-suite", "radius": 709, "trials": 5, "seed": 1}, SUMMABILITY_LIMIT),
+    ({"command": "seminorm-suite", "radius": 354, "trials": 5}, SUMMABILITY_LIMIT),
+    *(({"command": "polar-suite", "radius": 716, "trials": 5, "seed": seed}, EXP_LENGTH_LIMIT) for seed in range(1, 5)),
+    ({"command": "polar-suite", "radius": 1430, "trials": 5}, EXP_LENGTH_LIMIT),
+    ({"command": "polar-suite", "radius": 720, "trials": 5, "weightF": {"kind": "const", "value": 2},
+      "weightG": {"kind": "max", "args": [{"kind": "const"}, {"kind": "expLength"}]}}, EXP_LENGTH_LIMIT),
+], ids=["seminorm-710", "seminorm-720", "seminorm-709", "seminorm-354", *(f"polar-716-seed-{s}" for s in range(1, 5)),
+        "polar-1430", "polar-720-weightG"])
+def test_suites_refuse_a_radius_where_exp_length_overflows(tmp_path, capsys, config, limit):
+    # an expLength weight read at a length above log(DBL_MAX), or a summability envelope that
+    # multiplies two of them, would overflow mid-run
     cfg = write_config(tmp_path, "run.json", {"group": Z_LINE, **config})
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error at radius: must be at most 709.782713,") and "Traceback" not in err
+    assert err.startswith(f"config error at radius: must be at most {limit},") and "Traceback" not in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("config", [
-    {"command": "seminorm-suite", "radius": 709, "trials": 5, "seed": 1},
+    {"command": "seminorm-suite", "radius": 353, "trials": 5, "seed": 1},
     {"command": "polar-suite", "radius": 1430, "trials": 5, "weightF": {"kind": "const", "value": 2}},
-], ids=["seminorm-709", "polar-1430-without-expLength"])
+], ids=["seminorm-353", "polar-1430-without-expLength"])
 def test_suites_run_where_exp_length_stays_finite(tmp_path, capsys, config):
     cfg = write_config(tmp_path, "run.json", {"group": Z_LINE, **config})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
+
+
+def test_seminorm_suite_decides_summability_on_finite_numbers_up_to_its_largest_radius(monkeypatch):
+    decided = []
+
+    def recorded(q, f, report):
+        c = weighted.summability_check(q, f, report)
+        read = re.fullmatch(r"mass (\S+) envelope (\S+) partial (\S+)", c.detail)
+        mass, envelope, partial = map(float, read.groups())
+        decided.append(all(map(math.isfinite, (mass, envelope, partial, envelope * partial))))
+        return c
+
+    monkeypatch.setattr(cli, "summability_check", recorded)
+    report, _ = run_command(parse_config({"command": "seminorm-suite", "group": Z_LINE, "radius": 353, "trials": 5,
+                                          "seed": 1}))
+    assert report["allPass"] and decided == [True] * 20
 
 
 def test_truncated_suite_exploration_is_one_failing_row():

@@ -60,10 +60,11 @@ def test_goldens_agree_with_benchmark_digests(tmp_path, capsys):
         assert sha256s(tmp_path / name) == DIGESTS[name], name
 
 
-LAW_VIEWS = (hopf._Products, hopf._Fibres, hopf._Fibre)
+LAW_VIEWS = (hopf._Products, hopf._Fibres)
 LAW_CONFIGS = [c for c in CONFIGS if c.stem.startswith(("hopf_axioms_", "group_part_", "tensor_iso_", "duality_cycle_"))]
 # the committed configs and the float instances read every law view by lookup or as its array; a
-# float group-part on the function algebra lists fibres, as _is_grouplike applies the coproduct
+# float group-part on the function algebra looks fibres up and lists each, as _is_grouplike applies
+# the coproduct
 FIBRES_LISTED = {"command": "group-part", "group": {"kind": "finite_abelian", "orders": [2, 3]},
                  "algebra": "function", "mode": "both", "backend": "float"}
 
@@ -76,18 +77,24 @@ def test_law_view_listing_order_reaches_no_byte(monkeypatch, tmp_path, capsys):
         return sha256s(tmp_path / name)
 
     forward = run("fibres-listed", FIBRES_LISTED)
-    # every law view lists its entries in reverse
+    # every law view lists its entries in reverse, and so does every fibre cut from a view
     listed = []
     for cls in LAW_VIEWS:
         def reversed_listing(self, _iter=cls.__iter__):
             listed.append(type(self))
             return reversed(list(_iter(self)))
         monkeypatch.setattr(cls, "__iter__", reversed_listing)
+
+    def reversed_fibre(self, key, _getitem=hopf._Fibres.__getitem__):
+        listed.append(dict)
+        return dict(reversed(_getitem(self, key).items()))
+    monkeypatch.setattr(hopf._Fibres, "__getitem__", reversed_fibre)
     for config in LAW_CONFIGS:
         main(["--config", str(config), "--out", str(tmp_path / config.stem)])
         assert sha256s(tmp_path / config.stem) == sha256s(GOLDEN_DIR / config.stem), config.stem
     for name, config in FLOAT_INSTANCES.items():
         assert run(name, config) == DIGESTS[name], name
+    listed.clear()
     assert run("fibres-listed-reversed", FIBRES_LISTED) == forward
     capsys.readouterr()
-    assert len(LAW_CONFIGS) == 8 and hopf._Fibre in listed
+    assert len(LAW_CONFIGS) == 8 and dict in listed

@@ -293,6 +293,16 @@ def test_seminorm_check_suite_passes():
     assert summ.name == "summability" and summ.passed
 
 
+def test_summability_fails_where_its_envelope_overflows():
+    # at length 400 the bracket q(1_x) exp(2 len x) is past DBL_MAX: an infinite bound would hold
+    # whatever the mass, so the check fails and names the overflow
+    report = explore_ball(Z, standard_generators(Z), WeightFunction.enumerated(2), radius=400)
+    x = next(x for x, v in report.lengths.items() if v == 400)
+    q = SubmultiplicativeSeminorm(support=(x,), weights={x: 2.0}, scale=1.5)
+    summ = summability_check(q, ExpLength(report), report)
+    assert not summ.passed and summ.detail.endswith("envelope x partial overflows a double")
+
+
 def random_table(support, rng):
     """Complex values on ``support``, real and imaginary parts drawn from N(0, 2^2), in one draw."""
     return dict(zip(support, rng.normal(0.0, 2.0, size=(len(support), 2)).view(np.complex128).ravel().tolist()))
