@@ -65,7 +65,6 @@ from .semichar import (
 )
 from .weighted import (
     Decomposition,
-    MinWeight,
     SubmultiplicativeSeminorm,
     WeightedVector,
     absconv_decompose,
@@ -73,8 +72,6 @@ from .weighted import (
     domination_check,
     dual_norm_extremizer,
     pairing,
-    random_rectangle_member,
-    rectangle_bipolar_contains,
     rectangle_polar_contains,
     seminorm,
     seminorm_support_check,

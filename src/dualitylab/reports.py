@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 REL_TOL = 1e-12
 LOOSE_TOL = 1e-9  # for the rounding of tight products: exp of a sum against a product of exps
 
@@ -69,6 +71,11 @@ def as_fraction(value, path: str, minimum=None) -> Fraction:
 def leq(a: float, b: float, rtol: float = REL_TOL) -> bool:
     """a <= b up to relative slack: the float comparison behind length and weighted bounds."""
     return a <= b + rtol * max(abs(a), abs(b), 1.0)
+
+
+def leq_array(a, b, rtol: float = REL_TOL):
+    """``leq`` entry by entry on float64 arrays, with its bits."""
+    return a <= b + rtol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
 
 
 @dataclass(frozen=True)

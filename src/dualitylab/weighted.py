@@ -14,19 +14,26 @@ Weights come from the semicharacter grammar, so submultiplicativity of the
 underlying weight is available by construction.
 
 Each ``weighted_property_trials`` call reads every weight once per element
-and keeps the value for the rest of the call.  Each random vector takes all
-its coefficients from one numpy draw, which consumes the stream in the order
-one draw per support point would, so a seed gives the same values.  The
-seminorm checks draw their tables a block of trials at a time, one numpy draw
-per block, which consumes the stream in the order one draw per table would,
-and evaluate q on rows of float64 parts: |u| is ``np.hypot`` of the parts and
-u v is ``scalars.times``, CPython's complex product, because numpy's complex
-``abs`` and ``*`` round differently.
+and keeps the value for the rest of the call.  Each of its five trial sets
+first makes, for a block of trials, the generator calls that one trial at a
+time would make, in the same order and with the same arguments (a random
+vector's coefficients are one numpy draw, which consumes the stream in the
+order one draw per support point would), and keeps only the raw draws; then
+it evaluates the block on float64 parts.  A block holds at most
+``_BLOCK_POINTS`` pair products or region positions per array, so memory grows
+with neither the trials nor the region squared.  The seminorm checks draw
+their tables a block of trials at a time, one numpy draw per block, which
+consumes the stream in the order one draw per table would, and evaluate q on
+rows of float64 parts.  In both, |u| is ``np.hypot`` of the parts and u v is
+``scalars.times``, CPython's complex product, because numpy's complex ``abs``
+and ``*`` round differently; a seminorm is one ``math.fsum`` per vector, which
+rounds the exact sum whatever the order of its terms; and a convolution
+coefficient adds its pair products in the order ``convolve`` does.  So the
+trial suite gives the bits the per-trial code gave.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -37,7 +44,7 @@ import numpy as np
 
 from .groups import Element, Group
 from .length import SUMMABILITY_CLOSED_FORM, LengthReport
-from .reports import LOOSE_TOL, REL_TOL, CheckResult, fail, fold, leq, leq_trials
+from .reports import LOOSE_TOL, REL_TOL, CheckResult, fail, fold, leq, leq_array, leq_trials
 from .scalars import times
 from .semichar import Semicharacter
 
@@ -125,57 +132,6 @@ def dual_norm_extremizer(alpha: WeightedVector, f: Semicharacter) -> dict[Elemen
 def rectangle_polar_contains(alpha: WeightedVector, f: Semicharacter) -> bool:
     """Membership of alpha in the polar of the rectangle of f: seminorm <= 1."""
     return leq(seminorm(alpha, f), 1.0)
-
-
-def rectangle_bipolar_contains(table: Mapping[Element, complex], f: Semicharacter) -> bool:
-    """Membership of a table in the bipolar: pointwise |value| <= weight."""
-    return all(leq(abs(complex(v)), f.value(x)) for x, v in table.items())
-
-
-def _bipolar_pairing_audit(table, f, members) -> tuple[bool, bool, float]:
-    """Compare the pointwise bipolar test against the pairing route.
-
-    The table's points are checked elements.  Returns (pointwise verdict,
-    pairing verdict, worst pairing magnitude).  The pairing route tests the
-    sampled polar members plus, for every support point, the single-point
-    polar member that exposes any pointwise excess; the two verdicts must
-    agree.  The single-point member at x is c 1_x with c = phase / f(x), and
-    pairs to c * table[x], so it needs no vector.
-    """
-    pointwise = rectangle_bipolar_contains(table, f)
-    worst = 0.0
-    for alpha in members:
-        if not rectangle_polar_contains(alpha, f):
-            raise ValueError("audit members must lie in the polar")
-        worst = max(worst, abs(pairing(alpha, table)))
-    for x, v in table.items():
-        v = complex(v)
-        if v == 0:
-            continue
-        c = v.conjugate() / abs(v) / f.value(x)
-        worst = max(worst, abs(c * v))
-    return pointwise, leq(worst, 1.0), worst
-
-
-def random_rectangle_member(
-    f: Semicharacter,
-    region: list[Element],
-    rng: np.random.Generator,
-    margin: float = 1.0,
-) -> dict[Element, complex]:
-    """A random table with |value| <= margin * weight on a random subregion."""
-    size = int(rng.integers(1, len(region) + 1))
-    picks = rng.choice(len(region), size=size, replace=False).tolist()
-    # one draw for the (radius, angle) pairs, in the order uniform(0, margin)
-    # then uniform(0, 2 pi) per point would consume them
-    u = rng.random(2 * size)
-    radii = (margin * u[0::2]).tolist()
-    angles = (2.0 * math.pi * u[1::2]).tolist()
-    out: dict[Element, complex] = {}
-    for i, r, theta in zip(picks, radii, angles):
-        x = region[i]
-        out[x] = f.value(x) * r * cmath.exp(1j * theta)
-    return out
 
 
 @dataclass(frozen=True)
@@ -280,7 +236,8 @@ class SubmultiplicativeSeminorm:
 
 
 # the most support points one block of a seminorm check's tables holds, 64 KiB of float64 parts,
-# so that a check's memory does not grow with its trials
+# and the most pair products or region positions one array of a polar trial block holds, so that
+# a check's memory does not grow with its trials
 _BLOCK_POINTS = 1 << 12
 
 
@@ -394,21 +351,6 @@ def require_summability_radius(radius, indicator_bound: float) -> None:
 # randomized property suites (shared by tests and the command line)
 
 
-class MinWeight:
-    """Pointwise minimum of two weights, for the intersection rectangle.
-
-    Not a semicharacter: minima of submultiplicative weights need not stay
-    submultiplicative, but the seminorm only reads pointwise values.
-    """
-
-    def __init__(self, f: Semicharacter, g: Semicharacter):
-        self.f, self.g = f, g
-        self.group = f.group or g.group
-
-    def value(self, x) -> float:
-        return min(self.f.value(x), self.g.value(x))
-
-
 class _ReadOnce(dict):
     """A weight read at most once per element; values are deterministic, so reads agree."""
 
@@ -423,16 +365,264 @@ class _ReadOnce(dict):
     value = dict.__getitem__
 
 
-def _random_vector(group, region, rng: np.random.Generator) -> WeightedVector:
-    """A vector on 1 to 6 points of ``region`` with standard normal coefficients.
+def _draw_vector(rng: np.random.Generator, n: int):
+    """The draws of a vector on 1 to 6 of n region points: the picked indices, and the real then
+    imaginary part of each coefficient from N(0, 1) as a (size, 2) array, in one draw."""
+    size = min(int(rng.integers(1, 7)), n)
+    return rng.choice(n, size=size, replace=False), rng.normal(0.0, 1.0, size=(size, 2))
 
-    ``region`` holds checked elements, so the vector is built without checking them again.
+
+def _draw_member(rng: np.random.Generator, n: int):
+    """The draws of a random rectangle member on 1 to n region points: the picked indices, and
+    each point's radius then angle fraction as a (size, 2) array of uniforms on [0, 1), in one
+    draw, in the order uniform(0, margin) then uniform(0, 2 pi) per point would take them."""
+    size = int(rng.integers(1, n + 1))
+    return rng.choice(n, size=size, replace=False), rng.random(2 * size).reshape(size, 2)
+
+
+def _fsum_rows(terms: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row: a seminorm's exactly rounded sum, whatever the order of its terms."""
+    return list(map(math.fsum, terms.tolist()))
+
+
+def _row_sums(re: np.ndarray, im: np.ndarray):
+    """Each row's sum of complex parts, added left to right from 0 as ``sum(..., 0j)`` adds them."""
+    sr, si = np.zeros(len(re)), np.zeros(len(re))
+    for k in range(re.shape[1]):
+        sr, si = sr + re[:, k], si + im[:, k]
+    return sr, si
+
+
+def _rectangle_values(w: np.ndarray, u: np.ndarray, margin):
+    """The values w r e^(i theta) of a random rectangle member, with r = margin u[:, 0] and
+    theta = 2 pi u[:, 1].  e^(i theta) is (cos theta, sin theta) from libm, one call per angle,
+    as ``cmath.exp`` computes it: numpy's vectorised cos and sin need not round the same way."""
+    theta = (2.0 * math.pi * u[:, 1]).tolist()
+    w = w * (margin * u[:, 0])
+    return w * np.array(list(map(math.cos, theta))), w * np.array(list(map(math.sin, theta)))
+
+
+class _PolarTrials:
+    """The five trial sets of one ``weighted_property_trials`` call, on one generator.
+
+    Each set draws a block of trials with the generator calls the per-trial code made, in its
+    order, then evaluates the block on float64 arrays.  A block's vectors are (m, 6) rows of
+    region indices and coefficient parts; a short row, and a coefficient of 0 (which a vector
+    drops), holds the pad index n, whose weight and parts are 0.  Every product of complex
+    numbers is ``scalars.times`` and every modulus ``np.hypot``, CPython's bits on parts; a
+    product by a real number is one float product per part, which differs from CPython's complex
+    product only in the sign of a zero, and no |.|, fsum or comparison below sees that sign.
     """
-    size = min(int(rng.integers(1, 7)), len(region))
-    picks = rng.choice(len(region), size=size, replace=False).tolist()
-    # real then imaginary part of each coefficient from N(0, 1), in one draw
-    coeffs = rng.normal(0.0, 1.0, size=(size, 2)).view(np.complex128).ravel().tolist()
-    return WeightedVector(group, {region[i]: c for i, c in zip(picks, coeffs) if c != 0})
+
+    def __init__(self, f, g, region, group, rng, trials):
+        self.f, self.g, self.region, self.group, self.rng, self.trials = f, g, region, group, rng, trials
+        self.n = n = len(region)
+        self.fr = self.weights(f)
+        # a trial puts at most 36 pair products, or a row of n + 1 positions, in one of a block's
+        # arrays
+        self.step = max(1, _BLOCK_POINTS // max(36, n + 1))
+
+    def weights(self, f) -> np.ndarray:
+        """f at each region index, and 0 at the pad index n."""
+        return np.array([f.value(x) for x in self.region] + [0.0], dtype=float)
+
+    def blocks(self, draw):
+        """``draw()`` once per trial, in trial order, as (list of draws, first trial) per block."""
+        for start in range(0, self.trials, self.step):
+            yield [draw() for _ in range(min(self.step, self.trials - start))], start
+
+    def rows(self, vectors):
+        """A block's drawn vectors as (m, 6) arrays: region indices, real parts, imaginary parts."""
+        n, m = self.n, len(vectors)
+        picks, parts = np.full((m, 6), n), np.zeros((m, 6, 2))
+        filled = np.arange(6) < np.array([len(p) for p, _ in vectors])[:, None]
+        picks[filled] = np.concatenate([p for p, _ in vectors])
+        parts[filled] = np.concatenate([c for _, c in vectors])
+        re, im = parts[..., 0], parts[..., 1]
+        picks[(re == 0) & (im == 0)] = n
+        return picks, re, im
+
+    def find(self, picks: np.ndarray, drawn) -> np.ndarray:
+        """The position of each entry of ``picks`` in the concatenation of ``drawn``, one index
+        array per row, or -1 where its row did not draw it.  The lookup table is (m, n + 1)."""
+        m = len(drawn)
+        sizes = [len(d) for d in drawn]
+        at = np.full((m, self.n + 1), -1)
+        at[np.repeat(np.arange(m), sizes), np.concatenate(drawn)] = np.arange(sum(sizes))
+        return at[np.arange(m)[:, None], picks]
+
+    def witness(self, i: int, picks: np.ndarray) -> str:
+        support = sorted(self.region[p] for p in picks.tolist() if p < self.n)
+        return f"trial {i}: support " + " ".join(map(self.group.format, support))
+
+    def convolution(self):
+        """(q_f(alpha * beta), q_f(alpha) q_f(beta)) per trial."""
+        rng, n, region, f, fr = self.rng, self.n, self.region, self.f, self.fr
+        for block, _ in self.blocks(lambda: (_draw_vector(rng, n), _draw_vector(rng, n))):
+            (pa, ra, ia), (pb, rb, ib) = map(self.rows, zip(*block))
+            m = len(block)
+            # a trial's 36 pairs, alpha's point major and beta's minor as convolve takes them: the
+            # block lists the pairs of two drawn points a pair column at a time, every trial's
+            # first pair first
+            drawn = ((pa < n)[:, :, None] & (pb < n)[:, None, :]).reshape(m, 36).T.ravel()
+
+            def listed(cells):
+                return cells.reshape(m, 36).T.ravel()[drawn]
+
+            row = listed(np.repeat(np.arange(m), 36))
+            pr, pi = map(listed, times((ra[:, :, None], ia[:, :, None]), (rb[:, None, :], ib[:, None, :])))
+            pairs, pair_of = np.unique(listed(pa[:, :, None] * n + pb[:, None, :]), return_inverse=True)
+            # one group.mul per distinct pair of the block, and an id per distinct product
+            ids: dict = {}
+            mul = self.group.mul
+            product = np.array([ids.setdefault(mul(region[i], region[j]), len(ids))
+                                for i, j in zip(*(k.tolist() for k in np.divmod(pairs, n)))], dtype=np.intp)
+            span = len(ids)
+            # the product elements of each trial, in trial order: a trial's coefficient at one is the
+            # products of its pairs added in pair order from 0, as convolve adds them, because
+            # bincount adds its weights in input order
+            elements, slot = np.unique(row * span + product[pair_of], return_inverse=True)
+            modulus = np.hypot(np.bincount(slot, pr, len(elements)), np.bincount(slot, pi, len(elements)))
+            terms = (modulus * np.array([f.value(z) for z in ids], dtype=float)[elements % span]).tolist()
+            ends = np.searchsorted(elements, np.arange(1, m + 1) * span).tolist()
+            lhs = [math.fsum(terms[s:e]) for s, e in zip([0, *ends], ends)]
+            norms_a = _fsum_rows(np.hypot(ra, ia) * fr[pa])
+            norms_b = _fsum_rows(np.hypot(rb, ib) * fr[pb])
+            yield from zip(lhs, (a * b for a, b in zip(norms_a, norms_b)))
+
+    def projection(self):
+        """(q_f of alpha on a random subset of the region, q_f(alpha)) per trial."""
+        rng, n = self.rng, self.n
+
+        def draw():
+            alpha = _draw_vector(rng, n)
+            return alpha, rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+
+        for block, _ in self.blocks(draw):
+            alphas, keeps = zip(*block)
+            picks, re, im = self.rows(alphas)
+            terms = np.hypot(re, im) * self.fr[picks]
+            kept = np.where(self.find(picks, keeps) >= 0, terms, 0.0)
+            yield from zip(_fsum_rows(kept), _fsum_rows(terms))
+
+    def extremizer(self):
+        """(ok, relative error, tag) per trial: the extremizer pairs to q_f(alpha), and a random
+        rectangle member to at most that."""
+        rng, n, fr = self.rng, self.n, self.fr
+        for block, start in self.blocks(lambda: (_draw_vector(rng, n), _draw_member(rng, n))):
+            alphas, members = zip(*block)
+            picks, re, im = self.rows(alphas)
+            w, modulus = fr[picks], np.hypot(re, im)
+            target = np.array(_fsum_rows(modulus * w))
+            # the extremizer's value at x is f(x) conj(c) / |c|
+            unit = np.where(picks < n, modulus, 1.0)
+            vr, vi = _row_sums(*times((re, im), (w * (re / unit), w * (-im / unit))))
+            rel = np.hypot(vr - target, vi) / np.maximum(target, 1.0)
+            at = self.find(picks, [p for p, _ in members])
+            found = at >= 0
+            mr, mi = np.zeros_like(re), np.zeros_like(im)
+            u = np.concatenate([u for _, u in members])
+            mr[found], mi[found] = _rectangle_values(w[found], u[at[found]], 1.0)
+            ok = (rel <= REL_TOL) & leq_array(np.hypot(*_row_sums(*times((re, im), (mr, mi)))), target)
+            for i, (good, r) in enumerate(zip(ok.tolist(), rel.tolist()), start):
+                yield good, r, "" if good else self.witness(i, picks[i - start])
+
+    def bipolar(self) -> int:
+        """The number of trials whose pointwise and pairing bipolar verdicts on a random table agree.
+
+        The pairing route takes the worst |pairing| over alpha scaled into the polar and, at each
+        table point x with value v != 0, the single-point polar member conj(v) / |v| / f(x).
+        """
+        rng, n, fr = self.rng, self.n, self.fr
+
+        def draw():
+            margin = 0.5 if rng.uniform() < 0.5 else 1.5
+            table = _draw_member(rng, n)
+            _draw_vector(rng, n)  # the zero member, which pairs to 0: only its draws count
+            return margin, table, _draw_vector(rng, n)
+
+        agreed = 0
+        for block, _ in self.blocks(draw):
+            margins, tables, alphas = zip(*block)
+            sizes = [len(p) for p, _ in tables]
+            points = np.concatenate([p for p, _ in tables])
+            ft = fr[points]
+            vr, vi = _rectangle_values(ft, np.concatenate([u for _, u in tables]),
+                                       np.repeat(margins, sizes))
+            modulus = np.hypot(vr, vi)
+            starts = np.cumsum([0, *sizes[:-1]])
+            pointwise = np.logical_and.reduceat(leq_array(modulus, ft), starts)
+            live = (vr != 0) | (vi != 0)
+            unit, wt = np.where(live, modulus, 1.0), np.where(live, ft, 1.0)
+            single = np.hypot(*times(((vr / unit) / wt, (-vi / unit) / wt), (vr, vi)))
+            # a NaN never replaces the running worst of 0 or more, as in max(worst, x)
+            worst = np.fmax(np.fmax.reduceat(np.where(live, single, 0.0), starts), 0.0)
+            picks, re, im = self.rows(alphas)
+            w = fr[picks]
+            norm = np.array(_fsum_rows(np.hypot(re, im) * w))
+            member = norm > 0
+            scale = 1.0 / (np.where(member, norm, 1.0) * (1.0 + 1e-9))
+            member &= scale != 0  # alpha scaled by 0 is the zero vector
+            sr, si = (np.where(picks < n, part * scale[:, None], 0.0) for part in (re, im))
+            if not leq_array(np.array(_fsum_rows(np.hypot(sr, si) * w))[member], 1.0).all():
+                raise ValueError("audit members must lie in the polar")
+            at = self.find(picks, [p for p, _ in tables])
+            found = at >= 0
+            tr, ti = np.where(found, vr[at], 0.0), np.where(found, vi[at], 0.0)
+            paired = np.hypot(*_row_sums(*times((sr, si), (tr, ti))))
+            worst = np.where(member, np.fmax(worst, paired), worst)
+            agreed += int(np.count_nonzero(pointwise == leq_array(worst, 1.0)))
+        return agreed
+
+    def decomposition(self):
+        """(ok, residual, tag) per trial: alpha, scaled to a random min-weighted seminorm, splits
+        into rectangle-polar members of f and g as ``absconv_decompose`` splits it."""
+        rng, n, fr, gr = self.rng, self.n, self.fr, self.weights(self.g)
+        least = [min(a, b) for a, b in zip(fr.tolist(), gr.tolist())]
+
+        def draw():
+            picks, parts = _draw_vector(rng, n)
+            # abs of a complex is libm's hypot, as np.hypot is, where math.hypot rounds its own way
+            coeffs = parts.ravel().view(np.complex128).tolist()
+            norm = math.fsum([least[i] * abs(c) for i, c in zip(picks.tolist(), coeffs) if c])
+            # a vector of min-weighted seminorm 0 is skipped before its target is drawn
+            return (picks, parts), norm, float(rng.uniform(0.2, 1.2)) if norm != 0.0 else 0.0
+
+        for block, start in self.blocks(draw):
+            vectors, norm, target = zip(*block)
+            picks, re, im = self.rows(vectors)
+            drawn = np.array(norm) != 0.0
+            factor = (np.array(target) / np.where(drawn, norm, 1.0))[:, None]
+            ar, ai = (np.where(picks < n, part * factor, 0.0) for part in (re, im))
+            modulus = np.hypot(ar, ai)
+            wf, wg = fr[picks], gr[picks]
+            on_f = wf <= wg
+            a = np.array(_fsum_rows(np.where(on_f, modulus * wf, 0.0)))
+            b = np.array(_fsum_rows(np.where(on_f, 0.0, modulus * wg)))
+            feasible = leq_array(a + b, 1.0)
+            # min(1.0, max(0.0, lam)), where a NaN lam gives 0 as max does
+            lam = np.fmin(1.0, np.fmax(0.0, 0.5 * (1.0 + a - b)))
+            beta = on_f & (lam > 0)[:, None]
+            gamma = ~on_f & (lam < 1)[:, None]
+            up_b = (1.0 / np.where(lam > 0, lam, 1.0))[:, None]
+            up_g = (1.0 / np.where(lam < 1, 1.0 - lam, 1.0))[:, None]
+            br, bi = (np.where(beta, part * up_b, 0.0) for part in (ar, ai))
+            gr_, gi = (np.where(gamma, part * up_g, 0.0) for part in (ar, ai))
+            # the recombination lam beta + (1 - lam) gamma, against alpha
+            down_b, down_g = lam[:, None], (1.0 - lam)[:, None]
+            rr = np.where(beta, br * down_b, np.where(gamma, gr_ * down_g, 0.0))
+            ri = np.where(beta, bi * down_b, np.where(gamma, gi * down_g, 0.0))
+            diff = np.hypot(rr - ar, ri - ai).max(axis=1)
+            # lam is clamped to [0, 1], so verify's 0 <= lam <= 1 holds
+            sound = (
+                ~(diff > REL_TOL * np.maximum(1.0, modulus.max(axis=1)))
+                & leq_array(np.array(_fsum_rows(np.hypot(br, bi) * wf)), 1.0)
+                & leq_array(np.array(_fsum_rows(np.hypot(gr_, gi) * wg)), 1.0)
+            )
+            ok = ~drawn | ~feasible | sound
+            residual = np.where(drawn & feasible, diff, 0.0)
+            for i, (good, r) in enumerate(zip(ok.tolist(), residual.tolist()), start):
+                yield good, r, "" if good else self.witness(i, picks[i - start])
 
 
 def weighted_property_trials(
@@ -445,75 +635,31 @@ def weighted_property_trials(
 ) -> list[CheckResult]:
     """Seeded randomized audit of the convolution-seminorm toolkit.
 
-    The caller guarantees that products of region elements stay evaluable
-    under f (sample supports from a half-radius ball).  Vectors live over
-    ``group``, which defaults to f's group.  Five properties are exercised per
-    trial set; each reports its worst margin.
+    The caller guarantees that f and g are evaluable at the region's
+    elements and f at their products (sample supports from a half-radius
+    ball): f is read at every region element when the call starts, and g
+    when the decomposition trials start, whatever the trials draw.  A
+    region that is empty or lists an element twice is refused.  Vectors
+    live over ``group``, which defaults to f's group.  Five properties are
+    exercised per trial set; each reports its worst margin.
     """
     group = group or f.group
     if group is None:
         raise ValueError("need a group to multiply in")
+    if not region:
+        raise ValueError("empty region: the trials draw every support from it")
     rng = np.random.default_rng(seed)
     region = [group.check(x) for x in region]
+    if len(set(region)) < len(region):
+        raise ValueError("region must list distinct elements: the trials draw region positions")
     # every element read below is a region element or a product of two, already canonical
-    f, g = _ReadOnce(f), _ReadOnce(g)
-
-    def draw_convolution():
-        alpha = _random_vector(group, region, rng)
-        beta = _random_vector(group, region, rng)
-        return seminorm(convolve(alpha, beta), f), seminorm(alpha, f) * seminorm(beta, f)
-
-    def draw_projection():
-        alpha = _random_vector(group, region, rng)
-        size = int(rng.integers(0, len(region) + 1))
-        keep = {region[int(i)] for i in rng.choice(len(region), size=size, replace=False)}
-        # keep holds region elements, which were checked on entry
-        kept = WeightedVector(group, {x: c for x, c in alpha.coeffs.items() if x in keep})
-        return seminorm(kept, f), seminorm(alpha, f)
-
-    def witness(i, alpha):
-        return f"trial {i}: support " + " ".join(map(group.format, alpha.support))
-
-    def draw_extremizer(i):
-        alpha = _random_vector(group, region, rng)
-        value = pairing(alpha, dual_norm_extremizer(alpha, f))
-        target = seminorm(alpha, f)
-        rel = abs(value - target) / max(target, 1.0)
-        member = random_rectangle_member(f, region, rng)
-        ok = rel <= REL_TOL and leq(abs(pairing(alpha, member)), target)
-        return ok, rel, "" if ok else witness(i, alpha)
-
-    def draw_bipolar():
-        margin = 0.5 if rng.uniform() < 0.5 else 1.5
-        table = random_rectangle_member(f, region, rng, margin=margin)
-        members = [_random_vector(group, region, rng).scaled(0.0)]  # zero member
-        alpha = _random_vector(group, region, rng)
-        n = seminorm(alpha, f)
-        if n > 0:
-            members.append(alpha.scaled(1.0 / (n * (1.0 + 1e-9))))
-        pointwise, paired, _ = _bipolar_pairing_audit(table, f, members)
-        return pointwise == paired
-
-    def draw_decomposition(i):
-        alpha = _random_vector(group, region, rng)
-        norm = seminorm(alpha, MinWeight(f, g))
-        if norm == 0.0:
-            return True, 0.0, ""
-        target = float(rng.uniform(0.2, 1.2))
-        alpha = alpha.scaled(target / norm)
-        dec = absconv_decompose(alpha, f, g)
-        sound = dec.feasible == leq(dec.min_norm, 1.0) and dec.verify(alpha, f, g)
-        tag = "" if sound else witness(i, alpha)
-        if not dec.feasible:
-            return sound, 0.0, tag
-        return sound, dec.recombined.max_abs_diff(alpha), tag
-
+    suite = _PolarTrials(_ReadOnce(f), _ReadOnce(g), region, group, rng, trials)
     results = [
-        leq_trials("convolution-submultiplicative", trials, draw_convolution, LOOSE_TOL),
-        leq_trials("projection-contraction", trials, draw_projection, REL_TOL),
-        fold("extremizer-optimal", map(draw_extremizer, range(trials))),
+        leq_trials("convolution-submultiplicative", trials, suite.convolution().__next__, LOOSE_TOL),
+        leq_trials("projection-contraction", trials, suite.projection().__next__, REL_TOL),
+        fold("extremizer-optimal", suite.extremizer()),
     ]
-    agreed = [draw_bipolar() for _ in range(trials)]
-    results.append(CheckResult("bipolar-agreement", all(agreed), detail=f"{sum(agreed)}/{trials} agreed"))
-    results.append(fold("decomposition-sound", map(draw_decomposition, range(trials))))
+    agreed = suite.bipolar()
+    results.append(CheckResult("bipolar-agreement", agreed == trials, detail=f"{agreed}/{trials} agreed"))
+    results.append(fold("decomposition-sound", suite.decomposition()))
     return results

@@ -1,7 +1,9 @@
 """Weighted convolution seminorms, polar membership, and decompositions."""
 
 import cmath
+import gc
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -13,7 +15,6 @@ from dualitylab import (
     Constant,
     ExpLength,
     GroupSpec,
-    MinWeight,
     Scale,
     Semicharacter,
     SubmultiplicativeSeminorm,
@@ -27,8 +28,6 @@ from dualitylab import (
     leq,
     make_group,
     pairing,
-    random_rectangle_member,
-    rectangle_bipolar_contains,
     rectangle_polar_contains,
     seminorm,
     seminorm_support_check,
@@ -36,8 +35,8 @@ from dualitylab import (
     summability_check,
     weighted_property_trials,
 )
-from dualitylab import scalars, weighted
-from dualitylab.reports import LOOSE_TOL, REL_TOL, CheckResult, fold, leq_trials
+from dualitylab import reports, scalars, weighted
+from dualitylab.reports import LOOSE_TOL, REL_TOL, CheckResult, fold, leq_array, leq_trials
 
 Z = make_group(GroupSpec.free_abelian(1))
 REPORT = explore_ball(Z, standard_generators(Z), WeightFunction.enumerated(2), radius=14)
@@ -47,6 +46,65 @@ HALF = [x for x, v in REPORT.lengths.items() if 2 * v <= 14]
 
 def vec(items):
     return WeightedVector.from_items(Z, items)
+
+
+# Per-vector helpers that the property suite once called and now evaluates on arrays, kept as
+# oracles: the hand loops below build their vectors, tables and verdicts with them.
+
+
+class MinWeight:
+    """Pointwise minimum of two weights, for the intersection rectangle.
+
+    Not a semicharacter: minima of submultiplicative weights need not stay
+    submultiplicative, but the seminorm only reads pointwise values.
+    """
+
+    def __init__(self, f, g):
+        self.f, self.g = f, g
+        self.group = f.group or g.group
+
+    def value(self, x):
+        return min(self.f.value(x), self.g.value(x))
+
+
+def rectangle_bipolar_contains(table, f):
+    """Membership of a table in the bipolar: pointwise |value| <= weight."""
+    return all(leq(abs(complex(v)), f.value(x)) for x, v in table.items())
+
+
+def bipolar_pairing_audit(table, f, members):
+    """Compare the pointwise bipolar test against the pairing route: (pointwise verdict, pairing
+    verdict, worst pairing magnitude).  The pairing route tests the sampled polar members plus, for
+    every support point, the single-point polar member c 1_x with c = phase / f(x), which pairs to
+    c * table[x], so it needs no vector."""
+    pointwise = rectangle_bipolar_contains(table, f)
+    worst = 0.0
+    for alpha in members:
+        if not rectangle_polar_contains(alpha, f):
+            raise ValueError("audit members must lie in the polar")
+        worst = max(worst, abs(pairing(alpha, table)))
+    for x, v in table.items():
+        v = complex(v)
+        if v == 0:
+            continue
+        c = v.conjugate() / abs(v) / f.value(x)
+        worst = max(worst, abs(c * v))
+    return pointwise, leq(worst, 1.0), worst
+
+
+def random_vector(group, region, rng):
+    """The vector of the suite's draws for one vector, its zero coefficients dropped."""
+    picks, parts = weighted._draw_vector(rng, len(region))
+    coeffs = parts.ravel().view(np.complex128).tolist()
+    return WeightedVector(group, {region[i]: c for i, c in zip(picks.tolist(), coeffs) if c != 0})
+
+
+def random_rectangle_member(f, region, rng, margin=1.0):
+    """The table of the suite's draws for one rectangle member: f(x) r e^(i theta) at each pick,
+    with r = margin u and theta = 2 pi u' from its uniforms."""
+    picks, u = weighted._draw_member(rng, len(region))
+    return {region[i]: f.value(region[i]) * (margin * r) * cmath.exp(1j * (2.0 * math.pi * a))
+            for i, (r, a) in zip(picks.tolist(), u.tolist())}
 
 
 def test_from_items_merges_and_drops_zeros():
@@ -140,14 +198,14 @@ def test_polar_membership_boundary():
 def test_bipolar_audit_agreement_and_guard():
     inside = {(0,): 0.5, (1,): math.e * 0.9}
     members = [vec([((0,), 0.7)])]
-    pointwise, paired, worst = weighted._bipolar_pairing_audit(inside, F, members)
+    pointwise, paired, worst = bipolar_pairing_audit(inside, F, members)
     assert pointwise and paired and worst <= 1.0 + 1e-12
     outside = {(1,): math.e * 1.5}
-    pointwise, paired, worst = weighted._bipolar_pairing_audit(outside, F, members)
+    pointwise, paired, worst = bipolar_pairing_audit(outside, F, members)
     assert not pointwise and not paired and worst > 1.0
     bad_member = vec([((1,), 1.0)])  # seminorm e > 1
     with pytest.raises(ValueError):
-        weighted._bipolar_pairing_audit(inside, F, [bad_member])
+        bipolar_pairing_audit(inside, F, [bad_member])
 
 
 def basis_route_worst(table, f, group):
@@ -169,7 +227,7 @@ PAIRING_VALUES = st.sampled_from([0.0, -0.0, 1e-300, -2.5, math.e]) | st.complex
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.dictionaries(st.sampled_from(HALF), PAIRING_VALUES, max_size=8))
 def test_single_point_members_pair_without_vectors(table):
-    pointwise, paired, worst = weighted._bipolar_pairing_audit(table, F, [])
+    pointwise, paired, worst = bipolar_pairing_audit(table, F, [])
     assert worst == basis_route_worst(table, F, Z)
 
 
@@ -200,10 +258,17 @@ def test_property_trials_check_each_element_at_most_twice(monkeypatch):
 
 
 def test_random_rectangle_member_stays_inside():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        table = random_rectangle_member(F, HALF, rng)
-        assert rectangle_bipolar_contains(table, F)
+    # the suite's array values of a member are the cmath values bit for bit, and lie in the rectangle
+    arrays, dicts = np.random.default_rng(3), np.random.default_rng(3)
+    weights = np.array([F.value(x) for x in HALF])
+    for margin in (1.0, 0.5):
+        for _ in range(50):
+            picks, u = weighted._draw_member(arrays, len(HALF))
+            re, im = weighted._rectangle_values(weights[picks], u, margin)
+            table = random_rectangle_member(F, HALF, dicts, margin)
+            assert [(z.real.hex(), z.imag.hex()) for z in table.values()] == [
+                (a.hex(), b.hex()) for a, b in zip(re.tolist(), im.tolist())]
+            assert leq_array(np.hypot(re, im), weights[picks]).all() and rectangle_bipolar_contains(table, F)
 
 
 def g_weight():
@@ -459,7 +524,7 @@ def test_batched_draws_keep_the_stream(seed, size):
     region = [x for x, _ in WIDE.final_items()][:size]
     assert len(region) == size
     draws = [
-        (lambda rng: weighted._random_vector(Z, region, rng).coeffs,
+        (lambda rng: random_vector(Z, region, rng).coeffs,
          lambda rng: per_point_vector(Z, region, rng).coeffs),
         *((lambda rng, m=m: random_rectangle_member(WIDE_F, region, rng, margin=m),
            lambda rng, m=m: per_point_rectangle_member(WIDE_F, region, rng, margin=m))
@@ -541,6 +606,16 @@ def test_leq_trials_matches_the_hand_loop(pairs, rtol):
     assert got.residual >= 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.one_of(st.tuples(st.floats(), st.floats()), _NEAR_PAIR), min_size=1, max_size=12),
+       rtol=st.sampled_from([REL_TOL, LOOSE_TOL, -1.0]))
+def test_leq_array_is_leq_entry_by_entry(pairs, rtol):
+    a, b = np.array(pairs).T
+    # Python's float arithmetic overflows to inf and makes NaNs silently; numpy's warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert leq_array(a, b, rtol).tolist() == [leq(x, y, rtol) for x, y in pairs]
+
+
 def test_leq_trials_tolerances_and_residual_floor():
     tight = [(1.0 + 1e-10, 1.0)]
     failed = leq_trials("t", 1, iter(tight).__next__, REL_TOL)
@@ -559,12 +634,12 @@ def hand_property_trials(f, g, region, group, trials, seed):
     f, g = w._ReadOnce(f), w._ReadOnce(g)
 
     def draw_convolution():
-        alpha = w._random_vector(group, region, rng)
-        beta = w._random_vector(group, region, rng)
+        alpha = random_vector(group, region, rng)
+        beta = random_vector(group, region, rng)
         return seminorm(convolve(alpha, beta), f), seminorm(alpha, f) * seminorm(beta, f)
 
     def draw_projection():
-        alpha = w._random_vector(group, region, rng)
+        alpha = random_vector(group, region, rng)
         size = int(rng.integers(0, len(region) + 1))
         keep = {region[int(i)] for i in rng.choice(len(region), size=size, replace=False)}
         kept = WeightedVector(group, {x: c for x, c in alpha.coeffs.items() if x in keep})
@@ -582,14 +657,14 @@ def hand_property_trials(f, g, region, group, trials, seed):
     ok = True
     detail = ""
     for i in range(trials):
-        alpha = w._random_vector(group, region, rng)
+        alpha = random_vector(group, region, rng)
         u = dual_norm_extremizer(alpha, f)
         value = pairing(alpha, u)
         target = seminorm(alpha, f)
         err = abs(value - target)
         rel = err / max(target, 1.0)
         worst = max(worst, rel)
-        member = w.random_rectangle_member(f, region, rng)
+        member = random_rectangle_member(f, region, rng)
         if ok and not (rel <= w.REL_TOL and leq(abs(pairing(alpha, member)), target)):
             ok, detail = False, witness(i, alpha)
     results.append(CheckResult(name="extremizer-optimal", passed=ok, residual=worst, detail=detail))
@@ -598,13 +673,13 @@ def hand_property_trials(f, g, region, group, trials, seed):
     agreements = 0
     for _ in range(trials):
         margin = 0.5 if rng.uniform() < 0.5 else 1.5
-        table = w.random_rectangle_member(f, region, rng, margin=margin)
-        members = [w._random_vector(group, region, rng).scaled(0.0)]
-        alpha = w._random_vector(group, region, rng)
+        table = random_rectangle_member(f, region, rng, margin=margin)
+        members = [random_vector(group, region, rng).scaled(0.0)]
+        alpha = random_vector(group, region, rng)
         n = seminorm(alpha, f)
         if n > 0:
             members.append(alpha.scaled(1.0 / (n * (1.0 + 1e-9))))
-        pointwise, paired, _ = w._bipolar_pairing_audit(table, f, members)
+        pointwise, paired, _ = bipolar_pairing_audit(table, f, members)
         if pointwise == paired:
             agreements += 1
         else:
@@ -615,7 +690,7 @@ def hand_property_trials(f, g, region, group, trials, seed):
     worst = 0.0
     detail = ""
     for i in range(trials):
-        alpha = w._random_vector(group, region, rng)
+        alpha = random_vector(group, region, rng)
         norm = seminorm(alpha, MinWeight(f, g))
         if norm == 0.0:
             continue
@@ -633,40 +708,155 @@ def hand_property_trials(f, g, region, group, trials, seed):
 
 
 Z2 = make_group(GroupSpec.free_abelian(2))
-Z2_REPORT = explore_ball(Z2, standard_generators(Z2), WeightFunction.enumerated(4), radius=8)
-Z2_HALF = [x for x, v in Z2_REPORT.final_items() if 2 * v <= 8]
-BALLS = [(Z, F, HALF), (Z2, ExpLength(Z2_REPORT), Z2_HALF)]
+Z2_REPORT = explore_ball(Z2, standard_generators(Z2), WeightFunction.enumerated(4), radius=20)
+# half-radius balls of 11 and 46 points on Z and of 50 on Z^2; on the small one a product
+# element often gathers three or more pairs, whose order of addition shows in the bits
+BALLS = [(Z, F, HALF), (Z, WIDE_F, [x for x, v in WIDE.final_items() if 2 * v <= 60]),
+         (Z2, ExpLength(Z2_REPORT), [x for x, v in Z2_REPORT.final_items() if 2 * v <= 20])]
+SUITE_CHECKS = ["convolution-submultiplicative", "projection-contraction", "extremizer-optimal",
+                "bipolar-agreement", "decomposition-sound"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    ball=st.sampled_from(BALLS),
-    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
-    trials=st.integers(1, 25),
-    seed=st.integers(0, 2**32 - 1),
-    fault=st.sampled_from([None, "tolerance", "members"]),
-)
-def test_property_trial_folds_match_the_hand_loops(ball, picks, trials, seed, fault):
-    group, f, half = ball
-    region = list(dict.fromkeys(half[i % len(half)] for i in picks))
-    g = Scale(3, Constant(1))
-    draw_member = weighted.random_rectangle_member
+class Lopsided(Semicharacter):
+    """2^(|x|^2 / 16) on coordinates: f(xy) = f(x) f(y) 2^(<x, y> / 8), so not submultiplicative."""
+
+    def value(self, x):
+        return 2.0 ** (sum(a * a for a in x) / 16)
+
+
+class Faint(Semicharacter):
+    """A weight times 1e-20, below the absolute slack REL_TOL of ``leq``: a table point of radius
+    past 1 still passes the pointwise bipolar test, while its single-point member pairs past 1."""
+
+    def __init__(self, f):
+        self.f, self.group = f, f.group
+
+    def value(self, x):
+        return 1e-20 * self.f.value(x)
+
+
+def traced(run, *args, **kwargs):
+    """``run``'s result, the final state of the one generator it makes, and the bits of every
+    (lhs, rhs) pair its ``leq_trials`` folds see, in order: a residual shows only the worst pair."""
+    made, pairs = [], []
+    default_rng = np.random.default_rng
+
+    def recorded(name, trials, draw, rtol):
+        def drawn():
+            lhs, rhs = draw()
+            pairs.append((name, lhs.hex(), rhs.hex()))
+            return lhs, rhs
+        return reports.leq_trials(name, trials, drawn, rtol)
+
     with pytest.MonkeyPatch.context() as mp:
-        # injected faults make trials fail, so the folds' failing paths are compared too
+        mp.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
+        # the suite's folds, and the hand loops', which read this module's name
+        mp.setattr(weighted, "leq_trials", recorded)
+        mp.setattr(sys.modules[__name__], "leq_trials", recorded)
+        out = run(*args, **kwargs)
+    (rng,) = made
+    return out, rng.bit_generator.state, pairs
+
+
+DRAW_MEMBER = weighted._draw_member
+
+
+def tripled_members(rng, n):
+    """``weighted._draw_member`` with each radius tripled: members outside the rectangle."""
+    picks, u = DRAW_MEMBER(rng, n)
+    return picks, u * [3.0, 1.0]
+
+
+def test_property_trial_folds_match_the_hand_loops():
+    failed = Counter()
+    failed_by_fault = {}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        ball=st.sampled_from(BALLS),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+        pick=st.integers(0, 10**6),
+        seed=st.integers(0, 2**32 - 1),
+        fault=st.sampled_from([None, "tolerance", "lopsided", "faint", "members"]),
+    )
+    def compare(ball, picks, pick, seed, fault):
+        group, f, half = ball
+        region = list(dict.fromkeys(half[i % len(half)] for i in picks))
+        # one trial, a few, the edges of the suite's blocks, and more than one block
+        step = max(1, weighted._BLOCK_POINTS // max(36, len(region) + 1))
+        choices = [1, 2, 7, step - 1, step, step + 1, 2 * step + 1]
+        trials = choices[pick % len(choices)]
+        g = Scale(3, Constant(1))
+        # each fault makes trials fail, so the folds' failing paths are compared too: no trial
+        # meets a negative tolerance; a weight that is not submultiplicative breaks the convolution
+        # bound; a weight below leq's absolute slack makes the bipolar verdicts disagree; members
+        # drawn outside the rectangle (both paths draw them through weighted._draw_member) pair past
+        # the extremizer's target
+        f = {"lopsided": Lopsided(), "faint": Faint(f)}.get(fault, f)
+        with pytest.MonkeyPatch.context() as mp:
+            if fault == "tolerance":
+                mp.setattr(weighted, "REL_TOL", -1.0)
+            if fault == "members":
+                mp.setattr(weighted, "_draw_member", tripled_members)
+            want, *want_trace = traced(hand_property_trials, f, g, region, group, trials, seed)
+            got, *got_trace = traced(weighted_property_trials, f, g, region, group=group, trials=trials, seed=seed)
+        assert repr(got) == repr(want)
+        assert [c.residual.hex() for c in got] == [c.residual.hex() for c in want]
+        assert got_trace == want_trace
         if fault == "tolerance":
-            # no trial meets a negative tolerance, and the pointwise bipolar verdict
-            # turns on the table's size, so disagreements occur
-            mp.setattr(weighted, "REL_TOL", -1.0)
-            mp.setattr(weighted, "rectangle_bipolar_contains", lambda table, f: len(table) % 2 == 0)
-        if fault == "members":
-            # the same draws, three times outside the rectangle: a member can out-pair alpha
-            scaled = lambda *args, **kwargs: {x: 3 * v for x, v in draw_member(*args, **kwargs).items()}
-            mp.setattr(weighted, "random_rectangle_member", scaled)
-        want = hand_property_trials(f, g, region, group, trials, seed)
-        got = weighted_property_trials(f, g, region, group=group, trials=trials, seed=seed)
-    assert got == want
-    if fault == "tolerance":
-        assert not got[2].passed and got[2].detail.startswith("trial 0: support ")
+            assert not got[2].passed and got[2].detail.startswith("trial 0: support ")
+        failed.update(c.name for c in got if not c.passed)
+        failed_by_fault.setdefault(fault, Counter()).update(c.name for c in got if not c.passed)
+
+    compare()
+    # across the examples every check fails at least once
+    assert sorted(failed) == sorted(SUITE_CHECKS), failed
+    # and the extremizer fails on its member clause alone, with its tolerance kept
+    assert failed_by_fault["members"]["extremizer-optimal"], failed_by_fault
+
+
+def test_the_z2_benchmark_polar_input_matches_the_hand_loops():
+    # polar-suite on Z^2 with its defaults (radius 14, weightF expLength, weightG const 3), as the
+    # benchmark runs it: trials 1000, seed 0
+    report = explore_ball(Z2, standard_generators(Z2), WeightFunction.enumerated(4), radius=14)
+    half = [x for x, v in report.final_items() if 2 * v <= report.radius]
+    f, g = ExpLength(report), Constant(3)
+    want, *want_trace = traced(hand_property_trials, f, g, half, Z2, 1000, 0)
+    got, *got_trace = traced(weighted_property_trials, f, g, half, group=Z2, trials=1000, seed=0)
+    assert repr(got) == repr(want)
+    assert [c.residual.hex() for c in got] == [c.residual.hex() for c in want]
+    assert got_trace == want_trace
+    assert all(c.passed for c in got)
+
+
+def test_property_trials_refuse_an_empty_region():
+    with pytest.raises(ValueError, match="empty region"):
+        weighted_property_trials(F, Constant(3), [], group=Z, trials=1)
+
+
+def test_property_trials_refuse_a_region_that_lists_an_element_twice():
+    with pytest.raises(ValueError, match="distinct elements"):
+        weighted_property_trials(F, Constant(3), [HALF[0], HALF[1], HALF[0]], group=Z, trials=1)
+
+
+def test_the_property_trials_memory_does_not_grow_with_trials():
+    g = Constant(3)
+
+    def peak(trials):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            weighted_property_trials(F, g, HALF, group=Z, trials=trials, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    step = weighted._BLOCK_POINTS // 36
+    block = peak(step) - peak(1)
+    small, large = peak(1000), peak(10**4)
+    # a block of trials at a time: ten times the trials add less than one block of trials adds to
+    # a single trial (the largest of more blocks, and CPython's tuple free list, add a little)
+    assert large - small <= block, (block, small, large)
 
 
 def test_fold_consumes_every_outcome_and_names_the_first_failure():
