@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -349,7 +350,7 @@ class FreeAbelianGroup(Group):
         return _check_int_tuple(x, self.rank, self.label)
 
     def mul(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(operator.add, x, y))
 
     def inv(self, x):
         return tuple(-a for a in x)

@@ -6,10 +6,12 @@ that produces it.  Weights are exact rationals; the search runs on integers
 after clearing denominators, so priority ordering never suffers float ties.
 It settles the ball one integer cost level at a time (Dial's buckets, "Algorithm
 360", CACM 1969, with a heap over the distinct pending costs so that sparse
-costs such as weights 1 and 10^9 skip the empty levels), and every element
-of a level shares that level's one ``Fraction``, so ``spheres`` and
-``summability_partial_sums`` do one dict lookup or one ``exp`` per level,
-not per element.
+costs such as weights 1 and 10^9 skip the empty levels).  A level opens as one
+sorted list, is cut by the element cap as a slice, and is expanded one
+generator at a time over all its elements; a step whose cost would pass the
+radius makes no product.  Every element of a level shares that level's one
+``Fraction``, so ``spheres`` and ``summability_partial_sums`` do one dict
+lookup or one ``exp`` per level, not per element.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 from .groups import Element, GeneratorSet, Group, require
@@ -117,12 +120,6 @@ class LengthReport:
         except KeyError:
             raise UnexploredError(f"{self.group.format(x)} lies outside the explored ball") from None
 
-    def is_final(self, x) -> bool:
-        x = self.group.check(x)
-        if x not in self.lengths:
-            return False
-        return self.boundary is None or self.lengths[x] < self.boundary
-
     def final_length(self, x) -> Fraction:
         """Length of x, raising unless the value can no longer improve."""
         value = self.length(x)
@@ -190,9 +187,15 @@ def explore_ball(
     the boundary records where certainty ends.
 
     Costs are integers, so the frontier is a list of candidates per pending
-    cost plus a heap of those costs.  A level is heapified when it opens and
-    settles in element order, as one (cost, element) heap would, so the cap
-    keeps the same elements; a zero-weight step pushes onto the open level.
+    cost plus a heap of those costs.  A level opens as the sorted list of its
+    live candidates (each joins a level at most once), so it settles in
+    element order, as one (cost, element) heap would, and the cap keeps the
+    same elements: a level that would pass it is cut to a prefix.  Only when
+    some weight is 0 does the open level settle through a heap, since a
+    zero-weight step pushes onto it.  The settled level is then expanded one
+    positive step at a time, and a step whose cost would pass the radius is
+    skipped before any product is made.  Final costs do not depend on the
+    order of expansion, so the report is the one a single heap would give.
     """
     radius = Fraction(radius)
     if radius < 0:
@@ -214,41 +217,59 @@ def explore_ball(
     settled = 0
     truncated = False
     boundary_int: int | None = None
-    mul, steps = group.mul, list(zip(gens, int_weights))
+    mul, get = group.mul, best.get
+    zero = [a for a, w in zip(gens, int_weights) if w == 0]
+    positive = [(a, w) for a, w in zip(gens, int_weights) if w > 0]
     heappop, heappush = heapq.heappop, heapq.heappush
 
-    while costs and not truncated:
+    while costs:
         cost = heappop(costs)
-        level = pending.pop(cost)
-        # settle the level in element order, as a (cost, element) heap would
-        heapq.heapify(level)
-        out: list[Element] = []
-        while level:
-            x = heappop(level)
-            if best[x] < cost:
+        # a candidate joins a level at most once, and a sorted list is already a heap
+        level = sorted([x for x in pending.pop(cost) if best[x] == cost])
+        if not level:
+            continue
+        if zero:
+            # zero-weight steps grow the open level: settle it as one (cost, element) heap would
+            out: list[Element] = []
+            while level:
+                if settled == element_cap:
+                    truncated = True
+                    break
+                x = heappop(level)
+                settled += 1
+                out.append(x)
+                for a in zero:
+                    y = mul(x, a)
+                    b = get(y)
+                    if b is None or cost < b:
+                        best[y] = cost
+                        heappush(level, y)
+            out.sort()  # a zero-weight step may settle an element below one settled before it
+            level = out
+        elif settled + len(level) > element_cap:
+            level = level[:element_cap - settled]
+            truncated = True
+        else:
+            settled += len(level)
+        lengths.update(dict.fromkeys(level, Fraction(cost, scale)))
+        if truncated:
+            boundary_int = cost
+            break
+        # expand the settled level one step at a time; no product is made past the radius
+        for a, w in positive:
+            c = cost + w
+            if c > int_radius:
                 continue
-            if settled >= element_cap:
-                truncated = True
-                boundary_int = cost
-                break
-            settled += 1
-            out.append(x)
-            for a, w in steps:
-                y = mul(x, a)
-                c = cost + w
-                if c <= int_radius:
-                    b = best.get(y)
-                    if b is None or c < b:
-                        best[y] = c
-                        if c == cost:  # a zero-weight step stays on the open level
-                            heappush(level, y)
-                        elif c in pending:
-                            pending[c].append(y)
-                        else:
-                            pending[c] = [y]
-                            heappush(costs, c)
-        out.sort()  # a zero-weight step may settle an element below one settled before it
-        lengths.update(dict.fromkeys(out, Fraction(cost, scale)))
+            bucket = pending.get(c)
+            if bucket is None:
+                bucket = pending[c] = []
+                heappush(costs, c)
+            push = bucket.append
+            for y in map(mul, level, repeat(a)):
+                b = get(y)
+                if b is None or c < b:
+                    best[y] = c
+                    push(y)
 
     boundary = None if boundary_int is None else Fraction(boundary_int, scale)
     return LengthReport(
@@ -271,13 +292,14 @@ def subadditivity_check(report: LengthReport, samples: int = 500, seed: int = 0)
     pool = [x for x, _ in report.final_items()]
     if not pool:
         return SampledInequality(checked=0, skipped=0, violations=())
-    lengths = report.lengths
+    lengths, mul, bound = report.lengths, report.group.mul, report.boundary
 
+    # the ball holds canonical elements and mul makes them, so the product is read without a check
     def holds(x, y):
-        z = report.group.mul(x, y)
-        if not report.is_final(z):
+        z = lengths.get(mul(x, y))
+        if z is None or (bound is not None and z >= bound):
             return None
-        return lengths[z] <= lengths[x] + lengths[y]
+        return z <= lengths[x] + lengths[y]
 
     return sample_pairs(pool, samples, seed, holds)
 

@@ -295,7 +295,6 @@ BOUNDARIES = {
     "WeightedVector.from_items": lambda: WeightedVector.from_items(Z6, [(BAD, 1.0)]),
     "LengthReport.length": lambda: z6_ball().length(BAD),
     "LengthReport.final_length": lambda: z6_ball().final_length(BAD),
-    "LengthReport.is_final": lambda: z6_ball().is_final(BAD),
     "LengthReport.__contains__": lambda: BAD in z6_ball(),
     "Inverse.value": lambda: Inverse(ExpLength(z6_ball())).value(BAD),
     "sampled_submultiplicativity": lambda: sampled_submultiplicativity(Constant(2), [BAD], group=Z6),

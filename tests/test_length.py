@@ -25,11 +25,18 @@ from dualitylab import (
     summability_partial_sums,
     standard_generators,
 )
+from dualitylab.reports import sample_pairs
 
 
 def weights_of(values) -> WeightFunction:
     """A weight function from ints, Fractions or strings, one per generator."""
     return WeightFunction(tuple(Fraction(v) for v in values))
+
+
+def is_final(report, x) -> bool:
+    """Whether x's recorded length can no longer improve: in the table and below any boundary."""
+    x = report.group.check(x)
+    return x in report.lengths and (report.boundary is None or report.lengths[x] < report.boundary)
 
 
 def line_report(radius=14):
@@ -182,6 +189,65 @@ def test_zero_weight_step_settles_on_the_open_level():
         z, gens, [Fraction(0), Fraction(1)], 2, 5)
 
 
+# the perfbench balls' groups and weights, at radii the heap search covers in under a second
+@pytest.mark.parametrize("spec, weights, radius", [
+    (GroupSpec.heisenberg(), None, 20),
+    (GroupSpec.free(2), None, 10),
+    (GroupSpec.free_abelian(2), [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 6)], 12),
+])
+def test_perfbench_balls_match_the_heap_search(spec, weights, radius):
+    group = make_group(spec)
+    gens = standard_generators(group)
+    w = weights_of(weights) if weights else WeightFunction.enumerated(len(gens.elements))
+    full = explore_ball(group, gens, w, radius)
+    # a cap inside the middle level of those holding two or more elements
+    sizes = [len(xs) for xs in full.spheres().values()]
+    middle = [k for k, size in enumerate(sizes) if size >= 2]
+    middle = middle[len(middle) // 2]
+    cap = sum(sizes[:middle]) + sizes[middle] // 2
+    cut = explore_ball(group, gens, w, radius, cap)
+    for rep, element_cap in ((full, 10**6), (cut, cap)):
+        lengths, truncated, boundary = heap_search(group, gens, list(w.values), Fraction(radius),
+                                                   element_cap)
+        assert list(rep.lengths.items()) == list(lengths.items())
+        assert (rep.truncated, rep.boundary) == (truncated, boundary)
+    assert not full.truncated and cut.truncated
+    assert len(cut.spheres()[cut.boundary]) == sizes[middle] // 2 > 0
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 7, 30])
+def test_no_product_past_the_radius(radius):
+    # on Z under weight 1, an element below level r makes its 2 products and one at level r none
+    z = make_group(GroupSpec.free_abelian(1))
+    gens = standard_generators(z)
+    calls = []
+    mul = z.mul
+    z.mul = lambda x, y: calls.append(x) or mul(x, y)
+    rep = explore_ball(z, gens, WeightFunction.constant(2), radius)
+    below = [x for x, v in rep.lengths.items() if v < radius]
+    assert len(rep.lengths) == 2 * radius + 1
+    assert len(calls) == 2 * len(below) and sorted(set(calls)) == sorted(below)
+
+
+def test_subadditivity_reads_the_ball_without_checks(monkeypatch):
+    # a truncated Heisenberg ball: products past the table or at its boundary are skipped
+    heis = make_group(GroupSpec.heisenberg())
+    rep = explore_ball(heis, standard_generators(heis), WeightFunction.enumerated(4), radius=10,
+                       element_cap=110)
+    assert rep.truncated
+
+    def holds(x, y):
+        z = heis.mul(x, y)
+        return rep.lengths[z] <= rep.lengths[x] + rep.lengths[y] if is_final(rep, z) else None
+
+    expected = sample_pairs([x for x, _ in rep.final_items()], 2000, 5, holds)
+    calls = []
+    monkeypatch.setattr(heis, "check", lambda x: calls.append(x) or x)
+    out = subadditivity_check(rep, samples=2000, seed=5)
+    assert calls == []
+    assert out == expected and out.skipped > 0 and out.checked > 0
+
+
 def test_spheres_join_equal_levels_held_apart():
     # equal levels as distinct Fraction objects, one of them out of order
     rep = dataclasses.replace(line_report(radius=0), lengths={
@@ -215,7 +281,7 @@ def test_truncation_and_boundary():
     assert rep.truncated
     assert rep.boundary is not None
     for x, v in rep.lengths.items():
-        assert rep.is_final(x) == (v < rep.boundary)
+        assert is_final(rep, x) == (v < rep.boundary)
     # some settled value sits at the boundary cost and is not final
     at_boundary = [x for x, v in rep.lengths.items() if v >= rep.boundary]
     if at_boundary:
@@ -376,7 +442,7 @@ def test_nuclearity_reads_the_shifted_ball_without_checks(monkeypatch, spec, wei
     w = weights_of(weights) if weights else WeightFunction.enumerated(len(gens.elements))
     base = explore_ball(g, gens, w, radius, cap)
     shifted = explore_ball(g, gens, w.shifted_by_index(), radius, cap)
-    final = [shifted.is_final(x) for x, _ in base.final_items()]
+    final = [is_final(shifted, x) for x, _ in base.final_items()]
     calls = []
     monkeypatch.setattr(g, "check", lambda x: calls.append(x) or x)
     out = nuclearity_witness(g, gens, w, radius, cap)
