@@ -30,7 +30,7 @@ from .scalars import times
 # 2.68-2.75 s at 85 MB, against 15.3 s at 1891 MB before them on the same host, two
 # runs each: memory no longer binds, and the cap is to be re-sized from recorded runs
 TENSOR_DIM_CAP = 1500
-# the exact cycle reads its dense folds as root exponents (_exponents), a perturbed map too: only the
+# the exact cycle reads its dense folds as root exponents (LinearMap._dense), a perturbed map too: only the
 # terms that touch an entry that is not a root go through the backend.  Memory binds, through the
 # n^3 intp arrays of the hom fold, the gram and the composite.  Through duality-lab, one process
 # each (Python 3.11, 2-core x86-64 host), two to four runs each, perturb [1, 2] and unperturbed:
@@ -105,10 +105,9 @@ class HopfAlgebra:
     as the dict it stands for and lists its entries in one fixed order, which
     no output depends on (``_LawView``).
 
-    ``rows`` indexes a dict product by its left factor, rows[i][j] =
-    mul[(i, j)] for the nonzero cells, built with the algebra so products
-    may walk one row instead of probing every index pair; for a law view it
-    is ``{}``, as each cell is read from the view's array.
+    ``diagonal`` is the product read once as a pointwise one, as the
+    function algebra's is, or None: ``mul_vec`` multiplies on it instead of
+    probing every index pair.
 
     ``==`` is literal structure equality: the same dim, backend and five
     tensors under ``==``.  Labels are for display and take no part, so an
@@ -130,15 +129,18 @@ class HopfAlgebra:
     comul: Mapping
     counit: Mapping
     antipode: Mapping
-    rows: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        rows = {}
-        if not isinstance(self.mul, _Products):
-            for (i, j), cell in self.mul.items():
-                if cell:
-                    rows.setdefault(i, {})[j] = cell
-        object.__setattr__(self, "rows", rows)
+    @cached_property
+    def diagonal(self) -> dict | None:
+        """The dict d with mul[(m, m)] == {m: d[m]} for every cell and no other cell, as a pointwise
+        product spells out; None for any other product.  Read literally, not under the tolerance,
+        once per algebra (``dataclasses.replace`` makes a new one): mul must not change after it."""
+        d = {}
+        for (i, j), cell in self.mul.items():
+            if i != j or len(cell) != 1 or i not in cell:
+                return None
+            d[i] = cell[i]
+        return d
 
     def basis(self, i: int):
         return {i: self.backend.one}
@@ -340,26 +342,19 @@ def _vec_add_scaled(backend, acc: dict, scalar, vec: Mapping) -> None:
 
 
 def mul_vec(h: HopfAlgebra, v: Mapping, w: Mapping) -> dict:
-    """The product v w, walking for each i of v row i of ``h.rows`` where it exists and is shorter
-    than w, and otherwise w, each cell read as ``h.mul.get((i, j))``: a law view has no rows, and
-    its cells are read from its array."""
-    b = h.backend
+    """The product v w.  On a diagonal product d (``HopfAlgebra.diagonal``) it is (v_i w_i) d_i at
+    each i of v that w and d hold, in v's order, the scalar operations of probing every pair; any
+    other product is probed at each pair (i, j) of v and w, in that order, each cell read as
+    ``h.mul.get((i, j))``, a law view's from its array."""
+    b, d = h.backend, h.diagonal
+    if d is not None:
+        return {i: b.mul(b.mul(a, w[i]), d[i]) for i, a in v.items() if i in w and i in d}
     acc: dict = {}
     for i, a in v.items():
-        row = h.rows.get(i)
-        if row is not None and len(row) < len(w):
-            # row order instead of w order gives the same sums, bit for bit,
-            # while distinct cells of one row share no basis vector, as in
-            # every algebra built here
-            for j, cell in row.items():
-                c = w.get(j)
-                if c is not None:
-                    _vec_add_scaled(b, acc, b.mul(a, c), cell)
-        else:
-            for j, c in w.items():
-                cell = h.mul.get((i, j))
-                if cell:
-                    _vec_add_scaled(b, acc, b.mul(a, c), cell)
+        for j, c in w.items():
+            cell = h.mul.get((i, j))
+            if cell:
+                _vec_add_scaled(b, acc, b.mul(a, c), cell)
     return acc
 
 
@@ -566,21 +561,9 @@ def _permutation(h: HopfAlgebra) -> list[int] | None:
     return p if len(set(p)) == n else None
 
 
-def _diagonal_product(h: HopfAlgebra):
-    """The dict d with mul[(m, m)] == {m: d[m]} for every cell and no other cell, as a pointwise
-    product spells out; None for any other product.  Read literally, not under the tolerance:
-    a product is then one multiplication per shared index, as ``mul_vec`` would run it."""
-    d = {}
-    for (i, j), cell in h.mul.items():
-        if i != j or len(cell) != 1 or i not in cell:
-            return None
-        d[i] = cell[i]
-    return d
-
-
 def _diagonal_coproduct(h: HopfAlgebra) -> bool:
     """Whether comul[i] == {(i, i): one} for every i of range(dim), the coproduct of a group algebra,
-    which makes every basis vector grouplike.  Read literally, as ``_diagonal_product`` is."""
+    which makes every basis vector grouplike.  Read literally, as ``HopfAlgebra.diagonal`` is."""
     one = h.backend.one
     return all(h.comul.get(i) == {(i, i): one} for i in range(h.dim))
 
@@ -607,19 +590,12 @@ def _law_associativity(b, law):
             return
 
 
-def _product_reads(h: HopfAlgebra) -> tuple:
-    """h's product read once for the axiom folds: (``_monomial_law``, ``_diagonal_product``), the
-    diagonal read only when the law does not read; each None when it does not read."""
-    law = _monomial_law(h)
-    return law, None if law is not None else _diagonal_product(h)
-
-
-def _algebra_axioms(h: HopfAlgebra, reads: tuple) -> tuple[CheckResult, CheckResult]:
-    """Associativity and unit of h on basis elements; reads is ``_product_reads(h)``.
+def _algebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
+    """Associativity and unit of h on basis elements.
 
     When mul reads as a law (``_monomial_law``), as on the group algebra and the function
     algebra's dual, associativity is decided on the law as an int array, with the verdict,
-    residual and witness of the fold.  When mul is diagonal (``_diagonal_product``), as on the
+    residual and witness of the fold.  When mul is diagonal (``HopfAlgebra.diagonal``), as on the
     function algebra and the group algebra's dual, only the triples (i, i, i) have two nonempty
     sides: each is formed with the fold's ``mul_vec`` calls, and every other triple would compare
     two empty vectors (a pass, residual 0.0), so the fold is the full one's.  The unit fold then
@@ -627,7 +603,7 @@ def _algebra_axioms(h: HopfAlgebra, reads: tuple) -> tuple[CheckResult, CheckRes
     Any other product is folded on every triple (i, j, k).
     """
     b, dim = h.backend, h.dim
-    law, diagonal = reads
+    law, diagonal = _monomial_law(h), h.diagonal
 
     def pairs_assoc():
         if law is not None:
@@ -652,9 +628,8 @@ def _algebra_axioms(h: HopfAlgebra, reads: tuple) -> tuple[CheckResult, CheckRes
     return fold_checks("associativity", b, pairs_assoc()), fold_checks("unit", b, pairs_unit())
 
 
-def _bialgebra_axioms(h: HopfAlgebra, reads: tuple) -> tuple[CheckResult, CheckResult]:
-    """The bialgebra compatibility and the antipode identities of h on basis elements; reads is
-    ``_product_reads(h)``.
+def _bialgebra_axioms(h: HopfAlgebra) -> tuple[CheckResult, CheckResult]:
+    """The bialgebra compatibility and the antipode identities of h on basis elements.
 
     When mul reads as a law, comul[i] == {(i, i): one} and the counit is one at every i, as on
     the group algebra and the function algebra's dual, the cell of Delta(ij) and of
@@ -664,7 +639,7 @@ def _bialgebra_axioms(h: HopfAlgebra, reads: tuple) -> tuple[CheckResult, CheckR
     witness of the full fold; any other h folds every pair.
     """
     b, dim, one = h.backend, h.dim, h.backend.one
-    law = reads[0]
+    law = _monomial_law(h)
     counit = {i: {0: c} for i, c in h.counit.items()}
     uniform = law is not None and _diagonal_coproduct(h) and all(h.counit.get(i) == one for i in range(dim))
     span = range(0 if uniform else dim)
@@ -727,17 +702,17 @@ def check_hopf_axioms(h: HopfAlgebra) -> tuple[list[CheckResult], list[CheckResu
     lists share one fold of each, on the side with fewer coproduct entries
     (h on a tie): six folds for twelve results.  Coalgebra witnesses name dual
     basis vectors; shared ones, the basis of the side they were folded on.
-    Each side's product is read once (``_product_reads``) and handed to its
-    algebra fold and, on the cheaper side, to the bialgebra fold.  On a
-    function or group algebra and its dual, one side's product is a law and
-    the other's is diagonal, and each fold decides from its read what it
-    would otherwise fold pair by pair.
+    Each fold reads its side's product as a law (``_monomial_law``) or as
+    a diagonal (``HopfAlgebra.diagonal``).  On a function or group algebra
+    and its dual, one side's product is a law and the other's is diagonal,
+    and each fold decides from its read what it would otherwise fold pair
+    by pair.
     """
     require_axioms_dim(h.dim)
-    sides = [(k, _product_reads(k)) for k in (h, dual_hopf(h))]
-    cheaper = min(sides, key=lambda side: _coproduct_terms(side[0].comul))
-    return _sides(tuple(_algebra_axioms(*side) for side in sides), ("coassociativity", "counit"),
-                  _bialgebra_axioms(*cheaper))
+    sides = (h, dual_hopf(h))
+    cheaper = min(sides, key=lambda k: _coproduct_terms(k.comul))
+    return _sides(tuple(map(_algebra_axioms, sides)), ("coassociativity", "counit"),
+                  _bialgebra_axioms(cheaper))
 
 
 # ---------------------------------------------------------------------------
@@ -777,36 +752,37 @@ def _grouplike_basis(h: HopfAlgebra, table) -> list[bool] | None:
 def _grouplike_read(h: HopfAlgebra, table, v: Mapping) -> tuple[bool, float] | None:
     """``_is_grouplike(h, v)`` read off the coproduct; None where it does not read, and
     ``_is_grouplike`` decides.  A point mass {i: one} on comul[i] == {(i, i): one} passes
-    with residual(one, one).  On the cyclotomic backend and a law coproduct (table, as in
-    ``_grouplike_basis``), a vector of roots is read as exponents E, -1 where v has no entry: Delta(v)
-    at (p, q) is E[law[p, q]] and v (x) v is E[p] + E[q] mod N, and only the cells where the two
-    differ, in presence or exponent, go through ``residual``, as every other cell adds 0.0."""
+    with residual(one, one).  On the exact backend and a law coproduct (table, as in
+    ``_grouplike_basis``), a vector of roots is read as exponents E (``b.read``), -1 where v has no
+    entry: Delta(v) at (p, q) is E[law[p, q]] and v (x) v is E[p] + E[q] mod N, and only the cells
+    where the two differ, in presence or exponent, go through ``residual``, as every other cell
+    adds 0.0."""
     b, one = h.backend, h.backend.one
     if len(v) == 1:
         (i, x), = v.items()
         if x == one and h.comul.get(i) == {(i, i): one}:
             return True, b.residual(one, one)
-    if table is None or b.name != "cyclotomic" or not v:
+    if table is None or not b.exact or not v:
         return None
-    try:
-        e = np.array([b._log[v[i]] if i in v else -1 for i in range(h.dim)], dtype=np.intp)
-    except KeyError:   # an entry that is not a root
-        return None
-    if np.count_nonzero(e >= 0) != len(v):   # a key outside range(n)
+    e = b.read([[v.get(i) for i in range(h.dim)]])[0]
+    if np.count_nonzero(e >= 0) != len(v):   # an entry that is not a root, or a key outside range(n)
         return None
     lhs = e[table]
     rhs = np.where((e[:, None] < 0) | (e < 0), -1, (e[:, None] + e) % b.n)
+
+    def value(k):
+        return b.zero if k < 0 else b.root(k, b.n)   # exponent -1: no entry
+
     diffs = np.argwhere(lhs != rhs).tolist()
-    values = [*b._mono, b.zero]   # exponent -1: no entry
-    return not diffs, max((b.residual(values[lhs[p, q]], values[rhs[p, q]]) for p, q in diffs), default=0.0)
+    return not diffs, max((b.residual(value(lhs[p, q]), value(rhs[p, q])) for p, q in diffs), default=0.0)
 
 
 def _closure_read(h: HopfAlgebra, vectors: list) -> bool | None:
     """``_closed_under_product(h, vectors)`` read off the product; None where it does not read.
     Point masses {i: one} on a law product (``_monomial_law``) multiply to {law[i][j]: one}, so
-    they are closed iff law[S x S] lies in S, their points.  On the cyclotomic backend, vectors
-    of n roots on the diagonal product mul[(m, m)] == {m: one} for all m multiply entrywise, the
-    exponent rows adding mod N, so they are closed iff each sum of two rows is a row."""
+    they are closed iff law[S x S] lies in S, their points.  On the exact backend, vectors of n
+    roots on the diagonal product mul[(m, m)] == {m: one} for all m multiply entrywise, the exponent
+    rows (``b.read``) adding mod N, so they are closed iff each sum of two rows is a row."""
     b, n, one = h.backend, h.dim, h.backend.one
     points = [i for v in vectors if len(v) == 1
               for i, x in v.items() if x == one and type(i) is int and 0 <= i < n]
@@ -816,12 +792,11 @@ def _closure_read(h: HopfAlgebra, vectors: list) -> bool | None:
         member[points] = True
         at = np.array(points, dtype=np.intp)
         return bool(member[law[at[:, None], at]].all())
-    d = _diagonal_product(h) if b.name == "cyclotomic" and all(len(v) == n for v in vectors) else None
+    d = h.diagonal if b.exact and all(len(v) == n for v in vectors) else None
     if d is None or len(d) != n or not all(d.get(m) == one for m in range(n)):
         return None
-    try:
-        rows = np.array([[b._log[v[m]] for m in range(n)] for v in vectors], dtype=np.intp).reshape(-1, n)
-    except KeyError:   # a missing index or an entry that is not a root
+    rows = b.read([[v.get(m) for m in range(n)] for v in vectors]).reshape(-1, n)
+    if (rows < 0).any():   # a missing index or an entry that is not a root
         return None
     members = {r.tobytes() for r in rows}
     return all(t.tobytes() in members for r in rows for t in (r + rows) % b.n)
@@ -868,7 +843,7 @@ def _multiplicative_functions(law: np.ndarray, e: int, backend) -> list[tuple]:
         kept = (exps[:, law[s]] == (exps[:, s, None] + exps) % modulus).all(axis=1)
         exps, powers = exps[kept], powers[kept]
     # no row repeats: each generator is reached from e by its own edge, so rows differ there
-    if backend.name == "cyclotomic":
+    if backend.exact:
         roots = [backend.root(k, modulus) for k in range(modulus)]
         return [tuple(map(roots.__getitem__, row)) for row in exps.tolist()]
     found: list[tuple] = []
@@ -1004,16 +979,20 @@ class LinearMap:
 
     @cached_property
     def _dense(self):
-        """The columns read once as a dense array for the duality cycle's n^3 folds: root exponents
-        on the cyclotomic backend (``_exponents``), (re, im) float64 parts on the float backend
-        (``_floats``); None when the map is not square or the read does not hold.  Cached on the
-        map, so the hom fold, the gram and the composite share one read; columns must not change
-        after it."""
-        b, n = self.domain.backend, self.domain.dim
-        if self.codomain.dim != n:
+        """The columns read once by the backend (``read``) as a dense array M[r, c] = columns[c][r]
+        for the duality cycle's n^3 folds: root exponents on the exact backend, -1 at a hole, an
+        entry that is not a root; (re, im) float64 parts on the float backend, None unless each
+        entry is a finite complex.  None when the map is not square, or its columns do not list
+        range(n) in order, each listing its rows as range(n) in order, the order in which
+        ``_compose`` sums: so a missing entry gives None.  Cached on the map, so the hom fold, the
+        gram and the composite share one read; columns must not change after it."""
+        n, order = self.domain.dim, list(range(self.domain.dim))
+        if self.codomain.dim != n or list(self.columns) != order:
             return None
-        exps = _exponents(b, self.columns, n)
-        return exps if exps is not None else _floats(b, self.columns, n)
+        cols = list(self.columns.values())
+        if any(list(col) != order for col in cols):
+            return None
+        return self.domain.backend.read(list(zip(*(col.values() for col in cols))))
 
     @cached_property
     def _holes(self) -> list:
@@ -1034,28 +1013,6 @@ def fourier(group: Group, backend) -> LinearMap:
     return LinearMap(group_algebra(group, backend), function_algebra(dual_group(group), backend), columns)
 
 
-def _exponents(b, columns: Mapping, n: int):
-    """columns read as an (n, n) intp array E of root exponents, E[r, c] = b._log[columns[c][r]],
-    and -1 at a hole, an entry that is not a root; None unless b is cyclotomic and columns holds
-    exactly the entries of range(n)^2.  Read from the values checked, so a bumped entry that is
-    itself a root is read as it is.  Each entry is read once, by subscription, so a missing one
-    raises KeyError and gives None, and a value that is not a root reads as -1.  The backend is
-    told by its name, so a wrapper that forwards its attributes reads the same."""
-    if b.name != "cyclotomic" or len(columns) != n:
-        return None
-    log = b._log
-    try:
-        cols = [columns[c] for c in range(n)]
-    except KeyError:
-        return None
-    if any(len(col) != n for col in cols):
-        return None
-    try:
-        return np.array([[log.get(col[r], -1) for col in cols] for r in range(n)], dtype=np.intp)
-    except KeyError:   # a missing entry
-        return None
-
-
 def _root_sums(b, exponents, keep=None) -> np.ndarray:
     """sum_k z^exponents[..., k] for each leading index, as an int array of coefficient rows: a
     bincount of the exponents mod n per entry times the table of powers, the reduced tuple that
@@ -1068,38 +1025,8 @@ def _root_sums(b, exponents, keep=None) -> np.ndarray:
     if keep is not None:
         flat[~np.broadcast_to(keep, exponents.shape).reshape(cells, -1)] = cells * n
     counts = np.bincount(flat.ravel(), minlength=cells * n + 1)[:cells * n].reshape(cells, n)
-    return (counts @ np.array(b._mono, dtype=np.int64)).reshape(*lead, b.degree)
-
-
-# a part past this magnitude could overflow a fold's products, where abs() of a complex raises
-# OverflowError and np.hypot gives inf; under it every float fold's residual is finite
-_FLOAT_PART_BOUND = 2.0**300
-
-
-def _float_parts(rows):
-    """rows of entries as two float64 arrays, real and imaginary parts; None unless every entry is a
-    complex whose parts are at most _FLOAT_PART_BOUND in magnitude (so finite).  Read, not computed:
-    the parts keep their bits."""
-    if any(type(x) is not complex for row in rows for x in row):
-        return None
-    z = np.array(rows, dtype=np.complex128)
-    parts = z.real.copy(), z.imag.copy()
-    return parts if all((np.abs(p) <= _FLOAT_PART_BOUND).all() for p in parts) else None
-
-
-def _floats(b, columns: Mapping, n: int):
-    """columns read as (re, im) float64 (n, n) arrays, re[r, c] + im[r, c] j = columns[c][r]; None
-    unless b is the float backend (told by its name, as in ``_exponents``), columns lists range(n)
-    in order, each column lists its rows as range(n) in order, the order in which ``_compose``
-    sums, and ``_float_parts`` reads every entry."""
-    order = list(range(n))
-    if b.name != "float" or list(columns) != order:
-        return None
-    cols = [columns[c] for c in order]
-    if any(list(col) != order for col in cols):
-        return None
-    parts = _float_parts([list(col.values()) for col in cols])
-    return None if parts is None else tuple(p.T.copy() for p in parts)
+    powers = np.array([b.root(e, n) for e in range(n)], dtype=np.int64)
+    return (counts @ powers).reshape(*lead, b.degree)
 
 
 def _float_matmul(a, c):
@@ -1133,8 +1060,8 @@ def _conj_product(b, x, y):
         keep = yr >= 0 if keep is None else keep & (yr >= 0)
 
     def at(read, holes, p, k):
-        """X[p, k] as a value: the hole's own, or the root b._mono[e] whose exponent was read."""
-        return holes[p, k] if (p, k) in holes else b._mono[read[p, k]]
+        """X[p, k] as a value: the hole's own, or the root z^e whose exponent e was read."""
+        return holes[p, k] if (p, k) in holes else b.root(read[p, k], b.n)
 
     holes: dict = {}
     terms = [(p, q, k) for p, k in xh for q in range(len(yr))]
@@ -1148,15 +1075,15 @@ def _conj_product(b, x, y):
 def _fold_cells(res, tolerance) -> list[int]:
     """Flat indices into res, in C order, of its first residual past tolerance and of its first
     largest one.  Folded in that order they give the verdict, worst residual and witness of a fold
-    over every cell of res, each residual finite, as ``_floats`` keeps it."""
+    over every cell of res, each residual finite, as the float read (``LinearMap._dense``) keeps it."""
     flat = res.ravel()
     return sorted({*np.flatnonzero(flat > tolerance)[:1].tolist(), int(flat.argmax())})
 
 
 def _read_cells(b, x, y, values) -> list:
     """((a, c), lhs, rhs) for the cells of two dense reads x and y of one (m, n) layout that a fold
-    of x against y over every cell must see, in (a, c) order: both exponent arrays (``_exponents``)
-    or both (re, im) pairs (``_floats``).  On exponents these are the cells whose exponents differ
+    of x against y over every cell must see, in (a, c) order: both exponent arrays or both (re, im)
+    pairs (``LinearMap._dense``).  On exponents these are the cells whose exponents differ
     and every cell where either side is a hole, each valued by values(a, c), the two backend values
     the fold compares there: the fold decides them, and an equal one adds residual 0.0 and no
     witness.  On floats they are the first cell past the tolerance and the first worst one
@@ -1178,7 +1105,7 @@ _HOM_BLOCK_CELLS = 1 << 12
 
 def _float_hom_pairs(b, m, d, law):
     """(tag, lhs, rhs) of the cells a multiplicative fold must see, in (i, j) order, for a map read
-    by ``_floats`` as m, a diagonal d as (re, im) length-n vectors and a law as an (n, n) int array:
+    by ``LinearMap._dense`` as m, a diagonal d as (re, im) (1, n) rows and a law as an (n, n) int array:
     lhs = one m read through the law, rhs = (m[:, i] m[:, j]) d, each product as ``_apply`` and
     ``mul_vec`` form it.
 
@@ -1242,16 +1169,16 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
 
     Each pair folds phi applied to the product cell (``_apply``) against the product of the two
     images (``mul_vec``).  When h's product reads as a law (``_monomial_law``), as the group
-    algebra's and a function algebra's dual's do, k's product is diagonal (``_diagonal_product``),
+    algebra's and a function algebra's dual's do, k's product is diagonal (``HopfAlgebra.diagonal``),
     as a function algebra's and a group algebra's dual's are, and phi's dense read
-    (``LinearMap._dense``) holds and so does the same read of the diagonal, the fold runs on
-    arrays.  On the cyclotomic backend (``_exponents``) the entries (r, i, j) are decided as
+    (``LinearMap._dense``) holds and so does the backend's read of the diagonal, with no hole,
+    the fold runs on arrays.  On the exact backend the entries (r, i, j) are decided as
     exponents, E[:, law] == E[:, :, None] + E[:, None, :] + D mod n, and only a pair that differs
     is folded, on its differing entries, its rhs by ``mul_vec``: an equal entry adds residual 0.0
     and no witness, so the check is the full fold's.  An entry whose rhs meets a hole of the read,
     at (r, i) or (r, j), is folded too, and the fold decides it on the backend's products, about
     2n entries per hole, as ``_conj_product`` sums only a product's hole terms; a hole at its lhs
-    alone makes it differ, as its rhs is then a root.  On the float backend (``_floats``) both
+    alone makes it differ, as its rhs is then a root.  On the float backend both
     sides are float64 parts, with the scalar operations ``_apply`` and ``mul_vec`` run, over the
     pairs in blocks of cells, leaving out a pair (i, j), i > j, whose mirror (j, i) reads the same
     law cell and so has the same residual bits; the fold sees its first failing and its worst
@@ -1259,20 +1186,16 @@ def _algebra_hom(phi: LinearMap) -> tuple[CheckResult, CheckResult]:
     """
     h, k, b = phi.domain, phi.codomain, phi.domain.backend
     img = [phi.columns.get(i, {}) for i in range(h.dim)]
-    table, diagonal = _monomial_law(h), _diagonal_product(k)
+    table, diagonal = _monomial_law(h), k.diagonal
     read = diag = None
     if table is not None and diagonal is not None and k.dim == h.dim == len(diagonal):
-        read, values = phi._dense, [diagonal.get(m) for m in range(h.dim)]
-        if isinstance(read, np.ndarray):
-            diag = [b._log.get(x) for x in values]
-            diag = None if None in diag else np.array(diag)
-        elif read is not None:
-            diag = _float_parts([values])
-            diag = None if diag is None else tuple(p[0] for p in diag)
+        read, diag = phi._dense, b.read([[diagonal.get(m) for m in range(h.dim)]])
+        if read is None or b.exact and (diag < 0).any():
+            diag = None
 
     def pairs_mult():
-        if diag is not None and isinstance(read, np.ndarray):
-            bad = read[:, table] != (read[:, :, None] + read[:, None, :] + diag[:, None, None]) % b.n
+        if diag is not None and b.exact:
+            bad = read[:, table] != (read[:, :, None] + read[:, None, :] + diag.reshape(-1, 1, 1)) % b.n
             if phi._holes:
                 # entry (r, i, j) is folded when a rhs cell (r, i) or (r, j) is a hole, and the fold
                 # decides it; a hole at its lhs cell alone is read as -1, unequal to the root its rhs
@@ -1477,7 +1400,7 @@ def duality_cycle(group: Group, backend, perturb: tuple[int, int] | None = None)
     cell and multiplies the two images (``_algebra_hom``), and the gram and
     the composite are ``_compose`` sums.  On the float backend a bumped
     entry is still a finite complex, so the three folds stay on arrays; only
-    a map ``_floats`` turns away (a missing or non-finite entry, rows or
+    a map the dense read turns away (a missing or non-finite entry, rows or
     columns out of order) is summed through the backend.
 
     The antipode condition and transpose-columns compare two arrays of the

@@ -15,6 +15,10 @@ every element one tuple, so the lookup returns the tuple the schoolbook
 product would.  Equality is literal tuple equality.  ``residual`` is 0.0 for
 equal values and otherwise the float distance of the complex embeddings: it
 is reported, never used to decide.
+
+Each backend's ``read`` turns rows of its values into arrays for the dense
+folds: the exact backend reads root exponents, the float backend (re, im)
+float64 parts.  Only this module knows how a value is stored.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .reports import fail
 
@@ -77,6 +83,11 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+# a part past this magnitude could overflow a fold's products, where abs() of a complex raises
+# OverflowError and np.hypot gives inf; under it every float fold's residual is finite
+_FLOAT_PART_BOUND = 2.0**300
+
+
 def times(x, y):
     """The entrywise product of two (re, im) pairs as CPython multiplies complex numbers, one float64
     ufunc per operation: numpy's own complex product rounds differently."""
@@ -109,6 +120,16 @@ class ComplexFloatBackend:
 
     def scale(self, a, q):
         return a * float(Fraction(q))
+
+    def read(self, rows):
+        """rows of entries as two float64 arrays, real and imaginary parts; None unless every entry is
+        a complex whose parts are at most _FLOAT_PART_BOUND in magnitude (so finite).  Read, not
+        computed: the parts keep their bits."""
+        if any(type(x) is not complex for row in rows for x in row):
+            return None
+        z = np.array(rows, dtype=np.complex128)
+        parts = z.real.copy(), z.imag.copy()
+        return parts if all((np.abs(p) <= _FLOAT_PART_BOUND).all() for p in parts) else None
 
     def root(self, k: int, m: int):
         """The k-th power of the primitive m-th root of unity."""
@@ -209,6 +230,13 @@ class CyclotomicBackend:
                 for j, m in enumerate(mono):
                     out[j] += c * m
         return tuple(out)
+
+    def read(self, rows):
+        """rows of entries as an intp array of root exponents, e where an entry is z^e and -1 where
+        it is not a root.  Read from the values, so a value that is a root reads as its own exponent,
+        whatever it was built from."""
+        log = self._log
+        return np.array([[log.get(x, -1) for x in row] for row in rows], dtype=np.intp)
 
     def root(self, k: int, m: int):
         """z_m^k as an element of this field; m must divide the ambient order."""

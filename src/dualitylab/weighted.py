@@ -406,12 +406,13 @@ class _PolarTrials:
     """The five trial sets of one ``weighted_property_trials`` call, on one generator.
 
     Each set draws a block of trials with the generator calls the per-trial code made, in its
-    order, then evaluates the block on float64 arrays.  A block's vectors are (m, 6) rows of
-    region indices and coefficient parts; a short row, and a coefficient of 0 (which a vector
-    drops), holds the pad index n, whose weight and parts are 0.  Every product of complex
-    numbers is ``scalars.times`` and every modulus ``np.hypot``, CPython's bits on parts; a
-    product by a real number is one float product per part, which differs from CPython's complex
-    product only in the sign of a zero, and no |.|, fsum or comparison below sees that sign.
+    order, then evaluates the block on float64 arrays in a call of its own (``blocks``).  A
+    block's vectors are (m, 6) rows of region indices and coefficient parts; a short row, and a
+    coefficient of 0 (which a vector drops), holds the pad index n, whose weight and parts are 0.
+    Every product of complex numbers is ``scalars.times`` and every modulus ``np.hypot``,
+    CPython's bits on parts; a product by a real number is one float product per part, which
+    differs from CPython's complex product only in the sign of a zero, and no |.|, fsum or
+    comparison below sees that sign.
     """
 
     def __init__(self, f, g, region, group, rng, trials):
@@ -426,10 +427,12 @@ class _PolarTrials:
         """f at each region index, and 0 at the pad index n."""
         return np.array([f.value(x) for x in self.region] + [0.0], dtype=float)
 
-    def blocks(self, draw):
-        """``draw()`` once per trial, in trial order, as (list of draws, first trial) per block."""
+    def blocks(self, draw, evaluate):
+        """The results of ``evaluate(draws, first trial)`` per block, in turn, on ``draw()`` called
+        once per trial, in trial order.  A block's draws and arrays live in its own call, so they
+        are freed before the next block is drawn, and one block is held at a time."""
         for start in range(0, self.trials, self.step):
-            yield [draw() for _ in range(min(self.step, self.trials - start))], start
+            yield from evaluate([draw() for _ in range(min(self.step, self.trials - start))], start)
 
     def rows(self, vectors):
         """A block's drawn vectors as (m, 6) arrays: region indices, real parts, imaginary parts."""
@@ -458,7 +461,8 @@ class _PolarTrials:
     def convolution(self):
         """(q_f(alpha * beta), q_f(alpha) q_f(beta)) per trial."""
         rng, n, region, f, fr = self.rng, self.n, self.region, self.f, self.fr
-        for block, _ in self.blocks(lambda: (_draw_vector(rng, n), _draw_vector(rng, n))):
+
+        def evaluate(block, _):
             (pa, ra, ia), (pb, rb, ib) = map(self.rows, zip(*block))
             m = len(block)
             # a trial's 36 pairs, alpha's point major and beta's minor as convolve takes them: the
@@ -488,7 +492,9 @@ class _PolarTrials:
             lhs = [math.fsum(terms[s:e]) for s, e in zip([0, *ends], ends)]
             norms_a = _fsum_rows(np.hypot(ra, ia) * fr[pa])
             norms_b = _fsum_rows(np.hypot(rb, ib) * fr[pb])
-            yield from zip(lhs, (a * b for a, b in zip(norms_a, norms_b)))
+            return list(zip(lhs, (a * b for a, b in zip(norms_a, norms_b))))
+
+        return self.blocks(lambda: (_draw_vector(rng, n), _draw_vector(rng, n)), evaluate)
 
     def projection(self):
         """(q_f of alpha on a random subset of the region, q_f(alpha)) per trial."""
@@ -498,18 +504,21 @@ class _PolarTrials:
             alpha = _draw_vector(rng, n)
             return alpha, rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
 
-        for block, _ in self.blocks(draw):
+        def evaluate(block, _):
             alphas, keeps = zip(*block)
             picks, re, im = self.rows(alphas)
             terms = np.hypot(re, im) * self.fr[picks]
             kept = np.where(self.find(picks, keeps) >= 0, terms, 0.0)
-            yield from zip(_fsum_rows(kept), _fsum_rows(terms))
+            return list(zip(_fsum_rows(kept), _fsum_rows(terms)))
+
+        return self.blocks(draw, evaluate)
 
     def extremizer(self):
         """(ok, relative error, tag) per trial: the extremizer pairs to q_f(alpha), and a random
         rectangle member to at most that."""
         rng, n, fr = self.rng, self.n, self.fr
-        for block, start in self.blocks(lambda: (_draw_vector(rng, n), _draw_member(rng, n))):
+
+        def evaluate(block, start):
             alphas, members = zip(*block)
             picks, re, im = self.rows(alphas)
             w, modulus = fr[picks], np.hypot(re, im)
@@ -524,8 +533,10 @@ class _PolarTrials:
             u = np.concatenate([u for _, u in members])
             mr[found], mi[found] = _rectangle_values(w[found], u[at[found]], 1.0)
             ok = (rel <= REL_TOL) & leq_array(np.hypot(*_row_sums(*times((re, im), (mr, mi)))), target)
-            for i, (good, r) in enumerate(zip(ok.tolist(), rel.tolist()), start):
-                yield good, r, "" if good else self.witness(i, picks[i - start])
+            return [(good, r, "" if good else self.witness(i, picks[i - start]))
+                    for i, (good, r) in enumerate(zip(ok.tolist(), rel.tolist()), start)]
+
+        return self.blocks(lambda: (_draw_vector(rng, n), _draw_member(rng, n)), evaluate)
 
     def bipolar(self) -> int:
         """The number of trials whose pointwise and pairing bipolar verdicts on a random table agree.
@@ -541,8 +552,7 @@ class _PolarTrials:
             _draw_vector(rng, n)  # the zero member, which pairs to 0: only its draws count
             return margin, table, _draw_vector(rng, n)
 
-        agreed = 0
-        for block, _ in self.blocks(draw):
+        def evaluate(block, _):
             margins, tables, alphas = zip(*block)
             sizes = [len(p) for p, _ in tables]
             points = np.concatenate([p for p, _ in tables])
@@ -571,8 +581,9 @@ class _PolarTrials:
             tr, ti = np.where(found, vr[at], 0.0), np.where(found, vi[at], 0.0)
             paired = np.hypot(*_row_sums(*times((sr, si), (tr, ti))))
             worst = np.where(member, np.fmax(worst, paired), worst)
-            agreed += int(np.count_nonzero(pointwise == leq_array(worst, 1.0)))
-        return agreed
+            return [int(np.count_nonzero(pointwise == leq_array(worst, 1.0)))]
+
+        return sum(self.blocks(draw, evaluate))
 
     def decomposition(self):
         """(ok, residual, tag) per trial: alpha, scaled to a random min-weighted seminorm, splits
@@ -588,7 +599,7 @@ class _PolarTrials:
             # a vector of min-weighted seminorm 0 is skipped before its target is drawn
             return (picks, parts), norm, float(rng.uniform(0.2, 1.2)) if norm != 0.0 else 0.0
 
-        for block, start in self.blocks(draw):
+        def evaluate(block, start):
             vectors, norm, target = zip(*block)
             picks, re, im = self.rows(vectors)
             drawn = np.array(norm) != 0.0
@@ -621,8 +632,10 @@ class _PolarTrials:
             )
             ok = ~drawn | ~feasible | sound
             residual = np.where(drawn & feasible, diff, 0.0)
-            for i, (good, r) in enumerate(zip(ok.tolist(), residual.tolist()), start):
-                yield good, r, "" if good else self.witness(i, picks[i - start])
+            return [(good, r, "" if good else self.witness(i, picks[i - start]))
+                    for i, (good, r) in enumerate(zip(ok.tolist(), residual.tolist()), start)]
+
+        return self.blocks(draw, evaluate)
 
 
 def weighted_property_trials(

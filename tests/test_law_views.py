@@ -153,17 +153,20 @@ def test_law_views_read_as_the_dicts_they_replace(g, build, kind, data):
     assert not isinstance(plain.mul, hopf._LawView) and not isinstance(plain.comul, hopf._LawView)
     for name in ("mul", "comul"):
         assert_reads_match(getattr(view, name), getattr(plain, name))
-    # a law product has no rows, as its cells are read from its array; a dict product's rows are
-    # the dict algebra's
-    assert view.rows == ({} if isinstance(view.mul, hopf._Products) else plain.rows)
+    # a product reads as the same diagonal, or as none, whether its cells are a view's or a dict's:
+    # a law product of more than one point has cells off the diagonal
+    assert view.diagonal == plain.diagonal
+    if isinstance(view.mul, hopf._Products) and view.dim > 1:
+        assert view.diagonal is None
     assert view == plain and plain == view
     assert checked(view) == checked(plain)
     assert dual_hopf(dual_hopf(view)) == view
-    # replace builds rows again, from whatever mul it is given
+    # replace reads the diagonal again, from whatever mul it is given
     other = make_group(GroupSpec.finite_abelian([view.dim]))
-    assert dataclasses.replace(view, mul=group_algebra(other, b).mul).rows == {}
+    law_product = dataclasses.replace(view, mul=group_algebra(other, b).mul)
+    assert law_product.diagonal == (None if view.dim > 1 else {0: b.one})
     as_dict = dataclasses.replace(view, mul={k: dict(v) for k, v in view.mul.items()})
-    assert isinstance(as_dict.rows, dict) and as_dict.rows == plain.rows
+    assert as_dict.diagonal == plain.diagonal
 
 
 def test_law_views_share_one_array_and_hold_no_cells(monkeypatch):
@@ -174,7 +177,7 @@ def test_law_views_share_one_array_and_hold_no_cells(monkeypatch):
     b = make_backend("cyclotomic", order=1)
     f, h = function_algebra(g, b), group_algebra(g, b)
     law = hopf._cayley_table(g)[1]
-    assert f.comul.law is law and h.mul.law is law and h.rows == {}
+    assert f.comul.law is law and h.mul.law is law and h.diagonal is None
     assert dual_hopf(f).mul.law is law and dual_hopf(h).comul.law is law
     assert not law.flags.writeable
     assert hopf._monomial_law(h) is law and hopf._monomial_law(f, coproduct=True) is law

@@ -18,6 +18,12 @@ every private top-level ``def``, ``class`` or constant must be used in
 ``src/`` outside its own definition.  Use here is by the syntax tree, a name
 loaded or an attribute read, so a docstring or comment that still names a
 helper whose last caller is gone does not keep it.
+
+One boundary is pinned the same way: how a scalar is stored is known to
+``scalars.py`` alone.  No other module reads the exact backend's root table
+(an attribute named ``_log`` or ``_mono``); each backend reads its own values
+(``read``), and ``hopf.py`` tells the backends apart by ``exact``, never by
+comparing a ``.name``.
 """
 
 import ast
@@ -105,3 +111,17 @@ def test_every_private_name_is_used_in_src():
     # a use inside the name's own definition, as in a recursive def, does not count
     unused = [where for where, name, own in defined if used[name] <= own]
     assert unused == [], f"private names nothing in src/ uses: {unused}"
+
+
+def test_only_the_scalars_module_reads_how_a_scalar_is_stored():
+    reaching = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "scalars.py":
+            reaching += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute) and node.attr in ("_log", "_mono")]
+        if path.name == "hopf.py":
+            reaching += [f"{path.name}:{node.lineno}: compares .name" for node in ast.walk(tree)
+                         if isinstance(node, ast.Compare)
+                         and any(isinstance(x, ast.Attribute) and x.attr == "name" for x in [node.left, *node.comparators])]
+    assert reaching == [], f"reads past the backends' own operations: {reaching}"

@@ -1,8 +1,10 @@
 """Scalar backends: cyclotomic exact arithmetic against the complex embedding."""
 
 import cmath
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -266,7 +268,8 @@ def test_cyclotomic_poly_matches_fraction_long_division():
         assert all(isinstance(c, int) for c in cyclotomic_poly(n))
 
 
-OPERATIONS = {"from_int", "add", "mul", "conj", "scale", "root", "eq", "is_zero", "to_complex", "residual", "format"}
+OPERATIONS = {"from_int", "add", "mul", "conj", "scale", "root", "eq", "is_zero", "to_complex", "residual", "format",
+              "read"}
 
 
 @pytest.mark.parametrize("cls", [ComplexFloatBackend, CyclotomicBackend])
@@ -275,3 +278,48 @@ def test_backends_expose_the_same_ring_operations(cls):
     assert public == OPERATIONS
     # the rational division behind an inverse is gone from the library
     assert not any(hasattr(scalars, k) for k in ("_reduce", "_poly_divmod", "_trim", "_ZERO", "_ONE"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 30])
+def test_the_exact_read_gives_each_roots_exponent_and_minus_one_elsewhere(n):
+    b = CyclotomicBackend(n)
+    roots = [b.root(e, n) for e in range(n)]
+    assert b.read([roots, roots[::-1]]).tolist() == [list(range(n)), list(range(n))[::-1]]
+    others = [
+        b.add(roots[-1], b.from_int(3)),       # a bumped entry, never a root (|3 + z^e| >= 2)
+        b.scale(roots[-1], Fraction(2, 3)),    # a Fraction-scaled root
+        b.scale(roots[-1], Fraction(1)),       # Fraction coefficients equal to a root's ints
+        b.zero,
+        roots[0],
+    ]
+    got = b.read([others])
+    assert got.dtype == np.intp and got.shape == (1, len(others))
+    assert got.tolist() == [[b._log.get(x, -1) for x in others]]
+    assert got.tolist() == [[-1, -1, n - 1, -1, 0]]
+    # the empty family reads as no entries
+    assert b.read([]).size == 0
+
+
+def part_bits(parts):
+    return [[x.hex() for x in p.ravel().tolist()] for p in parts]
+
+
+def test_the_float_read_keeps_every_bit():
+    b = ComplexFloatBackend()
+    tiny = 5e-324
+    rows = [[complex(-0.0, 0.0), complex(0.0, -0.0), complex(tiny, -tiny)],
+            [complex(-2.0**300, 2.0**300), complex(1e-310, -1.5), b.root(1, 7)]]
+    re, im = b.read(rows)
+    assert re.dtype == im.dtype == np.float64 and re.shape == im.shape == (2, 3)
+    assert part_bits((re, im)) == [[x.real.hex() for row in rows for x in row],
+                                   [x.imag.hex() for row in rows for x in row]]
+    assert re.flags.c_contiguous and im.flags.c_contiguous
+
+
+@pytest.mark.parametrize("entry", [0.5, 1, (1, 0), complex(0.0, math.inf), complex(math.nan, 0.0),
+                                   complex(0.0, 2.0**301), complex(-2.0**301, 0.0)],
+                         ids=["float", "int", "tuple", "inf", "nan", "past the bound", "negative past the bound"])
+def test_the_float_read_refuses_an_entry_it_cannot_keep(entry):
+    b = ComplexFloatBackend()
+    assert b.read([[b.one, entry], [b.zero, b.one]]) is None
+    assert b.read([[b.one, b.zero], [b.zero, b.one]]) is not None
